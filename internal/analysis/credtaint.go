@@ -6,7 +6,7 @@ import (
 )
 
 // credtaint taint-tracks raw credential/ticket/session bytes from their
-// decode sites (xmldom.Parse/ParseString, base64 decode, raw body
+// decode sites (every xmldom.Parse* entry point, base64 decode, raw body
 // reads — composed transitively through functions that return such
 // values) into trust decisions, and demands the flow be guarded by BOTH
 // a signature verification and an expiry check, with expiry checked

@@ -116,7 +116,7 @@ type FuncSummary struct {
 	ForeverLoop token.Pos
 
 	// ReturnsTainted: some return value derives from externally decoded
-	// bytes (xmldom.Parse, base64 decode, io.ReadAll, or a call to
+	// bytes (xmldom.Parse*, base64 decode, io.ReadAll, or a call to
 	// another tainted-returning function). Fixpointed module-wide.
 	ReturnsTainted bool
 	// Sanitizes: the function (possibly via callees) both verifies a
@@ -956,7 +956,8 @@ func (ti *taintInfo) callTainted(call *ast.CallExpr) bool {
 }
 
 // rootTaintSource matches the decode functions where external bytes
-// enter: XML parsing, base64 decoding, and raw body reads.
+// enter: XML parsing (every xmldom.Parse* entry point), base64 decoding,
+// and raw body reads.
 func rootTaintSource(info *types.Info, call *ast.CallExpr) bool {
 	fn := callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -964,7 +965,7 @@ func rootTaintSource(info *types.Info, call *ast.CallExpr) bool {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case pkgPathHasSuffix(path, "xmldom") && (fn.Name() == "Parse" || fn.Name() == "ParseString"):
+	case pkgPathHasSuffix(path, "xmldom") && strings.HasPrefix(fn.Name(), "Parse") && fn.Type().(*types.Signature).Recv() == nil:
 		return true
 	case path == "encoding/base64" && strings.Contains(fn.Name(), "Decode"):
 		return true

@@ -18,6 +18,12 @@ func adoptUnverified(s svc, raw string) {
 	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without signature verification"
 }
 
+// adoptBody parses a request body the way the wsrpc handlers do.
+func adoptBody(s svc, body []byte) {
+	doc, _ := xmldom.ParseBytes(body)
+	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without signature verification"
+}
+
 func adoptNoExpiry(s svc, k pki.KeyPair, raw string) {
 	doc, _ := xmldom.ParseString(raw)
 	if !k.VerifyTicket(doc) {

@@ -8,5 +8,6 @@ type Node struct {
 
 func Parse(b []byte) (*Node, error)       { return &Node{}, nil }
 func ParseString(s string) (*Node, error) { return &Node{}, nil }
+func ParseBytes(b []byte) (*Node, error)  { return &Node{}, nil }
 
 func (n *Node) Child(name string) *Node { return &Node{} }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -303,7 +304,9 @@ func (n *Node) putStandby(id, xml string) {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.standby[id] = standbyDoc{xml: xml, at: now}
+	// A parsed id is a substring of the whole request body (see package
+	// xmldom); the table outlives that request.
+	n.standby[strings.Clone(id)] = standbyDoc{xml: xml, at: now}
 	n.ships++
 	if n.ships%256 == 0 {
 		cutoff := now.Add(-n.standbyTTL())

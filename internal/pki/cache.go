@@ -2,6 +2,7 @@ package pki
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,11 +137,25 @@ func (ts *TrustStore) rememberVerify(c *xtnl.Credential, chain []*xtnl.Credentia
 	if ts.DisableCache || len(c.Signature) == 0 {
 		return
 	}
-	ts.cache.store(cacheKey(c), &verifyCacheEntry{
-		cred:        c,
-		signedBytes: c.SignedBytes(),
-		chain:       chain,
-	})
+	entry := &verifyCacheEntry{cred: detach(c), signedBytes: c.SignedBytes()}
+	for _, link := range chain {
+		entry.chain = append(entry.chain, detach(link))
+	}
+	ts.cache.store(cacheKey(c), entry)
+}
+
+// detach returns a copy of c that shares no memory with the message it
+// was decoded from: a parsed credential's strings are substrings of the
+// whole message (see package xmldom), which a cache entry would
+// otherwise keep alive.
+func detach(c *xtnl.Credential) *xtnl.Credential {
+	d := c.Clone()
+	d.ID, d.Type = strings.Clone(c.ID), strings.Clone(c.Type)
+	d.Issuer, d.Holder = strings.Clone(c.Issuer), strings.Clone(c.Holder)
+	for i, a := range c.Attributes {
+		d.Attributes[i] = xtnl.Attribute{Name: strings.Clone(a.Name), Value: strings.Clone(a.Value)}
+	}
+	return d
 }
 
 // CacheStats snapshots the verification-cache counters.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"trustvo/internal/xtnl"
 )
@@ -164,5 +165,32 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	st := ts.CacheStats()
 	if st.Hits == 0 || st.Hits+st.Misses != 400 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestVerifyCacheDetachesDecodedCredential: a credential decoded from a
+// message shares the message's memory, so the cache entry must hold
+// copies of its strings rather than keep the message alive.
+func TestVerifyCacheDetachesDecodedCredential(t *testing.T) {
+	ca := MustNewAuthority("CA")
+	ts := NewTrustStore(ca)
+	issued := issueTestCred(t, ca, "Badge")
+	cred, err := xtnl.ParseCredential(issued.XML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Verify(cred, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := ts.cache.lookup(cacheKey(cred))
+	if !ok {
+		t.Fatal("verified credential not cached")
+	}
+	shares := func(a, b string) bool { return len(a) > 0 && unsafe.StringData(a) == unsafe.StringData(b) }
+	if shares(e.cred.Type, cred.Type) || shares(e.cred.Issuer, cred.Issuer) || shares(e.cred.ID, cred.ID) {
+		t.Fatal("cache entry shares memory with the decoded credential")
+	}
+	if e.cred.Type != cred.Type || e.cred.Issuer != cred.Issuer || e.cred.ID != cred.ID {
+		t.Fatalf("cached copy differs: %+v vs %+v", e.cred, cred)
 	}
 }

@@ -12,6 +12,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -133,7 +134,7 @@ func makeSeries(name string, labels []string) series {
 		for i := 0; i+1 < len(labels); i += 2 {
 			pairs = append(pairs, kv{labels[i], labels[i+1]})
 		}
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+		slices.SortStableFunc(pairs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 		labels = labels[:0:0]
 		for _, p := range pairs {
 			labels = append(labels, p.k, p.v)

@@ -1,6 +1,7 @@
 package xtnl
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,30 +18,43 @@ import (
 
 // condCacheLimit bounds the compiled-condition memo. Conditions arrive
 // in counterpart policies, so an unbounded map would let an adversary
-// grow memory one unique XPath string at a time; past the limit new
-// conditions are compiled without being retained.
+// grow memory one unique XPath string at a time. A full memo is replaced
+// by an empty one, so the conditions in use after that point are cached
+// again rather than recompiled on every evaluation.
 const condCacheLimit = 4096
 
-var (
-	condCache     sync.Map // condition source -> *xpath.Expr
-	condCacheSize atomic.Int64
-)
+// condMemo is one generation of the compiled-condition memo.
+type condMemo struct {
+	exprs sync.Map // condition source -> *xpath.Expr
+	size  atomic.Int64
+}
+
+var condCache atomic.Pointer[condMemo]
+
+func init() { condCache.Store(new(condMemo)) }
 
 // compileCondition returns the compiled form of one XPath condition,
 // memoizing successes. Compiled expressions are immutable, so sharing
 // one across goroutines is safe.
 func compileCondition(src string) (*xpath.Expr, error) {
-	if v, ok := condCache.Load(src); ok {
+	memo := condCache.Load()
+	if v, ok := memo.exprs.Load(src); ok {
 		return v.(*xpath.Expr), nil
 	}
+	// The memo outlives the policy the condition came from; a parsed
+	// condition is a substring of that whole message (see package xmldom).
+	src = strings.Clone(src)
 	e, err := xpath.Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	if condCacheSize.Load() < condCacheLimit {
-		if _, loaded := condCache.LoadOrStore(src, e); !loaded {
-			condCacheSize.Add(1)
-		}
+	if memo.size.Add(1) > condCacheLimit {
+		condCache.CompareAndSwap(memo, new(condMemo))
+		memo = condCache.Load()
+		memo.size.Add(1)
+	}
+	if v, loaded := memo.exprs.LoadOrStore(src, e); loaded {
+		return v.(*xpath.Expr), nil
 	}
 	return e, nil
 }
