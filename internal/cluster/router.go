@@ -383,7 +383,7 @@ func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (*xmld
 func writeClusterFault(w http.ResponseWriter, status int, code, detail string) {
 	w.Header().Set("Content-Type", wsrpc.ContentType)
 	w.WriteHeader(status)
-	io.WriteString(w, (&wsrpc.Fault{Code: code, Detail: detail}).DOM().XML())
+	io.WriteString(w, (&wsrpc.Fault{Code: code, Detail: detail}).XML())
 }
 
 // writeClusterDOM emits an XML document with status 200.

@@ -155,106 +155,112 @@ type Message struct {
 
 // ---- XML codec ----
 
-// DOM serializes the message. The layout is the reproduction's TN wire
-// format: <tnMessage type=… from=…> with one child per populated field.
-func (m *Message) DOM() *xmldom.Node {
-	root := xmldom.NewElement("tnMessage").
-		SetAttr("type", m.Type.String()).
-		SetAttr("from", m.From)
+// Encode writes the message in the reproduction's TN wire format:
+// <tnMessage type=… from=…> with one child per populated field.
+func (m *Message) Encode(w *xmldom.Writer) {
+	w.Start("tnMessage")
+	w.Attr("type", m.Type.String())
+	w.Attr("from", m.From)
 	if m.Resource != "" {
-		root.SetAttr("resource", m.Resource)
+		w.Attr("resource", m.Resource)
 	}
 	if m.Type == MsgRequest {
-		root.SetAttr("strategy", m.Strategy.String())
+		w.Attr("strategy", m.Strategy.String())
 	}
 	if m.RequireProof {
-		root.SetAttr("requireProof", "true")
+		w.Attr("requireProof", "true")
 	}
-	for _, a := range m.Answers {
-		an := xmldom.NewElement("answer").
-			SetAttr("node", a.NodeID).
-			SetAttr("kind", a.Kind.String())
+	for i := range m.Answers {
+		a := &m.Answers[i]
+		w.Start("answer")
+		w.Attr("node", a.NodeID)
+		w.Attr("kind", a.Kind.String())
 		if a.Reason != "" {
-			an.SetAttr("reason", a.Reason)
+			w.Attr("reason", a.Reason)
 		}
 		for _, p := range a.Policies {
-			an.AppendChild(p.DOM())
+			p.Encode(w)
 		}
 		if a.Disclosure != nil {
-			an.AppendChild(a.Disclosure.dom())
+			a.Disclosure.encode(w)
 		}
-		root.AppendChild(an)
+		w.End()
 	}
 	if len(m.Sequence) > 0 {
-		seq := xmldom.NewElement("trustSequence")
+		w.Start("trustSequence")
 		for _, id := range m.Sequence {
-			seq.AppendChild(xmldom.NewElement("entry").SetAttr("node", id))
+			w.Start("entry")
+			w.Attr("node", id)
+			w.End()
 		}
-		root.AppendChild(seq)
+		w.End()
 	}
-	for _, d := range m.Disclosures {
-		root.AppendChild(d.dom())
+	for i := range m.Disclosures {
+		m.Disclosures[i].encode(w)
 	}
 	if len(m.Nonce) > 0 {
-		n := xmldom.NewElement("nonce")
-		n.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(m.Nonce)))
-		root.AppendChild(n)
+		base64Element(w, "nonce", m.Nonce)
 	}
 	if len(m.Grant) > 0 {
-		g := xmldom.NewElement("grant")
-		g.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(m.Grant)))
-		root.AppendChild(g)
+		base64Element(w, "grant", m.Grant)
 	}
 	if m.Ticket != nil {
-		root.AppendChild(m.Ticket.DOM())
+		m.Ticket.Encode(w)
 	}
 	if m.Reason != "" {
-		r := xmldom.NewElement("reason")
-		r.AppendChild(xmldom.NewText(m.Reason))
-		root.AppendChild(r)
+		w.Start("reason")
+		w.Text(m.Reason)
+		w.End()
 	}
-	return root
+	w.End()
 }
 
-func (d *CredentialDisclosure) dom() *xmldom.Node {
-	el := xmldom.NewElement("disclosure").SetAttr("node", d.NodeID)
+func (d *CredentialDisclosure) encode(w *xmldom.Writer) {
+	w.Start("disclosure")
+	w.Attr("node", d.NodeID)
 	if d.Credential != nil {
-		el.AppendChild(d.Credential.DOM())
+		d.Credential.Encode(w)
 	}
 	if len(d.X509) > 0 {
-		xe := xmldom.NewElement("x509")
-		xe.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(d.X509)))
-		el.AppendChild(xe)
+		base64Element(w, "x509", d.X509)
 	}
 	if d.Committed != nil {
-		com := xmldom.NewElement("committed")
-		com.AppendChild(d.Committed.DOM())
-		el.AppendChild(com)
+		w.Start("committed")
+		d.Committed.Encode(w)
+		w.End()
 		for _, o := range d.Opened {
-			oe := xmldom.NewElement("opened").
-				SetAttr("name", o.Name).
-				SetAttr("salt", base64.StdEncoding.EncodeToString(o.Salt))
-			oe.AppendChild(xmldom.NewText(o.Value))
-			el.AppendChild(oe)
+			w.Start("opened")
+			w.Attr("name", o.Name)
+			w.AttrBase64("salt", o.Salt)
+			w.Text(o.Value)
+			w.End()
 		}
 	}
 	if len(d.OwnershipProof) > 0 {
-		pr := xmldom.NewElement("ownershipProof")
-		pr.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(d.OwnershipProof)))
-		el.AppendChild(pr)
+		base64Element(w, "ownershipProof", d.OwnershipProof)
 	}
 	if len(d.Chain) > 0 {
-		ch := xmldom.NewElement("chain")
+		w.Start("chain")
 		for _, c := range d.Chain {
-			ch.AppendChild(c.DOM())
+			c.Encode(w)
 		}
-		el.AppendChild(ch)
+		w.End()
 	}
-	return el
+	w.End()
 }
 
+// base64Element writes <name>base64(b)</name>.
+func base64Element(w *xmldom.Writer, name string, b []byte) {
+	w.Start(name)
+	w.TextBase64(b)
+	w.End()
+}
+
+// DOM builds the message's XML tree (see Encode).
+func (m *Message) DOM() *xmldom.Node { return xmldom.Tree(m.Encode) }
+
 // XML serializes the message in canonical form.
-func (m *Message) XML() string { return m.DOM().XML() }
+func (m *Message) XML() string { return xmldom.String(m.Encode) }
 
 // ErrBadMessage reports a malformed wire message.
 var ErrBadMessage = errors.New("negotiation: malformed message")

@@ -119,7 +119,9 @@ type IssueRequest struct {
 
 // Issue mints and signs a credential. The credential ID embeds the
 // authority name and a serial number plus random suffix, so IDs are
-// unique across authorities.
+// unique across authorities. A credential that would not survive the
+// wire is refused before signing, with an error wrapping
+// *xtnl.EncodeError (see Credential.CheckWire).
 func (a *Authority) Issue(req IssueRequest) (*xtnl.Credential, error) {
 	if req.Type == "" {
 		return nil, errors.New("pki: issue: empty credential type")
@@ -148,6 +150,9 @@ func (a *Authority) Issue(req IssueRequest) (*xtnl.Credential, error) {
 		ValidUntil:  from.Add(life),
 		Sensitivity: req.Sensitivity,
 		Attributes:  append([]xtnl.Attribute(nil), req.Attributes...),
+	}
+	if err := cred.CheckWire(); err != nil {
+		return nil, fmt.Errorf("pki: issue: %w", err)
 	}
 	cred.Signature = a.Keys.Sign(cred.SignedBytes())
 	return cred, nil

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 )
 
 // WritePrometheus renders every registered series in the Prometheus
@@ -60,18 +59,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // seriesWithLabel renders name{labels...,extraK="extraV"}.
 func seriesWithLabel(name string, labels []string, extraK, extraV string) string {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	writeLabels(&b, labels)
+	b := append([]byte(name), '{')
+	b = appendLabels(b, labels)
 	if len(labels) > 0 {
-		b.WriteByte(',')
+		b = append(b, ',')
 	}
-	b.WriteString(extraK)
-	b.WriteString(`="`)
-	b.WriteString(escapeLabel(extraV))
-	b.WriteString(`"}`)
-	return b.String()
+	b = appendLabel(b, extraK, extraV)
+	return string(append(b, '}'))
 }
 
 func formatFloat(v float64) string {

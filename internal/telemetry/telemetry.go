@@ -91,36 +91,70 @@ type series struct {
 }
 
 // key renders the canonical series identity: name{k="v",...}.
-func (s series) key() string {
-	if len(s.labels) == 0 {
-		return s.name
+func (s series) key() string { return string(appendKey(nil, s.name, s.labels)) }
+
+// maxKeyPairs bounds the label pairs appendKey orders on the stack;
+// longer label lists go through makeSeries and allocate.
+const maxKeyPairs = 8
+
+// appendKey appends the key of the series makeSeries(name, labels)
+// describes — name{k="v",...}, a dangling key dropped, pairs in stable
+// key order — without building that series, so looking up an existing
+// series allocates nothing.
+func appendKey(b []byte, name string, labels []string) []byte {
+	b = append(b, name...)
+	n := len(labels) / 2
+	if n == 0 {
+		return b
 	}
-	var b strings.Builder
-	b.WriteString(s.name)
-	b.WriteByte('{')
-	writeLabels(&b, s.labels)
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '{')
+	if n > maxKeyPairs {
+		b = appendLabels(b, makeSeries(name, labels).labels)
+		return append(b, '}')
+	}
+	var order [maxKeyPairs]int
+	for i := 0; i < n; i++ { // insertion sort: stable, like makeSeries
+		j := i
+		for ; j > 0 && labels[2*order[j-1]] > labels[2*i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for k, i := range order[:n] {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = appendLabel(b, labels[2*i], labels[2*i+1])
+	}
+	return append(b, '}')
 }
 
-func writeLabels(b *strings.Builder, labels []string) {
+// appendLabels appends the pairs of labels in the order given.
+func appendLabels(b []byte, labels []string) []byte {
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
+		b = appendLabel(b, labels[i], labels[i+1])
 	}
+	return b
 }
 
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\"\\\n") {
-		return v
+// appendLabel appends k="v" with '\\', '"' and newline escaped in v.
+func appendLabel(b []byte, k, v string) []byte {
+	b = append(b, k...)
+	b = append(b, '=', '"')
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			b = append(b, '\\', c)
+		case '\n':
+			b = append(b, '\\', 'n')
+		default:
+			b = append(b, c)
+		}
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return append(b, '"')
 }
 
 func makeSeries(name string, labels []string) series {
@@ -178,21 +212,27 @@ func NewRegistry() *Registry {
 	}
 }
 
+// keyBufSize is the stack buffer a lookup renders its series key into;
+// a longer key spills to the heap.
+const keyBufSize = 256
+
 // Counter returns (registering on first use) the counter for name and
 // the alternating key/value label pairs. nil registry → nil counter.
+// Looking up a registered series allocates nothing; labels is copied
+// only when the series is registered.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cs, ok := r.counters[k]; ok {
+	if cs, ok := r.counters[string(k)]; ok {
 		return cs.c
 	}
-	cs := &counterSeries{series: s, c: &Counter{}}
-	r.counters[k] = cs
+	cs := &counterSeries{series: makeSeries(name, slices.Clone(labels)), c: &Counter{}}
+	r.counters[string(k)] = cs
 	return cs.c
 }
 
@@ -201,15 +241,15 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if gs, ok := r.gauges[k]; ok {
+	if gs, ok := r.gauges[string(k)]; ok {
 		return gs.g
 	}
-	gs := &gaugeSeries{series: s, g: &Gauge{}}
-	r.gauges[k] = gs
+	gs := &gaugeSeries{series: makeSeries(name, slices.Clone(labels)), g: &Gauge{}}
+	r.gauges[string(k)] = gs
 	return gs.g
 }
 
@@ -221,15 +261,15 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if hs, ok := r.histories[k]; ok {
+	if hs, ok := r.histories[string(k)]; ok {
 		return hs.h
 	}
-	hs := &histogramSeries{series: s, h: newHistogram(buckets)}
-	r.histories[k] = hs
+	hs := &histogramSeries{series: makeSeries(name, slices.Clone(labels)), h: newHistogram(buckets)}
+	r.histories[string(k)] = hs
 	return hs.h
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -238,5 +239,59 @@ func TestReport(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"p95"`) {
 		t.Fatalf("json: %s", b.String())
+	}
+}
+
+// TestSeriesLookupAllocatesNothing guards the per-request counters of
+// the TN service: finding a registered series renders its key on the
+// stack and copies no labels.
+func TestSeriesLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	route, code := "/tn/policyExchange", "2xx"
+	lookups := map[string]func(){
+		"0 pairs": func() { r.Counter("requests_total").Inc() },
+		"1 pair":  func() { r.Gauge("active", "role", "controller").Inc() },
+		"2 pairs unsorted": func() {
+			r.Counter("http_requests_total", "route", route, "code", code).Inc()
+			r.LatencyHistogram("http_request_seconds", "route", route, "code", code).Observe(0.001)
+		},
+	}
+	for name, lookup := range lookups {
+		lookup() // register
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("%s: lookup allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLookupKeyMatchesSeriesKey checks that the key a lookup renders is
+// the key of the series makeSeries registers, whatever the label order.
+func TestLookupKeyMatchesSeriesKey(t *testing.T) {
+	cases := [][]string{
+		nil,
+		{"a", "1"},
+		{"b", "2", "a", "1"},
+		{"z", "1", "m", "2", "a", "3", "q", "4"},
+		{"k", "first", "a", "x", "k", "second"}, // duplicate keys keep their order
+		{"b", "2", "a"},                         // dangling key dropped
+		{"dangling"},
+		{"v", `quote " backslash \ newline` + "\n", "a", `\"`},
+		{"i", "9", "h", "8", "g", "7", "f", "6", "e", "5", "d", "4", "c", "3", "b", "2", "a", "1", "j", "0"},
+	}
+	for _, labels := range cases {
+		want := makeSeries("m", slices.Clone(labels)).key()
+		if got := string(appendKey(nil, "m", labels)); got != want {
+			t.Errorf("labels %q: lookup key %q, series key %q", labels, got, want)
+		}
+	}
+	if got, want := string(appendKey(nil, "m", []string{"v", "a\"b\\c\nd", "a", "1"})), `m{a="1",v="a\"b\\c\nd"}`; got != want {
+		t.Errorf("escaped key %s, want %s", got, want)
+	}
+	r := NewRegistry()
+	labels := []string{"route", "/x", "code", "200"}
+	c := r.Counter("hits_total", labels...)
+	labels[1] = "/changed"
+	if r.Counter("hits_total", "code", "200", "route", "/x") != c {
+		t.Fatal("registration kept the caller's label slice")
 	}
 }

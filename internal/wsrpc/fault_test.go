@@ -293,7 +293,7 @@ func TestJoinThroughPartitionWindow(t *testing.T) {
 
 // standaloneTN builds a plain TN service (opaque grant, no VO toolkit)
 // plus a requester party holding the credential its policy demands.
-func standaloneTN(t *testing.T) (*TNService, *negotiation.Party, *negotiation.Party) {
+func standaloneTN(t testing.TB) (*TNService, *negotiation.Party, *negotiation.Party) {
 	t.Helper()
 	ca := pki.MustNewAuthority("CertCA")
 	ctl := &negotiation.Party{

@@ -36,6 +36,9 @@ func (sess *tnSession) suspendDoc(id string) (doc *xmldom.Node, ok bool) {
 // (the per-message standby ship runs inside the exchange handler's
 // critical section).
 func (sess *tnSession) suspendDocLocked(id string) (doc *xmldom.Node, ok bool) {
+	if sess.done.Load() {
+		return nil, false // finished: the endpoint is gone, nothing to resume
+	}
 	state, err := sess.endpoint.SnapshotDOM()
 	if err != nil {
 		return nil, false

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"trustvo/internal/negotiation"
-	"trustvo/internal/xmldom"
 )
 
 // TNClient drives a requester-side negotiation against a remote
@@ -87,12 +86,10 @@ func (c *TNClient) negotiationCtx(ctx context.Context) (context.Context, context
 
 // Start invokes StartNegotiation and returns the negotiation id.
 func (c *TNClient) Start(ctx context.Context, resource string) (string, error) {
-	req := xmldom.NewElement("startNegotiationRequest").
-		SetAttr("strategy", c.Party.Strategy.String()).
-		SetAttr("resource", resource)
 	// Starting is idempotent in effect: a retried start at worst leaves an
 	// orphan session that the service sweeps out.
-	root, err := c.transport().call(ctx, http.MethodPost, c.BaseURL, "/tn/start", "", req.XML(), true)
+	root, err := c.transport().call(ctx, http.MethodPost, c.BaseURL, "/tn/start", "",
+		startRequestXML(c.Party.Strategy.String(), resource), true)
 	if err != nil {
 		return "", err
 	}
@@ -121,7 +118,7 @@ func (c *TNClient) exchangeSeq(ctx context.Context, negID string, msg *negotiati
 		path = "/tn/policyExchange"
 	}
 	root, err := c.transport().call(ctx, http.MethodPost, c.BaseURL, path, "",
-		envelopeSeq(negID, seq, msg).XML(), true)
+		envelopeXML(negID, seq, msg), true)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,6 +162,8 @@ func (s *TNService) shard(id string) *sessionShard {
 }
 
 type tnSession struct {
+	// endpoint drives the negotiation; it is dropped once done is set,
+	// leaving outcome, the verdict /tn/status reports.
 	endpoint *negotiation.Endpoint
 	mu       sync.Mutex // one in-flight message per session
 	lastUsed time.Time
@@ -258,7 +261,7 @@ func (s *TNService) handleStart(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusServiceUnavailable, "capacity", err.Error())
 		return
 	}
-	writeDOM(w, xmldom.NewElement("startNegotiationResponse").SetAttr("negotiation", id))
+	writeRaw(w, http.StatusOK, startResponseXML(id))
 }
 
 // capacityError reports MaxSessions pressure that half-age eviction could
@@ -687,7 +690,7 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			writeRaw(w, sess.lastReplyStatus, sess.lastReply)
 			return
 		}
-		if sess.endpoint.Done() {
+		if sess.done.Load() {
 			writeFault(w, http.StatusConflict, "done", "negotiation already finished")
 			return
 		}
@@ -695,8 +698,14 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 		reply, err := sess.endpoint.Handle(msg)
 		s.debugf("tn-message session=%s op=%s type=%s dur=%s err=%v",
 			id, phase, msg.Type, time.Since(start).Round(time.Microsecond), err != nil)
-		if sess.endpoint.Done() && !sess.done.Swap(true) {
-			sess.outcome = sess.endpoint.Outcome()
+		if sess.endpoint.Done() {
+			// Keep the verdict and drop the endpoint: a finished session
+			// stays in the table for DoneRetention to answer /tn/status
+			// and replays, and the endpoint would pin every request body
+			// it parsed.
+			sess.outcome = verdict(sess.endpoint.Outcome())
+			sess.endpoint = nil
+			sess.done.Store(true)
 			// retire() may lose to a concurrent expiry sweep or capacity
 			// eviction that already released this session's slot; the
 			// completed counter follows the same winner so a session is
@@ -715,12 +724,12 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 		switch {
 		case err != nil:
 			status = http.StatusInternalServerError
-			respBody = (&Fault{Code: "internal", Detail: err.Error()}).DOM().XML()
+			respBody = (&Fault{Code: "internal", Detail: err.Error()}).XML()
 		case reply == nil:
 			// Terminal message consumed; acknowledge with the outcome.
-			respBody = statusDOM(id, sess.endpoint).XML()
+			respBody = statusXML(id, sess.done.Load(), sess.outcome)
 		default:
-			respBody = envelope(id, reply).XML()
+			respBody = envelopeXML(id, 0, reply)
 		}
 		if seq > 0 {
 			sess.lastSeq, sess.lastReplyStatus, sess.lastReply = seq, status, respBody
@@ -735,6 +744,18 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 		}
 		writeRaw(w, status, respBody)
 	}
+}
+
+// verdict keeps what a finished session reports on /tn/status. The
+// credentials an outcome lists, and any reason quoted from a peer's
+// message, are substrings of the request bodies they were parsed from
+// (see package xmldom), so holding the whole outcome would pin those
+// bodies for DoneRetention.
+func verdict(out *negotiation.Outcome) *negotiation.Outcome {
+	if out == nil {
+		return nil
+	}
+	return &negotiation.Outcome{Succeeded: out.Succeeded, Resource: strings.Clone(out.Resource), Reason: strings.Clone(out.Reason)}
 }
 
 // shipSessionUpdate pushes the session's suspended-state document
@@ -781,27 +802,7 @@ func (s *TNService) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeDOM(w, statusDOM(id, sess.endpoint))
-}
-
-func statusDOM(id string, e *negotiation.Endpoint) *xmldom.Node {
-	n := xmldom.NewElement("status").
-		SetAttr("negotiation", id).
-		SetAttr("done", boolStr(e.Done()))
-	if out := e.Outcome(); out != nil {
-		n.SetAttr("succeeded", boolStr(out.Succeeded))
-		if out.Reason != "" {
-			n.SetAttr("reason", out.Reason)
-		}
-	}
-	return n
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
+	writeRaw(w, http.StatusOK, statusXML(id, sess.done.Load(), sess.outcome))
 }
 
 // Sessions returns the number of live sessions (monitoring).

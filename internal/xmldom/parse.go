@@ -391,6 +391,33 @@ func entityText(s string) string {
 	return s + " (no semicolon)"
 }
 
+// TextRoundTrips reports whether a text child holding s parses back as
+// written: s is valid UTF-8 made of XML characters, holds no carriage
+// return, which parsing turns into a line feed, and is empty or more
+// than white space, which parsing drops.
+func TextRoundTrips(s string) bool {
+	return s == "" || AttrRoundTrips(s) && strings.TrimSpace(s) != ""
+}
+
+// AttrRoundTrips reports whether an attribute value s parses back as
+// written: valid UTF-8 made of XML characters, with no carriage return.
+func AttrRoundTrips(s string) bool {
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				return false
+			}
+		}
+		if r == '\r' || !isChar(r) {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
 // isChar reports whether r is in the XML Char production.
 func isChar(r rune) bool {
 	return r == 0x09 || r == 0x0A || r == 0x0D ||

@@ -192,7 +192,9 @@ func treeString(tb testing.TB, n *Node) string {
 // FuzzParse checks the scanner against parseReference, the encoding/xml
 // builder it replaced: both must accept or reject every input, and build
 // identical trees from what they accept. The scanner has no deliberate
-// exceptions; any disagreement fails.
+// exceptions; any disagreement fails. Each accepted tree is also
+// serialized by (*Node).XML and by refXML, the serializer the Writer
+// replaced, which must agree byte for byte.
 func FuzzParse(f *testing.F) {
 	for _, doc := range seedDocuments(f) {
 		f.Add(doc)
@@ -214,6 +216,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if g, w := treeString(t, got), treeString(t, want); g != w {
 			t.Fatalf("parse %q: trees differ\nscanner:   %s\nreference: %s", doc, g, w)
+		}
+		if g, w := got.XML(), refXML(got); g != w {
+			t.Fatalf("parse %q: serializations differ\nwriter:    %q\nreference: %q", doc, g, w)
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package xmldom
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -82,4 +84,118 @@ func refQName(n xml.Name) string {
 		return n.Local
 	}
 	return "{" + n.Space + "}" + n.Local
+}
+
+// refXML is the serializer (*Node).XML used before the Writer: a
+// bytes.Buffer walk that sorts a copy of each element's attributes and
+// escapes through strings.Replacer. It is kept as the oracle for the
+// Writer's canonical form.
+func refXML(n *Node) string {
+	var b bytes.Buffer
+	refWriteXML(n, &b)
+	return b.String()
+}
+
+var (
+	refTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	refAttrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
+func refSortedAttrs(n *Node) []Attr {
+	for i := 1; i < len(n.Attrs); i++ {
+		if n.Attrs[i].Name < n.Attrs[i-1].Name {
+			attrs := make([]Attr, len(n.Attrs))
+			copy(attrs, n.Attrs)
+			slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
+			return attrs
+		}
+	}
+	return n.Attrs
+}
+
+func refWriteXML(n *Node, b *bytes.Buffer) {
+	switch n.Type {
+	case TextNode:
+		refTextEscaper.WriteString(b, n.Data)
+	case CommentNode:
+		b.WriteString("<!--")
+		b.WriteString(n.Data)
+		b.WriteString("-->")
+	case ElementNode:
+		b.WriteByte('<')
+		b.WriteString(n.Name)
+		for _, a := range refSortedAttrs(n) {
+			b.WriteByte(' ')
+			b.WriteString(a.Name)
+			b.WriteString(`="`)
+			refAttrEscaper.WriteString(b, a.Value)
+			b.WriteByte('"')
+		}
+		if len(n.Children) == 0 {
+			b.WriteString("/>")
+			return
+		}
+		b.WriteByte('>')
+		for _, c := range n.Children {
+			refWriteXML(c, b)
+		}
+		b.WriteString("</")
+		b.WriteString(n.Name)
+		b.WriteByte('>')
+	}
+}
+
+// refIndented is the indenting serializer Indented used before the
+// Writer.
+func refIndented(n *Node) string {
+	var b strings.Builder
+	refWriteIndented(n, &b, 0)
+	b.WriteByte('\n')
+	return b.String()
+}
+
+func refWriteIndented(n *Node, b *strings.Builder, depth int) {
+	ind := strings.Repeat("  ", depth)
+	switch n.Type {
+	case TextNode:
+		b.WriteString(ind)
+		b.WriteString(refTextEscaper.Replace(strings.TrimSpace(n.Data)))
+	case CommentNode:
+		b.WriteString(ind)
+		b.WriteString("<!--")
+		b.WriteString(n.Data)
+		b.WriteString("-->")
+	case ElementNode:
+		b.WriteString(ind)
+		b.WriteByte('<')
+		b.WriteString(n.Name)
+		for _, a := range refSortedAttrs(n) {
+			b.WriteByte(' ')
+			b.WriteString(a.Name)
+			b.WriteString(`="`)
+			b.WriteString(refAttrEscaper.Replace(a.Value))
+			b.WriteByte('"')
+		}
+		if len(n.Children) == 0 {
+			b.WriteString("/>")
+			return
+		}
+		b.WriteByte('>')
+		if onlyText(n) {
+			b.WriteString(refTextEscaper.Replace(n.Text()))
+			b.WriteString("</")
+			b.WriteString(n.Name)
+			b.WriteByte('>')
+			return
+		}
+		for _, c := range n.Children {
+			b.WriteByte('\n')
+			refWriteIndented(c, b, depth+1)
+		}
+		b.WriteByte('\n')
+		b.WriteString(ind)
+		b.WriteString("</")
+		b.WriteString(n.Name)
+		b.WriteByte('>')
+	}
 }

@@ -5,12 +5,22 @@
 // each <certCond> element stores an XPath expression over the counterpart
 // credential), and every negotiation message travels as an XML envelope.
 // This package builds the node tree that the XPath evaluator
-// (internal/xpath) walks and the codecs decode, and serializes it back.
+// (internal/xpath) walks and the codecs decode, and writes documents in
+// canonical form.
 //
 // The model is deliberately compact: elements, attributes, text and
 // comments. Documents round-trip through Parse and (*Node).XML in
 // canonical form — attributes sorted by name, no insignificant
 // whitespace — which is also the form that gets signed by internal/pki.
+//
+// # Writing
+//
+// There is one serializer, the Writer. (*Node).XML and Indented walk a
+// tree into it, and each wire type (credentials, policies, negotiation
+// messages, envelopes) writes its layout into it from a single encode
+// method: String and Bytes turn that method into canonical bytes in a
+// pooled buffer without building any node, and Tree turns the same
+// method into the node tree, for code that walks it.
 //
 // # Accepted grammar
 //
@@ -56,11 +66,8 @@
 package xmldom
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"strings"
-	"sync"
 )
 
 // NodeType discriminates the kinds of nodes in a document tree.
@@ -256,75 +263,27 @@ func (n *Node) Root() *Node {
 	return n
 }
 
-// xmlBufPool recycles serialization buffers across XML calls. Encoding
-// is the per-message hot path of the wsrpc envelope plumbing (every
-// request, reply and replay-cache entry serializes a tree), so buffer
-// growth churn is worth avoiding; only the final string copy allocates.
-var xmlBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// XML serializes the subtree rooted at n in canonical form (see Writer):
+// attributes sorted by name, text escaped, no added whitespace. The
+// output of XML is what internal/pki signs, so two structurally equal
+// documents always produce identical bytes.
+func (n *Node) XML() string { return String(n.write) }
 
-// maxPooledBuf caps the capacity of buffers returned to the pool, so
-// one huge document doesn't pin its buffer for the process lifetime.
-const maxPooledBuf = 1 << 16
-
-// XML serializes the subtree rooted at n in canonical form: attributes
-// sorted by name, text escaped, no added whitespace. The output of XML is
-// what internal/pki signs, so two structurally equal documents always
-// produce identical bytes.
-func (n *Node) XML() string {
-	b := xmlBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	n.writeXML(b)
-	s := b.String()
-	if b.Cap() <= maxPooledBuf {
-		xmlBufPool.Put(b)
-	}
-	return s
-}
-
-// sortedAttrs returns the attributes in name order, reusing the node's
-// own slice when it is already sorted (the common case: trees built via
-// SetAttr in order, or parsed from canonical output).
-func (n *Node) sortedAttrs() []Attr {
-	for i := 1; i < len(n.Attrs); i++ {
-		if n.Attrs[i].Name < n.Attrs[i-1].Name {
-			attrs := make([]Attr, len(n.Attrs))
-			copy(attrs, n.Attrs)
-			slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
-			return attrs
-		}
-	}
-	return n.Attrs
-}
-
-func (n *Node) writeXML(b *bytes.Buffer) {
+func (n *Node) write(w *Writer) {
 	switch n.Type {
 	case TextNode:
-		textEscaper.WriteString(b, n.Data)
+		w.Text(n.Data)
 	case CommentNode:
-		b.WriteString("<!--")
-		b.WriteString(n.Data)
-		b.WriteString("-->")
+		w.Comment(n.Data)
 	case ElementNode:
-		b.WriteByte('<')
-		b.WriteString(n.Name)
-		for _, a := range n.sortedAttrs() {
-			b.WriteByte(' ')
-			b.WriteString(a.Name)
-			b.WriteString(`="`)
-			attrEscaper.WriteString(b, a.Value)
-			b.WriteByte('"')
+		w.Start(n.Name)
+		for _, a := range n.Attrs {
+			w.Attr(a.Name, a.Value)
 		}
-		if len(n.Children) == 0 {
-			b.WriteString("/>")
-			return
-		}
-		b.WriteByte('>')
 		for _, c := range n.Children {
-			c.writeXML(b)
+			c.write(w)
 		}
-		b.WriteString("</")
-		b.WriteString(n.Name)
-		b.WriteByte('>')
+		w.End()
 	}
 }
 
@@ -332,55 +291,35 @@ func (n *Node) writeXML(b *bytes.Buffer) {
 // consumption (the cmd/xtnl formatter and example output). Text content
 // is kept inline when an element has only text children.
 func (n *Node) Indented() string {
-	var b strings.Builder
-	n.writeIndented(&b, 0)
-	b.WriteByte('\n')
-	return b.String()
+	return String(func(w *Writer) {
+		n.writeIndented(w, 0)
+		w.newline(0)
+	})
 }
 
-func (n *Node) writeIndented(b *strings.Builder, depth int) {
-	ind := strings.Repeat("  ", depth)
+func (n *Node) writeIndented(w *Writer, depth int) {
 	switch n.Type {
 	case TextNode:
-		b.WriteString(ind)
-		b.WriteString(escapeText(strings.TrimSpace(n.Data)))
+		w.Text(strings.TrimSpace(n.Data))
 	case CommentNode:
-		b.WriteString(ind)
-		b.WriteString("<!--")
-		b.WriteString(n.Data)
-		b.WriteString("-->")
+		w.Comment(n.Data)
 	case ElementNode:
-		b.WriteString(ind)
-		b.WriteByte('<')
-		b.WriteString(n.Name)
-		for _, a := range n.sortedAttrs() {
-			b.WriteByte(' ')
-			b.WriteString(a.Name)
-			b.WriteString(`="`)
-			b.WriteString(escapeAttr(a.Value))
-			b.WriteByte('"')
+		w.Start(n.Name)
+		for _, a := range n.Attrs {
+			w.Attr(a.Name, a.Value)
 		}
-		if len(n.Children) == 0 {
-			b.WriteString("/>")
-			return
+		switch {
+		case len(n.Children) == 0:
+		case onlyText(n):
+			w.Text(n.Text())
+		default:
+			for _, c := range n.Children {
+				w.newline(depth + 1)
+				c.writeIndented(w, depth+1)
+			}
+			w.newline(depth)
 		}
-		b.WriteByte('>')
-		if onlyText(n) {
-			b.WriteString(escapeText(n.Text()))
-			b.WriteString("</")
-			b.WriteString(n.Name)
-			b.WriteByte('>')
-			return
-		}
-		for _, c := range n.Children {
-			b.WriteByte('\n')
-			c.writeIndented(b, depth+1)
-		}
-		b.WriteByte('\n')
-		b.WriteString(ind)
-		b.WriteString("</")
-		b.WriteString(n.Name)
-		b.WriteByte('>')
+		w.End()
 	}
 }
 
@@ -392,17 +331,6 @@ func onlyText(n *Node) bool {
 	}
 	return len(n.Children) > 0
 }
-
-// Shared escapers: building a strings.Replacer per call allocated on
-// every text and attribute write; Replacer is safe for concurrent use.
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-)
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // Equal reports whether two subtrees are structurally identical:
 // same node types, names, attribute sets and (whitespace-trimmed for

@@ -143,64 +143,131 @@ func (c *Credential) ValidAt(t time.Time) bool {
 	return true
 }
 
-// DOM builds the credential's XML tree in the Fig. 6 layout.
-func (c *Credential) DOM() *xmldom.Node {
-	root := xmldom.NewElement("credential")
-	if c.ID != "" {
-		root.SetAttr("credID", c.ID)
-	}
-	root.SetAttr("type", c.Type)
-	if c.Sensitivity != SensitivityMedium {
-		root.SetAttr("sensitivity", c.Sensitivity.String())
-	} else {
-		root.SetAttr("sensitivity", "medium")
-	}
+// Encode writes the credential in the Fig. 6 layout:
+//
+//	<credential credID=… type=… sensitivity=…>
+//	  <header>credType, issuer, holder?, holderKey?, issue_Date?, expiration_Date?</header>
+//	  <content><attrName>value</attrName>…</content>
+//	  <signature>base64</signature>
+//	</credential>
+func (c *Credential) Encode(w *xmldom.Writer) { c.encode(w, true) }
 
-	header := xmldom.NewElement("header")
-	addText := func(parent *xmldom.Node, name, val string) {
-		el := xmldom.NewElement(name)
-		el.AppendChild(xmldom.NewText(val))
-		parent.AppendChild(el)
+// encode writes the layout, leaving out <signature> for the signed bytes.
+func (c *Credential) encode(w *xmldom.Writer, withSignature bool) {
+	w.Start("credential")
+	if c.ID != "" {
+		w.Attr("credID", c.ID)
 	}
-	addText(header, "credType", c.Type)
-	addText(header, "issuer", c.Issuer)
+	w.Attr("type", c.Type)
+	w.Attr("sensitivity", c.Sensitivity.String())
+
+	w.Start("header")
+	textElement(w, "credType", c.Type)
+	textElement(w, "issuer", c.Issuer)
 	if c.Holder != "" {
-		addText(header, "holder", c.Holder)
+		textElement(w, "holder", c.Holder)
 	}
 	if len(c.HolderKey) > 0 {
-		addText(header, "holderKey", base64.StdEncoding.EncodeToString(c.HolderKey))
+		w.Start("holderKey")
+		w.TextBase64(c.HolderKey)
+		w.End()
 	}
 	if !c.ValidFrom.IsZero() {
-		addText(header, "issue_Date", c.ValidFrom.UTC().Format(TimeLayout))
+		w.Start("issue_Date")
+		w.TextTime(c.ValidFrom.UTC(), TimeLayout)
+		w.End()
 	}
 	if !c.ValidUntil.IsZero() {
-		addText(header, "expiration_Date", c.ValidUntil.UTC().Format(TimeLayout))
+		w.Start("expiration_Date")
+		w.TextTime(c.ValidUntil.UTC(), TimeLayout)
+		w.End()
 	}
-	root.AppendChild(header)
+	w.End()
 
-	content := xmldom.NewElement("content")
+	w.Start("content")
 	for _, a := range c.Attributes {
-		addText(content, a.Name, a.Value)
+		textElement(w, a.Name, a.Value)
 	}
-	root.AppendChild(content)
+	w.End()
 
-	if len(c.Signature) > 0 {
-		sig := xmldom.NewElement("signature")
-		sig.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(c.Signature)))
-		root.AppendChild(sig)
+	if withSignature && len(c.Signature) > 0 {
+		w.Start("signature")
+		w.TextBase64(c.Signature)
+		w.End()
 	}
-	return root
+	w.End()
 }
 
+// textElement writes <name>text</name>.
+func textElement(w *xmldom.Writer, name, text string) {
+	w.Start(name)
+	w.Text(text)
+	w.End()
+}
+
+// ErrUnencodable reports a credential that would not survive the wire.
+var ErrUnencodable = errors.New("xtnl: credential does not survive the wire")
+
+// EncodeError names the credential field that parsing the canonical XML
+// would not give back as written. The receiver would then hold different
+// signed bytes, and the issuer's signature would fail there.
+type EncodeError struct {
+	Field string
+	Value string
+}
+
+func (e *EncodeError) Error() string {
+	return fmt.Sprintf("%v: %s %q", ErrUnencodable, e.Field, e.Value)
+}
+
+// Unwrap makes errors.Is(err, ErrUnencodable) hold.
+func (e *EncodeError) Unwrap() error { return ErrUnencodable }
+
+// CheckWire reports, as an *EncodeError, the first field of c that
+// ParseCredential(c.XML()) would not give back as written: text the
+// parser normalizes (a carriage return) or drops (white space only),
+// characters XML cannot carry, an attribute name that is not an XML name
+// or has a colon, or a timestamp outside years 0–9999. An issuer checks
+// before signing; the check is a scan of the strings, not a parse.
+func (c *Credential) CheckWire() error {
+	if !xmldom.AttrRoundTrips(c.ID) {
+		return &EncodeError{"credential ID", c.ID}
+	}
+	if !xmldom.AttrRoundTrips(c.Type) || !xmldom.TextRoundTrips(c.Type) {
+		return &EncodeError{"type", c.Type}
+	}
+	if !xmldom.TextRoundTrips(c.Issuer) {
+		return &EncodeError{"issuer", c.Issuer}
+	}
+	if !xmldom.TextRoundTrips(c.Holder) {
+		return &EncodeError{"holder", c.Holder}
+	}
+	for _, t := range []time.Time{c.ValidFrom, c.ValidUntil} {
+		if y := t.UTC().Year(); !t.IsZero() && (y < 0 || y > 9999) {
+			return &EncodeError{"validity", t.String()}
+		}
+	}
+	for _, a := range c.Attributes {
+		if !xmldom.IsNCName(a.Name) {
+			return &EncodeError{"attribute name", a.Name}
+		}
+		if !xmldom.TextRoundTrips(a.Value) {
+			return &EncodeError{"attribute " + a.Name, a.Value}
+		}
+	}
+	return nil
+}
+
+// DOM builds the credential's XML tree in the Fig. 6 layout.
+func (c *Credential) DOM() *xmldom.Node { return xmldom.Tree(c.Encode) }
+
 // XML serializes the credential in canonical form.
-func (c *Credential) XML() string { return c.DOM().XML() }
+func (c *Credential) XML() string { return xmldom.String(c.Encode) }
 
 // SignedBytes returns the canonical bytes covered by the issuer's
 // signature: the credential XML with the <signature> element omitted.
 func (c *Credential) SignedBytes() []byte {
-	cp := *c
-	cp.Signature = nil
-	return []byte(cp.DOM().XML())
+	return xmldom.Bytes(func(w *xmldom.Writer) { c.encode(w, false) })
 }
 
 // ErrBadCredential reports a malformed credential document.

@@ -123,7 +123,7 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// DOM builds the policy XML in the Fig. 7 layout:
+// Encode writes the policy in the Fig. 7 layout:
 //
 //	<policy type="disclosure">
 //	  <resource target="ISO 9000 Certified"/>
@@ -135,45 +135,50 @@ func (p Policy) Validate() error {
 //	</policy>
 //
 // Delivery rules render as <policy type="delivery"> with no properties.
-func (p Policy) DOM() *xmldom.Node {
-	root := xmldom.NewElement("policy")
+func (p Policy) Encode(w *xmldom.Writer) {
+	w.Start("policy")
 	if p.ID != "" {
-		root.SetAttr("polID", p.ID)
+		w.Attr("polID", p.ID)
 	}
 	if p.Deliver {
-		root.SetAttr("type", "delivery")
+		w.Attr("type", "delivery")
 	} else {
-		root.SetAttr("type", "disclosure")
+		w.Attr("type", "disclosure")
 	}
-	res := xmldom.NewElement("resource").SetAttr("target", p.Resource)
-	root.AppendChild(res)
+	w.Start("resource")
+	w.Attr("target", p.Resource)
+	w.End()
 	if p.Deliver {
-		return root
+		w.End()
+		return
 	}
-	props := xmldom.NewElement("properties")
+	w.Start("properties")
 	for _, t := range p.Terms {
-		cert := xmldom.NewElement("certificate")
+		w.Start("certificate")
 		if !t.Wildcard() {
-			cert.SetAttr("targetCertType", t.CredType)
+			w.Attr("targetCertType", t.CredType)
 		} else if t.CredType != "" {
-			cert.SetAttr("var", t.CredType)
+			w.Attr("var", t.CredType)
 		}
 		for _, cond := range t.Conditions {
-			cc := xmldom.NewElement("certCond")
-			cc.AppendChild(xmldom.NewText(cond))
-			cert.AppendChild(cc)
+			textElement(w, "certCond", cond)
 		}
-		props.AppendChild(cert)
+		w.End()
 	}
-	root.AppendChild(props)
+	w.End()
 	for _, cname := range p.Concepts {
-		root.AppendChild(xmldom.NewElement("concept").SetAttr("name", cname))
+		w.Start("concept")
+		w.Attr("name", cname)
+		w.End()
 	}
-	return root
+	w.End()
 }
 
+// DOM builds the policy XML tree in the Fig. 7 layout (see Encode).
+func (p Policy) DOM() *xmldom.Node { return xmldom.Tree(p.Encode) }
+
 // XML serializes the policy in canonical form.
-func (p Policy) XML() string { return p.DOM().XML() }
+func (p Policy) XML() string { return xmldom.String(p.Encode) }
 
 // ErrBadPolicy reports a malformed policy document.
 var ErrBadPolicy = errors.New("xtnl: malformed policy")
