@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"trustvo/internal/core"
 	"trustvo/internal/negotiation"
 	"trustvo/internal/pki"
 	"trustvo/internal/store"
+	"trustvo/internal/vo"
+	"trustvo/internal/vo/registry"
 	"trustvo/internal/xtnl"
 )
 
@@ -221,6 +224,48 @@ func BenchmarkConcurrentJoin(b *testing.B) {
 		out, err := cli.Negotiate(bg, "R")
 		if err != nil || !out.Succeeded {
 			b.Fatalf("join %d: %v %+v", i, err, out)
+		}
+	}
+}
+
+// TestAgentForConcurrent looks up mailbox agents from concurrent
+// /vo/apply handlers. The agent map was unguarded, which -race reports
+// here on every run (TestConcurrentJoinsOverHTTP reached it only
+// sometimes, through the HTTP stack's own synchronization).
+func TestAgentForConcurrent(t *testing.T) {
+	contract := &vo.Contract{
+		VOName: "V", Initiator: "Ini",
+		Roles: []vo.RoleSpec{{Name: "Worker", MinMembers: 1, AdmissionPolicies: xtnl.MustParsePolicies("M <- DELIV")}},
+	}
+	party := &negotiation.Party{Name: "Ini", Profile: xtnl.NewProfile("Ini"), Policies: xtnl.MustPolicySet()}
+	ini, err := core.NewInitiator(contract, party, registry.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := NewToolkitService(ini)
+	const providers = 8
+	for i := 0; i < providers; i++ {
+		if err := ini.Registry.Publish(&registry.Description{Provider: fmt.Sprintf("p%d", i), Service: "s"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agents := make([]*core.MemberAgent, providers)
+	var wg sync.WaitGroup
+	for i := 0; i < providers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			a, err := tk.agentFor(fmt.Sprintf("p%d", i))
+			if err != nil {
+				t.Error(err)
+			}
+			agents[i] = a
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range agents {
+		if again, _ := tk.agentFor(fmt.Sprintf("p%d", i)); again != a {
+			t.Errorf("provider p%d: second lookup returned a different agent", i)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"trustvo/internal/core"
@@ -31,7 +32,8 @@ type ToolkitService struct {
 	Initiator *core.Initiator
 	TN        *TNService
 
-	agents map[string]*core.MemberAgent // server-side mailboxes by provider
+	agentsMu sync.Mutex                   // handlers run concurrently
+	agents   map[string]*core.MemberAgent // server-side mailboxes by provider
 }
 
 // NewToolkitService wraps an initiator. The TN service negotiates as the
@@ -78,6 +80,8 @@ func (t *ToolkitService) agentFor(provider string) (*core.MemberAgent, error) {
 	if desc == nil {
 		return nil, fmt.Errorf("provider %q has not published a service description", provider)
 	}
+	t.agentsMu.Lock()
+	defer t.agentsMu.Unlock()
 	if a, ok := t.agents[provider]; ok {
 		return a, nil
 	}
