@@ -65,7 +65,7 @@ func TestGolden(t *testing.T) {
 		{"syncerr", []string{"syncerr/a"}},
 		{"lockorder", []string{"lockorder/a", "lockorder/b"}},
 		{"goroleak", []string{"goroleak/a"}},
-		{"credtaint", []string{"credtaint/a"}},
+		{"credtaint", []string{"credtaint/a", "credtaint/pki"}},
 		{"atomicmix", []string{"atomicmix/a"}},
 	}
 	for _, c := range cases {

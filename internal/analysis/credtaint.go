@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // credtaint taint-tracks raw credential/ticket/session bytes from their
@@ -19,10 +20,17 @@ import (
 // the one call that turns an externally supplied document into a live
 // negotiation session. Guards may live in callees: a helper that
 // verifies and expiry-checks (a "sanitizer") makes its result trusted.
+//
+// The sanitizer the module provides is pki's sealed document (Seal and
+// Open), and it is meant to be the only one: a raw Ed25519 sign or
+// verify outside package pki (the Sign and Verify functions of
+// crypto/ed25519, or the Sign method of pki's KeyPair) is reported
+// wherever it appears, so a new ticket format cannot bring its own
+// signed bytes and its own check.
 func credtaint() *Analyzer {
 	a := &Analyzer{
 		Name: "credtaint",
-		Doc:  "externally decoded session/credential bytes must pass expiry + signature checks (in that order) before trust decisions",
+		Doc:  "externally decoded session/credential bytes must pass expiry + signature checks (in that order) before trust decisions; tickets are signed and verified only through pki.Seal/Open",
 	}
 	a.RunModule = func(p *ModulePass) error {
 		m := p.Module
@@ -33,9 +41,18 @@ func credtaint() *Analyzer {
 				if _, ok := an.(*ast.FuncLit); ok && an != n.Lit {
 					return false
 				}
-				if call, ok := an.(*ast.CallExpr); ok {
-					if fn := callee(n.Pkg.TypesInfo, call); fn != nil && fn.Name() == "AdoptSessionDoc" {
-						sinks = append(sinks, call)
+				call, ok := an.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := callee(n.Pkg.TypesInfo, call)
+				switch {
+				case fn == nil:
+				case fn.Name() == "AdoptSessionDoc":
+					sinks = append(sinks, call)
+				case !pkgPathHasSuffix(n.Pkg.Path, "pki"):
+					if raw := rawSignature(fn); raw != "" {
+						p.Reportf(call.Pos(), "%s outside package pki: sign and verify tickets through pki.Seal/Open", raw)
 					}
 				}
 				return true
@@ -70,6 +87,27 @@ func credtaint() *Analyzer {
 		return nil
 	}
 	return a
+}
+
+// rawSignature names fn when it signs or verifies raw bytes (the Sign
+// and Verify functions of crypto/ed25519, or the Sign method of a pki
+// KeyPair) and returns "" for any other function.
+func rawSignature(fn *types.Func) string {
+	if isPkgFunc(fn, "crypto/ed25519", "Sign", "Verify") {
+		return "ed25519." + fn.Name()
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || fn.Name() != "Sign" || !pkgPathHasSuffix(fn.Pkg().Path(), "pki") {
+		return ""
+	}
+	recv := sig.Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "KeyPair" {
+		return "pki.KeyPair.Sign"
+	}
+	return ""
 }
 
 // firstBefore returns the smallest position in list strictly before

@@ -585,7 +585,7 @@ func (b *sumBuilder) noteStopCall(call *ast.CallExpr) {
 }
 
 // noteVerifyExpiry records signature-verification and expiry-check
-// sites: ed25519.Verify, Verify* methods on pki types, and time
+// sites: crypto/ed25519's Verify, Verify* methods on pki types, and time
 // comparisons (time.Time.After/Before with a parsed deadline).
 func (b *sumBuilder) noteVerifyExpiry(call *ast.CallExpr) {
 	fn := callee(b.pkg.TypesInfo, call)

@@ -2,6 +2,7 @@
 package a
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"time"
 
@@ -79,6 +80,45 @@ func adoptSanitized(s svc, k pki.KeyPair, raw string, exp time.Time) {
 		return
 	}
 	s.AdoptSessionDoc(doc)
+}
+
+// adoptHandRolled checks expiry and then the signature, the right order,
+// but with its own signed bytes outside pki.
+func adoptHandRolled(s svc, pub ed25519.PublicKey, raw string, sig []byte, exp time.Time) {
+	doc, _ := xmldom.ParseString(raw)
+	if time.Now().After(exp) {
+		return
+	}
+	if !ed25519.Verify(pub, []byte(raw), sig) { // want "ed25519.Verify outside package pki: sign and verify tickets through pki.Seal/Open"
+		return
+	}
+	s.AdoptSessionDoc(doc)
+}
+
+func signHandRolled(k pki.KeyPair, doc *xmldom.Node) []byte {
+	return k.Sign([]byte(doc.Name)) // want "pki.KeyPair.Sign outside package pki"
+}
+
+// adoptSealed adopts through the one sanitizer: Open checks expiry, then
+// the signature.
+func adoptSealed(s svc, pub ed25519.PublicKey, raw string) {
+	sealed, err := pki.ParseSealed(raw)
+	if err != nil {
+		return
+	}
+	doc, err := sealed.Open(pub, time.Now())
+	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(doc)
+}
+
+func adoptSealedUnopened(s svc, raw string) {
+	sealed, err := pki.ParseSealed(raw)
+	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(sealed.Payload) // want "reaches AdoptSessionDoc without signature verification"
 }
 
 // relay returns what it decodes; taint composes through it.

@@ -1,10 +1,47 @@
 // Package pki is the credtaint fixture's stand-in verifier; the
 // analyzer treats Verify*-named methods of a pki package as signature
-// verification facts.
+// verification facts, and raw Ed25519 calls are allowed only here.
 package pki
 
-import "credtaint/xmldom"
+import (
+	"crypto/ed25519"
+	"errors"
+	"time"
 
-type KeyPair struct{}
+	"credtaint/xmldom"
+)
+
+type KeyPair struct{ Private ed25519.PrivateKey }
 
 func (KeyPair) VerifyTicket(doc *xmldom.Node) bool { return true }
+
+func (k KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.Private, msg) }
+
+var errRejected = errors.New("rejected")
+
+// Sealed stands in for pki.Sealed: Open checks expiry, then the
+// signature.
+type Sealed struct {
+	NotAfter  time.Time
+	Payload   *xmldom.Node
+	Signature []byte
+}
+
+// ParseSealed decodes raw itself, so its result carries the taint.
+func ParseSealed(raw string) (*Sealed, error) {
+	root, err := xmldom.ParseString(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &Sealed{Payload: root.Child("payload")}, nil
+}
+
+func (s *Sealed) Open(pub ed25519.PublicKey, now time.Time) (*xmldom.Node, error) {
+	if now.After(s.NotAfter) {
+		return nil, errRejected
+	}
+	if !ed25519.Verify(pub, []byte(s.Payload.Name), s.Signature) {
+		return nil, errRejected
+	}
+	return s.Payload, nil
+}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"trustvo/internal/negotiation"
+	"trustvo/internal/pki"
 	"trustvo/internal/wsrpc"
 	"trustvo/internal/xmldom"
 )
@@ -265,7 +265,7 @@ func ownedID(t *testing.T, r *Ring, prefix, want string) string {
 
 // firstEnvelope wraps a genuine first requester message for id in a
 // wire envelope, as the client would send it.
-func firstEnvelope(t *testing.T, c *testCluster, member, id string) string {
+func firstEnvelope(t testing.TB, c *testCluster, member, id string) string {
 	t.Helper()
 	req := negotiation.NewRequester(c.memberParty(member), chaosResource)
 	first, err := req.Start()
@@ -358,16 +358,7 @@ func TestMigrationTicketExpiredRejected(t *testing.T) {
 	c.addNode("n1")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "stale-1")
-	notAfter := time.Now().Add(-time.Minute).UTC().Format(time.RFC3339)
-	sig := c.keys.Sign(sessionTicketBytes("stale-1", notAfter, doc.XML()))
-	ticket := xmldom.NewElement("sessionTicket").
-		SetAttr("id", "stale-1").
-		SetAttr("node", "ghost").
-		SetAttr("notAfter", notAfter)
-	ticket.AppendChild(doc)
-	sigEl := xmldom.NewElement("signature")
-	sigEl.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(sig)))
-	ticket.AppendChild(sigEl)
+	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(-time.Minute), doc)
 
 	before := c.reg.Counter("tn_ticket_expired_total").Value()
 	resp, err := http.Post(c.get("n1").srv.URL+"/cluster/adopt", wsrpc.ContentType,

@@ -115,12 +115,18 @@ func refDisclosureDOM(d *CredentialDisclosure) *xmldom.Node {
 }
 
 func refTicketDOM(t *Ticket) *xmldom.Node {
-	n := xmldom.NewElement("ticket").
+	n := xmldom.NewElement("sealed").
+		SetAttr("label", "trustvo-ticket").
+		SetAttr("notAfter", t.Expires.UTC().Format(time.RFC3339))
+	n.AppendChild(xmldom.NewElement("ticket").
 		SetAttr("issuer", t.Issuer).
 		SetAttr("peer", t.Peer).
-		SetAttr("resource", t.Resource).
-		SetAttr("expires", t.Expires.UTC().Format(time.RFC3339))
-	n.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(t.Signature)))
+		SetAttr("resource", t.Resource))
+	if len(t.Signature) > 0 {
+		sig := xmldom.NewElement("signature")
+		sig.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(t.Signature)))
+		n.AppendChild(sig)
+	}
 	return n
 }
 

@@ -205,7 +205,7 @@ func (m *Message) Encode(w *xmldom.Writer) {
 		base64Element(w, "grant", m.Grant)
 	}
 	if m.Ticket != nil {
-		m.Ticket.Encode(w)
+		m.Ticket.sealed().Encode(w)
 	}
 	if m.Reason != "" {
 		w.Start("reason")
@@ -352,12 +352,10 @@ func MessageFromDOM(root *xmldom.Node) (*Message, error) {
 			return nil, fmt.Errorf("%w: grant: %w", ErrBadMessage, err)
 		}
 	}
-	if tk := root.Child("ticket"); tk != nil {
-		t, err := ticketFromDOM(tk)
-		if err != nil {
+	if tk := root.Child("sealed"); tk != nil {
+		if m.Ticket, err = ticketFromDOM(tk); err != nil {
 			return nil, err
 		}
-		m.Ticket = t
 	}
 	if r := root.Child("reason"); r != nil {
 		m.Reason = r.Text()

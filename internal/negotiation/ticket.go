@@ -2,7 +2,6 @@ package negotiation
 
 import (
 	"crypto/ed25519"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"strconv"
@@ -23,9 +22,9 @@ import (
 // operational phase, where the same members re-negotiate repeatedly
 // ("executed repeatedly until the target result is achieved", §3).
 //
-// A ticket is a signed statement ⟨issuer, peer, resource, expiry⟩ under
-// the issuer's Ed25519 key. The issuer verifies its own signature on
-// presentation, so no extra trust setup is needed.
+// A ticket is the statement <ticket issuer peer resource/>, sealed
+// (pki.Seal) under the issuer's Ed25519 key until it expires. The issuer
+// opens its own seal on presentation, so no extra trust setup is needed.
 
 // Ticket is a trust ticket for one (peer, resource) pair.
 type Ticket struct {
@@ -36,68 +35,50 @@ type Ticket struct {
 	Signature []byte
 }
 
-func (t *Ticket) signedBytes() []byte {
-	return []byte("trustvo-ticket|" + t.Issuer + "|" + t.Peer + "|" + t.Resource + "|" +
-		t.Expires.UTC().Format(time.RFC3339))
+// sealed is the ticket in its pki.Sealed form, derived from the fields:
+// the payload is <ticket issuer peer resource/>.
+func (t *Ticket) sealed() *pki.Sealed {
+	payload := &xmldom.Node{Type: xmldom.ElementNode, Name: "ticket", Attrs: []xmldom.Attr{
+		{Name: "issuer", Value: t.Issuer}, {Name: "peer", Value: t.Peer}, {Name: "resource", Value: t.Resource},
+	}}
+	return &pki.Sealed{Label: pki.LabelTicket, NotAfter: t.Expires, Payload: payload, Signature: t.Signature}
 }
 
 // IssueTicket signs a ticket for peer over resource, valid for ttl.
 func IssueTicket(keys *pki.KeyPair, issuer, peer, resource string, ttl time.Duration) *Ticket {
-	t := &Ticket{
-		Issuer:   issuer,
-		Peer:     peer,
-		Resource: resource,
-		Expires:  time.Now().Add(ttl).UTC().Truncate(time.Second),
-	}
-	t.Signature = keys.Sign(t.signedBytes())
+	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource}
+	s := pki.Seal(keys, pki.LabelTicket, time.Now().Add(ttl), t.sealed().Payload)
+	t.Expires, t.Signature = s.NotAfter, s.Signature
 	return t
 }
 
 // ErrBadTicket reports an invalid or expired trust ticket.
 var ErrBadTicket = errors.New("negotiation: invalid trust ticket")
 
-// Verify checks the ticket against the issuer's public key, the
-// expected peer and resource, and the clock.
+// Verify checks that the ticket is bound to peer and resource, then
+// opens its seal under the issuer's public key at now.
 func (t *Ticket) Verify(pub ed25519.PublicKey, peer, resource string, now time.Time) error {
 	if t.Peer != peer || t.Resource != resource {
 		return fmt.Errorf("%w: bound to %s/%s", ErrBadTicket, t.Peer, t.Resource)
 	}
-	if now.After(t.Expires) {
-		return fmt.Errorf("%w: expired %s", ErrBadTicket, t.Expires.Format(time.RFC3339))
-	}
-	if !ed25519.Verify(pub, t.signedBytes(), t.Signature) {
-		return fmt.Errorf("%w: signature", ErrBadTicket)
+	if _, err := t.sealed().Open(pub, pki.LabelTicket, now); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadTicket, err)
 	}
 	return nil
 }
 
-// Encode writes the ticket for the wire:
-// <ticket issuer=… peer=… resource=… expires=…>base64 signature</ticket>.
-func (t *Ticket) Encode(w *xmldom.Writer) {
-	w.Start("ticket")
-	w.Attr("issuer", t.Issuer)
-	w.Attr("peer", t.Peer)
-	w.Attr("resource", t.Resource)
-	w.AttrTime("expires", t.Expires.UTC(), time.RFC3339)
-	w.TextBase64(t.Signature)
-	w.End()
-}
-
 func ticketFromDOM(n *xmldom.Node) (*Ticket, error) {
-	exp, err := time.Parse(time.RFC3339, n.AttrOr("expires", ""))
+	s, err := pki.ParseSealed(n)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad expiry: %w", ErrBadMessage, err)
+		return nil, fmt.Errorf("%w: ticket: %w", ErrBadMessage, err)
 	}
-	sig, err := base64.StdEncoding.DecodeString(n.Text())
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad ticket signature encoding: %w", ErrBadMessage, err)
-	}
+	p := s.Payload
 	return &Ticket{
-		Issuer:    n.AttrOr("issuer", ""),
-		Peer:      n.AttrOr("peer", ""),
-		Resource:  n.AttrOr("resource", ""),
-		Expires:   exp,
-		Signature: sig,
+		Issuer:    p.AttrOr("issuer", ""),
+		Peer:      p.AttrOr("peer", ""),
+		Resource:  p.AttrOr("resource", ""),
+		Expires:   s.NotAfter,
+		Signature: s.Signature,
 	}, nil
 }
 
@@ -133,15 +114,8 @@ func (c *TicketCache) Get(issuer, resource string, now time.Time) *Ticket {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.tickets[ticketKey(issuer, resource)]
-	if t == nil {
-		return nil
-	}
-	if now.After(t.Expires) {
-		delete(c.tickets, ticketKey(issuer, resource))
-		return nil
-	}
-	return t
+	k := ticketKey(issuer, resource)
+	return c.live(k, c.tickets[k], now)
 }
 
 // GetByResource returns any unexpired cached ticket for the resource
@@ -154,16 +128,21 @@ func (c *TicketCache) GetByResource(resource string, now time.Time) *Ticket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, t := range c.tickets {
-		if t.Resource != resource {
-			continue
+		if t.Resource == resource && c.live(k, t, now) != nil {
+			return t
 		}
-		if now.After(t.Expires) {
-			delete(c.tickets, k)
-			continue
-		}
-		return t
 	}
 	return nil
+}
+
+// live returns the ticket cached under k, or nil after dropping it once
+// it has expired. c.mu must be held.
+func (c *TicketCache) live(k string, t *Ticket, now time.Time) *Ticket {
+	if t != nil && pki.Expired(t.Expires, now) {
+		delete(c.tickets, k)
+		return nil
+	}
+	return t
 }
 
 // Len returns the number of cached tickets.
@@ -185,9 +164,10 @@ func (c *TicketCache) Len() int {
 // its envelope sequence number. Re-presenting the ticket restores the
 // endpoint and re-sends that message under the same sequence number, so
 // the counterpart's reply cache makes the hand-off exactly-once whether
-// or not the original delivery got through. The ticket is signed by its
-// holder's own key — it never crosses the wire; the signature protects a
-// ticket persisted to disk from tampering.
+// or not the original delivery got through. The ticket is sealed
+// (pki.Seal) with its holder's own key when the holder has one — it never
+// crosses the wire; the seal protects a ticket persisted to disk from
+// tampering.
 
 // ResumeTicket captures an interrupted negotiation for later resumption.
 type ResumeTicket struct {
@@ -207,26 +187,30 @@ type ResumeTicket struct {
 	LastSent *Message
 	// State is the endpoint snapshot (SnapshotDOM output).
 	State *xmldom.Node
-	// Signature is the holder's Ed25519 signature (empty when unkeyed).
+	// Signature is the holder's Ed25519 seal (empty when unkeyed).
 	Signature []byte
 }
 
-func (t *ResumeTicket) signedBytes() []byte {
-	state, lastSent := "", ""
-	if t.State != nil {
-		state = t.State.XML()
-	}
+// sealed is the ticket's pki.Sealed form, derived from the fields: the
+// payload is <resumeTicket negotiation resource peer seq>[LastSent][State].
+func (t *ResumeTicket) sealed() *pki.Sealed {
+	payload := xmldom.NewElement("resumeTicket").
+		SetAttr("negotiation", t.NegID).
+		SetAttr("resource", t.Resource).
+		SetAttr("peer", t.Peer).
+		SetAttr("seq", strconv.FormatInt(t.Seq, 10))
 	if t.LastSent != nil {
-		lastSent = t.LastSent.XML()
+		payload.AppendChild(t.LastSent.DOM())
 	}
-	return []byte("trustvo-resume|" + t.NegID + "|" + t.Resource + "|" + t.Peer + "|" +
-		fmt.Sprintf("%d", t.Seq) + "|" + t.Expires.UTC().Format(time.RFC3339) + "|" +
-		state + "|" + lastSent)
+	if t.State != nil {
+		payload.AppendChild(t.State.Clone())
+	}
+	return &pki.Sealed{Label: pki.LabelResume, NotAfter: t.Expires, Payload: payload, Signature: t.Signature}
 }
 
 // NewResumeTicket snapshots an in-flight endpoint into a resume ticket.
 // lastSent/seq identify the message whose delivery is in doubt. The
-// ticket is signed when the party holds keys.
+// ticket is sealed when the party holds keys.
 func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, ttl time.Duration) (*ResumeTicket, error) {
 	state, err := ep.SnapshotDOM()
 	if err != nil {
@@ -245,7 +229,7 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 		State:    state,
 	}
 	if ep.party.Keys != nil {
-		t.Signature = ep.party.Keys.Sign(t.signedBytes())
+		t.Signature = pki.Seal(ep.party.Keys, pki.LabelResume, t.Expires, t.sealed().Payload).Signature
 	}
 	return t, nil
 }
@@ -253,76 +237,55 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 // ErrBadResumeTicket reports an invalid or expired resume ticket.
 var ErrBadResumeTicket = errors.New("negotiation: invalid resume ticket")
 
-// Verify checks expiry, and — when the holder has keys and the ticket a
-// signature — integrity under the holder's public key.
+// Verify checks expiry, then the seal, then completeness; a holder with
+// keys (pub) must find a valid seal, a keyless one (nil) has none to
+// check. An expired ticket's error also matches pki.ErrTicketExpired.
 func (t *ResumeTicket) Verify(pub ed25519.PublicKey, now time.Time) error {
+	_, err := t.sealed().Open(pub, pki.LabelResume, now)
+	if pub == nil && errors.Is(err, pki.ErrBadSignature) {
+		err = nil
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
+	}
 	if t.NegID == "" || t.State == nil || t.LastSent == nil {
 		return fmt.Errorf("%w: incomplete", ErrBadResumeTicket)
-	}
-	if now.After(t.Expires) {
-		return fmt.Errorf("%w: expired %s", ErrBadResumeTicket, t.Expires.Format(time.RFC3339))
-	}
-	if pub != nil && len(t.Signature) > 0 &&
-		!ed25519.Verify(pub, t.signedBytes(), t.Signature) {
-		return fmt.Errorf("%w: signature", ErrBadResumeTicket)
 	}
 	return nil
 }
 
-// DOM serializes the resume ticket (for persistence, not the wire).
-func (t *ResumeTicket) DOM() *xmldom.Node {
-	n := xmldom.NewElement("resumeTicket").
-		SetAttr("negotiation", t.NegID).
-		SetAttr("resource", t.Resource).
-		SetAttr("peer", t.Peer).
-		SetAttr("seq", fmt.Sprintf("%d", t.Seq)).
-		SetAttr("expires", t.Expires.UTC().Format(time.RFC3339))
-	if t.LastSent != nil {
-		n.AppendChild(t.LastSent.DOM())
-	}
-	if t.State != nil {
-		n.AppendChild(t.State.Clone())
-	}
-	if len(t.Signature) > 0 {
-		sig := xmldom.NewElement("signature")
-		sig.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(t.Signature)))
-		n.AppendChild(sig)
-	}
-	return n
-}
+// DOM returns the ticket's sealed form, for persistence (not the wire).
+func (t *ResumeTicket) DOM() *xmldom.Node { return xmldom.Tree(t.sealed().Encode) }
 
 // ResumeTicketFromDOM parses a persisted resume ticket.
 func ResumeTicketFromDOM(n *xmldom.Node) (*ResumeTicket, error) {
-	if n == nil || n.Name != "resumeTicket" {
-		return nil, fmt.Errorf("%w: expected <resumeTicket>", ErrBadResumeTicket)
-	}
-	exp, err := time.Parse(time.RFC3339, n.AttrOr("expires", ""))
+	s, err := pki.ParseSealed(n)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad expiry: %w", ErrBadResumeTicket, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
 	}
-	seq, err := strconv.ParseInt(n.AttrOr("seq", "0"), 10, 64)
+	p := s.Payload
+	if p.Name != "resumeTicket" {
+		return nil, fmt.Errorf("%w: sealed <%s>, want <resumeTicket>", ErrBadResumeTicket, p.Name)
+	}
+	seq, err := strconv.ParseInt(p.AttrOr("seq", "0"), 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad seq: %w", ErrBadResumeTicket, err)
 	}
 	t := &ResumeTicket{
-		NegID:    n.AttrOr("negotiation", ""),
-		Resource: n.AttrOr("resource", ""),
-		Peer:     n.AttrOr("peer", ""),
-		Seq:      seq,
-		Expires:  exp,
+		NegID:     p.AttrOr("negotiation", ""),
+		Resource:  p.AttrOr("resource", ""),
+		Peer:      p.AttrOr("peer", ""),
+		Seq:       seq,
+		Expires:   s.NotAfter,
+		Signature: s.Signature,
 	}
-	if tm := n.Child("tnMessage"); tm != nil {
+	if tm := p.Child("tnMessage"); tm != nil {
 		if t.LastSent, err = MessageFromDOM(tm); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
 		}
 	}
-	if st := n.Child("negotiationState"); st != nil {
+	if st := p.Child("negotiationState"); st != nil {
 		t.State = st.Clone()
-	}
-	if sig := n.Child("signature"); sig != nil {
-		if t.Signature, err = base64.StdEncoding.DecodeString(sig.Text()); err != nil {
-			return nil, fmt.Errorf("%w: bad signature encoding: %w", ErrBadResumeTicket, err)
-		}
 	}
 	return t, nil
 }

@@ -39,6 +39,27 @@ func TestTicketVerify(t *testing.T) {
 	}
 }
 
+// TestTicketFieldsDoNotSplice: the seal covers the peer and resource as
+// separate attributes, so a '|' in one cannot be moved into the other.
+// The ticket's signed bytes used to join the fields with '|', which let
+// a ticket for peer "p|x" and resource "r" verify for peer "p" and
+// resource "x|r".
+func TestTicketFieldsDoNotSplice(t *testing.T) {
+	keys := pki.MustGenerateKeyPair()
+	now := time.Now()
+	for _, c := range []struct{ issuedPeer, issuedResource, peer, resource string }{
+		{"p|x", "r", "p", "x|r"},
+		{"p", "x|r", "p|x", "r"},
+	} {
+		tk := IssueTicket(keys, "ctl", c.issuedPeer, c.issuedResource, time.Hour)
+		relabelled := *tk
+		relabelled.Peer, relabelled.Resource = c.peer, c.resource
+		if err := relabelled.Verify(keys.Public, c.peer, c.resource, now); err == nil {
+			t.Fatalf("ticket for %q/%q verified as %q/%q", c.issuedPeer, c.issuedResource, c.peer, c.resource)
+		}
+	}
+}
+
 func TestTicketCache(t *testing.T) {
 	c := NewTicketCache()
 	keys := pki.MustGenerateKeyPair()
@@ -172,10 +193,10 @@ func TestTicketWireRoundTrip(t *testing.T) {
 		t.Fatalf("ticket signature lost in transit: %v", err)
 	}
 	// malformed wire tickets rejected
-	if _, err := ParseMessage(`<tnMessage type="success"><ticket expires="nope">c2ln</ticket></tnMessage>`); err == nil {
+	if _, err := ParseMessage(`<tnMessage type="success"><sealed label="trustvo-ticket" notAfter="nope"><ticket/><signature>c2ln</signature></sealed></tnMessage>`); err == nil {
 		t.Fatal("bad ticket expiry accepted")
 	}
-	if _, err := ParseMessage(`<tnMessage type="success"><ticket expires="2026-01-01T00:00:00Z">!!</ticket></tnMessage>`); err == nil {
+	if _, err := ParseMessage(`<tnMessage type="success"><sealed label="trustvo-ticket" notAfter="2026-01-01T00:00:00Z"><ticket/><signature>!!</signature></sealed></tnMessage>`); err == nil {
 		t.Fatal("bad ticket signature encoding accepted")
 	}
 }

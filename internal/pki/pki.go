@@ -57,6 +57,14 @@ func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.Private, msg)
 }
 
+// PublicKey returns the public half of k, nil for a party without keys.
+func (k *KeyPair) PublicKey() ed25519.PublicKey {
+	if k == nil {
+		return nil
+	}
+	return k.Public
+}
+
 // Errors reported by verification.
 var (
 	ErrUnknownIssuer   = errors.New("pki: unknown issuer")

@@ -132,51 +132,48 @@ func mustGetXML(t *testing.T, s *Store, kind, key string) string {
 // checkpoint mutex. Run under -race with writers and a checkpoint in
 // flight while Destroy fires.
 func TestDestroyCloseRace(t *testing.T) {
-	for _, backend := range []string{BackendFSWAL, BackendDirKind} {
-		backend := backend
-		t.Run("backend="+backend, func(t *testing.T) {
-			for iter := 0; iter < 20; iter++ {
-				base := filepath.Join(t.TempDir(), "t.wal")
-				s, err := OpenWithOptions(base, Options{
-					Backend: backend, Durability: DurabilityGroup, SegmentSize: tortureSegmentSize,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				start := make(chan struct{})
-				for w := 0; w < 4; w++ {
-					w := w
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						<-start
-						for i := 0; ; i++ {
-							if err := s.PutXML("doc", keyFor(w, i), `<d pad="xxxxxxxxxxxxxxxx"/>`); err != nil {
-								// ErrWALClosed (or poison after it) is the only
-								// legal failure once Destroy has begun.
-								if !errors.Is(err, ErrWALClosed) {
-									t.Errorf("writer %d: %v", w, err)
-								}
-								return
-							}
-						}
-					}()
-				}
+	t.Run("backend="+BackendFSWAL, func(t *testing.T) {
+		for iter := 0; iter < 20; iter++ {
+			base := filepath.Join(t.TempDir(), "t.wal")
+			s, err := OpenWithOptions(base, Options{
+				Backend: BackendFSWAL, Durability: DurabilityGroup, SegmentSize: tortureSegmentSize,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for w := 0; w < 4; w++ {
+				w := w
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					<-start
-					s.Compact() // may lose the race to Destroy; error is fine
+					for i := 0; ; i++ {
+						if err := s.PutXML("doc", keyFor(w, i), `<d pad="xxxxxxxxxxxxxxxx"/>`); err != nil {
+							// ErrWALClosed (or poison after it) is the only
+							// legal failure once Destroy has begun.
+							if !errors.Is(err, ErrWALClosed) {
+								t.Errorf("writer %d: %v", w, err)
+							}
+							return
+						}
+					}
 				}()
-				close(start)
-				if err := s.Destroy(); err != nil {
-					t.Fatalf("destroy under load: %v", err)
-				}
-				wg.Wait()
 			}
-		})
-	}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.Compact() // may lose the race to Destroy; error is fine
+			}()
+			close(start)
+			if err := s.Destroy(); err != nil {
+				t.Fatalf("destroy under load: %v", err)
+			}
+			wg.Wait()
+		}
+	})
 }
 
 func keyFor(w, i int) string { return string(rune('a'+w)) + "-" + itoa(i) }

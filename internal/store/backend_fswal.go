@@ -25,12 +25,18 @@ type fswalBackend struct {
 	active *activeSegment
 }
 
-// Recover implements Backend: remove a stale snapshot tmp, load the
-// newest snapshot, replay the legacy v1 file when no snapshot covers it,
-// then replay every segment at or above the snapshot's cover sequence.
-// It finishes by creating a fresh active segment above everything seen,
-// so appends never touch a file that might carry a torn tail.
+// Recover implements Backend: refuse a v1 single-file WAL at the base
+// path, remove a stale snapshot tmp, load the newest snapshot, then
+// replay every segment at or above the snapshot's cover sequence. It
+// finishes by creating a fresh active segment above everything seen, so
+// appends never touch a file that might carry a torn tail.
 func (b *fswalBackend) Recover(apply func(entries []walEntry, source string) error) error {
+	// The v1 engine kept the whole log in one file at the base path. This
+	// version no longer replays it, and must neither ignore nor delete
+	// the data in it.
+	if fi, err := os.Stat(b.path); err == nil && fi.Mode().IsRegular() {
+		return fmt.Errorf("store: %s is a v1 single-file WAL, which this version does not replay; move it aside to open the store", b.path)
+	}
 	// A crash mid-checkpoint may leave a half-written snapshot tmp; it
 	// was never published, so it is garbage.
 	if err := os.Remove(snapshotTmpPath(b.path)); err != nil && !os.IsNotExist(err) {
@@ -42,15 +48,6 @@ func (b *fswalBackend) Recover(apply func(entries []walEntry, source string) err
 	}
 	if err := apply(snapEntries, "snapshot"); err != nil {
 		return err
-	}
-	if coverSeq == 0 {
-		legacy, err := replaySegmentFile(b.path)
-		if err != nil {
-			return err
-		}
-		if err := apply(legacy, b.path); err != nil {
-			return err
-		}
 	}
 	refs, err := listSegments(b.path)
 	if err != nil {
@@ -162,20 +159,16 @@ func (b *fswalBackend) Rotate() (uint64, error) {
 
 // Snapshot implements Backend: write the checkpoint image covering
 // segments below coverSeq (atomically published via rename), then delete
-// the legacy v1 file and the sealed segments the image supersedes. Runs
-// concurrently with Appends into the post-rotation segment.
+// the sealed segments the image supersedes. Runs concurrently with
+// Appends into the post-rotation segment.
 func (b *fswalBackend) Snapshot(coverSeq uint64, live []walEntry) error {
 	if err := writeSnapshot(b.fs, b.path, coverSeq, live); err != nil {
 		return err
 	}
-	// The snapshot now owns everything below coverSeq: the legacy v1
-	// file and sealed old segments are garbage. A failed delete is
-	// retried by the next checkpoint (recovery skips them by sequence),
-	// but still reported.
+	// The snapshot now owns everything below coverSeq: sealed old
+	// segments are garbage. A failed delete is retried by the next
+	// checkpoint (recovery skips them by sequence), but still reported.
 	var firstErr error
-	if err := b.fs.Remove(b.path); err != nil && !os.IsNotExist(err) {
-		firstErr = fmt.Errorf("store: remove legacy WAL: %w", err)
-	}
 	refs, err := listSegments(b.path)
 	if err != nil {
 		return err
@@ -201,7 +194,7 @@ func (b *fswalBackend) Close() error {
 
 // Destroy implements Backend.
 func (b *fswalBackend) Destroy() error {
-	paths := []string{b.path, snapshotPath(b.path), snapshotTmpPath(b.path)}
+	paths := []string{snapshotPath(b.path), snapshotTmpPath(b.path)}
 	if refs, err := listSegments(b.path); err == nil {
 		for _, ref := range refs {
 			paths = append(paths, ref.path)

@@ -234,7 +234,6 @@ func (s *Store) flushGroup(group []commitReq) {
 		} else {
 			s.applyDelete(r.entry.kind, r.entry.key)
 		}
-		s.gen.Add(1)
 		s.kindGens[r.entry.kind]++
 	}
 	m.records.Set(int64(len(s.byKey)))

@@ -14,17 +14,16 @@ import (
 // Segmented log layout. A store opened at base path P owns these files,
 // all siblings in P's directory:
 //
-//	P               v1 single-file WAL (legacy; replayed as segment 0,
-//	                never appended to again, removed by the first
-//	                checkpoint that covers it)
 //	P.snap          newest checkpoint snapshot (see snapshot.go)
 //	P.snap.tmp      in-flight snapshot (ignored and removed on open)
 //	P.NNNNNN.seg    log segments, NNNNNN = decimal sequence number
 //
-// Appends go only to the newest segment; rotation seals it and opens the
-// next. Recovery = load P.snap, then replay segments with seq >= the
-// snapshot's cover sequence in ascending order. Sealed segments below the
-// cover sequence are garbage and deleted by Compact.
+// A regular file at P itself is a v1 single-file WAL, which Open refuses
+// rather than replay. Appends go only to the newest segment; rotation
+// seals it and opens the next. Recovery = load P.snap, then replay
+// segments with seq >= the snapshot's cover sequence in ascending order.
+// Sealed segments below the cover sequence are garbage and deleted by
+// Compact.
 
 const (
 	segSuffix  = ".seg"
@@ -46,8 +45,7 @@ type segmentRef struct {
 }
 
 // listSegments returns the numbered segments for base, ascending by
-// sequence number. The legacy v1 file is NOT included (its existence is
-// checked separately; it sorts as sequence 0).
+// sequence number.
 func listSegments(base string) ([]segmentRef, error) {
 	dir := filepath.Dir(base)
 	prefix := filepath.Base(base) + "."
@@ -98,8 +96,8 @@ func createSegment(fs faultinject.FS, base string, seq uint64) (*activeSegment, 
 	return &activeSegment{f: f, seq: seq}, nil
 }
 
-// replaySegmentFile replays the frames of one on-disk segment (or the
-// legacy v1 file) and truncates a torn tail so the file never re-tears at
+// replaySegmentFile replays the frames of one on-disk segment and
+// truncates a torn tail so the file never re-tears at
 // the same spot. Reading is plain os I/O: recovery happens before any
 // write is acknowledged, so it sits outside the crash-injection surface.
 func replaySegmentFile(path string) ([]walEntry, error) {

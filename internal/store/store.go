@@ -110,7 +110,7 @@ const (
 // Options tunes a WAL-backed store opened with OpenWithOptions.
 type Options struct {
 	// Backend selects the persistence engine: BackendFSWAL (the default,
-	// also chosen by ""), BackendDirKind or BackendMemory. See backend.go.
+	// also chosen by "") or BackendMemory. See backend.go.
 	Backend string
 	// Durability is the fsync policy (default DurabilityOS).
 	Durability Durability
@@ -197,27 +197,16 @@ type Store struct {
 	// replayed, credited to the replay counter when instrumented.
 	replayedFrames int
 	metrics        atomic.Pointer[storeMetrics]
-
-	// gen counts committed mutations (Put/Delete), letting callers cache
-	// derived views (e.g. a party loaded from the store) and revalidate
-	// with a single atomic load instead of re-reading every document.
-	// WAL replay during Open does not bump it: generation 0 plus N
-	// replayed frames is still one consistent snapshot.
-	gen atomic.Uint64
 }
-
-// Generation returns the store's mutation counter. It changes on every
-// successful Put or Delete, so two equal readings with the same Store
-// bracket an interval in which no document changed.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // KindGeneration returns the sum of the per-kind mutation counters for
 // kinds. It changes on every successful Put or Delete touching one of
 // those kinds and is stable across writes to every other kind — the
 // revalidation token for caches scoped to a subset of the store (a
 // resume-ticket write must not thrash a memoized party built from
-// credentials, policies and ontologies). Like Generation, replay during
-// Open does not bump it.
+// credentials, policies and ontologies). Replay during Open does not
+// bump it: generation 0 plus N replayed frames is still one consistent
+// snapshot.
 func (s *Store) KindGeneration(kinds ...string) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -373,7 +362,6 @@ func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
 	if !s.hasCommitter {
 		s.mu.Lock() //lint:allow nakedlock commitHook below must run outside the lock (it may do I/O)
 		s.applyRecord(rec)
-		s.gen.Add(1)
 		s.kindGens[kind]++
 		s.met().records.Set(int64(len(s.byKey)))
 		s.mu.Unlock()
@@ -455,7 +443,6 @@ func (s *Store) Delete(kind, key string) error {
 			return fmt.Errorf("%w: %s/%s", ErrNotFound, kind, key)
 		}
 		s.applyDelete(kind, key)
-		s.gen.Add(1)
 		s.kindGens[kind]++
 		s.met().records.Set(int64(len(s.byKey)))
 		s.mu.Unlock()
@@ -562,8 +549,7 @@ func (s *Store) QueryString(kind, expr string) ([]*Record, error) {
 // committer captures the live record set and a checkpoint token, then the
 // backend persists the snapshot and garbage-collects what it supersedes —
 // all while concurrent Puts keep committing into the post-rotation log.
-// Backends with nothing to truncate (memory, dirkind) make this a cheap
-// sweep. No-op for in-memory stores built with New.
+// A backend with nothing to truncate (memory) makes this a cheap sweep. No-op for in-memory stores built with New.
 func (s *Store) Compact() error {
 	if !s.hasCommitter {
 		return nil

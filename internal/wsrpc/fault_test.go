@@ -223,6 +223,47 @@ func TestExpiredResumeTicketRejected(t *testing.T) {
 	}
 }
 
+// TestStrippedResumeTicketRejected: a holder with keys must find a valid
+// seal on its resume ticket. A persisted ticket that was tampered with
+// and had its signature removed used to resume as if its holder had no
+// keys.
+func TestStrippedResumeTicketRejected(t *testing.T) {
+	f := newWSFixture(t)
+	f.publishMember(t)
+	gate := &gateTransport{after: 3}
+	f.member.Transport = &Transport{
+		HTTP:  &http.Client{Transport: gate},
+		Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+	}
+	f.member.Party.Keys = pki.MustGenerateKeyPair()
+	_, _, err := f.member.Join(bg, "DesignWebPortal")
+	var se *SuspendedError
+	if !errors.As(err, &se) {
+		t.Fatalf("expected SuspendedError, got %v", err)
+	}
+
+	tampered := *se.Ticket
+	tampered.NegID = "someone-else"
+	tampered.Signature = nil
+	doc, err := xmldom.ParseString(tampered.DOM().XML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket, err := negotiation.ResumeTicketFromDOM(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wire := &errTransport{}
+	f.member.Transport = &Transport{HTTP: &http.Client{Transport: wire}}
+	if _, err := f.member.tnClient().Resume(bg, ticket); !errors.Is(err, negotiation.ErrBadResumeTicket) {
+		t.Fatalf("stripped ticket: err = %v, want ErrBadResumeTicket", err)
+	}
+	if n := wire.hits.Load(); n != 0 {
+		t.Fatalf("resume from a stripped ticket sent %d requests", n)
+	}
+}
+
 // splitTransport triggers a one-shot network partition after `after`
 // requests have passed through, simulating a link that goes down
 // mid-negotiation rather than before it.

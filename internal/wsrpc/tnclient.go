@@ -2,6 +2,7 @@ package wsrpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"trustvo/internal/negotiation"
+	"trustvo/internal/pki"
 )
 
 // TNClient drives a requester-side negotiation against a remote
@@ -176,31 +178,21 @@ func (c *TNClient) Resume(ctx context.Context, t *negotiation.ResumeTicket) (*ne
 	return c.drive(ctx, t.NegID, ep, t.LastSent, t.Seq)
 }
 
+// verifyTicket checks t for this client's party. An expired ticket is a
+// typed 410 (not retryable) and counted, so a fleet resuming from stale
+// tickets after an outage shows up in telemetry, not as generic errors.
 func (c *TNClient) verifyTicket(t *negotiation.ResumeTicket) error {
 	if t == nil {
 		return fmt.Errorf("wsrpc: nil resume ticket")
 	}
-	now := time.Now()
-	// Explicit not-after check, before signature verification: an
-	// expired ticket is a distinct, typed condition (410 Gone, not
-	// retryable) rather than a generic verification failure, and it is
-	// counted — a fleet resuming from stale tickets after an outage
-	// shows up in telemetry instead of as silent generic errors.
-	if now.After(t.Expires) {
+	err := t.Verify(c.Party.Keys.PublicKey(), time.Now())
+	if errors.Is(err, pki.ErrTicketExpired) {
 		if tr := c.transport(); tr.Metrics != nil {
 			tr.Metrics.Counter("tn_ticket_expired_total").Inc()
 		}
-		return &Error{
-			Op:     "resume",
-			Status: http.StatusGone,
-			Code:   "ticket-expired",
-			Err:    fmt.Errorf("%w: expired %s", negotiation.ErrBadResumeTicket, t.Expires.Format(time.RFC3339)),
-		}
+		return &Error{Op: "resume", Status: http.StatusGone, Code: "ticket-expired", Err: err}
 	}
-	if c.Party.Keys != nil {
-		return t.Verify(c.Party.Keys.Public, now)
-	}
-	return t.Verify(nil, now)
+	return err
 }
 
 // drive is the shared request loop: send msg, feed the reply to the

@@ -77,11 +77,14 @@ func String(encode func(*Writer)) string {
 	return s
 }
 
-// Bytes is String returning a fresh byte slice.
-func Bytes(encode func(*Writer)) []byte {
+// Bytes returns prefix followed by the canonical XML that encode writes,
+// in one fresh slice of exactly that size: the shape of signed bytes
+// that cover a header and a document.
+func Bytes(prefix []byte, encode func(*Writer)) []byte {
 	w := getWriter()
 	encode(w)
-	b := slices.Clone(w.buf)
+	b := make([]byte, len(prefix)+len(w.buf))
+	copy(b[copy(b, prefix):], w.buf)
 	w.release()
 	return b
 }

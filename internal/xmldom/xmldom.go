@@ -267,9 +267,11 @@ func (n *Node) Root() *Node {
 // attributes sorted by name, text escaped, no added whitespace. The
 // output of XML is what internal/pki signs, so two structurally equal
 // documents always produce identical bytes.
-func (n *Node) XML() string { return String(n.write) }
+func (n *Node) XML() string { return String(n.Encode) }
 
-func (n *Node) write(w *Writer) {
+// Encode writes the subtree rooted at n through w, so a tree can be
+// written inside another document.
+func (n *Node) Encode(w *Writer) {
 	switch n.Type {
 	case TextNode:
 		w.Text(n.Data)
@@ -281,7 +283,7 @@ func (n *Node) write(w *Writer) {
 			w.Attr(a.Name, a.Value)
 		}
 		for _, c := range n.Children {
-			c.write(w)
+			c.Encode(w)
 		}
 		w.End()
 	}

@@ -267,7 +267,7 @@ func (c *Credential) XML() string { return xmldom.String(c.Encode) }
 // SignedBytes returns the canonical bytes covered by the issuer's
 // signature: the credential XML with the <signature> element omitted.
 func (c *Credential) SignedBytes() []byte {
-	return xmldom.Bytes(func(w *xmldom.Writer) { c.encode(w, false) })
+	return xmldom.Bytes(nil, func(w *xmldom.Writer) { c.encode(w, false) })
 }
 
 // ErrBadCredential reports a malformed credential document.
