@@ -26,6 +26,15 @@ import (
 // where the old leader's log left off. Epochs fence deposed leaders; a
 // follower too far behind the leader's trimmed in-memory log catches up
 // from a full store snapshot instead.
+//
+// Positions are only comparable within one lineage — the epoch of the
+// leader whose log a prefix follows. A deposed leader's last, unacked
+// window can still land on a follower after the promotion, at positions
+// the new leader numbers afresh; such a follower reports a position
+// that looks current but holds different entries. So a follower applies
+// windows only onto an empty prefix or one of the sender's lineage, the
+// leader resyncs every other follower from a snapshot, and promotion
+// ranks survivors by lineage before position.
 
 // replState is one node's view of the replicated log.
 type replState struct {
@@ -38,7 +47,10 @@ type replState struct {
 	log  []store.Entry
 	// applied is the length of the global log prefix applied to the
 	// local store (leader: always the head).
-	applied   uint64
+	applied uint64
+	// lineage is the epoch of the leader whose log the applied prefix
+	// follows (a leader's own epoch once promoted).
+	lineage   uint64
 	followers map[string]uint64
 	sendMu    map[string]*sync.Mutex
 }
@@ -53,6 +65,12 @@ func (r *replState) appliedPos() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied
+}
+
+func (r *replState) lineageEpoch() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lineage
 }
 
 func (r *replState) followerPos(name string) (uint64, bool) {
@@ -127,16 +145,22 @@ func (n *Node) Head() uint64 {
 // Applied returns the applied prefix length of the local store.
 func (n *Node) Applied() uint64 { return n.repl.appliedPos() }
 
+// Lineage returns the epoch of the leader whose log the applied prefix
+// follows. Promotion picks the survivor with the highest lineage, then
+// the highest applied position within it.
+func (n *Node) Lineage() uint64 { return n.repl.lineageEpoch() }
+
 // Promote makes this node the replication leader under a fresh epoch.
-// Call it on the most advanced reachable survivor after a leader death:
-// because followers apply strict prefixes and sync commits required a
-// follower ack, the max-applied survivor holds every acked write. The
-// log restarts at the local applied position; follower positions are
-// reprobed lazily on the first push.
+// Call it on the most advanced reachable survivor after a leader death —
+// highest Lineage, then highest Applied: because followers apply strict
+// prefixes of their lineage and sync commits required a follower ack,
+// that survivor holds every acked write. The log restarts at the local
+// applied position; follower positions are reprobed lazily on the first
+// push, and followers of an older lineage are resynced by snapshot.
 func (n *Node) Promote() {
 	r := &n.repl
 	r.mu.Lock() //lint:allow nakedlock metrics below must run outside the repl lock
-	r.epoch.Add(1)
+	r.lineage = r.epoch.Add(1)
 	r.leader.Store(true)
 	r.base = r.applied
 	r.log = nil
@@ -290,17 +314,19 @@ func (n *Node) updateLagGauge(head uint64) {
 
 // replicateTo drives one follower from its last known position to head:
 // probe the position when unknown, then ship log windows (or a full
-// snapshot once the follower is behind the trimmed log) until it
-// confirms the head. The follower's reply always carries its applied
-// position, so a torn frame on the wire — the follower applies the good
-// prefix and reports short — simply makes the next window start earlier;
-// duplicate frames are skipped by position on the follower.
+// snapshot once the follower is behind the trimmed log, or holds a
+// prefix of another lineage) until it confirms the head. The follower's
+// reply always carries its applied position and lineage, so a torn frame
+// on the wire — the follower applies the good prefix and reports short —
+// simply makes the next window start earlier; duplicate frames are
+// skipped by position on the follower.
 func (n *Node) replicateTo(ctx context.Context, peer string, head uint64) error {
 	lock := n.repl.sendLock(peer)
 	lock.Lock()
 	defer lock.Unlock()
 	r := &n.repl
 	pos, known := r.followerPos(peer)
+	resync := false
 	if !known {
 		st, err := n.peerStatus(ctx, peer)
 		if err != nil {
@@ -311,38 +337,57 @@ func (n *Node) replicateTo(ctx context.Context, peer string, head uint64) error 
 			return fmt.Errorf("cluster: deposed by epoch %d at %s", st.epoch, peer)
 		}
 		pos = st.applied
+		// Even a position at or past head proves nothing when the prefix
+		// follows another leader's log.
+		resync = foreignPrefix(pos, st.lineage, r.epoch.Load())
 		r.setFollower(peer, pos)
 	}
 	stalls := 0
-	for pos < head {
+	for resync || pos < head {
+		if !r.leader.Load() {
+			// Deposed mid-push: the windows would carry the adopted epoch.
+			return fmt.Errorf("cluster: node %s no longer leads", n.cfg.Name)
+		}
 		var (
-			applied uint64
-			err     error
+			rep replicated
+			err error
 		)
-		if entries, ok := r.window(pos, head); !ok {
-			applied, err = n.sendCatchup(ctx, peer)
+		if entries, ok := r.window(pos, head); resync || !ok {
+			rep, err = n.sendCatchup(ctx, peer)
 		} else {
-			applied, err = n.sendEntries(ctx, peer, pos, entries)
+			rep, err = n.sendEntries(ctx, peer, pos, entries)
 		}
 		if err != nil {
 			r.forget(peer)
 			return err
 		}
-		if applied <= pos {
+		resync = foreignPrefix(rep.applied, rep.lineage, r.epoch.Load())
+		switch {
+		case resync:
+			// A follower of another lineage refused the window; the next
+			// pass sends it a snapshot.
+		case rep.applied <= pos:
 			// No forward progress: a gap reply (follower behind where we
 			// thought) makes progress on the next pass by lowering pos, but
 			// repeated stalls mean the stream is wedged.
-			if stalls++; stalls >= 3 && applied == pos {
+			if stalls++; stalls >= 3 && rep.applied == pos {
 				r.forget(peer)
-				return fmt.Errorf("cluster: replication to %s stalled at position %d", peer, applied)
+				return fmt.Errorf("cluster: replication to %s stalled at position %d", peer, rep.applied)
 			}
-		} else {
+		default:
 			stalls = 0
 		}
-		pos = applied
+		pos = rep.applied
 		r.setFollower(peer, pos)
 	}
 	return nil
+}
+
+// foreignPrefix reports whether a follower's applied prefix may diverge
+// from the log of the leader at epoch: a non-empty prefix of another
+// lineage.
+func foreignPrefix(applied, lineage, epoch uint64) bool {
+	return applied > 0 && lineage != epoch
 }
 
 // peerStatusInfo is a parsed /cluster/status reply.
@@ -352,6 +397,7 @@ type peerStatusInfo struct {
 	leader  bool
 	pos     uint64
 	applied uint64
+	lineage uint64
 }
 
 // PeerStatus probes a peer's replication state over the wire.
@@ -381,6 +427,7 @@ func (n *Node) peerStatus(ctx context.Context, peer string) (peerStatusInfo, err
 		leader:  root.AttrOr("leader", "") == "true",
 		pos:     parseU64(root.AttrOr("pos", "0")),
 		applied: parseU64(root.AttrOr("applied", "0")),
+		lineage: parseU64(root.AttrOr("lineage", "0")),
 	}, nil
 }
 
@@ -389,16 +436,15 @@ func parseU64(s string) uint64 {
 	return v
 }
 
-// sendEntries ships one log window; returns the follower's applied
-// position.
-func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entries []store.Entry) (uint64, error) {
+// sendEntries ships one log window; returns the follower's reply.
+func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entries []store.Entry) (replicated, error) {
 	base := n.peerURL(peer)
 	if base == "" {
-		return 0, fmt.Errorf("cluster: no address for peer %s", peer)
+		return replicated{}, fmt.Errorf("cluster: no address for peer %s", peer)
 	}
 	payload, err := store.EncodeEntries(entries)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: encode replication window: %w", err)
+		return replicated{}, fmt.Errorf("cluster: encode replication window: %w", err)
 	}
 	req := xmldom.NewElement("replicate").
 		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
@@ -408,7 +454,7 @@ func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entrie
 	root, err := n.transport.Call(ctx, http.MethodPost, base, "/cluster/replicate", "", req.XML(), true)
 	if err != nil {
 		n.noteReplicateError(err)
-		return 0, err
+		return replicated{}, err
 	}
 	return parseReplicated(root)
 }
@@ -418,19 +464,19 @@ func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entrie
 // read: entries committed in between are in the snapshot too, and
 // resending them later is harmless (applies are idempotent by position
 // and content).
-func (n *Node) sendCatchup(ctx context.Context, peer string) (uint64, error) {
+func (n *Node) sendCatchup(ctx context.Context, peer string) (replicated, error) {
 	base := n.peerURL(peer)
 	if base == "" {
-		return 0, fmt.Errorf("cluster: no address for peer %s", peer)
+		return replicated{}, fmt.Errorf("cluster: no address for peer %s", peer)
 	}
 	db := n.DB()
 	if db == nil {
-		return 0, fmt.Errorf("cluster: node %s has no store to snapshot", n.cfg.Name)
+		return replicated{}, fmt.Errorf("cluster: node %s has no store to snapshot", n.cfg.Name)
 	}
 	head := n.repl.head()
 	payload, err := store.EncodeEntries(db.SnapshotEntries())
 	if err != nil {
-		return 0, fmt.Errorf("cluster: encode snapshot: %w", err)
+		return replicated{}, fmt.Errorf("cluster: encode snapshot: %w", err)
 	}
 	req := xmldom.NewElement("catchup").
 		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
@@ -439,7 +485,7 @@ func (n *Node) sendCatchup(ctx context.Context, peer string) (uint64, error) {
 	root, err := n.transport.Call(ctx, http.MethodPost, base, "/cluster/catchup", "", req.XML(), true)
 	if err != nil {
 		n.noteReplicateError(err)
-		return 0, err
+		return replicated{}, err
 	}
 	if m := n.metrics; m != nil {
 		m.Counter("cluster_repl_catchups_total").Inc()
@@ -458,11 +504,18 @@ func (n *Node) noteReplicateError(err error) {
 	}
 }
 
-func parseReplicated(root *xmldom.Node) (uint64, error) {
+// replicated is a follower's reply to a window or a snapshot: its applied
+// position and the lineage of that prefix.
+type replicated struct{ applied, lineage uint64 }
+
+func parseReplicated(root *xmldom.Node) (replicated, error) {
 	if root.Name != "replicated" {
-		return 0, fmt.Errorf("cluster: unexpected replication response <%s>", root.Name)
+		return replicated{}, fmt.Errorf("cluster: unexpected replication response <%s>", root.Name)
 	}
-	return parseU64(root.AttrOr("applied", "0")), nil
+	return replicated{
+		applied: parseU64(root.AttrOr("applied", "0")),
+		lineage: parseU64(root.AttrOr("lineage", "0")),
+	}, nil
 }
 
 // --- follower side ---
@@ -497,19 +550,25 @@ func (n *Node) checkEpoch(epoch uint64) error {
 	}
 }
 
-// applyEntriesAt applies a replicated window starting at global position
-// from, returning the new applied position. Entries already applied
-// (duplicates of an earlier delivery) are skipped by position; a gap —
-// from beyond our applied prefix — applies nothing and reports where we
-// are, so the sender rewinds.
-func (n *Node) applyEntriesAt(from uint64, entries []store.Entry) (uint64, error) {
+// applyEntriesAt applies a window of the log of the leader at epoch,
+// starting at global position from, returning the new applied position.
+// Entries already applied (duplicates of an earlier delivery) are
+// skipped by position; a gap — from beyond our applied prefix — applies
+// nothing and reports where we are, so the sender rewinds. A non-empty
+// prefix of another lineage applies nothing either: its positions may
+// name other entries, so the sender must resync it by snapshot.
+func (n *Node) applyEntriesAt(epoch, from uint64, entries []store.Entry) (uint64, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	r := &n.repl
 	r.mu.Lock() //lint:allow nakedlock position snapshot; store apply below runs outside the repl lock
 	applied := r.applied
+	foreign := foreignPrefix(applied, r.lineage, epoch)
+	if !foreign {
+		r.lineage = epoch
+	}
 	r.mu.Unlock()
-	if from > applied {
+	if foreign || from > applied {
 		return applied, nil
 	}
 	skip := applied - from
@@ -533,11 +592,13 @@ func (n *Node) applyEntriesAt(from uint64, entries []store.Entry) (uint64, error
 	return applied, nil
 }
 
-// applySnapshotAt reconciles the local store to a full snapshot standing
-// at global position pos: snapshot entries are applied and local records
-// absent from the snapshot are deleted, so a revived follower with stale
-// or divergent state converges to the leader's exact content.
-func (n *Node) applySnapshotAt(pos uint64, entries []store.Entry) (uint64, error) {
+// applySnapshotAt reconciles the local store to a full snapshot of the
+// leader at epoch, standing at global position pos: snapshot entries are
+// applied and local records absent from the snapshot are deleted, so a
+// revived follower with stale or divergent state converges to the
+// leader's exact content, and its prefix joins the leader's lineage at
+// pos.
+func (n *Node) applySnapshotAt(epoch, pos uint64, entries []store.Entry) (uint64, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	db := n.DB()
@@ -563,13 +624,10 @@ func (n *Node) applySnapshotAt(pos uint64, entries []store.Entry) (uint64, error
 		return 0, err
 	}
 	r := &n.repl
-	r.mu.Lock() //lint:allow nakedlock short position advance; no early return before Unlock
-	if pos > r.applied {
-		r.applied = pos
-	}
-	applied := r.applied
+	r.mu.Lock() //lint:allow nakedlock short position set; no early return before Unlock
+	r.applied, r.lineage = pos, epoch
 	r.mu.Unlock()
-	return applied, nil
+	return pos, nil
 }
 
 // decodePayload decodes the base64 CRC-framed entry stream of a

@@ -277,3 +277,61 @@ func TestFollowerApplyInvalidatesCache(t *testing.T) {
 		t.Fatalf("follower cache served stale record after replicated apply: %q", rec.XML)
 	}
 }
+
+// TestDeposedLeaderTailResynced: a deposed leader's last window can land
+// on a follower after the promotion, at positions the new leader numbers
+// afresh. The follower then reports a position that looks current but
+// holds other entries, so the new leader must resync it by snapshot
+// before counting its ack — else a write acked on it alone is lost once
+// it is the only survivor.
+func TestDeposedLeaderTailResynced(t *testing.T) {
+	c := newTestCluster(t, true, 0)
+	defer c.shutdown()
+	c.addNode("n1")
+	c.addNode("n2")
+	c.addNode("n3")
+	c.setLeader("n1")
+	for i := 0; i < 5; i++ {
+		if err := c.get("n1").db.PutXML("chaos", fmt.Sprintf("k%02d", i), chaosDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 5*time.Second, "both followers at the head", func() bool {
+		return c.get("n2").node.Applied() == 5 && c.get("n3").node.Applied() == 5
+	})
+	oldEpoch := c.get("n1").node.Epoch()
+	c.kill("n1")
+	c.setLeader("n3")
+
+	// The dead leader's unacked window arrives late at n2, which has not
+	// heard of the new epoch yet.
+	ghost, err := store.EncodeEntries([]store.Entry{{Op: store.OpPut, Kind: "chaos", Key: "ghost", Doc: chaosDoc(99)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied := postReplicate(t, c.get("n2").srv.URL, oldEpoch, 5, ghost); applied != 6 {
+		t.Fatalf("late window applied to %d, want 6", applied)
+	}
+
+	// n3 writes at position 5, the position n2 now holds "ghost" at.
+	if err := c.get("n3").db.PutXML("chaos", "real", chaosDoc(1)); err != nil {
+		t.Fatalf("put on new leader: %v", err)
+	}
+	n2 := c.get("n2")
+	if _, err := n2.db.Get("chaos", "real"); err != nil {
+		t.Fatalf("acked write missing on the only follower: %v", err)
+	}
+	if _, err := n2.db.Get("chaos", "ghost"); err == nil {
+		t.Fatal("the deposed leader's unacked tail survived the resync")
+	}
+	if got, want := n2.node.Lineage(), c.get("n3").node.Epoch(); got != want {
+		t.Fatalf("follower lineage %d after resync, want %d", got, want)
+	}
+	c.kill("n3")
+	if got := c.failover(); got != "n2" {
+		t.Fatalf("failover picked %s", got)
+	}
+	if _, err := c.get("n2").db.Get("chaos", "real"); err != nil {
+		t.Fatalf("acked write lost after failover: %v", err)
+	}
+}

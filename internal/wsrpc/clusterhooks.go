@@ -1,6 +1,7 @@
 package wsrpc
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -52,10 +53,15 @@ func (s *TNService) AdoptSessionDoc(doc *xmldom.Node) (string, error) {
 	}
 	sh.m[id] = sess
 	sh.mu.Unlock()
-	s.active.Add(1)
+	live := !sess.deactivated.Load()
+	if live {
+		s.active.Add(1)
+	}
 	if m := s.Metrics; m != nil {
 		m.Counter("tn_sessions_adopted_total").Inc()
-		m.Gauge("tn_sessions_active").Inc()
+		if live {
+			m.Gauge("tn_sessions_active").Inc()
+		}
 	}
 	return id, nil
 }
@@ -109,7 +115,8 @@ func (s *TNService) EnsureSession(id string) error {
 // Sessions with nothing to snapshot (no message processed yet) are
 // dropped from the table but returned with a nil document, so the
 // caller can still count them. Each removed session's capacity slot is
-// released.
+// released, and a handler that looked one up before it left answers
+// through SessionMissing instead of advancing it.
 func (s *TNService) DrainSessions(filter func(id string) bool) map[string]*xmldom.Node {
 	out := make(map[string]*xmldom.Node)
 	for _, sh := range s.shardTable() {
@@ -128,7 +135,7 @@ func (s *TNService) DrainSessions(filter func(id string) bool) map[string]*xmldo
 		sh.mu.Unlock()
 		for id, sess := range drained {
 			s.retire(sess)
-			doc, ok := sess.suspendDoc(id)
+			doc, ok := sess.moveOut(id)
 			if !ok {
 				out[id] = nil
 				continue
@@ -137,4 +144,70 @@ func (s *TNService) DrainSessions(filter func(id string) bool) map[string]*xmldo
 		}
 	}
 	return out
+}
+
+// ReshipSessions passes every live session with state through
+// OnSessionUpdate again, each under its lock, and returns the first
+// error. internal/cluster runs it after a membership change, which can
+// move a session's standby target to a node that holds no copy yet:
+// until the session's next message ships, one more failure would lose
+// it.
+func (s *TNService) ReshipSessions(ctx context.Context) error {
+	type held struct {
+		id   string
+		sess *tnSession
+	}
+	var live []held
+	for _, sh := range s.shardTable() {
+		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
+		for id, sess := range sh.m {
+			if !sess.done.Load() {
+				live = append(live, held{id, sess})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	var firstErr error
+	for _, h := range live {
+		if err := h.sess.reship(ctx, s, h.id); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// reship runs one session's standby ship outside a handler, unless the
+// session has moved on meanwhile.
+func (sess *tnSession) reship(ctx context.Context, s *TNService, id string) error {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.moved {
+		return nil
+	}
+	return s.shipSessionUpdate(ctx, id, sess)
+}
+
+// ReleaseSession removes session id from the table and returns its
+// document for another node to adopt — a finished session's verdict and
+// reply cache included, so a client whose final reply was lost still
+// gets it replayed. It returns nil when id is not held, has expired, or
+// has no state to move (no message handled yet); such a session is
+// dropped, and its client restarts from its first message.
+func (s *TNService) ReleaseSession(id string) *xmldom.Node {
+	sh := s.shard(id)
+	sh.mu.Lock() //lint:allow nakedlock retire and snapshot below must run outside the stripe lock
+	sess := sh.m[id]
+	stale := sess != nil && s.stale(sess, time.Now())
+	delete(sh.m, id)
+	sh.mu.Unlock()
+	if sess == nil {
+		return nil
+	}
+	if stale {
+		s.retireStale(sess)
+		return nil
+	}
+	s.retire(sess)
+	doc, _ := sess.moveOut(id)
+	return doc
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"trustvo/internal/negotiation"
 	"trustvo/internal/xmldom"
 )
 
@@ -144,5 +145,128 @@ func BenchmarkFinishedSessionRetainedHeap(b *testing.B) {
 		}
 		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/sessions, "B/session")
 		srv.Close()
+	}
+}
+
+// TestReleasedFinishedSessionReplays: a finished session released by one
+// service and adopted by another still answers /tn/status and replays
+// its final reply byte for byte — a client whose last reply was lost in
+// a failover must not lose the verdict — without claiming a capacity
+// slot on the adopter. The releasing service answers the retry through
+// SessionMissing.
+func TestReleasedFinishedSessionReplays(t *testing.T) {
+	svc, _, req := standaloneTN(t)
+	missing := 0
+	svc.SessionMissing = func(w http.ResponseWriter, id string) {
+		missing++
+		writeFault(w, http.StatusServiceUnavailable, "moved", id)
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	rec := &lastExchange{}
+	client := &TNClient{BaseURL: srv.URL, Party: req, HTTP: &http.Client{Transport: rec}}
+	out, err := client.Negotiate(bg, "R")
+	if err != nil || !out.Succeeded {
+		t.Fatalf("negotiate: %v %+v", err, out)
+	}
+	env, err := xmldom.ParseBytes(rec.reqBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negID := env.AttrOr("negotiation", "")
+
+	doc := svc.ReleaseSession(negID)
+	if doc == nil || doc.AttrOr("done", "") != "true" {
+		t.Fatalf("released finished session: %v", doc)
+	}
+	if svc.HasSession(negID) {
+		t.Fatal("released session still in the table")
+	}
+	resp, err := http.Post(srv.URL+rec.path, ContentType, bytes.NewReader(rec.reqBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || missing != 1 {
+		t.Fatalf("retry at the releasing service: status %d, SessionMissing calls %d", resp.StatusCode, missing)
+	}
+
+	adopter, _, _ := standaloneTN(t)
+	if _, err := adopter.AdoptSessionDoc(doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := adopter.active.Load(); got != 0 {
+		t.Fatalf("adopted finished session holds %d capacity slots", got)
+	}
+	mux2 := http.NewServeMux()
+	adopter.Register(mux2)
+	srv2 := httptest.NewServer(mux2)
+	defer srv2.Close()
+	resp, err = http.Get(srv2.URL + "/tn/status?negotiation=" + negID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := xmldom.Parse(resp.Body)
+	resp.Body.Close()
+	if err != nil || status.AttrOr("done", "") != "true" || status.AttrOr("succeeded", "") != "true" {
+		t.Fatalf("status after adoption: %v %s", err, status.XML())
+	}
+	resp, err = http.Post(srv2.URL+rec.path, ContentType, bytes.NewReader(rec.reqBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != rec.respStatus || !bytes.Equal(replay, rec.respBody) {
+		t.Fatalf("replay after adoption: %d %s, want %d %s", resp.StatusCode, replay, rec.respStatus, rec.respBody)
+	}
+}
+
+// TestMovedSessionNotAdvanced: a handler that looked a session up before
+// it was drained to another node must not advance the drained copy; it
+// answers through SessionMissing, and the client's retry follows the
+// session.
+func TestMovedSessionNotAdvanced(t *testing.T) {
+	svc, _, req := standaloneTN(t)
+	missing := 0
+	svc.SessionMissing = func(w http.ResponseWriter, id string) {
+		missing++
+		writeFault(w, http.StatusServiceUnavailable, "moved", id)
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	id, err := svc.newSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A handler's lookup returned the session just before the drain took
+	// it; put that stale pointer where the handler's lookup finds it.
+	sess := svc.session(id)
+	svc.DrainSessions(nil)
+	svc.shard(id).put(id, sess)
+
+	first, err := negotiation.NewRequester(req, "R").Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/tn/policyExchange", ContentType, strings.NewReader(envelopeSeq(id, 1, first).XML()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || missing != 1 {
+		t.Fatalf("exchange on a drained session: status %d, SessionMissing calls %d", resp.StatusCode, missing)
+	}
+	if sess.lastSeq != 0 {
+		t.Fatalf("drained session advanced to seq %d", sess.lastSeq)
 	}
 }

@@ -56,6 +56,45 @@ func (sess *tnSession) suspendDocLocked(id string) (doc *xmldom.Node, ok bool) {
 	return doc, true
 }
 
+// moveOut marks the session as gone to another node and snapshots it,
+// a finished one as its verdict and reply cache (doneDocLocked).
+func (sess *tnSession) moveOut(id string) (doc *xmldom.Node, ok bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.moved = true
+	if sess.done.Load() {
+		return sess.doneDocLocked(id), true
+	}
+	return sess.suspendDocLocked(id)
+}
+
+// doneDocLocked snapshots a finished session: no negotiation state, only
+// what /tn/status reports and the reply cache, so the node adopting it
+// replays the final reply to a client that never received it (caller
+// holds sess.mu).
+func (sess *tnSession) doneDocLocked(id string) *xmldom.Node {
+	doc := xmldom.NewElement("tnSession").
+		SetAttr("id", id).
+		SetAttr("done", "true").
+		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
+		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
+	if out := sess.outcome; out != nil {
+		o := xmldom.NewElement("outcome").
+			SetAttr("succeeded", boolStr(out.Succeeded)).
+			SetAttr("resource", out.Resource)
+		if out.Reason != "" {
+			o.SetAttr("reason", out.Reason)
+		}
+		doc.AppendChild(o)
+	}
+	if sess.lastReply != "" {
+		lr := xmldom.NewElement("lastReply")
+		lr.AppendChild(xmldom.NewText(sess.lastReply))
+		doc.AppendChild(lr)
+	}
+	return doc
+}
+
 // SuspendSessions persists every live, unfinished session to db and
 // returns how many were written. Sessions that never processed a
 // message carry no state worth saving and are skipped. Call after the
@@ -138,15 +177,27 @@ func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 	if doc.Name != "tnSession" {
 		return nil, fmt.Errorf("expected <tnSession>, got <%s>", doc.Name)
 	}
-	party, err := s.sessionParty()
-	if err != nil {
-		return nil, err
+	sess := &tnSession{lastUsed: time.Now()}
+	if doc.AttrOr("done", "") == "true" {
+		// A finished session (doneDocLocked) holds no capacity slot.
+		sess.done.Store(true)
+		sess.deactivated.Store(true)
+		if o := doc.Child("outcome"); o != nil {
+			sess.outcome = verdict(&negotiation.Outcome{
+				Succeeded: o.AttrOr("succeeded", "") == "true",
+				Resource:  o.AttrOr("resource", ""),
+				Reason:    o.AttrOr("reason", ""),
+			})
+		}
+	} else {
+		party, err := s.sessionParty()
+		if err != nil {
+			return nil, err
+		}
+		if sess.endpoint, err = negotiation.RestoreEndpoint(party, doc.Child("negotiationState")); err != nil {
+			return nil, err
+		}
 	}
-	ep, err := negotiation.RestoreEndpoint(party, doc.Child("negotiationState"))
-	if err != nil {
-		return nil, err
-	}
-	sess := &tnSession{endpoint: ep, lastUsed: time.Now()}
 	// A malformed lastSeq or lastStatus must not be collapsed to 0: seq 0
 	// disables the replay cache, so a corrupt record would silently lose
 	// the session's at-most-once protection. Reject it; the caller logs
