@@ -86,6 +86,8 @@ type Authority struct {
 	mu      sync.Mutex
 	serial  uint64
 	revoked map[string]time.Time // credential ID -> revocation time
+
+	x509 x509State // the X.509 CA, minted on first use (x509attr.go)
 }
 
 // nextSerial allocates the next credential serial number.

@@ -2,16 +2,16 @@ package pki
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"crypto/x509"
-	"crypto/x509/pkix"
 	"encoding/asn1"
 	"encoding/pem"
 	"errors"
 	"fmt"
-	"math/big"
+	"strconv"
 	"sync"
 	"time"
+
+	"trustvo/internal/xtnl"
 )
 
 // This file is the X.509 bridge of §6.3: the VO Management toolkit
@@ -68,7 +68,9 @@ type VOAuthority struct {
 	mu     sync.Mutex
 	serial int64
 	caCert *x509.Certificate
-	caDER  []byte
+	// roots holds caCert alone. Certificate.Verify only reads it, so
+	// every VerifyMembership shares it.
+	roots *x509.CertPool
 }
 
 // nextSerial allocates the next certificate serial number.
@@ -86,17 +88,21 @@ func NewVOAuthority(voName string) (*VOAuthority, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &VOAuthority{VO: voName, Keys: kp, serial: 1}
-	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(1),
-		Subject:               pkix.Name{CommonName: "VO CA " + voName, Organization: []string{voName}},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(10 * 365 * 24 * time.Hour),
-		IsCA:                  true,
-		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
-		BasicConstraintsValid: true,
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, kp.Public, kp.Private)
+	return newVOAuthority(voName, kp, time.Now())
+}
+
+// newVOAuthority creates the authority for voName under kp, its CA
+// certificate valid from an hour before now for ten years.
+func newVOAuthority(voName string, kp *KeyPair, now time.Time) (*VOAuthority, error) {
+	der, err := mint(&certificate{
+		serial:    1,
+		subject:   name{org: voName, hasOrg: true, cn: "VO CA " + voName},
+		notBefore: now.Add(-time.Hour),
+		notAfter:  now.Add(10 * 365 * 24 * time.Hour),
+		key:       kp.Public,
+		usage:     x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
+		ca:        true,
+	}, nil, kp.Private)
 	if err != nil {
 		return nil, fmt.Errorf("pki: create VO CA: %w", err)
 	}
@@ -104,14 +110,14 @@ func NewVOAuthority(voName string) (*VOAuthority, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse VO CA: %w", err)
 	}
-	a.caCert = cert
-	a.caDER = der
-	return a, nil
+	roots := x509.NewCertPool()
+	roots.AddCert(cert)
+	return &VOAuthority{VO: voName, Keys: kp, serial: 1, caCert: cert, roots: roots}, nil
 }
 
 // CACertPEM returns the CA certificate for distribution to members.
 func (a *VOAuthority) CACertPEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: a.caDER})
+	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: a.caCert.Raw})
 }
 
 // TrustAnchor returns the issuer name and key under which this VO's
@@ -123,7 +129,8 @@ func (a *VOAuthority) TrustAnchor() (name string, key []byte) {
 }
 
 // IssueMembership mints an X.509 membership token binding member to role
-// within the VO, valid for lifetime (default one year when zero).
+// within the VO, valid for lifetime (default one year when zero). The
+// token's times are the certificate's: UTC, whole seconds.
 func (a *VOAuthority) IssueMembership(member, role string, lifetime time.Duration) (*MembershipToken, error) {
 	if member == "" || role == "" {
 		return nil, errors.New("pki: membership needs member and role")
@@ -143,67 +150,61 @@ func (a *VOAuthority) IssueMembership(member, role string, lifetime time.Duratio
 		return nil, err
 	}
 	now := time.Now().Add(-time.Minute)
-	// The token carries both the membership extensions AND the generic
-	// attribute-credential extensions, so it doubles as a participation
-	// ticket in later trust negotiations (§5.1: policies "can require …
-	// tickets attesting their participation to other VOs").
-	ticketAttrs, err := asn1.Marshal([]asn1Attr{
-		{Name: "vo", Value: a.VO},
-		{Name: "role", Value: role},
-		{Name: "member", Value: member},
-	})
+	notBefore := now.UTC().Truncate(time.Second)
+	notAfter := now.Add(lifetime).UTC().Truncate(time.Second)
+	der, err := a.mintMembership(member, role, serial, subjKeys.Public, notBefore, notAfter)
 	if err != nil {
-		return nil, fmt.Errorf("pki: encode ticket attributes: %w", err)
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(serial),
-		Subject: pkix.Name{
-			CommonName:   member,
-			Organization: []string{a.VO},
-		},
-		NotBefore: now,
-		NotAfter:  now.Add(lifetime),
-		KeyUsage:  x509.KeyUsageDigitalSignature,
-		ExtraExtensions: []pkix.Extension{
-			{Id: oidVOName, Value: mustASN1(a.VO)},
-			{Id: oidVORole, Value: mustASN1(role)},
-			{Id: oidAttrCredType, Value: mustASN1(ParticipationTicketType)},
-			{Id: oidAttrCredID, Value: mustASN1(fmt.Sprintf("%s-ticket-%d", a.VO, serial))},
-			{Id: oidAttrContent, Value: ticketAttrs},
-		},
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, a.caCert, subjKeys.Public, a.Keys.Private)
-	if err != nil {
-		return nil, fmt.Errorf("pki: issue membership: %w", err)
+		return nil, err
 	}
 	return &MembershipToken{
 		VO: a.VO, Role: role, Member: member,
 		VOKey:     append([]byte(nil), a.Keys.Public...),
-		NotBefore: tmpl.NotBefore, NotAfter: tmpl.NotAfter,
+		NotBefore: notBefore, NotAfter: notAfter,
 		DER: der,
 	}, nil
 }
 
-// VerifyMembership parses and verifies a membership certificate against
-// this VO authority, returning the decoded token.
-func (a *VOAuthority) VerifyMembership(der []byte) (*MembershipToken, error) {
-	return VerifyMembershipDER(der, a.caDER)
+// mintMembership writes the membership certificate for member in role
+// with the given serial, subject key and validity.
+func (a *VOAuthority) mintMembership(member, role string, serial int64, key ed25519.PublicKey, notBefore, notAfter time.Time) ([]byte, error) {
+	// The token carries both the membership extensions AND the generic
+	// attribute-credential extensions, so it doubles as a participation
+	// ticket in later trust negotiations (§5.1: policies "can require …
+	// tickets attesting their participation to other VOs").
+	der, err := mint(&certificate{
+		serial:    serial,
+		subject:   name{org: a.VO, hasOrg: true, cn: member},
+		notBefore: notBefore,
+		notAfter:  notAfter,
+		key:       key,
+		usage:     x509.KeyUsageDigitalSignature,
+		extra: []extension{
+			{id: oidVOName, str: a.VO},
+			{id: oidVORole, str: role},
+			{id: oidAttrCredType, str: ParticipationTicketType},
+			{id: oidAttrCredID, str: a.VO + "-ticket-" + strconv.FormatInt(serial, 10)},
+			{id: oidAttrContent, kind: extAttrs, attrs: []xtnl.Attribute{
+				{Name: "vo", Value: a.VO},
+				{Name: "role", Value: role},
+				{Name: "member", Value: member},
+			}},
+		},
+	}, a.caCert, a.Keys.Private)
+	if err != nil {
+		return nil, fmt.Errorf("pki: issue membership: %w", err)
+	}
+	return der, nil
 }
 
-// VerifyMembershipDER parses tokenDER and verifies it chains to caDER.
-func VerifyMembershipDER(tokenDER, caDER []byte) (*MembershipToken, error) {
-	ca, err := x509.ParseCertificate(caDER)
-	if err != nil {
-		return nil, fmt.Errorf("pki: parse CA cert: %w", err)
-	}
-	cert, err := x509.ParseCertificate(tokenDER)
+// VerifyMembership parses a membership certificate and verifies that it
+// chains to this VO's CA certificate, returning the decoded token.
+func (a *VOAuthority) VerifyMembership(der []byte) (*MembershipToken, error) {
+	cert, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse membership cert: %w", err)
 	}
-	roots := x509.NewCertPool()
-	roots.AddCert(ca)
 	if _, err := cert.Verify(x509.VerifyOptions{
-		Roots:     roots,
+		Roots:     a.roots,
 		KeyUsages: []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
 	}); err != nil {
 		return nil, fmt.Errorf("pki: membership chain: %w", err)
@@ -212,7 +213,7 @@ func VerifyMembershipDER(tokenDER, caDER []byte) (*MembershipToken, error) {
 		Member:    cert.Subject.CommonName,
 		NotBefore: cert.NotBefore,
 		NotAfter:  cert.NotAfter,
-		DER:       tokenDER,
+		DER:       der,
 	}
 	if len(cert.Subject.Organization) > 0 {
 		tok.VO = cert.Subject.Organization[0]
@@ -225,19 +226,11 @@ func VerifyMembershipDER(tokenDER, caDER []byte) (*MembershipToken, error) {
 			asn1.Unmarshal(ext.Value, &tok.Role)
 		}
 	}
-	if edKey, ok := ca.PublicKey.(ed25519.PublicKey); ok {
+	if edKey, ok := a.caCert.PublicKey.(ed25519.PublicKey); ok {
 		tok.VOKey = append([]byte(nil), edKey...)
 	}
 	if tok.Role == "" {
 		return nil, errors.New("pki: membership certificate lacks VO role extension")
 	}
 	return tok, nil
-}
-
-func mustASN1(s string) []byte {
-	b, err := asn1.Marshal(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

@@ -2,9 +2,15 @@ package pki
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func TestMembershipIssueAndVerify(t *testing.T) {
 	voa, err := NewVOAuthority("AircraftOptimizationVO")
@@ -69,6 +75,103 @@ func TestMembershipPEMEncodes(t *testing.T) {
 	}
 	if !bytes.Contains(voa.CACertPEM(), []byte("BEGIN CERTIFICATE")) {
 		t.Fatal("CA PEM malformed")
+	}
+}
+
+func TestIssuedTokenMatchesCertificate(t *testing.T) {
+	voa, err := NewVOAuthority("VO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lifetime := range []time.Duration{0, time.Hour, 90*time.Minute + 500*time.Millisecond} {
+		tok, err := voa.IssueMembership("m", "r", lifetime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := voa.VerifyMembership(tok.DER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tok, got) {
+			t.Fatalf("lifetime %v: issued token %s %s %s, %v to %v; certificate says %s %s %s, %v to %v",
+				lifetime, tok.VO, tok.Role, tok.Member, tok.NotBefore, tok.NotAfter,
+				got.VO, got.Role, got.Member, got.NotBefore, got.NotAfter)
+		}
+	}
+}
+
+func TestIssueMembershipAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	voa, err := NewVOAuthority("AircraftOptimizationVO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := voa.IssueMembership("AerospaceCo", "DesignWebPortal", time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("IssueMembership: %v allocations, want at most 10", allocs)
+	}
+}
+
+// TestVerifyMembershipConcurrent verifies tokens from several goroutines
+// through the authority's one CertPool.
+func TestVerifyMembershipConcurrent(t *testing.T) {
+	voa, err := NewVOAuthority("VO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewVOAuthority("VO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.IssueMembership("m0", "r", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := make([]*MembershipToken, 4)
+	for i := range toks {
+		if toks[i], err = voa.IssueMembership(fmt.Sprintf("m%d", i), "r", time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				tok := toks[(g+i)%len(toks)]
+				got, err := voa.VerifyMembership(tok.DER)
+				if err != nil || got.Member != tok.Member {
+					t.Errorf("verify %s: %v, %+v", tok.Member, err, got)
+					return
+				}
+				if _, err := voa.VerifyMembership(foreign.DER); err == nil {
+					t.Error("token of another VO's CA verified")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func BenchmarkVerifyMembership(b *testing.B) {
+	voa, _ := NewVOAuthority("VO")
+	tok, err := voa.IssueMembership("m", "r", time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := voa.VerifyMembership(tok.DER); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,13 +2,10 @@ package pki
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"crypto/x509"
-	"crypto/x509/pkix"
 	"encoding/asn1"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"time"
 
@@ -35,17 +32,10 @@ var (
 	oidAttrSens      = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 55555, 2, 5}
 )
 
-// asn1Attr is the wire form of one content attribute.
-type asn1Attr struct {
-	Name  string
-	Value string
-}
-
 // x509State holds an authority's lazily created X.509 issuing state.
 type x509State struct {
 	once   sync.Once
 	caCert *x509.Certificate
-	caDER  []byte
 	err    error
 	serial int64
 	mu     sync.Mutex
@@ -59,30 +49,31 @@ func (st *x509State) nextSerial() int64 {
 	return st.serial
 }
 
-var x509States sync.Map // *Authority -> *x509State
-
 func (a *Authority) x509state() (*x509State, error) {
-	v, _ := x509States.LoadOrStore(a, &x509State{})
-	st := v.(*x509State)
+	st := &a.x509
 	st.once.Do(func() {
-		tmpl := &x509.Certificate{
-			SerialNumber:          big.NewInt(1),
-			Subject:               pkix.Name{CommonName: a.Name},
-			NotBefore:             time.Now().Add(-time.Hour),
-			NotAfter:              time.Now().Add(20 * 365 * 24 * time.Hour),
-			IsCA:                  true,
-			KeyUsage:              x509.KeyUsageCertSign,
-			BasicConstraintsValid: true,
-		}
-		der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, a.Keys.Public, a.Keys.Private)
+		der, err := a.mintCA(time.Now())
 		if err != nil {
 			st.err = fmt.Errorf("pki: x509 CA for %s: %w", a.Name, err)
 			return
 		}
-		st.caDER = der
 		st.caCert, st.err = x509.ParseCertificate(der)
 	})
 	return st, st.err
+}
+
+// mintCA writes the authority's self-signed X.509 CA certificate, valid
+// from an hour before now for twenty years.
+func (a *Authority) mintCA(now time.Time) ([]byte, error) {
+	return mint(&certificate{
+		serial:    1,
+		subject:   name{cn: a.Name},
+		notBefore: now.Add(-time.Hour),
+		notAfter:  now.Add(20 * 365 * 24 * time.Hour),
+		key:       a.Keys.Public,
+		usage:     x509.KeyUsageCertSign,
+		ca:        true,
+	}, nil, a.Keys.Private)
 }
 
 // IssueX509Attribute mints the credential in both encodings: the X-TNL
@@ -112,14 +103,6 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 	}
 	serial := st.nextSerial() + 1 // serial 1 is the CA certificate itself
 
-	attrs := make([]asn1Attr, len(cred.Attributes))
-	for i, at := range cred.Attributes {
-		attrs[i] = asn1Attr{Name: at.Name, Value: at.Value}
-	}
-	contentDER, err := asn1.Marshal(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("pki: encode attributes: %w", err)
-	}
 	notBefore := cred.ValidFrom
 	if notBefore.IsZero() {
 		notBefore = time.Now().Add(-time.Minute)
@@ -138,28 +121,35 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 		}
 		subjectKey = kp.Public
 	}
-	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(serial),
-		Subject:      pkix.Name{CommonName: cred.Holder},
-		NotBefore:    notBefore,
-		NotAfter:     notAfter,
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtraExtensions: []pkix.Extension{
-			{Id: oidAttrCredType, Value: mustASN1(cred.Type)},
-			{Id: oidAttrCredID, Value: mustASN1(cred.ID)},
-			{Id: oidAttrSens, Value: mustASN1(cred.Sensitivity.String())},
-			{Id: oidAttrContent, Value: contentDER},
-		},
-	}
-	if len(cred.HolderKey) == ed25519.PublicKeySize {
-		tmpl.ExtraExtensions = append(tmpl.ExtraExtensions,
-			pkix.Extension{Id: oidAttrHolderKey, Value: append([]byte(nil), cred.HolderKey...)})
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, st.caCert, subjectKey, a.Keys.Private)
+	der, err := a.mintAttribute(st.caCert, cred, serial, subjectKey, notBefore, notAfter)
 	if err != nil {
 		return nil, fmt.Errorf("pki: encode x509 attribute cert: %w", err)
 	}
 	return der, nil
+}
+
+// mintAttribute writes cred's attribute certificate under the CA
+// certificate parent, with the given serial, subject key and validity.
+func (a *Authority) mintAttribute(parent *x509.Certificate, cred *xtnl.Credential, serial int64, key ed25519.PublicKey, notBefore, notAfter time.Time) ([]byte, error) {
+	extra := []extension{
+		{id: oidAttrCredType, str: cred.Type},
+		{id: oidAttrCredID, str: cred.ID},
+		{id: oidAttrSens, str: cred.Sensitivity.String()},
+		{id: oidAttrContent, kind: extAttrs, attrs: cred.Attributes},
+		{id: oidAttrHolderKey, kind: extRaw, raw: cred.HolderKey}, // only for a full-size key
+	}
+	if len(cred.HolderKey) != ed25519.PublicKeySize {
+		extra = extra[:len(extra)-1]
+	}
+	return mint(&certificate{
+		serial:    serial,
+		subject:   name{cn: cred.Holder},
+		notBefore: notBefore,
+		notAfter:  notAfter,
+		key:       key,
+		usage:     x509.KeyUsageDigitalSignature,
+		extra:     extra,
+	}, parent, a.Keys.Private)
 }
 
 // DecodeX509Attribute parses an X.509 attribute certificate into its
@@ -171,6 +161,12 @@ func DecodeX509Attribute(der []byte) (*xtnl.Credential, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse x509 attribute cert: %w", err)
 	}
+	return attributeCredential(cert)
+}
+
+// attributeCredential reads the credential a parsed attribute
+// certificate carries.
+func attributeCredential(cert *x509.Certificate) (*xtnl.Credential, error) {
 	cred := &xtnl.Credential{
 		Holder:     cert.Subject.CommonName,
 		Issuer:     cert.Issuer.CommonName,
@@ -190,13 +186,11 @@ func DecodeX509Attribute(der []byte) (*xtnl.Credential, error) {
 		case ext.Id.Equal(oidAttrHolderKey):
 			cred.HolderKey = append([]byte(nil), ext.Value...)
 		case ext.Id.Equal(oidAttrContent):
-			var attrs []asn1Attr
+			var attrs []xtnl.Attribute
 			if _, err := asn1.Unmarshal(ext.Value, &attrs); err != nil {
 				return nil, fmt.Errorf("pki: decode attributes: %w", err)
 			}
-			for _, at := range attrs {
-				cred.Attributes = append(cred.Attributes, xtnl.Attribute{Name: at.Name, Value: at.Value})
-			}
+			cred.Attributes = append(cred.Attributes, attrs...)
 		}
 	}
 	if cred.Type == "" {
@@ -215,7 +209,7 @@ func (ts *TrustStore) VerifyX509Attribute(der []byte, now time.Time) (*xtnl.Cred
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse x509 attribute cert: %w", err)
 	}
-	cred, err := DecodeX509Attribute(der)
+	cred, err := attributeCredential(cert)
 	if err != nil {
 		return nil, err
 	}

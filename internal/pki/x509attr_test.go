@@ -106,6 +106,20 @@ func TestEncodeX509RejectsForeignCredential(t *testing.T) {
 	}
 }
 
+func TestEncodeX509AttributeRefusesInvalidUTF8(t *testing.T) {
+	ca := MustNewAuthority("CertCA")
+	for _, spoil := range []func(*xtnl.Credential){
+		func(c *xtnl.Credential) { c.Type = "T\xff" },
+		func(c *xtnl.Credential) { c.ID = "id-\xfe" },
+	} {
+		cred := ca.MustIssue(IssueRequest{Type: "T", Holder: "h"})
+		spoil(cred)
+		if der, err := ca.EncodeX509Attribute(cred); err == nil {
+			t.Fatalf("credential type %q, ID %q encoded: %x", cred.Type, cred.ID, der)
+		}
+	}
+}
+
 func TestDecodeX509RejectsPlainCertificates(t *testing.T) {
 	// a bare CA certificate is an X.509 cert but NOT an attribute
 	// credential (no credType extension)

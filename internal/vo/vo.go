@@ -1,6 +1,7 @@
 package vo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -345,7 +346,9 @@ func (v *VO) Audit() []AuditEntry {
 }
 
 // VerifyMembership checks a presented X.509 membership token against
-// this VO's authority and current member list.
+// this VO's authority and current member list. Only the token of the
+// member's current admission is accepted: one from an earlier admission
+// of the same name, expelled since, is refused.
 func (v *VO) VerifyMembership(tokenDER []byte) (*Member, error) {
 	tok, err := v.Authority.VerifyMembership(tokenDER)
 	if err != nil {
@@ -357,8 +360,8 @@ func (v *VO) VerifyMembership(tokenDER []byte) (*Member, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s (token valid but member expelled)", ErrNotMember, tok.Member)
 	}
-	if m.Role != tok.Role {
-		return nil, fmt.Errorf("vo: token role %s does not match member role %s", tok.Role, m.Role)
+	if !bytes.Equal(m.Token.DER, tokenDER) {
+		return nil, fmt.Errorf("%w: %s (token from an earlier admission)", ErrNotMember, tok.Member)
 	}
 	return m, nil
 }

@@ -165,6 +165,33 @@ func TestMembershipTokenVerifies(t *testing.T) {
 	}
 }
 
+func TestEarlierAdmissionTokenRefused(t *testing.T) {
+	v, _ := New(aircraftContract())
+	v.StartFormation()
+	first, err := v.Admit("AerospaceCo", "DesignWebPortal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Remove("AerospaceCo"); err != nil {
+		t.Fatal(err)
+	}
+	second, err := v.Admit("AerospaceCo", "DesignWebPortal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the expulsion stands for the first admission's token
+	if _, err := v.VerifyMembership(first.Token.DER); !errors.Is(err, ErrNotMember) {
+		t.Fatalf("token from before the expulsion: %v, want ErrNotMember", err)
+	}
+	got, err := v.VerifyMembership(second.Token.DER)
+	if err != nil {
+		t.Fatalf("current token: %v", err)
+	}
+	if got != second {
+		t.Fatalf("current token verified as %+v, want %+v", got, second)
+	}
+}
+
 func opReadyVO(t *testing.T) *VO {
 	t.Helper()
 	v, err := New(aircraftContract())
