@@ -358,7 +358,7 @@ func TestMigrationTicketExpiredRejected(t *testing.T) {
 	c.addNode("n1")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "stale-1")
-	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(-time.Minute), doc)
+	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(-time.Minute), doc.Encode)
 
 	before := c.reg.Counter("tn_ticket_expired_total").Value()
 	resp, err := http.Post(c.get("n1").srv.URL+"/cluster/adopt", wsrpc.ContentType,

@@ -19,12 +19,13 @@ import (
 // expiry bounds how stale an adopted state can be. A standby ship is the
 // same document under another label, so neither replays as the other.
 
-// seal wraps one session document for label, valid for ttl.
-func (n *Node) seal(label string, ttl time.Duration, doc *xmldom.Node) (*pki.Sealed, error) {
+// seal wraps the session document encode writes for label, valid for
+// ttl, and returns its wire form.
+func (n *Node) seal(label string, ttl time.Duration, encode func(*xmldom.Writer)) (string, error) {
 	if n.keys == nil {
-		return nil, fmt.Errorf("cluster: node %s has no key to seal %s", n.cfg.Name, label)
+		return "", fmt.Errorf("cluster: node %s has no key to seal %s", n.cfg.Name, label)
 	}
-	return pki.Seal(n.keys, label, time.Now().Add(ttl), doc), nil
+	return pki.Seal(n.keys, label, time.Now().Add(ttl), encode).XML(), nil
 }
 
 // openSession opens a sealed session document for label under the
@@ -102,8 +103,8 @@ func (n *Node) drain(ctx context.Context, filter func(id string) bool) (int, err
 			// the node adopting this id later, its retry path (or a
 			// subsequent migration pass) can still find it here. The
 			// standby table only holds sealed ships, so seal it.
-			if ship, serr := n.seal(pki.LabelStandby, n.standbyTTL(), doc); serr == nil {
-				n.putStandby(id, ship.XML())
+			if ship, serr := n.seal(pki.LabelStandby, n.standbyTTL(), doc.Encode); serr == nil {
+				n.putStandby(id, ship, lastSeq(doc))
 			} else {
 				n.logf("cluster: parking standby for %s: %v", id, serr)
 			}
@@ -123,11 +124,11 @@ func (n *Node) sendAdopt(ctx context.Context, target string, doc *xmldom.Node) e
 	if base == "" {
 		return fmt.Errorf("cluster: no address for migration target %s", target)
 	}
-	ticket, err := n.seal(pki.LabelSession, n.ticketTTL(), doc)
+	ticket, err := n.seal(pki.LabelSession, n.ticketTTL(), doc.Encode)
 	if err != nil {
 		return err
 	}
-	_, err = n.transport.Call(ctx, http.MethodPost, base, "/cluster/adopt", "", ticket.XML(), true)
+	_, err = n.transport.Call(ctx, http.MethodPost, base, "/cluster/adopt", "", ticket, true)
 	return err
 }
 
@@ -135,7 +136,7 @@ func (n *Node) sendAdopt(ctx context.Context, target string, doc *xmldom.Node) e
 // a distinct, typed, counted condition (410, not retryable), as it is
 // for the client-side resume ticket.
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "sealed")
+	_, root, ok := readClusterBody(w, r, "sealed")
 	if !ok {
 		return
 	}

@@ -97,9 +97,12 @@ type Node struct {
 	repl    replState
 }
 
-// standbyDoc is one unclaimed standby session snapshot.
+// standbyDoc is one unclaimed standby ship: the sealed wire form as
+// received, the last message sequence its session document covers, and
+// when it arrived.
 type standbyDoc struct {
 	xml string
+	seq int64
 	at  time.Time
 }
 
@@ -263,7 +266,7 @@ func (n *Node) mintOwnedID() (string, error) {
 // ships to its ring successor. An error here withholds the reply, so a
 // client holding reply k implies the standby holds state ≥ k: the
 // invariant that makes failover adoption lossless for acked traffic.
-func (n *Node) shipStandby(ctx context.Context, id string, doc *xmldom.Node) error {
+func (n *Node) shipStandby(ctx context.Context, id string, encode func(*xmldom.Writer)) error {
 	target := n.ring.Successor(id)
 	if target == "" || target == n.cfg.Name {
 		return nil // single-node ring: no standby to keep
@@ -277,12 +280,12 @@ func (n *Node) shipStandby(ctx context.Context, id string, doc *xmldom.Node) err
 	// to hold — and, later, to adopt — a snapshot the cluster did not
 	// vouch for, so a forged POST cannot hijack a negotiation via the
 	// failover path the way it never could via the migration path.
-	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), doc)
+	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), encode)
 	if err != nil {
 		n.countShip("error")
 		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
 	}
-	_, err = n.transport.Call(ctx, "POST", base, "/cluster/standby", "", ship.XML(), true)
+	_, err = n.transport.Call(ctx, "POST", base, "/cluster/standby", "", ship, true)
 	if err != nil {
 		n.countShip("error")
 		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
@@ -297,17 +300,24 @@ func (n *Node) countShip(result string) {
 	}
 }
 
-// putStandby stores an unclaimed standby snapshot (last write wins: the
-// shipper serializes per-session under the session lock, so a later
-// write is a later state). Every 256 inserts expired snapshots are
-// swept, bounding the table under churn.
-func (n *Node) putStandby(id, xml string) {
+// putStandby holds the sealed ship xml of session id, whose document
+// covers messages up to seq, and returns the ship the table holds
+// afterwards. A held copy covering a later message stays: ships are
+// retried, so an attempt that timed out can land after its retry, or
+// after the next message's ship, and must not roll the standby back
+// behind a reply the client holds. An equal seq replaces the held copy,
+// since a replay re-ships the same state. Every 256 inserts expired
+// ships are swept, bounding the table under churn.
+func (n *Node) putStandby(id, xml string, seq int64) string {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if held, ok := n.standby[id]; ok && held.seq > seq {
+		return held.xml
+	}
 	// A parsed id is a substring of the whole request body (see package
 	// xmldom); the table outlives that request.
-	n.standby[strings.Clone(id)] = standbyDoc{xml: xml, at: now}
+	n.standby[strings.Clone(id)] = standbyDoc{xml: xml, seq: seq, at: now}
 	n.ships++
 	if n.ships%256 == 0 {
 		cutoff := now.Add(-n.standbyTTL())
@@ -317,6 +327,7 @@ func (n *Node) putStandby(id, xml string) {
 			}
 		}
 	}
+	return xml
 }
 
 // takeStandby removes, re-opens, and unwraps the standby ship for id, if

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -156,21 +157,30 @@ func (r *Ring) Has(node string) bool {
 
 // Owner returns the node owning key ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
-	owners := r.OwnerN(key, 1)
-	if len(owners) == 0 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.hashes) == 0 {
 		return ""
 	}
-	return owners[0]
+	return r.owner[r.hashes[r.search(key)]]
 }
 
 // Successor returns the next distinct node clockwise of key's owner —
 // the standby target for a session ("" with fewer than two nodes).
 func (r *Ring) Successor(key string) string {
-	owners := r.OwnerN(key, 2)
-	if len(owners) < 2 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.hashes) == 0 {
 		return ""
 	}
-	return owners[1]
+	start := r.search(key)
+	owner := r.owner[r.hashes[start]]
+	for i := 1; i < len(r.hashes); i++ {
+		if node := r.owner[r.hashes[(start+i)%len(r.hashes)]]; node != owner {
+			return node
+		}
+	}
+	return ""
 }
 
 // OwnerN returns the first n distinct nodes clockwise from key's hash:
@@ -181,8 +191,7 @@ func (r *Ring) OwnerN(key string, n int) []string {
 	if len(r.hashes) == 0 || n <= 0 {
 		return nil
 	}
-	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
+	start := r.search(key)
 	seen := make(map[string]bool, n)
 	out := make([]string, 0, n)
 	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
@@ -194,4 +203,11 @@ func (r *Ring) OwnerN(key string, n int) []string {
 		out = append(out, node)
 	}
 	return out
+}
+
+// search returns the index of the first point at or clockwise of key's
+// hash (caller holds r.mu; the ring is not empty).
+func (r *Ring) search(key string) int {
+	i, _ := slices.BinarySearch(r.hashes, hash64(key))
+	return i % len(r.hashes)
 }

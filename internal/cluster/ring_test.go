@@ -103,3 +103,31 @@ func TestRingOwnerNDistinct(t *testing.T) {
 		t.Fatalf("empty ring OwnerN = %v", empty)
 	}
 }
+
+// TestRingLookupsMatchOwnerN: Owner and Successor answer what OwnerN's
+// first two entries say, on rings of 0 to 4 nodes, and allocate nothing:
+// every exchange routes through Owner and every ship through Successor.
+func TestRingLookupsMatchOwnerN(t *testing.T) {
+	r := NewRing(0)
+	for size, node := range []string{"", "a", "b", "c", "d"} {
+		if node != "" {
+			r.Add(node)
+		}
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key-%d-%d", size, i)
+			want := append(r.OwnerN(key, 2), "", "")
+			if got := r.Owner(key); got != want[0] {
+				t.Fatalf("%d nodes, %s: Owner = %q, OwnerN = %v", size, key, got, want[:2])
+			}
+			if got := r.Successor(key); got != want[1] {
+				t.Fatalf("%d nodes, %s: Successor = %q, OwnerN = %v", size, key, got, want[:2])
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			_ = r.Owner("session-id")
+			_ = r.Successor("session-id")
+		}); allocs != 0 {
+			t.Errorf("%d nodes: Owner and Successor allocate %.1f times, want 0", size, allocs)
+		}
+	}
+}

@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -16,7 +17,8 @@ import (
 )
 
 // maxClusterBody bounds cluster RPC bodies. Replication snapshots carry
-// a whole store, so the bound is far above the TN envelope limit.
+// a whole store, so the bound is far above the TN envelope limit, which
+// bounds the exchange bodies clients send (wsrpc.MaxBody).
 const maxClusterBody = 64 << 20
 
 // Register mounts the node's routed TN operations and its cluster RPCs
@@ -81,13 +83,21 @@ func (n *Node) gateServe(h http.Handler, w http.ResponseWriter, r *http.Request)
 // owners get the request forwarded or the client redirected.
 func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxClusterBody))
+		// An exchange body is read as the TN service reads it, cut at its
+		// envelope limit: an oversized body costs no more here than there.
+		raw, err := readBody(r.Body, wsrpc.MaxBody)
 		if err != nil {
 			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
-		id, msgType := peekEnvelope(raw)
-		if id != "" {
+		env, err := xmldom.ParseString(raw)
+		if err != nil && r.Method == http.MethodPost {
+			// The TN handler would parse the same bytes, fail the same
+			// way and answer so; answer for it, without a second read.
+			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
+			return
+		}
+		if id, msgType := peekEnvelope(env); id != "" {
 			owner := n.ring.Owner(id)
 			if owner != "" && owner != n.cfg.Name {
 				n.forwardOrRedirect(w, r, owner, path, r.URL.RawQuery, raw)
@@ -99,9 +109,10 @@ func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 				}
 			}
 		}
-		r2 := r.Clone(r.Context())
-		r2.Body = io.NopCloser(bytes.NewReader(raw))
-		r2.ContentLength = int64(len(raw))
+		// The handler gets the body it would have read; nothing else in
+		// the request changes, so a shallow copy serves.
+		r2 := r.WithContext(r.Context())
+		r2.Body, r2.ContentLength = io.NopCloser(strings.NewReader(raw)), int64(len(raw))
 		n.gateServe(inner, w, r2)
 	}
 }
@@ -154,7 +165,7 @@ func (n *Node) routeStatus(inner http.Handler) http.HandlerFunc {
 		if id != "" {
 			owner := n.ring.Owner(id)
 			if owner != "" && owner != n.cfg.Name {
-				n.forwardOrRedirect(w, r, owner, "/tn/status", r.URL.RawQuery, nil)
+				n.forwardOrRedirect(w, r, owner, "/tn/status", r.URL.RawQuery, "")
 				return
 			}
 		}
@@ -167,7 +178,7 @@ func (n *Node) routeStatus(inner http.Handler) http.HandlerFunc {
 // when the node is configured to push the hop back to the client (the
 // client re-POSTs the identical body, and the at-most-once envelope
 // sequence makes the extra delivery safe either way).
-func (n *Node) forwardOrRedirect(w http.ResponseWriter, r *http.Request, owner, path, rawQuery string, body []byte) {
+func (n *Node) forwardOrRedirect(w http.ResponseWriter, r *http.Request, owner, path, rawQuery, body string) {
 	base := n.peerURL(owner)
 	if base == "" {
 		w.Header().Set("Retry-After", "1")
@@ -192,7 +203,7 @@ func (n *Node) forwardOrRedirect(w http.ResponseWriter, r *http.Request, owner, 
 	if rawQuery != "" {
 		query = "?" + rawQuery
 	}
-	root, err := n.transport.Call(r.Context(), r.Method, base, path, query, string(body), true)
+	root, err := n.transport.Call(r.Context(), r.Method, base, path, query, body, true)
 	if err != nil {
 		writeWsrpcError(w, err)
 		return
@@ -256,14 +267,12 @@ func (n *Node) handOver(id string) (string, bool) {
 	if doc == nil {
 		return "", false
 	}
-	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), doc)
+	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), doc.Encode)
 	if err != nil {
 		return "", false
 	}
-	xml := ship.XML()
-	n.putStandby(id, xml)
 	n.logf("cluster: node %s handed session %s over to its owner", n.cfg.Name, id)
-	return xml, true
+	return n.putStandby(id, ship, lastSeq(doc)), true
 }
 
 // handleStandby accepts a predecessor's per-message session snapshot
@@ -296,11 +305,10 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 		}
 		// The table holds the sealed ship exactly as shipped, so the
 		// requester opens what we stored.
-		w.Header().Set("Content-Type", wsrpc.ContentType)
-		io.WriteString(w, xml)
+		writeClusterXML(w, xml)
 		return
 	}
-	root, ok := readClusterBody(w, r, "sealed")
+	raw, root, ok := readClusterBody(w, r, "sealed")
 	if !ok {
 		return
 	}
@@ -310,9 +318,15 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 		writeClusterFault(w, status, code, err.Error())
 		return
 	}
+	// The table holds the body as received: it opened, and it opens
+	// again at the point of use.
 	id := doc.AttrOr("id", "")
-	n.putStandby(id, root.XML())
-	writeClusterDOM(w, xmldom.NewElement("standbyAck").SetAttr("id", id))
+	n.putStandby(id, raw, lastSeq(doc))
+	writeClusterXML(w, xmldom.String(func(xw *xmldom.Writer) {
+		xw.Start("standbyAck")
+		xw.Attr("id", id)
+		xw.End()
+	}))
 }
 
 // rejectStandby counts a refused standby snapshot by reason and returns
@@ -333,7 +347,7 @@ func (n *Node) rejectStandby(err error) (status int, code string) {
 
 // handleReplicate applies one window of the leader's log.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "replicate")
+	_, root, ok := readClusterBody(w, r, "replicate")
 	if !ok {
 		return
 	}
@@ -357,7 +371,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 // handleCatchup reconciles the local store to a leader snapshot.
 func (n *Node) handleCatchup(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "catchup")
+	_, root, ok := readClusterBody(w, r, "catchup")
 	if !ok {
 		return
 	}
@@ -406,12 +420,11 @@ func boolAttr(b bool) string {
 	return "false"
 }
 
-// peekEnvelope extracts the session id and message type from a TN
-// exchange envelope without consuming it; malformed bodies return empty
-// values and fall through to the service's own error handling.
-func peekEnvelope(raw []byte) (id, msgType string) {
-	root, err := xmldom.ParseBytes(raw)
-	if err != nil || root.Name != "envelope" {
+// peekEnvelope extracts the session id and message type from a parsed
+// TN exchange body; anything but an envelope returns empty values and
+// falls through to the service's own error handling.
+func peekEnvelope(root *xmldom.Node) (id, msgType string) {
+	if root == nil || root.Name != "envelope" {
 		return "", ""
 	}
 	id = root.AttrOr("negotiation", "")
@@ -421,23 +434,61 @@ func peekEnvelope(raw []byte) (id, msgType string) {
 	return id, msgType
 }
 
-// readClusterBody parses and shape-checks a POSTed cluster RPC body,
-// writing the fault itself when the request is unusable.
-func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (*xmldom.Node, bool) {
+// chunkPool holds the buffers readBody reads into first, so a body that
+// fits one costs a single allocation: its string.
+var chunkPool = sync.Pool{New: func() any { return new([4096]byte) }}
+
+// readBody reads r into one string, cut at limit bytes as an
+// io.LimitReader would cut it. Past the first chunk the buffer doubles as
+// bytes arrive, up to the limit; no length the sender declared sizes it.
+func readBody(r io.Reader, limit int) (string, error) {
+	chunk := chunkPool.Get().(*[4096]byte)
+	defer chunkPool.Put(chunk)
+	buf := chunk[:0:min(len(chunk), limit)]
+	for {
+		if len(buf) == cap(buf) {
+			if len(buf) == limit {
+				break
+			}
+			grown := make([]byte, len(buf), min(2*cap(buf), limit))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+	return string(buf), nil
+}
+
+// readClusterBody reads, parses and shape-checks a POSTed cluster RPC
+// body, returning it both as received and parsed, and writing the fault
+// itself when the request is unusable.
+func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (string, *xmldom.Node, bool) {
 	if r.Method != http.MethodPost {
 		writeClusterFault(w, http.StatusMethodNotAllowed, "method", "POST required")
-		return nil, false
+		return "", nil, false
 	}
-	root, err := xmldom.Parse(io.LimitReader(r.Body, maxClusterBody))
+	raw, err := readBody(r.Body, maxClusterBody)
 	if err != nil {
 		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
-		return nil, false
+		return "", nil, false
+	}
+	root, err := xmldom.ParseString(raw)
+	if err != nil {
+		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
+		return "", nil, false
 	}
 	if root.Name != want {
 		writeClusterFault(w, http.StatusBadRequest, "schema", "expected <"+want+">, got <"+root.Name+">")
-		return nil, false
+		return "", nil, false
 	}
-	return root, true
+	return raw, root, true
 }
 
 // writeClusterFault emits a wsrpc <fault> with the given status.
@@ -448,9 +499,12 @@ func writeClusterFault(w http.ResponseWriter, status int, code, detail string) {
 }
 
 // writeClusterDOM emits an XML document with status 200.
-func writeClusterDOM(w http.ResponseWriter, doc *xmldom.Node) {
+func writeClusterDOM(w http.ResponseWriter, doc *xmldom.Node) { writeClusterXML(w, doc.XML()) }
+
+// writeClusterXML emits a serialized XML document with status 200.
+func writeClusterXML(w http.ResponseWriter, xml string) {
 	w.Header().Set("Content-Type", wsrpc.ContentType)
-	io.WriteString(w, doc.XML())
+	io.WriteString(w, xml)
 }
 
 // writeWsrpcError relays a typed transport or service error to the

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +58,7 @@ func TestStandbyShipRejectsUnsignedAndForged(t *testing.T) {
 
 	// Signed by a key the cluster does not hold: signature rejection.
 	intruder := pki.MustGenerateKeyPair()
-	forged := pki.Seal(intruder, pki.LabelStandby, time.Now().Add(time.Hour), doc)
+	forged := pki.Seal(intruder, pki.LabelStandby, time.Now().Add(time.Hour), doc.Encode)
 	if got := postStandby(t, b.srv.URL, forged.XML()); got != http.StatusForbidden {
 		t.Fatalf("forged ship: got %d, want %d", got, http.StatusForbidden)
 	}
@@ -71,7 +75,7 @@ func TestStandbyShipRejectsExpired(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-2")
-	ship := pki.Seal(c.keys, pki.LabelStandby, time.Now().Add(-time.Minute), doc)
+	ship := pki.Seal(c.keys, pki.LabelStandby, time.Now().Add(-time.Minute), doc.Encode)
 	if got := postStandby(t, b.srv.URL, ship.XML()); got != http.StatusGone {
 		t.Fatalf("expired ship: got %d, want %d", got, http.StatusGone)
 	}
@@ -87,12 +91,12 @@ func TestSealedLabelsDoNotCross(t *testing.T) {
 	b := c.addNode("b")
 
 	ship := pki.Seal(c.keys, pki.LabelStandby, time.Now().Add(time.Hour),
-		xmldom.NewElement("tnSession").SetAttr("id", "cross-1"))
+		xmldom.NewElement("tnSession").SetAttr("id", "cross-1").Encode)
 	if got := postCluster(t, b.srv.URL, "/cluster/adopt", ship.XML()); got != http.StatusBadRequest {
 		t.Fatalf("standby ship on /cluster/adopt: got %d, want %d", got, http.StatusBadRequest)
 	}
 	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(time.Hour),
-		xmldom.NewElement("tnSession").SetAttr("id", "cross-2"))
+		xmldom.NewElement("tnSession").SetAttr("id", "cross-2").Encode)
 	if got := postStandby(t, b.srv.URL, ticket.XML()); got != http.StatusBadRequest {
 		t.Fatalf("session ticket on /cluster/standby: got %d, want %d", got, http.StatusBadRequest)
 	}
@@ -114,11 +118,11 @@ func TestStandbySignedRoundTrip(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-3")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc)
+	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := postStandby(t, b.srv.URL, ship.XML()); got != http.StatusOK {
+	if got := postStandby(t, b.srv.URL, ship); got != http.StatusOK {
 		t.Fatalf("legitimate ship: got %d, want %d", got, http.StatusOK)
 	}
 	adopted, ok := b.node.takeStandby("sess-3")
@@ -136,14 +140,14 @@ func TestTakeStandbyRefusesTamperedTable(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-4")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc)
+	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tamper with the stored snapshot after signing: the signature no
 	// longer covers what would be adopted.
-	tampered := strings.Replace(ship.XML(), "sess-4", "sess-x", 1)
-	b.node.putStandby("sess-4", tampered)
+	tampered := strings.Replace(ship, "sess-4", "sess-x", 1)
+	b.node.putStandby("sess-4", tampered, 0)
 	if _, ok := b.node.takeStandby("sess-4"); ok {
 		t.Fatal("takeStandby adopted a tampered snapshot")
 	}
@@ -155,14 +159,14 @@ func TestHandleStandbyGetRefusesStale(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-5")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc)
+	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Plant a snapshot far past the table TTL; the GET surrender path
 	// must apply the same staleness rule takeStandby does.
 	b.node.mu.Lock()
-	b.node.standby["sess-5"] = standbyDoc{xml: ship.XML(), at: time.Now().Add(-24 * time.Hour)}
+	b.node.standby["sess-5"] = standbyDoc{xml: ship, at: time.Now().Add(-24 * time.Hour)}
 	b.node.mu.Unlock()
 
 	resp, err := http.Get(b.srv.URL + "/cluster/standby?negotiation=sess-5")
@@ -179,37 +183,237 @@ func TestHandleStandbyGetRefusesStale(t *testing.T) {
 	}
 }
 
-// BenchmarkStandbyShip prices one standby ship of a mid-negotiation
-// session document, without HTTP: seal and encode it as shipStandby
-// does, then parse and open it as the standby POST does.
-func BenchmarkStandbyShip(b *testing.B) {
-	c := newTestCluster(b, false, 0)
-	defer c.shutdown()
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// liveSession starts a one-node cluster holding one live session past its
+// first message, the state every later message ships.
+func liveSession(tb testing.TB) (*testCluster, *testNode) {
+	tb.Helper()
+	c := newTestCluster(tb, false, 0)
 	n1 := c.addNode("n1")
 	resp, err := http.Post(n1.srv.URL+"/tn/policyExchange", wsrpc.ContentType,
-		strings.NewReader(firstEnvelope(b, c, "BenchMember", "bench-1")))
+		strings.NewReader(firstEnvelope(tb, c, "ShipMember", "ship-1")))
 	if err != nil {
-		b.Fatal(err)
+		c.shutdown()
+		tb.Fatal(err)
 	}
 	resp.Body.Close()
-	doc := n1.tn.DrainSessions(nil)["bench-1"]
-	if doc == nil {
-		b.Fatal("no session state to ship")
+	if resp.StatusCode != http.StatusOK || !n1.tn.HasSession("ship-1") {
+		c.shutdown()
+		tb.Fatalf("first message: status %d", resp.StatusCode)
+	}
+	return c, n1
+}
+
+// TestShipAllocations guards the per-message ship: after a session's
+// first message, writing its document, sealing it and writing the wire
+// form take at most 8 allocations, the HTTP call aside. ReshipSessions
+// hands the hook the encoder the exchange handler would.
+func TestShipAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c, n1 := liveSession(t)
+	defer c.shutdown()
+	var wire string
+	n1.tn.OnSessionUpdate = func(_ context.Context, _ string, encode func(*xmldom.Writer)) error {
+		ship, err := n1.node.seal(pki.LabelStandby, n1.node.standbyTTL(), encode)
+		wire = ship
+		return err
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := n1.tn.ReshipSessions(bg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wire == "" {
+		t.Fatal("nothing shipped")
+	}
+	if allocs > 8 {
+		t.Errorf("one ship allocates %.1f times, want at most 8", allocs)
+	}
+}
+
+// BenchmarkStandbyShip prices one standby ship of a live session after
+// its first message, without HTTP: from the encoder the exchange handler
+// passes, the session document is sealed and written as shipStandby
+// writes it, then read and opened as the standby POST opens it.
+func BenchmarkStandbyShip(b *testing.B) {
+	c, n1 := liveSession(b)
+	defer c.shutdown()
+	var size int
+	n1.tn.OnSessionUpdate = func(_ context.Context, _ string, encode func(*xmldom.Writer)) error {
+		ship, err := n1.node.seal(pki.LabelStandby, n1.node.standbyTTL(), encode)
+		if err != nil {
+			return err
+		}
+		root, err := xmldom.ParseString(ship)
+		if err != nil {
+			return err
+		}
+		size = len(ship)
+		_, err = n1.node.openSession(root, pki.LabelStandby)
+		return err
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ship, err := n1.node.seal(pki.LabelStandby, n1.node.standbyTTL(), doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		root, err := xmldom.ParseString(ship.XML())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := n1.node.openSession(root, pki.LabelStandby); err != nil {
+		if err := n1.tn.ReshipSessions(bg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(doc.XML())), "doc-bytes")
+	b.ReportMetric(float64(size), "ship-bytes")
+}
+
+// TestStandbyKeepsFresherShip: ships are retried, so an older ship can
+// reach the successor after a fresher one. The table keeps the copy that
+// covers the later message; an equal lastSeq, a replay's re-ship,
+// replaces it.
+func TestStandbyKeepsFresherShip(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	b := c.addNode("b")
+
+	ship := func(seq, mark string) string {
+		doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-seq").SetAttr("lastSeq", seq).SetAttr("mark", mark)
+		wire, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	held := func() *xmldom.Node {
+		t.Helper()
+		b.node.mu.Lock()
+		d := b.node.standby["sess-seq"]
+		b.node.mu.Unlock()
+		root, err := xmldom.ParseString(d.xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := b.node.openSession(root, pki.LabelStandby)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	for _, s := range []struct{ seq, mark, wantSeq, wantMark string }{
+		{"2", "first", "2", "first"},
+		{"1", "late", "2", "first"}, // an older ship arriving late
+		{"2", "replay", "2", "replay"},
+		{"3", "next", "3", "next"},
+	} {
+		if got := postStandby(t, b.srv.URL, ship(s.seq, s.mark)); got != http.StatusOK {
+			t.Fatalf("ship lastSeq=%s: status %d", s.seq, got)
+		}
+		if doc := held(); doc.AttrOr("lastSeq", "") != s.wantSeq || doc.AttrOr("mark", "") != s.wantMark {
+			t.Fatalf("after ship lastSeq=%s the table holds %s", s.seq, doc.XML())
+		}
+	}
+	// The drain's parked copy and handOver store through the same rule.
+	if kept := b.node.putStandby("sess-seq", ship("1", "parked"), 1); !strings.Contains(kept, `mark="next"`) {
+		t.Fatalf("an older parked copy replaced the held one: %s", kept)
+	}
+	doc, ok := b.node.takeStandby("sess-seq")
+	if !ok || doc.AttrOr("lastSeq", "") != "3" {
+		t.Fatalf("takeStandby = %v, %v; want lastSeq 3", doc, ok)
+	}
+}
+
+// fill reads as an endless run of one byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestExchangeBodyBoundedLikeService: an exchange body beyond the TN
+// envelope limit costs a cluster node no more than the limit, and gets
+// the answer a single TN service gives it.
+func TestExchangeBodyBoundedLikeService(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	const size = 8 << 20
+	post := func(mux *http.ServeMux) *httptest.ResponseRecorder {
+		body := io.MultiReader(
+			strings.NewReader(`<envelope negotiation="big-1" seq="1"><tnMessage type="fail" from="m"><reason>`),
+			io.LimitReader(fill('a'), size))
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tn/policyExchange", body))
+		return rec
+	}
+
+	single := http.NewServeMux()
+	wsrpc.NewTNService(c.controllerParty()).Register(single)
+	want := post(single)
+
+	routed := http.NewServeMux()
+	n1.node.Register(routed)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := post(routed)
+	runtime.ReadMemStats(&after)
+
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("an %d MiB exchange body allocates %.1f MiB on a cluster node", size>>20, float64(alloc)/(1<<20))
+	}
+	if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") || got.Body.String() != want.Body.String() {
+		t.Errorf("cluster node answers %d %s, single service %d %s", got.Code, got.Body, want.Code, want.Body)
+	}
+	if want.Code != http.StatusBadRequest || !strings.Contains(want.Body.String(), `code="parse"`) {
+		t.Errorf("single service answers %d %s, want a 400 parse fault", want.Code, want.Body)
+	}
+}
+
+// TestConcurrentSessionShips runs joins on one node at once, so their
+// standby ships reach the same successor concurrently; each session's
+// freshest shipped state is what the successor holds. Run it with -race
+// -count=10.
+func TestConcurrentSessionShips(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	n2 := c.addNode("n2")
+	const joins = 8
+	clients := make([]*wsrpc.TNClient, joins)
+	for i := range clients {
+		clients[i] = &wsrpc.TNClient{BaseURL: n1.srv.URL, Party: c.memberParty(fmt.Sprintf("ShipMember%d", i))}
+	}
+	errs := make(chan error, joins)
+	for _, cli := range clients {
+		go func() {
+			out, err := cli.Negotiate(bg, chaosResource)
+			if err == nil && !out.Succeeded {
+				err = fmt.Errorf("join refused: %s", out.Reason)
+			}
+			errs <- err
+		}()
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	n2.node.mu.Lock()
+	ids := make([]string, 0, len(n2.node.standby))
+	for id := range n2.node.standby {
+		ids = append(ids, id)
+	}
+	n2.node.mu.Unlock()
+	if len(ids) != joins {
+		t.Fatalf("successor holds %d standby copies, want %d", len(ids), joins)
+	}
+	// A join ships after its first two exchanges; the third finishes it.
+	for _, id := range ids {
+		doc, ok := n2.node.takeStandby(id)
+		if !ok || doc.AttrOr("lastSeq", "") != "2" {
+			t.Fatalf("standby copy of %s: %v, %v; want lastSeq 2", id, doc, ok)
+		}
+	}
 }

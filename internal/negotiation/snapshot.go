@@ -3,7 +3,7 @@ package negotiation
 import (
 	"encoding/base64"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,80 +16,103 @@ import (
 // Trust-X resumes interrupted negotiations: a suspended negotiation is
 // captured as the last acknowledged tree state plus the exchange
 // position, so a rejoining party continues where it stopped instead of
-// restarting both phases. SnapshotDOM serializes everything Handle needs
+// restarting both phases. EncodeSnapshot writes everything Handle needs
 // — the mirror tree, the chosen candidates (by credential ID; the
 // credentials themselves stay in the party's profile), the disclosure
 // positions and nonces, and the partial outcome — and RestoreEndpoint
 // rebuilds a live endpoint from it. Both sides use it: clients embed the
-// snapshot in a ResumeTicket, servers persist it across restarts.
+// snapshot (SnapshotDOM, its tree) in a ResumeTicket, servers persist it
+// across restarts and ship it to a cluster standby.
 
 // ErrSnapshotDone reports an attempt to snapshot a finished endpoint.
 var ErrSnapshotDone = fmt.Errorf("negotiation: endpoint already done, nothing to resume")
 
-// SnapshotDOM serializes the endpoint's in-flight negotiation state.
-func (e *Endpoint) SnapshotDOM() (*xmldom.Node, error) {
+var errNoTree = fmt.Errorf("negotiation: nothing to snapshot before the first message")
+
+// SnapshotErr reports why the endpoint has no state to snapshot:
+// ErrSnapshotDone once it has finished, an error before its first
+// message built the tree, and nil when EncodeSnapshot may run.
+func (e *Endpoint) SnapshotErr() error {
 	if e.phase == phaseDone {
-		return nil, ErrSnapshotDone
+		return ErrSnapshotDone
 	}
 	if e.tree == nil {
-		return nil, fmt.Errorf("negotiation: nothing to snapshot before the first message")
+		return errNoTree
 	}
-	root := xmldom.NewElement("negotiationState").
-		SetAttr("role", e.role.String()).
-		SetAttr("resource", e.resource).
-		SetAttr("peer", e.peer).
-		SetAttr("phase", phaseName(e.phase)).
-		SetAttr("rounds", strconv.Itoa(e.rounds)).
-		SetAttr("seqPos", strconv.Itoa(e.seqPos))
+	return nil
+}
+
+// SnapshotDOM returns the endpoint's in-flight negotiation state as a
+// tree, for resume tickets: the document EncodeSnapshot writes.
+func (e *Endpoint) SnapshotDOM() (*xmldom.Node, error) {
+	if err := e.SnapshotErr(); err != nil {
+		return nil, err
+	}
+	return xmldom.Tree(e.EncodeSnapshot), nil
+}
+
+// EncodeSnapshot writes the endpoint's in-flight negotiation state as
+// <negotiationState>. Call it only when SnapshotErr reports nil.
+func (e *Endpoint) EncodeSnapshot(w *xmldom.Writer) {
+	w.Start("negotiationState")
+	w.Attr("role", e.role.String())
+	w.Attr("resource", e.resource)
+	w.Attr("peer", e.peer)
+	w.Attr("phase", phaseName(e.phase))
+	w.AttrInt("rounds", int64(e.rounds))
+	w.AttrInt("seqPos", int64(e.seqPos))
 	if e.peerProof {
-		root.SetAttr("peerProof", "true")
+		w.Attr("peerProof", "true")
 	}
 	if len(e.lastNonceRecv) > 0 {
-		root.SetAttr("nonceRecv", base64.StdEncoding.EncodeToString(e.lastNonceRecv))
+		w.AttrBase64("nonceRecv", e.lastNonceRecv)
 	}
 	if len(e.lastNonceSent) > 0 {
-		root.SetAttr("nonceSent", base64.StdEncoding.EncodeToString(e.lastNonceSent))
+		w.AttrBase64("nonceSent", e.lastNonceSent)
 	}
-	root.AppendChild(treeDOM(e.tree))
+	encodeTree(w, e.tree)
+	var buf [16]string // the key lists below stay on the stack for small trees
 	if len(e.disclosed) > 0 {
-		ids := make([]string, 0, len(e.disclosed))
+		ids := buf[:0]
 		for id, ok := range e.disclosed {
 			if ok {
 				ids = append(ids, id)
 			}
 		}
-		sort.Strings(ids)
-		d := xmldom.NewElement("disclosed")
-		d.AppendChild(xmldom.NewText(strings.Join(ids, " ")))
-		root.AppendChild(d)
+		slices.Sort(ids)
+		w.Start("disclosed")
+		w.Text(strings.Join(ids, " "))
+		w.End()
 	}
-	for _, id := range sortedKeys(e.chosen) {
-		root.AppendChild(xmldom.NewElement("chosen").
-			SetAttr("node", id).
-			SetAttr("credential", e.chosen[id].cred.ID))
+	for _, id := range appendSortedKeys(buf[:0], e.chosen) {
+		w.Start("chosen")
+		w.Attr("node", id)
+		w.Attr("credential", e.chosen[id].cred.ID)
+		w.End()
 	}
-	for _, id := range sortedKeys(e.chosenAlts) {
-		ca := xmldom.NewElement("chosenAlts").SetAttr("node", id)
+	for _, id := range appendSortedKeys(buf[:0], e.chosenAlts) {
+		w.Start("chosenAlts")
+		w.Attr("node", id)
 		for _, c := range e.chosenAlts[id] {
-			cand := xmldom.NewElement("cand")
+			w.Start("cand")
 			if c.cred != nil {
-				cand.SetAttr("credential", c.cred.ID)
+				w.Attr("credential", c.cred.ID)
 			}
-			ca.AppendChild(cand)
+			w.End()
 		}
-		root.AppendChild(ca)
+		w.End()
 	}
 	if e.outcome != nil && (len(e.outcome.Received) > 0 || len(e.outcome.Sent) > 0) {
-		out := xmldom.NewElement("partialOutcome")
+		w.Start("partialOutcome")
 		for _, d := range e.outcome.Received {
-			out.AppendChild(disclosedDOM("received", d))
+			encodeDisclosed(w, "received", d)
 		}
 		for _, d := range e.outcome.Sent {
-			out.AppendChild(disclosedDOM("sent", d))
+			encodeDisclosed(w, "sent", d)
 		}
-		root.AppendChild(out)
+		w.End()
 	}
-	return root, nil
+	w.End()
 }
 
 // RestoreEndpoint rebuilds a live endpoint for p from a snapshot.
@@ -233,36 +256,32 @@ func (e *Endpoint) checkOwedCandidates() error {
 
 // ---- tree (de)serialization ----
 
-func treeDOM(t *Tree) *xmldom.Node {
-	root := xmldom.NewElement("tree")
-	ids := make([]string, 0, len(t.nodes))
-	for id := range t.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+func encodeTree(w *xmldom.Writer, t *Tree) {
+	w.Start("tree")
+	var buf [16]string
+	for _, id := range appendSortedKeys(buf[:0], t.nodes) {
 		n := t.nodes[id]
-		nd := xmldom.NewElement("node").
-			SetAttr("id", n.ID).
-			SetAttr("credType", n.Term.CredType).
-			SetAttr("owner", n.Owner).
-			SetAttr("state", n.State.String())
+		w.Start("node")
+		w.Attr("id", n.ID)
+		w.Attr("credType", n.Term.CredType)
+		w.Attr("owner", n.Owner)
+		w.Attr("state", n.State.String())
 		if n.Parent != "" {
-			nd.SetAttr("parent", n.Parent)
+			w.Attr("parent", n.Parent)
 		}
 		for _, c := range n.Term.Conditions {
-			cond := xmldom.NewElement("cond")
-			cond.AppendChild(xmldom.NewText(c))
-			nd.AppendChild(cond)
+			w.Start("cond")
+			w.Text(c)
+			w.End()
 		}
 		for _, alt := range n.Alts {
-			a := xmldom.NewElement("alt")
-			a.AppendChild(xmldom.NewText(strings.Join(alt, " ")))
-			nd.AppendChild(a)
+			w.Start("alt")
+			w.Text(strings.Join(alt, " "))
+			w.End()
 		}
-		root.AppendChild(nd)
+		w.End()
 	}
-	return root
+	w.End()
 }
 
 func treeFromDOM(root *xmldom.Node) (*Tree, error) {
@@ -294,22 +313,48 @@ func treeFromDOM(root *xmldom.Node) (*Tree, error) {
 		}
 		t.nodes[id] = n
 	}
-	if t.nodes[RootID] == nil {
-		return nil, fmt.Errorf("negotiation: snapshot tree without root node")
+	if err := t.checkShape(); err != nil {
+		return nil, err
 	}
-	for _, n := range t.nodes {
-		if n.Parent != "" && t.nodes[n.Parent] == nil {
-			return nil, fmt.Errorf("negotiation: node %s references unknown parent %s", n.ID, n.Parent)
-		}
+	return t, nil
+}
+
+// checkShape accepts only a tree: a walk from the root over the
+// alternatives reaches every node exactly once, each child names the
+// node that lists it as its parent, and the root has none. The engine
+// recurses over the alternatives, so a cycle would never return.
+func (t *Tree) checkShape() error {
+	root := t.nodes[RootID]
+	if root == nil {
+		return fmt.Errorf("negotiation: snapshot tree without root node")
+	}
+	if root.Parent != "" {
+		return fmt.Errorf("negotiation: snapshot root names parent %s", root.Parent)
+	}
+	reached := map[string]bool{RootID: true}
+	for todo := []*Node{root}; len(todo) > 0; {
+		n := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
 		for _, alt := range n.Alts {
 			for _, cid := range alt {
-				if t.nodes[cid] == nil {
-					return nil, fmt.Errorf("negotiation: node %s references unknown child %s", n.ID, cid)
+				c := t.nodes[cid]
+				switch {
+				case c == nil:
+					return fmt.Errorf("negotiation: node %s references unknown child %s", n.ID, cid)
+				case reached[cid]:
+					return fmt.Errorf("negotiation: node %s lists %s, which the tree already reaches", n.ID, cid)
+				case c.Parent != n.ID:
+					return fmt.Errorf("negotiation: node %s lists child %s whose parent is %q", n.ID, cid, c.Parent)
 				}
+				reached[cid] = true
+				todo = append(todo, c)
 			}
 		}
 	}
-	return t, nil
+	if len(reached) != len(t.nodes) {
+		return fmt.Errorf("negotiation: snapshot tree has %d nodes unreachable from the root", len(t.nodes)-len(reached))
+	}
+	return nil
 }
 
 // ---- small helpers ----
@@ -341,14 +386,14 @@ func parseNodeState(s string) (NodeState, error) {
 	return 0, fmt.Errorf("negotiation: unknown node state %q", s)
 }
 
-func disclosedDOM(name string, d Disclosed) *xmldom.Node {
-	n := xmldom.NewElement(name).
-		SetAttr("by", d.By).
-		SetAttr("node", d.NodeID)
+func encodeDisclosed(w *xmldom.Writer, name string, d Disclosed) {
+	w.Start(name)
+	w.Attr("by", d.By)
+	w.Attr("node", d.NodeID)
 	if d.Credential != nil {
-		n.AppendChild(d.Credential.DOM())
+		d.Credential.Encode(w)
 	}
-	return n
+	w.End()
 }
 
 func disclosedFromDOM(n *xmldom.Node) (Disclosed, error) {
@@ -363,13 +408,14 @@ func disclosedFromDOM(n *xmldom.Node) (Disclosed, error) {
 	return d, nil
 }
 
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
+// appendSortedKeys appends m's keys to dst, sorted.
+func appendSortedKeys[M ~map[string]V, V any](dst []string, m M) []string {
+	start := len(dst)
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 func nodeName(n *xmldom.Node) string {

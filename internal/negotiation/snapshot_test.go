@@ -1,7 +1,11 @@
 package negotiation
 
 import (
+	"encoding/base64"
 	"errors"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"trustvo/internal/xmldom"
@@ -174,4 +178,238 @@ func TestRestoreRejectsMissingCredential(t *testing.T) {
 	if !rejected {
 		t.Fatal("no interruption point rejected the restore despite the missing credential")
 	}
+}
+
+// refSnapshotDOM, refTreeDOM and refDisclosedDOM are the node-by-node
+// builders SnapshotDOM used before EncodeSnapshot wrote its layout
+// through xmldom.Writer; FuzzEncodeSnapshot diffs the two.
+
+func refSnapshotDOM(e *Endpoint) *xmldom.Node {
+	root := xmldom.NewElement("negotiationState").
+		SetAttr("role", e.role.String()).
+		SetAttr("resource", e.resource).
+		SetAttr("peer", e.peer).
+		SetAttr("phase", phaseName(e.phase)).
+		SetAttr("rounds", strconv.Itoa(e.rounds)).
+		SetAttr("seqPos", strconv.Itoa(e.seqPos))
+	if e.peerProof {
+		root.SetAttr("peerProof", "true")
+	}
+	if len(e.lastNonceRecv) > 0 {
+		root.SetAttr("nonceRecv", base64.StdEncoding.EncodeToString(e.lastNonceRecv))
+	}
+	if len(e.lastNonceSent) > 0 {
+		root.SetAttr("nonceSent", base64.StdEncoding.EncodeToString(e.lastNonceSent))
+	}
+	root.AppendChild(refTreeDOM(e.tree))
+	if len(e.disclosed) > 0 {
+		ids := make([]string, 0, len(e.disclosed))
+		for id, ok := range e.disclosed {
+			if ok {
+				ids = append(ids, id)
+			}
+		}
+		sort.Strings(ids)
+		d := xmldom.NewElement("disclosed")
+		d.AppendChild(xmldom.NewText(strings.Join(ids, " ")))
+		root.AppendChild(d)
+	}
+	for _, id := range refSortedKeys(e.chosen) {
+		root.AppendChild(xmldom.NewElement("chosen").
+			SetAttr("node", id).
+			SetAttr("credential", e.chosen[id].cred.ID))
+	}
+	for _, id := range refSortedKeys(e.chosenAlts) {
+		ca := xmldom.NewElement("chosenAlts").SetAttr("node", id)
+		for _, c := range e.chosenAlts[id] {
+			cand := xmldom.NewElement("cand")
+			if c.cred != nil {
+				cand.SetAttr("credential", c.cred.ID)
+			}
+			ca.AppendChild(cand)
+		}
+		root.AppendChild(ca)
+	}
+	if e.outcome != nil && (len(e.outcome.Received) > 0 || len(e.outcome.Sent) > 0) {
+		out := xmldom.NewElement("partialOutcome")
+		for _, d := range e.outcome.Received {
+			out.AppendChild(refDisclosedDOM("received", d))
+		}
+		for _, d := range e.outcome.Sent {
+			out.AppendChild(refDisclosedDOM("sent", d))
+		}
+		root.AppendChild(out)
+	}
+	return root
+}
+
+func refTreeDOM(t *Tree) *xmldom.Node {
+	root := xmldom.NewElement("tree")
+	ids := make([]string, 0, len(t.nodes))
+	for id := range t.nodes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		n := t.nodes[id]
+		nd := xmldom.NewElement("node").
+			SetAttr("id", n.ID).
+			SetAttr("credType", n.Term.CredType).
+			SetAttr("owner", n.Owner).
+			SetAttr("state", n.State.String())
+		if n.Parent != "" {
+			nd.SetAttr("parent", n.Parent)
+		}
+		for _, c := range n.Term.Conditions {
+			cond := xmldom.NewElement("cond")
+			cond.AppendChild(xmldom.NewText(c))
+			nd.AppendChild(cond)
+		}
+		for _, alt := range n.Alts {
+			a := xmldom.NewElement("alt")
+			a.AppendChild(xmldom.NewText(strings.Join(alt, " ")))
+			nd.AppendChild(a)
+		}
+		root.AppendChild(nd)
+	}
+	return root
+}
+
+func refDisclosedDOM(name string, d Disclosed) *xmldom.Node {
+	n := xmldom.NewElement(name).
+		SetAttr("by", d.By).
+		SetAttr("node", d.NodeID)
+	if d.Credential != nil {
+		n.AppendChild(d.Credential.DOM())
+	}
+	return n
+}
+
+func refSortedKeys[M ~map[string]V, V any](m M) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// snapshotSeeds interrupts the §5.1 negotiation at every message
+// boundary and returns both endpoints' snapshots: both phases, with
+// nonces, chosen candidates and alternatives, disclosures, and partial
+// outcomes holding credentials.
+func snapshotSeeds(tb testing.TB, f *fixture) []string {
+	tb.Helper()
+	var docs []string
+	for cut := 1; ; cut++ {
+		eps := [2]*Endpoint{NewRequester(f.aerospace, "VoMembership"), NewController(f.aircraft)}
+		msg, err := eps[0].Start()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sender := 0
+		for n := 0; n < cut && msg != nil; n++ {
+			recv := 1 - sender
+			if msg, err = eps[recv].Handle(msg); err != nil {
+				tb.Fatal(err)
+			}
+			sender = recv
+		}
+		if msg == nil {
+			return docs
+		}
+		for _, ep := range eps {
+			if ep.SnapshotErr() == nil {
+				docs = append(docs, refSnapshotDOM(ep).XML())
+			}
+		}
+	}
+}
+
+// nonTrees are snapshot trees that are not trees. Restoring the first in
+// phase exchange recursed until the runtime aborted the process.
+var nonTrees = map[string]string{
+	"self-listing root": `<node id="r" credType="R" owner="AircraftCo" state="expanded"><alt>r</alt></node>`,
+	"two-node cycle": `<node id="r" credType="R" owner="AircraftCo" state="expanded"><alt>a</alt></node>` +
+		`<node id="a" credType="A" owner="AerospaceCo" state="expanded" parent="r"><alt>b</alt></node>` +
+		`<node id="b" credType="B" owner="AircraftCo" state="expanded" parent="a"><alt>a</alt></node>`,
+	"unreachable node": `<node id="r" credType="R" owner="AircraftCo" state="comply"></node>` +
+		`<node id="x" credType="X" owner="AerospaceCo" state="comply" parent="r"></node>`,
+	"child names another parent": `<node id="r" credType="R" owner="AircraftCo" state="expanded"><alt>a b</alt></node>` +
+		`<node id="a" credType="A" owner="AerospaceCo" state="comply" parent="r"></node>` +
+		`<node id="b" credType="B" owner="AerospaceCo" state="comply" parent="a"></node>`,
+	"root with a parent": `<node id="r" credType="R" owner="AircraftCo" state="comply" parent="r"></node>`,
+}
+
+// nonTreeSnapshot wraps tree nodes in an exchange-phase snapshot of the
+// controller.
+func nonTreeSnapshot(nodes string) string {
+	return `<negotiationState peer="AerospaceCo" phase="exchange" resource="R" role="controller" rounds="1" seqPos="0"><tree>` +
+		nodes + `</tree></negotiationState>`
+}
+
+// TestRestoreRefusesNonTree: a snapshot whose nodes do not form a tree
+// rooted at r is refused, in either phase, before the engine walks it.
+func TestRestoreRefusesNonTree(t *testing.T) {
+	f := newFixture(t)
+	for name, nodes := range nonTrees {
+		for _, phase := range []string{"exchange", "eval"} {
+			doc, err := xmldom.ParseString(strings.Replace(nonTreeSnapshot(nodes), `phase="exchange"`, `phase="`+phase+`"`, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := treeFromDOM(doc.Child("tree")); err == nil {
+				t.Errorf("%s: treeFromDOM accepted it", name)
+			}
+			if _, err := RestoreEndpoint(f.aircraft, doc); err == nil {
+				t.Errorf("%s in phase %s: RestoreEndpoint accepted it", name, phase)
+			}
+		}
+	}
+}
+
+// FuzzEncodeSnapshot diffs EncodeSnapshot against refSnapshotDOM: for
+// every snapshot RestoreEndpoint accepts, the restored endpoint's encoded
+// bytes, its Tree and SnapshotDOM all equal the reference's canonical XML.
+func FuzzEncodeSnapshot(f *testing.F) {
+	fx := newFixture(f)
+	restore := func(doc string) (*Endpoint, error) {
+		root, err := xmldom.ParseString(doc)
+		if err != nil {
+			return nil, err
+		}
+		party := fx.aerospace
+		if root.AttrOr("role", "") == Controller.String() {
+			party = fx.aircraft
+		}
+		return RestoreEndpoint(party, root)
+	}
+	for _, doc := range snapshotSeeds(f, fx) {
+		if _, err := restore(doc); err != nil {
+			f.Fatalf("seed %s does not restore: %v", doc, err)
+		}
+		f.Add(doc)
+	}
+	for name, nodes := range nonTrees {
+		if _, err := restore(nonTreeSnapshot(nodes)); err == nil {
+			f.Fatalf("%s: restored", name)
+		}
+		f.Add(nonTreeSnapshot(nodes))
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		ep, err := restore(doc)
+		if err != nil {
+			return
+		}
+		want := refSnapshotDOM(ep).XML()
+		if got := xmldom.String(ep.EncodeSnapshot); got != want {
+			t.Fatalf("EncodeSnapshot:\n got  %s\n want %s", got, want)
+		}
+		if got := xmldom.Tree(ep.EncodeSnapshot).XML(); got != want {
+			t.Fatalf("Tree(EncodeSnapshot):\n got  %s\n want %s", got, want)
+		}
+		if dom, err := ep.SnapshotDOM(); err != nil || dom.XML() != want {
+			t.Fatalf("SnapshotDOM: %v", err)
+		}
+	})
 }

@@ -47,7 +47,7 @@ func (t *Ticket) sealed() *pki.Sealed {
 // IssueTicket signs a ticket for peer over resource, valid for ttl.
 func IssueTicket(keys *pki.KeyPair, issuer, peer, resource string, ttl time.Duration) *Ticket {
 	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource}
-	s := pki.Seal(keys, pki.LabelTicket, time.Now().Add(ttl), t.sealed().Payload)
+	s := pki.Seal(keys, pki.LabelTicket, time.Now().Add(ttl), t.sealed().Payload.Encode)
 	t.Expires, t.Signature = s.NotAfter, s.Signature
 	return t
 }
@@ -229,7 +229,7 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 		State:    state,
 	}
 	if ep.party.Keys != nil {
-		t.Signature = pki.Seal(ep.party.Keys, pki.LabelResume, t.Expires, t.sealed().Payload).Signature
+		t.Signature = pki.Seal(ep.party.Keys, pki.LabelResume, t.Expires, t.sealed().Payload.Encode).Signature
 	}
 	return t, nil
 }

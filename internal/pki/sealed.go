@@ -13,11 +13,18 @@ import (
 // Sealed is a domain label, a notAfter time and an XML payload under one
 // Ed25519 signature: the trust, resume, session and standby tickets are
 // each one, so Seal and Open are where their bytes are signed and checked.
+//
+// A parsed or hand-built Sealed holds its payload as a tree in Payload.
+// One from Seal holds the payload's encode method instead, and Payload
+// is nil: it writes the wire form without building a tree, and stays
+// valid as long as that method does.
 type Sealed struct {
 	Label     string
 	NotAfter  time.Time
 	Payload   *xmldom.Node
 	Signature []byte
+
+	encode func(*xmldom.Writer) // the payload's layout, set by Seal
 }
 
 // Labels domain-separate the sealed formats: a document sealed for one
@@ -36,12 +43,23 @@ var (
 	ErrTicketExpired = errors.New("pki: sealed ticket expired")
 )
 
-// Seal signs payload for label under k, valid until notAfter, which is
-// truncated to the second in UTC (the precision of the wire form).
-func Seal(k *KeyPair, label string, notAfter time.Time, payload *xmldom.Node) *Sealed {
-	s := &Sealed{Label: label, NotAfter: notAfter.UTC().Truncate(time.Second), Payload: payload}
+// Seal signs the payload that encode writes for label under k, valid
+// until notAfter, which is truncated to the second in UTC (the precision
+// of the wire form). A caller holding a tree passes its Encode method.
+func Seal(k *KeyPair, label string, notAfter time.Time, encode func(*xmldom.Writer)) *Sealed {
+	s := &Sealed{Label: label, NotAfter: notAfter.UTC().Truncate(time.Second), encode: encode}
 	s.Signature = k.Sign(s.signedBytes())
 	return s
+}
+
+// encodePayload writes the payload: through Seal's encode method, else
+// the tree.
+func (s *Sealed) encodePayload(w *xmldom.Writer) {
+	if s.encode != nil {
+		s.encode(w)
+		return
+	}
+	s.Payload.Encode(w)
 }
 
 // signedBytes is the label, NUL, notAfter in RFC 3339, NUL, and the
@@ -51,7 +69,7 @@ func (s *Sealed) signedBytes() []byte {
 	var head [64]byte
 	h := append(append(head[:0], s.Label...), 0)
 	h = append(s.NotAfter.UTC().AppendFormat(h, time.RFC3339), 0)
-	return xmldom.Bytes(h, s.Payload.Encode)
+	return xmldom.Bytes(h, s.encodePayload)
 }
 
 // Encode writes the wire form: <sealed label=… notAfter=…>, the payload,
@@ -60,7 +78,7 @@ func (s *Sealed) Encode(w *xmldom.Writer) {
 	w.Start("sealed")
 	w.Attr("label", s.Label)
 	w.AttrTime("notAfter", s.NotAfter.UTC(), time.RFC3339)
-	s.Payload.Encode(w)
+	s.encodePayload(w)
 	if len(s.Signature) > 0 {
 		w.Start("signature")
 		w.TextBase64(s.Signature)

@@ -36,10 +36,12 @@ func TestSealedOpenOrder(t *testing.T) {
 	keys, other := fixedKeys(1), fixedKeys(2)
 	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1")
 	notAfter := time.Now().Add(time.Hour)
-	s := Seal(keys, LabelStandby, notAfter, payload)
-	if !s.NotAfter.Equal(notAfter.UTC().Truncate(time.Second)) || s.NotAfter.Location() != time.UTC {
-		t.Fatalf("NotAfter = %v, want %v truncated to the second in UTC", s.NotAfter, notAfter)
+	sealed := Seal(keys, LabelStandby, notAfter, payload.Encode)
+	if !sealed.NotAfter.Equal(notAfter.UTC().Truncate(time.Second)) || sealed.NotAfter.Location() != time.UTC {
+		t.Fatalf("NotAfter = %v, want %v truncated to the second in UTC", sealed.NotAfter, notAfter)
 	}
+	// Open takes the tree form, as ParseSealed returns it.
+	s := &Sealed{Label: sealed.Label, NotAfter: sealed.NotAfter, Payload: payload, Signature: sealed.Signature}
 	now := time.Now()
 	late := notAfter.Add(time.Hour)
 	unsigned := *s
@@ -86,13 +88,27 @@ func TestSealedOpenOrder(t *testing.T) {
 func TestSealedWireForm(t *testing.T) {
 	keys := fixedKeys(1)
 	payload := xmldom.NewElement("ticket").SetAttr("peer", `a"b`)
-	s := Seal(keys, LabelTicket, time.Date(2030, 1, 2, 3, 4, 5, 6, time.FixedZone("X", 3600)), payload)
+	notAfter := time.Date(2030, 1, 2, 3, 4, 5, 6, time.FixedZone("X", 3600))
+	s := Seal(keys, LabelTicket, notAfter, payload.Encode)
 	wire := s.XML()
 	if !strings.HasPrefix(wire, `<sealed label="trustvo-ticket" notAfter="2030-01-02T02:04:05Z"><ticket peer="a&quot;b"/><signature>`) {
 		t.Fatalf("wire form %s", wire)
 	}
 	if got := xmldom.Tree(s.Encode).XML(); got != wire {
 		t.Fatalf("tree mode writes %s, byte mode %s", got, wire)
+	}
+	// A payload written by its own layout seals as its tree does:
+	// Ed25519 is deterministic, so the signature and wire bytes match.
+	laid := Seal(keys, LabelTicket, notAfter, func(w *xmldom.Writer) {
+		w.Start("ticket")
+		w.Attr("peer", `a"b`)
+		w.End()
+	})
+	if !bytes.Equal(laid.Signature, s.Signature) || laid.XML() != wire {
+		t.Fatalf("layout seal %s differs from tree seal %s", laid.XML(), wire)
+	}
+	if tree := (&Sealed{Label: LabelTicket, NotAfter: s.NotAfter, Payload: payload, Signature: s.Signature}); tree.XML() != wire {
+		t.Fatalf("tree form writes %s, sealed form %s", tree.XML(), wire)
 	}
 	_, got, err := openWire(wire, LabelTicket, keys.Public, time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil || !xmldom.Equal(got, payload) {
@@ -143,6 +159,7 @@ func FuzzSealed(f *testing.F) {
 	f.Add(uint8(0), int64(1893456000), `<ticket issuer="ctl" peer="p" resource="r"/>`, uint8(0), uint16(40), byte('x'))
 	f.Add(uint8(3), int64(1700000000), `<tnSession id="s1" lastSeq="2"><lastReply>&lt;x/&gt;</lastReply></tnSession>`, uint8(1), uint16(9), byte('"'))
 	f.Add(uint8(1), int64(0), `<resumeTicket negotiation="n" seq="1"><tnMessage type="request"/><negotiationState/></resumeTicket>`, uint8(2), uint16(200), byte(0))
+	f.Add(uint8(3), int64(1900000000), `<tnSession id="s2" lastSeq="1" lastStatus="200"><negotiationState peer="M" phase="eval" resource="R" role="controller" rounds="1" seqPos="0"><tree><node credType="R" id="r" owner="C" state="open"></node></tree></negotiationState><lastReply>&lt;envelope negotiation="s2"/&gt;</lastReply></tnSession>`, uint8(0), uint16(120), byte('<'))
 	f.Fuzz(func(t *testing.T, which uint8, secs int64, payloadXML string, mode uint8, pos uint16, val byte) {
 		payload, err := xmldom.ParseString(payloadXML)
 		if err != nil {
@@ -159,8 +176,15 @@ func FuzzSealed(f *testing.F) {
 		if secs < 0 {
 			secs = -secs
 		}
-		s := Seal(keys, label, time.Unix(secs, 0), payload)
+		s := Seal(keys, label, time.Unix(secs, 0), payload.Encode)
 		wire := s.XML()
+		// Sealing through the encode method signs what signing the tree
+		// signs, and writes the same wire form.
+		tree := &Sealed{Label: label, NotAfter: s.NotAfter, Payload: payload}
+		tree.Signature = keys.Sign(tree.signedBytes())
+		if !bytes.Equal(tree.Signature, s.Signature) || tree.XML() != wire {
+			t.Fatalf("tree seal %s differs from encoder seal %s", tree.XML(), wire)
+		}
 		now := s.NotAfter.Add(-time.Second)
 		if _, got, err := openWire(wire, label, keys.Public, now); err != nil || !xmldom.Equal(got, payload) {
 			t.Fatalf("round trip of %s: %v", wire, err)

@@ -23,8 +23,11 @@ import (
 // ContentType is the media type of all wsrpc payloads.
 const ContentType = "application/xml"
 
-// maxBody bounds request bodies (1 MiB is generous for TN messages).
-const maxBody = 1 << 20
+// MaxBody bounds the bodies of TN requests and replies (1 MiB is
+// generous for TN messages): a longer body is cut there, and the cut
+// document fails to parse. A cluster router reads exchange bodies under
+// the same bound.
+const MaxBody = 1 << 20
 
 // defaultHTTP is the client used when callers do not supply one: a
 // bounded timeout beats http.DefaultClient's unbounded waits.
@@ -67,7 +70,7 @@ func writeDOM(w http.ResponseWriter, n *xmldom.Node) { writeRaw(w, http.StatusOK
 // readBodyDOM parses the request body as an XML document.
 func readBodyDOM(r *http.Request) (*xmldom.Node, error) {
 	defer r.Body.Close()
-	return xmldom.Parse(io.LimitReader(r.Body, maxBody))
+	return xmldom.Parse(io.LimitReader(r.Body, MaxBody))
 }
 
 // envelopeXML wraps a TN message with its negotiation id and, when seq
@@ -185,7 +188,7 @@ func openEnvelopeSeq(root *xmldom.Node) (string, int64, *negotiation.Message, er
 // the expected root element.
 func decodeResponse(resp *http.Response, wantRoot string) (*xmldom.Node, error) {
 	defer resp.Body.Close()
-	root, err := xmldom.Parse(io.LimitReader(resp.Body, maxBody))
+	root, err := xmldom.Parse(io.LimitReader(resp.Body, MaxBody))
 	if err != nil {
 		return nil, fmt.Errorf("wsrpc: bad response (%s): %w", resp.Status, err)
 	}

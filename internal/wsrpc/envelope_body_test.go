@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestReadBodyIgnoresDeclaredLength: a peer that declares a maxBody-sized
+// TestReadBodyIgnoresDeclaredLength: a peer that declares a MaxBody-sized
 // Content-Length and sends nothing must not make the server allocate
 // anything near that size before the body arrives.
 func TestReadBodyIgnoresDeclaredLength(t *testing.T) {
@@ -17,7 +17,7 @@ func TestReadBodyIgnoresDeclaredLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body = io.NopCloser(strings.NewReader(""))
-	r.ContentLength = maxBody
+	r.ContentLength = MaxBody
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -28,6 +28,6 @@ func TestReadBodyIgnoresDeclaredLength(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead > 64<<10 {
-		t.Errorf("reading an empty body that declares %d bytes allocates %d bytes", maxBody, perRead)
+		t.Errorf("reading an empty body that declares %d bytes allocates %d bytes", MaxBody, perRead)
 	}
 }

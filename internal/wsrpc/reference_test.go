@@ -1,6 +1,9 @@
 package wsrpc
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 
@@ -78,5 +81,111 @@ func TestDocumentsMatchReference(t *testing.T) {
 	resp := xmldom.NewElement("startNegotiationResponse").SetAttr("negotiation", "abc")
 	if got := startResponseXML("abc"); got != resp.XML() {
 		t.Errorf("start response:\n got  %s\n want %s", got, resp.XML())
+	}
+}
+
+// refSuspendDoc and refDoneDoc build a session's <tnSession> document node
+// by node, as the service did before it wrote the document through
+// xmldom.Writer (caller holds sess.mu). The negotiation state comes from
+// SnapshotDOM, which internal/negotiation checks against its own
+// reference builder.
+func refSuspendDoc(sess *tnSession, id string) *xmldom.Node {
+	state, err := sess.endpoint.SnapshotDOM()
+	if err != nil {
+		return nil
+	}
+	doc := xmldom.NewElement("tnSession").
+		SetAttr("id", id).
+		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
+		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
+	doc.AppendChild(state)
+	if sess.lastReply != "" {
+		lr := xmldom.NewElement("lastReply")
+		lr.AppendChild(xmldom.NewText(sess.lastReply))
+		doc.AppendChild(lr)
+	}
+	return doc
+}
+
+func refDoneDoc(sess *tnSession, id string) *xmldom.Node {
+	doc := xmldom.NewElement("tnSession").
+		SetAttr("id", id).
+		SetAttr("done", "true").
+		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
+		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
+	if out := sess.outcome; out != nil {
+		o := xmldom.NewElement("outcome").
+			SetAttr("succeeded", boolStr(out.Succeeded)).
+			SetAttr("resource", out.Resource)
+		if out.Reason != "" {
+			o.SetAttr("reason", out.Reason)
+		}
+		doc.AppendChild(o)
+	}
+	if sess.lastReply != "" {
+		lr := xmldom.NewElement("lastReply")
+		lr.AppendChild(xmldom.NewText(sess.lastReply))
+		doc.AppendChild(lr)
+	}
+	return doc
+}
+
+// checkLayout requires the bytes and the tree that encode writes to equal
+// the reference document.
+func checkLayout(t *testing.T, what string, encode func(*xmldom.Writer), ref *xmldom.Node) {
+	t.Helper()
+	want := ref.XML()
+	if got := xmldom.String(encode); got != want {
+		t.Errorf("%s:\n got  %s\n want %s", what, got, want)
+	}
+	if got := xmldom.Tree(encode).XML(); got != want {
+		t.Errorf("%s tree:\n got  %s\n want %s", what, got, want)
+	}
+}
+
+// TestSessionDocumentsMatchReference checks the <tnSession> layouts
+// against the reference builders: the live document OnSessionUpdate
+// receives after every message, and a finished session's document.
+func TestSessionDocumentsMatchReference(t *testing.T) {
+	svc, _, req := standaloneTN(t)
+	ships := 0
+	svc.OnSessionUpdate = func(_ context.Context, id string, encode func(*xmldom.Writer)) error {
+		sh := svc.shard(id)
+		sh.mu.Lock()
+		sess := sh.m[id]
+		sh.mu.Unlock()
+		checkLayout(t, "live session", encode, refSuspendDoc(sess, id)) // the handler holds sess.mu
+		ships++
+		return nil
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &TNClient{BaseURL: srv.URL, Party: req}
+	if out, err := client.Negotiate(bg, "R"); err != nil || !out.Succeeded {
+		t.Fatalf("negotiate: %v %+v", err, out)
+	}
+	if ships == 0 {
+		t.Fatal("no session update was shipped")
+	}
+	done := 0
+	for _, sh := range svc.shardTable() {
+		sh.mu.Lock()
+		for id, sess := range sh.m {
+			sess.mu.Lock()
+			checkLayout(t, "finished session", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			sess.outcome = &negotiation.Outcome{Resource: `R&"1"`, Reason: "no <cred>"}
+			sess.lastReply = ""
+			checkLayout(t, "refused session", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			sess.outcome = nil
+			checkLayout(t, "session without outcome", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			sess.mu.Unlock()
+			done++
+		}
+		sh.mu.Unlock()
+	}
+	if done != 1 {
+		t.Fatalf("%d finished sessions held, want 1", done)
 	}
 }

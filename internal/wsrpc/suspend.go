@@ -29,70 +29,77 @@ const KindTNSession = "tnsession"
 func (sess *tnSession) suspendDoc(id string) (doc *xmldom.Node, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.suspendDocLocked(id)
-}
-
-// suspendDocLocked is suspendDoc for callers already holding sess.mu
-// (the per-message standby ship runs inside the exchange handler's
-// critical section).
-func (sess *tnSession) suspendDocLocked(id string) (doc *xmldom.Node, ok bool) {
-	if sess.done.Load() {
-		return nil, false // finished: the endpoint is gone, nothing to resume
-	}
-	state, err := sess.endpoint.SnapshotDOM()
-	if err != nil {
+	if !sess.resumable() {
 		return nil, false
 	}
-	doc = xmldom.NewElement("tnSession").
-		SetAttr("id", id).
-		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
-		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
-	doc.AppendChild(state)
-	if sess.lastReply != "" {
-		lr := xmldom.NewElement("lastReply")
-		lr.AppendChild(xmldom.NewText(sess.lastReply))
-		doc.AppendChild(lr)
+	return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) }), true
+}
+
+// resumable reports whether the session has negotiation state to
+// suspend: not finished, and past its first message (caller holds
+// sess.mu).
+func (sess *tnSession) resumable() bool {
+	return !sess.done.Load() && sess.endpoint.SnapshotErr() == nil
+}
+
+// encodeSuspended writes a live session's store document, its
+// negotiation state and reply cache, as <tnSession> (caller holds
+// sess.mu and has checked resumable). The per-message standby ship
+// writes it inside the exchange handler's critical section.
+func (sess *tnSession) encodeSuspended(w *xmldom.Writer, id string) {
+	w.Start("tnSession")
+	w.Attr("id", id)
+	w.AttrInt("lastSeq", sess.lastSeq)
+	w.AttrInt("lastStatus", int64(sess.lastReplyStatus))
+	sess.endpoint.EncodeSnapshot(w)
+	sess.encodeLastReply(w)
+	w.End()
+}
+
+// encodeDone writes a finished session's document: no negotiation
+// state, only what /tn/status reports and the reply cache, so the node
+// adopting it replays the final reply to a client that never received
+// it (caller holds sess.mu).
+func (sess *tnSession) encodeDone(w *xmldom.Writer, id string) {
+	w.Start("tnSession")
+	w.Attr("id", id)
+	w.Attr("done", "true")
+	w.AttrInt("lastSeq", sess.lastSeq)
+	w.AttrInt("lastStatus", int64(sess.lastReplyStatus))
+	if out := sess.outcome; out != nil {
+		w.Start("outcome")
+		w.Attr("succeeded", boolStr(out.Succeeded))
+		w.Attr("resource", out.Resource)
+		if out.Reason != "" {
+			w.Attr("reason", out.Reason)
+		}
+		w.End()
 	}
-	return doc, true
+	sess.encodeLastReply(w)
+	w.End()
+}
+
+func (sess *tnSession) encodeLastReply(w *xmldom.Writer) {
+	if sess.lastReply != "" {
+		w.Start("lastReply")
+		w.Text(sess.lastReply)
+		w.End()
+	}
 }
 
 // moveOut marks the session as gone to another node and snapshots it,
-// a finished one as its verdict and reply cache (doneDocLocked).
+// a finished one as its verdict and reply cache (encodeDone).
 func (sess *tnSession) moveOut(id string) (doc *xmldom.Node, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.moved = true
-	if sess.done.Load() {
-		return sess.doneDocLocked(id), true
+	switch {
+	case sess.done.Load():
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id) }), true
+	case sess.resumable():
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) }), true
 	}
-	return sess.suspendDocLocked(id)
-}
-
-// doneDocLocked snapshots a finished session: no negotiation state, only
-// what /tn/status reports and the reply cache, so the node adopting it
-// replays the final reply to a client that never received it (caller
-// holds sess.mu).
-func (sess *tnSession) doneDocLocked(id string) *xmldom.Node {
-	doc := xmldom.NewElement("tnSession").
-		SetAttr("id", id).
-		SetAttr("done", "true").
-		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
-		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
-	if out := sess.outcome; out != nil {
-		o := xmldom.NewElement("outcome").
-			SetAttr("succeeded", boolStr(out.Succeeded)).
-			SetAttr("resource", out.Resource)
-		if out.Reason != "" {
-			o.SetAttr("reason", out.Reason)
-		}
-		doc.AppendChild(o)
-	}
-	if sess.lastReply != "" {
-		lr := xmldom.NewElement("lastReply")
-		lr.AppendChild(xmldom.NewText(sess.lastReply))
-		doc.AppendChild(lr)
-	}
-	return doc
+	return nil, false
 }
 
 // SuspendSessions persists every live, unfinished session to db and
@@ -179,7 +186,7 @@ func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 	}
 	sess := &tnSession{lastUsed: time.Now()}
 	if doc.AttrOr("done", "") == "true" {
-		// A finished session (doneDocLocked) holds no capacity slot.
+		// A finished session (encodeDone) holds no capacity slot.
 		sess.done.Store(true)
 		sess.deactivated.Store(true)
 		if o := doc.Child("outcome"); o != nil {

@@ -86,14 +86,16 @@ type TNService struct {
 	// the local node owns on the hash ring, so a session's messages land
 	// where it started without forwarding.
 	NewSessionID func() (string, error)
-	// OnSessionUpdate, when set, receives each session's suspended-state
-	// document after a message is handled (reply cache included) and
-	// BEFORE the reply is released to the client. An error withholds the
-	// reply and fails the exchange with a retryable 503, so a client
-	// holding reply k implies the hook accepted state k — the invariant
-	// cluster standby shipping needs for zero lost acked sessions. The
-	// context is the request's.
-	OnSessionUpdate func(ctx context.Context, id string, doc *xmldom.Node) error
+	// OnSessionUpdate, when set, receives the encode method of each
+	// session's suspended-state document (<tnSession>, reply cache
+	// included) after a message is handled and BEFORE the reply is
+	// released to the client. The hook runs under the session's lock, and
+	// encode is valid only during the call. An error withholds the reply
+	// and fails the exchange with a retryable 503, so a client holding
+	// reply k implies the hook accepted state k — the invariant cluster
+	// standby shipping needs for zero lost acked sessions. The context is
+	// the request's.
+	OnSessionUpdate func(ctx context.Context, id string, encode func(*xmldom.Writer)) error
 	// SessionMissing, when set, answers an exchange whose session this
 	// table does not (or no longer) hold, in place of the 404 fault.
 	// internal/cluster installs a retryable 503: a session it routed here
@@ -782,21 +784,17 @@ func verdict(out *negotiation.Outcome) *negotiation.Outcome {
 	return &negotiation.Outcome{Succeeded: out.Succeeded, Resource: strings.Clone(out.Resource), Reason: strings.Clone(out.Reason)}
 }
 
-// shipSessionUpdate pushes the session's suspended-state document
-// through the OnSessionUpdate hook (caller holds sess.mu). Sessions
-// with nothing to snapshot — no message processed yet, or already
-// finished — ship nothing: a finished negotiation's outcome is in the
-// client's hands, so its loss costs no acked state.
+// shipSessionUpdate passes the session's suspended-state document to
+// the OnSessionUpdate hook (caller holds sess.mu). Sessions with nothing
+// to snapshot — no message processed yet, or already finished — ship
+// nothing: a finished negotiation's outcome is in the client's hands, so
+// its loss costs no acked state.
 func (s *TNService) shipSessionUpdate(ctx context.Context, id string, sess *tnSession) error {
 	ship := s.OnSessionUpdate
-	if ship == nil {
+	if ship == nil || !sess.resumable() {
 		return nil
 	}
-	doc, ok := sess.suspendDocLocked(id)
-	if !ok {
-		return nil
-	}
-	return ship(ctx, id, doc)
+	return ship(ctx, id, func(w *xmldom.Writer) { sess.encodeSuspended(w, id) })
 }
 
 // writeShipFault reports a failed standby ship as honest backpressure:

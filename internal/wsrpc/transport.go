@@ -171,7 +171,7 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 		return nil, &Error{Op: op, Temporary: ctx.Err() == nil, Err: err}
 	}
 	defer resp.Body.Close()
-	rb := &bodyReader{LimitedReader: io.LimitedReader{R: resp.Body, N: maxBody}}
+	rb := &bodyReader{LimitedReader: io.LimitedReader{R: resp.Body, N: MaxBody}}
 	root, perr := xmldom.Parse(rb)
 	if rb.err != nil {
 		return nil, &Error{Op: op, Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: rb.err}
@@ -205,7 +205,7 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 	return root, nil
 }
 
-// bodyReader reads at most maxBody bytes of a response body and keeps
+// bodyReader reads at most MaxBody bytes of a response body and keeps
 // the read error, so that once can tell a broken transfer from a
 // malformed document.
 type bodyReader struct {
