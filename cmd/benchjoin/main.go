@@ -57,12 +57,12 @@ func main() {
 
 		concurrency = flag.Int("concurrency", 0, "run the throughput mode with this many simultaneous joiners instead of the Fig. 9 timing")
 		joins       = flag.Int("joins", 0, "total joins in throughput mode (default 25 per worker)")
-		baseline    = flag.Bool("baseline", false, "throughput mode: single lock stripe and no verification cache (the before half of the A/B)")
+		baseline    = flag.Bool("baseline", false, "throughput mode: no verification cache (the before half of the A/B)")
 		out         = flag.String("out", "BENCH_throughput.json", "throughput mode: JSON report path (empty to skip)")
 
-		storeMode = flag.Bool("store", false, "run the durable-write store A/B (group commit vs fsync-every-put, EXT-12) instead of the Fig. 9 timing")
+		storeMode = flag.Bool("store", false, "run the durable-write store bench (EXT-12 group commit, EXT-14 read-cache A/B) instead of the Fig. 9 timing")
 		writers   = flag.Int("writers", 16, "store mode: concurrent writers")
-		puts      = flag.Int("puts", 3200, "store mode: total puts per durability mode")
+		puts      = flag.Int("puts", 3200, "store mode: total puts")
 		storeOut  = flag.String("storeout", "BENCH_store.json", "store mode: JSON report path (empty to skip)")
 
 		clusterMode   = flag.Bool("cluster", false, "run the sharded-TN scaling + failover benchmark (EXT-13) instead of the Fig. 9 timing")

@@ -14,48 +14,31 @@ import (
 	"trustvo/internal/telemetry"
 )
 
-// Durable-write store mode (-store): the EXT-12 group-commit A/B. The
-// same concurrent put workload runs twice against the crash-safe store —
-// once under DurabilityEveryOp (the v1 behavior: one fsync per put) and
-// once under DurabilityGroup (one fsync per commit batch) — and the
-// report records throughput, per-put latency percentiles and the fsync
-// accounting that explains the difference. Both modes give the same
-// guarantee (a nil Put is on stable storage); only the flush schedule
-// differs.
+// Durable-write store mode (-store): EXT-12's group-commit write run and
+// EXT-14's read-cache A/B. The write run drives a concurrent put
+// workload against a fresh crash-safe store under DurabilityGroup (a nil
+// Put is on stable storage) and records throughput, per-put latency
+// percentiles and the fsync accounting that shows how many puts share
+// each flush.
 
 // storeBenchReport is the -store JSON schema (BENCH_store.json).
 type storeBenchReport struct {
-	Schema  string `json:"schema"`
-	Writers int    `json:"writers"`
-	// Puts is the total put count per mode (each mode writes its own
-	// fresh store).
+	Schema  string         `json:"schema"`
+	Writers int            `json:"writers"`
 	Puts    int            `json:"puts"`
-	EveryOp storeModeStats `json:"every_op"`
 	Group   storeModeStats `json:"group_commit"`
-	// Speedup is group-commit puts/sec over every-op puts/sec.
-	Speedup float64 `json:"speedup"`
-	// Backends is the v2 write matrix: the group-commit workload run once
-	// per storage backend (fswal duplicates Group, kept for comparison in
-	// one place; memory bounds what the WAL costs).
-	Backends map[string]storeModeStats `json:"backends"`
-	// Cache is the v2 read A/B (EXT-14): the hot party-record read
-	// workload per backend, cache off vs on.
+	// Cache is the read A/B (EXT-14): the hot party-record read
+	// workload, cache off vs on.
 	Cache cacheBenchReport `json:"cache"`
 }
 
 // cacheBenchReport describes the read-through cache A/B.
 type cacheBenchReport struct {
-	Readers int     `json:"readers"`
-	Reads   int     `json:"reads_per_side"`
-	TTLMS   float64 `json:"ttl_ms"`
-	// PerBackend maps backend name -> its off/on halves.
-	PerBackend map[string]cacheABStats `json:"per_backend"`
-}
-
-// cacheABStats is one backend's off/on pair.
-type cacheABStats struct {
-	Off cacheSideStats `json:"cache_off"`
-	On  cacheSideStats `json:"cache_on"`
+	Readers int            `json:"readers"`
+	Reads   int            `json:"reads_per_side"`
+	TTLMS   float64        `json:"ttl_ms"`
+	Off     cacheSideStats `json:"cache_off"`
+	On      cacheSideStats `json:"cache_on"`
 	// Speedup is on reads/sec over off reads/sec.
 	Speedup float64 `json:"speedup"`
 }
@@ -67,7 +50,7 @@ type cacheSideStats struct {
 	ReadLatencyM latencyMS `json:"read_latency_ms"`
 	// Cache counters (zero with the cache off). MissesPerTTLWindow is the
 	// acceptance criterion: with singleflight coalescing, the hot record
-	// costs at most ~1 backend fetch per TTL window however many readers
+	// costs at most ~1 store fetch per TTL window however many readers
 	// hammer it, so this stays ≈1. CoalescedGEMisses records that the
 	// coalesced-wait counter is at least the miss counter (each refetch
 	// had other readers piled on it).
@@ -78,7 +61,7 @@ type cacheSideStats struct {
 	CoalescedGEMisses  bool    `json:"coalesced_ge_misses"`
 }
 
-// storeModeStats is one half of the A/B.
+// storeModeStats is the write run's result.
 type storeModeStats struct {
 	ElapsedMS    float64   `json:"elapsed_ms"`
 	PutsPerSec   float64   `json:"puts_per_sec"`
@@ -91,7 +74,8 @@ type storeModeStats struct {
 	Rotations int64   `json:"segment_rotations"`
 }
 
-// runStoreBench runs the A/B and writes the report to outPath.
+// runStoreBench runs the write run and the cache A/B and writes the
+// report to outPath.
 func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 	if writers < 1 {
 		writers = 1
@@ -105,53 +89,25 @@ func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 	}
 	defer os.RemoveAll(dir)
 
-	every, err := storeBenchMode(filepath.Join(dir, "everyop.wal"), store.DurabilityEveryOp, writers, puts)
-	if err != nil {
-		return fmt.Errorf("every-op pass: %w", err)
-	}
-	group, err := storeBenchMode(filepath.Join(dir, "group.wal"), store.DurabilityGroup, writers, puts)
+	group, err := storeBenchRun(filepath.Join(dir, "group.wal"), writers, puts)
 	if err != nil {
 		return fmt.Errorf("group-commit pass: %w", err)
 	}
-
 	rep := storeBenchReport{
-		Schema:  "trustvo.benchjoin.store/v2",
+		Schema:  "trustvo.benchjoin.store/v3",
 		Writers: writers,
 		Puts:    puts,
-		EveryOp: every,
 		Group:   group,
-		Speedup: group.PutsPerSec / every.PutsPerSec,
 	}
-	fmt.Fprintf(w, "EXT-12 — durable puts, %d writers, %d puts per mode\n", writers, puts)
-	fmt.Fprintf(w, "  %-22s %10s %12s %10s %12s\n", "mode", "puts/sec", "p50 / p99", "fsyncs", "puts/fsync")
-	for _, row := range []struct {
-		name string
-		s    storeModeStats
-	}{{"fsync-every-put (v1)", every}, {"group commit", group}} {
-		fmt.Fprintf(w, "  %-22s %10.0f %5.2f/%5.2fms %10d %12.1f\n",
-			row.name, row.s.PutsPerSec, row.s.PutLatencyMS.P50, row.s.PutLatencyMS.P99,
-			row.s.Fsyncs, row.s.MeanBatch)
-	}
-	fmt.Fprintf(w, "  speedup: %.2fx\n", rep.Speedup)
+	fmt.Fprintf(w, "EXT-12 — durable puts under group commit, %d writers, %d puts\n", writers, puts)
+	fmt.Fprintf(w, "  %10s %12s %10s %12s\n", "puts/sec", "p50 / p99", "fsyncs", "puts/fsync")
+	fmt.Fprintf(w, "  %10.0f %5.2f/%5.2fms %10d %12.1f\n",
+		group.PutsPerSec, group.PutLatencyMS.P50, group.PutLatencyMS.P99, group.Fsyncs, group.MeanBatch)
 
-	// v2 write matrix: the same group-commit workload once per backend.
-	rep.Backends = map[string]storeModeStats{}
-	fmt.Fprintf(w, "\n  write matrix (group commit, per backend)\n")
-	fmt.Fprintf(w, "  %-22s %10s %12s %10s\n", "backend", "puts/sec", "p50 / p99", "fsyncs")
-	for _, backend := range store.BackendKinds() {
-		s, err := storeBenchBackend(filepath.Join(dir, backend+".wal"), backend, writers, puts)
-		if err != nil {
-			return fmt.Errorf("%s write pass: %w", backend, err)
-		}
-		rep.Backends[backend] = s
-		fmt.Fprintf(w, "  %-22s %10.0f %5.2f/%5.2fms %10d\n",
-			backend, s.PutsPerSec, s.PutLatencyMS.P50, s.PutLatencyMS.P99, s.Fsyncs)
-	}
-
-	// v2 read A/B (EXT-14): the hot party-record workload, cache off/on.
-	cache, err := runCacheBench(w, dir)
+	// Read A/B (EXT-14): the hot party-record workload, cache off/on.
+	cache, err := runCacheBench(w, filepath.Join(dir, "cache.wal"))
 	if err != nil {
-		return err
+		return fmt.Errorf("cache pass: %w", err)
 	}
 	rep.Cache = cache
 
@@ -174,21 +130,11 @@ func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 	return nil
 }
 
-// storeBenchBackend runs the group-commit write workload against one
-// storage backend.
-func storeBenchBackend(path, backend string, writers, puts int) (storeModeStats, error) {
-	return storeBenchRun(path, store.Options{Backend: backend, Durability: store.DurabilityGroup}, writers, puts)
-}
-
-// storeBenchMode drives the concurrent put workload against a fresh
-// fswal store opened with durability d and collects the mode's stats.
-func storeBenchMode(path string, d store.Durability, writers, puts int) (storeModeStats, error) {
-	return storeBenchRun(path, store.Options{Durability: d}, writers, puts)
-}
-
-func storeBenchRun(path string, opts store.Options, writers, puts int) (storeModeStats, error) {
+// storeBenchRun drives the concurrent put workload against a fresh
+// store opened with DurabilityGroup and collects the run's stats.
+func storeBenchRun(path string, writers, puts int) (storeModeStats, error) {
 	reg := telemetry.NewRegistry()
-	s, err := store.OpenWithOptions(path, opts)
+	s, err := store.OpenDurable(path)
 	if err != nil {
 		return storeModeStats{}, err
 	}
@@ -268,11 +214,11 @@ func storeBenchRun(path string, opts store.Options, writers, puts int) (storeMod
 // Cache A/B (EXT-14): 32 readers repeat the hot party reload — list the
 // credential kind and parse every record, the read pattern of N
 // concurrent StartNegotiation calls rebuilding the same controller
-// profile — against each backend, once reading the store directly and
-// once through the coalescing read-through cache. The claim under test:
-// with singleflight + TTL, the hot record set costs at most ~one backend
-// fetch per TTL window regardless of reader count, and every refetch has
-// other readers coalesced onto it (coalesced >= misses).
+// profile — once reading the store directly and once through the
+// coalescing read-through cache. The claim under test: with singleflight
+// + TTL, the hot record set costs at most ~one store fetch per TTL window
+// regardless of reader count, and every refetch has other readers
+// coalesced onto it (coalesced >= misses).
 const (
 	cacheReaders  = 32
 	cacheReads    = 32_000 // total reads per half
@@ -280,59 +226,40 @@ const (
 	cacheColdKeys = 64 // cold records seeded alongside the hot one
 )
 
-func runCacheBench(w *os.File, dir string) (cacheBenchReport, error) {
-	rep := cacheBenchReport{
-		Readers:    cacheReaders,
-		Reads:      cacheReads,
-		TTLMS:      durMS(cacheTTL),
-		PerBackend: map[string]cacheABStats{},
-	}
-	fmt.Fprintf(w, "\n  read cache A/B (EXT-14): %d readers, %d reads, hot key, ttl %s\n",
-		cacheReaders, cacheReads, cacheTTL)
-	fmt.Fprintf(w, "  %-10s %14s %14s %8s %26s\n",
-		"backend", "off reads/s", "on reads/s", "speedup", "misses/window  coal>=miss")
-	for _, backend := range store.BackendKinds() {
-		ab, err := cacheBenchBackend(filepath.Join(dir, "cache-"+backend+".wal"), backend)
-		if err != nil {
-			return rep, fmt.Errorf("%s cache pass: %w", backend, err)
-		}
-		rep.PerBackend[backend] = ab
-		fmt.Fprintf(w, "  %-10s %14.0f %14.0f %7.2fx %15.2f  %10v\n",
-			backend, ab.Off.ReadsPerSec, ab.On.ReadsPerSec, ab.Speedup,
-			ab.On.MissesPerTTLWindow, ab.On.CoalescedGEMisses)
-	}
-	return rep, nil
-}
-
-func cacheBenchBackend(path, backend string) (cacheABStats, error) {
-	s, err := store.OpenWithOptions(path, store.Options{Backend: backend, Durability: store.DurabilityGroup})
+func runCacheBench(w *os.File, path string) (cacheBenchReport, error) {
+	rep := cacheBenchReport{Readers: cacheReaders, Reads: cacheReads, TTLMS: durMS(cacheTTL)}
+	s, err := store.OpenDurable(path)
 	if err != nil {
-		return cacheABStats{}, err
+		return rep, err
 	}
 	defer s.Destroy()
 	// One hot party record plus a cold tail, as a real party DB holds.
 	if err := s.PutXML("credential", "hot/party", `<credential type="ISOCert"><issuer>CA</issuer></credential>`); err != nil {
-		return cacheABStats{}, err
+		return rep, err
 	}
 	for i := 0; i < cacheColdKeys; i++ {
 		if err := s.PutXML("credential", fmt.Sprintf("cold/%d", i), fmt.Sprintf(`<credential type="t%d"/>`, i%7)); err != nil {
-			return cacheABStats{}, err
+			return rep, err
 		}
 	}
 
 	// The reload shape: every credential of the kind, parsed. Reading the
 	// store directly re-parses each defensive copy per reader; the cached
 	// reload shares one pre-parsed fill per TTL window.
-	off, err := cacheBenchSide(func() error { return parseAll(s.List("credential")) }, nil)
-	if err != nil {
-		return cacheABStats{}, err
+	if rep.Off, err = cacheBenchSide(func() error { return parseAll(s.List("credential")) }, nil); err != nil {
+		return rep, err
 	}
 	c := cacher.New(s, cacheTTL)
-	on, err := cacheBenchSide(func() error { return parseAll(c.List("credential")) }, c)
-	if err != nil {
-		return cacheABStats{}, err
+	if rep.On, err = cacheBenchSide(func() error { return parseAll(c.List("credential")) }, c); err != nil {
+		return rep, err
 	}
-	return cacheABStats{Off: off, On: on, Speedup: on.ReadsPerSec / off.ReadsPerSec}, nil
+	rep.Speedup = rep.On.ReadsPerSec / rep.Off.ReadsPerSec
+	fmt.Fprintf(w, "\n  read cache A/B (EXT-14): %d readers, %d reads, hot key, ttl %s\n",
+		cacheReaders, cacheReads, cacheTTL)
+	fmt.Fprintf(w, "  %14s %14s %8s %26s\n", "off reads/s", "on reads/s", "speedup", "misses/window  coal>=miss")
+	fmt.Fprintf(w, "  %14.0f %14.0f %7.2fx %15.2f  %10v\n",
+		rep.Off.ReadsPerSec, rep.On.ReadsPerSec, rep.Speedup, rep.On.MissesPerTTLWindow, rep.On.CoalescedGEMisses)
+	return rep, nil
 }
 
 // parseAll forces the DOM of every record, as LoadProfile does.

@@ -25,8 +25,7 @@ import (
 // joining a VO at once, which Fig. 9 times one join at a time. The run
 // measures aggregate joins/sec plus per-join latency percentiles, and
 // the -baseline flag re-runs the identical load with the verification
-// cache disabled and the session table collapsed to a single lock
-// stripe, which is the before/after pair EXPERIMENTS.md records.
+// cache disabled.
 
 // throughputReport is the -concurrency JSON schema (BENCH_throughput.json).
 type throughputReport struct {
@@ -35,7 +34,6 @@ type throughputReport struct {
 	Joins       int     `json:"joins"`
 	Failed      int     `json:"failed"`
 	Baseline    bool    `json:"baseline"`
-	Shards      int     `json:"shards"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	JoinsPerSec float64 `json:"joins_per_sec"`
 	// JoinLatencyMS are whole-join client-side percentiles; the per-phase
@@ -83,9 +81,6 @@ func newThroughputEnv(workers int, baseline bool) (*throughputEnv, error) {
 	reg := telemetry.NewRegistry()
 	svc := wsrpc.NewTNService(ctl)
 	svc.Metrics = reg
-	if baseline {
-		svc.Shards = 1
-	}
 	mux := http.NewServeMux()
 	svc.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -190,12 +185,11 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	stats := e.trust.CacheStats()
 	rep := throughputReport{
-		Schema:      "trustvo.benchjoin.throughput/v1",
+		Schema:      "trustvo.benchjoin.throughput/v2",
 		Concurrency: workers,
 		Joins:       joins,
 		Failed:      len(failures),
 		Baseline:    baseline,
-		Shards:      shardsOf(baseline),
 		ElapsedMS:   durMS(elapsed),
 		JoinsPerSec: float64(len(samples)) / elapsed.Seconds(),
 		JoinLatencyMS: latencyMS{
@@ -214,9 +208,9 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 		Telemetry: e.reg.Report(),
 	}
 
-	mode := "striped+cached"
+	mode := "cached"
 	if baseline {
-		mode = "baseline (1 shard, no verify cache)"
+		mode = "baseline (no verify cache)"
 	}
 	fmt.Fprintf(w, "throughput — %d workers, %d joins, %s\n", workers, joins, mode)
 	fmt.Fprintf(w, "  joins/sec:   %.1f (%d joins in %v, %d failed)\n",
@@ -249,13 +243,6 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 		return fmt.Errorf("%d of %d joins failed", len(failures), joins)
 	}
 	return nil
-}
-
-func shardsOf(baseline bool) int {
-	if baseline {
-		return 1
-	}
-	return wsrpc.DefaultSessionShards
 }
 
 func sumCompleted(reg *telemetry.Registry) int64 {

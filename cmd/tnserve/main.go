@@ -53,9 +53,6 @@ func main() {
 		dbPath   = flag.String("db", "", "WAL-backed document store for policies and credentials; "+
 			"the party's profile and policies are written to it at startup and every "+
 			"StartNegotiation reloads them from it (the paper's §6.2 DB path)")
-		dbBackend = flag.String("db.backend", store.BackendFSWAL,
-			"storage backend for -db: "+strings.Join(store.BackendKinds(), "|")+
-				" (memory keeps nothing across restarts)")
 		dbCacheTTL = flag.Duration("db.cachettl", cacher.DefaultTTL,
 			"TTL of the read-through party cache over -db; 0 disables the cache "+
 				"(reads then hit the store directly on every reload)")
@@ -147,7 +144,7 @@ func main() {
 		// negotiations must survive a crash, and group commit keeps the
 		// fsync cost shared across concurrent session writes. In cluster
 		// mode every commit also feeds the replication log.
-		opts := store.Options{Backend: *dbBackend, Durability: store.DurabilityGroup}
+		opts := store.Options{Durability: store.DurabilityGroup}
 		if node != nil {
 			opts.OnCommit = node.OnCommit
 		}
@@ -175,8 +172,7 @@ func main() {
 			c.Instrument(svc.Metrics)
 			svc.PartyReader = c
 		}
-		log.Printf("policies and credentials stored in %s (backend %s, cache ttl %s)",
-			*dbPath, *dbBackend, *dbCacheTTL)
+		log.Printf("policies and credentials stored in %s (cache ttl %s)", *dbPath, *dbCacheTTL)
 		// pick up negotiations a previous run suspended on shutdown
 		if n, err := svc.ResumeSessions(db); err != nil {
 			log.Printf("resuming suspended negotiations: %v", err)

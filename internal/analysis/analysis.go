@@ -6,11 +6,11 @@
 //
 // The analyzers encode invariants that earlier PRs established by
 // convention — context propagation through the transport paths, %w error
-// wrapping, telemetry metric naming, explicit wire tags on serialized
-// structs, defer-paired mutex use, and checked fsync errors in the
-// storage engine — so that a regression fails CI
-// instead of silently eroding the fault-tolerance and observability
-// story. See DESIGN.md ("Static analysis") for the analyzer↔invariant
+// wrapping, telemetry metric naming, encoding/xml kept out of non-test
+// code (every wire layout lives in an Encode method), defer-paired mutex
+// use, and checked fsync errors in the storage engine — so that a
+// regression fails CI instead of silently eroding the fault-tolerance
+// and observability story. See DESIGN.md ("Static analysis") for the analyzer↔invariant
 // table and cmd/vetvo for the CLI.
 //
 // Deliberate exceptions are annotated in source with
@@ -107,7 +107,7 @@ func Suite() []*Analyzer {
 		ctxpropagate(),
 		errwrap(),
 		metricname(),
-		xmltag(),
+		xmlimport(),
 		nakedlock(),
 		syncerr(),
 		lockorder(),

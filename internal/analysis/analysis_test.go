@@ -59,7 +59,7 @@ func TestGolden(t *testing.T) {
 		{"ctxpropagate", []string{"ctxpropagate/cluster"}},
 		{"errwrap", []string{"errwrap/a"}},
 		{"metricname", []string{"metricname/a"}},
-		{"xmltag", []string{"xmltag/negotiation"}},
+		{"xmlimport", []string{"xmlimport/a"}},
 		{"nakedlock", []string{"nakedlock/a"}},
 		{"nakedlock", []string{"nakedlock/clustershape"}},
 		{"syncerr", []string{"syncerr/a"}},

@@ -58,32 +58,6 @@ func signatureTakesContext(sig *types.Signature) bool {
 	return false
 }
 
-// derefStruct unwraps pointers, slices, and arrays down to a named
-// struct type, returning the named type and its struct underlying, or
-// nil when t does not bottom out at one.
-func derefStruct(t types.Type) (*types.Named, *types.Struct) {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Slice:
-			t = u.Elem()
-		case *types.Array:
-			t = u.Elem()
-		default:
-			named, ok := t.(*types.Named)
-			if !ok {
-				return nil, nil
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				return nil, nil
-			}
-			return named, st
-		}
-	}
-}
-
 // pkgPathHasSuffix reports whether the import path is exactly name or
 // ends in "/name" — suffix matching keeps the analyzers testable from
 // golden packages whose paths mirror the real package names.

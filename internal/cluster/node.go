@@ -41,12 +41,10 @@ type Config struct {
 	// of forwarding server-side. Clients following redirects spare the
 	// cluster a proxy hop per message.
 	Redirect bool
-	// SyncRepl gates every store commit acknowledgment on SyncQuorum
-	// follower acknowledgments, so promoting the most advanced survivor
-	// loses no acked write.
+	// SyncRepl gates every store commit acknowledgment on a follower's
+	// acknowledgment, so promoting the most advanced survivor loses no
+	// acked write.
 	SyncRepl bool
-	// SyncQuorum is the follower-ack count SyncRepl waits for (default 1).
-	SyncQuorum int
 	// TicketTTL bounds session migration ticket validity (default 2m).
 	TicketTTL time.Duration
 	// StandbyTTL bounds how long an unclaimed standby snapshot is kept
@@ -63,8 +61,6 @@ type Config struct {
 	// holding a capacity slot, making per-node throughput Capacity/Floor
 	// even when the handler itself is faster (benchmark scaling model).
 	ServiceFloor time.Duration
-	// ReplInterval paces the background replication pusher (default 25ms).
-	ReplInterval time.Duration
 	// Logf reports operational events (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -226,20 +222,6 @@ func (n *Node) maxReplLog() int {
 		return n.cfg.MaxReplLog
 	}
 	return 4096
-}
-
-func (n *Node) syncQuorum() int {
-	if n.cfg.SyncQuorum > 0 {
-		return n.cfg.SyncQuorum
-	}
-	return 1
-}
-
-func (n *Node) replInterval() time.Duration {
-	if n.cfg.ReplInterval > 0 {
-		return n.cfg.ReplInterval
-	}
-	return 25 * time.Millisecond
 }
 
 // mintOwnedID draws random session ids until one lands on this node's

@@ -242,8 +242,14 @@ func (n *Node) replPeers() []string {
 	return out
 }
 
+// syncQuorum is the follower-ack count SyncRepl waits for.
+const syncQuorum = 1
+
+// replInterval paces the background replication pusher.
+const replInterval = 25 * time.Millisecond
+
 // pushQuorum pushes the log through head to every follower and fails
-// unless at least SyncQuorum of them confirmed.
+// unless at least syncQuorum of them confirmed.
 func (n *Node) pushQuorum(ctx context.Context, head uint64) error {
 	peers := n.replPeers()
 	acks := 0
@@ -256,11 +262,11 @@ func (n *Node) pushQuorum(ctx context.Context, head uint64) error {
 		acks++
 	}
 	n.updateLagGauge(head)
-	if q := n.syncQuorum(); acks < q {
+	if acks < syncQuorum {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no followers registered")
 		}
-		return fmt.Errorf("cluster: sync replication quorum not met (%d/%d acks): %w", acks, n.syncQuorum(), lastErr)
+		return fmt.Errorf("cluster: sync replication quorum not met (%d/%d acks): %w", acks, syncQuorum, lastErr)
 	}
 	return nil
 }
@@ -270,7 +276,7 @@ func (n *Node) pushQuorum(ctx context.Context, head uint64) error {
 // replication path in async mode and the revived-follower catch-up path
 // in sync mode. It also refreshes the replication lag gauge.
 func (n *Node) replLoop(ctx context.Context) {
-	t := time.NewTicker(n.replInterval())
+	t := time.NewTicker(replInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -132,11 +132,11 @@ func mustGetXML(t *testing.T, s *Store, kind, key string) string {
 // checkpoint mutex. Run under -race with writers and a checkpoint in
 // flight while Destroy fires.
 func TestDestroyCloseRace(t *testing.T) {
-	t.Run("backend="+BackendFSWAL, func(t *testing.T) {
+	t.Run("backend=fswal", func(t *testing.T) {
 		for iter := 0; iter < 20; iter++ {
 			base := filepath.Join(t.TempDir(), "t.wal")
 			s, err := OpenWithOptions(base, Options{
-				Backend: BackendFSWAL, Durability: DurabilityGroup, SegmentSize: tortureSegmentSize,
+				Durability: DurabilityGroup, SegmentSize: tortureSegmentSize,
 			})
 			if err != nil {
 				t.Fatal(err)

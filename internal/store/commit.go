@@ -1,25 +1,25 @@
 package store
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Group commit. All durable mutations funnel through one committer
-// goroutine: writers submit their frame and block; the committer
-// coalesces everything queued into a batch, hands the batch to the
-// Backend as ONE Append (which pays one write and — per policy — one
+// goroutine: writers submit their entry and block; the committer
+// coalesces everything queued into a batch, hands the batch to the WAL
+// as ONE Append (which pays one write and — under DurabilityGroup — one
 // fsync for the whole batch), and only then applies the batch to the
 // in-memory maps and releases the writers. N concurrent writers
 // therefore share one disk flush instead of paying one each, while
 // keeping the contract that a nil return from Put/Delete means "on
-// stable storage" (under DurabilityGroup and DurabilityEveryOp).
+// stable storage" (under DurabilityGroup).
 //
-// The committer is also the only goroutine that calls into the backend's
+// The committer is also the only goroutine that calls into the WAL's
 // append path (Append/Sync/Rotate/Close) or touches the poison state,
 // which removes a whole class of lost-handle bugs: any append-path
 // failure poisons the log with a sticky error — later writes fail loudly
 // instead of landing on a dead file.
+
+// maxBatch caps how many requests one commit batch may carry.
+const maxBatch = 128
 
 type commitKind int
 
@@ -32,19 +32,18 @@ const (
 
 type commitReq struct {
 	kind  commitKind
-	entry walEntry
+	entry Entry
 	rec   *Record // pre-validated record for ckPut
 	done  chan commitResult
 }
 
 type commitResult struct {
 	err error
-	// coverSeq and entries answer a ckRotate: the backend's checkpoint
-	// token (for the segmented WAL, the first segment NOT summarized by a
-	// snapshot taken now) and the consistent record set as of the
-	// rotation point.
+	// coverSeq and entries answer a ckRotate: the first segment NOT
+	// summarized by a snapshot taken now, and the consistent record set
+	// as of the rotation point.
 	coverSeq uint64
-	entries  []walEntry
+	entries  []Entry
 }
 
 // submit hands a request to the committer and waits for its result.
@@ -60,79 +59,51 @@ func (s *Store) submit(req commitReq) commitResult {
 	return <-req.done
 }
 
-// committer is the group-commit loop. It exits when the request channel
-// is closed (Store.Close), after draining every queued request. The
-// channel is passed in rather than read from the struct because Close
-// nils the field before closing the channel.
+// committer is the group-commit loop. Batching is natural: whatever
+// queued while the previous batch was flushing is taken without waiting,
+// up to maxBatch requests. The loop exits when the request channel is
+// closed (Store.Close), after draining every queued request. The channel
+// is passed in rather than read from the struct because Close nils the
+// field before closing the channel.
 func (s *Store) committer(ch chan commitReq) {
 	defer s.commitWG.Done()
-	for {
-		req, ok := <-ch
-		if !ok {
-			s.sealLog()
-			return
-		}
-		s.processBatch(s.collectBatch(ch, req))
-	}
-}
-
-// collectBatch gathers queued requests behind first, up to MaxBatch.
-// Coalescing is primarily "natural": whatever queued while the previous
-// batch was fsyncing is taken without waiting. A positive MaxDelay
-// additionally holds the batch open for stragglers, trading put latency
-// for fewer fsyncs.
-func (s *Store) collectBatch(ch chan commitReq, first commitReq) []commitReq {
-	batch := append(make([]commitReq, 0, s.opts.MaxBatch), first)
-	for len(batch) < s.opts.MaxBatch {
-		select {
-		case r, ok := <-ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		default:
-			if s.opts.MaxDelay <= 0 || s.opts.Durability != DurabilityGroup {
-				return batch
-			}
-			timer := time.NewTimer(s.opts.MaxDelay)
-			defer timer.Stop()
-			for len(batch) < s.opts.MaxBatch {
-				select {
-				case r, ok := <-ch:
-					if !ok {
-						return batch
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					return batch
+	for first := range ch {
+		batch := append(make([]commitReq, 0, maxBatch), first)
+	collect:
+		for len(batch) < maxBatch {
+			select {
+			case r, ok := <-ch:
+				if !ok {
+					break collect
 				}
+				batch = append(batch, r)
+			default:
+				break collect
 			}
-			return batch
 		}
+		s.processBatch(batch)
 	}
-	return batch
+	s.sealLog()
 }
 
-// processBatch walks the batch in order. Puts and deletes accumulate and
-// flush together; sync and rotate requests act as barriers (everything
-// before them commits first).
+// processBatch walks the batch in order. Runs of puts and deletes flush
+// together; sync and rotate requests act as barriers (everything before
+// them commits first).
 func (s *Store) processBatch(batch []commitReq) {
-	var pending []commitReq
-	for _, r := range batch {
+	start := 0
+	for i, r := range batch {
 		switch r.kind {
-		case ckPut, ckDelete:
-			pending = append(pending, r)
 		case ckSync:
-			s.flush(pending)
-			pending = nil
+			s.flushGroup(batch[start:i])
+			start = i + 1
 			r.done <- commitResult{err: s.syncActive()}
 		case ckRotate:
-			s.flush(pending)
-			pending = nil
+			s.flushGroup(batch[start:i])
+			start = i + 1
 			r.done <- s.rotateForCheckpoint()
 		}
 	}
-	s.flush(pending)
+	s.flushGroup(batch[start:])
 }
 
 // poisonErr wraps the sticky failure for reporting.
@@ -140,40 +111,27 @@ func (s *Store) poisonErr() error {
 	return fmt.Errorf("store: WAL poisoned by earlier write failure: %w", s.poison)
 }
 
-// syncActive forces the backend to stable storage on demand (Store.Sync).
+// syncActive forces the WAL to stable storage on demand (Store.Sync).
 func (s *Store) syncActive() error {
 	if s.poison != nil {
 		return s.poisonErr()
 	}
-	if err := s.backend.Sync(); err != nil {
+	if err := s.wal.Sync(); err != nil {
 		s.poison = err
 		return s.poisonErr()
 	}
 	return nil
 }
 
-// flush commits pending mutations: under DurabilityEveryOp each op is
-// written and fsynced alone (the pre-group-commit baseline, kept for the
-// EXT-12 A/B); otherwise the whole group shares one write and one fsync.
-func (s *Store) flush(pending []commitReq) {
-	if len(pending) == 0 {
-		return
-	}
-	if s.opts.Durability == DurabilityEveryOp {
-		for _, r := range pending {
-			s.flushGroup([]commitReq{r})
-		}
-		return
-	}
-	s.flushGroup(pending)
-}
-
-// flushGroup hands the group's entries to the backend as one Append
-// (which writes and fsyncs per the durability policy), applies the group
-// to the in-memory maps in log order, and acknowledges each writer. On
-// an append failure the log is poisoned and every unacknowledged writer
-// in the group gets the error — no write is ever silently dropped.
+// flushGroup hands the group's entries to the WAL as one Append (which
+// writes and fsyncs per the durability policy), applies the group to the
+// in-memory maps in log order, and acknowledges each writer. On an
+// append failure the log is poisoned and every unacknowledged writer in
+// the group gets the error — no write is ever silently dropped.
 func (s *Store) flushGroup(group []commitReq) {
+	if len(group) == 0 {
+		return
+	}
 	if s.poison != nil {
 		err := s.poisonErr()
 		for _, r := range group {
@@ -182,29 +140,16 @@ func (s *Store) flushGroup(group []commitReq) {
 		return
 	}
 	// Resolve deletes against the committed state plus this group's own
-	// earlier effects, so a delete of a missing key is rejected without
+	// earlier entries, so a delete of a missing key is rejected without
 	// logging a frame (replay stays an exact record of applied changes).
 	accepted := group[:0:len(group)]
-	overlay := make(map[string]bool, len(group))
-	batch := make([]walEntry, 0, len(group))
+	batch := make([]Entry, 0, len(group))
 	for _, r := range group {
-		ck := composite(r.entry.kind, r.entry.key)
-		if r.kind == ckDelete {
-			exists, seen := overlay[ck]
-			if !seen {
-				s.mu.RLock() //lint:allow nakedlock single map lookup; defer would pin the read lock per group entry
-				_, exists = s.byKey[ck]
-				s.mu.RUnlock()
-			}
-			if !exists {
-				r.done <- commitResult{err: fmt.Errorf("%w: %s/%s", ErrNotFound, r.entry.kind, r.entry.key)}
-				continue
-			}
-			overlay[ck] = false
-		} else {
-			overlay[ck] = true
+		if r.kind == ckDelete && !s.liveAfter(batch, r.entry.Kind, r.entry.Key) {
+			r.done <- commitResult{err: fmt.Errorf("%w: %s/%s", ErrNotFound, r.entry.Kind, r.entry.Key)}
+			continue
 		}
-		// Reject what no backend can frame here, per writer, so Append
+		// Reject what no frame can carry here, per writer, so Append
 		// never fails on one entry and poisons the whole batch.
 		if err := validateEntry(r.entry); err != nil {
 			r.done <- commitResult{err: err}
@@ -216,7 +161,7 @@ func (s *Store) flushGroup(group []commitReq) {
 	if len(accepted) == 0 {
 		return
 	}
-	if err := s.backend.Append(batch); err != nil {
+	if err := s.wal.Append(batch); err != nil {
 		s.poison = err
 		perr := s.poisonErr()
 		for _, r := range accepted {
@@ -232,9 +177,9 @@ func (s *Store) flushGroup(group []commitReq) {
 		if r.kind == ckPut {
 			s.applyRecord(r.rec)
 		} else {
-			s.applyDelete(r.entry.kind, r.entry.key)
+			s.applyDelete(r.entry.Kind, r.entry.Key)
 		}
-		s.kindGens[r.entry.kind]++
+		s.kindGens[r.entry.Kind]++
 	}
 	m.records.Set(int64(len(s.byKey)))
 	s.mu.Unlock()
@@ -243,14 +188,25 @@ func (s *Store) flushGroup(group []commitReq) {
 	// A hook failure is NOT poison — the local log is intact — but every
 	// writer in the batch sees the error instead of a nil ack. Observers
 	// (cache invalidation) fire regardless: the local view did change.
-	entries := make([]Entry, len(accepted))
-	for i, r := range accepted {
-		entries[i] = exportEntry(r.entry)
-	}
-	hookErr := s.commitHook(entries)
+	hookErr := s.commitHook(batch)
 	for _, r := range accepted {
 		r.done <- commitResult{err: hookErr}
 	}
+}
+
+// liveAfter reports whether (kind, key) is live once the entries of
+// batch are applied: the last of them on that key decides, and the
+// committed maps answer when none touches it.
+func (s *Store) liveAfter(batch []Entry, kind, key string) bool {
+	for i := len(batch) - 1; i >= 0; i-- {
+		if e := batch[i]; e.Kind == kind && e.Key == key {
+			return e.Op == OpPut
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.byKey[composite(kind, key)]
+	return ok
 }
 
 // commitHook invokes the OnCommit gate and then the non-gating observers
@@ -264,50 +220,32 @@ func (s *Store) commitHook(entries []Entry) error {
 	return err
 }
 
-// rotateForCheckpoint asks the backend to begin a checkpoint and captures
-// the consistent record set at that boundary: everything the checkpoint
-// token covers is exactly the returned entries, which is what makes
-// snapshot + later-log replay recovery exact.
+// rotateForCheckpoint seals the active segment and captures the
+// consistent record set at that boundary: the segments below the
+// returned cover sequence hold exactly the returned entries, which is
+// what makes snapshot + later-log replay recovery exact.
 func (s *Store) rotateForCheckpoint() commitResult {
 	if s.poison != nil {
 		return commitResult{err: s.poisonErr()}
 	}
-	coverSeq, err := s.backend.Rotate()
+	coverSeq, err := s.wal.Rotate()
 	if err != nil {
 		s.poison = err
 		return commitResult{err: s.poisonErr()}
 	}
-	return commitResult{coverSeq: coverSeq, entries: s.liveEntries()}
-}
-
-// liveEntries captures every live record as a put frame, in sorted
-// (kind, key) order for deterministic snapshots.
-func (s *Store) liveEntries() []walEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries := make([]walEntry, 0, len(s.byKey))
-	for _, kind := range sortedKeys(s.byKind) {
-		km := s.byKind[kind]
-		for _, key := range sortedKeys(km) {
-			entries = append(entries, walEntry{op: opPut, kind: kind, key: key, doc: km[key].XML})
-		}
-	}
-	return entries
+	return commitResult{coverSeq: coverSeq, entries: s.SnapshotEntries()}
 }
 
 // sealLog runs at shutdown, after the request channel has drained: flush
-// the backend per policy and release its handles. Errors are reported
+// the WAL per policy and release its handles. Errors are reported
 // through Store.Close.
 func (s *Store) sealLog() {
-	if s.backend == nil {
-		return
-	}
-	if s.poison == nil && s.opts.Durability != DurabilityOS {
-		if err := s.backend.Sync(); err != nil {
+	if s.poison == nil && s.opts.Durability == DurabilityGroup {
+		if err := s.wal.Sync(); err != nil {
 			s.closeErr = fmt.Errorf("store: final WAL fsync: %w", err)
 		}
 	}
-	if err := s.backend.Close(); err != nil && s.closeErr == nil {
+	if err := s.wal.Close(); err != nil && s.closeErr == nil {
 		s.closeErr = fmt.Errorf("store: close WAL: %w", err)
 	}
 }

@@ -3,81 +3,34 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 )
 
-// Exported WAL-frame surface for replication (internal/cluster).
+// Replication surface (internal/cluster).
 //
-// The segmented log's CRC-checked frames double as a replication wire
-// format: a leader streams the frames its commit path produced, and a
-// follower decodes them with the same torn-tail tolerance recovery uses
-// — a transfer cut mid-frame yields the good prefix, and the sender
-// resumes from the receiver's applied position. Snapshot catch-up
-// reuses the same frames (SnapshotEntries is the live record set as
-// put-frames, exactly what checkpoint snapshots store).
-
-// OpPut and OpDelete are the exported Entry operation codes.
-const (
-	OpPut    = byte(opPut)
-	OpDelete = byte(opDelete)
-)
-
-// Entry is one exported WAL mutation.
-type Entry struct {
-	// Op is OpPut or OpDelete.
-	Op byte
-	// Kind and Key address the record.
-	Kind string
-	Key  string
-	// Doc is the record XML for puts ("" for deletes).
-	Doc string
-}
-
-func exportEntry(e walEntry) Entry {
-	return Entry{Op: byte(e.op), Kind: e.kind, Key: e.key, Doc: e.doc}
-}
-
-func importEntry(e Entry) walEntry {
-	return walEntry{op: walOp(e.Op), kind: e.Kind, key: e.Key, doc: e.Doc}
-}
-
-// EncodeEntries renders entries as a run of CRC-framed WAL bytes.
-func EncodeEntries(entries []Entry) ([]byte, error) {
-	var buf []byte
-	for _, e := range entries {
-		var err error
-		if buf, err = appendFrame(buf, importEntry(e)); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// DecodeFrames decodes WAL frames from r until EOF or the first torn or
-// corrupt frame, returning the decoded entries and how many bytes of
-// good frames were consumed. A truncated transfer is not an error — the
-// caller sees the valid prefix, the same contract crash recovery gives
-// a torn segment tail.
-func DecodeFrames(r io.Reader) ([]Entry, int64) {
-	raw, good, _ := replayFrames(r)
-	out := make([]Entry, len(raw))
-	for i, e := range raw {
-		out[i] = exportEntry(e)
-	}
-	return out, good
-}
+// The segmented log's CRC-checked frames (EncodeEntries and DecodeFrames
+// in wal.go) double as a replication wire format: a leader streams the
+// frames its commit path produced, and a follower decodes them with the
+// same torn-tail tolerance recovery uses — a transfer cut mid-frame
+// yields the good prefix, and the sender resumes from the receiver's
+// applied position. Snapshot catch-up reuses the same frames
+// (SnapshotEntries is the live record set as put-frames, exactly what
+// checkpoint snapshots store).
 
 // SnapshotEntries returns every live record as a put entry in sorted
-// (kind, key) order — a consistent full-state image suitable for
-// follower catch-up.
+// (kind, key) order — a consistent full-state image, for checkpoint
+// snapshots and follower catch-up alike.
 func (s *Store) SnapshotEntries() []Entry {
-	raw := s.liveEntries()
-	out := make([]Entry, len(raw))
-	for i, e := range raw {
-		out[i] = exportEntry(e)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	entries := make([]Entry, 0, len(s.byKey))
+	for _, kind := range sortedKeys(s.byKind) {
+		km := s.byKind[kind]
+		for _, key := range sortedKeys(km) {
+			entries = append(entries, Entry{Op: OpPut, Kind: kind, Key: key, Doc: km[key].XML})
+		}
 	}
-	return out
+	return entries
 }
 
 // ApplyEntries applies replicated entries through the normal write path,

@@ -20,7 +20,7 @@ func tornFixture(t *testing.T, n int) (pristine []byte, boundaries []int) {
 	boundaries = []int{}
 	for i := 0; i < n; i++ {
 		var err error
-		buf, err = appendFrame(buf, walEntry{op: opPut, kind: "doc", key: fmt.Sprintf("k%d", i), doc: fmt.Sprintf(`<d n="%d"/>`, i)})
+		buf, err = appendFrame(buf, Entry{Op: OpPut, Kind: "doc", Key: fmt.Sprintf("k%d", i), Doc: fmt.Sprintf(`<d n="%d"/>`, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,12 +162,12 @@ func TestCompactConcurrentPuts(t *testing.T) {
 // migrated. Open must fail naming the file and must leave it untouched.
 func TestLegacyV1Migration(t *testing.T) {
 	var buf []byte
-	for _, e := range []walEntry{
-		{op: opPut, kind: "cred", key: "a", doc: `<c n="1"/>`},
-		{op: opPut, kind: "cred", key: "b", doc: `<c n="2"/>`},
-		{op: opPut, kind: "cred", key: "a", doc: `<c n="3"/>`}, // overwrite
-		{op: opDelete, kind: "cred", key: "b"},
-		{op: opPut, kind: "pol", key: "p", doc: `<p/>`},
+	for _, e := range []Entry{
+		{Op: OpPut, Kind: "cred", Key: "a", Doc: `<c n="1"/>`},
+		{Op: OpPut, Kind: "cred", Key: "b", Doc: `<c n="2"/>`},
+		{Op: OpPut, Kind: "cred", Key: "a", Doc: `<c n="3"/>`}, // overwrite
+		{Op: OpDelete, Kind: "cred", Key: "b"},
+		{Op: OpPut, Kind: "pol", Key: "p", Doc: `<p/>`},
 	} {
 		var err error
 		if buf, err = appendFrame(buf, e); err != nil {
@@ -183,13 +183,13 @@ func TestLegacyV1Migration(t *testing.T) {
 func TestLegacyV1TornTail(t *testing.T) {
 	var buf []byte
 	var err error
-	if buf, err = appendFrame(buf, walEntry{op: opPut, kind: "doc", key: "k0", doc: `<d n="0"/>`}); err != nil {
+	if buf, err = appendFrame(buf, Entry{Op: OpPut, Kind: "doc", Key: "k0", Doc: `<d n="0"/>`}); err != nil {
 		t.Fatal(err)
 	}
-	if buf, err = appendFrame(buf, walEntry{op: opPut, kind: "doc", key: "k1", doc: `<d n="1"/>`}); err != nil {
+	if buf, err = appendFrame(buf, Entry{Op: OpPut, Kind: "doc", Key: "k1", Doc: `<d n="1"/>`}); err != nil {
 		t.Fatal(err)
 	}
-	buf = append(buf, walMagic[0], walMagic[1], byte(opPut), 0) // torn header
+	buf = append(buf, walMagic[0], walMagic[1], OpPut, 0) // torn header
 	checkV1Refused(t, buf)
 }
 
@@ -216,4 +216,116 @@ func checkV1Refused(t *testing.T, image []byte) {
 	if !bytes.Equal(got, image) {
 		t.Fatalf("v1 file changed by a refused Open: %d bytes, was %d", len(got), len(image))
 	}
+}
+
+// TestDamagedSealedSegmentRefused: rotation syncs a segment as it seals
+// it, so a sealed segment that ends short is damage, not a torn tail.
+// Replaying the later segments on top of the cut would serve the store
+// with acknowledged writes missing from the middle of its log. Open must
+// fail naming the damaged segment and leave every file as it found it.
+func TestDamagedSealedSegmentRefused(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "t.wal")
+	s, err := OpenWithOptions(base, Options{Durability: DurabilityGroup, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := s.PutXML("doc", fmt.Sprintf("k%02d", i), fmt.Sprintf(`<d n="%d"/>`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := listSegments(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) < 3 {
+		t.Fatalf("workload made %d segments, want at least 3", len(refs))
+	}
+	img, err := os.ReadFile(refs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 0xFF
+	if err := os.WriteFile(refs[0].path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, filepath.Dir(base))
+
+	re, err := Open(base)
+	if err == nil {
+		n := re.Count("doc")
+		re.Close()
+		t.Fatalf("Open replayed past a damaged sealed segment (%d of 40 records served)", n)
+	}
+	if !strings.Contains(err.Error(), refs[0].path) {
+		t.Fatalf("error does not name the damaged segment %s: %v", refs[0].path, err)
+	}
+	if after := dirImage(t, filepath.Dir(base)); !imagesEqual(before, after) {
+		t.Fatalf("a refused Open changed the store's files:\nbefore %v\n after %v", sizes(before), sizes(after))
+	}
+}
+
+// TestTornSegmentBeforeEmptyOneRecovers is the crash mid-rotation: the
+// next segment exists but is empty, so the short one still holds the
+// newest frames and its tail is an ordinary tear.
+func TestTornSegmentBeforeEmptyOneRecovers(t *testing.T) {
+	pristine, boundaries := tornFixture(t, 5)
+	base := filepath.Join(t.TempDir(), "t.wal")
+	cut := boundaries[2] + 3
+	if err := os.WriteFile(segmentPath(base, 1), pristine[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segmentPath(base, 2), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkRecovered(t, base, 3, "torn segment before an empty one")
+	fi, err := os.Stat(segmentPath(base, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(boundaries[2]) {
+		t.Fatalf("torn segment is %d bytes after recovery, want %d", fi.Size(), boundaries[2])
+	}
+}
+
+// dirImage reads every file in dir.
+func dirImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := map[string][]byte{}
+	for _, de := range des {
+		b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[de.Name()] = b
+	}
+	return img
+}
+
+func imagesEqual(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			return false
+		}
+	}
+	return true
+}
+
+// sizes summarizes an image for failure messages.
+func sizes(img map[string][]byte) map[string]int {
+	out := make(map[string]int, len(img))
+	for name, data := range img {
+		out[name] = len(data)
+	}
+	return out
 }

@@ -96,27 +96,56 @@ func createSegment(fs faultinject.FS, base string, seq uint64) (*activeSegment, 
 	return &activeSegment{f: f, seq: seq}, nil
 }
 
-// replaySegmentFile replays the frames of one on-disk segment and
-// truncates a torn tail so the file never re-tears at
-// the same spot. Reading is plain os I/O: recovery happens before any
-// write is acknowledged, so it sits outside the crash-injection surface.
-func replaySegmentFile(path string) ([]walEntry, error) {
+// segmentTail records where a replayed segment's whole frames end (good)
+// and where its file ends (size); good < size is a torn tail.
+type segmentTail struct {
+	path       string
+	good, size int64
+}
+
+// readSegment replays the frames of one on-disk segment. Reading is
+// plain os I/O: recovery happens before any write is acknowledged, so it
+// sits outside the crash-injection surface.
+func readSegment(path string) ([]Entry, segmentTail, error) {
+	tail := segmentTail{path: path}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, tail, nil
 		}
-		return nil, fmt.Errorf("store: open segment: %w", err)
+		return nil, tail, fmt.Errorf("store: open segment: %w", err)
 	}
 	defer f.Close()
-	entries, good, err := replayFrames(f)
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("store: replay %s: %w", path, err)
+		return nil, tail, fmt.Errorf("store: stat segment %s: %w", path, err)
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > good {
-		if err := os.Truncate(path, good); err != nil {
-			return nil, fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
+	entries, good := DecodeFrames(f)
+	tail.good, tail.size = good, fi.Size()
+	return entries, tail, nil
+}
+
+// seal cuts the segment back to its last whole frame and syncs it, so
+// Recover can start the next segment behind it. The sync matters
+// although the crash-torture harness crashes writes, not recovery: once
+// frames land in the next segment, a cut that never reached the disk,
+// or a tail the previous process left in the page cache, could reappear
+// or vanish in front of them after a crash, and the rule that only the
+// newest frames may end short would refuse a healthy store.
+func (t segmentTail) seal() error {
+	f, err := os.OpenFile(t.path, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("store: seal segment %s: %w", t.path, err)
+	}
+	if t.good < t.size {
+		if err := f.Truncate(t.good); err != nil {
+			f.Close()
+			return fmt.Errorf("store: truncate torn tail of %s: %w", t.path, err)
 		}
 	}
-	return entries, nil
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("store: sync segment %s: %w", t.path, err)
+	}
+	return f.Close()
 }

@@ -34,7 +34,7 @@ const snapHeaderLen = 4 + 8 + 8 + 4
 
 // writeSnapshot writes entries as the snapshot covering segments below
 // coverSeq, atomically replacing any previous snapshot.
-func writeSnapshot(fs faultinject.FS, base string, coverSeq uint64, entries []walEntry) error {
+func writeSnapshot(fs faultinject.FS, base string, coverSeq uint64, entries []Entry) error {
 	tmpPath := snapshotTmpPath(base)
 	f, err := fs.Create(tmpPath)
 	if err != nil {
@@ -92,7 +92,7 @@ func writeSnapshot(fs faultinject.FS, base string, coverSeq uint64, entries []wa
 
 // loadSnapshot reads the snapshot for base. Returns (nil, 0, nil) when no
 // snapshot exists.
-func loadSnapshot(base string) ([]walEntry, uint64, error) {
+func loadSnapshot(base string) ([]Entry, uint64, error) {
 	f, err := os.Open(snapshotPath(base))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -114,10 +114,7 @@ func loadSnapshot(base string) ([]walEntry, uint64, error) {
 	}
 	coverSeq := binary.BigEndian.Uint64(hdr[4:12])
 	count := binary.BigEndian.Uint64(hdr[12:20])
-	entries, _, err := replayFrames(br)
-	if err != nil {
-		return nil, 0, err
-	}
+	entries, _ := DecodeFrames(br)
 	if uint64(len(entries)) != count {
 		return nil, 0, fmt.Errorf("store: snapshot truncated or corrupt: %d of %d records valid", len(entries), count)
 	}

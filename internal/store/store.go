@@ -13,22 +13,20 @@
 //     root element's "type" attribute (credential/policy lookup by type);
 //   - Query evaluates a compiled XPath predicate over every document of a
 //     kind;
-//   - durability comes from a pluggable Backend (backend.go) beneath the
-//     group-commit committer (commit.go). The default is the crash-safe
-//     segmented-WAL engine (v2): a log of CRC-checked frames plus
-//     checkpoint snapshots — concurrent writers share one fsync per
-//     commit batch, the log rotates into sealed segments at a size
-//     threshold (segment.go), and Compact is an online checkpoint that
-//     snapshots the live records and deletes only sealed segments
-//     (snapshot.go); recovery = newest valid snapshot + replay of later
-//     segments, with a torn tail (partial last write after a crash)
-//     detected, truncated and never costing an acknowledged write. The
-//     alternative backends are a directory-per-kind record layout
-//     (backend_dir.go) and a pure in-memory image (tests, benches,
-//     cluster followers). Every durable backend routes its mutation
+//   - a store built with Open persists through one engine, a segmented
+//     write-ahead log (backend_fswal.go) driven by the group-commit
+//     committer (commit.go): a log of CRC-checked frames plus checkpoint
+//     snapshots. Concurrent writers share one fsync per commit batch, the
+//     log rotates into sealed segments at a size threshold (segment.go),
+//     and Compact is an online checkpoint that snapshots the live records
+//     and deletes only sealed segments (snapshot.go). Recovery = newest
+//     valid snapshot + replay of later segments, with a torn tail
+//     (partial last write after a crash) detected, truncated and never
+//     costing an acknowledged write. The engine routes its mutation
 //     surface through internal/faultinject's FS hook layer so a
-//     crash-point torture harness can kill the engine at every file
-//     operation and verify those guarantees.
+//     crash-point torture harness can kill it at every file operation
+//     and verify those guarantees. A store built with New keeps its
+//     records in memory only.
 package store
 
 import (
@@ -38,7 +36,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"trustvo/internal/faultinject"
 	"trustvo/internal/xmldom"
@@ -95,33 +92,18 @@ type Durability int
 
 const (
 	// DurabilityOS leaves flushing to the OS write-back cache: fastest,
-	// and a crash can lose the write-back window (Open's default, the v1
-	// behavior).
+	// and a crash can lose the write-back window (Open's default).
 	DurabilityOS Durability = iota
 	// DurabilityGroup fsyncs once per commit batch: every acknowledged
 	// write is on stable storage, and N concurrent writers share one
-	// flush (OpenDurable's default).
+	// flush (OpenDurable's default). A lone writer gets a batch of one.
 	DurabilityGroup
-	// DurabilityEveryOp fsyncs after every single op: the v1 OpenDurable
-	// behavior, kept as the group-commit A/B baseline (EXT-12).
-	DurabilityEveryOp
 )
 
 // Options tunes a WAL-backed store opened with OpenWithOptions.
 type Options struct {
-	// Backend selects the persistence engine: BackendFSWAL (the default,
-	// also chosen by "") or BackendMemory. See backend.go.
-	Backend string
 	// Durability is the fsync policy (default DurabilityOS).
 	Durability Durability
-	// MaxBatch caps how many mutations one commit batch may carry
-	// (default 128).
-	MaxBatch int
-	// MaxDelay, when positive, holds a batch open that long waiting for
-	// more writers before fsyncing (DurabilityGroup only). The default 0
-	// coalesces only what queued naturally during the previous flush,
-	// adding no latency.
-	MaxDelay time.Duration
 	// SegmentSize is the rotation threshold for log segments
 	// (default 4 MiB).
 	SegmentSize int64
@@ -141,9 +123,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 128
-	}
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
 	}
@@ -165,15 +144,13 @@ type Store struct {
 	// being thrashed by writes to unrelated kinds. See KindGeneration.
 	kindGens map[string]uint64
 
-	// path is the backend base path ("" for stores built with New).
+	// path is the WAL base path ("" for stores built with New).
 	path string
 	opts Options
-	fs   faultinject.FS
 
-	// backend is the persistence engine; nil marks a pure in-memory store
-	// built with New/NewWithOptions (no committer).
-	backend      Backend
-	hasCommitter bool
+	// wal is the persistence engine; nil marks a pure in-memory store
+	// built with New/NewWithOptions, which has no committer.
+	wal *fswalBackend
 
 	// Committer plumbing (see commit.go). commitCh is nil once closed;
 	// closeMu serializes submission against Close. poison and closeErr
@@ -278,55 +255,52 @@ func OpenDurable(path string) (*Store, error) {
 	return OpenWithOptions(path, Options{Durability: DurabilityGroup})
 }
 
-// OpenWithOptions opens a backend-backed store with explicit tuning:
-// construct the selected backend, recover its persisted state into the
-// in-memory view, then start the group-commit committer.
+// OpenWithOptions opens a WAL-backed store with explicit tuning: recover
+// the log's persisted state into the in-memory view, then start the
+// group-commit committer.
 func OpenWithOptions(path string, opts Options) (*Store, error) {
 	s := New()
 	s.path = path
 	s.opts = opts.withDefaults()
-	s.fs = s.opts.FS
-	b, err := s.newBackend(path)
-	if err != nil {
+	wal := &fswalBackend{path: path, opts: s.opts, met: s.met}
+	if err := wal.Recover(s.applyReplay); err != nil {
 		return nil, err
 	}
-	if err := b.Recover(s.applyReplay); err != nil {
-		return nil, err
-	}
-	s.backend = b
-	s.hasCommitter = true
-	s.commitCh = make(chan commitReq, 4*s.opts.MaxBatch)
+	s.wal = wal
+	// Room for a few batches to queue behind the one being flushed, so
+	// writers rarely block on the send itself.
+	s.commitCh = make(chan commitReq, 4*maxBatch)
 	s.commitWG.Add(1)
 	go s.committer(s.commitCh)
 	return s, nil
 }
 
 // applyReplay applies recovered entries to the in-memory maps.
-func (s *Store) applyReplay(entries []walEntry, source string) error {
+func (s *Store) applyReplay(entries []Entry, source string) error {
 	for _, e := range entries {
-		switch e.op {
-		case opPut:
-			rec := &Record{Kind: e.kind, Key: e.key, XML: e.doc}
+		switch e.Op {
+		case OpPut:
+			rec := &Record{Kind: e.Kind, Key: e.Key, XML: e.Doc}
 			if _, err := rec.Doc(); err != nil {
 				// Documents were validated before being logged; a parse
 				// failure here means on-disk corruption that crc32 did
 				// not catch. Surface it.
-				return fmt.Errorf("store: replay %s from %s: %w", composite(e.kind, e.key), source, err)
+				return fmt.Errorf("store: replay %s from %s: %w", composite(e.Kind, e.Key), source, err)
 			}
 			s.applyRecord(rec)
-		case opDelete:
-			s.applyDelete(e.kind, e.key)
+		case OpDelete:
+			s.applyDelete(e.Kind, e.Key)
 		}
 		s.replayedFrames++
 	}
 	return nil
 }
 
-// Close stops the committer (draining queued writes), seals the backend
-// and releases its handles. The in-memory view stays readable but further
+// Close stops the committer (draining queued writes), seals the log and
+// releases its handles. The in-memory view stays readable but further
 // writes fail with ErrWALClosed. Concurrent and repeated Closes are safe:
 // every call waits until the committer has fully shut down, so when any
-// Close returns, no goroutine is still writing to the backend — the fence
+// Close returns, no goroutine is still writing to the log — the fence
 // Destroy relies on. (Previously a second Close returned immediately
 // while the first was still draining, and a Destroy sequenced after it
 // could unlink segments the committer was mid-write on.)
@@ -340,7 +314,7 @@ func (s *Store) Close() error {
 	}
 	// Always wait, even when another Close already took the channel: the
 	// WaitGroup is a no-op for in-memory stores and otherwise blocks until
-	// the committer has sealed the backend.
+	// the committer has sealed the log.
 	s.commitWG.Wait()
 	return s.closeErr
 }
@@ -359,7 +333,7 @@ func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
 	if _, err := rec.Doc(); err != nil {
 		return err
 	}
-	if !s.hasCommitter {
+	if s.wal == nil {
 		s.mu.Lock() //lint:allow nakedlock commitHook below must run outside the lock (it may do I/O)
 		s.applyRecord(rec)
 		s.kindGens[kind]++
@@ -369,7 +343,7 @@ func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
 	}
 	res := s.submit(commitReq{
 		kind:  ckPut,
-		entry: walEntry{op: opPut, kind: kind, key: key, doc: rec.XML},
+		entry: Entry{Op: OpPut, Kind: kind, Key: key, Doc: rec.XML},
 		rec:   rec,
 		done:  make(chan commitResult, 1),
 	})
@@ -436,7 +410,7 @@ func (s *Store) Get(kind, key string) (*Record, error) {
 
 // Delete removes a record, durably logging the removal when WAL-backed.
 func (s *Store) Delete(kind, key string) error {
-	if !s.hasCommitter {
+	if s.wal == nil {
 		s.mu.Lock() //lint:allow nakedlock commitHook below must run outside the lock (it may do I/O)
 		if _, ok := s.byKey[composite(kind, key)]; !ok {
 			s.mu.Unlock()
@@ -450,7 +424,7 @@ func (s *Store) Delete(kind, key string) error {
 	}
 	res := s.submit(commitReq{
 		kind:  ckDelete,
-		entry: walEntry{op: opDelete, kind: kind, key: key},
+		entry: Entry{Op: OpDelete, Kind: kind, Key: key},
 		done:  make(chan commitResult, 1),
 	})
 	return res.err
@@ -546,12 +520,12 @@ func (s *Store) QueryString(kind, expr string) ([]*Record, error) {
 }
 
 // Compact is the online checkpoint: a Rotate barrier through the
-// committer captures the live record set and a checkpoint token, then the
-// backend persists the snapshot and garbage-collects what it supersedes —
-// all while concurrent Puts keep committing into the post-rotation log.
-// A backend with nothing to truncate (memory) makes this a cheap sweep. No-op for in-memory stores built with New.
+// committer captures the live record set and the first segment it does
+// not cover, then the snapshot is written and the segments it supersedes
+// deleted — all while concurrent Puts keep committing into the
+// post-rotation log. No-op for in-memory stores built with New.
 func (s *Store) Compact() error {
-	if !s.hasCommitter {
+	if s.wal == nil {
 		return nil
 	}
 	s.ckptMu.Lock()
@@ -560,19 +534,19 @@ func (s *Store) Compact() error {
 	if res.err != nil {
 		return res.err
 	}
-	if err := s.backend.Snapshot(res.coverSeq, res.entries); err != nil {
+	if err := s.wal.Snapshot(res.coverSeq, res.entries); err != nil {
 		return err
 	}
 	s.met().compactions.Inc()
 	return nil
 }
 
-// Path returns the backend base path ("" for in-memory stores).
+// Path returns the WAL base path ("" for in-memory stores).
 func (s *Store) Path() string { return s.path }
 
 // Sync forces everything logged so far to stable storage.
 func (s *Store) Sync() error {
-	if !s.hasCommitter {
+	if s.wal == nil {
 		return nil
 	}
 	res := s.submit(commitReq{kind: ckSync, done: make(chan commitResult, 1)})
@@ -587,12 +561,12 @@ func (s *Store) Destroy() error {
 	if err := s.Close(); err != nil {
 		return err
 	}
-	if s.backend == nil {
+	if s.wal == nil {
 		return nil
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	return s.backend.Destroy()
+	return s.wal.Destroy()
 }
 
 // sortedKeys returns m's keys in sorted order.

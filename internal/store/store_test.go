@@ -395,6 +395,7 @@ func BenchmarkPutWAL(b *testing.B) {
 	}
 	defer s.Close()
 	doc := el(b, `<credential type="ISO"><content><level>3</level></content></credential>`)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put("c", fmt.Sprintf("k%d", i), doc); err != nil {
@@ -477,10 +478,30 @@ func BenchmarkPutWALDurable(b *testing.B) {
 	}
 	defer s.Close()
 	doc := el(b, `<credential type="ISO"><content><level>3</level></content></credential>`)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put("c", fmt.Sprintf("k%d", i), doc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestDurablePutAllocs keeps the committer's batch buffer on its stack:
+// a durable put on an idle store commits as a batch of one, and the
+// whole put allocates well under the 128-slot buffer's size.
+func TestDurablePutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	res := testing.Benchmark(BenchmarkPutWALDurable)
+	if res.N == 0 {
+		t.Fatal("BenchmarkPutWALDurable did not run")
+	}
+	if got := res.AllocedBytesPerOp(); got >= 4<<10 {
+		t.Fatalf("durable put allocates %d B/op, want under 4 KiB", got)
 	}
 }

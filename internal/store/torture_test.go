@@ -144,20 +144,13 @@ func storeState(s *Store, kinds ...string) tortureState {
 
 const tortureSegmentSize = 192 // tiny: forces rotation every few frames
 
-// durableBackends lists the backends that participate in the crash-image
-// sweeps. BackendMemory is deliberately absent: it keeps no bytes on
-// disk, so the durability-only assertions do not apply to it — its leg
-// of the matrix (TestCrashTortureSweep/memory) instead checks that the
-// same schedule runs cleanly and that a reopen starts empty.
-var durableBackends = []string{BackendFSWAL}
-
 // countCleanOps runs the schedule with no crash point and returns the
 // total file-operation count — the crash-point space to sweep.
-func countCleanOps(t *testing.T, backend string, d Durability) int {
+func countCleanOps(t *testing.T, d Durability) int {
 	t.Helper()
 	cfs := faultinject.NewCrashFS()
 	s, err := OpenWithOptions(filepath.Join(t.TempDir(), "t.wal"), Options{
-		Backend: backend, Durability: d, SegmentSize: tortureSegmentSize, FS: cfs,
+		Durability: d, SegmentSize: tortureSegmentSize, FS: cfs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +166,7 @@ func countCleanOps(t *testing.T, backend string, d Durability) int {
 
 // runCrashCase kills the engine at file operation crashAt, reopens from
 // the keepTail crash image and checks the durability invariants.
-func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepTail float64) {
+func runCrashCase(t *testing.T, d Durability, crashAt int, keepTail float64) {
 	t.Helper()
 	steps := tortureSchedule()
 	prefixes := prefixStates(steps)
@@ -182,7 +175,7 @@ func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepT
 	cfs.CrashAt = crashAt
 
 	acked, attempted := 0, 0
-	s, err := OpenWithOptions(base, Options{Backend: backend, Durability: d, SegmentSize: tortureSegmentSize, FS: cfs})
+	s, err := OpenWithOptions(base, Options{Durability: d, SegmentSize: tortureSegmentSize, FS: cfs})
 	if err == nil {
 		acked, attempted = runSteps(s, steps)
 		s.Close() // the crash may fire here too; descriptors are released regardless
@@ -193,7 +186,7 @@ func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepT
 		t.Fatal(err)
 	}
 
-	re, err := OpenWithOptions(base, Options{Backend: backend})
+	re, err := Open(base)
 	if err != nil {
 		t.Fatalf("crashAt=%d keepTail=%v: reopen after crash: %v", crashAt, keepTail, err)
 	}
@@ -205,8 +198,8 @@ func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepT
 		// Adversarial image: exactly the acknowledged state — acked writes
 		// survived, the in-flight one (never fsynced) vanished.
 		if !statesEqual(got, want) {
-			t.Fatalf("crashAt=%d keepTail=0 (backend=%s durability=%d): state diverged\n got: %v\nwant: %v",
-				crashAt, backend, d, got, want)
+			t.Fatalf("crashAt=%d keepTail=0 (durability=%d): state diverged\n got: %v\nwant: %v",
+				crashAt, d, got, want)
 		}
 		return
 	}
@@ -219,81 +212,44 @@ func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepT
 	if attempted > acked && statesEqual(got, prefixes[attempted]) {
 		return
 	}
-	t.Fatalf("crashAt=%d keepTail=%v (backend=%s durability=%d): state matches no legal prefix\n   got: %v\n acked: %v",
-		crashAt, keepTail, backend, d, got, want)
+	t.Fatalf("crashAt=%d keepTail=%v (durability=%d): state matches no legal prefix\n   got: %v\n acked: %v",
+		crashAt, keepTail, d, got, want)
 }
 
 func TestCrashTortureSweep(t *testing.T) {
-	for _, backend := range durableBackends {
-		for _, d := range []Durability{DurabilityGroup, DurabilityEveryOp} {
-			t.Run(fmt.Sprintf("backend=%s/durability=%d", backend, d), func(t *testing.T) {
-				ops := countCleanOps(t, backend, d)
-				if ops < 40 {
-					t.Fatalf("schedule too small to be interesting: %d file ops", ops)
-				}
-				stride := 1
-				if testing.Short() {
-					stride = 5
-				}
-				for crashAt := 1; crashAt <= ops; crashAt += stride {
-					runCrashCase(t, backend, d, crashAt, 0)
-					runCrashCase(t, backend, d, crashAt, 1)
-					if crashAt%5 == 0 {
-						// Partial write-back: tears the in-flight frame.
-						runCrashCase(t, backend, d, crashAt, 0.5)
-					}
-				}
-			})
+	// DurabilityGroup is the policy that promises acknowledged writes
+	// survive a crash; the subtest keeps its established name.
+	t.Run("backend=fswal/durability=1", func(t *testing.T) {
+		d := DurabilityGroup
+		ops := countCleanOps(t, d)
+		if ops < 40 {
+			t.Fatalf("schedule too small to be interesting: %d file ops", ops)
 		}
-	}
-
-	// The memory backend's leg: EXEMPT from the durability-only
-	// assertions above (it keeps nothing on disk by design). The same
-	// schedule must still run cleanly through the full group-commit
-	// machinery, the live state must match the schedule, and a "reopen"
-	// of the same path must start empty — memory loss is the contract,
-	// not a bug.
-	t.Run("backend=memory", func(t *testing.T) {
-		steps := tortureSchedule()
-		prefixes := prefixStates(steps)
-		base := filepath.Join(t.TempDir(), "t.wal")
-		s, err := OpenWithOptions(base, Options{Backend: BackendMemory, Durability: DurabilityGroup})
-		if err != nil {
-			t.Fatal(err)
+		stride := 1
+		if testing.Short() {
+			stride = 5
 		}
-		acked, attempted := runSteps(s, steps)
-		if acked != attempted || acked != len(prefixes)-1 {
-			t.Fatalf("memory backend rejected schedule ops: acked=%d attempted=%d", acked, attempted)
-		}
-		if got := storeState(s, "cred", "pol"); !statesEqual(got, prefixes[acked]) {
-			t.Fatalf("live state diverged\n got: %v\nwant: %v", got, prefixes[acked])
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenWithOptions(base, Options{Backend: BackendMemory})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if got := storeState(re, "cred", "pol"); len(got) != 0 {
-			t.Fatalf("memory backend persisted %d records across reopen", len(got))
+		for crashAt := 1; crashAt <= ops; crashAt += stride {
+			runCrashCase(t, d, crashAt, 0)
+			runCrashCase(t, d, crashAt, 1)
+			if crashAt%5 == 0 {
+				// Partial write-back: tears the in-flight frame.
+				runCrashCase(t, d, crashAt, 0.5)
+			}
 		}
 	})
 }
 
 // TestCrashTortureConcurrent crashes the engine under concurrent group
-// committers, once per durable backend. Keys are distinct per write, so
+// committers. Keys are distinct per write, so
 // the invariants are set-shaped: every acknowledged key survives with its
 // exact document, and every recovered key is one the workload actually
 // wrote.
 func TestCrashTortureConcurrent(t *testing.T) {
-	for _, backend := range durableBackends {
-		t.Run("backend="+backend, func(t *testing.T) { runConcurrentTorture(t, backend) })
-	}
+	t.Run("backend=fswal", runConcurrentTorture)
 }
 
-func runConcurrentTorture(t *testing.T, backend string) {
+func runConcurrentTorture(t *testing.T) {
 	const writers, perWriter = 8, 6
 	// Attributes in canonical (sorted) order so the stored XML round-trips
 	// byte-identical through the serializer.
@@ -303,7 +259,7 @@ func runConcurrentTorture(t *testing.T, backend string) {
 	// it vary slightly, which only shifts where the sampled points land).
 	cleanFS := faultinject.NewCrashFS()
 	clean, err := OpenWithOptions(filepath.Join(t.TempDir(), "c.wal"), Options{
-		Backend: backend, Durability: DurabilityGroup, SegmentSize: tortureSegmentSize, FS: cleanFS,
+		Durability: DurabilityGroup, SegmentSize: tortureSegmentSize, FS: cleanFS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +283,7 @@ func runConcurrentTorture(t *testing.T, backend string) {
 		base := filepath.Join(t.TempDir(), "t.wal")
 		cfs := faultinject.NewCrashFS()
 		cfs.CrashAt = crashAt
-		s, err := OpenWithOptions(base, Options{Backend: backend, Durability: DurabilityGroup, SegmentSize: tortureSegmentSize, FS: cfs})
+		s, err := OpenWithOptions(base, Options{Durability: DurabilityGroup, SegmentSize: tortureSegmentSize, FS: cfs})
 		if err != nil {
 			if errors.Is(err, faultinject.ErrCrashed) {
 				continue
@@ -359,7 +315,7 @@ func runConcurrentTorture(t *testing.T, backend string) {
 			t.Fatal(err)
 		}
 
-		re, err := OpenWithOptions(base, Options{Backend: backend})
+		re, err := Open(base)
 		if err != nil {
 			t.Fatalf("crashAt=%d: reopen: %v", crashAt, err)
 		}

@@ -114,6 +114,20 @@ func (b *breaker) failure() bool {
 	return false
 }
 
+// abandon records an attempt the caller's own context ended: it says
+// nothing about the endpoint, so it counts as neither success nor
+// failure. A half-open probe is released and the breaker goes back to
+// open with its cooldown already served, so the next call probes again;
+// a closed breaker keeps its failure count.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+		b.probing = false
+	}
+}
+
 // snapshot returns the current state name (for tests and debugging).
 func (b *breaker) snapshot() breakerState {
 	b.mu.Lock()

@@ -127,6 +127,11 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 			return root, nil
 		}
 		lastErr = err
+		if ctx.Err() != nil {
+			// the caller gave up: the attempt proves nothing either way
+			br.abandon()
+			return nil, err
+		}
 		te, _ := err.(*Error)
 		if te != nil && te.Temporary {
 			if br.failure() {
@@ -137,7 +142,7 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 			// the endpoint is alive even though the call failed
 			br.success()
 		}
-		if te == nil || !te.Temporary || ctx.Err() != nil {
+		if te == nil || !te.Temporary {
 			return nil, err
 		}
 	}

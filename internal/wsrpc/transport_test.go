@@ -1,6 +1,7 @@
 package wsrpc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -187,6 +188,70 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if !b.allow() {
 		t.Fatal("closed breaker rejected a call")
+	}
+}
+
+// TestBreakerAbandonedProbe: an attempt the caller's own context ended
+// records neither success nor failure. A half-open probe goes back to
+// open with its cooldown served, so the next call probes again, and a
+// closed breaker keeps its failure count.
+func TestBreakerAbandonedProbe(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := newBreaker(2, time.Second, func() time.Time { return now })
+	b.allow()
+	b.failure()
+	b.allow()
+	b.abandon()
+	if b.snapshot() != breakerClosed {
+		t.Fatalf("state = %s, want closed", b.snapshot())
+	}
+	b.allow()
+	if !b.failure() {
+		t.Fatal("abandoned call reset the failure count: second failure did not trip")
+	}
+	now = now.Add(1100 * time.Millisecond)
+	if !b.allow() {
+		t.Fatal("breaker did not half-open after the cooldown")
+	}
+	b.abandon()
+	if b.snapshot() != breakerOpen {
+		t.Fatalf("state = %s after an abandoned probe, want open", b.snapshot())
+	}
+	if !b.allow() {
+		t.Fatal("next call not admitted as a probe after an abandoned one")
+	}
+	if b.allow() {
+		t.Fatal("half-open breaker admitted a second concurrent probe")
+	}
+}
+
+// TestCancelledProbeKeepsBreakerOpen drives the same case end to end: an
+// endpoint that accepts connections and never answers trips the breaker;
+// after the cooldown, a call whose caller gives up after 5 ms is admitted
+// as the probe. It must not close the breaker on the still-hung endpoint.
+func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
+	hung := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-hung
+	}))
+	defer srv.Close()
+	defer close(hung)
+	tr := &Transport{BreakerThreshold: 1, BreakerCooldown: 30 * time.Millisecond, RequestTimeout: 20 * time.Millisecond}
+	br := tr.breakerFor(srv.URL + "/x")
+	if _, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false); !IsTemporary(err) {
+		t.Fatalf("timed-out call: err = %v, want temporary", err)
+	}
+	if br.snapshot() != breakerOpen {
+		t.Fatalf("state = %s after a timed-out call, want open", br.snapshot())
+	}
+	time.Sleep(40 * time.Millisecond) // serve the cooldown
+	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+	defer cancel()
+	if _, err := tr.call(ctx, http.MethodPost, srv.URL, "/x", "", "<req/>", false); err == nil {
+		t.Fatal("call to a hung endpoint succeeded")
+	}
+	if br.snapshot() != breakerOpen {
+		t.Fatalf("state = %s after the caller cancelled the probe, want open", br.snapshot())
 	}
 }
 
