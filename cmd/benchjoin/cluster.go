@@ -146,7 +146,6 @@ func (e *clusterBenchEnv) startNode(name string) error {
 		Transport:    transport,
 		Metrics:      e.reg,
 		Keys:         e.keys,
-		TicketTTL:    time.Minute,
 		Capacity:     clusterCapacity,
 		ServiceFloor: clusterFloor,
 		Logf:         func(string, ...any) {},
@@ -430,7 +429,7 @@ func runClusterBench(w *os.File, nodes, workers, joins, rounds int, outPath stri
 		rounds, recovery.P50, recovery.P95)
 
 	rep := clusterReport{
-		Schema:             "trustvo.benchjoin.cluster/v1",
+		Schema:             "trustvo.benchjoin.cluster/v2",
 		Nodes:              nodes,
 		Workers:            workers,
 		Joins:              joins,
@@ -444,10 +443,9 @@ func runClusterBench(w *os.File, nodes, workers, joins, rounds int, outPath stri
 		Counters: map[string]int64{
 			"cluster_forwards_total": clu.reg.Counter("cluster_forwards_total", "route", "/tn/policyExchange").Value() +
 				clu.reg.Counter("cluster_forwards_total", "route", "/tn/credentialExchange").Value(),
-			"cluster_adoptions_standby":   clu.reg.Counter("cluster_adoptions_total", "source", "standby").Value(),
-			"cluster_adoptions_migration": clu.reg.Counter("cluster_adoptions_total", "source", "migration").Value(),
-			"cluster_standby_ships_ok":    clu.reg.Counter("cluster_standby_ships_total", "result", "ok").Value(),
-			"tn_sessions_adopted_total":   clu.reg.Counter("tn_sessions_adopted_total").Value(),
+			"cluster_adoptions_standby": clu.reg.Counter("cluster_adoptions_total", "source", "standby").Value(),
+			"cluster_standby_ships_ok":  clu.reg.Counter("cluster_standby_ships_total", "result", "ok").Value(),
+			"tn_sessions_adopted_total": clu.reg.Counter("tn_sessions_adopted_total").Value(),
 		},
 		Telemetry: clu.reg.Report(),
 	}

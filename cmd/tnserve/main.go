@@ -86,8 +86,8 @@ func main() {
 	}
 
 	// Cluster mode: this node joins a consistent-hash ring with its
-	// peers, serves the /cluster RPCs (standby shipping, migration,
-	// replication) and routes misowned sessions to their ring owner.
+	// peers, serves the /cluster RPCs (standby shipping, replication)
+	// and routes misowned sessions to their ring owner.
 	var node *cluster.Node
 	if *clusterName != "" {
 		ring := cluster.NewRing(0)
@@ -107,10 +107,10 @@ func main() {
 		}
 		keys := party.Keys
 		if keys == nil {
-			// Migration tickets need a signing key every node shares; an
+			// Standby ships need a signing key every node shares; an
 			// ephemeral one only works single-process (tests, demos).
 			keys = pki.MustGenerateKeyPair()
-			log.Printf("cluster: party has no keypair; session tickets use an ephemeral key only this process trusts")
+			log.Printf("cluster: party has no keypair; standby ships use an ephemeral key only this process trusts")
 		}
 		node, err = cluster.NewNode(cluster.Config{
 			Name:      *clusterName,
@@ -131,7 +131,7 @@ func main() {
 		}
 		if *dbPath == "" {
 			// Replication needs a store to ship; without -db it is an
-			// in-memory one (sessions still migrate, documents do not
+			// in-memory one (sessions still move, documents do not
 			// survive a restart).
 			node.AttachDB(store.NewWithOptions(store.Options{OnCommit: node.OnCommit}))
 		}
@@ -204,9 +204,9 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
-	// The server has drained. In cluster mode, migrate live negotiations
-	// to their new ring owners (signed session tickets) so clients resume
-	// against survivors without waiting for this process to come back.
+	// The server has drained. In cluster mode, ship every negotiation to
+	// its new ring owner's standby table, so clients resume against
+	// survivors without waiting for this process to come back.
 	if node != nil {
 		node.Ring().Remove(*clusterName)
 		drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -216,7 +216,7 @@ func main() {
 			log.Printf("cluster drain: %v", err)
 		}
 		if moved > 0 {
-			log.Printf("cluster: migrated %d live negotiation(s) to peers", moved)
+			log.Printf("cluster: shipped %d session(s) to their owners", moved)
 		}
 	}
 	// Persist whatever is still local so clients can continue against the

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"trustvo/internal/negotiation"
-	"trustvo/internal/pki"
 	"trustvo/internal/wsrpc"
 	"trustvo/internal/xmldom"
 )
@@ -188,9 +187,9 @@ func TestClusterChaosTorture(t *testing.T) {
 		if wasLeader {
 			c.failover()
 		}
-		// Survivors rebalance sessions off the dead node's arcs.
+		// Survivors re-ship standbys whose successor died.
 		for _, tn := range c.liveNodes() {
-			tn.node.MigrateMisowned(bg)
+			tn.node.Reship(bg)
 		}
 		time.Sleep(80 * time.Millisecond)
 		c.revive(victim, (k+1)%3 == 0)
@@ -243,10 +242,8 @@ func TestClusterChaosTorture(t *testing.T) {
 	if got := c.reg.Counter("cluster_repl_catchups_total").Value(); got < 1 {
 		t.Errorf("cluster_repl_catchups_total = %d, want >= 1 (fresh-disk revivals)", got)
 	}
-	adoptions := c.reg.Counter("cluster_adoptions_total", "source", "standby").Value() +
-		c.reg.Counter("cluster_adoptions_total", "source", "migration").Value()
-	if adoptions == 0 {
-		t.Error("no session was ever adopted from standby or migration under chaos")
+	if c.reg.Counter("cluster_adoptions_total", "source", "standby").Value() == 0 {
+		t.Error("no session was ever adopted from standby under chaos")
 	}
 }
 
@@ -347,101 +344,5 @@ func TestRedirectMisroutedExchange(t *testing.T) {
 	resp2.Body.Close()
 	if !c.get("n2").tn.HasSession(id) {
 		t.Fatalf("owner n2 never saw redirected session %s", id)
-	}
-}
-
-// TestMigrationTicketExpiredRejected: an expired session ticket is
-// refused with the typed 410 before any signature work, and counted.
-func TestMigrationTicketExpiredRejected(t *testing.T) {
-	c := newTestCluster(t, false, 0)
-	defer c.shutdown()
-	c.addNode("n1")
-
-	doc := xmldom.NewElement("tnSession").SetAttr("id", "stale-1")
-	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(-time.Minute), doc.Encode)
-
-	before := c.reg.Counter("tn_ticket_expired_total").Value()
-	resp, err := http.Post(c.get("n1").srv.URL+"/cluster/adopt", wsrpc.ContentType,
-		strings.NewReader(ticket.XML()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, perr := xmldom.Parse(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("expired ticket: status %d, want 410", resp.StatusCode)
-	}
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if code := root.AttrOr("code", ""); code != "ticket-expired" {
-		t.Fatalf("fault code %q, want ticket-expired", code)
-	}
-	if got := c.reg.Counter("tn_ticket_expired_total").Value(); got != before+1 {
-		t.Fatalf("tn_ticket_expired_total = %d, want %d", got, before+1)
-	}
-	if c.get("n1").tn.HasSession("stale-1") {
-		t.Fatal("expired ticket was adopted")
-	}
-}
-
-// TestDrainMigratesSessionsWithTickets: after a ring change, a node's
-// mid-flight session follows its arc to the new owner via a signed
-// ticket, and the adopted copy keeps the negotiation state.
-func TestDrainMigratesSessionsWithTickets(t *testing.T) {
-	c := newTestCluster(t, false, 0)
-	defer c.shutdown()
-	c.addNode("n1")
-
-	// Pick an id that the two-node ring will assign to n2, while the
-	// current one-node ring assigns everything to n1.
-	tmp := NewRing(0)
-	tmp.Add("n1")
-	tmp.Add("n2")
-	id := ownedID(t, tmp, "drain", "n2")
-
-	// Drive a genuine first negotiation message through n1 so the session
-	// is mid-flight with snapshottable state (a fresh empty session has
-	// nothing to migrate and is dropped by design).
-	req := negotiation.NewRequester(c.memberParty("DrainMember"), chaosResource)
-	first, err := req.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := xmldom.NewElement("envelope").SetAttr("negotiation", id).SetAttr("seq", "1")
-	env.AppendChild(first.DOM())
-	resp, err := http.Post(c.get("n1").srv.URL+"/tn/policyExchange", wsrpc.ContentType,
-		strings.NewReader(env.XML()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first exchange status %d", resp.StatusCode)
-	}
-	if !c.get("n1").tn.HasSession(id) {
-		t.Fatal("session not live on n1 after first exchange")
-	}
-
-	// Ring change: n2 joins, the session's arc moves, migration follows.
-	c.addNode("n2")
-	if owner := c.ring.Owner(id); owner != "n2" {
-		t.Fatalf("expected two-node ring to assign %s to n2, got %s", id, owner)
-	}
-	moved, err := c.get("n1").node.MigrateMisowned(bg)
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if moved != 1 {
-		t.Fatalf("migrated %d sessions, want 1", moved)
-	}
-	if c.get("n1").tn.HasSession(id) {
-		t.Fatal("source still holds migrated session")
-	}
-	if !c.get("n2").tn.HasSession(id) {
-		t.Fatal("owner did not adopt migrated session")
-	}
-	if got := c.reg.Counter("cluster_adoptions_total", "source", "migration").Value(); got != 1 {
-		t.Fatalf("cluster_adoptions_total{migration} = %d", got)
 	}
 }

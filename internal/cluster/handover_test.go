@@ -46,11 +46,10 @@ func exchange(t *testing.T, base, id string, seq int, m *negotiation.Message) *n
 	return reply
 }
 
-// TestOwnerPullsOrphanedSession: a session adopted or migrated onto a
-// node after the ring moved its id on, and after that node's migration
-// pass, is an orphan: its owner holds neither the session nor a standby
-// copy. The owner's miss must find it — the holder hands it over — and
-// the negotiation continues where it stood.
+// TestOwnerPullsOrphanedSession: a session held on a node after the
+// ring moved its id on is an orphan: its owner holds neither the
+// session nor a standby copy. The owner's miss must find it — the
+// holder hands it over — and the negotiation continues where it stood.
 func TestOwnerPullsOrphanedSession(t *testing.T) {
 	c := newTestCluster(t, false, 0)
 	defer c.shutdown()
@@ -67,7 +66,7 @@ func TestOwnerPullsOrphanedSession(t *testing.T) {
 	}
 	reply := exchange(t, n1.srv.URL, id, 1, first)
 
-	// The ring now assigns id to n2, and no migration pass follows.
+	// The ring now assigns id to n2; nothing moves the session.
 	n2 := c.addNode("n2")
 	next, err := req.Handle(reply)
 	if err != nil {
@@ -120,4 +119,124 @@ func TestRevivedSuccessorGetsStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	exchange(t, c.get("n2").srv.URL, id, 2, next)
+}
+
+// TestDrainMigratesSessionsWithTickets: a draining node ships every
+// session it holds, live or finished, to its owner's standby table. The
+// live session continues at the owner where it stood. The finished
+// one, whose final reply the client never got, replays that reply at
+// the owner; its last step does not run again, so the grant does not
+// run twice.
+func TestDrainMigratesSessionsWithTickets(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	n2 := c.addNode("n2")
+	liveID := ownedID(t, c.ring, "drain-live", "n1")
+	doneID := ownedID(t, c.ring, "drain-done", "n1")
+
+	live := negotiation.NewRequester(c.memberParty("DrainLive"), chaosResource)
+	first, err := live.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveReply := exchange(t, n1.srv.URL, liveID, 1, first)
+
+	// Run the other session to success on n1. Its client never gets the
+	// final reply, and keeps the final message to send again.
+	done := negotiation.NewRequester(c.memberParty("DrainDone"), chaosResource)
+	msg, err := done.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := 1
+	for ; ; seq++ {
+		reply := exchange(t, n1.srv.URL, doneID, seq, msg)
+		if reply.Type == negotiation.MsgSuccess {
+			break
+		}
+		if msg, err = done.Handle(reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	completed := c.reg.Counter("tn_sessions_completed_total", "result", "success")
+	replays := c.reg.Counter("tn_replays_total")
+	if got := completed.Value(); got != 1 {
+		t.Fatalf("tn_sessions_completed_total{success} = %d before the drain, want 1", got)
+	}
+	replaysBefore := replays.Value()
+
+	c.ring.Remove("n1")
+	moved, err := n1.node.Drain(bg)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	next, err := live.Handle(liveReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, n2.srv.URL, liveID, 2, next)
+
+	if again := exchange(t, n2.srv.URL, doneID, seq, msg); again.Type != negotiation.MsgSuccess {
+		t.Fatalf("final message re-sent to the owner: reply %s, want success", again.Type)
+	}
+	if got := completed.Value(); got != 1 {
+		t.Fatalf("tn_sessions_completed_total{success} = %d after the re-send, want 1: the last step ran again", got)
+	}
+	if got := replays.Value(); got != replaysBefore+1 {
+		t.Fatalf("tn_replays_total rose by %d, want 1", got-replaysBefore)
+	}
+	if n1.tn.HasSession(liveID) || n1.tn.HasSession(doneID) {
+		t.Fatal("the drained node still holds a session")
+	}
+	if moved != 2 {
+		t.Fatalf("drain moved %d sessions, want 2", moved)
+	}
+	if got := c.reg.Counter("cluster_migrations_total").Value(); got != 2 {
+		t.Fatalf("cluster_migrations_total = %d, want 2", got)
+	}
+}
+
+// TestStatusAdoptsHeldStandby: after its owner dies, a session's new
+// owner holds it as a standby copy. /tn/status there reports the
+// session, as its next exchange would find it, instead of calling it
+// unknown.
+func TestStatusAdoptsHeldStandby(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	n2 := c.addNode("n2")
+	id := ownedID(t, c.ring, "status", "n1")
+
+	req := negotiation.NewRequester(c.memberParty("StatusMember"), chaosResource)
+	first, err := req.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, n1.srv.URL, id, 1, first)
+	c.kill("n1")
+
+	resp, err := http.Get(n2.srv.URL + "/tn/status?negotiation=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status at the new owner: %d %s", resp.StatusCode, body)
+	}
+	root, err := xmldom.ParseBytes(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Name != "status" || root.AttrOr("done", "") != "false" {
+		t.Fatalf("status at the new owner: %s", body)
+	}
+	if !n2.tn.HasSession(id) {
+		t.Fatal("the new owner did not adopt the session it held")
+	}
 }

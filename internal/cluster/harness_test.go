@@ -154,7 +154,6 @@ func (c *testCluster) startNode(name, dir string) *testNode {
 		Keys:         c.keys,
 		SyncRepl:     c.sync,
 		MaxReplLog:   c.replLog,
-		TicketTTL:    time.Minute,
 		Capacity:     8,
 		ServiceFloor: c.floor,
 		Redirect:     c.redirect,
@@ -228,7 +227,8 @@ func (c *testCluster) kill(name string) {
 }
 
 // revive reboots a previously killed node, optionally on a fresh disk
-// (forcing a snapshot catch-up), and rebalances sessions onto it.
+// (forcing a snapshot catch-up), and runs the membership pass on the
+// survivors.
 func (c *testCluster) revive(name string, freshDisk bool) *testNode {
 	c.t.Helper()
 	c.mu.Lock()
@@ -241,12 +241,13 @@ func (c *testCluster) revive(name string, freshDisk bool) *testNode {
 	}
 	tn := c.startNode(name, dir)
 	c.ring.Add(name)
-	// Sessions whose arcs moved back to the revived node follow it.
+	// Survivors re-ship their standbys: the revived node may be a
+	// session's successor again, and its standby table died with it.
 	for _, other := range c.liveNodes() {
 		if other.name == name {
 			continue
 		}
-		other.node.MigrateMisowned(bg)
+		other.node.Reship(bg)
 	}
 	return tn
 }

@@ -29,13 +29,13 @@ type Config struct {
 	// a retryable answer for a session that moved on).
 	TN *wsrpc.TNService
 	// Transport carries every cluster RPC (forwarding, standby shipping,
-	// migration, replication) through the hardened client path: per-call
-	// deadlines, retries with backoff, and per-endpoint breakers.
+	// replication) through the hardened client path: per-call deadlines,
+	// retries with backoff, and per-endpoint breakers.
 	Transport *wsrpc.Transport
 	// Metrics receives the node's cluster telemetry (nil disables).
 	Metrics *telemetry.Registry
-	// Keys seals session tickets and standby ships; all nodes of a cluster
-	// share the key pair, standing in for a deployment's cluster-internal CA.
+	// Keys seals standby ships; all nodes of a cluster share the key pair,
+	// standing in for a deployment's cluster-internal CA.
 	Keys *pki.KeyPair
 	// Redirect answers misrouted joins with 307 + the owner's URL instead
 	// of forwarding server-side. Clients following redirects spare the
@@ -45,11 +45,6 @@ type Config struct {
 	// acknowledgment, so promoting the most advanced survivor loses no
 	// acked write.
 	SyncRepl bool
-	// TicketTTL bounds session migration ticket validity (default 2m).
-	TicketTTL time.Duration
-	// StandbyTTL bounds how long an unclaimed standby snapshot is kept
-	// (default 10m, matching the session idle limit's order of magnitude).
-	StandbyTTL time.Duration
 	// MaxReplLog caps the in-memory replication log; followers further
 	// behind than the cap catch up from a store snapshot (default 4096).
 	MaxReplLog int
@@ -203,20 +198,6 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-func (n *Node) ticketTTL() time.Duration {
-	if n.cfg.TicketTTL > 0 {
-		return n.cfg.TicketTTL
-	}
-	return 2 * time.Minute
-}
-
-func (n *Node) standbyTTL() time.Duration {
-	if n.cfg.StandbyTTL > 0 {
-		return n.cfg.StandbyTTL
-	}
-	return 10 * time.Minute
-}
-
 func (n *Node) maxReplLog() int {
 	if n.cfg.MaxReplLog > 0 {
 		return n.cfg.MaxReplLog
@@ -253,16 +234,21 @@ func (n *Node) shipStandby(ctx context.Context, id string, encode func(*xmldom.W
 	if target == "" || target == n.cfg.Name {
 		return nil // single-node ring: no standby to keep
 	}
+	return n.ship(ctx, target, id, encode)
+}
+
+// ship seals the session document encode writes and posts it to
+// target's standby table. Ships are sealed with the cluster key: the
+// receiving node refuses to hold — and, later, to adopt — a snapshot
+// the cluster did not vouch for, so a forged POST cannot hijack a
+// negotiation.
+func (n *Node) ship(ctx context.Context, target, id string, encode func(*xmldom.Writer)) error {
 	base := n.peerURL(target)
 	if base == "" {
 		n.countShip("error")
 		return fmt.Errorf("cluster: no address for standby target %s", target)
 	}
-	// Ships are sealed with the cluster key: the receiving node refuses
-	// to hold — and, later, to adopt — a snapshot the cluster did not
-	// vouch for, so a forged POST cannot hijack a negotiation via the
-	// failover path the way it never could via the migration path.
-	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), encode)
+	ship, err := n.seal(encode)
 	if err != nil {
 		n.countShip("error")
 		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
@@ -302,7 +288,7 @@ func (n *Node) putStandby(id, xml string, seq int64) string {
 	n.standby[strings.Clone(id)] = standbyDoc{xml: xml, seq: seq, at: now}
 	n.ships++
 	if n.ships%256 == 0 {
-		cutoff := now.Add(-n.standbyTTL())
+		cutoff := now.Add(-standbyTTL)
 		for k, v := range n.standby {
 			if v.at.Before(cutoff) {
 				delete(n.standby, k)
@@ -323,7 +309,7 @@ func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
 		delete(n.standby, id)
 	}
 	n.mu.Unlock()
-	if !ok || time.Since(d.at) > n.standbyTTL() {
+	if !ok || time.Since(d.at) > standbyTTL {
 		return nil, false
 	}
 	ship, err := xmldom.ParseString(d.xml)
@@ -337,7 +323,7 @@ func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
 // openStandby opens a standby ship about to become a live session,
 // counting and logging a refusal.
 func (n *Node) openStandby(ship *xmldom.Node, id string) (*xmldom.Node, bool) {
-	doc, err := n.openSession(ship, pki.LabelStandby)
+	doc, err := n.openSession(ship)
 	if err != nil {
 		n.rejectStandby(err)
 		n.logf("cluster: refusing standby snapshot %s: %v", id, err)

@@ -128,9 +128,6 @@ func (r *replState) window(pos, head uint64) ([]store.Entry, bool) {
 	return append([]store.Entry(nil), r.log[lo:hi]...), true
 }
 
-// IsLeader reports whether this node currently leads store replication.
-func (n *Node) IsLeader() bool { return n.repl.leader.Load() }
-
 // Epoch returns the node's replication epoch.
 func (n *Node) Epoch() uint64 { return n.repl.epoch.Load() }
 
@@ -396,23 +393,12 @@ func foreignPrefix(applied, lineage, epoch uint64) bool {
 	return applied > 0 && lineage != epoch
 }
 
-// peerStatusInfo is a parsed /cluster/status reply.
+// peerStatusInfo is the part of a /cluster/status reply replication
+// reads.
 type peerStatusInfo struct {
-	node    string
 	epoch   uint64
-	leader  bool
-	pos     uint64
 	applied uint64
 	lineage uint64
-}
-
-// PeerStatus probes a peer's replication state over the wire.
-func (n *Node) PeerStatus(ctx context.Context, peer string) (epoch, applied uint64, leader bool, err error) {
-	st, err := n.peerStatus(ctx, peer)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return st.epoch, st.applied, st.leader, nil
 }
 
 func (n *Node) peerStatus(ctx context.Context, peer string) (peerStatusInfo, error) {
@@ -428,10 +414,7 @@ func (n *Node) peerStatus(ctx context.Context, peer string) (peerStatusInfo, err
 		return peerStatusInfo{}, fmt.Errorf("cluster: unexpected status response <%s>", root.Name)
 	}
 	return peerStatusInfo{
-		node:    root.AttrOr("node", ""),
 		epoch:   parseU64(root.AttrOr("epoch", "0")),
-		leader:  root.AttrOr("leader", "") == "true",
-		pos:     parseU64(root.AttrOr("pos", "0")),
 		applied: parseU64(root.AttrOr("applied", "0")),
 		lineage: parseU64(root.AttrOr("lineage", "0")),
 	}, nil

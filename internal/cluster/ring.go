@@ -1,12 +1,11 @@
 // Package cluster shards the trust-negotiation service across nodes: a
 // consistent-hash ring routes each negotiation session to one owner,
-// per-message standby shipping plus signed session tickets migrate
-// sessions off dying or draining nodes, and WAL-shipping replication
-// keeps follower copies of the document store so a follower can be
-// promoted with no acknowledged write lost. Every cross-node call runs
-// through the wsrpc hardened transport (deadlines, retries, breaker),
-// and the whole package is driven deterministically by the chaos
-// harness in chaos_test.go.
+// sealed standby ships carry sessions off dying or draining nodes, and
+// WAL-shipping replication keeps follower copies of the document store
+// so a follower can be promoted with no acknowledged write lost. Every
+// cross-node call runs through the wsrpc hardened transport (deadlines,
+// retries, breaker), and the whole package is driven deterministically
+// by the chaos harness in chaos_test.go.
 package cluster
 
 import (
@@ -146,13 +145,6 @@ func (r *Ring) Nodes() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes[node]
 }
 
 // Owner returns the node owning key ("" on an empty ring).

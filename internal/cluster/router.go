@@ -37,7 +37,6 @@ func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/tn/credentialExchange", n.routeExchange(inner, "/tn/credentialExchange"))
 	mux.HandleFunc("/tn/status", n.routeStatus(inner))
 	mux.HandleFunc("/cluster/standby", n.handleStandby)
-	mux.HandleFunc("/cluster/adopt", n.handleAdopt)
 	mux.HandleFunc("/cluster/replicate", n.handleReplicate)
 	mux.HandleFunc("/cluster/catchup", n.handleCatchup)
 	mux.HandleFunc("/cluster/status", n.handleClusterStatus)
@@ -123,19 +122,11 @@ func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 // and nothing more, so nothing is lost when the starting node died
 // before any exchange. Anything else is answered with a retryable 503:
 // by the acked-implies-shipped invariant the standby copy exists
-// somewhere and migration or a later ship will surface it. Reports
-// whether the request should proceed to the local service.
+// somewhere and a later ship will surface it. Reports whether the
+// request should proceed to the local service.
 func (n *Node) materializeSession(w http.ResponseWriter, r *http.Request, id, msgType string) bool {
 	if doc, ok := n.findStandby(r.Context(), id); ok {
-		if _, err := n.tn.AdoptSessionDoc(doc); err != nil {
-			writeWsrpcError(w, err)
-			return false
-		}
-		if m := n.metrics; m != nil {
-			m.Counter("cluster_adoptions_total", "source", "standby").Inc()
-		}
-		n.logf("cluster: node %s adopted session %s from standby", n.cfg.Name, id)
-		return true
+		return n.adopt(w, doc)
 	}
 	if msgType == negotiation.MsgRequest.String() {
 		if err := n.tn.EnsureSession(id); err != nil {
@@ -148,9 +139,25 @@ func (n *Node) materializeSession(w http.ResponseWriter, r *http.Request, id, ms
 	return false
 }
 
+// adopt makes a standby copy a live session here, answering the request
+// with the error when the service refuses it. Reports whether the
+// request should proceed to the local service.
+func (n *Node) adopt(w http.ResponseWriter, doc *xmldom.Node) bool {
+	id, err := n.tn.AdoptSessionDoc(doc)
+	if err != nil {
+		writeWsrpcError(w, err)
+		return false
+	}
+	if m := n.metrics; m != nil {
+		m.Counter("cluster_adoptions_total", "source", "standby").Inc()
+	}
+	n.logf("cluster: node %s adopted session %s from standby", n.cfg.Name, id)
+	return true
+}
+
 // sessionUnavailable answers an exchange for a session not held here
 // with a retryable 503. It is also the TN service's SessionMissing hook:
-// a session routed here can migrate or be handed over before the
+// a session routed here can be drained or handed over before the
 // handler runs, and the client's retry follows it to its new holder.
 func (n *Node) sessionUnavailable(w http.ResponseWriter, id string) {
 	w.Header().Set("Retry-After", "1")
@@ -159,6 +166,10 @@ func (n *Node) sessionUnavailable(w http.ResponseWriter, id string) {
 }
 
 // routeStatus routes GET /tn/status by its negotiation query parameter.
+// An owned session the table lacks is served from the standby copy this
+// node holds, adopted as an exchange would adopt it: after a failover
+// or a drain the owner is the node holding the copy. Peers are not
+// asked, so a GET for an unknown id costs no peer requests.
 func (n *Node) routeStatus(inner http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("negotiation")
@@ -167,6 +178,11 @@ func (n *Node) routeStatus(inner http.Handler) http.HandlerFunc {
 			if owner != "" && owner != n.cfg.Name {
 				n.forwardOrRedirect(w, r, owner, "/tn/status", r.URL.RawQuery, "")
 				return
+			}
+			if !n.tn.HasSession(id) {
+				if doc, ok := n.takeStandby(id); ok && !n.adopt(w, doc) {
+					return
+				}
 			}
 		}
 		inner.ServeHTTP(w, r)
@@ -215,12 +231,12 @@ func (n *Node) forwardOrRedirect(w http.ResponseWriter, r *http.Request, owner, 
 
 // findStandby returns the freshest standby copy of session id among the
 // one held here and every peer's: the ring successor is the designated
-// holder, but a copy can also sit where a failed migration parked it, or
-// as a live session a peer adopted or received while the ring moved the
-// id on, which that peer hands over (handOver). Copies rank by the last
-// message sequence they cover, so a ship left behind by an earlier ring
-// never wins over a fresher one. Only owners missing a session ask, so
-// the fan-out stays off the per-message path.
+// holder, but a copy can also sit as a live session a peer adopted or
+// held while the ring moved the id on, which that peer hands over
+// (handOver). Copies rank by the last message sequence they cover, so a
+// ship left behind by an earlier ring never wins over a fresher one.
+// Only owners missing a session ask, so the fan-out stays off the
+// per-message path.
 func (n *Node) findStandby(ctx context.Context, id string) (*xmldom.Node, bool) {
 	best, _ := n.takeStandby(id)
 	for _, peer := range n.ring.Nodes() {
@@ -256,9 +272,9 @@ func (n *Node) fetchStandby(ctx context.Context, peer, id string) (*xmldom.Node,
 
 // handOver turns a live session this node holds but no longer owns into
 // a standby ship held here, for the owner's fetch to find, and returns
-// the ship. Such a session was adopted or migrated here while the ring
-// moved its id on, after this node's last migration pass; without the
-// hand-over it would wait here, unreachable, until it expired.
+// the ship. Such a session started or was adopted here before the ring
+// moved its id on; without the hand-over it would wait here,
+// unreachable, until it expired.
 func (n *Node) handOver(id string) (string, bool) {
 	if owner := n.ring.Owner(id); n.keys == nil || owner == "" || owner == n.cfg.Name {
 		return "", false
@@ -267,7 +283,7 @@ func (n *Node) handOver(id string) (string, bool) {
 	if doc == nil {
 		return "", false
 	}
-	ship, err := n.seal(pki.LabelStandby, n.standbyTTL(), doc.Encode)
+	ship, err := n.seal(doc.Encode)
 	if err != nil {
 		return "", false
 	}
@@ -290,7 +306,7 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 		// A snapshot past the table TTL is shown to no one and dropped:
 		// the TTL bounds how stale an adopted state can be, the same rule
 		// takeStandby applies to the local adoption path.
-		if held && now.Sub(d.at) > n.standbyTTL() {
+		if held && now.Sub(d.at) > standbyTTL {
 			delete(n.standby, id)
 			held = false
 		}
@@ -312,7 +328,7 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	doc, err := n.openSession(root, pki.LabelStandby)
+	doc, err := n.openSession(root)
 	if err != nil {
 		status, code := n.rejectStandby(err)
 		writeClusterFault(w, status, code, err.Error())

@@ -23,23 +23,16 @@ import (
 // cluster key and opened — expiry before signature — at POST ingress,
 // at local takeStandby, and at remote fetchStandby.
 
-// postCluster POSTs a raw body to a cluster route and returns the status
-// code.
-func postCluster(t *testing.T, base, route, body string) int {
+// postStandby POSTs a raw standby ship body and returns the status code.
+func postStandby(t *testing.T, base, body string) int {
 	t.Helper()
-	resp, err := http.Post(base+route, "application/xml", strings.NewReader(body))
+	resp, err := http.Post(base+"/cluster/standby", "application/xml", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
-}
-
-// postStandby POSTs a raw standby ship body and returns the status code.
-func postStandby(t *testing.T, base, body string) int {
-	t.Helper()
-	return postCluster(t, base, "/cluster/standby", body)
 }
 
 func TestStandbyShipRejectsUnsignedAndForged(t *testing.T) {
@@ -81,33 +74,25 @@ func TestStandbyShipRejectsExpired(t *testing.T) {
 	}
 }
 
-// TestSealedLabelsDoNotCross: a standby ship and a session ticket are
-// sealed under the same cluster key; each carries its own label, so
-// neither is accepted on the other's route.
+// TestSealedLabelsDoNotCross: a standby ship and a resume ticket can be
+// sealed under the same key; each carries its own label, so a document
+// sealed for another use is not accepted as a standby ship.
 func TestSealedLabelsDoNotCross(t *testing.T) {
 	c := newTestCluster(t, false, 0)
 	defer c.shutdown()
 	c.addNode("a")
 	b := c.addNode("b")
 
-	ship := pki.Seal(c.keys, pki.LabelStandby, time.Now().Add(time.Hour),
-		xmldom.NewElement("tnSession").SetAttr("id", "cross-1").Encode)
-	if got := postCluster(t, b.srv.URL, "/cluster/adopt", ship.XML()); got != http.StatusBadRequest {
-		t.Fatalf("standby ship on /cluster/adopt: got %d, want %d", got, http.StatusBadRequest)
-	}
-	ticket := pki.Seal(c.keys, pki.LabelSession, time.Now().Add(time.Hour),
+	resume := pki.Seal(c.keys, pki.LabelResume, time.Now().Add(time.Hour),
 		xmldom.NewElement("tnSession").SetAttr("id", "cross-2").Encode)
-	if got := postStandby(t, b.srv.URL, ticket.XML()); got != http.StatusBadRequest {
-		t.Fatalf("session ticket on /cluster/standby: got %d, want %d", got, http.StatusBadRequest)
+	if got := postStandby(t, b.srv.URL, resume.XML()); got != http.StatusBadRequest {
+		t.Fatalf("resume-labelled document on /cluster/standby: got %d, want %d", got, http.StatusBadRequest)
 	}
-	if b.tn.HasSession("cross-1") || b.tn.HasSession("cross-2") {
+	if b.tn.HasSession("cross-2") {
 		t.Fatal("a cross-labelled document was adopted")
 	}
 	if n := b.node.StandbyCount(); n != 0 {
 		t.Fatalf("a cross-labelled document entered the standby table (%d entries)", n)
-	}
-	if got := c.reg.Counter("cluster_adoptions_total", "source", "migration").Value(); got != 0 {
-		t.Fatalf("cluster_adoptions_total{migration} = %d, want 0", got)
 	}
 }
 
@@ -118,7 +103,7 @@ func TestStandbySignedRoundTrip(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-3")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
+	ship, err := b.node.seal(doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +125,7 @@ func TestTakeStandbyRefusesTamperedTable(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-4")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
+	ship, err := b.node.seal(doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +144,7 @@ func TestHandleStandbyGetRefusesStale(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-5")
-	ship, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
+	ship, err := b.node.seal(doc.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +203,7 @@ func TestShipAllocations(t *testing.T) {
 	defer c.shutdown()
 	var wire string
 	n1.tn.OnSessionUpdate = func(_ context.Context, _ string, encode func(*xmldom.Writer)) error {
-		ship, err := n1.node.seal(pki.LabelStandby, n1.node.standbyTTL(), encode)
+		ship, err := n1.node.seal(encode)
 		wire = ship
 		return err
 	}
@@ -237,14 +222,14 @@ func TestShipAllocations(t *testing.T) {
 
 // BenchmarkStandbyShip prices one standby ship of a live session after
 // its first message, without HTTP: from the encoder the exchange handler
-// passes, the session document is sealed and written as shipStandby
-// writes it, then read and opened as the standby POST opens it.
+// passes, the session document is sealed and written as ship writes it,
+// then read and opened as the standby POST opens it.
 func BenchmarkStandbyShip(b *testing.B) {
 	c, n1 := liveSession(b)
 	defer c.shutdown()
 	var size int
 	n1.tn.OnSessionUpdate = func(_ context.Context, _ string, encode func(*xmldom.Writer)) error {
-		ship, err := n1.node.seal(pki.LabelStandby, n1.node.standbyTTL(), encode)
+		ship, err := n1.node.seal(encode)
 		if err != nil {
 			return err
 		}
@@ -253,7 +238,7 @@ func BenchmarkStandbyShip(b *testing.B) {
 			return err
 		}
 		size = len(ship)
-		_, err = n1.node.openSession(root, pki.LabelStandby)
+		_, err = n1.node.openSession(root)
 		return err
 	}
 	b.ReportAllocs()
@@ -277,7 +262,7 @@ func TestStandbyKeepsFresherShip(t *testing.T) {
 
 	ship := func(seq, mark string) string {
 		doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-seq").SetAttr("lastSeq", seq).SetAttr("mark", mark)
-		wire, err := b.node.seal(pki.LabelStandby, b.node.standbyTTL(), doc.Encode)
+		wire, err := b.node.seal(doc.Encode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +277,7 @@ func TestStandbyKeepsFresherShip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := b.node.openSession(root, pki.LabelStandby)
+		doc, err := b.node.openSession(root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,9 +296,9 @@ func TestStandbyKeepsFresherShip(t *testing.T) {
 			t.Fatalf("after ship lastSeq=%s the table holds %s", s.seq, doc.XML())
 		}
 	}
-	// The drain's parked copy and handOver store through the same rule.
-	if kept := b.node.putStandby("sess-seq", ship("1", "parked"), 1); !strings.Contains(kept, `mark="next"`) {
-		t.Fatalf("an older parked copy replaced the held one: %s", kept)
+	// handOver stores through the same rule.
+	if kept := b.node.putStandby("sess-seq", ship("1", "handed"), 1); !strings.Contains(kept, `mark="next"`) {
+		t.Fatalf("an older handed-over copy replaced the held one: %s", kept)
 	}
 	doc, ok := b.node.takeStandby("sess-seq")
 	if !ok || doc.AttrOr("lastSeq", "") != "3" {

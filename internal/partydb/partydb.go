@@ -12,6 +12,10 @@
 //	policy/<owner>/<polID>        Fig. 7 policy documents
 //	ontology/<owner>              OWL-sketch ontology documents
 //
+// An owner name may not contain '/', so a key's first '/' ends its
+// owner. A save replaces what the store held for the party: the owner's
+// records of the saved kind that the party no longer holds are deleted.
+//
 // The package is durability-agnostic — it writes through whatever
 // *store.Store it is given — but the servers (cmd/tnserve, voctl serve)
 // open their stores with store.OpenDurable, so every Save here is on
@@ -21,8 +25,10 @@
 package partydb
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -44,6 +50,29 @@ const (
 
 func credKey(owner, id string) string { return owner + "/" + id }
 
+// checkOwner refuses an owner name containing '/': its records would
+// read as, and be pruned with, those of the owner its first segment
+// names.
+func checkOwner(owner string) error {
+	if strings.Contains(owner, "/") {
+		return fmt.Errorf("partydb: party name %q contains '/'", owner)
+	}
+	return nil
+}
+
+// prune deletes the owner's records of kind whose keys keep lacks.
+func prune(db *store.Store, kind, owner string, keep map[string]bool) error {
+	prefix := owner + "/"
+	for _, rec := range db.List(kind) {
+		if strings.HasPrefix(rec.Key, prefix) && !keep[rec.Key] {
+			if err := db.Delete(kind, rec.Key); err != nil && !errors.Is(err, store.ErrNotFound) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Reader is the read surface the Load functions need. Both *store.Store
 // and *cacher.Cache satisfy it, so a TN server can route its hot party
 // reloads through the coalescing cache while the write path (and
@@ -56,21 +85,31 @@ type Reader interface {
 	List(kind string) []*store.Record
 }
 
-// SaveProfile writes every credential of the profile.
+// SaveProfile writes every credential of the profile and deletes the
+// owner's stored credentials the profile does not hold.
 func SaveProfile(db *store.Store, p *xtnl.Profile) error {
+	if err := checkOwner(p.Owner); err != nil {
+		return err
+	}
+	keep := make(map[string]bool, p.Len())
 	for _, c := range p.All() {
 		if c.ID == "" {
 			return fmt.Errorf("partydb: credential of type %q has no ID", c.Type)
 		}
-		if err := db.Put(KindCredential, credKey(p.Owner, c.ID), c.DOM()); err != nil {
+		key := credKey(p.Owner, c.ID)
+		if err := db.Put(KindCredential, key, c.DOM()); err != nil {
 			return err
 		}
+		keep[key] = true
 	}
-	return nil
+	return prune(db, KindCredential, p.Owner, keep)
 }
 
 // LoadProfile reads the owner's credentials back into an X-Profile.
 func LoadProfile(db Reader, owner string) (*xtnl.Profile, error) {
+	if err := checkOwner(owner); err != nil {
+		return nil, err
+	}
 	p := xtnl.NewProfile(owner)
 	prefix := owner + "/"
 	for _, rec := range db.List(KindCredential) {
@@ -91,22 +130,32 @@ func LoadProfile(db Reader, owner string) (*xtnl.Profile, error) {
 }
 
 // SavePolicies writes every policy of the set, assigning sequential IDs
-// to policies that lack one.
+// to policies that lack one, and deletes the owner's stored policies the
+// set does not hold.
 func SavePolicies(db *store.Store, owner string, ps *xtnl.PolicySet) error {
+	if err := checkOwner(owner); err != nil {
+		return err
+	}
+	keep := make(map[string]bool, ps.Len())
 	for i, pol := range ps.All() {
 		id := pol.ID
 		if id == "" {
 			id = "pol-" + strconv.Itoa(i)
 		}
-		if err := db.Put(KindPolicy, credKey(owner, id), pol.DOM()); err != nil {
+		key := credKey(owner, id)
+		if err := db.Put(KindPolicy, key, pol.DOM()); err != nil {
 			return err
 		}
+		keep[key] = true
 	}
-	return nil
+	return prune(db, KindPolicy, owner, keep)
 }
 
 // LoadPolicies reads the owner's disclosure policies.
 func LoadPolicies(db Reader, owner string) (*xtnl.PolicySet, error) {
+	if err := checkOwner(owner); err != nil {
+		return nil, err
+	}
 	ps, _ := xtnl.NewPolicySet()
 	prefix := owner + "/"
 	for _, rec := range db.List(KindPolicy) {
@@ -130,12 +179,18 @@ func LoadPolicies(db Reader, owner string) (*xtnl.PolicySet, error) {
 
 // SaveOntology writes the owner's local ontology.
 func SaveOntology(db *store.Store, owner string, o *ontology.Ontology) error {
+	if err := checkOwner(owner); err != nil {
+		return err
+	}
 	return db.Put(KindOntology, owner, o.DOM())
 }
 
 // LoadOntology reads the owner's local ontology; it returns (nil, nil)
 // when none is stored.
 func LoadOntology(db Reader, owner string) (*ontology.Ontology, error) {
+	if err := checkOwner(owner); err != nil {
+		return nil, err
+	}
 	rec, err := db.Get(KindOntology, owner)
 	if err != nil {
 		return nil, nil // not stored
@@ -144,7 +199,8 @@ func LoadOntology(db Reader, owner string) (*ontology.Ontology, error) {
 }
 
 // SaveParty persists the party's negotiation state (profile, policies
-// and — when present — ontology).
+// and — when present — ontology), replacing what the store held for it:
+// a party without an ontology deletes the stored one.
 func SaveParty(db *store.Store, p *negotiation.Party) error {
 	if err := SaveProfile(db, p.Profile); err != nil {
 		return err
@@ -154,6 +210,9 @@ func SaveParty(db *store.Store, p *negotiation.Party) error {
 	}
 	if p.Mapper != nil {
 		return SaveOntology(db, p.Name, p.Mapper.Ontology)
+	}
+	if err := db.Delete(KindOntology, p.Name); err != nil && !errors.Is(err, store.ErrNotFound) {
+		return err
 	}
 	return nil
 }
@@ -184,6 +243,9 @@ func LoadParty(db Reader, template *negotiation.Party) (*negotiation.Party, erro
 
 // SaveResumeTicket persists a suspended negotiation's resume ticket.
 func SaveResumeTicket(db *store.Store, owner string, t *negotiation.ResumeTicket) error {
+	if err := checkOwner(owner); err != nil {
+		return err
+	}
 	if t.NegID == "" {
 		return fmt.Errorf("partydb: resume ticket without negotiation id")
 	}
@@ -196,6 +258,9 @@ func SaveResumeTicket(db *store.Store, owner string, t *negotiation.ResumeTicket
 // LoadResumeTickets reads the owner's stored resume tickets, dropping
 // expired ones from the store as a side effect.
 func LoadResumeTickets(db *store.Store, owner string, now time.Time) ([]*negotiation.ResumeTicket, error) {
+	if err := checkOwner(owner); err != nil {
+		return nil, err
+	}
 	prefix := owner + "/"
 	var out []*negotiation.ResumeTicket
 	for _, rec := range db.List(KindResumeTicket) {
@@ -217,11 +282,6 @@ func LoadResumeTickets(db *store.Store, owner string, now time.Time) ([]*negotia
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// DeleteResumeTicket removes a consumed (or abandoned) resume ticket.
-func DeleteResumeTicket(db *store.Store, owner, negID string) error {
-	return db.Delete(KindResumeTicket, credKey(owner, negID))
 }
 
 // PoliciesProtecting returns the stored policies of owner whose resource

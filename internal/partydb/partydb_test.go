@@ -2,6 +2,7 @@ package partydb
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,12 +82,18 @@ func TestSaveLoadPartyRoundTrip(t *testing.T) {
 func TestOwnersIsolated(t *testing.T) {
 	db := store.New()
 	ca := pki.MustNewAuthority("CA")
-	for _, owner := range []string{"a", "b"} {
+	for _, owner := range []string{"a", "b", "a/x"} {
 		p := xtnl.NewProfile(owner)
 		p.Add(ca.MustIssue(pki.IssueRequest{Type: "T-" + owner, Holder: owner}))
-		if err := SaveProfile(db, p); err != nil {
+		err := SaveProfile(db, p)
+		if owner == "a/x" && (err == nil || !strings.Contains(err.Error(), `"a/x"`)) {
+			t.Errorf("saving owner a/x: %v, want an error naming it", err)
+		} else if owner != "a/x" && err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := LoadProfile(db, "a/x"); err == nil {
+		t.Error("loading owner a/x succeeded")
 	}
 	a, err := LoadProfile(db, "a")
 	if err != nil {
@@ -206,6 +213,60 @@ func TestDurableSurvivesUncleanShutdown(t *testing.T) {
 		t.Fatalf("resume ticket lost or corrupt: %+v", tickets)
 	}
 	db.Close()
+}
+
+// TestSaveDropsRecordsThePartyNoLongerHolds: a server saves its party
+// at every start. A policy, credential or ontology the operator removed
+// since the last start must not come back from the store.
+func TestSaveDropsRecordsThePartyNoLongerHolds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "party.wal")
+	ca := pki.MustNewAuthority("CA")
+	party := func(policies string, creds ...string) *negotiation.Party {
+		prof := xtnl.NewProfile("Owner")
+		for _, typ := range creds {
+			prof.Add(ca.MustIssue(pki.IssueRequest{Type: typ, Holder: "Owner"}))
+		}
+		return &negotiation.Party{
+			Name: "Owner", Profile: prof,
+			Policies: xtnl.MustPolicySet(xtnl.MustParsePolicies(policies)...),
+		}
+	}
+	save := func(p *negotiation.Party) {
+		t.Helper()
+		db, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := SaveParty(db, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := party("Report <- Badge\nSecret <- DELIV", "Badge", "Secret")
+	o := ontology.New()
+	o.MustAdd(&ontology.Concept{Name: "badge", Implementations: []ontology.Implementation{{CredType: "Badge"}}})
+	full.Mapper = &ontology.Mapper{Ontology: o, Profile: full.Profile}
+	save(full)
+	save(party("Report <- Badge", "Badge"))
+
+	db, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	re, err := LoadParty(db, &negotiation.Party{Name: "Owner"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Policies.Len() != 1 || len(re.Policies.For("Secret")) != 0 {
+		t.Errorf("policies after the second save: %d, Secret rules %d; want 1 and 0", re.Policies.Len(), len(re.Policies.For("Secret")))
+	}
+	if re.Profile.Len() != 1 || len(re.Profile.ByType("Secret")) != 0 {
+		t.Errorf("credentials after the second save: %d, want only the Badge", re.Profile.Len())
+	}
+	if re.Mapper != nil {
+		t.Error("the removed ontology came back")
+	}
 }
 
 func TestLoadOntologyAbsent(t *testing.T) {

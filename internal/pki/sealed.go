@@ -11,8 +11,8 @@ import (
 )
 
 // Sealed is a domain label, a notAfter time and an XML payload under one
-// Ed25519 signature: the trust, resume, session and standby tickets are
-// each one, so Seal and Open are where their bytes are signed and checked.
+// Ed25519 signature: the trust and resume tickets and the standby ship
+// are each one, so Seal and Open are where their bytes are signed and checked.
 //
 // A parsed or hand-built Sealed holds its payload as a tree in Payload.
 // One from Seal holds the payload's encode method instead, and Payload
@@ -32,7 +32,6 @@ type Sealed struct {
 const (
 	LabelTicket  = "trustvo-ticket"
 	LabelResume  = "trustvo-resume"
-	LabelSession = "trustvo-session"
 	LabelStandby = "trustvo-standby"
 )
 

@@ -116,19 +116,6 @@ func (c *Cache) onCommit(entries []store.Entry) {
 	}
 }
 
-// Invalidate drops every cached entry (all kinds). Mostly for tests and
-// operational resets; normal invalidation is automatic via the store's
-// commit feed.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key := range c.entries {
-		delete(c.entries, key)
-		c.invalidations.Add(1)
-		c.met().invalidations.Inc()
-	}
-}
-
 const (
 	opGet  = "g"
 	opList = "l"

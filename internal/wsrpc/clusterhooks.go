@@ -12,7 +12,7 @@ import (
 
 // Cluster-facing session-table operations. internal/cluster routes
 // sessions across nodes by hashing their ids onto a ring; these methods
-// are the service-side primitives failover and migration build on:
+// are the service-side primitives failover and draining build on:
 // adopt a shipped session, materialize an externally-assigned id, drain
 // sessions off a node, and answer ownership probes.
 
@@ -109,38 +109,25 @@ func (s *TNService) EnsureSession(id string) error {
 	return nil
 }
 
-// DrainSessions snapshots and removes live, unfinished sessions,
-// returning their suspended-state documents keyed by id. A nil filter
-// drains everything; otherwise only ids the filter accepts move.
+// DrainSessions removes every session from the table and returns their
+// documents keyed by id: a live session's suspended state, a finished
+// one's verdict and reply cache (encodeDone), so the node that adopts
+// it replays the final reply instead of running the last step again.
 // Sessions with nothing to snapshot (no message processed yet) are
-// dropped from the table but returned with a nil document, so the
-// caller can still count them. Each removed session's capacity slot is
-// released, and a handler that looked one up before it left answers
-// through SessionMissing instead of advancing it.
-func (s *TNService) DrainSessions(filter func(id string) bool) map[string]*xmldom.Node {
+// returned with a nil document, so the caller can still count them.
+// Each removed session's capacity slot is released, and a handler that
+// looked one up before it left answers through SessionMissing instead
+// of advancing it.
+func (s *TNService) DrainSessions() map[string]*xmldom.Node {
 	out := make(map[string]*xmldom.Node)
 	for _, sh := range s.shardTable() {
-		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
-		drained := make(map[string]*tnSession)
-		for id, sess := range sh.m {
-			if sess.done.Load() {
-				continue
-			}
-			if filter != nil && !filter(id) {
-				continue
-			}
-			drained[id] = sess
-			delete(sh.m, id)
-		}
+		sh.mu.Lock() //lint:allow nakedlock swap per stripe inside a loop; defer would hold the lock across stripes
+		drained := sh.m
+		sh.m = make(map[string]*tnSession)
 		sh.mu.Unlock()
 		for id, sess := range drained {
 			s.retire(sess)
-			doc, ok := sess.moveOut(id)
-			if !ok {
-				out[id] = nil
-				continue
-			}
-			out[id] = doc
+			out[id] = sess.moveOut(id)
 		}
 	}
 	return out
@@ -208,6 +195,5 @@ func (s *TNService) ReleaseSession(id string) *xmldom.Node {
 		return nil
 	}
 	s.retire(sess)
-	doc, _ := sess.moveOut(id)
-	return doc
+	return sess.moveOut(id)
 }

@@ -251,7 +251,7 @@ func TestMovedSessionNotAdvanced(t *testing.T) {
 	// A handler's lookup returned the session just before the drain took
 	// it; put that stale pointer where the handler's lookup finds it.
 	sess := svc.session(id)
-	svc.DrainSessions(nil)
+	svc.DrainSessions()
 	svc.shard(id).put(id, sess)
 
 	first, err := negotiation.NewRequester(req, "R").Start()

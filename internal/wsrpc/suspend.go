@@ -88,18 +88,19 @@ func (sess *tnSession) encodeLastReply(w *xmldom.Writer) {
 }
 
 // moveOut marks the session as gone to another node and snapshots it,
-// a finished one as its verdict and reply cache (encodeDone).
-func (sess *tnSession) moveOut(id string) (doc *xmldom.Node, ok bool) {
+// a finished one as its verdict and reply cache (encodeDone). It
+// returns nil for a session with no message handled yet.
+func (sess *tnSession) moveOut(id string) *xmldom.Node {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.moved = true
 	switch {
 	case sess.done.Load():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id) }), true
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id) })
 	case sess.resumable():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) }), true
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) })
 	}
-	return nil, false
+	return nil
 }
 
 // SuspendSessions persists every live, unfinished session to db and

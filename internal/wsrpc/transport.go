@@ -83,9 +83,9 @@ func (t *Transport) count(name string, labels ...string) {
 }
 
 // Call exposes the hardened call path to sibling packages — the cluster
-// layer routes forwarding, standby shipping, migration and replication
-// RPCs through it so every cross-node hop gets the same deadlines,
-// retries and breaker as client traffic. Semantics are those of call.
+// layer routes forwarding, standby shipping and replication RPCs
+// through it so every cross-node hop gets the same deadlines, retries
+// and breaker as client traffic. Semantics are those of call.
 func (t *Transport) Call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
 	return t.call(ctx, method, base, route, query, body, idempotent)
 }

@@ -28,7 +28,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -369,11 +368,4 @@ func (c *Credential) Clone() *Credential {
 	cp.Signature = append([]byte(nil), c.Signature...)
 	cp.HolderKey = append([]byte(nil), c.HolderKey...)
 	return &cp
-}
-
-// SortAttributes orders content attributes by name, normalizing
-// credentials produced from maps. Signed credentials must not be
-// re-sorted (the signature covers attribute order).
-func (c *Credential) SortAttributes() {
-	sort.Slice(c.Attributes, func(i, j int) bool { return c.Attributes[i].Name < c.Attributes[j].Name })
 }

@@ -22,10 +22,11 @@ type Profile struct {
 	// conditions against the credential document; rebuilding that
 	// document for each (term, credential) pair dominated the
 	// policy-evaluation phase under concurrent joins. Credentials are
-	// treated as immutable once added (they are signed); Add and Remove
-	// invalidate their cache entries.
+	// treated as immutable once added (they are signed). The cache is
+	// keyed by the credential itself, not its ID: an issuer chooses the
+	// ID, so credentials from two authorities can share one.
 	domMu sync.Mutex
-	doms  map[string]*xmldom.Node
+	doms  map[*Credential]*xmldom.Node
 }
 
 // NewProfile returns an empty profile for owner.
@@ -36,9 +37,6 @@ func NewProfile(owner string) *Profile {
 // Add appends credentials to the profile.
 func (p *Profile) Add(creds ...*Credential) {
 	p.creds = append(p.creds, creds...)
-	for _, c := range creds {
-		p.dropDOM(c.ID)
-	}
 }
 
 // Remove deletes the credential with the given ID, reporting whether it
@@ -47,35 +45,28 @@ func (p *Profile) Remove(id string) bool {
 	for i, c := range p.creds {
 		if c.ID == id {
 			p.creds = append(p.creds[:i], p.creds[i+1:]...)
-			p.dropDOM(id)
+			p.domMu.Lock()
+			defer p.domMu.Unlock()
+			delete(p.doms, c)
 			return true
 		}
 	}
 	return false
 }
 
-// credDOM returns the credential's canonical DOM, cached by ID.
+// credDOM returns the credential's canonical DOM, cached per credential.
 func (p *Profile) credDOM(c *Credential) *xmldom.Node {
-	if c.ID == "" {
-		return c.DOM()
-	}
 	p.domMu.Lock()
 	defer p.domMu.Unlock()
-	if dom, ok := p.doms[c.ID]; ok {
+	if dom, ok := p.doms[c]; ok {
 		return dom
 	}
 	dom := c.DOM()
 	if p.doms == nil {
-		p.doms = make(map[string]*xmldom.Node)
+		p.doms = make(map[*Credential]*xmldom.Node)
 	}
-	p.doms[c.ID] = dom
+	p.doms[c] = dom
 	return dom
-}
-
-func (p *Profile) dropDOM(id string) {
-	p.domMu.Lock()
-	defer p.domMu.Unlock()
-	delete(p.doms, id)
 }
 
 // All returns the credentials in insertion order.

@@ -108,3 +108,26 @@ func TestParseProfileErrors(t *testing.T) {
 		t.Fatal("non-xml should error")
 	}
 }
+
+// TestSatisfyingSharedCredentialID: an issuer chooses a credential's ID,
+// so two credentials can share one. Each is checked against its own
+// document, as Term.SatisfiedBy checks it.
+func TestSatisfyingSharedCredentialID(t *testing.T) {
+	p := NewProfile("AerospaceCo")
+	p.Add(
+		&Credential{ID: "dup", Type: "Cert", Attributes: []Attribute{{Name: "level", Value: "1"}}},
+		&Credential{ID: "dup", Type: "Cert", Attributes: []Attribute{{Name: "level", Value: "3"}}},
+	)
+	for _, level := range []string{"1", "3"} {
+		term := Term{CredType: "Cert", Conditions: []string{"/credential/content/level=" + level}}
+		got := p.Satisfying(term)
+		if len(got) != 1 || got[0].Attributes[0].Value != level {
+			t.Errorf("Satisfying(level = %s) = %+v, want the level-%s credential", level, got, level)
+		}
+		for _, c := range p.All() {
+			if term.SatisfiedBy(c) != (c.Attributes[0].Value == level) {
+				t.Errorf("SatisfiedBy(level = %s) disagrees on %+v", level, c)
+			}
+		}
+	}
+}
