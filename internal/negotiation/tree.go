@@ -2,7 +2,9 @@ package negotiation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"trustvo/internal/xtnl"
@@ -97,12 +99,34 @@ func (t *Tree) Root() *Node { return t.nodes[RootID] }
 // Len returns the number of nodes.
 func (t *Tree) Len() int { return len(t.nodes) }
 
-// termKey is the identity of a requirement for cycle detection and
-// sequence deduplication: owner plus normalized term.
+// termKey is the identity of a requirement for sequence deduplication:
+// owner, credential type and the conditions in sorted order.
 func termKey(owner string, term xtnl.Term) string {
-	conds := append([]string(nil), term.Conditions...)
-	sort.Strings(conds)
-	return owner + "\x00" + term.CredType + "\x00" + strings.Join(conds, "\x01")
+	if len(term.Conditions) == 0 {
+		return owner + "\x00" + term.CredType
+	}
+	return owner + "\x00" + term.CredType + "\x01" + strings.Join(sortedConditions(term.Conditions), "\x01")
+}
+
+// sortedConditions returns conds in sorted order: conds itself when it
+// is sorted, else a sorted copy.
+func sortedConditions(conds []string) []string {
+	if slices.IsSorted(conds) {
+		return conds
+	}
+	sorted := slices.Clone(conds)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// sameRequirement reports whether the requirement owner/term is n's, as
+// termKey sees them: the same owner, credential type and conditions in
+// any order. It builds no key, and allocates nothing when both condition
+// lists are sorted.
+func sameRequirement(owner string, term xtnl.Term, n *Node) bool {
+	return owner == n.Owner && term.CredType == n.Term.CredType &&
+		len(term.Conditions) == len(n.Term.Conditions) &&
+		slices.Equal(sortedConditions(term.Conditions), sortedConditions(n.Term.Conditions))
 }
 
 // HasAncestorTerm reports whether any proper ancestor of node id carries
@@ -112,7 +136,6 @@ func termKey(owner string, term xtnl.Term) string {
 // sequence dedupes it), resolving interlocks like the paper's §5.1
 // "PrivacyRegulator ← PrivacyRegulator" without unbounded expansion.
 func (t *Tree) HasAncestorTerm(id string, owner string, term xtnl.Term) bool {
-	key := termKey(owner, term)
 	n := t.nodes[id]
 	if n == nil {
 		return false
@@ -122,7 +145,7 @@ func (t *Tree) HasAncestorTerm(id string, owner string, term xtnl.Term) bool {
 		if p == nil {
 			return false
 		}
-		if termKey(p.Owner, p.Term) == key {
+		if sameRequirement(owner, term, p) {
 			return true
 		}
 		cur = p.Parent
@@ -165,15 +188,21 @@ func (t *Tree) Expand(id string, alternatives [][]xtnl.Term, counterOwner string
 	if len(alternatives) == 0 {
 		return nil, fmt.Errorf("negotiation: expand node %s with no alternatives", id)
 	}
-	var created []*Node
+	total := 0
+	for _, terms := range alternatives {
+		total += len(terms)
+	}
+	created := make([]*Node, 0, total)
+	kids := make([]Node, total) // one allocation for every child
 	for ai, terms := range alternatives {
 		if len(terms) == 0 {
 			return nil, fmt.Errorf("negotiation: node %s alternative %d has no terms", id, ai)
 		}
-		var ids []string
+		ids := make([]string, 0, len(terms))
 		for ti, term := range terms {
-			cid := fmt.Sprintf("%s.%d.%d", id, ai, ti)
-			child := &Node{
+			cid := id + "." + strconv.Itoa(ai) + "." + strconv.Itoa(ti)
+			child := &kids[len(created)]
+			*child = Node{
 				ID:     cid,
 				Term:   term,
 				Owner:  counterOwner,

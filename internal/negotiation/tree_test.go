@@ -214,3 +214,38 @@ func TestSequenceNilWhenUnsatisfiable(t *testing.T) {
 		t.Fatal("sequence of denied tree should be nil")
 	}
 }
+
+// TestHasAncestorTermAllocations guards the mutual-requirement check
+// every expansion makes: it compares owners, types and conditions in
+// place, building no key. Conditions match in any order; the guard runs
+// on a single-condition term, the form every policy in the benchmark
+// uses.
+func TestHasAncestorTermAllocations(t *testing.T) {
+	tr := NewTree("R", "B")
+	x := xtnl.Term{CredType: "X", Conditions: []string{"/credential/content/b='2'", "/credential/content/a='1'"}}
+	kids, _ := tr.Expand(RootID, [][]xtnl.Term{{x}}, "A")
+	kids, _ = tr.Expand(kids[0].ID, [][]xtnl.Term{{{CredType: "Y", Conditions: []string{"/credential/content/c='3'"}}}}, "B")
+	reordered := xtnl.Term{CredType: "X", Conditions: []string{x.Conditions[1], x.Conditions[0]}}
+	kids, _ = tr.Expand(kids[0].ID, [][]xtnl.Term{{reordered}}, "A")
+	if !tr.HasAncestorTerm(kids[0].ID, "A", reordered) {
+		t.Fatal("reordered conditions not detected as the same requirement")
+	}
+	if tr.HasAncestorTerm(kids[0].ID, "A", xtnl.Term{CredType: "X", Conditions: x.Conditions[:1]}) {
+		t.Fatal("a term with fewer conditions detected as the same requirement")
+	}
+
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	q := xtnl.Term{CredType: "WebDesignerQuality", Conditions: []string{"/credential/content/regulation='UNI EN ISO 9000'"}}
+	tr = NewTree("R", "B")
+	kids, _ = tr.Expand(RootID, [][]xtnl.Term{{q}}, "A")
+	kids, _ = tr.Expand(kids[0].ID, [][]xtnl.Term{{{CredType: "AAAMember"}}}, "B")
+	kids, _ = tr.Expand(kids[0].ID, [][]xtnl.Term{{q}}, "A")
+	if !tr.HasAncestorTerm(kids[0].ID, "A", q) {
+		t.Fatal("repeated requirement not detected")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = tr.HasAncestorTerm(kids[0].ID, "A", q) }); allocs != 0 {
+		t.Errorf("HasAncestorTerm allocates %.1f times, want 0", allocs)
+	}
+}

@@ -90,16 +90,26 @@ func New() *Registry {
 	return &Registry{desc: make(map[string]*Description)}
 }
 
-// Publish inserts or replaces a provider's description.
+// Publish inserts or replaces a provider's description. It stores a
+// copy whose strings are its own: a description decoded from a request
+// holds substrings of the whole body (see package xmldom), which the
+// registry would otherwise keep alive.
 func (r *Registry) Publish(d *Description) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	cp := *d
-	cp.Capabilities = append([]string(nil), d.Capabilities...)
+	cp := &Description{
+		Provider: strings.Clone(d.Provider),
+		Service:  strings.Clone(d.Service),
+		Endpoint: strings.Clone(d.Endpoint),
+		Quality:  strings.Clone(d.Quality),
+	}
+	for _, c := range d.Capabilities {
+		cp.Capabilities = append(cp.Capabilities, strings.Clone(c))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.desc[d.Provider] = &cp
+	r.desc[cp.Provider] = cp
 	return nil
 }
 

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"testing"
+	"unsafe"
 
 	"trustvo/internal/xmldom"
 )
@@ -102,5 +103,47 @@ func TestDOMRoundTrip(t *testing.T) {
 	}
 	if _, err := FromDOM(xmldom.NewElement("serviceDescription")); err == nil {
 		t.Fatal("invalid description accepted")
+	}
+}
+
+// TestPublishClonesStrings checks that a published description keeps
+// none of the request body it was decoded from alive: /registry/publish
+// decodes it from the parsed body, whose strings are substrings of the
+// whole body.
+func TestPublishClonesStrings(t *testing.T) {
+	body := `<serviceDescription provider="HPCServiceCo" service="NumericalSimulation" ` +
+		`endpoint="http://hpc.example/tn" quality="UNI EN ISO 9000">` +
+		`<capability name="simulation"/><capability name="cfd"/></serviceDescription>`
+	root, err := xmldom.ParseString(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := FromDOM(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New()
+	if err := r.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		b := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+		return s != "" && p >= b && p < b+uintptr(len(body))
+	}
+	if !within(d.Provider) {
+		t.Fatal("test setup: the decoded provider is not a substring of the body")
+	}
+	var stored *Description
+	for _, s := range r.All() {
+		stored = s
+	}
+	if stored == nil || stored.Provider != "HPCServiceCo" || len(stored.Capabilities) != 2 {
+		t.Fatalf("stored description %+v", stored)
+	}
+	for _, s := range append([]string{stored.Provider, stored.Service, stored.Endpoint, stored.Quality}, stored.Capabilities...) {
+		if within(s) {
+			t.Errorf("stored %q pins the request body", s)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -32,7 +33,9 @@ func (s *TNService) HasSession(id string) bool {
 // least as fresh as any shipped snapshot, so a duplicate or stale
 // delivery must not clobber it.
 func (s *TNService) AdoptSessionDoc(doc *xmldom.Node) (string, error) {
-	id := doc.AttrOr("id", "")
+	// The id keys the table for the session's life; a parsed one is a
+	// substring of the whole shipped body.
+	id := strings.Clone(doc.AttrOr("id", ""))
 	if id == "" {
 		return "", &Error{
 			Op:     "adopt",
@@ -80,6 +83,7 @@ func (s *TNService) EnsureSession(id string) error {
 	if err != nil {
 		return err
 	}
+	id = strings.Clone(id) // the router parsed it out of the whole request body
 	sh := s.shard(id)
 	s.sweepShard(sh)
 	if !s.reserveActive() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -237,7 +238,7 @@ func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 		}
 	}
 	if lr := doc.Child("lastReply"); lr != nil {
-		sess.lastReply = lr.Text()
+		sess.lastReply = strings.Clone(lr.Text()) // kept after the session finishes
 	}
 	return sess, nil
 }

@@ -26,16 +26,24 @@ import (
 // Attributes belong to the innermost Start and must come before its
 // first child. Names are written as given, unchecked.
 type Writer struct {
+	mode  writeMode
 	buf   []byte
 	elems []span        // names of the open elements in buf, innermost last
 	attrs []pendingAttr // attributes of the start tag not yet closed
-	vals  []byte        // scratch
+	vals  []byte        // scratch; in tree mode, the formatted values
 	inTag bool          // a start tag awaits its '>' or "/>"
 
-	tree bool // build nodes instead of bytes
-	root *Node
-	cur  *Node
+	t treeBuild // Tree's state
 }
+
+// writeMode selects what a Writer makes of the calls it receives.
+type writeMode uint8
+
+const (
+	writeBytes writeMode = iota // canonical XML into buf
+	countTree                   // Tree's first pass: size the slabs
+	fillTree                    // Tree's second pass: build the nodes
+)
 
 // A span is a run of bytes in Writer.buf. Byte mode keeps positions, not
 // strings, so it stores no pointers: no write barriers, and nothing of
@@ -61,7 +69,8 @@ const maxPooledBuf = 1 << 16
 func getWriter() *Writer { return writerPool.Get().(*Writer) }
 
 func (w *Writer) release() {
-	if cap(w.buf) > maxPooledBuf || cap(w.vals) > maxPooledBuf {
+	if cap(w.buf) > maxPooledBuf || cap(w.vals) > maxPooledBuf ||
+		max(cap(w.t.pending), cap(w.t.open), cap(w.t.lens)) > maxPooledBuf/8 {
 		return
 	}
 	w.buf, w.elems, w.attrs, w.vals, w.inTag = w.buf[:0], w.elems[:0], w.attrs[:0], w.vals[:0], false
@@ -91,20 +100,163 @@ func Bytes(prefix []byte, encode func(*Writer)) []byte {
 
 // Tree returns the tree that encode writes: one node per Start, Text and
 // Comment, attributes in the order given and set as SetAttr sets them.
+//
+// Tree builds in slabs, as the parser does. It calls encode twice: the
+// first call counts nodes, attributes and child pointers and formats
+// every number, time and base64 value into one buffer; the second fills
+// one slab of each and takes the formatted values from one string, so a
+// tree costs about four allocations however large it is. encode must
+// write the same document both times, as every encode method of the
+// wire types does: each is a pure function of its receiver. A second
+// call that writes more than the first panics at the slab it overruns
+// rather than build a tree that differs from the document. Child and
+// attribute slices are capped, so AppendChild or SetAttr on one node
+// reallocates rather than writing into a neighbour.
 func Tree(encode func(*Writer)) *Node {
 	w := getWriter()
-	w.tree = true
+	t := &w.t
+	w.mode = countTree
 	encode(w)
-	root := w.root
-	w.tree, w.root, w.cur = false, nil, nil
+	t.start(w.vals)
+	w.mode = fillTree
+	encode(w)
+	root := t.root
+	t.finish()
+	w.mode = writeBytes
 	w.release()
 	return root
 }
 
+// treeBuild is the state of one Tree call. The slabs and the values
+// string end up in the returned tree; pending, open and lens are scratch
+// that a pooled Writer keeps.
+type treeBuild struct {
+	nodes, attrs, kids, depth int // counted by the first pass
+
+	nodeSlab []Node
+	attrSlab []Attr
+	kidSlab  []*Node
+	values   string // the formatted values not yet handed out, back to back
+	lens     []int  // the length of each formatted value, in order
+	next     int    // index in lens of the next value to hand out
+
+	pending []*Node // children of the open elements, innermost last
+	open    []int   // for each open element, its first child's index in pending
+	root    *Node
+	cur     *Node
+	attrsOf *Node // the element whose attributes end attrSlab
+}
+
+// start sizes the slabs from the counts and turns the formatted values
+// into one string.
+func (t *treeBuild) start(vals []byte) {
+	t.nodeSlab = make([]Node, 0, t.nodes)
+	if t.attrs > 0 {
+		t.attrSlab = make([]Attr, 0, t.attrs)
+	}
+	if t.kids > 0 {
+		t.kidSlab = make([]*Node, 0, t.kids)
+	}
+	t.values = string(vals)
+}
+
+// finish drops every reference into the tree, so that the pooled Writer
+// keeps none of it alive.
+func (t *treeBuild) finish() {
+	clear(t.pending) // non-empty only if encode left an element open
+	*t = treeBuild{pending: t.pending[:0], open: t.open[:0], lens: t.lens[:0]}
+}
+
+// count records a node of the first pass.
+func (t *treeBuild) count() {
+	t.nodes++
+	if t.depth > 0 {
+		t.kids++
+	}
+}
+
+// node hands out the next node of the slab and links it under the
+// innermost open element, or makes it the root.
+func (t *treeBuild) node(typ NodeType, name, data string) *Node {
+	t.nodeSlab = t.nodeSlab[:len(t.nodeSlab)+1]
+	n := &t.nodeSlab[len(t.nodeSlab)-1]
+	n.Type, n.Name, n.Data = typ, name, data
+	if t.cur == nil {
+		t.root = n
+	} else {
+		n.Parent = t.cur
+		t.pending = append(t.pending, n)
+	}
+	return n
+}
+
+// end closes the innermost open element, moving its children from
+// pending into the child-pointer slab.
+func (t *treeBuild) end() {
+	last := len(t.open) - 1
+	first := t.open[last]
+	t.open = t.open[:last]
+	if kids := t.pending[first:]; len(kids) > 0 {
+		at, end := len(t.kidSlab), len(t.kidSlab)+len(kids)
+		t.kidSlab = t.kidSlab[:end]
+		copy(t.kidSlab[at:], kids)
+		t.cur.Children = t.kidSlab[at:end:end]
+		clear(kids)
+		t.pending = t.pending[:first]
+	}
+	t.cur = t.cur.Parent
+}
+
+// setAttr sets an attribute of the innermost open element as SetAttr
+// does, taking the slot from the slab while the element's attributes
+// still end it.
+func (t *treeBuild) setAttr(name, value string) {
+	n := t.cur
+	for i := range n.Attrs {
+		if n.Attrs[i].Name == name {
+			n.Attrs[i].Value = value
+			return
+		}
+	}
+	if t.attrsOf != n { // an attribute after a child element: off the slab
+		n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
+		return
+	}
+	end := len(t.attrSlab) + 1
+	t.attrSlab = t.attrSlab[:end]
+	t.attrSlab[end-1] = Attr{Name: name, Value: value}
+	n.Attrs = t.attrSlab[end-len(n.Attrs)-1 : end : end]
+}
+
+// format records the value the first pass appended to vals, and
+// returns vals with it.
+func (t *treeBuild) format(vals, with []byte) []byte {
+	t.lens = append(t.lens, len(with)-len(vals))
+	return with
+}
+
+// value returns the second pass's next formatted value: the one the
+// first pass made at the same call.
+func (t *treeBuild) value() string {
+	n := t.lens[t.next]
+	t.next++
+	v := t.values[:n]
+	t.values = t.values[n:]
+	return v
+}
+
 // Start opens an element.
 func (w *Writer) Start(name string) {
-	if w.tree {
-		w.cur = w.add(NewElement(name))
+	switch w.mode {
+	case countTree:
+		w.t.count()
+		w.t.depth++
+		return
+	case fillTree:
+		t := &w.t
+		t.cur = t.node(ElementNode, name, "")
+		t.open = append(t.open, len(t.pending))
+		t.attrsOf = t.cur
 		return
 	}
 	w.child()
@@ -116,8 +268,12 @@ func (w *Writer) Start(name string) {
 
 // End closes the innermost open element.
 func (w *Writer) End() {
-	if w.tree {
-		w.cur = w.cur.Parent
+	switch w.mode {
+	case countTree:
+		w.t.depth--
+		return
+	case fillTree:
+		w.t.end()
 		return
 	}
 	last := len(w.elems) - 1
@@ -135,8 +291,12 @@ func (w *Writer) End() {
 
 // Attr sets an attribute of the innermost open element.
 func (w *Writer) Attr(name, value string) {
-	if w.tree {
-		w.cur.SetAttr(name, value)
+	switch w.mode {
+	case countTree:
+		w.t.attrs++
+		return
+	case fillTree:
+		w.t.setAttr(name, value)
 		return
 	}
 	w.attrStart(name)
@@ -146,8 +306,13 @@ func (w *Writer) Attr(name, value string) {
 
 // AttrInt sets an attribute to the decimal form of v.
 func (w *Writer) AttrInt(name string, v int64) {
-	if w.tree {
-		w.cur.SetAttr(name, strconv.FormatInt(v, 10))
+	switch w.mode {
+	case countTree:
+		w.t.attrs++
+		w.vals = w.t.format(w.vals, strconv.AppendInt(w.vals, v, 10))
+		return
+	case fillTree:
+		w.t.setAttr(name, w.t.value())
 		return
 	}
 	w.attrStart(name)
@@ -157,8 +322,13 @@ func (w *Writer) AttrInt(name string, v int64) {
 
 // AttrBase64 sets an attribute to the standard base64 encoding of b.
 func (w *Writer) AttrBase64(name string, b []byte) {
-	if w.tree {
-		w.cur.SetAttr(name, base64.StdEncoding.EncodeToString(b))
+	switch w.mode {
+	case countTree:
+		w.t.attrs++
+		w.vals = w.t.format(w.vals, base64.StdEncoding.AppendEncode(w.vals, b))
+		return
+	case fillTree:
+		w.t.setAttr(name, w.t.value())
 		return
 	}
 	w.attrStart(name)
@@ -168,8 +338,13 @@ func (w *Writer) AttrBase64(name string, b []byte) {
 
 // AttrTime sets an attribute to t formatted with layout.
 func (w *Writer) AttrTime(name string, t time.Time, layout string) {
-	if w.tree {
-		w.cur.SetAttr(name, t.Format(layout))
+	switch w.mode {
+	case countTree:
+		w.t.attrs++
+		w.vals = w.t.format(w.vals, t.AppendFormat(w.vals, layout))
+		return
+	case fillTree:
+		w.t.setAttr(name, w.t.value())
 		return
 	}
 	w.attrStart(name)
@@ -193,8 +368,12 @@ func (w *Writer) attrEnd() {
 
 // Text adds a text child, escaped.
 func (w *Writer) Text(s string) {
-	if w.tree {
-		w.add(NewText(s))
+	switch w.mode {
+	case countTree:
+		w.t.count()
+		return
+	case fillTree:
+		w.t.node(TextNode, "", s)
 		return
 	}
 	w.child()
@@ -204,8 +383,13 @@ func (w *Writer) Text(s string) {
 // TextBase64 adds a text child holding the standard base64 encoding of b
 // (an empty text child when b is empty).
 func (w *Writer) TextBase64(b []byte) {
-	if w.tree {
-		w.add(NewText(base64.StdEncoding.EncodeToString(b)))
+	switch w.mode {
+	case countTree:
+		w.t.count()
+		w.vals = w.t.format(w.vals, base64.StdEncoding.AppendEncode(w.vals, b))
+		return
+	case fillTree:
+		w.t.node(TextNode, "", w.t.value())
 		return
 	}
 	w.child()
@@ -214,8 +398,13 @@ func (w *Writer) TextBase64(b []byte) {
 
 // TextTime adds a text child holding t formatted with layout.
 func (w *Writer) TextTime(t time.Time, layout string) {
-	if w.tree {
-		w.add(NewText(t.Format(layout)))
+	switch w.mode {
+	case countTree:
+		w.t.count()
+		w.vals = w.t.format(w.vals, t.AppendFormat(w.vals, layout))
+		return
+	case fillTree:
+		w.t.node(TextNode, "", w.t.value())
 		return
 	}
 	w.child()
@@ -225,8 +414,12 @@ func (w *Writer) TextTime(t time.Time, layout string) {
 
 // Comment adds a comment child, written as given.
 func (w *Writer) Comment(s string) {
-	if w.tree {
-		w.add(&Node{Type: CommentNode, Data: s})
+	switch w.mode {
+	case countTree:
+		w.t.count()
+		return
+	case fillTree:
+		w.t.node(CommentNode, "", s)
 		return
 	}
 	w.child()
@@ -242,16 +435,6 @@ func (w *Writer) newline(depth int) {
 	for range depth {
 		w.buf = append(w.buf, ' ', ' ')
 	}
-}
-
-// add links n under the innermost open element, or makes it the root.
-func (w *Writer) add(n *Node) *Node {
-	if w.cur == nil {
-		w.root = n
-	} else {
-		w.cur.AppendChild(n)
-	}
-	return n
 }
 
 // child closes a start tag left open, since its element is about to gain

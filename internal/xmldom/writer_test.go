@@ -1,6 +1,7 @@
 package xmldom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,89 @@ func TestWriterCanonicalForm(t *testing.T) {
 	}
 	if tree.Parent != nil || tree.Child("text").Parent != tree {
 		t.Fatal("parent links not set")
+	}
+}
+
+// TestTreeNodesMutableInPlace checks that the slabs behind a Tree result
+// are capped per node: AppendChild and SetAttr on any one node leave
+// every other node's attributes and children as they were.
+func TestTreeNodesMutableInPlace(t *testing.T) {
+	walk := func(root *Node) []*Node {
+		var all []*Node
+		root.Walk(func(n *Node) bool {
+			all = append(all, n)
+			return true
+		})
+		return all
+	}
+	shape := func(n *Node) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%v %q %q %p attrs", n.Type, n.Name, n.Data, n.Parent)
+		for _, a := range n.Attrs {
+			fmt.Fprintf(&b, " %s=%q", a.Name, a.Value)
+		}
+		b.WriteString(" children")
+		for _, c := range n.Children {
+			fmt.Fprintf(&b, " %p", c)
+		}
+		return b.String()
+	}
+	count := len(walk(Tree(writeSample)))
+	for i := range count {
+		all := walk(Tree(writeSample))
+		before := make([]string, len(all))
+		for j, n := range all {
+			before[j] = shape(n)
+		}
+		target := all[i]
+		added := NewElement("added")
+		target.AppendChild(added)
+		target.SetAttr("added", "1")
+		for j, n := range all {
+			if j != i && shape(n) != before[j] {
+				t.Errorf("mutating node %d changed node %d:\n before %s\n after  %s", i, j, before[j], shape(n))
+			}
+		}
+		if last := target.Children[len(target.Children)-1]; last != added || target.AttrOr("added", "") != "1" {
+			t.Errorf("node %d did not take the new child and attribute: %s", i, shape(target))
+		}
+	}
+	if count < 15 {
+		t.Fatalf("sample tree has only %d nodes", count)
+	}
+}
+
+// TestTreePanicsWhenEncodeGrows checks that Tree refuses an encode that
+// writes more on its second call than on its first, whichever slab the
+// extra call overruns, instead of building a tree that differs from the
+// document.
+func TestTreePanicsWhenEncodeGrows(t *testing.T) {
+	for name, extra := range map[string]func(*Writer){
+		"element": func(w *Writer) { w.Start("x"); w.End() },
+		"text":    func(w *Writer) { w.Text("x") },
+		"value":   func(w *Writer) { w.AttrInt("n", 1) },
+		"attr":    func(w *Writer) { w.Attr("b", "2") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			calls := 0
+			encode := func(w *Writer) {
+				calls++
+				w.Start("root")
+				w.Attr("a", "1")
+				if calls == 2 {
+					extra(w)
+				}
+				w.Start("child")
+				w.End()
+				w.End()
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Tree built a tree from a growing encode")
+				}
+			}()
+			Tree(encode)
+		})
 	}
 }
 

@@ -20,7 +20,8 @@
 // messages, envelopes) writes its layout into it from a single encode
 // method: String and Bytes turn that method into canonical bytes in a
 // pooled buffer without building any node, and Tree turns the same
-// method into the node tree, for code that walks it.
+// method into the node tree, for code that walks it, built from slabs
+// as the parser builds its trees.
 //
 // # Accepted grammar
 //
@@ -63,6 +64,12 @@
 // document alive. Before storing a parsed value in a long-lived map or
 // cache, copy it: strings.Clone for a string; (*Node).Clone copies a
 // subtree's nodes but shares its strings.
+//
+// A tree from Tree is laid out the same way: its nodes, attributes and
+// child lists come from one slab each, and the values Tree formatted
+// (numbers, times, base64) are substrings of one string. Holding any
+// node of it keeps the whole tree alive; the other strings are the
+// encoder's own.
 package xmldom
 
 import (

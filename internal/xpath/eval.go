@@ -8,25 +8,24 @@ import (
 	"trustvo/internal/xmldom"
 )
 
-// item is one member of a node-set: an element/text node, an attribute
-// (owner element plus name/value), or the virtual document root.
+// item is one member of a node-set: an element or text node, an
+// attribute (its owner element and its place in the owner's Attrs), or
+// the document node, whose only child is the root element.
 type item struct {
-	node *xmldom.Node // nil only for doc items
+	node *xmldom.Node // the node, the attribute's owner, or the document's root element
+	attr int32        // 1 + the attribute's index in node.Attrs; 0 for a node
 	doc  bool
-	attr bool
-	name string // attribute name when attr
-	val  string // attribute value when attr
 }
 
+func (it item) isAttr() bool { return it.attr > 0 }
+
+func (it item) attribute() xmldom.Attr { return it.node.Attrs[it.attr-1] }
+
 func (it item) stringValue() string {
-	switch {
-	case it.attr:
-		return it.val
-	case it.doc:
-		return it.node.Text()
-	default:
-		return it.node.Text()
+	if it.isAttr() {
+		return it.attribute().Value
 	}
+	return it.node.Text()
 }
 
 // value is the dynamic result of evaluating an expression: one of
@@ -35,35 +34,37 @@ type value any
 
 type nodeset []item
 
+// state is one evaluation's: the document root, the document order of
+// its nodes (built when a union first needs it), and the arena every
+// node-set of the evaluation is carved from. A location path appends
+// its context item to the arena and each step replaces the node-set at
+// the end with the step's result, so a path costs no allocation until
+// the arena outgrows the inline array.
+type state struct {
+	root   *xmldom.Node
+	order  map[*xmldom.Node]int
+	arena  nodeset
+	inline [8]item
+}
+
+// evalCtx is the context of one evaluation: the context item, its 1-based
+// position in the context node-set, and that node-set's size.
 type evalCtx struct {
-	item item
-	pos  int // 1-based position within the context node-set
-	size int
-	doc  *docIndex
+	item      item
+	pos, size int
 }
 
-// docIndex assigns document-order indices lazily so that unions and
-// descendant steps can be returned in document order.
-type docIndex struct {
-	order map[*xmldom.Node]int
-	root  *xmldom.Node
-}
-
-func newDocIndex(root *xmldom.Node) *docIndex {
-	return &docIndex{root: root}
-}
-
-func (d *docIndex) indexOf(n *xmldom.Node) int {
-	if d.order == nil {
-		d.order = make(map[*xmldom.Node]int)
+func (s *state) indexOf(n *xmldom.Node) int {
+	if s.order == nil {
+		s.order = make(map[*xmldom.Node]int)
 		i := 0
-		d.root.Walk(func(x *xmldom.Node) bool {
-			d.order[x] = i
+		s.root.Walk(func(x *xmldom.Node) bool {
+			s.order[x] = i
 			i++
 			return true
 		})
 	}
-	return d.order[n]
+	return s.order[n]
 }
 
 // Evaluate runs the expression with ctx as the context node and returns
@@ -74,7 +75,7 @@ func (e *Expr) Evaluate(ctx *xmldom.Node) any {
 	if ns, ok := v.(nodeset); ok {
 		out := make([]*xmldom.Node, 0, len(ns))
 		for _, it := range ns {
-			if !it.attr {
+			if !it.isAttr() {
 				out = append(out, it.node)
 			}
 		}
@@ -84,9 +85,9 @@ func (e *Expr) Evaluate(ctx *xmldom.Node) any {
 }
 
 func (e *Expr) evalRoot(ctx *xmldom.Node) value {
-	root := ctx.Root()
-	c := &evalCtx{item: item{node: ctx}, pos: 1, size: 1, doc: newDocIndex(root)}
-	return e.ast.eval(c)
+	s := &state{root: ctx.Root()}
+	s.arena = s.inline[:0]
+	return e.ast.eval(s, evalCtx{item: item{node: ctx}, pos: 1, size: 1})
 }
 
 // Select evaluates the expression and returns the resulting element/text
@@ -99,7 +100,7 @@ func (e *Expr) Select(ctx *xmldom.Node) []*xmldom.Node {
 	}
 	out := make([]*xmldom.Node, 0, len(ns))
 	for _, it := range ns {
-		if !it.attr && it.node != nil {
+		if !it.isAttr() && it.node != nil {
 			out = append(out, it.node)
 		}
 	}
@@ -140,61 +141,63 @@ func (e *Expr) Number(ctx *xmldom.Node) float64 {
 
 // ---- expression evaluation ----
 
-func (n numLit) eval(*evalCtx) value { return float64(n) }
-func (s strLit) eval(*evalCtx) value { return string(s) }
+func (l literal) eval(*state, evalCtx) value { return l.v }
 
-func (u *negExpr) eval(c *evalCtx) value { return -toNumber(u.x.eval(c)) }
+func (u *negExpr) eval(s *state, c evalCtx) value { return -toNumber(u.x.eval(s, c)) }
 
-func (b *binExpr) eval(c *evalCtx) value {
+func (b *binExpr) eval(s *state, c evalCtx) value {
 	switch b.op {
 	case opOr:
-		if toBool(b.l.eval(c)) {
+		if toBool(b.l.eval(s, c)) {
 			return true
 		}
-		return toBool(b.r.eval(c))
+		return toBool(b.r.eval(s, c))
 	case opAnd:
-		if !toBool(b.l.eval(c)) {
+		if !toBool(b.l.eval(s, c)) {
 			return false
 		}
-		return toBool(b.r.eval(c))
+		return toBool(b.r.eval(s, c))
 	case opUnion:
-		l, lok := b.l.eval(c).(nodeset)
-		r, rok := b.r.eval(c).(nodeset)
+		l, lok := b.l.eval(s, c).(nodeset)
+		r, rok := b.r.eval(s, c).(nodeset)
 		if !lok || !rok {
 			return nodeset(nil)
 		}
-		return unionSets(l, r, c.doc)
+		return s.union(l, r)
 	case opEq, opNeq, opLt, opLe, opGt, opGe:
-		return compare(b.op, b.l.eval(c), b.r.eval(c))
+		return compare(b.op, b.l.eval(s, c), b.r.eval(s, c))
 	case opAdd:
-		return toNumber(b.l.eval(c)) + toNumber(b.r.eval(c))
+		return toNumber(b.l.eval(s, c)) + toNumber(b.r.eval(s, c))
 	case opSub:
-		return toNumber(b.l.eval(c)) - toNumber(b.r.eval(c))
+		return toNumber(b.l.eval(s, c)) - toNumber(b.r.eval(s, c))
 	case opMul:
-		return toNumber(b.l.eval(c)) * toNumber(b.r.eval(c))
+		return toNumber(b.l.eval(s, c)) * toNumber(b.r.eval(s, c))
 	case opDiv:
-		return toNumber(b.l.eval(c)) / toNumber(b.r.eval(c))
+		return toNumber(b.l.eval(s, c)) / toNumber(b.r.eval(s, c))
 	case opMod:
-		return math.Mod(toNumber(b.l.eval(c)), toNumber(b.r.eval(c)))
+		return math.Mod(toNumber(b.l.eval(s, c)), toNumber(b.r.eval(s, c)))
 	}
 	return nil
 }
 
-func unionSets(a, b nodeset, doc *docIndex) nodeset {
+// union returns the items of a and b once each, in document order
+// (an attribute just after its owner).
+func (s *state) union(a, b nodeset) nodeset {
 	seen := make(map[itemKey]bool, len(a)+len(b))
 	out := make(nodeset, 0, len(a)+len(b))
-	for _, it := range append(append(nodeset{}, a...), b...) {
-		k := keyOf(it)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, it)
+	for _, part := range [2]nodeset{a, b} {
+		for _, it := range part {
+			if k := keyOf(it); !seen[k] {
+				seen[k] = true
+				out = append(out, it)
+			}
 		}
 	}
-	// Restore document order (attributes sort just after their owner).
-	sortDocOrder(out, doc)
+	s.sortDocOrder(out)
 	return out
 }
 
+// itemKey is an item's identity: an attribute is its owner and name.
 type itemKey struct {
 	n    *xmldom.Node
 	attr string
@@ -203,20 +206,20 @@ type itemKey struct {
 
 func keyOf(it item) itemKey {
 	k := itemKey{n: it.node, doc: it.doc}
-	if it.attr {
-		k.attr = it.name
+	if it.isAttr() {
+		k.attr = it.attribute().Name
 	}
 	return k
 }
 
-func sortDocOrder(ns nodeset, doc *docIndex) {
+func (s *state) sortDocOrder(ns nodeset) {
 	if len(ns) < 2 {
 		return
 	}
 	lessKey := func(it item) (int, int, string) {
-		base := doc.indexOf(it.node)
-		if it.attr {
-			return base, 1, it.name
+		base := s.indexOf(it.node)
+		if it.isAttr() {
+			return base, 1, it.attribute().Name
 		}
 		return base, 0, ""
 	}
@@ -235,117 +238,130 @@ func sortDocOrder(ns nodeset, doc *docIndex) {
 	}
 }
 
-func (p *pathExpr) eval(c *evalCtx) value {
-	var cur nodeset
+func (p *pathExpr) eval(s *state, c evalCtx) value {
+	start := c.item
 	if p.absolute {
-		cur = nodeset{{node: c.item.node.Root(), doc: true}}
-	} else {
-		cur = nodeset{c.item}
+		start = item{node: s.root, doc: true}
 	}
-	for _, st := range p.steps {
-		cur = applyStep(cur, st, c)
+	base := len(s.arena)
+	s.arena = append(s.arena, start)
+	for i := range p.steps {
+		s.step(base, &p.steps[i])
 	}
-	if p.absolute && len(p.steps) == 0 {
-		return cur // bare "/"
-	}
-	return cur
+	end := len(s.arena)
+	return s.arena[base:end:end]
 }
 
-func applyStep(in nodeset, st step, c *evalCtx) nodeset {
-	var out nodeset
-	seen := make(map[itemKey]bool)
-	for _, it := range in {
-		cands := axisItems(it, st)
-		cands = filterPreds(cands, st.preds, c)
-		for _, cd := range cands {
-			k := keyOf(cd)
-			if !seen[k] {
+// step replaces the node-set at arena[base:] with the result of st
+// applied to each of its items: the items of every context item's axis
+// that pass the predicates, in order, each once.
+func (s *state) step(base int, st *step) {
+	in := len(s.arena) - base
+	// No axis yields a node twice from one item, and the child, attribute
+	// and self axes of distinct items are disjoint; the parent and
+	// descendant axes of two items can meet. An attribute is identified
+	// by its name, and the parser lets a name repeat on one element.
+	across := in > 1 && (st.axis == axisParent || st.axis == axisDescendantOrSelf)
+	var seen map[itemKey]bool
+	out := len(s.arena)
+	for i := range in {
+		from := len(s.arena)
+		s.axis(s.arena[base+i], st)
+		s.filter(from, st.preds)
+		if !across && (st.axis != axisAttribute || len(s.arena)-from < 2) {
+			continue
+		}
+		if seen == nil {
+			seen = make(map[itemKey]bool)
+		}
+		kept := from
+		for j := from; j < len(s.arena); j++ {
+			if k := keyOf(s.arena[j]); !seen[k] {
 				seen[k] = true
-				out = append(out, cd)
+				s.arena[kept] = s.arena[j]
+				kept++
 			}
 		}
+		s.arena = s.arena[:kept]
 	}
-	return out
+	n := copy(s.arena[base:], s.arena[out:])
+	s.arena = s.arena[:base+n]
 }
 
-func axisItems(it item, st step) nodeset {
-	var out nodeset
+// axis appends the items of st's axis from it that pass st's node test.
+func (s *state) axis(it item, st *step) {
 	switch st.axis {
 	case axisSelf:
 		if matchTest(it, st) {
-			out = append(out, it)
+			s.arena = append(s.arena, it)
 		}
 	case axisParent:
-		if it.attr || it.doc {
-			return nil
+		if it.isAttr() || it.doc {
+			return
 		}
 		if it.node.Parent != nil {
-			out = append(out, item{node: it.node.Parent})
+			s.arena = append(s.arena, item{node: it.node.Parent})
 		} else {
-			out = append(out, item{node: it.node, doc: true})
+			s.arena = append(s.arena, item{node: it.node, doc: true})
 		}
 	case axisAttribute:
-		if it.attr {
-			return nil
+		if it.isAttr() || it.doc {
+			return
 		}
-		n := it.node
-		if it.doc {
-			return nil
-		}
-		for _, a := range n.Attrs {
+		for i, a := range it.node.Attrs {
 			if st.name == "*" || a.Name == st.name {
-				out = append(out, item{node: n, attr: true, name: a.Name, val: a.Value})
+				s.arena = append(s.arena, item{node: it.node, attr: int32(i + 1)})
 			}
 		}
 	case axisChild:
-		if it.attr {
-			return nil
+		if it.isAttr() {
+			return
 		}
 		if it.doc {
 			// document node's only child is the root element
-			child := item{node: it.node}
-			if matchTest(child, st) {
-				out = append(out, child)
+			if child := (item{node: it.node}); matchTest(child, st) {
+				s.arena = append(s.arena, child)
 			}
-			return out
+			return
 		}
 		for _, ch := range it.node.Children {
-			ci := item{node: ch}
-			if matchTest(ci, st) {
-				out = append(out, ci)
+			if ci := (item{node: ch}); matchTest(ci, st) {
+				s.arena = append(s.arena, ci)
 			}
 		}
 	case axisDescendantOrSelf:
-		if it.attr {
-			return nil
+		if it.isAttr() {
+			return
 		}
-		if it.doc {
+		if it.doc && matchTest(it, st) {
 			// The document node itself, then every node of the tree
 			// (the root element included, as an ordinary element).
-			if matchTest(it, st) {
-				out = append(out, it)
-			}
+			s.arena = append(s.arena, it)
 		}
-		it.node.Walk(func(n *xmldom.Node) bool {
-			ni := item{node: n}
-			if matchTest(ni, st) {
-				out = append(out, ni)
-			}
-			return true
-		})
+		s.descend(it.node, st)
 	}
-	return out
 }
 
-func matchTest(it item, st step) bool {
+// descend appends n and its descendants, in document order, that pass
+// st's node test.
+func (s *state) descend(n *xmldom.Node, st *step) {
+	if it := (item{node: n}); matchTest(it, st) {
+		s.arena = append(s.arena, it)
+	}
+	for _, c := range n.Children {
+		s.descend(c, st)
+	}
+}
+
+func matchTest(it item, st *step) bool {
 	switch st.test {
 	case testNode:
 		return true
 	case testText:
-		return !it.attr && it.node.Type == xmldom.TextNode
+		return !it.isAttr() && it.node.Type == xmldom.TextNode
 	case testName:
-		if it.attr {
-			return st.name == "*" || it.name == st.name
+		if it.isAttr() {
+			return st.name == "*" || it.attribute().Name == st.name
 		}
 		if it.node.Type != xmldom.ElementNode || it.doc {
 			return false
@@ -355,31 +371,36 @@ func matchTest(it item, st step) bool {
 	return false
 }
 
-func filterPreds(ns nodeset, preds []expr, c *evalCtx) nodeset {
+// filter keeps, in place, the items of arena[from:] that every predicate
+// accepts; each predicate sees the positions the previous one left. What
+// a predicate carves from the arena is dropped once it has answered.
+func (s *state) filter(from int, preds []expr) {
 	for _, pred := range preds {
-		var kept nodeset
-		for i, it := range ns {
-			pc := &evalCtx{item: it, pos: i + 1, size: len(ns), doc: c.doc}
-			v := pred.eval(pc)
-			ok := false
+		size := len(s.arena) - from
+		kept := 0
+		for i := range size {
+			it := s.arena[from+i]
+			v := pred.eval(s, evalCtx{item: it, pos: i + 1, size: size})
+			var ok bool
 			if n, isNum := v.(float64); isNum {
-				ok = int(n) == pc.pos // positional predicate, e.g. [2]
+				ok = int(n) == i+1 // positional predicate, e.g. [2]
 			} else {
 				ok = toBool(v)
 			}
+			s.arena = s.arena[:from+size]
 			if ok {
-				kept = append(kept, it)
+				s.arena[from+kept] = it
+				kept++
 			}
 		}
-		ns = kept
+		s.arena = s.arena[:from+kept]
 	}
-	return ns
 }
 
-func (f *funcCall) eval(c *evalCtx) value {
+func (f *funcCall) eval(s *state, c evalCtx) value {
 	argStr := func(i int) string {
 		if i < len(f.args) {
-			return toString(f.args[i].eval(c))
+			return toString(f.args[i].eval(s, c))
 		}
 		return c.item.stringValue()
 	}
@@ -390,17 +411,17 @@ func (f *funcCall) eval(c *evalCtx) value {
 		if len(f.args) == 0 {
 			return toNumber(c.item.stringValue())
 		}
-		return toNumber(f.args[0].eval(c))
+		return toNumber(f.args[0].eval(s, c))
 	case "boolean":
-		return toBool(f.args[0].eval(c))
+		return toBool(f.args[0].eval(s, c))
 	case "not":
-		return !toBool(f.args[0].eval(c))
+		return !toBool(f.args[0].eval(s, c))
 	case "true":
 		return true
 	case "false":
 		return false
 	case "count":
-		if ns, ok := f.args[0].eval(c).(nodeset); ok {
+		if ns, ok := f.args[0].eval(s, c).(nodeset); ok {
 			return float64(len(ns))
 		}
 		return 0.0
@@ -411,23 +432,23 @@ func (f *funcCall) eval(c *evalCtx) value {
 	case "name":
 		it := c.item
 		if len(f.args) == 1 {
-			ns, ok := f.args[0].eval(c).(nodeset)
+			ns, ok := f.args[0].eval(s, c).(nodeset)
 			if !ok || len(ns) == 0 {
 				return ""
 			}
 			it = ns[0]
 		}
-		if it.attr {
-			return it.name
+		if it.isAttr() {
+			return it.attribute().Name
 		}
 		if it.doc || it.node.Type != xmldom.ElementNode {
 			return ""
 		}
 		return it.node.Name
 	case "contains":
-		return strings.Contains(argStr(0), toString(f.args[1].eval(c)))
+		return strings.Contains(argStr(0), toString(f.args[1].eval(s, c)))
 	case "starts-with":
-		return strings.HasPrefix(argStr(0), toString(f.args[1].eval(c)))
+		return strings.HasPrefix(argStr(0), toString(f.args[1].eval(s, c)))
 	case "normalize-space":
 		return strings.Join(strings.Fields(argStr(0)), " ")
 	case "string-length":
@@ -435,30 +456,30 @@ func (f *funcCall) eval(c *evalCtx) value {
 	case "concat":
 		var b strings.Builder
 		for _, a := range f.args {
-			b.WriteString(toString(a.eval(c)))
+			b.WriteString(toString(a.eval(s, c)))
 		}
 		return b.String()
 	case "substring-before":
-		s, sep := argStr(0), toString(f.args[1].eval(c))
-		if i := strings.Index(s, sep); i >= 0 && sep != "" {
-			return s[:i]
+		str, sep := argStr(0), toString(f.args[1].eval(s, c))
+		if i := strings.Index(str, sep); i >= 0 && sep != "" {
+			return str[:i]
 		}
 		return ""
 	case "substring-after":
-		s, sep := argStr(0), toString(f.args[1].eval(c))
+		str, sep := argStr(0), toString(f.args[1].eval(s, c))
 		if sep == "" {
-			return s
+			return str
 		}
-		if i := strings.Index(s, sep); i >= 0 {
-			return s[i+len(sep):]
+		if i := strings.Index(str, sep); i >= 0 {
+			return str[i+len(sep):]
 		}
 		return ""
 	case "translate":
-		s := argStr(0)
-		from := []rune(toString(f.args[1].eval(c)))
-		to := []rune(toString(f.args[2].eval(c)))
+		str := argStr(0)
+		from := []rune(toString(f.args[1].eval(s, c)))
+		to := []rune(toString(f.args[2].eval(s, c)))
 		var b strings.Builder
-		for _, r := range s {
+		for _, r := range str {
 			idx := -1
 			for i, fr := range from {
 				if fr == r {
@@ -476,7 +497,7 @@ func (f *funcCall) eval(c *evalCtx) value {
 		}
 		return b.String()
 	case "sum":
-		ns, ok := f.args[0].eval(c).(nodeset)
+		ns, ok := f.args[0].eval(s, c).(nodeset)
 		if !ok {
 			return math.NaN()
 		}
@@ -486,30 +507,30 @@ func (f *funcCall) eval(c *evalCtx) value {
 		}
 		return total
 	case "floor":
-		return math.Floor(toNumber(f.args[0].eval(c)))
+		return math.Floor(toNumber(f.args[0].eval(s, c)))
 	case "ceiling":
-		return math.Ceil(toNumber(f.args[0].eval(c)))
+		return math.Ceil(toNumber(f.args[0].eval(s, c)))
 	case "round":
 		// XPath round: round half towards positive infinity
-		return math.Floor(toNumber(f.args[0].eval(c)) + 0.5)
+		return math.Floor(toNumber(f.args[0].eval(s, c)) + 0.5)
 	case "substring":
-		s := []rune(argStr(0))
-		start := int(math.Round(toNumber(f.args[1].eval(c)))) - 1
-		length := len(s) - start
+		runes := []rune(argStr(0))
+		start := int(math.Round(toNumber(f.args[1].eval(s, c)))) - 1
+		length := len(runes) - start
 		if len(f.args) == 3 {
-			length = int(math.Round(toNumber(f.args[2].eval(c))))
+			length = int(math.Round(toNumber(f.args[2].eval(s, c))))
 		}
 		if start < 0 {
 			length += start
 			start = 0
 		}
-		if start >= len(s) || length <= 0 {
+		if start >= len(runes) || length <= 0 {
 			return ""
 		}
-		if start+length > len(s) {
-			length = len(s) - start
+		if start+length > len(runes) {
+			length = len(runes) - start
 		}
-		return string(s[start : start+length])
+		return string(runes[start : start+length])
 	}
 	return nil
 }
@@ -538,15 +559,60 @@ func toString(v value) string {
 	return ""
 }
 
+// formatNumber converts a number as XPath 1.0's string() does (§4.2):
+// NaN, Infinity and -Infinity by name, either zero as 0, and any other
+// number as the shortest decimal that reads back as it, with no
+// exponent.
 func formatNumber(f float64) string {
-	if math.IsNaN(f) {
+	switch {
+	case math.IsNaN(f):
 		return "NaN"
+	case math.IsInf(f, 1):
+		return "Infinity"
+	case math.IsInf(f, -1):
+		return "-Infinity"
+	case f == 0:
+		return "0"
 	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 0, 64)
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.FormatFloat(f, 'f', -1, 64)
 }
+
+// parseNumber converts a string as XPath 1.0's number() does (§4.4):
+// optional whitespace, an optional minus sign, digits with an optional
+// decimal point (or a point and digits), optional whitespace. Anything
+// else, exponents, a plus sign and the names of the infinities included,
+// is NaN.
+func parseNumber(s string) float64 {
+	i, j := 0, len(s)
+	for i < j && isSpace(s[i]) {
+		i++
+	}
+	for j > i && isSpace(s[j-1]) {
+		j--
+	}
+	num := s[i:j]
+	k := 0
+	if k < len(num) && num[k] == '-' {
+		k++
+	}
+	digits := 0
+	for ; k < len(num) && isDigit(num[k]); k++ {
+		digits++
+	}
+	if k < len(num) && num[k] == '.' {
+		for k++; k < len(num) && isDigit(num[k]); k++ {
+			digits++
+		}
+	}
+	if digits == 0 || k != len(num) {
+		return math.NaN()
+	}
+	f, _ := strconv.ParseFloat(num, 64) // well formed; out of range reads as ±Inf
+	return f
+}
+
+// isSpace reports whether c is XML whitespace, XPath's S production.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 func toNumber(v value) float64 {
 	switch x := v.(type) {
@@ -560,11 +626,7 @@ func toNumber(v value) float64 {
 		}
 		return 0
 	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return f
+		return parseNumber(x)
 	case nodeset:
 		return toNumber(toString(x))
 	}

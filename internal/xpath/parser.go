@@ -7,7 +7,7 @@ import (
 // ---- AST ----
 
 type expr interface {
-	eval(c *evalCtx) value
+	eval(s *state, c evalCtx) value
 }
 
 type binOp int
@@ -36,9 +36,8 @@ type binExpr struct {
 
 type negExpr struct{ x expr }
 
-type numLit float64
-
-type strLit string
+// literal is a number or string literal, boxed once when compiled.
+type literal struct{ v value }
 
 type funcCall struct {
 	name string
@@ -309,10 +308,10 @@ func (p *parser) parsePathOrPrimary() (expr, error) {
 	switch t := p.cur(); t.kind {
 	case tokNumber:
 		p.i++
-		return numLit(t.num), nil
+		return literal{t.num}, nil
 	case tokString:
 		p.i++
-		return strLit(t.text), nil
+		return literal{t.text}, nil
 	case tokLParen:
 		p.i++
 		inner, err := p.parseExpr()

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -398,5 +399,94 @@ func TestNumericFunctions(t *testing.T) {
 	// sum of a non-nodeset is NaN
 	if got := MustCompile(`sum(/r/v)`).Number(d); got != 6.5 {
 		t.Errorf("sum = %v", got)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestBoolAllocations guards the per-join cost of one credential
+// condition: the evaluation state, whose arena holds the node-sets, and
+// the path's result boxed as a value.
+func TestBoolAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	d := doc(t, `<credential credID="7" type="WebDesignerQuality"><header><credType>WebDesignerQuality</credType>`+
+		`<issuer>QualityCA</issuer></header><content><regulation>UNI EN ISO 9000</regulation></content></credential>`)
+	e := MustCompile(`/credential/content/regulation='UNI EN ISO 9000'`)
+	if !e.Bool(d) {
+		t.Fatal("condition false")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.Bool(d) }); allocs > 3 {
+		t.Errorf("Bool allocates %.1f times, want at most 3", allocs)
+	}
+}
+
+// TestNumberConversionFollowsXPath10 pins number() and string() of a
+// number to XPath 1.0 (§4.2, §4.4): a string is a number only in the
+// Number production, with optional '-' and surrounding XML whitespace;
+// a number prints with no exponent, and as Infinity, -Infinity and 0
+// for the infinities and negative zero.
+func TestNumberConversionFollowsXPath10(t *testing.T) {
+	d := doc(t, `<r><v>1e3</v><w> 12 </w></r>`)
+	nums := []struct {
+		expr string
+		want float64 // NaN when the string is not a Number
+	}{
+		{`number('12')`, 12},
+		{`number(' 12 ')`, 12},
+		{"number('\t-3.5\n')", -3.5},
+		{`number('.5')`, 0.5},
+		{`number('5.')`, 5},
+		{`number('-.25')`, -0.25},
+		{`number('007')`, 7},
+		{`number(/r/w)`, 12},
+		{`number('1e3')`, math.NaN()},
+		{`number(/r/v)`, math.NaN()},
+		{`number('+5')`, math.NaN()},
+		{`number('Infinity')`, math.NaN()},
+		{`number('-Infinity')`, math.NaN()},
+		{`number('NaN')`, math.NaN()},
+		{`number('inf')`, math.NaN()},
+		{`number('0x10')`, math.NaN()},
+		{`number('1_000')`, math.NaN()},
+		{`number('')`, math.NaN()},
+		{`number(' ')`, math.NaN()},
+		{`number('.')`, math.NaN()},
+		{`number('-')`, math.NaN()},
+		{`number('- 5')`, math.NaN()},
+		{`number('1 2')`, math.NaN()},
+		{`number('1.2.3')`, math.NaN()},
+		{"number('\u00a05')", math.NaN()},
+		{"number('\v5')", math.NaN()},
+	}
+	for _, c := range nums {
+		got := MustCompile(c.expr).Number(d)
+		if got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
+			t.Errorf("%s = %v, want %v", c.expr, got, c.want)
+		}
+	}
+	if MustCompile(`/r/v > 500`).Bool(d) {
+		t.Error("'1e3' compared as a number")
+	}
+	strs := []struct{ expr, want string }{
+		{`string(1 div 0)`, "Infinity"},
+		{`string(-1 div 0)`, "-Infinity"},
+		{`string(0 div 0)`, "NaN"},
+		{`string(-0)`, "0"},
+		{`string(0 * -1)`, "0"},
+		{`string(0.0000001)`, "0.0000001"},
+		{`string(1000000000000000000000)`, "1000000000000000000000"},
+		{`string(123456789012345678)`, "123456789012345680"},
+		{`string(-2.5)`, "-2.5"},
+		{`string(3)`, "3"},
+		{`string(0.1 + 0.2)`, "0.30000000000000004"},
+		{`concat(1 div 0, '')`, "Infinity"},
+	}
+	for _, c := range strs {
+		if got := evalStr(t, c.expr, d); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
 	}
 }

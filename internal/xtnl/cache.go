@@ -10,11 +10,16 @@ import (
 
 // Hot-path memoization for policy evaluation.
 //
-// Term.SatisfiedBy is called for every (term, credential) pair a party
-// considers during negotiation, and before this cache it recompiled the
-// term's XPath conditions and rebuilt the credential's DOM on every
-// call. Both results are pure functions of their source text, so they
-// are memoized process-wide (conditions) and per-profile (DOMs).
+// Every (term, credential) pair a party considers during negotiation
+// evaluates the term's XPath conditions against the credential's
+// document. A compiled condition is a pure function of its source text,
+// so conditions are compiled once, process-wide, here. Documents are
+// not memoized here: a party's own credentials keep theirs in the
+// Profile's DOM cache, and a received credential's document is built per
+// check, from slabs (xmldom.Tree), and evaluated with one state per
+// condition. Building the own credentials' documents per check as well
+// measured more allocated bytes per join than the cache costs
+// (EXPERIMENTS.md EXT-23), so the Profile cache stays.
 
 // condCacheLimit bounds the compiled-condition memo. Conditions arrive
 // in counterpart policies, so an unbounded map would let an adversary

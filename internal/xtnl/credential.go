@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"trustvo/internal/xmldom"
-	"trustvo/internal/xpath"
 )
 
 // TimeLayout is the timestamp layout used in credential validity fields.
@@ -342,23 +341,6 @@ func CredentialFromDOM(root *xmldom.Node) (*Credential, error) {
 		c.Signature = b
 	}
 	return c, nil
-}
-
-// Satisfies reports whether the credential meets every XPath condition.
-// Conditions are evaluated with the credential document as context, so
-// they may be absolute ("/credential/content/x='1'") or relative
-// ("content/x='1'" / "//x='1'").
-func (c *Credential) Satisfies(conds []*xpath.Expr) bool {
-	if len(conds) == 0 {
-		return true
-	}
-	dom := c.DOM()
-	for _, e := range conds {
-		if !e.Bool(dom) {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns a deep copy of the credential.

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"trustvo/internal/xpath"
 )
 
 func iso9000Credential() *Credential {
@@ -115,18 +113,55 @@ func TestValidAt(t *testing.T) {
 	}
 }
 
+// TestCredentialSatisfies checks a credential against terms of its
+// type: conditions are evaluated with the credential document as
+// context, so they may be absolute or relative; every condition must
+// hold, and a term without conditions holds.
 func TestCredentialSatisfies(t *testing.T) {
 	c := iso9000Credential()
-	ok := xpath.MustCompile(`/credential/content/QualityRegulation='UNI EN ISO 9000'`)
-	bad := xpath.MustCompile(`/credential/content/QualityRegulation='ISO 14000'`)
-	if !c.Satisfies([]*xpath.Expr{ok}) {
-		t.Fatal("expected condition to hold")
+	ok := `/credential/content/QualityRegulation='UNI EN ISO 9000'`
+	bad := `/credential/content/QualityRegulation='ISO 14000'`
+	for _, tc := range []struct {
+		conds []string
+		want  bool
+	}{
+		{[]string{ok}, true},
+		{[]string{`content/QualityRegulation='UNI EN ISO 9000'`}, true},
+		{[]string{`//QualityRegulation='UNI EN ISO 9000'`}, true},
+		{[]string{ok, bad}, false},
+		{[]string{bad, ok}, false},
+		{nil, true},
+	} {
+		term := Term{CredType: c.Type, Conditions: tc.conds}
+		if got := term.SatisfiedBy(c); got != tc.want {
+			t.Errorf("%q: SatisfiedBy = %v, want %v", tc.conds, got, tc.want)
+		}
 	}
-	if c.Satisfies([]*xpath.Expr{ok, bad}) {
-		t.Fatal("conjunction with false condition must fail")
-	}
-	if !c.Satisfies(nil) {
-		t.Fatal("no conditions means satisfied")
+}
+
+// TestConditionNumbersFollowXPath10 checks that conditions read
+// credential values as XPath 1.0 numbers, both for a received credential
+// (Term.SatisfiedBy) and for the party's own (Profile.Satisfying):
+// "1e3", "+1000" and "Infinity" are not numbers, so "level > 500" does
+// not hold for them.
+func TestConditionNumbersFollowXPath10(t *testing.T) {
+	term := Term{CredType: "Clearance", Conditions: []string{"/credential/content/level > 500"}}
+	for _, tc := range []struct {
+		level string
+		want  bool
+	}{
+		{"1000", true}, {" 1000 ", true}, {"1000.0", true}, {"-1000", false},
+		{"1e3", false}, {"+1000", false}, {"Infinity", false},
+	} {
+		c := (&Credential{ID: "c", Type: "Clearance", Issuer: "CA"}).SetAttr("level", tc.level)
+		if got := term.SatisfiedBy(c); got != tc.want {
+			t.Errorf("level %q: SatisfiedBy = %v, want %v", tc.level, got, tc.want)
+		}
+		p := NewProfile("holder")
+		p.Add(c)
+		if got := len(p.Satisfying(term)) == 1; got != tc.want {
+			t.Errorf("level %q: Satisfying = %v, want %v", tc.level, got, tc.want)
+		}
 	}
 }
 

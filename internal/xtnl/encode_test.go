@@ -274,3 +274,45 @@ func TestSignedBytesAllocations(t *testing.T) {
 		t.Errorf("XML allocates %.1f times, want 1", allocs)
 	}
 }
+
+// guardCredential is the credential the term-evaluation allocation
+// guards use: a signed, holder-bound credential carrying the
+// regulation attribute the benchmark's membership policy checks.
+func guardCredential() *Credential {
+	c := iso9000Credential()
+	c.HolderKey = bytes.Repeat([]byte{7}, 32)
+	c.Signature = bytes.Repeat([]byte{9}, 64)
+	c.SetAttr("regulation", "UNI EN ISO 9000")
+	return c
+}
+
+// TestCredentialDOMAllocations guards the slab-built tree: the nodes,
+// attributes, child pointers and formatted values of one credential
+// come from a handful of allocations, not one or more per node.
+func TestCredentialDOMAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := guardCredential()
+	c.DOM()
+	if allocs := testing.AllocsPerRun(200, func() { _ = c.DOM() }); allocs > 5 {
+		t.Errorf("DOM allocates %.1f times, want at most 5", allocs)
+	}
+}
+
+// TestSatisfiedByAllocations guards what the controller pays to check
+// one received credential against a term with one condition: its tree
+// and one evaluation, the condition compiled once, process-wide.
+func TestSatisfiedByAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := guardCredential()
+	term := Term{CredType: c.Type, Conditions: []string{`/credential/content/regulation='UNI EN ISO 9000'`}}
+	if !term.SatisfiedBy(c) {
+		t.Fatal("condition does not hold")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = term.SatisfiedBy(c) }); allocs > 8 {
+		t.Errorf("SatisfiedBy allocates %.1f times, want at most 8", allocs)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"trustvo/internal/xmldom"
-	"trustvo/internal/xpath"
 )
 
 // Term is one requirement inside a disclosure policy: "the counterpart
@@ -28,20 +27,6 @@ func (t Term) Wildcard() bool {
 	return t.CredType == "" || strings.HasPrefix(t.CredType, "$")
 }
 
-// CompiledConditions compiles the term's XPath conditions, memoized
-// process-wide by source text (see cache.go).
-func (t Term) CompiledConditions() ([]*xpath.Expr, error) {
-	out := make([]*xpath.Expr, 0, len(t.Conditions))
-	for _, c := range t.Conditions {
-		e, err := compileCondition(c)
-		if err != nil {
-			return nil, fmt.Errorf("xtnl: condition %q: %w", c, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // SatisfiedBy reports whether cred matches the term: type equal (unless
 // wildcard) and all conditions true. Compilation errors make the term
 // unsatisfied.
@@ -49,11 +34,20 @@ func (t Term) SatisfiedBy(cred *Credential) bool {
 	if !t.Wildcard() && t.CredType != cred.Type {
 		return false
 	}
-	conds, err := t.CompiledConditions()
-	if err != nil {
-		return false
+	return len(t.Conditions) == 0 || t.holds(cred.DOM())
+}
+
+// holds reports whether every condition of the term is true of the
+// credential document dom. A condition that does not compile is false.
+// Each compiled condition comes from the process-wide memo (cache.go).
+func (t Term) holds(dom *xmldom.Node) bool {
+	for _, src := range t.Conditions {
+		e, err := compileCondition(src)
+		if err != nil || !e.Bool(dom) {
+			return false
+		}
 	}
-	return cred.Satisfies(conds)
+	return true
 }
 
 // String renders the term in DSL form; each condition becomes its own
@@ -116,8 +110,10 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("xtnl: policy for %s has no terms and is not DELIV", p.Resource)
 	}
 	for _, t := range p.Terms {
-		if _, err := t.CompiledConditions(); err != nil {
-			return err
+		for _, c := range t.Conditions {
+			if _, err := compileCondition(c); err != nil {
+				return fmt.Errorf("xtnl: condition %q: %w", c, err)
+			}
 		}
 	}
 	return nil

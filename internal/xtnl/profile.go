@@ -1,12 +1,12 @@
 package xtnl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"trustvo/internal/xmldom"
-	"trustvo/internal/xpath"
 )
 
 // Profile is a party's X-Profile: "All credentials associated with a
@@ -17,14 +17,14 @@ type Profile struct {
 	Owner string
 	creds []*Credential
 
-	// domMu guards doms, the per-credential parsed-DOM cache consulted
-	// by Satisfying. Policy evaluation runs every term's XPath
-	// conditions against the credential document; rebuilding that
-	// document for each (term, credential) pair dominated the
-	// policy-evaluation phase under concurrent joins. Credentials are
-	// treated as immutable once added (they are signed). The cache is
-	// keyed by the credential itself, not its ID: an issuer chooses the
-	// ID, so credentials from two authorities can share one.
+	// domMu guards doms, the per-credential DOM cache consulted by
+	// Satisfying. Policy evaluation runs every term's XPath conditions
+	// against the credential document; even built from slabs, that
+	// document for each (term, credential) pair costs more than the
+	// cache (see cache.go). Credentials are treated as immutable once
+	// added (they are signed). The cache is keyed by the credential
+	// itself, not its ID: an issuer chooses the ID, so credentials from
+	// two authorities can share one.
 	domMu sync.Mutex
 	doms  map[*Credential]*xmldom.Node
 }
@@ -102,32 +102,17 @@ func (p *Profile) ByID(id string) *Credential {
 // profile's parsed-DOM cache instead of rebuilding each credential
 // document per term.
 func (p *Profile) Satisfying(term Term) []*Credential {
-	conds, err := term.CompiledConditions()
-	if err != nil {
-		return nil // uncompilable conditions satisfy nothing (as in SatisfiedBy)
-	}
 	var out []*Credential
 	for _, c := range p.creds {
 		if !term.Wildcard() && term.CredType != c.Type {
 			continue
 		}
-		if satisfiesDOM(p.credDOM(c), conds) {
+		if len(term.Conditions) == 0 || term.holds(p.credDOM(c)) {
 			out = append(out, c)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Sensitivity < out[j].Sensitivity })
+	slices.SortStableFunc(out, func(a, b *Credential) int { return cmp.Compare(a.Sensitivity, b.Sensitivity) })
 	return out
-}
-
-// satisfiesDOM evaluates compiled conditions against a prebuilt
-// credential document.
-func satisfiesDOM(dom *xmldom.Node, conds []*xpath.Expr) bool {
-	for _, e := range conds {
-		if !e.Bool(dom) {
-			return false
-		}
-	}
-	return true
 }
 
 // Cluster returns the credentials among cands having exactly the given
