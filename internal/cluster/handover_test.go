@@ -240,3 +240,71 @@ func TestStatusAdoptsHeldStandby(t *testing.T) {
 		t.Fatal("the new owner did not adopt the session it held")
 	}
 }
+
+// TestStandbyFetchEscapesSessionID: an owner missing a session asks its
+// peers for that session's copy and no other. The id comes from the
+// client's envelope, so it goes into the peer query escaped: "victim#0",
+// "%76ictim" and "victim&x" must not fetch and adopt the session
+// "victim" a peer holds, and ids holding '&', '%' and '+' must find
+// their own copies.
+func TestStandbyFetchEscapesSessionID(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	two := NewRing(0)
+	two.Add("n1")
+	two.Add("n2")
+	// Every id below is n2's once n2 joins, so n2 asks n1, which hands
+	// over the sessions it holds for n2.
+	var victim string
+	var crafted []string
+	for i := 0; i < 4096 && victim == ""; i++ {
+		v := "victim-" + strconv.Itoa(i)
+		forms := []string{v + "#0", "%76" + v[1:], v + "&x"}
+		owned := two.Owner(v) == "n2"
+		for _, f := range forms {
+			owned = owned && two.Owner(f) == "n2"
+		}
+		if owned {
+			victim, crafted = v, forms
+		}
+	}
+	if victim == "" {
+		t.Fatal("no victim id whose crafted forms n2 owns")
+	}
+	odd := []string{ownedID(t, two, "a&b", "n2"), ownedID(t, two, "50%", "n2"), ownedID(t, two, "x+y", "n2")}
+
+	next := make(map[string]*negotiation.Message)
+	for _, id := range append([]string{victim}, odd...) {
+		req := negotiation.NewRequester(c.memberParty("EscapeMember"), chaosResource)
+		first, err := req.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next[id], err = req.Handle(exchange(t, n1.srv.URL, id, 1, first)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n2 := c.addNode("n2")
+	for _, id := range crafted {
+		resp, err := http.Post(n2.srv.URL+"/tn/policyExchange", wsrpc.ContentType,
+			strings.NewReader(firstEnvelope(t, c, "CraftMember", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if n2.tn.HasSession(victim) {
+			t.Fatalf("an exchange for %q made n2 adopt session %q", id, victim)
+		}
+	}
+	if !n1.tn.HasSession(victim) {
+		t.Fatalf("n1 let go of session %q", victim)
+	}
+	for _, id := range odd {
+		exchange(t, n2.srv.URL, id, 2, next[id])
+		if !n2.tn.HasSession(id) || n1.tn.HasSession(id) {
+			t.Fatalf("session %q did not move to its owner", id)
+		}
+	}
+}

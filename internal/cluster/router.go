@@ -5,9 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -31,7 +30,7 @@ func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/tn/start", func(w http.ResponseWriter, r *http.Request) {
 		// Start is always local: the id minter only issues ids this node
 		// owns, so the session is born routed.
-		n.gateServe(inner, w, r)
+		n.gateServe(inner.ServeHTTP, w, r)
 	})
 	mux.HandleFunc("/tn/policyExchange", n.routeExchange(inner, "/tn/policyExchange"))
 	mux.HandleFunc("/tn/credentialExchange", n.routeExchange(inner, "/tn/credentialExchange"))
@@ -51,7 +50,7 @@ func (n *Node) Register(mux *http.ServeMux) {
 // gateServe runs a local TN handler under the node's capacity model:
 // acquire a slot (honest 503 backpressure when the request dies waiting)
 // and hold it for at least ServiceFloor.
-func (n *Node) gateServe(h http.Handler, w http.ResponseWriter, r *http.Request) {
+func (n *Node) gateServe(h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
 	if n.gate != nil {
 		select {
 		case n.gate <- struct{}{}:
@@ -63,7 +62,7 @@ func (n *Node) gateServe(h http.Handler, w http.ResponseWriter, r *http.Request)
 		}
 	}
 	start := time.Now()
-	h.ServeHTTP(w, r)
+	h(w, r)
 	if floor := n.cfg.ServiceFloor; floor > 0 {
 		if rem := floor - time.Since(start); rem > 0 {
 			t := time.NewTimer(rem)
@@ -79,20 +78,26 @@ func (n *Node) gateServe(h http.Handler, w http.ResponseWriter, r *http.Request)
 // routeExchange routes one TN exchange operation by the envelope's
 // session id: the ring owner serves it (adopting standby state or
 // materializing a fresh session when failover moved the id here), other
-// owners get the request forwarded or the client redirected.
+// owners get the request forwarded or the client redirected. The body
+// is read and parsed here, once: the service gets the parsed envelope.
 func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
+	serve := n.tn.ExchangeHandler(path)
 	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			n.gateServe(inner.ServeHTTP, w, r) // the service's 405
+			return
+		}
 		// An exchange body is read as the TN service reads it, cut at its
 		// envelope limit: an oversized body costs no more here than there.
-		raw, err := readBody(r.Body, wsrpc.MaxBody)
+		raw, err := wsrpc.ReadBody(r.Body, wsrpc.MaxBody)
+		r.Body.Close() // read once: net/http then has nothing left to drain
 		if err != nil {
 			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
 		env, err := xmldom.ParseString(raw)
-		if err != nil && r.Method == http.MethodPost {
-			// The TN handler would parse the same bytes, fail the same
-			// way and answer so; answer for it, without a second read.
+		if err != nil {
+			// The TN handler would fail the same way and answer so.
 			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
@@ -108,11 +113,7 @@ func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 				}
 			}
 		}
-		// The handler gets the body it would have read; nothing else in
-		// the request changes, so a shallow copy serves.
-		r2 := r.WithContext(r.Context())
-		r2.Body, r2.ContentLength = io.NopCloser(strings.NewReader(raw)), int64(len(raw))
-		n.gateServe(inner, w, r2)
+		n.gateServe(func(w http.ResponseWriter, r *http.Request) { serve(w, r, env) }, w, r)
 	}
 }
 
@@ -263,7 +264,7 @@ func (n *Node) fetchStandby(ctx context.Context, peer, id string) (*xmldom.Node,
 	if base == "" {
 		return nil, false
 	}
-	root, err := n.transport.Call(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+id, "", true)
+	root, err := n.transport.Call(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true)
 	if err != nil {
 		return nil, false
 	}
@@ -450,38 +451,6 @@ func peekEnvelope(root *xmldom.Node) (id, msgType string) {
 	return id, msgType
 }
 
-// chunkPool holds the buffers readBody reads into first, so a body that
-// fits one costs a single allocation: its string.
-var chunkPool = sync.Pool{New: func() any { return new([4096]byte) }}
-
-// readBody reads r into one string, cut at limit bytes as an
-// io.LimitReader would cut it. Past the first chunk the buffer doubles as
-// bytes arrive, up to the limit; no length the sender declared sizes it.
-func readBody(r io.Reader, limit int) (string, error) {
-	chunk := chunkPool.Get().(*[4096]byte)
-	defer chunkPool.Put(chunk)
-	buf := chunk[:0:min(len(chunk), limit)]
-	for {
-		if len(buf) == cap(buf) {
-			if len(buf) == limit {
-				break
-			}
-			grown := make([]byte, len(buf), min(2*cap(buf), limit))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", err
-		}
-	}
-	return string(buf), nil
-}
-
 // readClusterBody reads, parses and shape-checks a POSTed cluster RPC
 // body, returning it both as received and parsed, and writing the fault
 // itself when the request is unusable.
@@ -490,7 +459,8 @@ func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (strin
 		writeClusterFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 		return "", nil, false
 	}
-	raw, err := readBody(r.Body, maxClusterBody)
+	raw, err := wsrpc.ReadBody(r.Body, maxClusterBody)
+	r.Body.Close()
 	if err != nil {
 		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 		return "", nil, false

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"trustvo/internal/negotiation"
@@ -67,10 +68,49 @@ func writeFault(w http.ResponseWriter, status int, code, detail string) {
 // writeDOM emits a 200 XML response.
 func writeDOM(w http.ResponseWriter, n *xmldom.Node) { writeRaw(w, http.StatusOK, n.XML()) }
 
-// readBodyDOM parses the request body as an XML document.
+// chunkPool holds the buffers ReadBody reads into first, so a body that
+// fits one costs a single allocation: its string.
+var chunkPool = sync.Pool{New: func() any { return new([4096]byte) }}
+
+// ReadBody reads r into one string, cut at limit bytes as an
+// io.LimitReader would cut it. Past the first chunk the buffer doubles as
+// bytes arrive, up to the limit; no length the sender declared sizes it.
+// The TN service, the toolkit, the client transport and the cluster
+// read every message body through it, then parse the string once.
+func ReadBody(r io.Reader, limit int) (string, error) {
+	chunk := chunkPool.Get().(*[4096]byte)
+	defer chunkPool.Put(chunk)
+	buf := chunk[:0:min(len(chunk), limit)]
+	for {
+		if len(buf) == cap(buf) {
+			if len(buf) == limit {
+				break
+			}
+			grown := make([]byte, len(buf), min(2*cap(buf), limit))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+	return string(buf), nil
+}
+
+// readBodyDOM parses the request body, cut at MaxBody, as an XML
+// document.
 func readBodyDOM(r *http.Request) (*xmldom.Node, error) {
 	defer r.Body.Close()
-	return xmldom.Parse(io.LimitReader(r.Body, MaxBody))
+	raw, err := ReadBody(r.Body, MaxBody)
+	if err != nil {
+		return nil, err
+	}
+	return xmldom.ParseString(raw)
 }
 
 // envelopeXML wraps a TN message with its negotiation id and, when seq
@@ -182,21 +222,4 @@ func openEnvelopeSeq(root *xmldom.Node) (string, int64, *negotiation.Message, er
 		return "", 0, nil, err
 	}
 	return id, seq, m, nil
-}
-
-// decodeResponse interprets an HTTP response body as either a fault or
-// the expected root element.
-func decodeResponse(resp *http.Response, wantRoot string) (*xmldom.Node, error) {
-	defer resp.Body.Close()
-	root, err := xmldom.Parse(io.LimitReader(resp.Body, MaxBody))
-	if err != nil {
-		return nil, fmt.Errorf("wsrpc: bad response (%s): %w", resp.Status, err)
-	}
-	if root.Name == "fault" {
-		return nil, faultFromDOM(root)
-	}
-	if root.Name != wantRoot {
-		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", wantRoot, root.Name)
-	}
-	return root, nil
 }

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"trustvo/internal/telemetry"
 )
 
 // TestMetricsEndpointAfterNegotiation drives one full membership
@@ -119,5 +122,36 @@ func TestCapacityEvictsIdleLiveSessions(t *testing.T) {
 	}
 	if _, _, _, err := tn.Status(bg, first); err == nil {
 		t.Fatal("evicted session still served")
+	}
+}
+
+// TestInstrumentCountsPanickingRequest: a handler that panics still
+// leaves the in-flight gauge where it was and counts its request, as a
+// 500; the panic goes on to net/http, which recovers it.
+func TestInstrumentCountsPanickingRequest(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	boom := instrument(reg, "/boom", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the handler's panic was swallowed")
+			}
+		}()
+		boom(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/boom", nil))
+	}()
+	if got := reg.Gauge("http_requests_in_flight").Value(); got != 0 {
+		t.Errorf("http_requests_in_flight = %d after a panicking request, want 0", got)
+	}
+	if got := reg.Counter("http_requests_total", "route", "/boom", "code", "500").Value(); got != 1 {
+		t.Errorf(`http_requests_total{code="500"} = %d after a panicking request, want 1`, got)
+	}
+	if got := reg.Counter("http_requests_total", "route", "/boom", "code", "202").Value(); got != 0 {
+		t.Errorf(`http_requests_total{code="202"} = %d, want 0: the request did not complete`, got)
+	}
+	if got := reg.LatencyHistogram("http_request_seconds", "route", "/boom").Snapshot().Count; got != 1 {
+		t.Errorf("http_request_seconds observed %d requests, want 1", got)
 	}
 }

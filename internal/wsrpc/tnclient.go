@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,7 +243,7 @@ func (c *TNClient) suspend(negID string, ep *negotiation.Endpoint, pending *nego
 // Status queries the remote side's view of a negotiation.
 func (c *TNClient) Status(ctx context.Context, negID string) (done, succeeded bool, reason string, err error) {
 	root, err := c.transport().call(ctx, http.MethodGet, c.BaseURL, "/tn/status",
-		"?negotiation="+negID, "", true)
+		"?negotiation="+url.QueryEscape(negID), "", true)
 	if err != nil {
 		return false, false, "", err
 	}

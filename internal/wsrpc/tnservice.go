@@ -643,111 +643,139 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 			return
 		}
-		body, err := readBodyDOM(r)
+		env, err := readBodyDOM(r)
 		if err != nil {
 			writeFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
-		id, seq, msg, err := openEnvelopeSeq(body)
-		if err != nil {
-			s.countBadEnvelope()
-			code := "schema"
-			var werr *Error
-			if errors.As(err, &werr) && werr.Code != "" {
-				code = werr.Code
-			}
-			writeFault(w, http.StatusBadRequest, code, err.Error())
-			return
+		s.exchange(w, r, phase, env)
+	}
+}
+
+// ExchangeHandler returns the handler of exchange route
+// ("/tn/policyExchange" or "/tn/credentialExchange") for a POST whose
+// body its caller has already read and parsed into env. The cluster
+// router parses each exchange body to route it, and hands the tree over
+// here, so the body is read and parsed once. Requests count in route's
+// HTTP series, as those of the handler Register mounts do.
+func (s *TNService) ExchangeHandler(route string) func(w http.ResponseWriter, r *http.Request, env *xmldom.Node) {
+	phase := policyPhase
+	if route == "/tn/credentialExchange" {
+		phase = credentialPhase
+	}
+	m := newMeter(s.Metrics, route)
+	return func(w http.ResponseWriter, r *http.Request, env *xmldom.Node) {
+		m.serve(w, r, func(w http.ResponseWriter, r *http.Request) { s.exchange(w, r, phase, env) })
+	}
+}
+
+// exchange serves one exchange operation for the parsed envelope env.
+func (s *TNService) exchange(w http.ResponseWriter, r *http.Request, phase phaseKind, env *xmldom.Node) {
+	id, seq, msg, err := openEnvelopeSeq(env)
+	if err != nil {
+		s.countBadEnvelope()
+		code := "schema"
+		var werr *Error
+		if errors.As(err, &werr) && werr.Code != "" {
+			code = werr.Code
 		}
-		// Terminal messages (success/fail) may land on either operation;
-		// other types must match their phase's operation.
-		if msg.Type != negotiation.MsgSuccess && msg.Type != negotiation.MsgFail && phaseOf(msg.Type) != phase {
-			writeFault(w, http.StatusBadRequest, "phase",
-				fmt.Sprintf("message %s does not belong to this operation", msg.Type))
-			return
-		}
-		sess := s.session(id)
-		if sess == nil {
-			s.sessionMissing(w, id)
-			return
-		}
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		if sess.moved {
-			s.sessionMissing(w, id)
-			return
-		}
-		if seq > 0 && seq == sess.lastSeq {
-			// Duplicate delivery (client retry after a lost response, or a
-			// duplicated message): replay the cached response unchanged.
-			// The replay must clear the standby gate too — the retry may
-			// exist precisely because the first ship attempt failed and
-			// withheld the reply.
-			if err := s.shipSessionUpdate(r.Context(), id, sess); err != nil {
-				writeShipFault(w, err)
-				return
-			}
-			if m := s.Metrics; m != nil {
-				m.Counter("tn_replays_total").Inc()
-			}
-			s.debugf("tn-message session=%s op=%s type=%s seq=%d replayed", id, phase, msg.Type, seq)
-			writeRaw(w, sess.lastReplyStatus, sess.lastReply)
-			return
-		}
-		if sess.done.Load() {
-			writeFault(w, http.StatusConflict, "done", "negotiation already finished")
-			return
-		}
-		start := time.Now()
-		reply, err := sess.endpoint.Handle(msg)
-		s.debugf("tn-message session=%s op=%s type=%s dur=%s err=%v",
-			id, phase, msg.Type, time.Since(start).Round(time.Microsecond), err != nil)
-		if sess.endpoint.Done() {
-			// Keep the verdict and drop the endpoint: a finished session
-			// stays in the table for DoneRetention to answer /tn/status
-			// and replays, and the endpoint would pin every request body
-			// it parsed.
-			sess.outcome = verdict(sess.endpoint.Outcome())
-			sess.endpoint = nil
-			sess.done.Store(true)
-			// retire() may lose to a concurrent expiry sweep or capacity
-			// eviction that already released this session's slot; the
-			// completed counter follows the same winner so a session is
-			// counted exactly once across completed/expired/evicted.
-			if s.retire(sess) {
-				result := "failure"
-				if sess.outcome != nil && sess.outcome.Succeeded {
-					result = "success"
-				}
-				if m := s.Metrics; m != nil {
-					m.Counter("tn_sessions_completed_total", "result", result).Inc()
-				}
-			}
-		}
-		status, respBody := http.StatusOK, ""
-		switch {
-		case err != nil:
-			status = http.StatusInternalServerError
-			respBody = (&Fault{Code: "internal", Detail: err.Error()}).XML()
-		case reply == nil:
-			// Terminal message consumed; acknowledge with the outcome.
-			respBody = statusXML(id, sess.done.Load(), sess.outcome)
-		default:
-			respBody = envelopeXML(id, 0, reply)
-		}
-		if seq > 0 {
-			sess.lastSeq, sess.lastReplyStatus, sess.lastReply = seq, status, respBody
-		}
-		// Standby gate: the updated state (endpoint tree + reply cache)
-		// must be accepted by the hook before the reply leaves. On
-		// failure the client retries the same sequence number and lands
-		// on the replay path above, which re-attempts the ship.
+		writeFault(w, http.StatusBadRequest, code, err.Error())
+		return
+	}
+	// Terminal messages (success/fail) may land on either operation;
+	// other types must match their phase's operation.
+	if msg.Type != negotiation.MsgSuccess && msg.Type != negotiation.MsgFail && phaseOf(msg.Type) != phase {
+		writeFault(w, http.StatusBadRequest, "phase",
+			fmt.Sprintf("message %s does not belong to this operation", msg.Type))
+		return
+	}
+	sess := s.session(id)
+	if sess == nil {
+		s.sessionMissing(w, id)
+		return
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.moved {
+		s.sessionMissing(w, id)
+		return
+	}
+	if seq > 0 && seq == sess.lastSeq {
+		// Duplicate delivery (client retry after a lost response, or a
+		// duplicated message): replay the cached response unchanged.
+		// The replay must clear the standby gate too — the retry may
+		// exist precisely because the first ship attempt failed and
+		// withheld the reply.
 		if err := s.shipSessionUpdate(r.Context(), id, sess); err != nil {
 			writeShipFault(w, err)
 			return
 		}
-		writeRaw(w, status, respBody)
+		if m := s.Metrics; m != nil {
+			m.Counter("tn_replays_total").Inc()
+		}
+		if s.Debugf != nil {
+			s.Debugf("tn-message session=%s op=%s type=%s seq=%d replayed", id, phase, msg.Type, seq)
+		}
+		writeRaw(w, sess.lastReplyStatus, sess.lastReply)
+		return
 	}
+	if sess.done.Load() {
+		writeFault(w, http.StatusConflict, "done", "negotiation already finished")
+		return
+	}
+	start := time.Now()
+	reply, err := sess.endpoint.Handle(msg)
+	if s.Debugf != nil {
+		// Built only here: boxing the arguments costs allocations on
+		// every message.
+		s.Debugf("tn-message session=%s op=%s type=%s dur=%s err=%v",
+			id, phase, msg.Type, time.Since(start).Round(time.Microsecond), err != nil)
+	}
+	if sess.endpoint.Done() {
+		// Keep the verdict and drop the endpoint: a finished session
+		// stays in the table for DoneRetention to answer /tn/status
+		// and replays, and the endpoint would pin every request body
+		// it parsed.
+		sess.outcome = verdict(sess.endpoint.Outcome())
+		sess.endpoint = nil
+		sess.done.Store(true)
+		// retire() may lose to a concurrent expiry sweep or capacity
+		// eviction that already released this session's slot; the
+		// completed counter follows the same winner so a session is
+		// counted exactly once across completed/expired/evicted.
+		if s.retire(sess) {
+			result := "failure"
+			if sess.outcome != nil && sess.outcome.Succeeded {
+				result = "success"
+			}
+			if m := s.Metrics; m != nil {
+				m.Counter("tn_sessions_completed_total", "result", result).Inc()
+			}
+		}
+	}
+	status, respBody := http.StatusOK, ""
+	switch {
+	case err != nil:
+		status = http.StatusInternalServerError
+		respBody = (&Fault{Code: "internal", Detail: err.Error()}).XML()
+	case reply == nil:
+		// Terminal message consumed; acknowledge with the outcome.
+		respBody = statusXML(id, sess.done.Load(), sess.outcome)
+	default:
+		respBody = envelopeXML(id, 0, reply)
+	}
+	if seq > 0 {
+		sess.lastSeq, sess.lastReplyStatus, sess.lastReply = seq, status, respBody
+	}
+	// Standby gate: the updated state (endpoint tree + reply cache)
+	// must be accepted by the hook before the reply leaves. On
+	// failure the client retries the same sequence number and lands
+	// on the replay path above, which re-attempts the ship.
+	if err := s.shipSessionUpdate(r.Context(), id, sess); err != nil {
+		writeShipFault(w, err)
+		return
+	}
+	writeRaw(w, status, respBody)
 }
 
 // sessionMissing answers an exchange for a session the table does not

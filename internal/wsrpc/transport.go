@@ -35,8 +35,19 @@ type Transport struct {
 	// Metrics receives retry/breaker counters (nil disables).
 	Metrics *telemetry.Registry
 
-	mu       sync.Mutex
-	breakers map[string]*breaker
+	mu        sync.Mutex
+	endpoints map[endpointKey]*endpoint
+}
+
+// endpointKey names one endpoint: a base URL without trailing slashes,
+// and a route.
+type endpointKey struct{ base, route string }
+
+// endpoint is what every call to one endpoint shares: its URL without a
+// query, and its breaker.
+type endpoint struct {
+	url string
+	br  *breaker
 }
 
 // DefaultTransport is used by clients that configure neither Transport
@@ -60,20 +71,25 @@ func (t *Transport) requestTimeout() time.Duration {
 	return t.RequestTimeout
 }
 
-// breakerFor returns (lazily creating) the breaker guarding one endpoint.
-func (t *Transport) breakerFor(endpoint string) *breaker {
+// endpointFor returns (lazily creating) the endpoint of base and route.
+// Base URLs that differ only in trailing slashes share one.
+func (t *Transport) endpointFor(base, route string) *endpoint {
+	key := endpointKey{strings.TrimRight(base, "/"), route}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.breakers == nil {
-		t.breakers = make(map[string]*breaker)
+	e := t.endpoints[key]
+	if e == nil {
+		if t.endpoints == nil {
+			t.endpoints = make(map[endpointKey]*endpoint)
+		}
+		e = &endpoint{url: key.base + route, br: newBreaker(t.BreakerThreshold, t.BreakerCooldown, nil)}
+		t.endpoints[key] = e
 	}
-	b := t.breakers[endpoint]
-	if b == nil {
-		b = newBreaker(t.BreakerThreshold, t.BreakerCooldown, nil)
-		t.breakers[endpoint] = b
-	}
-	return b
+	return e
 }
+
+// opName names a call in its errors: method and route.
+func opName(method, route string) string { return method + " " + route }
 
 func (t *Transport) count(name string, labels ...string) {
 	if t.Metrics != nil {
@@ -97,9 +113,9 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxpropagate defensive default for nil-ctx callers
 	}
-	url := strings.TrimRight(base, "/") + route + query
-	op := method + " " + route
-	br := t.breakerFor(strings.TrimRight(base, "/") + route)
+	ep := t.endpointFor(base, route)
+	url := ep.url + query // the URL itself when there is no query
+	br := ep.br
 	attempts := 1
 	if idempotent {
 		attempts = t.Retry.attempts()
@@ -113,15 +129,15 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 				hint = te.RetryAfter
 			}
 			if err := sleepCtx(ctx, t.Retry.delay(attempt-1, hint)); err != nil {
-				return nil, &Error{Op: op, Err: err}
+				return nil, &Error{Op: opName(method, route), Err: err}
 			}
 		}
 		if !br.allow() {
 			t.count("wsrpc_client_breaker_rejected_total", "route", route)
-			lastErr = &Error{Op: op, Code: "breaker-open", Temporary: true, Err: ErrCircuitOpen}
+			lastErr = &Error{Op: opName(method, route), Code: "breaker-open", Temporary: true, Err: ErrCircuitOpen}
 			continue // the backoff may outlast the cooldown
 		}
-		root, err := t.once(ctx, method, url, op, body)
+		root, err := t.once(ctx, method, url, route, body)
 		if err == nil {
 			br.success()
 			return root, nil
@@ -151,7 +167,7 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 }
 
 // once performs a single attempt under the per-request timeout.
-func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xmldom.Node, error) {
+func (t *Transport) once(ctx context.Context, method, url, route, body string) (*xmldom.Node, error) {
 	reqCtx := ctx
 	cancel := func() {}
 	if rt := t.requestTimeout(); rt > 0 {
@@ -164,7 +180,7 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 	}
 	req, err := http.NewRequestWithContext(reqCtx, method, url, rd)
 	if err != nil {
-		return nil, &Error{Op: op, Err: err}
+		return nil, &Error{Op: opName(method, route), Err: err}
 	}
 	if method == http.MethodPost {
 		req.Header.Set("Content-Type", ContentType)
@@ -173,17 +189,17 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 	if err != nil {
 		// a request that never completed is transient — unless the
 		// caller's own context ended it
-		return nil, &Error{Op: op, Temporary: ctx.Err() == nil, Err: err}
+		return nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
 	}
 	defer resp.Body.Close()
-	rb := &bodyReader{LimitedReader: io.LimitedReader{R: resp.Body, N: MaxBody}}
-	root, perr := xmldom.Parse(rb)
-	if rb.err != nil {
-		return nil, &Error{Op: op, Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: rb.err}
+	raw, err := ReadBody(resp.Body, MaxBody)
+	if err != nil {
+		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
 	}
+	root, perr := xmldom.ParseString(raw)
 	if resp.StatusCode >= 400 {
 		e := &Error{
-			Op:         op,
+			Op:         opName(method, route),
 			Status:     resp.StatusCode,
 			Temporary:  transientStatus(resp.StatusCode),
 			RetryAfter: parseRetryAfter(resp.Header),
@@ -200,30 +216,14 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 	if perr != nil {
 		// truncated or garbled body on a 2xx: the reply was lost in
 		// transit — safe to retry on idempotent routes
-		return nil, &Error{Op: op, Status: resp.StatusCode, Code: "malformed-response", Temporary: true, Err: perr}
+		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: "malformed-response", Temporary: true, Err: perr}
 	}
 	if root.Name == "fault" {
 		// defensive: a fault served with a 2xx status
 		f := faultFromDOM(root)
-		return nil, &Error{Op: op, Status: resp.StatusCode, Code: f.Code, Err: f}
+		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: f.Code, Err: f}
 	}
 	return root, nil
-}
-
-// bodyReader reads at most MaxBody bytes of a response body and keeps
-// the read error, so that once can tell a broken transfer from a
-// malformed document.
-type bodyReader struct {
-	io.LimitedReader
-	err error
-}
-
-func (r *bodyReader) Read(p []byte) (int, error) {
-	n, err := r.LimitedReader.Read(p)
-	if err != nil && err != io.EOF {
-		r.err = err
-	}
-	return n, err
 }
 
 // expectRoot asserts the root element name of a successful call.

@@ -237,7 +237,7 @@ func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
 	defer srv.Close()
 	defer close(hung)
 	tr := &Transport{BreakerThreshold: 1, BreakerCooldown: 30 * time.Millisecond, RequestTimeout: 20 * time.Millisecond}
-	br := tr.breakerFor(srv.URL + "/x")
+	br := tr.endpointFor(srv.URL, "/x").br
 	if _, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false); !IsTemporary(err) {
 		t.Fatalf("timed-out call: err = %v, want temporary", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"trustvo/internal/store"
 	"trustvo/internal/vo"
 	"trustvo/internal/vo/registry"
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -583,4 +585,48 @@ func TestDoneSessionsRetiredAndDontCountAgainstCapacity(t *testing.T) {
 	if got := f.tk.TN.Sessions(); got != 1 {
 		t.Fatalf("sessions after retirement = %d, want 1", got)
 	}
+}
+
+// TestStatusEscapesSessionID: TNClient.Status asks for the session it
+// names, whatever characters its id holds; an unescaped query would ask
+// for a shorter id, or for another session.
+func TestStatusEscapesSessionID(t *testing.T) {
+	svc, _, req := standaloneTN(t)
+	ids := []string{"a&negotiation=b", "50%", "%41", "x+y", "v#0", "a b"}
+	minted := 0
+	svc.NewSessionID = func() (string, error) {
+		minted++
+		return ids[minted-1], nil
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &TNClient{BaseURL: srv.URL, Party: req}
+	for _, want := range ids {
+		id, err := client.Start(bg, "R")
+		if err != nil || id != want {
+			t.Fatalf("start: %q, %v; want id %q", id, err, want)
+		}
+		if _, _, _, err := client.Status(bg, id); err != nil {
+			t.Errorf("status of session %q: %v", id, err)
+		}
+	}
+}
+
+// decodeResponse interprets an HTTP response body as either a fault or
+// the expected root element.
+func decodeResponse(resp *http.Response, wantRoot string) (*xmldom.Node, error) {
+	defer resp.Body.Close()
+	root, err := xmldom.Parse(io.LimitReader(resp.Body, MaxBody))
+	if err != nil {
+		return nil, fmt.Errorf("wsrpc: bad response (%s): %w", resp.Status, err)
+	}
+	if root.Name == "fault" {
+		return nil, faultFromDOM(root)
+	}
+	if root.Name != wantRoot {
+		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", wantRoot, root.Name)
+	}
+	return root, nil
 }

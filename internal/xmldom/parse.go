@@ -124,15 +124,56 @@ const maxPooledScratch = 1 << 12
 func (p *parser) reset(s string) {
 	p.s, p.pos, p.root = s, 0, nil
 	p.arena = p.arena[:0]
-	// One '<' opens each element, comment and CDATA section, and in the
-	// usual document every text node is followed by an end tag, so the
-	// count of '<' bounds the node count; mixed content that exceeds it
-	// takes one more chunk. Every attribute has its own '='.
-	p.chunk = strings.Count(s, "<") + 1
+	// Mixed content beyond the count takes one more chunk. Every
+	// attribute has its own '='.
+	p.chunk = nodeSlots(s)
 	p.nodes = make([]Node, 0, p.chunk)
 	if n := strings.Count(s, "="); n > 0 {
 		p.attrs = make([]Attr, 0, n)
 	}
+}
+
+// nodeSlots sizes the node slab of a parse of s. It visits each '<'
+// once: one that opens an element, a comment or a CDATA section takes a
+// slot, and so does a text run before a '<', unless the run is all
+// white space or follows the '>' of markup. The count is capped at the
+// number of '<' plus one. It is exact for compact documents, which is
+// what the Writer writes (it escapes '<' and '>' in text and attribute
+// values); elsewhere it may take more slots than nodes, and whitespace
+// that mixed content keeps takes the fallback chunk.
+func nodeSlots(s string) int {
+	n, lts := 0, 0
+	for i := strings.IndexByte(s, '<'); i >= 0; {
+		lts++
+		if i+1 < len(s) && s[i+1] != '/' && s[i+1] != '?' {
+			n++ // an element, a comment or a CDATA section (or a directive)
+		}
+		next := strings.IndexByte(s[i+1:], '<')
+		if next < 0 {
+			break // text after the last markup lies outside the root
+		}
+		next += i + 1
+		if s[next-1] != '>' {
+			text := s[i:next]
+			if gt := strings.LastIndexByte(text, '>'); gt >= 0 && !blank(text[gt+1:]) {
+				n++
+			}
+		}
+		i = next
+	}
+	return min(n, lts+1)
+}
+
+// blank reports whether s holds nothing but XML white space.
+func blank(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // release drops every reference into the finished tree and the input,
