@@ -21,12 +21,14 @@ import (
 // negotiation session. Guards may live in callees: a helper that
 // verifies and expiry-checks (a "sanitizer") makes its result trusted.
 //
-// The sanitizer the module provides is pki's sealed document (Seal and
-// Open), and it is meant to be the only one: a raw Ed25519 sign or
-// verify outside package pki (the Sign and Verify functions of
-// crypto/ed25519, or the Sign method of pki's KeyPair) is reported
-// wherever it appears, so a new ticket format cannot bring its own
-// signed bytes and its own check.
+// The sanitizer the module provides is pki's sealed document (Seal,
+// Open and OpenWire, which check a MAC with crypto/hmac's Equal), and it
+// is meant to be the only one: a raw Ed25519 sign or verify, or a raw
+// MAC, outside package pki (the Sign and Verify functions of
+// crypto/ed25519, the New and Equal functions of crypto/hmac, or the
+// Sign method of pki's KeyPair) is reported wherever it appears, so a
+// new ticket format cannot bring its own signed bytes and its own
+// check.
 func credtaint() *Analyzer {
 	a := &Analyzer{
 		Name: "credtaint",
@@ -89,12 +91,16 @@ func credtaint() *Analyzer {
 	return a
 }
 
-// rawSignature names fn when it signs or verifies raw bytes (the Sign
-// and Verify functions of crypto/ed25519, or the Sign method of a pki
-// KeyPair) and returns "" for any other function.
+// rawSignature names fn when it signs, MACs or verifies raw bytes (the
+// Sign and Verify functions of crypto/ed25519, the New and Equal
+// functions of crypto/hmac, or the Sign method of a pki KeyPair) and
+// returns "" for any other function.
 func rawSignature(fn *types.Func) string {
 	if isPkgFunc(fn, "crypto/ed25519", "Sign", "Verify") {
 		return "ed25519." + fn.Name()
+	}
+	if isPkgFunc(fn, "crypto/hmac", "New", "Equal") {
+		return "hmac." + fn.Name()
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || fn.Name() != "Sign" || !pkgPathHasSuffix(fn.Pkg().Path(), "pki") {

@@ -585,7 +585,8 @@ func (b *sumBuilder) noteStopCall(call *ast.CallExpr) {
 }
 
 // noteVerifyExpiry records signature-verification and expiry-check
-// sites: crypto/ed25519's Verify, Verify* methods on pki types, and time
+// sites: crypto/ed25519's Verify, crypto/hmac's Equal (a MAC check,
+// which is how pki opens a seal), Verify* methods on pki types, and time
 // comparisons (time.Time.After/Before with a parsed deadline).
 func (b *sumBuilder) noteVerifyExpiry(call *ast.CallExpr) {
 	fn := callee(b.pkg.TypesInfo, call)
@@ -594,7 +595,8 @@ func (b *sumBuilder) noteVerifyExpiry(call *ast.CallExpr) {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case path == "crypto/ed25519" && fn.Name() == "Verify":
+	case path == "crypto/ed25519" && fn.Name() == "Verify",
+		path == "crypto/hmac" && fn.Name() == "Equal":
 		b.sum.ownVerifies = append(b.sum.ownVerifies, call.Pos())
 	case pkgPathHasSuffix(path, "pki") && strings.HasPrefix(fn.Name(), "Verify"):
 		b.sum.ownVerifies = append(b.sum.ownVerifies, call.Pos())

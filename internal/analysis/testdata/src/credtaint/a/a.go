@@ -3,6 +3,8 @@ package a
 
 import (
 	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"time"
 
@@ -108,6 +110,32 @@ func adoptSealed(s svc, pub ed25519.PublicKey, raw string) {
 	}
 	doc, err := sealed.Open(pub, time.Now())
 	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(doc)
+}
+
+// adoptWire opens a seal as received and parses the payload OpenWire
+// returned: its MAC check is the verification, after its expiry check.
+func adoptWire(s svc, k pki.KeyPair, raw string, exp time.Time) {
+	payload, err := pki.OpenWire(k, raw, exp, time.Now())
+	if err != nil {
+		return
+	}
+	doc, _ := xmldom.ParseString(payload)
+	s.AdoptSessionDoc(doc)
+}
+
+// adoptHandMAC checks expiry and then a MAC, the right order, but with
+// its own MAC outside pki.
+func adoptHandMAC(s svc, key []byte, raw string, tag []byte, exp time.Time) {
+	doc, _ := xmldom.ParseString(raw)
+	if time.Now().After(exp) {
+		return
+	}
+	mac := hmac.New(sha256.New, key) // want "hmac.New outside package pki"
+	mac.Write([]byte(raw))
+	if !hmac.Equal(mac.Sum(nil), tag) { // want "hmac.Equal outside package pki"
 		return
 	}
 	s.AdoptSessionDoc(doc)

@@ -1,10 +1,13 @@
 // Package pki is the credtaint fixture's stand-in verifier; the
 // analyzer treats Verify*-named methods of a pki package as signature
-// verification facts, and raw Ed25519 calls are allowed only here.
+// verification facts, and raw Ed25519 and HMAC calls are allowed only
+// here.
 package pki
 
 import (
 	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"time"
 
@@ -44,4 +47,19 @@ func (s *Sealed) Open(pub ed25519.PublicKey, now time.Time) (*xmldom.Node, error
 		return nil, errRejected
 	}
 	return s.Payload, nil
+}
+
+// OpenWire stands in for pki.OpenWire: it checks expiry, then the MAC
+// with crypto/hmac's Equal, and returns the payload as received, so its
+// callers parse it themselves.
+func OpenWire(k KeyPair, raw string, notAfter, now time.Time) (string, error) {
+	if now.After(notAfter) {
+		return "", errRejected
+	}
+	mac := hmac.New(sha256.New, k.Private)
+	mac.Write([]byte(raw))
+	if !hmac.Equal(mac.Sum(nil), k.Private) {
+		return "", errRejected
+	}
+	return raw, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"trustvo/internal/negotiation"
 	"trustvo/internal/wsrpc"
@@ -307,4 +308,135 @@ func TestStandbyFetchEscapesSessionID(t *testing.T) {
 			t.Fatalf("session %q did not move to its owner", id)
 		}
 	}
+}
+
+// TestAdoptRefusesCopyOfAnotherSession: an owner missing session asked
+// adopts a standby copy only of asked. Here b's table holds, under
+// asked, a validly sealed copy of session other, which b owns — as a
+// replayed ship in a GET reply would bring it. The exchange for asked
+// must not make its owner a hold other: the copy is refused and counted
+// as a schema reject, and asked starts afresh.
+func TestAdoptRefusesCopyOfAnotherSession(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	a := c.addNode("a")
+	b := c.addNode("b")
+	asked := ownedID(t, c.ring, "asked", "a")
+	other := ownedID(t, c.ring, "other", "b")
+
+	req := negotiation.NewRequester(c.memberParty("OtherMember"), chaosResource)
+	first, err := req.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, b.srv.URL, other, 1, first) // ships other's state to a
+	a.node.mu.Lock()
+	ship := a.node.standby[other].xml
+	a.node.mu.Unlock()
+	if ship == "" {
+		t.Fatal("no standby copy of the other session")
+	}
+	b.node.putStandby(asked, ship, 1)
+
+	schema := c.reg.Counter("cluster_standby_rejects_total", "reason", "schema")
+	before := schema.Value()
+	resp, err := http.Post(a.srv.URL+"/tn/policyExchange", wsrpc.ContentType,
+		strings.NewReader(firstEnvelope(t, c, "AskedMember", asked)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if a.tn.HasSession(other) {
+		t.Fatalf("an exchange for %s made its owner adopt session %s (status %d)", asked, other, resp.StatusCode)
+	}
+	if got := schema.Value() - before; got != 1 {
+		t.Errorf("cluster_standby_rejects_total{schema} rose by %d, want 1", got)
+	}
+	if resp.StatusCode != http.StatusOK || !a.tn.HasSession(asked) {
+		t.Errorf("the first message for %s: status %d, held %v; want a fresh session", asked, resp.StatusCode, a.tn.HasSession(asked))
+	}
+}
+
+// TestAdoptionKeepsIdleClock: a standby copy carries its session's last
+// use, and adoption applies the table's idle limit to it. A session idle
+// past MaxSessionAge when its owner dies does not come back at the
+// successor with a fresh idle period: /tn/status there calls it unknown
+// or expired, as its owner would have.
+func TestAdoptionKeepsIdleClock(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	n2 := c.addNode("n2")
+	for _, n := range []*testNode{n1, n2} {
+		n.tn.MaxSessionAge = 200 * time.Millisecond
+	}
+	id := ownedID(t, c.ring, "idle", "n1")
+
+	req := negotiation.NewRequester(c.memberParty("IdleMember"), chaosResource)
+	first, err := req.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, n1.srv.URL, id, 1, first)
+	time.Sleep(500 * time.Millisecond)
+	c.kill("n1")
+
+	if code, body := status(t, n2.srv.URL, id); code != http.StatusNotFound {
+		t.Fatalf("status of a session idle past its limit, at the successor: %d %s; want 404", code, body)
+	}
+	if n2.tn.HasSession(id) {
+		t.Fatal("the successor adopted a session idle past its limit")
+	}
+}
+
+// TestAdoptionIdleClockCountsShips: a standby copy's idle clock is its
+// session's last use when it was shipped. Exchanges ship; a /tn/status
+// poll moves only the owner's clock. So a session that status polls
+// alone kept alive at its owner, past MaxSessionAge since its last
+// exchange, is expired at the successor once the owner dies.
+func TestAdoptionIdleClockCountsShips(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	defer c.shutdown()
+	n1 := c.addNode("n1")
+	n2 := c.addNode("n2")
+	for _, n := range []*testNode{n1, n2} {
+		n.tn.MaxSessionAge = 200 * time.Millisecond
+	}
+	id := ownedID(t, c.ring, "polled", "n1")
+
+	req := negotiation.NewRequester(c.memberParty("PolledMember"), chaosResource)
+	first, err := req.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, n1.srv.URL, id, 1, first)
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if code, body := status(t, n1.srv.URL, id); code != http.StatusOK {
+			t.Fatalf("status poll at the owner: %d %s; want 200", code, body)
+		}
+	}
+	c.kill("n1")
+
+	if code, body := status(t, n2.srv.URL, id); code != http.StatusNotFound {
+		t.Fatalf("status at the successor of a session polled but not exchanged past its limit: %d %s; want 404", code, body)
+	}
+	if n2.tn.HasSession(id) {
+		t.Fatal("the successor adopted a session whose last ship is past its idle limit")
+	}
+}
+
+// status answers GET /tn/status for id at base with its code and body.
+func status(t *testing.T, base, id string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/tn/status?negotiation=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
 }

@@ -26,30 +26,64 @@ func (n *Node) seal(encode func(*xmldom.Writer)) (string, error) {
 	if n.keys == nil {
 		return "", fmt.Errorf("cluster: node %s has no key to seal a standby ship", n.cfg.Name)
 	}
-	return pki.Seal(n.keys, pki.LabelStandby, time.Now().Add(standbyTTL), encode).XML(), nil
+	return pki.Seal(n.keys, pki.LabelStandby, time.Now().Add(standbyTTL), encode), nil
 }
 
-// openSession opens a standby ship under the cluster key: the one check
-// before the standby POST, takeStandby and fetchStandby trust a shipped
-// snapshot. An error that is neither pki.ErrTicketExpired nor
-// pki.ErrBadSignature is a schema error; a node without keys opens
-// nothing.
-func (n *Node) openSession(root *xmldom.Node) (*xmldom.Node, error) {
-	s, err := pki.ParseSealed(root)
+// openShip opens a standby ship under the cluster key as received and
+// returns its payload: the one check before the standby POST,
+// takeStandby and fetchStandby trust a shipped snapshot. An error that
+// is neither pki.ErrTicketExpired nor pki.ErrBadSignature is a schema
+// error; a node without keys opens nothing.
+func (n *Node) openShip(ship string) (string, error) {
+	return pki.OpenWire(n.keys, ship, pki.LabelStandby, time.Now())
+}
+
+// shipHead opens a standby ship and reads its session document's root
+// start tag, building no tree: all the POST ingress needs to file it.
+func (n *Node) shipHead(ship string) (*xmldom.Node, error) {
+	payload, err := n.openShip(ship)
 	if err != nil {
 		return nil, err
 	}
-	if s.Signature == nil {
-		return nil, fmt.Errorf("cluster: unsigned standby document")
-	}
-	doc, err := s.Open(n.keys.PublicKey(), pki.LabelStandby, time.Now())
+	head, err := xmldom.ParseStartTag(payload)
 	if err != nil {
 		return nil, err
 	}
-	if doc.Name != "tnSession" || doc.AttrOr("id", "") == "" {
-		return nil, fmt.Errorf("cluster: sealed <%s> is not a session document", doc.Name)
+	if err := checkSession(head); err != nil {
+		return nil, err
+	}
+	return head, nil
+}
+
+// openSession opens a standby ship of session id and parses its
+// document, the one parse a ship gets, on its way to adoption. A copy of
+// another session than the one asked for is refused: adoption keys the
+// session by the document's own id.
+func (n *Node) openSession(ship, id string) (*xmldom.Node, error) {
+	payload, err := n.openShip(ship)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := xmldom.ParseString(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkSession(doc); err != nil {
+		return nil, err
+	}
+	if got := doc.AttrOr("id", ""); got != id {
+		return nil, fmt.Errorf("cluster: standby copy of session %s held for %s", got, id)
 	}
 	return doc, nil
+}
+
+// checkSession refuses an opened payload whose root is not a session
+// document with an id.
+func checkSession(root *xmldom.Node) error {
+	if root.Name != "tnSession" || root.AttrOr("id", "") == "" {
+		return fmt.Errorf("cluster: sealed <%s> is not a session document", root.Name)
+	}
+	return nil
 }
 
 // Drain ships every session this node holds, live or finished, to its

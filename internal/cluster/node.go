@@ -301,9 +301,9 @@ func (n *Node) putStandby(id, xml string, seq int64) string {
 // takeStandby removes, re-opens, and unwraps the standby ship for id, if
 // one is held and still fresh. The seal is opened again at the point of
 // use — not just at POST ingress — so the table itself is never
-// trusted: the signature and expiry travel with the snapshot.
+// trusted: the MAC and expiry travel with the snapshot.
 func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
-	n.mu.Lock() //lint:allow nakedlock XML parse below must run outside the lock
+	n.mu.Lock() //lint:allow nakedlock open and parse below must run outside the lock
 	d, ok := n.standby[id]
 	if ok {
 		delete(n.standby, id)
@@ -312,18 +312,13 @@ func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
 	if !ok || time.Since(d.at) > standbyTTL {
 		return nil, false
 	}
-	ship, err := xmldom.ParseString(d.xml)
-	if err != nil {
-		n.logf("cluster: dropping unparseable standby snapshot %s: %v", id, err)
-		return nil, false
-	}
-	return n.openStandby(ship, id)
+	return n.openStandby(d.xml, id)
 }
 
-// openStandby opens a standby ship about to become a live session,
-// counting and logging a refusal.
-func (n *Node) openStandby(ship *xmldom.Node, id string) (*xmldom.Node, bool) {
-	doc, err := n.openSession(ship)
+// openStandby opens a standby ship of session id about to become a live
+// session, counting and logging a refusal.
+func (n *Node) openStandby(ship, id string) (*xmldom.Node, bool) {
+	doc, err := n.openSession(ship, id)
 	if err != nil {
 		n.rejectStandby(err)
 		n.logf("cluster: refusing standby snapshot %s: %v", id, err)

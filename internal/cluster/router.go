@@ -264,11 +264,11 @@ func (n *Node) fetchStandby(ctx context.Context, peer, id string) (*xmldom.Node,
 	if base == "" {
 		return nil, false
 	}
-	root, err := n.transport.Call(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true)
+	ship, err := n.transport.CallBody(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true)
 	if err != nil {
 		return nil, false
 	}
-	return n.openStandby(root, id)
+	return n.openStandby(ship, id)
 }
 
 // handOver turns a live session this node holds but no longer owns into
@@ -325,11 +325,11 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 		writeClusterXML(w, xml)
 		return
 	}
-	raw, root, ok := readClusterBody(w, r, "sealed")
+	raw, ok := readClusterRaw(w, r)
 	if !ok {
 		return
 	}
-	doc, err := n.openSession(root)
+	head, err := n.shipHead(raw)
 	if err != nil {
 		status, code := n.rejectStandby(err)
 		writeClusterFault(w, status, code, err.Error())
@@ -337,8 +337,8 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	}
 	// The table holds the body as received: it opened, and it opens
 	// again at the point of use.
-	id := doc.AttrOr("id", "")
-	n.putStandby(id, raw, lastSeq(doc))
+	id := head.AttrOr("id", "")
+	n.putStandby(id, raw, lastSeq(head))
 	writeClusterXML(w, xmldom.String(func(xw *xmldom.Writer) {
 		xw.Start("standbyAck")
 		xw.Attr("id", id)
@@ -364,7 +364,7 @@ func (n *Node) rejectStandby(err error) (status int, code string) {
 
 // handleReplicate applies one window of the leader's log.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	_, root, ok := readClusterBody(w, r, "replicate")
+	root, ok := readClusterBody(w, r, "replicate")
 	if !ok {
 		return
 	}
@@ -388,7 +388,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 // handleCatchup reconciles the local store to a leader snapshot.
 func (n *Node) handleCatchup(w http.ResponseWriter, r *http.Request) {
-	_, root, ok := readClusterBody(w, r, "catchup")
+	root, ok := readClusterBody(w, r, "catchup")
 	if !ok {
 		return
 	}
@@ -451,35 +451,44 @@ func peekEnvelope(root *xmldom.Node) (id, msgType string) {
 	return id, msgType
 }
 
-// readClusterBody reads, parses and shape-checks a POSTed cluster RPC
-// body, returning it both as received and parsed, and writing the fault
-// itself when the request is unusable.
-func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (string, *xmldom.Node, bool) {
+// readClusterRaw reads a POSTed cluster RPC body as received, writing
+// the fault itself when the request is unusable.
+func readClusterRaw(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		writeClusterFault(w, http.StatusMethodNotAllowed, "method", "POST required")
-		return "", nil, false
+		return "", false
 	}
 	raw, err := wsrpc.ReadBody(r.Body, maxClusterBody)
 	r.Body.Close()
 	if err != nil {
 		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
-		return "", nil, false
+		return "", false
+	}
+	return raw, true
+}
+
+// readClusterBody reads, parses and shape-checks a POSTed cluster RPC
+// body, writing the fault itself when the request is unusable.
+func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (*xmldom.Node, bool) {
+	raw, ok := readClusterRaw(w, r)
+	if !ok {
+		return nil, false
 	}
 	root, err := xmldom.ParseString(raw)
 	if err != nil {
 		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
-		return "", nil, false
+		return nil, false
 	}
 	if root.Name != want {
 		writeClusterFault(w, http.StatusBadRequest, "schema", "expected <"+want+">, got <"+root.Name+">")
-		return "", nil, false
+		return nil, false
 	}
-	return raw, root, true
+	return root, true
 }
 
 // writeClusterFault emits a wsrpc <fault> with the given status.
 func writeClusterFault(w http.ResponseWriter, status int, code, detail string) {
-	w.Header().Set("Content-Type", wsrpc.ContentType)
+	wsrpc.SetContentType(w.Header())
 	w.WriteHeader(status)
 	io.WriteString(w, (&wsrpc.Fault{Code: code, Detail: detail}).XML())
 }
@@ -489,7 +498,7 @@ func writeClusterDOM(w http.ResponseWriter, doc *xmldom.Node) { writeClusterXML(
 
 // writeClusterXML emits a serialized XML document with status 200.
 func writeClusterXML(w http.ResponseWriter, xml string) {
-	w.Header().Set("Content-Type", wsrpc.ContentType)
+	wsrpc.SetContentType(w.Header())
 	io.WriteString(w, xml)
 }
 

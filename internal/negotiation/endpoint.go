@@ -233,8 +233,7 @@ func (e *Endpoint) handleRequest(in *Message) (*Message, error) {
 	// Trust-ticket fast path: a valid ticket this controller issued for
 	// this peer and resource skips the negotiation. An invalid ticket is
 	// ignored (the negotiation proceeds normally), not an error.
-	if in.Ticket != nil && e.party.Keys != nil &&
-		in.Ticket.Verify(e.party.Keys.Public, in.From, in.Resource, e.party.now()) == nil {
+	if in.Ticket != nil && in.Ticket.Verify(e.party.Keys, in.From, in.Resource, e.party.now()) == nil {
 		return e.grant()
 	}
 

@@ -1,7 +1,6 @@
 package negotiation
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"strconv"
@@ -23,7 +22,7 @@ import (
 // ("executed repeatedly until the target result is achieved", §3).
 //
 // A ticket is the statement <ticket issuer peer resource/>, sealed
-// (pki.Seal) under the issuer's Ed25519 key until it expires. The issuer
+// (pki.Sealed) under the issuer's key pair until it expires. The issuer
 // opens its own seal on presentation, so no extra trust setup is needed.
 
 // Ticket is a trust ticket for one (peer, resource) pair.
@@ -44,10 +43,11 @@ func (t *Ticket) sealed() *pki.Sealed {
 	return &pki.Sealed{Label: pki.LabelTicket, NotAfter: t.Expires, Payload: payload, Signature: t.Signature}
 }
 
-// IssueTicket signs a ticket for peer over resource, valid for ttl.
+// IssueTicket seals a ticket for peer over resource, valid for ttl.
 func IssueTicket(keys *pki.KeyPair, issuer, peer, resource string, ttl time.Duration) *Ticket {
-	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource}
-	s := pki.Seal(keys, pki.LabelTicket, time.Now().Add(ttl), t.sealed().Payload.Encode)
+	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource, Expires: time.Now().Add(ttl)}
+	s := t.sealed()
+	s.Seal(keys)
 	t.Expires, t.Signature = s.NotAfter, s.Signature
 	return t
 }
@@ -56,12 +56,12 @@ func IssueTicket(keys *pki.KeyPair, issuer, peer, resource string, ttl time.Dura
 var ErrBadTicket = errors.New("negotiation: invalid trust ticket")
 
 // Verify checks that the ticket is bound to peer and resource, then
-// opens its seal under the issuer's public key at now.
-func (t *Ticket) Verify(pub ed25519.PublicKey, peer, resource string, now time.Time) error {
+// opens its seal under the issuer's key pair at now.
+func (t *Ticket) Verify(keys *pki.KeyPair, peer, resource string, now time.Time) error {
 	if t.Peer != peer || t.Resource != resource {
 		return fmt.Errorf("%w: bound to %s/%s", ErrBadTicket, t.Peer, t.Resource)
 	}
-	if _, err := t.sealed().Open(pub, pki.LabelTicket, now); err != nil {
+	if _, err := t.sealed().Open(keys, pki.LabelTicket, now); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadTicket, err)
 	}
 	return nil
@@ -165,9 +165,9 @@ func (c *TicketCache) Len() int {
 // endpoint and re-sends that message under the same sequence number, so
 // the counterpart's reply cache makes the hand-off exactly-once whether
 // or not the original delivery got through. The ticket is sealed
-// (pki.Seal) with its holder's own key when the holder has one — it never
-// crosses the wire; the seal protects a ticket persisted to disk from
-// tampering.
+// (pki.Sealed) under its holder's own key pair when the holder has one —
+// it never crosses the wire; the seal protects a ticket persisted to disk
+// from tampering.
 
 // ResumeTicket captures an interrupted negotiation for later resumption.
 type ResumeTicket struct {
@@ -187,7 +187,7 @@ type ResumeTicket struct {
 	LastSent *Message
 	// State is the endpoint snapshot (SnapshotDOM output).
 	State *xmldom.Node
-	// Signature is the holder's Ed25519 seal (empty when unkeyed).
+	// Signature is the holder's seal (empty when unkeyed).
 	Signature []byte
 }
 
@@ -229,7 +229,9 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 		State:    state,
 	}
 	if ep.party.Keys != nil {
-		t.Signature = pki.Seal(ep.party.Keys, pki.LabelResume, t.Expires, t.sealed().Payload.Encode).Signature
+		s := t.sealed()
+		s.Seal(ep.party.Keys)
+		t.Signature = s.Signature
 	}
 	return t, nil
 }
@@ -238,11 +240,11 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 var ErrBadResumeTicket = errors.New("negotiation: invalid resume ticket")
 
 // Verify checks expiry, then the seal, then completeness; a holder with
-// keys (pub) must find a valid seal, a keyless one (nil) has none to
-// check. An expired ticket's error also matches pki.ErrTicketExpired.
-func (t *ResumeTicket) Verify(pub ed25519.PublicKey, now time.Time) error {
-	_, err := t.sealed().Open(pub, pki.LabelResume, now)
-	if pub == nil && errors.Is(err, pki.ErrBadSignature) {
+// keys must find a valid seal, a keyless one (nil) has none to check. An
+// expired ticket's error also matches pki.ErrTicketExpired.
+func (t *ResumeTicket) Verify(keys *pki.KeyPair, now time.Time) error {
+	_, err := t.sealed().Open(keys, pki.LabelResume, now)
+	if keys == nil && errors.Is(err, pki.ErrBadSignature) {
 		err = nil
 	}
 	if err != nil {

@@ -11,30 +11,30 @@ func TestTicketVerify(t *testing.T) {
 	keys := pki.MustGenerateKeyPair()
 	tk := IssueTicket(keys, "AircraftCo", "AerospaceCo", "Certification", time.Hour)
 	now := time.Now()
-	if err := tk.Verify(keys.Public, "AerospaceCo", "Certification", now); err != nil {
+	if err := tk.Verify(keys, "AerospaceCo", "Certification", now); err != nil {
 		t.Fatal(err)
 	}
 	// wrong peer
-	if err := tk.Verify(keys.Public, "Mallory", "Certification", now); err == nil {
+	if err := tk.Verify(keys, "Mallory", "Certification", now); err == nil {
 		t.Fatal("wrong peer accepted")
 	}
 	// wrong resource
-	if err := tk.Verify(keys.Public, "AerospaceCo", "Other", now); err == nil {
+	if err := tk.Verify(keys, "AerospaceCo", "Other", now); err == nil {
 		t.Fatal("wrong resource accepted")
 	}
 	// expired
-	if err := tk.Verify(keys.Public, "AerospaceCo", "Certification", now.Add(2*time.Hour)); err == nil {
+	if err := tk.Verify(keys, "AerospaceCo", "Certification", now.Add(2*time.Hour)); err == nil {
 		t.Fatal("expired ticket accepted")
 	}
 	// wrong key
 	other := pki.MustGenerateKeyPair()
-	if err := tk.Verify(other.Public, "AerospaceCo", "Certification", now); err == nil {
+	if err := tk.Verify(other, "AerospaceCo", "Certification", now); err == nil {
 		t.Fatal("foreign key accepted")
 	}
 	// tampered fields
 	forged := *tk
 	forged.Resource = "Everything"
-	if err := forged.Verify(keys.Public, "AerospaceCo", "Everything", now); err == nil {
+	if err := forged.Verify(keys, "AerospaceCo", "Everything", now); err == nil {
 		t.Fatal("tampered ticket accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestTicketFieldsDoNotSplice(t *testing.T) {
 		tk := IssueTicket(keys, "ctl", c.issuedPeer, c.issuedResource, time.Hour)
 		relabelled := *tk
 		relabelled.Peer, relabelled.Resource = c.peer, c.resource
-		if err := relabelled.Verify(keys.Public, c.peer, c.resource, now); err == nil {
+		if err := relabelled.Verify(keys, c.peer, c.resource, now); err == nil {
 			t.Fatalf("ticket for %q/%q verified as %q/%q", c.issuedPeer, c.issuedResource, c.peer, c.resource)
 		}
 	}
@@ -189,7 +189,7 @@ func TestTicketWireRoundTrip(t *testing.T) {
 	if re.Ticket == nil || re.Ticket.Issuer != "a" || re.Ticket.Peer != "b" || re.Ticket.Resource != "R" {
 		t.Fatalf("ticket lost: %+v", re.Ticket)
 	}
-	if err := re.Ticket.Verify(keys.Public, "b", "R", time.Now()); err != nil {
+	if err := re.Ticket.Verify(keys, "b", "R", time.Now()); err != nil {
 		t.Fatalf("ticket signature lost in transit: %v", err)
 	}
 	// malformed wire tickets rejected

@@ -27,10 +27,15 @@ import (
 // the whole package).
 func randRead(b []byte) (int, error) { return rand.Read(b) }
 
-// KeyPair is an Ed25519 signing key with its public half.
+// KeyPair is an Ed25519 signing key with its public half. Its seal keys
+// (sealed.go) are derived from the private key on first use; set the
+// key before that and do not copy the pair.
 type KeyPair struct {
 	Public  ed25519.PublicKey
 	Private ed25519.PrivateKey
+
+	sealOnce sync.Once
+	seal     *sealKeys // nil when Private is not an Ed25519 private key
 }
 
 // GenerateKeyPair creates a fresh random key pair.
@@ -55,14 +60,6 @@ func MustGenerateKeyPair() *KeyPair {
 // Sign returns the Ed25519 signature of msg.
 func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.Private, msg)
-}
-
-// PublicKey returns the public half of k, nil for a party without keys.
-func (k *KeyPair) PublicKey() ed25519.PublicKey {
-	if k == nil {
-		return nil
-	}
-	return k.Public
 }
 
 // Errors reported by verification.

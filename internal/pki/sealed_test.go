@@ -3,6 +3,10 @@ package pki
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -18,8 +22,9 @@ func fixedKeys(seed byte) *KeyPair {
 	return &KeyPair{Public: priv.Public().(ed25519.PublicKey), Private: priv}
 }
 
-// openWire parses a wire form and opens it.
-func openWire(wire, label string, pub ed25519.PublicKey, now time.Time) (*Sealed, *xmldom.Node, error) {
+// openTree parses a wire form and opens its tree form, as a ticket
+// inside a parsed message is opened.
+func openTree(wire, label string, k *KeyPair, now time.Time) (*Sealed, *xmldom.Node, error) {
 	root, err := xmldom.ParseString(wire)
 	if err != nil {
 		return nil, nil, err
@@ -28,7 +33,7 @@ func openWire(wire, label string, pub ed25519.PublicKey, now time.Time) (*Sealed
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, err := s.Open(pub, label, now)
+	payload, err := s.Open(k, label, now)
 	return s, payload, err
 }
 
@@ -36,37 +41,38 @@ func TestSealedOpenOrder(t *testing.T) {
 	keys, other := fixedKeys(1), fixedKeys(2)
 	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1")
 	notAfter := time.Now().Add(time.Hour)
-	sealed := Seal(keys, LabelStandby, notAfter, payload.Encode)
+	sealed := &Sealed{Label: LabelStandby, NotAfter: notAfter, Payload: payload}
+	sealed.Seal(keys)
 	if !sealed.NotAfter.Equal(notAfter.UTC().Truncate(time.Second)) || sealed.NotAfter.Location() != time.UTC {
 		t.Fatalf("NotAfter = %v, want %v truncated to the second in UTC", sealed.NotAfter, notAfter)
 	}
-	// Open takes the tree form, as ParseSealed returns it.
-	s := &Sealed{Label: sealed.Label, NotAfter: sealed.NotAfter, Payload: payload, Signature: sealed.Signature}
+	s := sealed
 	now := time.Now()
 	late := notAfter.Add(time.Hour)
 	unsigned := *s
 	unsigned.Signature = nil
 	short := *s
 	short.Signature = s.Signature[:10]
+	public := &KeyPair{Public: keys.Public}
 	for _, c := range []struct {
 		name  string
 		s     *Sealed
-		pub   ed25519.PublicKey
+		keys  *KeyPair
 		label string
 		now   time.Time
 		want  error
 	}{
-		{"valid", s, keys.Public, LabelStandby, now, nil},
-		{"wrong label before expiry", s, other.Public, LabelResume, late, ErrBadSeal},
-		{"expiry before signature", s, other.Public, LabelStandby, late, ErrTicketExpired},
+		{"valid", s, keys, LabelStandby, now, nil},
+		{"wrong label before expiry", s, other, LabelResume, late, ErrBadSeal},
+		{"expiry before signature", s, other, LabelStandby, late, ErrTicketExpired},
 		{"expired under nil key", s, nil, LabelStandby, late, ErrTicketExpired},
 		{"nil key", s, nil, LabelStandby, now, ErrBadSignature},
-		{"wrong key", s, other.Public, LabelStandby, now, ErrBadSignature},
-		{"missing signature", &unsigned, keys.Public, LabelStandby, now, ErrBadSignature},
-		{"malformed signature", &short, keys.Public, LabelStandby, now, ErrBadSignature},
-		{"short key", s, keys.Public[:8], LabelStandby, now, ErrBadSignature},
+		{"wrong key", s, other, LabelStandby, now, ErrBadSignature},
+		{"missing signature", &unsigned, keys, LabelStandby, now, ErrBadSignature},
+		{"malformed signature", &short, keys, LabelStandby, now, ErrBadSignature},
+		{"public half only", s, public, LabelStandby, now, ErrBadSignature},
 	} {
-		got, err := c.s.Open(c.pub, c.label, c.now)
+		got, err := c.s.Open(c.keys, c.label, c.now)
 		if !errors.Is(err, c.want) || (c.want == nil) != (got != nil) {
 			t.Errorf("%s: Open = %v, %v; want error %v", c.name, got, err, c.want)
 		}
@@ -79,9 +85,150 @@ func TestSealedOpenOrder(t *testing.T) {
 	edited := *s
 	edited.Payload = xmldom.NewElement("tnSession").SetAttr("id", "s2")
 	for name, m := range map[string]*Sealed{"notAfter": &moved, "payload": &edited} {
-		if _, err := m.Open(keys.Public, LabelStandby, now); !errors.Is(err, ErrBadSignature) {
+		if _, err := m.Open(keys, LabelStandby, now); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("changed %s: Open = %v, want ErrBadSignature", name, err)
 		}
+	}
+}
+
+// TestOpenWireOrder: the wire form keeps the tree form's order of
+// checks and errors, and each label has its own key.
+func TestOpenWireOrder(t *testing.T) {
+	keys, other := fixedKeys(1), fixedKeys(2)
+	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1")
+	notAfter := time.Now().Add(time.Hour)
+	wire := Seal(keys, LabelStandby, notAfter, payload.Encode)
+	now := time.Now()
+	late := notAfter.Add(time.Hour)
+	unsigned := (&Sealed{Label: LabelStandby, NotAfter: notAfter.UTC().Truncate(time.Second), Payload: payload}).XML()
+	for _, c := range []struct {
+		name  string
+		wire  string
+		keys  *KeyPair
+		label string
+		now   time.Time
+		want  error
+	}{
+		{"valid", wire, keys, LabelStandby, now, nil},
+		{"wrong label before expiry", wire, other, LabelResume, late, ErrBadSeal},
+		{"unsigned before expiry", unsigned, other, LabelStandby, late, ErrBadSeal},
+		{"expiry before MAC", wire, other, LabelStandby, late, ErrTicketExpired},
+		{"expired under nil key", wire, nil, LabelStandby, late, ErrTicketExpired},
+		{"nil key", wire, nil, LabelStandby, now, ErrBadSignature},
+		{"public half only", wire, &KeyPair{Public: keys.Public}, LabelStandby, now, ErrBadSignature},
+		{"wrong key", wire, other, LabelStandby, now, ErrBadSignature},
+		{"another label's key", strings.Replace(wire, LabelStandby, LabelResume, 1), keys, LabelResume, now, ErrBadSignature},
+	} {
+		got, err := OpenWire(c.keys, c.wire, c.label, c.now)
+		if !errors.Is(err, c.want) || (c.want == nil) != (got != "") {
+			t.Errorf("%s: OpenWire = %q, %v; want error %v", c.name, got, err, c.want)
+		}
+	}
+	got, err := OpenWire(keys, wire, LabelStandby, now)
+	if err != nil || got != payload.XML() || !strings.Contains(wire, got) {
+		t.Fatalf("OpenWire = %q, %v; want the payload %s as it lies in the wire form", got, err, payload.XML())
+	}
+}
+
+// TestOpenWireIsStrict: only the envelope Seal writes opens. The lenient
+// base64 decoder takes a tag whose padding bits differ to the same 32
+// bytes, and a parse takes many spellings of one document; neither
+// opens here.
+func TestOpenWireIsStrict(t *testing.T) {
+	keys := fixedKeys(1)
+	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1").SetAttr("lastSeq", "2")
+	payload.AppendChild(xmldom.NewElement("lastReply").AppendChild(xmldom.NewText("hello")))
+	wire := Seal(keys, LabelStandby, time.Now().Add(time.Hour), payload.Encode)
+	now := time.Now()
+	if _, err := OpenWire(keys, wire, LabelStandby, now); err != nil {
+		t.Fatal(err)
+	}
+	tag := wire[len(wire)-len(wireTail)-tagLen : len(wire)-len(wireTail)]
+	last := strings.IndexByte(base64Alphabet, tag[tagLen-2])
+	flipped := tag[:tagLen-2] + string(base64Alphabet[last^1]) + "="
+	if a, err := base64.StdEncoding.DecodeString(tag); err != nil {
+		t.Fatal(err)
+	} else if b, err := base64.StdEncoding.DecodeString(flipped); err != nil || !bytes.Equal(a, b) {
+		t.Fatalf("lenient base64 reads %s and %s apart: %v", tag, flipped, err)
+	}
+	for name, m := range map[string]string{
+		"padding bits":       strings.Replace(wire, tag, flipped, 1),
+		"missing padding":    strings.Replace(wire, tag, tag[:tagLen-1], 1),
+		"XML declaration":    `<?xml version="1.0"?>` + wire,
+		"trailing newline":   wire + "\n",
+		"attribute quotes":   strings.Replace(wire, `label="trustvo-standby"`, `label='trustvo-standby'`, 1),
+		"attribute order":    strings.Replace(wire, `label="trustvo-standby" notAfter=`, `notAfter=`, 1),
+		"space in the tag":   strings.Replace(wire, `<sealed label=`, `<sealed  label=`, 1),
+		"notAfter offset":    strings.Replace(wire, `Z">`, `+00:00">`, 1),
+		"empty end tag":      strings.Replace(wire, `</signature></sealed>`, `</signature></sealed >`, 1),
+		"signature attached": strings.Replace(wire, `<signature>`, `<signature >`, 1),
+	} {
+		if got, err := OpenWire(keys, m, LabelStandby, now); !errors.Is(err, ErrBadSeal) {
+			t.Errorf("%s: OpenWire = %q, %v; want ErrBadSeal", name, got, err)
+		}
+	}
+}
+
+const base64Alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+// TestSealKeysAreHKDF pins the key derivation: HKDF-SHA256 against the
+// SHA-256 test vectors of RFC 5869 (A.1, with salt and info, and A.3,
+// with neither), and a standby key as crypto/hkdf derives it.
+func TestSealKeysAreHKDF(t *testing.T) {
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt, _ := hex.DecodeString("000102030405060708090a0b0c")
+	info, _ := hex.DecodeString("f0f1f2f3f4f5f6f7f8f9")
+	for _, c := range []struct {
+		salt []byte
+		info string
+		okm  string
+	}{
+		{salt, string(info), "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"},
+		{nil, "", "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"},
+	} {
+		if got := hkdfSHA256(c.salt, ikm, c.info); hex.EncodeToString(got[:]) != c.okm {
+			t.Errorf("HKDF-SHA256(salt %x, info %q) = %x, want %s", c.salt, c.info, got, c.okm)
+		}
+	}
+	seed := bytes.Repeat([]byte{1}, ed25519.SeedSize)
+	if got := hkdfSHA256(nil, seed, LabelStandby); hex.EncodeToString(got[:]) != "d8d58553d4a259f895a7916fe9d2248e6634d0ab277bfc0e4e5385e94af4fd08" {
+		t.Errorf("standby key of seed 01… = %x", got)
+	}
+	// The seal is HMAC-SHA256 under that key, over label NUL notAfter
+	// NUL payload.
+	notAfter := time.Date(2030, 1, 2, 3, 4, 5, 0, time.UTC)
+	key := hkdfSHA256(nil, seed, LabelStandby)
+	mac := hmac.New(sha256.New, key[:])
+	mac.Write([]byte(LabelStandby + "\x00" + "2030-01-02T03:04:05Z" + "\x00" + `<p a="1"/>`))
+	want := base64.StdEncoding.EncodeToString(mac.Sum(nil))
+	wire := Seal(fixedKeys(1), LabelStandby, notAfter, xmldom.NewElement("p").SetAttr("a", "1").Encode)
+	if !strings.HasSuffix(wire, "<signature>"+want+"</signature></sealed>") {
+		t.Errorf("Seal wrote %s, want the MAC %s", wire, want)
+	}
+}
+
+// TestMACAllocatesNothing guards the pooled MAC: once a key pair's keys
+// are derived and its pool is warm, opening a wire form allocates
+// nothing, and sealing one allocates its string.
+func TestMACAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	keys := fixedKeys(1)
+	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1")
+	payload.AppendChild(xmldom.NewElement("lastReply").AppendChild(xmldom.NewText(strings.Repeat("x", 1500))))
+	notAfter := time.Now().Add(time.Hour)
+	now := time.Now()
+	wire := Seal(keys, LabelStandby, notAfter, payload.Encode)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := OpenWire(keys, wire, LabelStandby, now); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("OpenWire allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Seal(keys, LabelStandby, notAfter, payload.Encode) }); n != 1 {
+		t.Errorf("Seal allocates %.1f times, want 1: the wire string", n)
 	}
 }
 
@@ -89,32 +236,35 @@ func TestSealedWireForm(t *testing.T) {
 	keys := fixedKeys(1)
 	payload := xmldom.NewElement("ticket").SetAttr("peer", `a"b`)
 	notAfter := time.Date(2030, 1, 2, 3, 4, 5, 6, time.FixedZone("X", 3600))
-	s := Seal(keys, LabelTicket, notAfter, payload.Encode)
-	wire := s.XML()
+	wire := Seal(keys, LabelTicket, notAfter, payload.Encode)
 	if !strings.HasPrefix(wire, `<sealed label="trustvo-ticket" notAfter="2030-01-02T02:04:05Z"><ticket peer="a&quot;b"/><signature>`) {
 		t.Fatalf("wire form %s", wire)
 	}
-	if got := xmldom.Tree(s.Encode).XML(); got != wire {
-		t.Fatalf("tree mode writes %s, byte mode %s", got, wire)
-	}
-	// A payload written by its own layout seals as its tree does:
-	// Ed25519 is deterministic, so the signature and wire bytes match.
+	// A payload written by its own layout seals as its tree does: the
+	// MAC is deterministic, so the wire bytes match.
 	laid := Seal(keys, LabelTicket, notAfter, func(w *xmldom.Writer) {
 		w.Start("ticket")
 		w.Attr("peer", `a"b`)
 		w.End()
 	})
-	if !bytes.Equal(laid.Signature, s.Signature) || laid.XML() != wire {
-		t.Fatalf("layout seal %s differs from tree seal %s", laid.XML(), wire)
+	if laid != wire {
+		t.Fatalf("layout seal %s differs from tree seal %s", laid, wire)
 	}
-	if tree := (&Sealed{Label: LabelTicket, NotAfter: s.NotAfter, Payload: payload, Signature: s.Signature}); tree.XML() != wire {
+	// The tree form seals to the same tag and writes the same wire form,
+	// in byte and in tree mode.
+	tree := &Sealed{Label: LabelTicket, NotAfter: notAfter, Payload: payload}
+	tree.Seal(keys)
+	if tree.XML() != wire || xmldom.Tree(tree.Encode).XML() != wire {
 		t.Fatalf("tree form writes %s, sealed form %s", tree.XML(), wire)
 	}
-	_, got, err := openWire(wire, LabelTicket, keys.Public, time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
-	if err != nil || !xmldom.Equal(got, payload) {
-		t.Fatalf("round trip: %v, %v", got, err)
+	opened := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	if _, got, err := openTree(wire, LabelTicket, keys, opened); err != nil || !xmldom.Equal(got, payload) {
+		t.Fatalf("tree round trip: %v, %v", got, err)
 	}
-	unsigned := &Sealed{Label: LabelTicket, NotAfter: s.NotAfter, Payload: payload}
+	if got, err := OpenWire(keys, wire, LabelTicket, opened); err != nil || got != payload.XML() {
+		t.Fatalf("wire round trip: %q, %v", got, err)
+	}
+	unsigned := &Sealed{Label: LabelTicket, NotAfter: tree.NotAfter, Payload: payload}
 	root, err := xmldom.ParseString(unsigned.XML())
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +299,12 @@ func TestParseSealedShape(t *testing.T) {
 
 var sealLabels = []string{LabelTicket, LabelResume, LabelStandby}
 
-// FuzzSealed checks the sealed wire form end to end. A seal opens, after
-// a trip through its wire form, to an equal payload; an expired one
-// fails with ErrTicketExpired whatever the key; and a mutation of its
-// bytes either fails somewhere between parse and Open or opens to the
-// same label and payload.
+// FuzzSealed checks the sealed wire form end to end. A seal opens, as
+// received and after a trip through its tree form, to its payload; an
+// expired one fails with ErrTicketExpired whatever the key; a mutation
+// of its bytes never opens as received; and the tree form of a mutation
+// either fails somewhere between parse and Open or opens to the same
+// label and payload.
 func FuzzSealed(f *testing.F) {
 	keys, other := fixedKeys(1), fixedKeys(2)
 	f.Add(uint8(0), int64(1893456000), `<ticket issuer="ctl" peer="p" resource="r"/>`, uint8(0), uint16(40), byte('x'))
@@ -165,10 +316,12 @@ func FuzzSealed(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Open checks the canonical form of the payload it parsed, so
-		// only a payload whose canonical form survives a parse can open.
-		// Every payload the system seals comes from the Writer.
-		if re, err := xmldom.ParseString(payload.XML()); err != nil || re.XML() != payload.XML() {
+		// The tree form checks the canonical form of the payload it
+		// parsed, so only a payload whose canonical form survives a parse
+		// can open that way. Every payload the system seals comes from
+		// the Writer.
+		canon := payload.XML()
+		if re, err := xmldom.ParseString(canon); err != nil || re.XML() != canon {
 			return
 		}
 		label := sealLabels[int(which)%len(sealLabels)]
@@ -176,21 +329,26 @@ func FuzzSealed(f *testing.F) {
 		if secs < 0 {
 			secs = -secs
 		}
-		s := Seal(keys, label, time.Unix(secs, 0), payload.Encode)
-		wire := s.XML()
-		// Sealing through the encode method signs what signing the tree
-		// signs, and writes the same wire form.
-		tree := &Sealed{Label: label, NotAfter: s.NotAfter, Payload: payload}
-		tree.Signature = keys.Sign(tree.signedBytes())
-		if !bytes.Equal(tree.Signature, s.Signature) || tree.XML() != wire {
+		wire := Seal(keys, label, time.Unix(secs, 0), payload.Encode)
+		// Sealing the tree seals what sealing through the encode method
+		// seals, and writes the same wire form.
+		tree := &Sealed{Label: label, NotAfter: time.Unix(secs, 0), Payload: payload}
+		tree.Seal(keys)
+		if tree.XML() != wire {
 			t.Fatalf("tree seal %s differs from encoder seal %s", tree.XML(), wire)
 		}
-		now := s.NotAfter.Add(-time.Second)
-		if _, got, err := openWire(wire, label, keys.Public, now); err != nil || !xmldom.Equal(got, payload) {
-			t.Fatalf("round trip of %s: %v", wire, err)
+		now := tree.NotAfter.Add(-time.Second)
+		if got, err := OpenWire(keys, wire, label, now); err != nil || got != canon {
+			t.Fatalf("wire round trip of %s: %q, %v", wire, got, err)
 		}
-		if _, _, err := openWire(wire, label, other.Public, s.NotAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
+		if _, got, err := openTree(wire, label, keys, now); err != nil || !xmldom.Equal(got, payload) {
+			t.Fatalf("tree round trip of %s: %v", wire, err)
+		}
+		if _, err := OpenWire(other, wire, label, tree.NotAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
 			t.Fatalf("expired seal under a wrong key: %v, want ErrTicketExpired", err)
+		}
+		if _, _, err := openTree(wire, label, other, tree.NotAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
+			t.Fatalf("expired tree seal under a wrong key: %v, want ErrTicketExpired", err)
 		}
 
 		b := []byte(wire)
@@ -209,7 +367,10 @@ func FuzzSealed(f *testing.F) {
 			}
 			b = append(b[:i], b[i+1:]...)
 		}
-		mut, got, err := openWire(string(b), label, keys.Public, now)
+		if got, err := OpenWire(keys, string(b), label, now); err == nil {
+			t.Fatalf("mutated seal %q opened as received to %q", b, got)
+		}
+		mut, got, err := openTree(string(b), label, keys, now)
 		if err != nil {
 			return
 		}

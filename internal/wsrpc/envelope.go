@@ -24,6 +24,15 @@ import (
 // ContentType is the media type of all wsrpc payloads.
 const ContentType = "application/xml"
 
+// contentType is the Content-Type value of every wsrpc and cluster
+// request and reply, shared by all of them: its capacity is 1, so an Add
+// to a header holding it reallocates rather than write into it.
+var contentType = []string{ContentType}
+
+// SetContentType sets h's Content-Type to ContentType without the
+// allocation of Header.Set.
+func SetContentType(h http.Header) { h["Content-Type"] = contentType }
+
 // MaxBody bounds the bodies of TN requests and replies (1 MiB is
 // generous for TN messages): a longer body is cut there, and the cut
 // document fails to parse. A cluster router reads exchange bodies under
@@ -60,7 +69,7 @@ func faultFromDOM(n *xmldom.Node) *Fault {
 
 // writeFault emits a fault response with the HTTP status.
 func writeFault(w http.ResponseWriter, status int, code, detail string) {
-	w.Header().Set("Content-Type", ContentType)
+	SetContentType(w.Header())
 	w.WriteHeader(status)
 	io.WriteString(w, (&Fault{Code: code, Detail: detail}).XML())
 }

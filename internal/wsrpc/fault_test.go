@@ -409,6 +409,69 @@ func TestServerSuspendResumeSessions(t *testing.T) {
 	}
 }
 
+// TestResumeSessionsDropsIdleSessions: a suspended session's document
+// carries its last use, and the restart applies the table's idle limit
+// to it. A session idle past MaxSessionAge by the time the store is
+// read, and one whose recorded lastUsed does not parse, each restore
+// nothing, and their records are deleted; the same record read before
+// its limit restores.
+func TestResumeSessionsDropsIdleSessions(t *testing.T) {
+	svc1, ctl, req := standaloneTN(t)
+	mux := http.NewServeMux()
+	svc1.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &TNClient{
+		BaseURL: srv.URL, Party: req,
+		Transport: &Transport{
+			HTTP:  &http.Client{Transport: &gateTransport{after: 2}},
+			Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		},
+	}
+	var se *SuspendedError
+	if _, err := client.Negotiate(bg, "R"); !errors.As(err, &se) {
+		t.Fatalf("expected SuspendedError, got %v", err)
+	}
+	suspended := store.New()
+	if n, err := svc1.SuspendSessions(suspended); err != nil || n != 1 {
+		t.Fatalf("suspend: n=%d err=%v", n, err)
+	}
+	rec := suspended.List(KindTNSession)[0]
+	if !strings.Contains(rec.XML, ` lastUsed="`) {
+		t.Fatalf("suspended document carries no lastUsed: %s", rec.XML)
+	}
+	malformed := strings.Replace(rec.XML, ` lastUsed="`, ` lastUsed="x`, 1)
+	time.Sleep(20 * time.Millisecond)
+
+	for _, tc := range []struct {
+		name   string
+		xml    string
+		maxAge time.Duration
+		want   int
+	}{
+		{"within its idle limit", rec.XML, time.Minute, 1},
+		{"idle past its limit", rec.XML, 10 * time.Millisecond, 0},
+		{"malformed lastUsed", malformed, time.Minute, 0},
+	} {
+		db := store.New()
+		if err := db.PutXML(KindTNSession, rec.Key, tc.xml); err != nil {
+			t.Fatal(err)
+		}
+		svc := NewTNService(ctl)
+		svc.MaxSessionAge = tc.maxAge
+		n, err := svc.ResumeSessions(db)
+		if err != nil || n != tc.want {
+			t.Fatalf("%s: resumed %d (err %v), want %d", tc.name, n, err, tc.want)
+		}
+		if svc.HasSession(rec.Key) != (tc.want == 1) {
+			t.Fatalf("%s: session live = %v, want %v", tc.name, svc.HasSession(rec.Key), tc.want == 1)
+		}
+		if left := db.List(KindTNSession); len(left) != 0 {
+			t.Fatalf("%s: %d records left in the store", tc.name, len(left))
+		}
+	}
+}
+
 // TestDuplicateEnvelopeReplayed posts the same sequenced envelope twice
 // and requires byte-identical responses plus a replay counter hit — the
 // at-most-once guarantee duplicated deliveries rely on.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"trustvo/internal/negotiation"
 	"trustvo/internal/xmldom"
@@ -86,10 +87,10 @@ func TestDocumentsMatchReference(t *testing.T) {
 
 // refSuspendDoc and refDoneDoc build a session's <tnSession> document node
 // by node, as the service did before it wrote the document through
-// xmldom.Writer (caller holds sess.mu). The negotiation state comes from
-// SnapshotDOM, which internal/negotiation checks against its own
-// reference builder.
-func refSuspendDoc(sess *tnSession, id string) *xmldom.Node {
+// xmldom.Writer (caller holds sess.mu), with the session's last use,
+// used. The negotiation state comes from SnapshotDOM, which
+// internal/negotiation checks against its own reference builder.
+func refSuspendDoc(sess *tnSession, id string, used time.Time) *xmldom.Node {
 	state, err := sess.endpoint.SnapshotDOM()
 	if err != nil {
 		return nil
@@ -97,7 +98,8 @@ func refSuspendDoc(sess *tnSession, id string) *xmldom.Node {
 	doc := xmldom.NewElement("tnSession").
 		SetAttr("id", id).
 		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
-		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
+		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus)).
+		SetAttr("lastUsed", used.UTC().Format(time.RFC3339Nano))
 	doc.AppendChild(state)
 	if sess.lastReply != "" {
 		lr := xmldom.NewElement("lastReply")
@@ -107,12 +109,13 @@ func refSuspendDoc(sess *tnSession, id string) *xmldom.Node {
 	return doc
 }
 
-func refDoneDoc(sess *tnSession, id string) *xmldom.Node {
+func refDoneDoc(sess *tnSession, id string, used time.Time) *xmldom.Node {
 	doc := xmldom.NewElement("tnSession").
 		SetAttr("id", id).
 		SetAttr("done", "true").
 		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
-		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
+		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus)).
+		SetAttr("lastUsed", used.UTC().Format(time.RFC3339Nano))
 	if out := sess.outcome; out != nil {
 		o := xmldom.NewElement("outcome").
 			SetAttr("succeeded", boolStr(out.Succeeded)).
@@ -153,8 +156,9 @@ func TestSessionDocumentsMatchReference(t *testing.T) {
 		sh := svc.shard(id)
 		sh.mu.Lock()
 		sess := sh.m[id]
+		used := sess.lastUsed
 		sh.mu.Unlock()
-		checkLayout(t, "live session", encode, refSuspendDoc(sess, id)) // the handler holds sess.mu
+		checkLayout(t, "live session", encode, refSuspendDoc(sess, id, used)) // the handler holds sess.mu
 		ships++
 		return nil
 	}
@@ -174,12 +178,14 @@ func TestSessionDocumentsMatchReference(t *testing.T) {
 		sh.mu.Lock()
 		for id, sess := range sh.m {
 			sess.mu.Lock()
-			checkLayout(t, "finished session", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			used := sess.lastUsed
+			encode := func(w *xmldom.Writer) { sess.encodeDone(w, id, used) }
+			checkLayout(t, "finished session", encode, refDoneDoc(sess, id, used))
 			sess.outcome = &negotiation.Outcome{Resource: `R&"1"`, Reason: "no <cred>"}
 			sess.lastReply = ""
-			checkLayout(t, "refused session", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			checkLayout(t, "refused session", encode, refDoneDoc(sess, id, used))
 			sess.outcome = nil
-			checkLayout(t, "session without outcome", func(w *xmldom.Writer) { sess.encodeDone(w, id) }, refDoneDoc(sess, id))
+			checkLayout(t, "session without outcome", encode, refDoneDoc(sess, id, used))
 			sess.mu.Unlock()
 			done++
 		}

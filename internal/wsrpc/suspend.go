@@ -25,15 +25,16 @@ import (
 // KindTNSession is the store kind for suspended negotiation sessions.
 const KindTNSession = "tnsession"
 
-// suspendDoc snapshots one session into its store document under the
-// session lock, reporting ok=false when there is nothing to resume.
-func (sess *tnSession) suspendDoc(id string) (doc *xmldom.Node, ok bool) {
+// suspendDoc snapshots one session, last used at used, into its store
+// document under the session lock, reporting ok=false when there is
+// nothing to resume.
+func (sess *tnSession) suspendDoc(id string, used time.Time) (doc *xmldom.Node, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if !sess.resumable() {
 		return nil, false
 	}
-	return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) }), true
+	return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) }), true
 }
 
 // resumable reports whether the session has negotiation state to
@@ -46,12 +47,16 @@ func (sess *tnSession) resumable() bool {
 // encodeSuspended writes a live session's store document, its
 // negotiation state and reply cache, as <tnSession> (caller holds
 // sess.mu and has checked resumable). The per-message standby ship
-// writes it inside the exchange handler's critical section.
-func (sess *tnSession) encodeSuspended(w *xmldom.Writer, id string) {
+// writes it inside the exchange handler's critical section. used is the
+// session's last use, which its stripe's lock guards: the document
+// carries the idle clock, so a restored session expires when it would
+// have expired where it was.
+func (sess *tnSession) encodeSuspended(w *xmldom.Writer, id string, used time.Time) {
 	w.Start("tnSession")
 	w.Attr("id", id)
 	w.AttrInt("lastSeq", sess.lastSeq)
 	w.AttrInt("lastStatus", int64(sess.lastReplyStatus))
+	w.AttrTime("lastUsed", used.UTC(), time.RFC3339Nano)
 	sess.endpoint.EncodeSnapshot(w)
 	sess.encodeLastReply(w)
 	w.End()
@@ -61,12 +66,13 @@ func (sess *tnSession) encodeSuspended(w *xmldom.Writer, id string) {
 // state, only what /tn/status reports and the reply cache, so the node
 // adopting it replays the final reply to a client that never received
 // it (caller holds sess.mu).
-func (sess *tnSession) encodeDone(w *xmldom.Writer, id string) {
+func (sess *tnSession) encodeDone(w *xmldom.Writer, id string, used time.Time) {
 	w.Start("tnSession")
 	w.Attr("id", id)
 	w.Attr("done", "true")
 	w.AttrInt("lastSeq", sess.lastSeq)
 	w.AttrInt("lastStatus", int64(sess.lastReplyStatus))
+	w.AttrTime("lastUsed", used.UTC(), time.RFC3339Nano)
 	if out := sess.outcome; out != nil {
 		w.Start("outcome")
 		w.Attr("succeeded", boolStr(out.Succeeded))
@@ -90,16 +96,17 @@ func (sess *tnSession) encodeLastReply(w *xmldom.Writer) {
 
 // moveOut marks the session as gone to another node and snapshots it,
 // a finished one as its verdict and reply cache (encodeDone). It
-// returns nil for a session with no message handled yet.
+// returns nil for a session with no message handled yet. The session
+// has left the table, so no lookup refreshes lastUsed any more.
 func (sess *tnSession) moveOut(id string) *xmldom.Node {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.moved = true
 	switch {
 	case sess.done.Load():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id) })
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id, sess.lastUsed) })
 	case sess.resumable():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id) })
+		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, sess.lastUsed) })
 	}
 	return nil
 }
@@ -129,7 +136,7 @@ func (s *TNService) SuspendSessions(db *store.Store) (int, error) {
 		}
 		sh.mu.Unlock()
 		for id, sess := range live {
-			doc, ok := sess.suspendDoc(id)
+			doc, ok := sess.suspendDoc(id, s.lastUse(id, sess))
 			if !ok {
 				// e.g. a session created by /tn/start that never saw a
 				// message: nothing to resume
@@ -149,8 +156,8 @@ func (s *TNService) SuspendSessions(db *store.Store) (int, error) {
 
 // ResumeSessions restores sessions previously written by SuspendSessions
 // and deletes their records. Unrestorable records (e.g. a credential no
-// longer held) are logged, removed, and skipped — they must not wedge
-// startup.
+// longer held, or a session idle past its lifetime) are logged, removed,
+// and skipped — they must not wedge startup.
 func (s *TNService) ResumeSessions(db *store.Store) (int, error) {
 	if db == nil {
 		return 0, fmt.Errorf("wsrpc: resume requires a store")
@@ -182,6 +189,10 @@ func (s *TNService) ResumeSessions(db *store.Store) (int, error) {
 	return resumed, db.Sync()
 }
 
+// restoreSession rebuilds a session from its document, refusing one the
+// table's staleness rule expires at its recorded last use: a session
+// idle past its lifetime does not come back, from a standby copy or from
+// the store. A document without lastUsed restarts the idle clock.
 func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 	if doc.Name != "tnSession" {
 		return nil, fmt.Errorf("expected <tnSession>, got <%s>", doc.Name)
@@ -235,6 +246,27 @@ func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 				Code:   "envelope",
 				Err:    fmt.Errorf("wsrpc: malformed lastStatus %q in suspended session", raw),
 			}
+		}
+	}
+	if raw := doc.AttrOr("lastUsed", ""); raw != "" {
+		used, err := time.Parse(time.RFC3339Nano, raw)
+		if err != nil {
+			s.countBadEnvelope()
+			return nil, &Error{
+				Op:     "resume",
+				Status: http.StatusBadRequest,
+				Code:   "envelope",
+				Err:    fmt.Errorf("wsrpc: malformed lastUsed %q in suspended session", raw),
+			}
+		}
+		sess.lastUsed = used
+	}
+	if s.stale(sess, time.Now()) {
+		return nil, &Error{
+			Op:     "resume",
+			Status: http.StatusNotFound,
+			Code:   "negotiation",
+			Err:    fmt.Errorf("wsrpc: negotiation idle since %s has expired", sess.lastUsed.UTC().Format(time.RFC3339)),
 		}
 	}
 	if lr := doc.Child("lastReply"); lr != nil {

@@ -186,7 +186,7 @@ func (c *TNClient) verifyTicket(t *negotiation.ResumeTicket) error {
 	if t == nil {
 		return fmt.Errorf("wsrpc: nil resume ticket")
 	}
-	err := t.Verify(c.Party.Keys.PublicKey(), time.Now())
+	err := t.Verify(c.Party.Keys, time.Now())
 	if errors.Is(err, pki.ErrTicketExpired) {
 		if tr := c.transport(); tr.Metrics != nil {
 			tr.Metrics.Counter("tn_ticket_expired_total").Inc()

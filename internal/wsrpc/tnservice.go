@@ -810,7 +810,17 @@ func (s *TNService) shipSessionUpdate(ctx context.Context, id string, sess *tnSe
 	if ship == nil || !sess.resumable() {
 		return nil
 	}
-	return ship(ctx, id, func(w *xmldom.Writer) { sess.encodeSuspended(w, id) })
+	used := s.lastUse(id, sess)
+	return ship(ctx, id, func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) })
+}
+
+// lastUse reads the idle clock of session id, which its stripe's lock
+// guards.
+func (s *TNService) lastUse(id string, sess *tnSession) time.Time {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sess.lastUsed
 }
 
 // writeShipFault reports a failed standby ship as honest backpressure:
@@ -824,7 +834,7 @@ func writeShipFault(w http.ResponseWriter, err error) {
 // writeRaw emits a pre-serialized XML response (the replay path must be
 // byte-identical to the original).
 func writeRaw(w http.ResponseWriter, status int, body string) {
-	w.Header().Set("Content-Type", ContentType)
+	SetContentType(w.Header())
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}

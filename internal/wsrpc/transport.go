@@ -106,10 +106,24 @@ func (t *Transport) Call(ctx context.Context, method, base, route, query, body s
 	return t.call(ctx, method, base, route, query, body, idempotent)
 }
 
+// CallBody is Call for a caller that reads a 2xx reply's bytes as
+// received: it returns the body of the reply Call would return the root
+// of, after the same checks.
+func (t *Transport) CallBody(ctx context.Context, method, base, route, query, body string, idempotent bool) (string, error) {
+	raw, _, err := t.roundTrip(ctx, method, base, route, query, body, idempotent)
+	return raw, err
+}
+
 // call performs one logical request: POST body (or GET when body is "")
 // to base+route, with retries when idempotent. It returns the parsed XML
 // root of a 2xx response; every failure is a *Error.
 func (t *Transport) call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
+	_, root, err := t.roundTrip(ctx, method, base, route, query, body, idempotent)
+	return root, err
+}
+
+// roundTrip is call, returning a 2xx reply's body with its root.
+func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, body string, idempotent bool) (string, *xmldom.Node, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxpropagate defensive default for nil-ctx callers
 	}
@@ -129,7 +143,7 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 				hint = te.RetryAfter
 			}
 			if err := sleepCtx(ctx, t.Retry.delay(attempt-1, hint)); err != nil {
-				return nil, &Error{Op: opName(method, route), Err: err}
+				return "", nil, &Error{Op: opName(method, route), Err: err}
 			}
 		}
 		if !br.allow() {
@@ -137,16 +151,16 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 			lastErr = &Error{Op: opName(method, route), Code: "breaker-open", Temporary: true, Err: ErrCircuitOpen}
 			continue // the backoff may outlast the cooldown
 		}
-		root, err := t.once(ctx, method, url, route, body)
+		raw, root, err := t.once(ctx, method, url, route, body)
 		if err == nil {
 			br.success()
-			return root, nil
+			return raw, root, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			// the caller gave up: the attempt proves nothing either way
 			br.abandon()
-			return nil, err
+			return "", nil, err
 		}
 		te, _ := err.(*Error)
 		if te != nil && te.Temporary {
@@ -159,15 +173,21 @@ func (t *Transport) call(ctx context.Context, method, base, route, query, body s
 			br.success()
 		}
 		if te == nil || !te.Temporary {
-			return nil, err
+			return "", nil, err
 		}
 	}
 	t.count("wsrpc_client_gaveup_total", "route", route)
-	return nil, lastErr
+	return "", nil, lastErr
 }
 
-// once performs a single attempt under the per-request timeout.
-func (t *Transport) once(ctx context.Context, method, url, route, body string) (*xmldom.Node, error) {
+// identity is the Accept-Encoding value of every request: no wsrpc or
+// cluster server compresses a reply, and a request without the header
+// makes net/http's transport ask for gzip in a header map of its own.
+var identity = []string{"identity"}
+
+// once performs a single attempt under the per-request timeout,
+// returning the body of a 2xx reply and its root.
+func (t *Transport) once(ctx context.Context, method, url, route, body string) (string, *xmldom.Node, error) {
 	reqCtx := ctx
 	cancel := func() {}
 	if rt := t.requestTimeout(); rt > 0 {
@@ -180,21 +200,22 @@ func (t *Transport) once(ctx context.Context, method, url, route, body string) (
 	}
 	req, err := http.NewRequestWithContext(reqCtx, method, url, rd)
 	if err != nil {
-		return nil, &Error{Op: opName(method, route), Err: err}
+		return "", nil, &Error{Op: opName(method, route), Err: err}
 	}
+	req.Header["Accept-Encoding"] = identity
 	if method == http.MethodPost {
-		req.Header.Set("Content-Type", ContentType)
+		SetContentType(req.Header)
 	}
 	resp, err := t.httpClient().Do(req)
 	if err != nil {
 		// a request that never completed is transient — unless the
 		// caller's own context ended it
-		return nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
+		return "", nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
 	}
 	defer resp.Body.Close()
 	raw, err := ReadBody(resp.Body, MaxBody)
 	if err != nil {
-		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
+		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
 	}
 	root, perr := xmldom.ParseString(raw)
 	if resp.StatusCode >= 400 {
@@ -211,19 +232,19 @@ func (t *Transport) once(ctx context.Context, method, url, route, body string) (
 		} else {
 			e.Err = fmt.Errorf("server returned %s", resp.Status)
 		}
-		return nil, e
+		return "", nil, e
 	}
 	if perr != nil {
 		// truncated or garbled body on a 2xx: the reply was lost in
 		// transit — safe to retry on idempotent routes
-		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: "malformed-response", Temporary: true, Err: perr}
+		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: "malformed-response", Temporary: true, Err: perr}
 	}
 	if root.Name == "fault" {
 		// defensive: a fault served with a 2xx status
 		f := faultFromDOM(root)
-		return nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: f.Code, Err: f}
+		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: f.Code, Err: f}
 	}
-	return root, nil
+	return raw, root, nil
 }
 
 // expectRoot asserts the root element name of a successful call.

@@ -298,3 +298,64 @@ func TestBreakerTripsOnTransportFailures(t *testing.T) {
 		t.Fatalf("final error does not wrap ErrCircuitOpen: %v", err)
 	}
 }
+
+// TestWireHeaders pins the headers of every call and reply. A request
+// asks for no compression, which no wsrpc or cluster server applies,
+// and a POST names its body's type; a reply names its type. The values
+// are shared by every header that carries them, so an Add to one
+// header must leave them as they are.
+func TestWireHeaders(t *testing.T) {
+	var got []http.Header
+	mux := http.NewServeMux()
+	mux.HandleFunc("/raw", func(w http.ResponseWriter, r *http.Request) {
+		got = append(got, r.Header.Clone())
+		writeRaw(w, http.StatusOK, "<ok/>")
+	})
+	mux.HandleFunc("/fault", func(w http.ResponseWriter, r *http.Request) {
+		writeFault(w, http.StatusConflict, "c", "d")
+	})
+	mux.HandleFunc("/add", func(w http.ResponseWriter, r *http.Request) {
+		SetContentType(w.Header())
+		w.Header().Add("Content-Type", "text/plain")
+		w.Write([]byte("<ok/>"))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	tr := &Transport{}
+	for _, method := range []string{http.MethodPost, http.MethodGet} {
+		body := ""
+		if method == http.MethodPost {
+			body = "<x/>"
+		}
+		if _, err := tr.Call(context.Background(), method, srv.URL, "/raw", "", body, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []string{ContentType, ""} {
+		h := got[i]
+		if ae := h.Values("Accept-Encoding"); len(ae) != 1 || ae[0] != "identity" {
+			t.Errorf("request %d: Accept-Encoding %q, want identity", i, ae)
+		}
+		if ct := h.Get("Content-Type"); ct != want {
+			t.Errorf("request %d: Content-Type %q, want %q", i, ct, want)
+		}
+	}
+	for route, want := range map[string][]string{
+		"/raw":   {ContentType},
+		"/fault": {ContentType},
+		"/add":   {ContentType, "text/plain"},
+	} {
+		resp, err := http.Get(srv.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if ct := resp.Header.Values("Content-Type"); fmt.Sprint(ct) != fmt.Sprint(want) {
+			t.Errorf("%s reply: Content-Type %q, want %q", route, ct, want)
+		}
+	}
+	if len(contentType) != 1 || contentType[0] != ContentType || len(identity) != 1 || identity[0] != "identity" {
+		t.Fatalf("shared header values written through: %q, %q", contentType, identity)
+	}
+}

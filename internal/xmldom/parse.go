@@ -48,6 +48,38 @@ func ParseString(s string) (*Node, error) {
 	return parserPool.Get().(*parser).parse(s)
 }
 
+// ParseStartTag parses the start tag that opens s and returns its
+// element: the name and the attributes, decoded as ParseString decodes
+// them, and no children. What follows the tag is neither read nor
+// checked, so a reader that wants a few attributes of a document's root
+// takes them without building the tree. The retention rule is
+// ParseString's.
+func ParseStartTag(s string) (*Node, error) {
+	p := parserPool.Get().(*parser)
+	p.s, p.pos, p.root = s, 0, nil
+	p.arena = p.arena[:0]
+	p.chunk = 1
+	var err error
+	if len(s) < 2 || s[0] != '<' || s[1] == '/' || s[1] == '?' || s[1] == '!' {
+		err = p.syntaxError(0, "expected a start tag")
+	} else {
+		if end := strings.IndexByte(s, '>'); end > 0 {
+			p.attrs = make([]Attr, 0, strings.Count(s[:end], "="))
+		}
+		err = p.startTag()
+	}
+	root := p.root
+	if err == nil {
+		p.fixDecoded()
+	}
+	p.release()
+	parserPool.Put(p)
+	if err != nil {
+		return nil, err
+	}
+	return root, nil
+}
+
 // parse parses s and returns p to the pool.
 func (p *parser) parse(s string) (*Node, error) {
 	p.reset(s)
@@ -240,13 +272,19 @@ func (p *parser) document() (*Node, error) {
 	if p.root == nil {
 		return nil, ErrNoRoot
 	}
+	p.fixDecoded()
+	return p.root, nil
+}
+
+// fixDecoded points every decoded value at its run of one string copy
+// of the arena.
+func (p *parser) fixDecoded() {
 	if len(p.fixups) > 0 {
 		decoded := string(p.arena)
 		for _, f := range p.fixups {
 			*f.dst = decoded[f.off:f.end]
 		}
 	}
-	return p.root, nil
 }
 
 // newNode hands out the next node of the slab.

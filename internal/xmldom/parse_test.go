@@ -220,7 +220,34 @@ func FuzzParse(f *testing.F) {
 		if g, w := got.XML(), refXML(got); g != w {
 			t.Fatalf("parse %q: serializations differ\nwriter:    %q\nreference: %q", doc, g, w)
 		}
+		// A document that opens with its root's start tag gives that tag
+		// to ParseStartTag as it gives it to the parse.
+		if len(doc) > 1 && doc[0] == '<' && !strings.ContainsRune("?!/", rune(doc[1])) {
+			head, err := ParseStartTag(doc)
+			if err != nil || head.Name != got.Name || !slices.Equal(head.Attrs, got.Attrs) || head.Children != nil {
+				t.Fatalf("ParseStartTag(%q) = %+v, %v; want the root %s with attributes %v", doc, head, err, got.Name, got.Attrs)
+			}
+		}
 	})
+}
+
+// TestParseStartTag: the start tag's attributes are decoded as a parse
+// decodes them, and nothing after the tag is read.
+func TestParseStartTag(t *testing.T) {
+	for doc, want := range map[string]string{
+		`<tnSession id="a&amp;b" lastSeq='2'><unclosed`: `<tnSession id="a&amp;b" lastSeq="2"/>`,
+		`<e a="x&#10;y"/>trailing garbage <`:            `<e a="x` + "\n" + `y"/>`,
+	} {
+		head, err := ParseStartTag(doc)
+		if err != nil || head.XML() != want {
+			t.Errorf("ParseStartTag(%q) = %v, %v; want %s", doc, head, err, want)
+		}
+	}
+	for _, doc := range []string{``, `<`, `text<e/>`, `<?xml version="1.0"?><e/>`, `<!--c--><e/>`, `</e>`, `<e a=1/>`, `<e a="1"`, `<e a="&bogus;"/>`} {
+		if head, err := ParseStartTag(doc); err == nil {
+			t.Errorf("ParseStartTag(%q) = %v, want an error", doc, head.XML())
+		}
+	}
 }
 
 // TestNameTablesMatchReference checks the name-character tables rune by

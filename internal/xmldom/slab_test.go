@@ -54,7 +54,7 @@ func wireDocuments(t *testing.T) map[string]string {
 			t.Fatal(err)
 		}
 		if to == ctl && !ctl.Done() {
-			docs["sealed ship"] = pki.Seal(pki.MustGenerateKeyPair(), pki.LabelStandby, time.Now().Add(time.Minute), ctl.EncodeSnapshot).XML()
+			docs["sealed ship"] = pki.Seal(pki.MustGenerateKeyPair(), pki.LabelStandby, time.Now().Add(time.Minute), ctl.EncodeSnapshot)
 		}
 		from, to, msg = to, from, reply
 	}

@@ -3,6 +3,7 @@ package xmldom
 import (
 	"bytes"
 	"encoding/base64"
+	"io"
 	"slices"
 	"strconv"
 	"sync"
@@ -287,6 +288,22 @@ func (w *Writer) End() {
 	w.buf = append(w.buf, '<', '/')
 	w.buf = append(w.buf, w.buf[name.start:name.end]...)
 	w.buf = append(w.buf, '>')
+}
+
+// Tee closes the open start tag, runs encode, which writes children of
+// the innermost open element, and then writes what it wrote to dst from
+// where it lies in the buffer: a layout that seals part of itself MACs
+// that part without a copy. dst is a hash, whose Write never fails.
+// Tree's passes only run encode.
+func (w *Writer) Tee(dst io.Writer, encode func(*Writer)) {
+	if w.mode != writeBytes {
+		encode(w)
+		return
+	}
+	w.child()
+	from := len(w.buf)
+	encode(w)
+	dst.Write(w.buf[from:])
 }
 
 // Attr sets an attribute of the innermost open element.
