@@ -958,8 +958,9 @@ func (ti *taintInfo) callTainted(call *ast.CallExpr) bool {
 }
 
 // rootTaintSource matches the decode functions where external bytes
-// enter: XML parsing (every xmldom.Parse* entry point), base64 decoding,
-// and raw body reads.
+// enter: XML parsing (every xmldom.Parse* entry point and the Reader's
+// constructors, whose Node, Attr and Text hand out pieces of what they
+// read), base64 decoding, and raw body reads.
 func rootTaintSource(info *types.Info, call *ast.CallExpr) bool {
 	fn := callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -967,7 +968,8 @@ func rootTaintSource(info *types.Info, call *ast.CallExpr) bool {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case pkgPathHasSuffix(path, "xmldom") && strings.HasPrefix(fn.Name(), "Parse") && fn.Type().(*types.Signature).Recv() == nil:
+	case pkgPathHasSuffix(path, "xmldom") && fn.Type().(*types.Signature).Recv() == nil &&
+		(strings.HasPrefix(fn.Name(), "Parse") || strings.HasPrefix(fn.Name(), "New") && strings.HasSuffix(fn.Name(), "Reader")):
 		return true
 	case path == "encoding/base64" && strings.Contains(fn.Name(), "Decode"):
 		return true

@@ -149,6 +149,24 @@ func adoptSealedUnopened(s svc, raw string) {
 	s.AdoptSessionDoc(sealed.Payload) // want "reaches AdoptSessionDoc without signature verification"
 }
 
+// adoptRead decodes the session document through a Reader, as the
+// exchange and standby paths read bodies.
+func adoptRead(s svc, raw string) {
+	r := xmldom.NewReader(raw)
+	if !r.Child(0) {
+		return
+	}
+	doc := r.Node()
+	r.Close()
+	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without signature verification"
+}
+
+// adoptWalked walks a received tree through a Reader.
+func adoptWalked(s svc, body []byte) {
+	tree, _ := xmldom.ParseBytes(body)
+	s.AdoptSessionDoc(xmldom.NewNodeReader(tree).Node()) // want "reaches AdoptSessionDoc without signature verification"
+}
+
 // relay returns what it decodes; taint composes through it.
 func relay(raw string) *xmldom.Node {
 	doc, _ := xmldom.ParseString(raw)

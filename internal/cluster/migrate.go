@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"trustvo/internal/pki"
@@ -39,20 +40,23 @@ func (n *Node) openShip(ship string) (string, error) {
 }
 
 // shipHead opens a standby ship and reads its session document's root
-// start tag, building no tree: all the POST ingress needs to file it.
-func (n *Node) shipHead(ship string) (*xmldom.Node, error) {
+// start tag, the Reader's first token, building no tree and reading no
+// further: the id and last sequence the POST ingress files it under.
+func (n *Node) shipHead(ship string) (id string, seq int64, err error) {
 	payload, err := n.openShip(ship)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
-	head, err := xmldom.ParseStartTag(payload)
-	if err != nil {
-		return nil, err
+	r := xmldom.NewReader(payload)
+	defer r.Release()
+	if r.Next() != xmldom.StartToken {
+		return "", 0, r.Err()
 	}
-	if err := checkSession(head); err != nil {
-		return nil, err
+	if err := checkSession(r.Name(), r.AttrOr("id", "")); err != nil {
+		return "", 0, err
 	}
-	return head, nil
+	seq, _ = strconv.ParseInt(r.AttrOr("lastSeq", "0"), 10, 64)
+	return r.AttrOr("id", ""), seq, nil
 }
 
 // openSession opens a standby ship of session id and parses its
@@ -68,7 +72,7 @@ func (n *Node) openSession(ship, id string) (*xmldom.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSession(doc); err != nil {
+	if err := checkSession(doc.Name, doc.AttrOr("id", "")); err != nil {
 		return nil, err
 	}
 	if got := doc.AttrOr("id", ""); got != id {
@@ -77,11 +81,11 @@ func (n *Node) openSession(ship, id string) (*xmldom.Node, error) {
 	return doc, nil
 }
 
-// checkSession refuses an opened payload whose root is not a session
-// document with an id.
-func checkSession(root *xmldom.Node) error {
-	if root.Name != "tnSession" || root.AttrOr("id", "") == "" {
-		return fmt.Errorf("cluster: sealed <%s> is not a session document", root.Name)
+// checkSession refuses an opened payload whose root, named name, is
+// not a session document with an id.
+func checkSession(name, id string) error {
+	if name != "tnSession" || id == "" {
+		return fmt.Errorf("cluster: sealed <%s> is not a session document", name)
 	}
 	return nil
 }

@@ -253,12 +253,20 @@ func (n *Node) ship(ctx context.Context, target, id string, encode func(*xmldom.
 		n.countShip("error")
 		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
 	}
-	_, err = n.transport.Call(ctx, "POST", base, "/cluster/standby", "", ship, true)
+	_, err = n.transport.CallBody(ctx, "POST", base, "/cluster/standby", "", ship, true, checkAck)
 	if err != nil {
 		n.countShip("error")
 		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
 	}
 	n.countShip("ok")
+	return nil
+}
+
+// checkAck accepts a standby POST's reply: a <standbyAck>.
+func checkAck(r *xmldom.Reader) error {
+	if r.Name() != "standbyAck" {
+		return fmt.Errorf("cluster: standby reply <%s>, want <standbyAck>", r.Name())
+	}
 	return nil
 }
 

@@ -78,8 +78,9 @@ func (n *Node) gateServe(h http.HandlerFunc, w http.ResponseWriter, r *http.Requ
 // routeExchange routes one TN exchange operation by the envelope's
 // session id: the ring owner serves it (adopting standby state or
 // materializing a fresh session when failover moved the id here), other
-// owners get the request forwarded or the client redirected. The body
-// is read and parsed here, once: the service gets the parsed envelope.
+// owners get the body forwarded as received or the client redirected.
+// The body is read and decoded here, once: the service gets the decoded
+// envelope, or the schema error it answers with.
 func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 	serve := n.tn.ExchangeHandler(path)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -95,20 +96,20 @@ func (n *Node) routeExchange(inner http.Handler, path string) http.HandlerFunc {
 			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
-		env, err := xmldom.ParseString(raw)
+		env, err := wsrpc.DecodeEnvelope(raw)
 		if err != nil {
 			// The TN handler would fail the same way and answer so.
 			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
 		}
-		if id, msgType := peekEnvelope(env); id != "" {
+		if id := env.ID; id != "" {
 			owner := n.ring.Owner(id)
 			if owner != "" && owner != n.cfg.Name {
 				n.forwardOrRedirect(w, r, owner, path, r.URL.RawQuery, raw)
 				return
 			}
 			if !n.tn.HasSession(id) {
-				if !n.materializeSession(w, r, id, msgType) {
+				if !n.materializeSession(w, r, id, env.Type) {
 					return
 				}
 			}
@@ -264,7 +265,7 @@ func (n *Node) fetchStandby(ctx context.Context, peer, id string) (*xmldom.Node,
 	if base == "" {
 		return nil, false
 	}
-	ship, err := n.transport.CallBody(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true)
+	ship, err := n.transport.CallBody(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -329,7 +330,7 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	head, err := n.shipHead(raw)
+	id, seq, err := n.shipHead(raw)
 	if err != nil {
 		status, code := n.rejectStandby(err)
 		writeClusterFault(w, status, code, err.Error())
@@ -337,8 +338,7 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	}
 	// The table holds the body as received: it opened, and it opens
 	// again at the point of use.
-	id := head.AttrOr("id", "")
-	n.putStandby(id, raw, lastSeq(head))
+	n.putStandby(id, raw, seq)
 	writeClusterXML(w, xmldom.String(func(xw *xmldom.Writer) {
 		xw.Start("standbyAck")
 		xw.Attr("id", id)
@@ -435,20 +435,6 @@ func boolAttr(b bool) string {
 		return "true"
 	}
 	return "false"
-}
-
-// peekEnvelope extracts the session id and message type from a parsed
-// TN exchange body; anything but an envelope returns empty values and
-// falls through to the service's own error handling.
-func peekEnvelope(root *xmldom.Node) (id, msgType string) {
-	if root == nil || root.Name != "envelope" {
-		return "", ""
-	}
-	id = root.AttrOr("negotiation", "")
-	if msg := root.Child("tnMessage"); msg != nil {
-		msgType = msg.AttrOr("type", "")
-	}
-	return id, msgType
 }
 
 // readClusterRaw reads a POSTed cluster RPC body as received, writing

@@ -103,10 +103,8 @@ func FuzzRoutedExchangeMatchesService(f *testing.F) {
 		}
 		if get {
 			method = http.MethodGet
-		} else if env, err := xmldom.ParseString(body); err == nil {
-			if id, _ := peekEnvelope(env); id != "" {
-				return // routed by session: the owner's table decides
-			}
+		} else if env, err := wsrpc.DecodeEnvelope(body); err == nil && env.ID != "" {
+			return // routed by session: the owner's table decides
 		}
 		answer := func(h http.Handler) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()

@@ -236,7 +236,7 @@ func BenchmarkStandbyShip(b *testing.B) {
 			return err
 		}
 		size = len(ship)
-		_, err = n1.node.shipHead(ship)
+		_, _, err = n1.node.shipHead(ship)
 		return err
 	}
 	b.ReportAllocs()

@@ -174,7 +174,7 @@ func (e *Endpoint) Handle(in *Message) (*Message, error) {
 		return nil, errors.New("negotiation: endpoint already done")
 	}
 	e.begin()
-	sp := e.phaseSpan.StartChild("recv:" + in.Type.String())
+	sp := e.phaseSpan.StartChild(recvSpanName(in.Type))
 	defer sp.End()
 	if e.party.Trace != nil {
 		e.party.Trace("recv", in)

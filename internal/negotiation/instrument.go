@@ -14,6 +14,23 @@ const (
 	phaseNameExchange = "credential-exchange"
 )
 
+// recvSpanNames names the span Handle opens for each message type, so
+// that naming one costs no allocation whether or not tracing is on.
+var recvSpanNames = func() (names [MsgFail + 1]string) {
+	for t := range names {
+		names[t] = "recv:" + MsgType(t).String()
+	}
+	return names
+}()
+
+// recvSpanName names the span of a received message of type t.
+func recvSpanName(t MsgType) string {
+	if t >= 0 && int(t) < len(recvSpanNames) {
+		return recvSpanNames[t]
+	}
+	return "recv:" + t.String()
+}
+
 // begin arms the endpoint's telemetry on first protocol activity: phase
 // timing when the party has a Metrics registry, span tracing when it has
 // a Recorder. Idempotent; all recording sites below are nil-tolerant, so

@@ -177,3 +177,33 @@ func TestUninstrumentedPartyStillNegotiates(t *testing.T) {
 		t.Fatal("trace allocated without Recorder")
 	}
 }
+
+// TestHandleSpanNameAllocations: naming the span of a handled message
+// costs nothing, traced or not. A fresh requester that receives a fail,
+// its only message, allocates 4 times (the endpoint, its state and the
+// outcome); a span name built per message made it 5.
+func TestHandleSpanNameAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	party := &Party{Name: "alice", Profile: xtnl.NewProfile("alice"), Policies: xtnl.MustPolicySet()}
+	fail := &Message{Type: MsgFail, From: "bob", Reason: "no"}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := NewRequester(party, "R").Handle(fail); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ep := NewRequester(party, "R")
+	ep.Handle(fail)
+	if out := ep.Outcome(); out == nil || out.Succeeded || out.Reason != "no" {
+		t.Fatalf("outcome %+v", out)
+	}
+	if allocs > 4 {
+		t.Errorf("a requester handling one fail allocates %.1f times, want at most 4", allocs)
+	}
+	for typ := MsgRequest; typ <= MsgFail; typ++ {
+		if got, want := recvSpanName(typ), "recv:"+typ.String(); got != want {
+			t.Errorf("span name of %s = %q, want %q", typ, got, want)
+		}
+	}
+}

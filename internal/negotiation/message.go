@@ -1,6 +1,7 @@
 package negotiation
 
 import (
+	"cmp"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -265,159 +266,251 @@ func (m *Message) XML() string { return xmldom.String(m.Encode) }
 // ErrBadMessage reports a malformed wire message.
 var ErrBadMessage = errors.New("negotiation: malformed message")
 
-// ParseMessage decodes a wire message.
+// ParseMessage decodes a wire message from its bytes, building no tree
+// but a <sealed> ticket's.
 func ParseMessage(xmlText string) (*Message, error) {
-	root, err := xmldom.ParseString(xmlText)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+	r := xmldom.NewReader(xmlText)
+	var m *Message
+	err := fmt.Errorf("%w: no root element", ErrBadMessage)
+	if r.Child(0) {
+		m, err = DecodeMessage(r)
 	}
-	return MessageFromDOM(root)
+	if serr := r.Close(); serr != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadMessage, serr)
+	}
+	return m, err
 }
 
 // MessageFromDOM decodes a message from a parsed tree.
 func MessageFromDOM(root *xmldom.Node) (*Message, error) {
-	if root.Name != "tnMessage" {
-		return nil, fmt.Errorf("%w: root <%s>", ErrBadMessage, root.Name)
+	r := xmldom.NewNodeReader(root)
+	defer r.Close()
+	if !r.Child(0) {
+		return nil, fmt.Errorf("%w: no root element", ErrBadMessage)
 	}
-	mt, err := parseMsgType(root.AttrOr("type", ""))
+	return DecodeMessage(r)
+}
+
+// DecodeMessage decodes the <tnMessage> whose start tag r has just read,
+// reading it to its end: the one decoder of the wire layout, over bytes
+// and over trees alike. Every <answer> and <disclosure> counts; of the
+// other children the first of its name does, and later repeats and
+// unknown elements are skipped unread. The error reported is the one the
+// layout's order meets first: answers, the trust sequence, disclosures,
+// nonce, grant, ticket, whatever their order in the document.
+func DecodeMessage(r *xmldom.Reader) (*Message, error) {
+	if r.Name() != "tnMessage" {
+		return nil, fmt.Errorf("%w: root <%s>", ErrBadMessage, r.Name())
+	}
+	mt, err := parseMsgType(r.AttrOr("type", ""))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
 	}
 	m := &Message{
 		Type:         mt,
-		From:         root.AttrOr("from", ""),
-		Resource:     root.AttrOr("resource", ""),
-		RequireProof: root.AttrOr("requireProof", "") == "true",
+		From:         r.AttrOr("from", ""),
+		Resource:     r.AttrOr("resource", ""),
+		RequireProof: r.AttrOr("requireProof", "") == "true",
 	}
-	if st, ok := root.Attr("strategy"); ok {
+	if st, ok := r.Attr("strategy"); ok {
 		s, err := ParseStrategy(st)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
 		}
 		m.Strategy = s
 	}
-	b64 := func(s string) ([]byte, error) {
-		if s == "" {
-			return nil, nil
-		}
-		return base64.StdEncoding.DecodeString(s)
-	}
-	for _, an := range root.Childs("answer") {
-		a := Answer{NodeID: an.AttrOr("node", ""), Reason: an.AttrOr("reason", "")}
-		switch an.AttrOr("kind", "") {
-		case "policies":
-			a.Kind = AnswerPolicies
-		case "comply":
-			a.Kind = AnswerComply
-		case "deny":
-			a.Kind = AnswerDeny
-		default:
-			return nil, fmt.Errorf("%w: answer kind %q", ErrBadMessage, an.AttrOr("kind", ""))
-		}
-		for _, pe := range an.Childs("policy") {
-			p, err := xtnl.PolicyFromDOM(pe)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+	var errs [5]error // answers, disclosures, nonce, grant, ticket
+	var seen [5]bool  // trustSequence, nonce, grant, sealed, reason
+	for d := r.Depth(); r.Child(d); {
+		switch r.Name() {
+		case "answer":
+			if errs[0] == nil {
+				var a Answer
+				if errs[0] = a.decode(r); errs[0] == nil {
+					m.Answers = append(m.Answers, a)
+				}
 			}
-			a.Policies = append(a.Policies, p)
-		}
-		if de := an.Child("disclosure"); de != nil {
-			d, err := disclosureFromDOM(de)
-			if err != nil {
-				return nil, err
+		case "trustSequence":
+			if !seen[0] {
+				seen[0] = true
+				for d := r.Depth(); r.Child(d); {
+					if r.Name() == "entry" {
+						m.Sequence = append(m.Sequence, r.AttrOr("node", ""))
+					}
+				}
 			}
-			a.Disclosure = d
+		case "disclosure":
+			if errs[1] == nil {
+				var cd CredentialDisclosure
+				if errs[1] = cd.decode(r); errs[1] == nil {
+					m.Disclosures = append(m.Disclosures, cd)
+				}
+			}
+		case "nonce":
+			if !seen[1] {
+				seen[1] = true
+				if m.Nonce, err = b64(r.Text()); err != nil {
+					errs[2] = fmt.Errorf("%w: nonce: %w", ErrBadMessage, err)
+				}
+			}
+		case "grant":
+			if !seen[2] {
+				seen[2] = true
+				if m.Grant, err = b64(r.Text()); err != nil {
+					errs[3] = fmt.Errorf("%w: grant: %w", ErrBadMessage, err)
+				}
+			}
+		case "sealed":
+			if !seen[3] {
+				seen[3] = true
+				m.Ticket, errs[4] = ticketFromDOM(r.Node())
+			}
+		case "reason":
+			if !seen[4] {
+				seen[4] = true
+				m.Reason = r.Text()
+			}
 		}
-		m.Answers = append(m.Answers, a)
 	}
-	if seq := root.Child("trustSequence"); seq != nil {
-		for _, e := range seq.Childs("entry") {
-			m.Sequence = append(m.Sequence, e.AttrOr("node", ""))
-		}
-	}
-	for _, de := range root.Childs("disclosure") {
-		d, err := disclosureFromDOM(de)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		m.Disclosures = append(m.Disclosures, *d)
-	}
-	if n := root.Child("nonce"); n != nil {
-		if m.Nonce, err = b64(n.Text()); err != nil {
-			return nil, fmt.Errorf("%w: nonce: %w", ErrBadMessage, err)
-		}
-	}
-	if g := root.Child("grant"); g != nil {
-		if m.Grant, err = b64(g.Text()); err != nil {
-			return nil, fmt.Errorf("%w: grant: %w", ErrBadMessage, err)
-		}
-	}
-	if tk := root.Child("sealed"); tk != nil {
-		if m.Ticket, err = ticketFromDOM(tk); err != nil {
-			return nil, err
-		}
-	}
-	if r := root.Child("reason"); r != nil {
-		m.Reason = r.Text()
 	}
 	return m, nil
 }
 
-func disclosureFromDOM(el *xmldom.Node) (*CredentialDisclosure, error) {
-	d := &CredentialDisclosure{NodeID: el.AttrOr("node", "")}
-	if ce := el.Child("credential"); ce != nil {
-		c, err := xtnl.CredentialFromDOM(ce)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
-		}
-		d.Credential = c
+// b64 decodes a base64 text, nil when it is empty.
+func b64(s string) ([]byte, error) {
+	if s == "" {
+		return nil, nil
 	}
-	if xe := el.Child("x509"); xe != nil {
-		b, err := base64.StdEncoding.DecodeString(strings.TrimSpace(xe.Text()))
-		if err != nil {
-			return nil, fmt.Errorf("%w: x509: %w", ErrBadMessage, err)
-		}
-		d.X509 = b
+	return base64.StdEncoding.DecodeString(s)
+}
+
+// decode reads the <answer> whose start tag r has just read. Its
+// policies are checked before its disclosure.
+func (a *Answer) decode(r *xmldom.Reader) error {
+	a.NodeID, a.Reason = r.AttrOr("node", ""), r.AttrOr("reason", "")
+	switch kind := r.AttrOr("kind", ""); kind {
+	case "policies":
+		a.Kind = AnswerPolicies
+	case "comply":
+		a.Kind = AnswerComply
+	case "deny":
+		a.Kind = AnswerDeny
+	default:
+		return fmt.Errorf("%w: answer kind %q", ErrBadMessage, kind)
 	}
-	if com := el.Child("committed"); com != nil {
-		ce := com.Child("credential")
-		if ce == nil {
-			return nil, fmt.Errorf("%w: committed without credential", ErrBadMessage)
-		}
-		c, err := xtnl.CredentialFromDOM(ce)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
-		}
-		d.Committed = c
-	}
-	for _, oe := range el.Childs("opened") {
-		salt, err := base64.StdEncoding.DecodeString(oe.AttrOr("salt", ""))
-		if err != nil {
-			return nil, fmt.Errorf("%w: opened salt: %w", ErrBadMessage, err)
-		}
-		d.Opened = append(d.Opened, OpenedAttr{
-			Name:  oe.AttrOr("name", ""),
-			Value: oe.Text(),
-			Salt:  salt,
-		})
-	}
-	if pr := el.Child("ownershipProof"); pr != nil {
-		b, err := base64.StdEncoding.DecodeString(pr.Text())
-		if err != nil {
-			return nil, fmt.Errorf("%w: ownership proof: %w", ErrBadMessage, err)
-		}
-		d.OwnershipProof = b
-	}
-	if ch := el.Child("chain"); ch != nil {
-		for _, ce := range ch.Childs("credential") {
-			c, err := xtnl.CredentialFromDOM(ce)
-			if err != nil {
-				return nil, fmt.Errorf("%w: chain: %w", ErrBadMessage, err)
+	var errs [2]error // policies, disclosure
+	seen := false
+	for d := r.Depth(); r.Child(d); {
+		switch r.Name() {
+		case "policy":
+			if errs[0] == nil {
+				p, err := xtnl.DecodePolicy(r)
+				if err != nil {
+					errs[0] = fmt.Errorf("%w: %w", ErrBadMessage, err)
+				} else {
+					a.Policies = append(a.Policies, p)
+				}
 			}
-			d.Chain = append(d.Chain, c)
+		case "disclosure":
+			if !seen {
+				seen = true
+				disc := &CredentialDisclosure{}
+				if errs[1] = disc.decode(r); errs[1] == nil {
+					a.Disclosure = disc
+				}
+			}
 		}
 	}
-	return d, nil
+	return cmp.Or(errs[0], errs[1])
+}
+
+// decode reads the <disclosure> whose start tag r has just read, in the
+// layout's order: credential, x509, committed, opened, ownership proof,
+// chain.
+func (d *CredentialDisclosure) decode(r *xmldom.Reader) error {
+	d.NodeID = r.AttrOr("node", "")
+	var errs [6]error
+	var seen [5]bool // credential, x509, committed, ownershipProof, chain
+	for dd := r.Depth(); r.Child(dd); {
+		switch r.Name() {
+		case "credential":
+			if !seen[0] {
+				seen[0] = true
+				c, err := xtnl.DecodeCredential(r)
+				if err != nil {
+					errs[0] = fmt.Errorf("%w: %w", ErrBadMessage, err)
+				}
+				d.Credential = c
+			}
+		case "x509":
+			if !seen[1] {
+				seen[1] = true
+				b, err := base64.StdEncoding.DecodeString(strings.TrimSpace(r.Text()))
+				if err != nil {
+					errs[1] = fmt.Errorf("%w: x509: %w", ErrBadMessage, err)
+				}
+				d.X509 = b
+			}
+		case "committed":
+			if !seen[2] {
+				seen[2] = true
+				d.Committed, errs[2] = decodeCommitted(r)
+			}
+		case "opened":
+			if errs[3] == nil {
+				salt, err := base64.StdEncoding.DecodeString(r.AttrOr("salt", ""))
+				if err != nil {
+					errs[3] = fmt.Errorf("%w: opened salt: %w", ErrBadMessage, err)
+					continue
+				}
+				d.Opened = append(d.Opened, OpenedAttr{Name: r.AttrOr("name", ""), Value: r.Text(), Salt: salt})
+			}
+		case "ownershipProof":
+			if !seen[3] {
+				seen[3] = true
+				b, err := base64.StdEncoding.DecodeString(r.Text())
+				if err != nil {
+					errs[4] = fmt.Errorf("%w: ownership proof: %w", ErrBadMessage, err)
+				}
+				d.OwnershipProof = b
+			}
+		case "chain":
+			if !seen[4] {
+				seen[4] = true
+				for dc := r.Depth(); r.Child(dc); {
+					if r.Name() != "credential" || errs[5] != nil {
+						continue
+					}
+					c, err := xtnl.DecodeCredential(r)
+					if err != nil {
+						errs[5] = fmt.Errorf("%w: chain: %w", ErrBadMessage, err)
+						continue
+					}
+					d.Chain = append(d.Chain, c)
+				}
+			}
+		}
+	}
+	return cmp.Or(errs[:]...)
+}
+
+// decodeCommitted reads the <committed> element whose start tag r has
+// just read: its first <credential>.
+func decodeCommitted(r *xmldom.Reader) (*xtnl.Credential, error) {
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() == "credential" {
+			c, err := xtnl.DecodeCredential(r)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+			}
+			return c, nil // Child skips the rest of <committed>
+		}
+	}
+	return nil, fmt.Errorf("%w: committed without credential", ErrBadMessage)
 }
 
 // Summary is a short human-readable rendering for logs.

@@ -1,0 +1,215 @@
+package negotiation
+
+import (
+	"bytes"
+	"encoding/base64"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"trustvo/internal/xmldom"
+	"trustvo/internal/xtnl"
+)
+
+// refMessageFromDOM and refDisclosureFromDOM are the tree-walking
+// decoders DecodeMessage replaced, kept as the oracle FuzzDecodeMessage
+// checks it against. Nested credentials and policies decode through
+// xtnl's tree entry points, which FuzzDecodeCredential and
+// FuzzDecodePolicy check against xtnl's own reference decoders.
+
+func refMessageFromDOM(root *xmldom.Node) (*Message, error) {
+	if root.Name != "tnMessage" {
+		return nil, fmt.Errorf("%w: root <%s>", ErrBadMessage, root.Name)
+	}
+	mt, err := parseMsgType(root.AttrOr("type", ""))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+	}
+	m := &Message{
+		Type:         mt,
+		From:         root.AttrOr("from", ""),
+		Resource:     root.AttrOr("resource", ""),
+		RequireProof: root.AttrOr("requireProof", "") == "true",
+	}
+	if st, ok := root.Attr("strategy"); ok {
+		s, err := ParseStrategy(st)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+		}
+		m.Strategy = s
+	}
+	b64 := func(s string) ([]byte, error) {
+		if s == "" {
+			return nil, nil
+		}
+		return base64.StdEncoding.DecodeString(s)
+	}
+	for _, an := range root.Childs("answer") {
+		a := Answer{NodeID: an.AttrOr("node", ""), Reason: an.AttrOr("reason", "")}
+		switch an.AttrOr("kind", "") {
+		case "policies":
+			a.Kind = AnswerPolicies
+		case "comply":
+			a.Kind = AnswerComply
+		case "deny":
+			a.Kind = AnswerDeny
+		default:
+			return nil, fmt.Errorf("%w: answer kind %q", ErrBadMessage, an.AttrOr("kind", ""))
+		}
+		for _, pe := range an.Childs("policy") {
+			p, err := xtnl.PolicyFromDOM(pe)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+			}
+			a.Policies = append(a.Policies, p)
+		}
+		if de := an.Child("disclosure"); de != nil {
+			d, err := refDisclosureFromDOM(de)
+			if err != nil {
+				return nil, err
+			}
+			a.Disclosure = d
+		}
+		m.Answers = append(m.Answers, a)
+	}
+	if seq := root.Child("trustSequence"); seq != nil {
+		for _, e := range seq.Childs("entry") {
+			m.Sequence = append(m.Sequence, e.AttrOr("node", ""))
+		}
+	}
+	for _, de := range root.Childs("disclosure") {
+		d, err := refDisclosureFromDOM(de)
+		if err != nil {
+			return nil, err
+		}
+		m.Disclosures = append(m.Disclosures, *d)
+	}
+	if n := root.Child("nonce"); n != nil {
+		if m.Nonce, err = b64(n.Text()); err != nil {
+			return nil, fmt.Errorf("%w: nonce: %w", ErrBadMessage, err)
+		}
+	}
+	if g := root.Child("grant"); g != nil {
+		if m.Grant, err = b64(g.Text()); err != nil {
+			return nil, fmt.Errorf("%w: grant: %w", ErrBadMessage, err)
+		}
+	}
+	if tk := root.Child("sealed"); tk != nil {
+		if m.Ticket, err = ticketFromDOM(tk); err != nil {
+			return nil, err
+		}
+	}
+	if r := root.Child("reason"); r != nil {
+		m.Reason = r.Text()
+	}
+	return m, nil
+}
+
+func refDisclosureFromDOM(el *xmldom.Node) (*CredentialDisclosure, error) {
+	d := &CredentialDisclosure{NodeID: el.AttrOr("node", "")}
+	if ce := el.Child("credential"); ce != nil {
+		c, err := xtnl.CredentialFromDOM(ce)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+		}
+		d.Credential = c
+	}
+	if xe := el.Child("x509"); xe != nil {
+		b, err := base64.StdEncoding.DecodeString(strings.TrimSpace(xe.Text()))
+		if err != nil {
+			return nil, fmt.Errorf("%w: x509: %w", ErrBadMessage, err)
+		}
+		d.X509 = b
+	}
+	if com := el.Child("committed"); com != nil {
+		ce := com.Child("credential")
+		if ce == nil {
+			return nil, fmt.Errorf("%w: committed without credential", ErrBadMessage)
+		}
+		c, err := xtnl.CredentialFromDOM(ce)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadMessage, err)
+		}
+		d.Committed = c
+	}
+	for _, oe := range el.Childs("opened") {
+		salt, err := base64.StdEncoding.DecodeString(oe.AttrOr("salt", ""))
+		if err != nil {
+			return nil, fmt.Errorf("%w: opened salt: %w", ErrBadMessage, err)
+		}
+		d.Opened = append(d.Opened, OpenedAttr{
+			Name:  oe.AttrOr("name", ""),
+			Value: oe.Text(),
+			Salt:  salt,
+		})
+	}
+	if pr := el.Child("ownershipProof"); pr != nil {
+		b, err := base64.StdEncoding.DecodeString(pr.Text())
+		if err != nil {
+			return nil, fmt.Errorf("%w: ownership proof: %w", ErrBadMessage, err)
+		}
+		d.OwnershipProof = b
+	}
+	if ch := el.Child("chain"); ch != nil {
+		for _, ce := range ch.Childs("credential") {
+			c, err := xtnl.CredentialFromDOM(ce)
+			if err != nil {
+				return nil, fmt.Errorf("%w: chain: %w", ErrBadMessage, err)
+			}
+			d.Chain = append(d.Chain, c)
+		}
+	}
+	return d, nil
+}
+
+// FuzzDecodeMessage checks DecodeMessage, over bytes and over trees,
+// against the tree-walking decoder it replaced: both accept or reject,
+// with deep-equal messages or the same error.
+func FuzzDecodeMessage(f *testing.F) {
+	for _, data := range [][]byte{{}, []byte("tnMessage"), bytes.Repeat([]byte{2, 7, 1, 3, 9, 4}, 60), bytes.Repeat([]byte{1, 2, 0, 250, 5, 3, 8, 1}, 80)} {
+		f.Add((&gen{data}).message().XML())
+	}
+	for _, doc := range messageDecoderSeeds {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		got, err := ParseMessage(doc)
+		var ref *Message
+		root, refErr := xmldom.ParseString(doc)
+		if refErr != nil {
+			refErr = fmt.Errorf("%w: %w", ErrBadMessage, refErr)
+		} else {
+			ref, refErr = refMessageFromDOM(root)
+		}
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("%q: decoder error %v, reference error %v", doc, err, refErr)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%q: decoded %+v, reference %+v", doc, got, ref)
+		}
+		if root == nil {
+			return
+		}
+		fromDOM, err := MessageFromDOM(root)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() || !reflect.DeepEqual(fromDOM, ref) {
+			t.Fatalf("%q: tree decoder %+v, %v; reference %+v, %v", doc, fromDOM, err, ref, refErr)
+		}
+	})
+}
+
+// messageDecoderSeeds put errors and repeats out of the layout's order.
+var messageDecoderSeeds = []string{
+	`<tnMessage type="policy" from="a"><nonce>!!</nonce><answer node="n" kind="bogus"/></tnMessage>`,
+	`<tnMessage type="credential" from="a"><grant>!!</grant><disclosure node="d"><x509>!!</x509></disclosure><nonce>AAAA</nonce><nonce>!!</nonce></tnMessage>`,
+	`<tnMessage type="policy" from="a"><answer node="n" kind="policies"><disclosure><ownershipProof>!!</ownershipProof></disclosure><policy><resource/></policy></answer></tnMessage>`,
+	`<tnMessage type="credential" from="a"><disclosure node="d"><chain><credential><header/></credential></chain><opened salt="!!"/><committed/></disclosure></tnMessage>`,
+	`<tnMessage type="credential" from="a"><disclosure node="d"><committed><x/><credential type="T"><header/></credential><credential/></committed>` +
+		`<opened name="k" salt="AAAA">v<b>w</b></opened><opened name="j" salt="">&amp;</opened><chain><y/><credential type="C"><header/></credential></chain><chain/></disclosure>` +
+		`<trustSequence><entry node="1"/><x/><entry/></trustSequence><trustSequence><entry node="2"/></trustSequence><reason>r<!--c-->s</reason><reason>t</reason></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket issuer="i" peer="p" resource="r"/><signature>AAAA</signature></sealed><grant>Zw==</grant></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed/><grant>!!</grant></tnMessage>`,
+	`<tnMessage type="request" from="a" strategy="bogus"/>`,
+	`<tnMessage type="request" from="a" strategy="suspicious" requireProof="true" resource="R"/>`,
+	`<envelope/>`,
+}

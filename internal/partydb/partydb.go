@@ -116,11 +116,7 @@ func LoadProfile(db Reader, owner string) (*xtnl.Profile, error) {
 		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
 			continue
 		}
-		doc, err := rec.Doc()
-		if err != nil {
-			return nil, err
-		}
-		c, err := xtnl.CredentialFromDOM(doc)
+		c, err := xtnl.ParseCredential(rec.XML)
 		if err != nil {
 			return nil, fmt.Errorf("partydb: credential %s: %w", rec.Key, err)
 		}
@@ -162,11 +158,7 @@ func LoadPolicies(db Reader, owner string) (*xtnl.PolicySet, error) {
 		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
 			continue
 		}
-		doc, err := rec.Doc()
-		if err != nil {
-			return nil, err
-		}
-		pol, err := xtnl.PolicyFromDOM(doc)
+		pol, err := xtnl.ParsePolicy(rec.XML)
 		if err != nil {
 			return nil, fmt.Errorf("partydb: policy %s: %w", rec.Key, err)
 		}

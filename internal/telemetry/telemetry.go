@@ -274,7 +274,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 }
 
 // LatencyHistogram is Histogram with the default latency buckets
-// (seconds, 100µs…10s).
+// (seconds, 1µs…10s).
 func (r *Registry) LatencyHistogram(name string, labels ...string) *Histogram {
 	return r.Histogram(name, LatencyBuckets, labels...)
 }

@@ -295,3 +295,42 @@ func TestLookupKeyMatchesSeriesKey(t *testing.T) {
 		t.Fatal("registration kept the caller's label slice")
 	}
 }
+
+// TestLatencyBucketsResolveMicroseconds: the default latency buckets run
+// from 1µs to 10s in a 1–2.5–5 progression, so a verify-cache hit (about
+// 2µs) and a 20µs decode land in buckets of their own, and observing into
+// a series allocates nothing.
+func TestLatencyBucketsResolveMicroseconds(t *testing.T) {
+	if len(LatencyBuckets) != 22 || LatencyBuckets[0] != 1e-6 || LatencyBuckets[len(LatencyBuckets)-1] != 10 {
+		t.Fatalf("LatencyBuckets = %v, want 22 bounds from 1e-06 to 10", LatencyBuckets)
+	}
+	for i := 1; i < len(LatencyBuckets); i++ {
+		lo, hi := LatencyBuckets[i-1], LatencyBuckets[i]
+		if step := []float64{2.5, 2, 2}[(i-1)%3]; math.Abs(hi/lo-step) > 1e-9 {
+			t.Fatalf("bound %d: %g after %g, want ×%g", i, hi, lo, step)
+		}
+	}
+	r := NewRegistry()
+	h := r.LatencyHistogram("op_seconds", "layer", "verify")
+	h.Observe(2e-6)
+	h.Observe(20e-6)
+	if allocs := testing.AllocsPerRun(100, func() { h.Observe(3e-6) }); allocs != 0 {
+		t.Errorf("Observe allocates %.1f times", allocs)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`op_seconds_bucket{layer="verify",le="1e-06"} 0`,
+		`op_seconds_bucket{layer="verify",le="2.5e-06"} 1`,
+		`op_seconds_bucket{layer="verify",le="5e-06"} 102`, // AllocsPerRun runs once more than asked
+		`op_seconds_bucket{layer="verify",le="1e-05"} 102`,
+		`op_seconds_bucket{layer="verify",le="2.5e-05"} 103`,
+		`op_seconds_bucket{layer="verify",le="10"} 103`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -196,6 +197,10 @@ func (v *VO) Admit(memberName, role string) (*Member, error) {
 	if _, dup := v.members[memberName]; dup {
 		return nil, fmt.Errorf("vo: %s is already a member", memberName)
 	}
+	// The member table outlives the admission request: an admitting
+	// negotiation passes names decoded from the request body, and a
+	// substring would keep the whole body alive (package xmldom).
+	memberName, role = strings.Clone(memberName), strings.Clone(role)
 	tok, err := v.Authority.IssueMembership(memberName, role, 0)
 	if err != nil {
 		return nil, err

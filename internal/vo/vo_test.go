@@ -2,9 +2,12 @@ package vo
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -345,5 +348,47 @@ func TestDissolutionInvalidatesTokens(t *testing.T) {
 	// nullify all contractual binding of the VO's members")
 	if _, err := v.VerifyMembership(m.Token.DER); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("token after dissolution: %v", err)
+	}
+}
+
+// TestAdmitClonesStrings checks that an admitted member keeps none of
+// its admission request alive: the admitting negotiation passes the
+// peer's name and the role out of the requested resource, decoded from
+// the request body, whose strings are substrings of the whole body.
+func TestAdmitClonesStrings(t *testing.T) {
+	body := `<tnMessage type="request" from="WebPortalCo" ` +
+		`resource="VoMembership/AircraftOptimizationVO/DesignWebPortal" strategy="standard"/>`
+	root, err := xmldom.ParseString(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := root.AttrOr("from", "")
+	role := strings.Split(root.AttrOr("resource", ""), "/")[2]
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		b := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+		return s != "" && p >= b && p < b+uintptr(len(body))
+	}
+	if !within(name) || !within(role) {
+		t.Fatal("test setup: the decoded name and role are not substrings of the body")
+	}
+	v, err := New(aircraftContract())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.StartFormation(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := v.Admit(name, role)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name != "WebPortalCo" || m.Role != "DesignWebPortal" {
+		t.Fatalf("member %+v", m)
+	}
+	for key, held := range v.members {
+		if within(key) || within(held.Name) || within(held.Role) {
+			t.Errorf("member %q (role %q) holds a substring of the admission request", held.Name, held.Role)
+		}
 	}
 }

@@ -63,8 +63,9 @@ func (f *Fault) Encode(w *xmldom.Writer) {
 // XML serializes the fault in canonical form.
 func (f *Fault) XML() string { return xmldom.String(f.Encode) }
 
-func faultFromDOM(n *xmldom.Node) *Fault {
-	return &Fault{Code: n.AttrOr("code", "unknown"), Detail: n.Text()}
+// decode reads the <fault> whose start tag r has just read.
+func (f *Fault) decode(r *xmldom.Reader) {
+	f.Code, f.Detail = r.AttrOr("code", "unknown"), r.Text()
 }
 
 // writeFault emits a fault response with the HTTP status.
@@ -112,7 +113,7 @@ func ReadBody(r io.Reader, limit int) (string, error) {
 }
 
 // readBodyDOM parses the request body, cut at MaxBody, as an XML
-// document.
+// document: the toolkit routes' request path.
 func readBodyDOM(r *http.Request) (*xmldom.Node, error) {
 	defer r.Body.Close()
 	raw, err := ReadBody(r.Body, MaxBody)
@@ -188,47 +189,94 @@ func boolStr(b bool) string {
 	return "false"
 }
 
-// openEnvelope decodes an envelope into (id, message).
-func openEnvelope(root *xmldom.Node) (string, *negotiation.Message, error) {
-	id, _, m, err := openEnvelopeSeq(root)
-	return id, m, err
+// Envelope is a decoded exchange envelope. Its strings are substrings
+// of the body it was decoded from.
+type Envelope struct {
+	// ID is the negotiation id, set whenever the body is an <envelope>,
+	// even one that fails to decode: the cluster routes by it.
+	ID string
+	// Seq is the client sequence number, 0 for envelopes from
+	// pre-sequence clients (no seq attribute at all).
+	Seq int64
+	// Type is the type attribute of the first <tnMessage>, as written,
+	// set even when the message does not decode.
+	Type string
+	// Message is the decoded message, nil when Err is set.
+	Message *negotiation.Message
+	// Err is the schema error the TN service answers with, nil when the
+	// envelope decoded.
+	Err error
 }
 
-// openEnvelopeSeq decodes an envelope into (id, seq, message); seq is 0
-// for envelopes from pre-sequence clients (no seq attribute at all).
+// DecodeEnvelope decodes an exchange body from its bytes, building no
+// tree but a <sealed> ticket's. err is the body's syntax error, which
+// wins over any schema error, as parsing the body first would have it;
+// the schema error is env.Err.
+func DecodeEnvelope(body string) (env *Envelope, err error) {
+	r := xmldom.NewReader(body)
+	env = new(Envelope)
+	if r.Child(0) {
+		env.decode(r)
+	}
+	if err := r.Close(); err != nil {
+		return nil, err // a body without a root is one too
+	}
+	return env, nil
+}
+
+// decode reads the <envelope> whose start tag r has just read, to its
+// end: the one decoder of the layout envelopeXML writes.
 //
-// A present-but-malformed seq is rejected with a typed *Error (code
-// "envelope") rather than silently collapsed to 0: seq 0 means "no
-// at-most-once protection", so swallowing the parse error would let a
-// corrupted retry bypass the reply cache and be applied twice.
-func openEnvelopeSeq(root *xmldom.Node) (string, int64, *negotiation.Message, error) {
-	if root.Name != "envelope" {
-		return "", 0, nil, fmt.Errorf("wsrpc: expected <envelope>, got <%s>", root.Name)
+// A present but malformed seq, empty included, is rejected with a typed
+// *Error (code "envelope") rather than silently collapsed to 0: seq 0
+// means "no at-most-once protection", so swallowing the parse error would
+// let a corrupted retry bypass the reply cache and be applied twice.
+func (e *Envelope) decode(r *xmldom.Reader) {
+	if r.Name() != "envelope" {
+		e.Err = fmt.Errorf("wsrpc: expected <envelope>, got <%s>", r.Name())
+		return
 	}
-	id := root.AttrOr("negotiation", "")
-	if id == "" {
-		return "", 0, nil, fmt.Errorf("wsrpc: envelope without negotiation id")
-	}
-	var seq int64
-	if raw := root.AttrOr("seq", ""); raw != "" {
-		var err error
-		seq, err = strconv.ParseInt(raw, 10, 64)
+	e.ID = r.AttrOr("negotiation", "")
+	if e.ID == "" {
+		e.Err = fmt.Errorf("wsrpc: envelope without negotiation id")
+	} else if raw, ok := r.Attr("seq"); ok {
+		seq, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || seq <= 0 {
-			return "", 0, nil, &Error{
+			e.Err = &Error{
 				Op:     "envelope",
 				Status: http.StatusBadRequest,
 				Code:   "envelope",
 				Err:    fmt.Errorf("wsrpc: malformed envelope seq %q", raw),
 			}
 		}
+		e.Seq = seq
 	}
-	tm := root.Child("tnMessage")
-	if tm == nil {
-		return "", 0, nil, fmt.Errorf("wsrpc: envelope without tnMessage")
+	found := false
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() != "tnMessage" || found {
+			continue
+		}
+		found = true
+		e.Type = r.AttrOr("type", "")
+		if e.Err == nil {
+			e.Message, e.Err = negotiation.DecodeMessage(r)
+		}
 	}
-	m, err := negotiation.MessageFromDOM(tm)
-	if err != nil {
-		return "", 0, nil, err
+	if !found && e.Err == nil {
+		e.Err = fmt.Errorf("wsrpc: envelope without tnMessage")
 	}
-	return id, seq, m, nil
+	if e.Err != nil {
+		e.Seq, e.Message = 0, nil
+	}
+}
+
+// readStartRequest decodes a StartNegotiation request body: whether its
+// root is <startNegotiationRequest>, and its strategy attribute
+// ("standard" when absent). err is the body's syntax error.
+func readStartRequest(body string) (strategy string, ok bool, err error) {
+	r := xmldom.NewReader(body)
+	if r.Child(0) && r.Name() == "startNegotiationRequest" {
+		strategy, ok = r.AttrOr("strategy", "standard"), true
+	}
+	return strategy, ok, r.Close()
 }

@@ -18,23 +18,23 @@ func TestOpenEnvelopeSeqStrict(t *testing.T) {
 
 	// Absent seq: pre-sequence client, decodes to 0.
 	env := envelope("n1", msg)
-	id, seq, _, err := openEnvelopeSeq(env)
+	id, seq, _, err := envelopeOf(env)
 	if err != nil || id != "n1" || seq != 0 {
 		t.Fatalf("plain envelope: id=%q seq=%d err=%v", id, seq, err)
 	}
 
 	// Well-formed seq round-trips.
 	env = envelopeSeq("n1", 42, msg)
-	if _, seq, _, err = openEnvelopeSeq(env); err != nil || seq != 42 {
+	if _, seq, _, err = envelopeOf(env); err != nil || seq != 42 {
 		t.Fatalf("seq envelope: seq=%d err=%v", seq, err)
 	}
 
 	// Malformed or non-positive seq must be rejected, not collapsed to 0 —
 	// 0 disables the replay cache.
-	for _, raw := range []string{"abc", "-3", "0", "1e3", "42x", "99999999999999999999"} {
+	for _, raw := range []string{"", "abc", "-3", "0", "1e3", "42x", "99999999999999999999"} {
 		env = envelope("n1", msg)
 		env.SetAttr("seq", raw)
-		_, _, _, err := openEnvelopeSeq(env)
+		_, _, _, err := envelopeOf(env)
 		if err == nil {
 			t.Fatalf("seq=%q accepted", raw)
 		}
@@ -93,6 +93,52 @@ func TestMalformedSeqFaultAndCounter(t *testing.T) {
 	defer good.Body.Close()
 	if good.StatusCode != http.StatusOK {
 		t.Fatalf("valid envelope after rejected one: status = %d", good.StatusCode)
+	}
+}
+
+// TestEmptySeqRejected: a present but empty seq is malformed like any
+// other, not absent. Read as absent, it turned the reply cache off, so
+// two deliveries of the same request were both applied and the second
+// failed the negotiation.
+func TestEmptySeqRejected(t *testing.T) {
+	svc, _, req := standaloneTN(t)
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	client := &TNClient{BaseURL: srv.URL, Party: req}
+	negID, err := client.Start(bg, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := negotiation.NewRequester(req, "R").Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := envelope(negID, msg)
+	empty.SetAttr("seq", "")
+	for i := 1; i <= 2; i++ {
+		resp, err := http.Post(srv.URL+"/tn/policyExchange", ContentType, strings.NewReader(empty.XML()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := xmldom.Parse(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || root.Name != "fault" || root.AttrOr("code", "") != "envelope" {
+			t.Fatalf("delivery %d: status %d, body %v %v; want 400 envelope", i, resp.StatusCode, root, err)
+		}
+		if got := svc.Metrics.Counter("tn_bad_envelope_total").Value(); got != int64(i) {
+			t.Fatalf("tn_bad_envelope_total = %d after %d deliveries", got, i)
+		}
+	}
+	good, err := http.Post(srv.URL+"/tn/policyExchange", ContentType, strings.NewReader(envelopeSeq(negID, 1, msg).XML()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Body.Close()
+	if good.StatusCode != http.StatusOK {
+		t.Fatalf("valid envelope after the rejected ones: status = %d", good.StatusCode)
 	}
 }
 

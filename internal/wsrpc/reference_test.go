@@ -2,8 +2,11 @@ package wsrpc
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -194,4 +197,119 @@ func TestSessionDocumentsMatchReference(t *testing.T) {
 	if done != 1 {
 		t.Fatalf("%d finished sessions held, want 1", done)
 	}
+}
+
+// envelopeOf decodes an envelope tree through the one envelope decoder,
+// as (id, seq, message, schema error).
+func envelopeOf(root *xmldom.Node) (string, int64, *negotiation.Message, error) {
+	r := xmldom.NewNodeReader(root)
+	defer r.Close()
+	var env Envelope
+	r.Child(0)
+	env.decode(r)
+	return env.ID, env.Seq, env.Message, env.Err
+}
+
+// refOpenEnvelopeSeq is the tree-walking envelope decoder Envelope.decode
+// replaced, with one fix: a present but empty seq is malformed, as any
+// other. refPeek is the cluster router's old look at the same tree. Both
+// are the oracle of FuzzDecodeEnvelope.
+func refOpenEnvelopeSeq(root *xmldom.Node) (string, int64, *negotiation.Message, error) {
+	if root.Name != "envelope" {
+		return "", 0, nil, fmt.Errorf("wsrpc: expected <envelope>, got <%s>", root.Name)
+	}
+	id := root.AttrOr("negotiation", "")
+	if id == "" {
+		return "", 0, nil, fmt.Errorf("wsrpc: envelope without negotiation id")
+	}
+	var seq int64
+	if raw, ok := root.Attr("seq"); ok {
+		var err error
+		seq, err = strconv.ParseInt(raw, 10, 64)
+		if err != nil || seq <= 0 {
+			return "", 0, nil, &Error{
+				Op:     "envelope",
+				Status: http.StatusBadRequest,
+				Code:   "envelope",
+				Err:    fmt.Errorf("wsrpc: malformed envelope seq %q", raw),
+			}
+		}
+	}
+	tm := root.Child("tnMessage")
+	if tm == nil {
+		return "", 0, nil, fmt.Errorf("wsrpc: envelope without tnMessage")
+	}
+	m, err := negotiation.MessageFromDOM(tm)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	return id, seq, m, nil
+}
+
+func refPeek(root *xmldom.Node) (id, msgType string) {
+	if root.Name != "envelope" {
+		return "", ""
+	}
+	id = root.AttrOr("negotiation", "")
+	if msg := root.Child("tnMessage"); msg != nil {
+		msgType = msg.AttrOr("type", "")
+	}
+	return id, msgType
+}
+
+// FuzzDecodeEnvelope checks DecodeEnvelope against the tree-walking
+// decoder it replaced: a body either fails to parse on both sides with
+// the same error, or decodes to the same id, seq and message, or fails
+// with the same schema error and fault code; the id and message type the
+// router routes by match the old look at the tree.
+func FuzzDecodeEnvelope(f *testing.F) {
+	msg := `<tnMessage type="request" from="m" resource="r" strategy="standard"/>`
+	for _, body := range []string{
+		`<envelope negotiation="n" seq="1">` + msg + `</envelope>`,
+		`<envelope negotiation="n" seq="">` + msg + `</envelope>`,
+		`<envelope negotiation="n" seq="x">` + msg + `</envelope>`,
+		`<envelope negotiation="n"><x/>` + msg + `<tnMessage type="bogus"/></envelope>`,
+		`<envelope negotiation="n"><tnMessage type="bogus"/>` + msg + `</envelope>`,
+		`<envelope negotiation="" seq="1">` + msg + `</envelope>`,
+		`<envelope negotiation="n" seq="1"/>`,
+		`<envelope negotiation="n" seq="1">` + msg,
+		`<status negotiation="n"/>`,
+		``,
+		envelopeXML("n&1", 3, &negotiation.Message{Type: negotiation.MsgSuccess, From: "x", Grant: []byte("g"), Nonce: []byte{0, 1}}),
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		env, err := DecodeEnvelope(body)
+		root, perr := xmldom.ParseString(body)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("%q: decode error %v, parse error %v", body, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		id, seq, m, refErr := refOpenEnvelopeSeq(root)
+		if (env.Err == nil) != (refErr == nil) || refErr != nil && (env.Err.Error() != refErr.Error() || faultCode(env.Err) != faultCode(refErr)) {
+			t.Fatalf("%q: decoder error %v, reference error %v", body, env.Err, refErr)
+		}
+		if refErr == nil && (env.ID != id || env.Seq != seq || !reflect.DeepEqual(env.Message, m)) {
+			t.Fatalf("%q: decoded %q %d %+v, reference %q %d %+v", body, env.ID, env.Seq, env.Message, id, seq, m)
+		}
+		if pid, typ := refPeek(root); env.ID != pid || env.Type != typ {
+			t.Fatalf("%q: routed by %q %q, reference %q %q", body, env.ID, env.Type, pid, typ)
+		}
+		tid, tseq, tm, terr := envelopeOf(root)
+		if fmt.Sprint(terr) != fmt.Sprint(env.Err) || tid != env.ID && refErr == nil || tseq != env.Seq || !reflect.DeepEqual(tm, env.Message) {
+			t.Fatalf("%q: tree decoder %q %d %+v %v, bytes %q %d %+v %v", body, tid, tseq, tm, terr, env.ID, env.Seq, env.Message, env.Err)
+		}
+	})
+}
+
+// faultCode is the fault code the TN service answers a schema error with.
+func faultCode(err error) string {
+	var werr *Error
+	if errors.As(err, &werr) && werr.Code != "" {
+		return werr.Code
+	}
+	return "schema"
 }

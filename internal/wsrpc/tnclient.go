@@ -12,6 +12,7 @@ import (
 
 	"trustvo/internal/negotiation"
 	"trustvo/internal/pki"
+	"trustvo/internal/xmldom"
 )
 
 // TNClient drives a requester-side negotiation against a remote
@@ -91,15 +92,25 @@ func (c *TNClient) negotiationCtx(ctx context.Context) (context.Context, context
 func (c *TNClient) Start(ctx context.Context, resource string) (string, error) {
 	// Starting is idempotent in effect: a retried start at worst leaves an
 	// orphan session that the service sweeps out.
-	root, err := c.transport().call(ctx, http.MethodPost, c.BaseURL, "/tn/start", "",
-		startRequestXML(c.Party.Strategy.String(), resource), true)
+	var id string
+	_, err := c.transport().roundTrip(ctx, http.MethodPost, c.BaseURL, "/tn/start", "",
+		startRequestXML(c.Party.Strategy.String(), resource), true, func(r *xmldom.Reader) (err error) {
+			id, err = startReply(r)
+			return err
+		})
 	if err != nil {
 		return "", err
 	}
-	if _, err := expectRoot(root, "startNegotiationResponse"); err != nil {
-		return "", err
+	return id, nil
+}
+
+// startReply decodes the StartNegotiation reply whose root start tag r
+// has just read: the negotiation id.
+func startReply(r *xmldom.Reader) (string, error) {
+	if r.Name() != "startNegotiationResponse" {
+		return "", fmt.Errorf("wsrpc: expected <startNegotiationResponse> response, got <%s>", r.Name())
 	}
-	id := root.AttrOr("negotiation", "")
+	id := r.AttrOr("negotiation", "")
 	if id == "" {
 		return "", fmt.Errorf("wsrpc: start response without negotiation id")
 	}
@@ -120,19 +131,28 @@ func (c *TNClient) exchangeSeq(ctx context.Context, negID string, msg *negotiati
 	if phaseOf(msg.Type) == policyPhase {
 		path = "/tn/policyExchange"
 	}
-	root, err := c.transport().call(ctx, http.MethodPost, c.BaseURL, path, "",
-		envelopeXML(negID, seq, msg), true)
-	if err != nil {
-		return nil, err
-	}
-	switch root.Name {
+	var reply *negotiation.Message
+	_, err := c.transport().roundTrip(ctx, http.MethodPost, c.BaseURL, path, "",
+		envelopeXML(negID, seq, msg), true, func(r *xmldom.Reader) (err error) {
+			reply, err = exchangeReply(r)
+			return err
+		})
+	return reply, err
+}
+
+// exchangeReply decodes the exchange reply whose root start tag r has
+// just read: the counterpart's message, or nil for the status that
+// acknowledges a terminal message.
+func exchangeReply(r *xmldom.Reader) (*negotiation.Message, error) {
+	switch r.Name() {
 	case "status":
 		return nil, nil // server consumed a terminal message
 	case "envelope":
-		_, reply, err := openEnvelope(root)
-		return reply, err
+		var env Envelope
+		env.decode(r)
+		return env.Message, env.Err
 	default:
-		return nil, fmt.Errorf("wsrpc: unexpected response <%s>", root.Name)
+		return nil, fmt.Errorf("wsrpc: unexpected response <%s>", r.Name())
 	}
 }
 
@@ -242,17 +262,19 @@ func (c *TNClient) suspend(negID string, ep *negotiation.Endpoint, pending *nego
 
 // Status queries the remote side's view of a negotiation.
 func (c *TNClient) Status(ctx context.Context, negID string) (done, succeeded bool, reason string, err error) {
-	root, err := c.transport().call(ctx, http.MethodGet, c.BaseURL, "/tn/status",
-		"?negotiation="+url.QueryEscape(negID), "", true)
+	_, err = c.transport().roundTrip(ctx, http.MethodGet, c.BaseURL, "/tn/status",
+		"?negotiation="+url.QueryEscape(negID), "", true, func(r *xmldom.Reader) error {
+			if r.Name() != "status" {
+				return fmt.Errorf("wsrpc: expected <status> response, got <%s>", r.Name())
+			}
+			done, succeeded = r.AttrOr("done", "") == "true", r.AttrOr("succeeded", "") == "true"
+			reason = r.AttrOr("reason", "")
+			return nil
+		})
 	if err != nil {
 		return false, false, "", err
 	}
-	if _, err := expectRoot(root, "status"); err != nil {
-		return false, false, "", err
-	}
-	return root.AttrOr("done", "") == "true",
-		root.AttrOr("succeeded", "") == "true",
-		root.AttrOr("reason", ""), nil
+	return done, succeeded, reason, nil
 }
 
 // SuspendedError reports a negotiation interrupted by transport failure

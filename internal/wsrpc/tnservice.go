@@ -233,16 +233,22 @@ func (s *TNService) handleStart(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 		return
 	}
-	body, err := readBodyDOM(r)
+	raw, err := ReadBody(r.Body, MaxBody)
+	r.Body.Close()
 	if err != nil {
 		writeFault(w, http.StatusBadRequest, "parse", err.Error())
 		return
 	}
-	if body.Name != "startNegotiationRequest" {
+	strategy, ok, err := readStartRequest(raw)
+	if err != nil {
+		writeFault(w, http.StatusBadRequest, "parse", err.Error())
+		return
+	}
+	if !ok {
 		writeFault(w, http.StatusBadRequest, "schema", "expected <startNegotiationRequest>")
 		return
 	}
-	if _, err := negotiation.ParseStrategy(body.AttrOr("strategy", "standard")); err != nil {
+	if _, err := negotiation.ParseStrategy(strategy); err != nil {
 		writeFault(w, http.StatusBadRequest, "strategy", err.Error())
 		return
 	}
@@ -643,7 +649,13 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 			return
 		}
-		env, err := readBodyDOM(r)
+		raw, err := ReadBody(r.Body, MaxBody)
+		r.Body.Close()
+		if err != nil {
+			writeFault(w, http.StatusBadRequest, "parse", err.Error())
+			return
+		}
+		env, err := DecodeEnvelope(raw)
 		if err != nil {
 			writeFault(w, http.StatusBadRequest, "parse", err.Error())
 			return
@@ -654,25 +666,25 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 
 // ExchangeHandler returns the handler of exchange route
 // ("/tn/policyExchange" or "/tn/credentialExchange") for a POST whose
-// body its caller has already read and parsed into env. The cluster
-// router parses each exchange body to route it, and hands the tree over
-// here, so the body is read and parsed once. Requests count in route's
-// HTTP series, as those of the handler Register mounts do.
-func (s *TNService) ExchangeHandler(route string) func(w http.ResponseWriter, r *http.Request, env *xmldom.Node) {
+// body its caller has already read and decoded into env
+// (DecodeEnvelope). The cluster router decodes each exchange body to
+// route it, and hands the envelope over here, so the body is read and
+// decoded once. Requests count in route's HTTP series, as those of the
+// handler Register mounts do.
+func (s *TNService) ExchangeHandler(route string) func(w http.ResponseWriter, r *http.Request, env *Envelope) {
 	phase := policyPhase
 	if route == "/tn/credentialExchange" {
 		phase = credentialPhase
 	}
 	m := newMeter(s.Metrics, route)
-	return func(w http.ResponseWriter, r *http.Request, env *xmldom.Node) {
+	return func(w http.ResponseWriter, r *http.Request, env *Envelope) {
 		m.serve(w, r, func(w http.ResponseWriter, r *http.Request) { s.exchange(w, r, phase, env) })
 	}
 }
 
-// exchange serves one exchange operation for the parsed envelope env.
-func (s *TNService) exchange(w http.ResponseWriter, r *http.Request, phase phaseKind, env *xmldom.Node) {
-	id, seq, msg, err := openEnvelopeSeq(env)
-	if err != nil {
+// exchange serves one exchange operation for the decoded envelope env.
+func (s *TNService) exchange(w http.ResponseWriter, r *http.Request, phase phaseKind, env *Envelope) {
+	if err := env.Err; err != nil {
 		s.countBadEnvelope()
 		code := "schema"
 		var werr *Error
@@ -682,6 +694,7 @@ func (s *TNService) exchange(w http.ResponseWriter, r *http.Request, phase phase
 		writeFault(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
+	id, seq, msg := env.ID, env.Seq, env.Message
 	// Terminal messages (success/fail) may land on either operation;
 	// other types must match their phase's operation.
 	if msg.Type != negotiation.MsgSuccess && msg.Type != negotiation.MsgFail && phaseOf(msg.Type) != phase {

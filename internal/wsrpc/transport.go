@@ -101,29 +101,37 @@ func (t *Transport) count(name string, labels ...string) {
 // Call exposes the hardened call path to sibling packages — the cluster
 // layer routes forwarding, standby shipping and replication RPCs
 // through it so every cross-node hop gets the same deadlines, retries
-// and breaker as client traffic. Semantics are those of call.
+// and breaker as client traffic. It returns the root of a 2xx reply's
+// tree; the semantics are those of CallBody.
 func (t *Transport) Call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
 	return t.call(ctx, method, base, route, query, body, idempotent)
 }
 
-// CallBody is Call for a caller that reads a 2xx reply's bytes as
-// received: it returns the body of the reply Call would return the root
-// of, after the same checks.
-func (t *Transport) CallBody(ctx context.Context, method, base, route, query, body string, idempotent bool) (string, error) {
-	raw, _, err := t.roundTrip(ctx, method, base, route, query, body, idempotent)
-	return raw, err
+// CallBody performs one logical request: POST body (or GET when body is
+// "") to base+route+query, with retries when idempotent. Each attempt
+// reads its 2xx reply through decode, which is handed a Reader at the
+// reply's root start tag (nil reads nothing); the rest of the reply is
+// read after it, so a reply that is not well-formed is a retried
+// "malformed-response" whatever decode made of it. An error decode
+// returns fails the call as it is, unretried. CallBody returns the body
+// of the reply decode accepted; every other failure is a *Error.
+func (t *Transport) CallBody(ctx context.Context, method, base, route, query, body string, idempotent bool, decode func(*xmldom.Reader) error) (string, error) {
+	return t.roundTrip(ctx, method, base, route, query, body, idempotent, decode)
 }
 
-// call performs one logical request: POST body (or GET when body is "")
-// to base+route, with retries when idempotent. It returns the parsed XML
-// root of a 2xx response; every failure is a *Error.
+// call is Call: it returns the root of a 2xx reply, built from the
+// reply's tokens.
 func (t *Transport) call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
-	_, root, err := t.roundTrip(ctx, method, base, route, query, body, idempotent)
+	var root *xmldom.Node
+	_, err := t.roundTrip(ctx, method, base, route, query, body, idempotent, func(r *xmldom.Reader) error {
+		root = r.Node()
+		return nil
+	})
 	return root, err
 }
 
-// roundTrip is call, returning a 2xx reply's body with its root.
-func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, body string, idempotent bool) (string, *xmldom.Node, error) {
+// roundTrip is CallBody.
+func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, body string, idempotent bool, decode func(*xmldom.Reader) error) (string, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxpropagate defensive default for nil-ctx callers
 	}
@@ -143,7 +151,7 @@ func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, b
 				hint = te.RetryAfter
 			}
 			if err := sleepCtx(ctx, t.Retry.delay(attempt-1, hint)); err != nil {
-				return "", nil, &Error{Op: opName(method, route), Err: err}
+				return "", &Error{Op: opName(method, route), Err: err}
 			}
 		}
 		if !br.allow() {
@@ -151,16 +159,17 @@ func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, b
 			lastErr = &Error{Op: opName(method, route), Code: "breaker-open", Temporary: true, Err: ErrCircuitOpen}
 			continue // the backoff may outlast the cooldown
 		}
-		raw, root, err := t.once(ctx, method, url, route, body)
+		raw, derr, err := t.once(ctx, method, url, route, body, decode)
 		if err == nil {
+			// A reply that decode refused still came from a live server.
 			br.success()
-			return raw, root, nil
+			return raw, derr
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			// the caller gave up: the attempt proves nothing either way
 			br.abandon()
-			return "", nil, err
+			return "", err
 		}
 		te, _ := err.(*Error)
 		if te != nil && te.Temporary {
@@ -173,11 +182,11 @@ func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, b
 			br.success()
 		}
 		if te == nil || !te.Temporary {
-			return "", nil, err
+			return "", err
 		}
 	}
 	t.count("wsrpc_client_gaveup_total", "route", route)
-	return "", nil, lastErr
+	return "", lastErr
 }
 
 // identity is the Accept-Encoding value of every request: no wsrpc or
@@ -185,9 +194,10 @@ func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, b
 // makes net/http's transport ask for gzip in a header map of its own.
 var identity = []string{"identity"}
 
-// once performs a single attempt under the per-request timeout,
-// returning the body of a 2xx reply and its root.
-func (t *Transport) once(ctx context.Context, method, url, route, body string) (string, *xmldom.Node, error) {
+// once performs a single attempt under the per-request timeout. It
+// returns the body of a 2xx reply and the error decode found in it, or
+// the attempt's failure as err.
+func (t *Transport) once(ctx context.Context, method, url, route, body string, decode func(*xmldom.Reader) error) (raw string, derr, err error) {
 	reqCtx := ctx
 	cancel := func() {}
 	if rt := t.requestTimeout(); rt > 0 {
@@ -213,11 +223,21 @@ func (t *Transport) once(ctx context.Context, method, url, route, body string) (
 		return "", nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
 	}
 	defer resp.Body.Close()
-	raw, err := ReadBody(resp.Body, MaxBody)
+	raw, err = ReadBody(resp.Body, MaxBody)
 	if err != nil {
 		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
 	}
-	root, perr := xmldom.ParseString(raw)
+	r := xmldom.NewReader(raw)
+	var fault *Fault
+	if r.Child(0) {
+		if r.Name() == "fault" {
+			fault = new(Fault)
+			fault.decode(r)
+		} else if resp.StatusCode < 400 && decode != nil {
+			derr = decode(r)
+		}
+	}
+	perr := r.Close()
 	if resp.StatusCode >= 400 {
 		e := &Error{
 			Op:         opName(method, route),
@@ -225,10 +245,9 @@ func (t *Transport) once(ctx context.Context, method, url, route, body string) (
 			Temporary:  transientStatus(resp.StatusCode),
 			RetryAfter: parseRetryAfter(resp.Header),
 		}
-		if perr == nil && root.Name == "fault" {
-			f := faultFromDOM(root)
-			e.Code = f.Code
-			e.Err = f
+		if perr == nil && fault != nil {
+			e.Code = fault.Code
+			e.Err = fault
 		} else {
 			e.Err = fmt.Errorf("server returned %s", resp.Status)
 		}
@@ -239,12 +258,11 @@ func (t *Transport) once(ctx context.Context, method, url, route, body string) (
 		// transit — safe to retry on idempotent routes
 		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: "malformed-response", Temporary: true, Err: perr}
 	}
-	if root.Name == "fault" {
+	if fault != nil {
 		// defensive: a fault served with a 2xx status
-		f := faultFromDOM(root)
-		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: f.Code, Err: f}
+		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: fault.Code, Err: fault}
 	}
-	return raw, root, nil
+	return raw, derr, nil
 }
 
 // expectRoot asserts the root element name of a successful call.

@@ -623,7 +623,12 @@ func decodeResponse(resp *http.Response, wantRoot string) (*xmldom.Node, error) 
 		return nil, fmt.Errorf("wsrpc: bad response (%s): %w", resp.Status, err)
 	}
 	if root.Name == "fault" {
-		return nil, faultFromDOM(root)
+		f := new(Fault)
+		r := xmldom.NewNodeReader(root)
+		r.Child(0)
+		f.decode(r)
+		r.Close()
+		return nil, f
 	}
 	if root.Name != wantRoot {
 		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", wantRoot, root.Name)

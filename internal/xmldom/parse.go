@@ -20,7 +20,7 @@ var ErrNoRoot = errors.New("xmldom: document has no root element")
 // then shares as it would share ParseString's input. To bound the input,
 // pass an io.LimitReader: a cut-off document fails to parse.
 func Parse(r io.Reader) (*Node, error) {
-	p := parserPool.Get().(*parser)
+	p := readerPool.Get().(*Reader)
 	var b strings.Builder // sized by its first Write, then doubling
 	for {
 		n, err := r.Read(p.buf[:])
@@ -29,7 +29,7 @@ func Parse(r io.Reader) (*Node, error) {
 			break
 		}
 		if err != nil {
-			parserPool.Put(p)
+			readerPool.Put(p)
 			return nil, fmt.Errorf("xmldom: parse: %w", err)
 		}
 	}
@@ -44,62 +44,86 @@ func ParseBytes(b []byte) (*Node, error) {
 
 // ParseString parses the XML document in s and returns its root element.
 // It does not copy s: see the package comment for the retention rule.
+// The tree is built from the tokens a Reader reads from s.
 func ParseString(s string) (*Node, error) {
-	return parserPool.Get().(*parser).parse(s)
+	return readerPool.Get().(*Reader).parse(s)
 }
 
-// ParseStartTag parses the start tag that opens s and returns its
-// element: the name and the attributes, decoded as ParseString decodes
-// them, and no children. What follows the tag is neither read nor
-// checked, so a reader that wants a few attributes of a document's root
-// takes them without building the tree. The retention rule is
-// ParseString's.
-func ParseStartTag(s string) (*Node, error) {
-	p := parserPool.Get().(*parser)
-	p.s, p.pos, p.root = s, 0, nil
-	p.arena = p.arena[:0]
-	p.chunk = 1
-	var err error
-	if len(s) < 2 || s[0] != '<' || s[1] == '/' || s[1] == '?' || s[1] == '!' {
-		err = p.syntaxError(0, "expected a start tag")
-	} else {
-		if end := strings.IndexByte(s, '>'); end > 0 {
-			p.attrs = make([]Attr, 0, strings.Count(s[:end], "="))
-		}
-		err = p.startTag()
+// parse builds the tree of s from p's tokens and returns p to the pool.
+func (p *Reader) parse(s string) (*Node, error) {
+	p.reset(s)
+	b := &p.b
+	b.begin(s, 0)
+	p.build = b
+	for p.Next() != NoToken {
+		b.token(p)
 	}
-	root := p.root
-	if err == nil {
-		p.fixDecoded()
-	}
+	root, err := b.finish(p), p.err
 	p.release()
-	parserPool.Put(p)
 	if err != nil {
 		return nil, err
 	}
 	return root, nil
 }
 
-// parse parses s and returns p to the pool.
-func (p *parser) parse(s string) (*Node, error) {
-	p.reset(s)
-	root, err := p.document()
-	p.release()
-	parserPool.Put(p)
-	return root, err
-}
+// TokenKind is the kind of the token a Reader has read.
+type TokenKind uint8
 
-// parser holds the state of one parse. The scratch state (buf, open,
-// pending, ns, nsUndo, arena, fixups, attrFix) is reused across parses
-// through parserPool; the slabs (nodes, attrs, kids) become part of the
-// returned tree and are never reused.
-type parser struct {
+const (
+	// NoToken: the document has ended, or a syntax error stopped it.
+	NoToken TokenKind = iota
+	// StartToken is an element's start tag: Name and Attrs.
+	StartToken
+	// EndToken is an element's end tag, or the end of a self-closing
+	// start tag: Name.
+	EndToken
+	// TextToken is a run of character data or a CDATA section: Data.
+	TextToken
+	// CommentToken is a comment inside the root element: Data.
+	CommentToken
+)
+
+// Reader reads an XML document token by token, the decoding mirror of
+// Writer: each wire type reads its layout from it in one decode method,
+// and that one method decodes both forms of a document. NewReader reads
+// the bytes received, building no tree; NewNodeReader walks a tree
+// already built, yielding the tokens its document would yield.
+//
+// Over a string, the Reader is the package's scanner: ParseString builds
+// its tree from the same tokens, so both accept exactly the same
+// documents (see "Accepted grammar"). Whitespace-only text that a parse
+// drops yields no token; text outside the root element, processing
+// instructions and directives yield none either. A start tag that closes
+// itself is followed by its end token.
+//
+// Names, attribute values and text are substrings of the input wherever
+// nothing had to be decoded, under the retention rule of ParseString;
+// decoded values are copied out as they are read. Reading a document
+// that needs no decoding, which is what the Writer writes, allocates
+// nothing: the Reader's scratch comes from a pool, and Close returns it.
+//
+// A syntax error stops the Reader: Next returns NoToken from then on and
+// Err reports the error. Decoders read what they need and then call
+// Close, which reads the rest of the document, so a syntax error anywhere
+// wins over an error the decoder found in what it read.
+type Reader struct {
 	s   string
 	pos int
+	err error
 
-	root    *Node
-	open    []frame // elements whose end tag has not been read yet
-	pending []*Node // children of the open elements, innermost last
+	// The current token.
+	kind    TokenKind
+	name    string
+	data    string
+	off     int       // decoded data runs from arena[off:end], when off >= 0
+	end     int       //
+	attrs   []Attr    // the start tag's attributes: scratch, or the node's own
+	attrFix []attrFix // decoded values among attrs, while a tree is built
+	tag     int       // offset of the current start tag
+	closing bool      // the start tag closed itself: its end token is next
+
+	open []frame // elements whose end token has not been read yet
+	root bool    // the root element has started
 
 	// ns maps each prefix in scope to its namespace, the default
 	// namespace under "". nsUndo records, for every declaration of the
@@ -109,26 +133,34 @@ type parser struct {
 	nsUndo []binding
 
 	// Text and attribute values that had to be rewritten (references,
-	// carriage returns) are decoded into arena; once the parse succeeds,
-	// one string copy of the arena backs all of them, through fixups.
-	arena   []byte
-	fixups  []fixup
-	attrFix []attrFix // decoded values among the current tag's attributes
+	// carriage returns) are decoded into arena. While build is set they
+	// stay there until the tree is done and one string copy backs them
+	// all; otherwise each is copied out as it is read.
+	arena []byte
+	build *treeBuilder
 
-	nodes []Node  // node slab
-	attrs []Attr  // attribute slab
-	kids  []*Node // child-pointer slab
-	chunk int     // size of the next node or child-pointer chunk
+	scratch []Attr // the attributes of the current start tag
 
-	buf [4096]byte // Parse reads its input through buf
+	// A Reader over a tree walks it: the element whose start token is
+	// next, then one frame per open element.
+	tree  bool
+	first *Node
+	walk  []walkFrame
+
+	b   treeBuilder // the state of a tree built from the tokens
+	buf [4096]byte  // Parse reads its input through buf
 }
 
 type frame struct {
-	el      *Node
 	raw     string // the tag name as written, matched against the end tag
-	kids    int    // index in pending of the element's first child
+	name    string // the element's name, for its end token
 	ns      int    // len(nsUndo) before the element's own declarations
-	hasText bool   // a text child with non-whitespace content was added
+	hasText bool   // a text token with non-whitespace content was read
+}
+
+type walkFrame struct {
+	n    *Node
+	next int // index in n.Children of the next child to visit
 }
 
 // binding is a prefix's namespace before a declaration shadowed it;
@@ -138,31 +170,335 @@ type binding struct {
 	bound       bool
 }
 
+// attrFix marks the i-th attribute of the current tag as decoded into
+// arena[off:end].
+type attrFix struct{ i, off, end int }
+
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
+
+// maxPooledScratch caps the scratch capacity a pooled Reader keeps, so
+// one huge document does not pin its scratch for the process lifetime.
+const maxPooledScratch = 1 << 12
+
+// NewReader returns a Reader over the document in s, from a pool: call
+// Close (or Release) when done. It does not copy s.
+func NewReader(s string) *Reader {
+	r := readerPool.Get().(*Reader)
+	r.reset(s)
+	return r
+}
+
+// NewNodeReader returns a Reader that walks the tree rooted at n as the
+// document whose root element n is, from a pool: call Close when done.
+// Its strings are the tree's own.
+func NewNodeReader(n *Node) *Reader {
+	r := readerPool.Get().(*Reader)
+	r.reset("")
+	r.tree = true
+	if n != nil && n.Type == ElementNode {
+		r.first = n
+	}
+	return r
+}
+
+func (p *Reader) reset(s string) {
+	p.s, p.pos, p.err = s, 0, nil
+	p.kind, p.closing, p.root, p.tree = NoToken, false, false, false
+	p.arena = p.arena[:0]
+}
+
+// Close reads the rest of the document, returns the Reader to its pool
+// and returns the first syntax error in the document: ErrNoRoot when it
+// holds no root element. A Reader over a tree reports none. The Reader
+// must not be used after Close.
+func (p *Reader) Close() error {
+	for p.Next() != NoToken {
+	}
+	err := p.err
+	p.release()
+	return err
+}
+
+// Release returns the Reader to its pool without reading the rest of
+// the document, for a caller that needs only what it has read so far.
+// The Reader must not be used after Release.
+func (p *Reader) Release() { p.release() }
+
+// Err returns the syntax error that stopped the Reader, if any.
+func (p *Reader) Err() error { return p.err }
+
+// release drops every reference into the input and any tree, so that a
+// pooled Reader pins neither, and returns p to the pool.
+func (p *Reader) release() {
+	p.s, p.name, p.data, p.err = "", "", "", nil
+	p.attrs, p.build, p.first = nil, nil, nil
+	clear(p.scratch[:cap(p.scratch)])
+	clear(p.open[:cap(p.open)])
+	clear(p.nsUndo[:cap(p.nsUndo)])
+	clear(p.walk[:cap(p.walk)])
+	p.scratch, p.open, p.nsUndo, p.walk = p.scratch[:0], p.open[:0], p.nsUndo[:0], p.walk[:0]
+	p.b.clear()
+	// The map never holds more prefixes than nsUndo has had entries, so
+	// its buckets are as bounded as nsUndo's capacity.
+	if max(cap(p.open), cap(p.nsUndo), cap(p.walk), cap(p.scratch), cap(p.attrFix), p.b.scratchCap()) > maxPooledScratch {
+		p.scratch, p.open, p.nsUndo, p.walk, p.attrFix, p.ns = nil, nil, nil, nil, nil, nil
+		p.b = treeBuilder{}
+	}
+	clear(p.ns)
+	if cap(p.arena) > maxPooledScratch {
+		p.arena = nil
+	}
+	readerPool.Put(p)
+}
+
+// syntaxError reports msg at the line holding byte offset pos.
+func (p *Reader) syntaxError(pos int, msg string) error {
+	if pos > len(p.s) {
+		pos = len(p.s)
+	}
+	line := 1 + strings.Count(p.s[:pos], "\n")
+	return fmt.Errorf("xmldom: parse: line %d: %s", line, msg)
+}
+
+func (p *Reader) eof() error { return p.syntaxError(len(p.s), "unexpected EOF") }
+
+// Next reads the next token and returns its kind: markup and character
+// data in any order, exactly one root element, and nothing left open at
+// the end. It returns NoToken at the end of the document and on a syntax
+// error, which Err then reports.
+func (p *Reader) Next() TokenKind {
+	if p.tree {
+		return p.walkNext()
+	}
+	if p.closing {
+		p.closing = false
+		p.closeElement()
+		return EndToken
+	}
+	if p.build == nil {
+		p.arena = p.arena[:0] // the last token's decoded data is copied out
+	}
+	s := p.s
+	for p.err == nil && p.pos < len(s) {
+		var tok bool
+		var err error
+		if s[p.pos] != '<' {
+			tok, err = p.charData()
+		} else if p.pos+1 >= len(s) {
+			err = p.eof()
+		} else {
+			switch s[p.pos+1] {
+			case '/':
+				tok, err = true, p.endTag()
+			case '?':
+				err = p.procInst()
+			case '!':
+				tok, err = p.bang()
+			default:
+				tok, err = true, p.startTag()
+			}
+		}
+		if err != nil {
+			p.err = err
+			break
+		}
+		if tok {
+			return p.kind
+		}
+	}
+	if p.err == nil {
+		if len(p.open) > 0 {
+			p.err = p.eof()
+		} else if !p.root {
+			p.err = ErrNoRoot
+		}
+	}
+	p.kind = NoToken
+	return NoToken
+}
+
+// charData handles a text run, which ends at the next '<' or at EOF.
+func (p *Reader) charData() (bool, error) {
+	start := p.pos
+	end := strings.IndexByte(p.s[start:], '<')
+	if end < 0 {
+		end = len(p.s)
+	} else {
+		end += start
+	}
+	p.pos = end
+	text, off, err := p.decode(start, end, modeText)
+	if err != nil {
+		return false, err
+	}
+	return p.text(text, off), nil
+}
+
+// text makes character data a text token: text itself, or when off >= 0
+// the decoded bytes arena[off:]. Whitespace-only data yields no token
+// unless the open element already holds non-whitespace text:
+// indentation between elements then vanishes, so pretty-printed and
+// compact documents read the same, while mixed content keeps its
+// spacing. Data outside the root element yields no token.
+func (p *Reader) text(text string, off int) bool {
+	var blank bool
+	if off < 0 {
+		blank = strings.TrimSpace(text) == ""
+	} else {
+		blank = len(bytes.TrimSpace(p.arena[off:])) == 0
+	}
+	if len(p.open) == 0 || blank && !p.open[len(p.open)-1].hasText {
+		if off >= 0 {
+			p.arena = p.arena[:off]
+		}
+		return false
+	}
+	if !blank {
+		p.open[len(p.open)-1].hasText = true
+	}
+	p.kind, p.data, p.off, p.end = TextToken, text, off, len(p.arena)
+	return true
+}
+
+// treeBuilder builds a tree from a Reader's tokens: ParseString's whole
+// document, or one element for Reader.Node. Nodes, attributes and child
+// pointers each come from one slab, sized by counting the input's markup;
+// pending, stack and fixups are scratch a pooled Reader keeps.
+type treeBuilder struct {
+	nodes []Node  // node slab
+	attrs []Attr  // attribute slab
+	kids  []*Node // child-pointer slab
+	chunk int     // size of the next node or child-pointer chunk
+
+	root    *Node
+	stack   []buildFrame // the open elements, innermost last
+	pending []*Node      // children of the open elements, innermost last
+	fixups  []fixup      // tree strings that await the arena's copy
+	base    int          // arena offset of the first decoded value
+}
+
+type buildFrame struct {
+	el   *Node
+	kids int // index in pending of the element's first child
+}
+
 // fixup points a tree string at arena[off:end] once the arena is copied.
 type fixup struct {
 	dst      *string
 	off, end int
 }
 
-// attrFix marks the i-th attribute of the current tag as decoded.
-type attrFix struct{ i, off, end int }
-
-var parserPool = sync.Pool{New: func() any { return new(parser) }}
-
-// maxPooledScratch caps the scratch capacity a pooled parser keeps, so
-// one huge document does not pin its scratch for the process lifetime.
-const maxPooledScratch = 1 << 12
-
-func (p *parser) reset(s string) {
-	p.s, p.pos, p.root = s, 0, nil
-	p.arena = p.arena[:0]
-	// Mixed content beyond the count takes one more chunk. Every
-	// attribute has its own '='.
-	p.chunk = nodeSlots(s)
-	p.nodes = make([]Node, 0, p.chunk)
+// begin sizes the slabs for the markup in s. Mixed content beyond the
+// count takes one more chunk. Every attribute has its own '='.
+func (b *treeBuilder) begin(s string, arena int) {
+	b.base = arena
+	b.chunk = nodeSlots(s)
+	b.nodes = make([]Node, 0, b.chunk)
 	if n := strings.Count(s, "="); n > 0 {
-		p.attrs = make([]Attr, 0, n)
+		b.attrs = make([]Attr, 0, n)
 	}
+}
+
+// token adds the Reader's current token to the tree.
+func (b *treeBuilder) token(p *Reader) {
+	switch p.kind {
+	case StartToken:
+		el := b.newNode()
+		el.Type, el.Name = ElementNode, p.name
+		if n := len(p.attrs); n > 0 {
+			if cap(b.attrs)-len(b.attrs) < n {
+				b.attrs = make([]Attr, 0, n)
+			}
+			a := len(b.attrs)
+			b.attrs = append(b.attrs, p.attrs...)
+			el.Attrs = b.attrs[a:len(b.attrs):len(b.attrs)]
+			for _, f := range p.attrFix {
+				b.fixups = append(b.fixups, fixup{&el.Attrs[f.i].Value, f.off, f.end})
+			}
+		}
+		if len(b.stack) == 0 {
+			b.root = el
+		} else {
+			b.child(el)
+		}
+		b.stack = append(b.stack, buildFrame{el: el, kids: len(b.pending)})
+	case EndToken:
+		b.closeElement()
+	case TextToken, CommentToken:
+		n := b.newNode()
+		n.Type, n.Data = TextNode, p.data
+		if p.kind == CommentToken {
+			n.Type = CommentNode
+		}
+		if p.off >= 0 {
+			b.fixups = append(b.fixups, fixup{&n.Data, p.off, p.end})
+		}
+		b.child(n)
+	}
+}
+
+// newNode hands out the next node of the slab.
+func (b *treeBuilder) newNode() *Node {
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = make([]Node, 0, b.chunk)
+	}
+	b.nodes = b.nodes[:len(b.nodes)+1]
+	return &b.nodes[len(b.nodes)-1]
+}
+
+// child makes n a child of the innermost open element.
+func (b *treeBuilder) child(n *Node) {
+	n.Parent = b.stack[len(b.stack)-1].el
+	b.pending = append(b.pending, n)
+}
+
+// closeElement moves the innermost open element's children from the
+// pending stack into the child-pointer slab and pops the element. Each
+// Children slice is capped at its length, so a later AppendChild
+// reallocates instead of overwriting the next element's children.
+func (b *treeBuilder) closeElement() {
+	f := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	if k := len(b.pending) - f.kids; k > 0 {
+		if cap(b.kids)-len(b.kids) < k {
+			b.kids = make([]*Node, 0, max(k, b.chunk))
+		}
+		a := len(b.kids)
+		b.kids = append(b.kids, b.pending[f.kids:]...)
+		f.el.Children = b.kids[a:len(b.kids):len(b.kids)]
+		clear(b.pending[f.kids:])
+		b.pending = b.pending[:f.kids]
+	}
+}
+
+// finish points every decoded value at its run of one string copy of
+// the arena and returns the tree, or nil when the Reader stopped on a
+// syntax error.
+func (b *treeBuilder) finish(p *Reader) *Node {
+	root := b.root
+	if p.err != nil {
+		root = nil
+	} else if len(b.fixups) > 0 {
+		decoded := string(p.arena[b.base:])
+		for _, f := range b.fixups {
+			*f.dst = decoded[f.off-b.base : f.end-b.base]
+		}
+	}
+	b.clear()
+	return root
+}
+
+// clear drops every reference into the tree built last.
+func (b *treeBuilder) clear() {
+	clear(b.stack[:cap(b.stack)])
+	clear(b.pending[:cap(b.pending)])
+	clear(b.fixups[:cap(b.fixups)])
+	b.stack, b.pending, b.fixups = b.stack[:0], b.pending[:0], b.fixups[:0]
+	b.nodes, b.attrs, b.kids, b.root = nil, nil, nil, nil
+}
+
+func (b *treeBuilder) scratchCap() int {
+	return max(cap(b.stack), cap(b.pending), cap(b.fixups))
 }
 
 // nodeSlots sizes the node slab of a parse of s. It visits each '<'
@@ -208,143 +544,6 @@ func blank(s string) bool {
 	return true
 }
 
-// release drops every reference into the finished tree and the input,
-// so that a pooled parser pins neither.
-func (p *parser) release() {
-	p.s, p.root = "", nil
-	p.nodes, p.attrs, p.kids = nil, nil, nil
-	clear(p.open[:cap(p.open)])
-	clear(p.pending[:cap(p.pending)])
-	clear(p.nsUndo[:cap(p.nsUndo)])
-	clear(p.fixups[:cap(p.fixups)])
-	p.open, p.pending, p.nsUndo, p.fixups = p.open[:0], p.pending[:0], p.nsUndo[:0], p.fixups[:0]
-	// The map never holds more prefixes than nsUndo has had entries, so
-	// its buckets are as bounded as nsUndo's capacity.
-	if max(cap(p.open), cap(p.pending), cap(p.nsUndo), cap(p.fixups), cap(p.attrFix)) > maxPooledScratch {
-		p.open, p.pending, p.nsUndo, p.fixups, p.attrFix, p.ns = nil, nil, nil, nil, nil, nil
-	}
-	clear(p.ns)
-	if cap(p.arena) > maxPooledScratch {
-		p.arena = nil
-	}
-}
-
-// syntaxError reports msg at the line holding byte offset pos.
-func (p *parser) syntaxError(pos int, msg string) error {
-	if pos > len(p.s) {
-		pos = len(p.s)
-	}
-	line := 1 + strings.Count(p.s[:pos], "\n")
-	return fmt.Errorf("xmldom: parse: line %d: %s", line, msg)
-}
-
-func (p *parser) eof() error { return p.syntaxError(len(p.s), "unexpected EOF") }
-
-// document parses the whole input: markup and character data in any
-// order, exactly one root element, and nothing left open at the end.
-func (p *parser) document() (*Node, error) {
-	s := p.s
-	for p.pos < len(s) {
-		var err error
-		if s[p.pos] != '<' {
-			err = p.charData()
-		} else if p.pos+1 >= len(s) {
-			return nil, p.eof()
-		} else {
-			switch s[p.pos+1] {
-			case '/':
-				err = p.endTag()
-			case '?':
-				err = p.procInst()
-			case '!':
-				err = p.bang()
-			default:
-				err = p.startTag()
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(p.open) > 0 {
-		return nil, p.eof()
-	}
-	if p.root == nil {
-		return nil, ErrNoRoot
-	}
-	p.fixDecoded()
-	return p.root, nil
-}
-
-// fixDecoded points every decoded value at its run of one string copy
-// of the arena.
-func (p *parser) fixDecoded() {
-	if len(p.fixups) > 0 {
-		decoded := string(p.arena)
-		for _, f := range p.fixups {
-			*f.dst = decoded[f.off:f.end]
-		}
-	}
-}
-
-// newNode hands out the next node of the slab.
-func (p *parser) newNode() *Node {
-	if len(p.nodes) == cap(p.nodes) {
-		p.nodes = make([]Node, 0, p.chunk)
-	}
-	p.nodes = p.nodes[:len(p.nodes)+1]
-	return &p.nodes[len(p.nodes)-1]
-}
-
-// charData handles a text run, which ends at the next '<' or at EOF.
-func (p *parser) charData() error {
-	start := p.pos
-	end := strings.IndexByte(p.s[start:], '<')
-	if end < 0 {
-		end = len(p.s)
-	} else {
-		end += start
-	}
-	p.pos = end
-	text, off, err := p.decode(start, end, modeText)
-	if err != nil {
-		return err
-	}
-	p.addText(text, off)
-	return nil
-}
-
-// addText appends character data to the open element: text itself, or
-// when off >= 0 the decoded bytes arena[off:]. Whitespace-only data is
-// dropped unless the element already holds non-whitespace text:
-// indentation between elements then vanishes, so pretty-printed and
-// compact documents parse to the same tree, while mixed content keeps
-// its spacing. Data outside the root element is dropped.
-func (p *parser) addText(text string, off int) {
-	var blank bool
-	if off < 0 {
-		blank = strings.TrimSpace(text) == ""
-	} else {
-		blank = len(bytes.TrimSpace(p.arena[off:])) == 0
-	}
-	if len(p.open) == 0 || blank && !p.open[len(p.open)-1].hasText {
-		if off >= 0 {
-			p.arena = p.arena[:off]
-		}
-		return
-	}
-	f := &p.open[len(p.open)-1]
-	if !blank {
-		f.hasText = true
-	}
-	n := p.newNode()
-	n.Type, n.Data, n.Parent = TextNode, text, f.el
-	if off >= 0 {
-		p.fixups = append(p.fixups, fixup{&n.Data, off, len(p.arena)})
-	}
-	p.pending = append(p.pending, n)
-}
-
 // Decoding modes: ordinary text, a quoted attribute value, and the body
 // of a CDATA section (no entities, "]]>" already cut off).
 const (
@@ -360,7 +559,7 @@ const (
 // value is appended to the arena, where it runs from off to the end.
 // Invalid UTF-8, a character outside the XML Char production, an
 // undefined or malformed entity, and "]]>" in ordinary text are errors.
-func (p *parser) decode(start, end, mode int) (s string, off int, err error) {
+func (p *Reader) decode(start, end, mode int) (s string, off int, err error) {
 	raw := p.s[start:end]
 	off = -1
 	for i := 0; i < len(raw); {
@@ -506,7 +705,7 @@ func isChar(r rune) bool {
 }
 
 // space skips XML white space.
-func (p *parser) space() {
+func (p *Reader) space() {
 	for p.pos < len(p.s) {
 		switch p.s[p.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -527,9 +726,9 @@ var nameByte = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// name reads a name at p.pos. It fails when no name starts there or
+// readName reads a name at p.pos. It fails when no name starts there or
 // when the name's first character is not a name-start character.
-func (p *parser) name() (string, bool) {
+func (p *Reader) readName() (string, bool) {
 	s, start := p.s, p.pos
 	i := start
 	for i < len(s) && (s[i] >= utf8.RuneSelf || nameByte[s[i]]) {
@@ -552,8 +751,8 @@ func (p *parser) name() (string, bool) {
 
 // qualifiedName reads an element or attribute name, which may carry at
 // most one colon.
-func (p *parser) qualifiedName() (string, bool) {
-	n, ok := p.name()
+func (p *Reader) qualifiedName() (string, bool) {
+	n, ok := p.readName()
 	if !ok || strings.Count(n, ":") > 1 {
 		return "", false
 	}
@@ -599,7 +798,7 @@ const xmlURL = "http://www.w3.org/XML/1998/namespace"
 // applies to elements only and never to an element named xmlns; the xml
 // prefix always means the XML namespace; the xmlns prefix is kept as the
 // namespace itself; an undeclared prefix stands for its own namespace.
-func (p *parser) clarkName(n string, element bool) string {
+func (p *Reader) clarkName(n string, element bool) string {
 	prefix, local := splitName(n)
 	space := prefix
 	switch {
@@ -619,7 +818,7 @@ func (p *parser) clarkName(n string, element bool) string {
 }
 
 // declare binds prefix to url until the current element closes.
-func (p *parser) declare(prefix, url string) {
+func (p *Reader) declare(prefix, url string) {
 	if p.ns == nil {
 		p.ns = make(map[string]string)
 	}
@@ -628,15 +827,16 @@ func (p *parser) declare(prefix, url string) {
 	p.ns[prefix] = url
 }
 
-// startTag parses <name attr="value" ...> or the self-closing form.
-func (p *parser) startTag() error {
+// startTag reads <name attr="value" ...> or the self-closing form.
+func (p *Reader) startTag() error {
 	s := p.s
+	tag := p.pos
 	p.pos++ // '<'
 	raw, ok := p.qualifiedName()
 	if !ok {
 		return p.syntaxError(p.pos, "expected element name after <")
 	}
-	first := len(p.attrs)
+	attrs := p.scratch[:0]
 	p.attrFix = p.attrFix[:0]
 	empty := false
 	for {
@@ -684,16 +884,13 @@ func (p *parser) startTag() error {
 		}
 		p.pos = end + 1
 		if off >= 0 {
-			p.attrFix = append(p.attrFix, attrFix{len(p.attrs) - first, off, len(p.arena)})
+			p.attrFix = append(p.attrFix, attrFix{len(attrs), off, len(p.arena)})
 		}
-		p.attrs = append(p.attrs, Attr{Name: name, Value: value})
+		attrs = append(attrs, Attr{Name: name, Value: value})
 	}
+	p.scratch = attrs
 
 	nsMark := len(p.nsUndo)
-	attrs := p.attrs[first:len(p.attrs):len(p.attrs)]
-	for _, f := range p.attrFix {
-		p.fixups = append(p.fixups, fixup{&attrs[f.i].Value, f.off, f.end})
-	}
 	// Declarations on the element apply to its own name and attributes.
 	// attrFix is in attribute order, so one cursor finds decoded values.
 	fix := p.attrFix
@@ -715,35 +912,32 @@ func (p *parser) startTag() error {
 		}
 		p.declare(local, url)
 	}
-	el := p.newNode()
-	el.Type, el.Name = ElementNode, p.clarkName(raw, true)
-	if len(attrs) > 0 {
-		el.Attrs = attrs
-		for i := range attrs {
-			if strings.IndexByte(attrs[i].Name, ':') >= 0 {
-				attrs[i].Name = p.clarkName(attrs[i].Name, false)
-			}
+	name := p.clarkName(raw, true)
+	for i := range attrs {
+		if strings.IndexByte(attrs[i].Name, ':') >= 0 {
+			attrs[i].Name = p.clarkName(attrs[i].Name, false)
 		}
+	}
+	if p.build == nil {
+		for _, f := range p.attrFix {
+			attrs[f.i].Value = string(p.arena[f.off:f.end])
+		}
+		p.attrFix = p.attrFix[:0]
 	}
 	if len(p.open) == 0 {
-		if p.root != nil {
+		if p.root {
 			return p.syntaxError(p.pos, "multiple root elements")
 		}
-		p.root = el
-	} else {
-		el.Parent = p.open[len(p.open)-1].el
-		p.pending = append(p.pending, el)
+		p.root = true
 	}
-	p.open = append(p.open, frame{el: el, raw: raw, kids: len(p.pending), ns: nsMark})
-	if empty {
-		p.closeElement()
-	}
+	p.open = append(p.open, frame{raw: raw, name: name, ns: nsMark})
+	p.kind, p.name, p.attrs, p.closing, p.tag = StartToken, name, attrs, empty, tag
 	return nil
 }
 
-// endTag parses </name> and closes the innermost open element, which
-// must carry the same name as written.
-func (p *parser) endTag() error {
+// endTag reads </name>, which must close the innermost open element with
+// the same name as written.
+func (p *Reader) endTag() error {
 	s := p.s
 	p.pos += 2 // "</"
 	raw, ok := p.qualifiedName()
@@ -768,25 +962,12 @@ func (p *parser) endTag() error {
 	return nil
 }
 
-// closeElement moves the innermost open element's children from the
-// pending stack into the child-pointer slab and pops the element,
-// restoring the bindings its namespace declarations shadowed. Each
-// Children slice is capped at its
-// length, so a later AppendChild reallocates instead of overwriting the
-// next element's children.
-func (p *parser) closeElement() {
+// closeElement pops the innermost open element as the current end token,
+// restoring the bindings its namespace declarations shadowed.
+func (p *Reader) closeElement() {
 	f := p.open[len(p.open)-1]
 	p.open = p.open[:len(p.open)-1]
-	if k := len(p.pending) - f.kids; k > 0 {
-		if cap(p.kids)-len(p.kids) < k {
-			p.kids = make([]*Node, 0, max(k, p.chunk))
-		}
-		a := len(p.kids)
-		p.kids = append(p.kids, p.pending[f.kids:]...)
-		f.el.Children = p.kids[a:len(p.kids):len(p.kids)]
-		clear(p.pending[f.kids:])
-		p.pending = p.pending[:f.kids]
-	}
+	p.kind, p.name = EndToken, f.name
 	for i := len(p.nsUndo) - 1; i >= f.ns; i-- {
 		if b := p.nsUndo[i]; b.bound {
 			p.ns[b.prefix] = b.url
@@ -800,9 +981,9 @@ func (p *parser) closeElement() {
 
 // procInst skips a processing instruction. An XML declaration must name
 // version 1.0 and the UTF-8 encoding, or none.
-func (p *parser) procInst() error {
+func (p *Reader) procInst() error {
 	p.pos += 2 // "<?"
-	target, ok := p.name()
+	target, ok := p.readName()
 	if !ok {
 		return p.syntaxError(p.pos, "expected target name after <?")
 	}
@@ -854,11 +1035,12 @@ func pseudoAttr(param, s string) string {
 }
 
 // bang handles markup opening with "<!": a comment, a CDATA section or a
-// directive such as <!DOCTYPE ...>.
-func (p *parser) bang() error {
+// directive such as <!DOCTYPE ...>. It reports whether the markup is a
+// token.
+func (p *Reader) bang() (bool, error) {
 	s := p.s
 	if p.pos+2 >= len(s) {
-		return p.eof()
+		return false, p.eof()
 	}
 	switch s[p.pos+2] {
 	case '-':
@@ -866,72 +1048,70 @@ func (p *parser) bang() error {
 	case '[':
 		return p.cdata()
 	}
-	return p.directive()
+	return false, p.directive()
 }
 
-// comment parses <!--...-->; "--" may only appear as its terminator.
+// comment reads <!--...-->; "--" may only appear as its terminator.
 // Comment data is kept as written.
-func (p *parser) comment() error {
+func (p *Reader) comment() (bool, error) {
 	s := p.s
 	if p.pos+3 >= len(s) {
-		return p.eof()
+		return false, p.eof()
 	}
 	if s[p.pos+3] != '-' {
-		return p.syntaxError(p.pos, "invalid sequence <!- not part of <!--")
+		return false, p.syntaxError(p.pos, "invalid sequence <!- not part of <!--")
 	}
 	start := p.pos + 4
 	end := strings.Index(s[start:], "--")
 	if end < 0 {
-		return p.eof()
+		return false, p.eof()
 	}
 	end += start
 	if end+2 >= len(s) {
-		return p.eof()
+		return false, p.eof()
 	}
 	if s[end+2] != '>' {
-		return p.syntaxError(end, `invalid sequence "--" not allowed in comments`)
+		return false, p.syntaxError(end, `invalid sequence "--" not allowed in comments`)
 	}
 	p.pos = end + 3
-	if len(p.open) > 0 {
-		n := p.newNode()
-		n.Type, n.Data, n.Parent = CommentNode, s[start:end], p.open[len(p.open)-1].el
-		p.pending = append(p.pending, n)
+	if len(p.open) == 0 {
+		return false, nil
 	}
-	return nil
+	p.kind, p.data, p.off = CommentToken, s[start:end], -1
+	return true, nil
 }
 
-// cdata parses <![CDATA[...]]>, which becomes character data of its own.
-func (p *parser) cdata() error {
+// cdata reads <![CDATA[...]]>, which becomes character data of its own.
+func (p *Reader) cdata() (bool, error) {
 	s := p.s
 	const open = "<![CDATA["
 	for i := 3; i < len(open); i++ {
 		if p.pos+i >= len(s) {
-			return p.eof()
+			return false, p.eof()
 		}
 		if s[p.pos+i] != open[i] {
-			return p.syntaxError(p.pos, "invalid <![ sequence")
+			return false, p.syntaxError(p.pos, "invalid <![ sequence")
 		}
 	}
 	start := p.pos + len(open)
 	end := strings.Index(s[start:], "]]>")
 	if end < 0 {
-		return p.syntaxError(len(s), "unexpected EOF in CDATA section")
+		return false, p.syntaxError(len(s), "unexpected EOF in CDATA section")
 	}
 	end += start
 	p.pos = end + 3
 	text, off, err := p.decode(start, end, modeCDATA)
 	if err != nil {
-		return err
+		return false, err
 	}
-	p.addText(text, off)
-	return nil
+	return p.text(text, off), nil
 }
 
 // directive skips <!...> markup such as <!DOCTYPE ...>, following the
 // nesting rules of encoding/xml: the first byte after "<!" is taken as
 // is; after it, quotes hide angle brackets, a nested '<' opens a level
 // that a '>' closes, and a nested <!--...--> comment is skipped whole.
-func (p *parser) directive() error {
+func (p *Reader) directive() error {
 	s := p.s
 	i := p.pos + 3 // "<!" and the first byte
 	var quote byte

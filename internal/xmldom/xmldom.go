@@ -4,8 +4,8 @@
 // as XML documents and evaluates XPath conditions against them (paper §6.2:
 // each <certCond> element stores an XPath expression over the counterpart
 // credential), and every negotiation message travels as an XML envelope.
-// This package builds the node tree that the XPath evaluator
-// (internal/xpath) walks and the codecs decode, and writes documents in
+// This package reads documents as they arrive, builds the node tree that
+// the XPath evaluator (internal/xpath) walks, and writes documents in
 // canonical form.
 //
 // The model is deliberately compact: elements, attributes, text and
@@ -23,9 +23,29 @@
 // method into the node tree, for code that walks it, built from slabs
 // as the parser builds its trees.
 //
+// # Reading
+//
+// There is one scanner, the Reader, the Writer's mirror. Each wire type
+// reads its layout from it in a single decode method, over the bytes
+// received (NewReader), building no tree, or over a tree already built
+// (NewNodeReader), from which it yields the tokens the document would
+// yield. ParseString builds its trees from the same tokens, so reading
+// and parsing accept exactly the same documents. A decoder walks the
+// elements it knows with Child, takes a string-value with Text, builds
+// a tree only for an element that needs one with Node, and calls Close,
+// which reads the rest of the document: a syntax error anywhere wins over
+// an error the decoder found in what it read.
+//
+// What a Reader over bytes returns follows the retention rule below:
+// names, attribute values and text are substrings of the input wherever
+// nothing had to be decoded, and Node's trees share it as ParseString's
+// do. Values that had to be decoded are copied out as they are read.
+// Reading a document that needs no decoding, which is what the Writer
+// writes, allocates nothing: a Reader and its scratch come from a pool.
+//
 // # Accepted grammar
 //
-// The parser is a strict, single-pass scanner that accepts exactly the
+// The scanner is strict and single-pass. It accepts exactly the
 // documents encoding/xml's Decoder.Token accepts in its default strict
 // mode, and builds the same tree the earlier encoding/xml-based builder
 // did (FuzzParse checks both against that builder):
@@ -44,7 +64,8 @@
 //     errors in text, CDATA and attribute values;
 //   - whitespace-only text is dropped unless its element already holds
 //     non-whitespace text, so indentation vanishes and mixed content stays;
-//   - each text run and each CDATA section becomes its own text node;
+//   - each text run and each CDATA section becomes its own text node (a
+//     text token of the Reader);
 //   - comments are kept as written and may not contain "--";
 //   - processing instructions and <!DOCTYPE ...> directives are skipped;
 //     an <?xml ...?> declaration must name version 1.0 and UTF-8, if any.

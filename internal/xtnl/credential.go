@@ -271,30 +271,76 @@ func (c *Credential) SignedBytes() []byte {
 // ErrBadCredential reports a malformed credential document.
 var ErrBadCredential = errors.New("xtnl: malformed credential")
 
-// ParseCredential decodes a Fig. 6-layout credential document.
+// ParseCredential decodes a Fig. 6-layout credential document from its
+// bytes, building no tree. Its strings are substrings of xmlText, under
+// package xmldom's retention rule.
 func ParseCredential(xmlText string) (*Credential, error) {
-	root, err := xmldom.ParseString(xmlText)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadCredential, err)
+	r := xmldom.NewReader(xmlText)
+	c, err := readCredential(r)
+	if serr := r.Close(); serr != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadCredential, serr)
 	}
-	return CredentialFromDOM(root)
+	return c, err
 }
 
 // CredentialFromDOM decodes a credential from an already-parsed tree.
 func CredentialFromDOM(root *xmldom.Node) (*Credential, error) {
-	if root.Name != "credential" {
-		return nil, fmt.Errorf("%w: root element is <%s>, want <credential>", ErrBadCredential, root.Name)
+	r := xmldom.NewNodeReader(root)
+	c, err := readCredential(r)
+	r.Close()
+	return c, err
+}
+
+// readCredential reads the document's root element as a credential.
+func readCredential(r *xmldom.Reader) (*Credential, error) {
+	if !r.Child(0) {
+		return nil, fmt.Errorf("%w: no root element", ErrBadCredential)
+	}
+	return DecodeCredential(r)
+}
+
+// DecodeCredential decodes the credential whose start tag r has just
+// read, reading it to its end: the one decoder of the Fig. 6 layout,
+// over bytes and over trees alike. Of each child the first of its name
+// counts; later repeats and unknown elements are skipped unread. Checks
+// run in the layout's order once the element is read.
+func DecodeCredential(r *xmldom.Reader) (*Credential, error) {
+	if r.Name() != "credential" {
+		return nil, fmt.Errorf("%w: root element is <%s>, want <credential>", ErrBadCredential, r.Name())
 	}
 	c := &Credential{
-		ID:          root.AttrOr("credID", ""),
-		Type:        root.AttrOr("type", ""),
-		Sensitivity: ParseSensitivity(root.AttrOr("sensitivity", "medium")),
+		ID:          r.AttrOr("credID", ""),
+		Type:        r.AttrOr("type", ""),
+		Sensitivity: ParseSensitivity(r.AttrOr("sensitivity", "medium")),
 	}
-	header := root.Child("header")
-	if header == nil {
+	var h header
+	var sig string
+	var haveHeader, haveContent, haveSig bool
+	for d := r.Depth(); r.Child(d); {
+		switch r.Name() {
+		case "header":
+			if !haveHeader {
+				haveHeader = true
+				h.read(r)
+			}
+		case "content":
+			if !haveContent {
+				haveContent = true
+				for d := r.Depth(); r.Child(d); {
+					c.Attributes = append(c.Attributes, Attribute{Name: r.Name(), Value: r.Text()})
+				}
+			}
+		case "signature":
+			if !haveSig {
+				haveSig = true
+				sig = r.Text()
+			}
+		}
+	}
+	if !haveHeader {
 		return nil, fmt.Errorf("%w: missing <header>", ErrBadCredential)
 	}
-	if ht := header.ChildText("credType"); ht != "" {
+	if ht := h.field[hCredType]; ht != "" {
 		if c.Type != "" && ht != c.Type {
 			return nil, fmt.Errorf("%w: type attribute %q disagrees with credType %q", ErrBadCredential, c.Type, ht)
 		}
@@ -303,9 +349,9 @@ func CredentialFromDOM(root *xmldom.Node) (*Credential, error) {
 	if c.Type == "" {
 		return nil, fmt.Errorf("%w: no credential type", ErrBadCredential)
 	}
-	c.Issuer = header.ChildText("issuer")
-	c.Holder = header.ChildText("holder")
-	if hk := header.ChildText("holderKey"); hk != "" {
+	c.Issuer = h.field[hIssuer]
+	c.Holder = h.field[hHolder]
+	if hk := h.field[hHolderKey]; hk != "" {
 		b, err := base64.StdEncoding.DecodeString(hk)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad holderKey: %w", ErrBadCredential, err)
@@ -323,24 +369,54 @@ func CredentialFromDOM(root *xmldom.Node) (*Credential, error) {
 		}
 		return t
 	}
-	c.ValidFrom = parseTime(header.ChildText("issue_Date"))
-	c.ValidUntil = parseTime(header.ChildText("expiration_Date"))
+	c.ValidFrom = parseTime(h.field[hIssueDate])
+	c.ValidUntil = parseTime(h.field[hExpirationDate])
 	if perr != nil {
 		return nil, perr
 	}
-	if content := root.Child("content"); content != nil {
-		for _, el := range content.Elements() {
-			c.Attributes = append(c.Attributes, Attribute{Name: el.Name, Value: el.Text()})
-		}
-	}
-	if sig := root.Child("signature"); sig != nil {
-		b, err := base64.StdEncoding.DecodeString(strings.TrimSpace(sig.Text()))
+	if haveSig {
+		b, err := base64.StdEncoding.DecodeString(strings.TrimSpace(sig))
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad signature encoding: %w", ErrBadCredential, err)
 		}
 		c.Signature = b
 	}
 	return c, nil
+}
+
+// The <header> children of the Fig. 6 layout, in header.field.
+const (
+	hCredType = iota
+	hIssuer
+	hHolder
+	hHolderKey
+	hIssueDate
+	hExpirationDate
+	nHeader
+)
+
+var headerNames = [nHeader]string{"credType", "issuer", "holder", "holderKey", "issue_Date", "expiration_Date"}
+
+// header is a credential's <header> as read: each field's string-value,
+// "" when absent.
+type header struct {
+	field [nHeader]string
+	seen  [nHeader]bool
+}
+
+// read reads the <header> element whose start tag r has just read.
+func (h *header) read(r *xmldom.Reader) {
+	for d := r.Depth(); r.Child(d); {
+		for i, name := range headerNames {
+			if r.Name() == name {
+				if !h.seen[i] {
+					h.seen[i] = true
+					h.field[i] = r.Text()
+				}
+				break
+			}
+		}
+	}
 }
 
 // Clone returns a deep copy of the credential.

@@ -179,51 +179,100 @@ func (p Policy) XML() string { return xmldom.String(p.Encode) }
 // ErrBadPolicy reports a malformed policy document.
 var ErrBadPolicy = errors.New("xtnl: malformed policy")
 
-// ParsePolicy decodes a Fig. 7-layout policy document.
+// ParsePolicy decodes a Fig. 7-layout policy document from its bytes,
+// building no tree.
 func ParsePolicy(xmlText string) (*Policy, error) {
-	root, err := xmldom.ParseString(xmlText)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadPolicy, err)
+	r := xmldom.NewReader(xmlText)
+	p, err := readPolicy(r)
+	if serr := r.Close(); serr != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadPolicy, serr)
 	}
-	return PolicyFromDOM(root)
+	return p, err
 }
 
 // PolicyFromDOM decodes a policy from an already-parsed tree.
 func PolicyFromDOM(root *xmldom.Node) (*Policy, error) {
-	if root.Name != "policy" {
-		return nil, fmt.Errorf("%w: root element is <%s>, want <policy>", ErrBadPolicy, root.Name)
+	r := xmldom.NewNodeReader(root)
+	p, err := readPolicy(r)
+	r.Close()
+	return p, err
+}
+
+// readPolicy reads the document's root element as a policy.
+func readPolicy(r *xmldom.Reader) (*Policy, error) {
+	if !r.Child(0) {
+		return nil, fmt.Errorf("%w: no root element", ErrBadPolicy)
 	}
-	p := &Policy{ID: root.AttrOr("polID", "")}
-	res := root.Child("resource")
-	if res == nil {
+	return DecodePolicy(r)
+}
+
+// DecodePolicy decodes the policy whose start tag r has just read,
+// reading it to its end: the one decoder of the Fig. 7 layout, over
+// bytes and over trees alike. The first <resource> and <properties>
+// count, every <certificate>, <certCond> and <concept> does; a delivery
+// rule reads no terms.
+func DecodePolicy(r *xmldom.Reader) (*Policy, error) {
+	if r.Name() != "policy" {
+		return nil, fmt.Errorf("%w: root element is <%s>, want <policy>", ErrBadPolicy, r.Name())
+	}
+	p := &Policy{ID: r.AttrOr("polID", "")}
+	deliver := r.AttrOr("type", "disclosure") == "delivery"
+	var haveRes, haveProps bool
+	var terms []Term
+	var concepts []string
+	for d := r.Depth(); r.Child(d); {
+		switch r.Name() {
+		case "resource":
+			if !haveRes {
+				haveRes = true
+				p.Resource = r.AttrOr("target", "")
+			}
+		case "properties":
+			if !haveProps && !deliver {
+				haveProps = true
+				terms = readTerms(r)
+			}
+		case "concept":
+			concepts = append(concepts, r.AttrOr("name", ""))
+		}
+	}
+	if !haveRes {
 		return nil, fmt.Errorf("%w: missing <resource>", ErrBadPolicy)
 	}
-	p.Resource = res.AttrOr("target", "")
 	if p.Resource == "" {
 		return nil, fmt.Errorf("%w: <resource> without target", ErrBadPolicy)
 	}
-	if root.AttrOr("type", "disclosure") == "delivery" {
+	if deliver {
 		p.Deliver = true
 		return p, nil
 	}
-	props := root.Child("properties")
-	if props == nil {
+	if !haveProps {
 		return nil, fmt.Errorf("%w: disclosure policy for %s without <properties>", ErrBadPolicy, p.Resource)
 	}
-	for _, cert := range props.Childs("certificate") {
-		t := Term{CredType: cert.AttrOr("targetCertType", cert.AttrOr("var", ""))}
-		for _, cc := range cert.Childs("certCond") {
-			t.Conditions = append(t.Conditions, strings.TrimSpace(cc.Text()))
-		}
-		p.Terms = append(p.Terms, t)
-	}
-	for _, cn := range root.Childs("concept") {
-		p.Concepts = append(p.Concepts, cn.AttrOr("name", ""))
-	}
+	p.Terms, p.Concepts = terms, concepts
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadPolicy, err)
 	}
 	return p, nil
+}
+
+// readTerms reads the <properties> element whose start tag r has just
+// read: one term per <certificate>.
+func readTerms(r *xmldom.Reader) []Term {
+	var terms []Term
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() != "certificate" {
+			continue
+		}
+		t := Term{CredType: r.AttrOr("targetCertType", r.AttrOr("var", ""))}
+		for d := r.Depth(); r.Child(d); {
+			if r.Name() == "certCond" {
+				t.Conditions = append(t.Conditions, strings.TrimSpace(r.Text()))
+			}
+		}
+		terms = append(terms, t)
+	}
+	return terms
 }
 
 // PolicySet is a party's collection of disclosure policies, indexed by
