@@ -90,11 +90,13 @@ func TestClusterChaosTorture(t *testing.T) {
 				out, err := cli.Negotiate(bg, chaosResource)
 				resumes := 0
 				var graceUntil time.Time
+				history := resumeLog{start: time.Now()}
 				for err != nil {
 					var se *wsrpc.SuspendedError
 					if !errors.As(err, &se) {
 						break
 					}
+					history.seen(err)
 					resumes++
 					// While the chaos is running a session may suspend over
 					// and over; once it stops, convergence is bounded.
@@ -104,20 +106,21 @@ func TestClusterChaosTorture(t *testing.T) {
 							graceUntil = time.Now().Add(resumeGrace)
 						}
 						if time.Now().After(graceUntil) {
-							errCh <- fmt.Errorf("worker %d: acked session lost, no convergence after heal: %w", w, err)
+							errCh <- fmt.Errorf("worker %d: acked session lost, no convergence after heal: %w\n%s", w, err, &history)
 							return
 						}
 					default:
 					}
 					time.Sleep(10 * time.Millisecond)
 					cli.BaseURL = c.liveBase()
+					history.targets = append(history.targets, c.nameOf(cli.BaseURL))
 					out, err = cli.Resume(bg, se.Ticket)
 				}
 				if err != nil {
 					if resumes > 0 {
 						// The session had acked progress (it suspended) and then
 						// failed non-resumably: that is a lost session.
-						errCh <- fmt.Errorf("worker %d: resumed session failed non-resumably: %w", w, err)
+						errCh <- fmt.Errorf("worker %d: resumed session failed non-resumably: %w\n%s", w, err, &history)
 						return
 					}
 					// Failed before anything was acked (e.g. start hit a node
@@ -345,4 +348,55 @@ func TestRedirectMisroutedExchange(t *testing.T) {
 	if !c.get("n2").tn.HasSession(id) {
 		t.Fatalf("owner n2 never saw redirected session %s", id)
 	}
+}
+
+// resumeLog is one suspended session's history, reported when it does
+// not converge: the node each resume went to, and every distinct error
+// seen, with its count and its first and last occurrence since the
+// session started.
+type resumeLog struct {
+	start   time.Time
+	targets []string
+	errs    []seenError
+}
+
+type seenError struct {
+	msg         string
+	count       int
+	first, last time.Duration
+}
+
+func (l *resumeLog) seen(err error) {
+	at := time.Since(l.start).Round(time.Millisecond)
+	msg := err.Error()
+	for i := range l.errs {
+		if l.errs[i].msg == msg {
+			l.errs[i].count++
+			l.errs[i].last = at
+			return
+		}
+	}
+	l.errs = append(l.errs, seenError{msg: msg, count: 1, first: at, last: at})
+}
+
+func (l *resumeLog) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "  %d resumes, to: %s\n", len(l.targets), strings.Join(l.targets, " "))
+	for _, e := range l.errs {
+		fmt.Fprintf(&b, "  %d× (first %v, last %v): %s\n", e.count, e.first, e.last, e.msg)
+	}
+	return b.String()
+}
+
+// nameOf names the live node serving base, or returns base when none
+// does.
+func (c *testCluster) nameOf(base string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, tn := range c.nodes {
+		if tn.srv.URL == base {
+			return name
+		}
+	}
+	return base
 }

@@ -3,12 +3,14 @@ package negotiation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"trustvo/internal/ontology"
 	"trustvo/internal/pki"
 	"trustvo/internal/telemetry"
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -67,12 +69,13 @@ type Endpoint struct {
 	peer     string
 	resource string
 
-	tree   *Tree
-	chosen map[string]candidate // my COMPLY nodes -> credential to disclose
-	// chosenAlts maps my EXPANDED nodes to the candidate backing each
-	// policy alternative, so the disclosure matches whichever
-	// alternative the trust sequence satisfied.
-	chosenAlts map[string][]candidate
+	// tree is the endpoint's copy of the negotiation tree. Its nodes
+	// also carry what the endpoint chose for the nodes it owns: the
+	// credential behind a COMPLY node, the candidate behind each
+	// alternative of an EXPANDED one (so the disclosure matches whichever
+	// alternative the trust sequence satisfied), and which nodes'
+	// credentials have been disclosed.
+	tree *Tree
 
 	seq    []SequenceEntry
 	seqPos int
@@ -80,9 +83,9 @@ type Endpoint struct {
 	phase         phase
 	rounds        int
 	peerProof     bool   // peer demands ownership proofs
-	lastNonceRecv []byte // peer's latest challenge (sign this)
-	lastNonceSent []byte // my latest challenge (peer signs this)
-	disclosed     map[string]bool
+	lastNonceRecv []byte // peer's latest challenge (sign this); in nonces[0] when it fits
+	lastNonceSent []byte // my latest challenge (peer signs this); in nonces[1] when it fits
+	nonces        [2][pki.NonceSize]byte
 
 	// telemetry state (see instrument.go); zero-valued when the party
 	// carries neither a Metrics registry nor a Recorder.
@@ -97,26 +100,13 @@ type Endpoint struct {
 
 // NewRequester creates the requesting endpoint for resource.
 func NewRequester(p *Party, resource string) *Endpoint {
-	return &Endpoint{
-		party:      p,
-		role:       Requester,
-		resource:   resource,
-		chosen:     make(map[string]candidate),
-		chosenAlts: make(map[string][]candidate),
-		disclosed:  make(map[string]bool),
-	}
+	return &Endpoint{party: p, role: Requester, resource: resource}
 }
 
 // NewController creates the controlling endpoint; the resource is
 // learned from the incoming MsgRequest.
 func NewController(p *Party) *Endpoint {
-	return &Endpoint{
-		party:      p,
-		role:       Controller,
-		chosen:     make(map[string]candidate),
-		chosenAlts: make(map[string][]candidate),
-		disclosed:  make(map[string]bool),
-	}
+	return &Endpoint{party: p, role: Controller}
 }
 
 // Done reports whether the negotiation has finished on this endpoint.
@@ -142,23 +132,20 @@ func (e *Endpoint) Start() (*Message, error) {
 	}
 	e.begin()
 	e.tree = NewTree(e.resource, "") // controller name learned from reply
-	nonce, err := pki.NewNonce()
-	if err != nil {
-		return nil, err
-	}
-	e.lastNonceSent = nonce
-	e.rounds++
 	m := &Message{
 		Type:         MsgRequest,
 		From:         e.party.Name,
 		Resource:     e.resource,
 		Strategy:     e.party.Strategy,
 		RequireProof: e.party.Strategy.RequiresOwnershipProof(),
-		Nonce:        nonce,
 		// Present a cached trust ticket, if any: the controller may
 		// grant immediately, skipping both negotiation phases.
 		Ticket: e.party.Tickets.GetByResource(e.resource, e.party.now()),
 	}
+	if err := e.challenge(m); err != nil {
+		return nil, err
+	}
+	e.rounds++
 	if e.party.Trace != nil {
 		e.party.Trace("send", m)
 	}
@@ -184,7 +171,7 @@ func (e *Endpoint) Handle(in *Message) (*Message, error) {
 		return e.fail("round limit exceeded"), nil
 	}
 	if len(in.Nonce) > 0 {
-		e.lastNonceRecv = in.Nonce
+		e.lastNonceRecv = append(e.nonces[0][:0], in.Nonce...)
 	}
 	if in.RequireProof {
 		e.peerProof = true
@@ -249,7 +236,6 @@ func (e *Endpoint) handleRequest(in *Message) (*Message, error) {
 			return e.grant()
 		}
 	}
-	var alts [][]xtnl.Term
 	outPols := pols
 	if e.party.AbstractLevels > 0 && e.party.Mapper != nil {
 		outPols = make([]*xtnl.Policy, len(pols))
@@ -257,14 +243,15 @@ func (e *Endpoint) handleRequest(in *Message) (*Message, error) {
 			outPols[i] = ontology.Abstract(pol, e.party.Mapper.Ontology, e.party.AbstractLevels)
 		}
 	}
+	var buf [4][]xtnl.Term
+	alts := buf[:0]
 	for _, pol := range outPols {
 		alts = append(alts, pol.Terms)
 	}
 	if _, err := e.tree.Expand(RootID, alts, e.peer); err != nil {
 		return e.fail("internal: " + err.Error()), nil
 	}
-	reply, err := e.evalReply([]Answer{{NodeID: RootID, Kind: AnswerPolicies, Policies: outPols}})
-	return reply, err
+	return e.evalReply(&Answer{NodeID: RootID, Kind: AnswerPolicies, Policies: outPols})
 }
 
 func (e *Endpoint) handlePolicy(in *Message) (*Message, error) {
@@ -315,10 +302,11 @@ func (e *Endpoint) applyAnswer(a *Answer) *Message {
 			if _, failMsg := e.verifyDisclosure(a.Disclosure, n.Term); failMsg != nil {
 				return failMsg
 			}
-			e.disclosed[a.NodeID] = true
+			n.disclosed = true
 		}
 	case AnswerPolicies:
-		var alts [][]xtnl.Term
+		var buf [4][]xtnl.Term
+		alts := buf[:0]
 		for _, p := range a.Policies {
 			if p.Deliver || len(p.Terms) == 0 {
 				return e.fail(fmt.Sprintf("invalid protecting policy for node %s", a.NodeID))
@@ -336,16 +324,22 @@ func (e *Endpoint) applyAnswer(a *Answer) *Message {
 }
 
 // evalReply computes the next phase-1 message: answers to my open nodes
-// (prepended by preAnswers the caller already produced), or — when the
-// tree is complete — the trust-sequence proposal / failure.
-func (e *Endpoint) evalReply(preAnswers []Answer) (*Message, error) {
-	answers := preAnswers
-	open := e.tree.OpenNodes(e.party.Name)
-	for _, id := range open {
+// (after pre, an answer the caller already produced, when not nil), or —
+// when the tree is complete — the trust-sequence proposal / failure.
+func (e *Endpoint) evalReply(pre *Answer) (*Message, error) {
+	var buf [8]*Node
+	open := e.tree.appendOpen(buf[:0], e.party.Name)
+	var answers []Answer
+	if pre != nil {
+		answers = append(make([]Answer, 0, 1+len(open)), *pre)
+	} else if len(open) > 0 {
+		answers = make([]Answer, 0, len(open))
+	}
+	for _, n := range open {
 		if e.party.Strategy.OneAnswerPerMessage() && len(answers) >= 1 {
 			break // strong-suspicious: one answer per message
 		}
-		a, err := e.answerNode(id)
+		a, err := e.answerNode(n)
 		if err != nil {
 			return e.fail(err.Error()), nil
 		}
@@ -382,11 +376,12 @@ func (e *Endpoint) evalReply(preAnswers []Answer) (*Message, error) {
 }
 
 // answerNode evaluates one of my open nodes (Algorithm-1-backed).
-func (e *Endpoint) answerNode(id string) (Answer, error) {
-	n := e.tree.Node(id)
-	cands, err := e.party.resolveTerm(n.Term)
+func (e *Endpoint) answerNode(n *Node) (Answer, error) {
+	id := n.ID
+	var buf [4]candidate
+	cands, err := e.party.resolveTerm(buf[:0], n.Term)
 	if err != nil {
-		e.tree.Deny(id)
+		n.State = StateDenied
 		return Answer{NodeID: id, Kind: AnswerDeny, Reason: "credential not possessed"}, nil
 	}
 	if e.tree.HasAncestorTerm(id, e.party.Name, n.Term) {
@@ -397,36 +392,12 @@ func (e *Endpoint) answerNode(id string) (Answer, error) {
 		// answered by "PrivacyRegulator ← PrivacyRegulator"): both
 		// parties hold the credential and exchange mutually; the trust
 		// sequence dedupes the repeated entry.
-		e.chosen[id] = cands[0]
-		e.tree.Comply(id)
-		a := Answer{NodeID: id, Kind: AnswerComply}
-		if e.party.Strategy.EagerDisclosure() {
-			d, err := e.buildDisclosure(id, cands[0])
-			if err != nil {
-				return Answer{}, err
-			}
-			a.Disclosure = d
-			e.disclosed[id] = true
-			e.recordSent(id, cands[0])
-		}
-		return a, nil
+		return e.comply(n, cands[0])
 	}
 	// Prefer a freely disclosable candidate (least sensitive first).
 	for _, c := range cands {
 		if _, free := e.party.protectingPolicies(c.cred.Type); free {
-			e.chosen[id] = c
-			e.tree.Comply(id)
-			a := Answer{NodeID: id, Kind: AnswerComply}
-			if e.party.Strategy.EagerDisclosure() {
-				d, err := e.buildDisclosure(id, c)
-				if err != nil {
-					return Answer{}, err
-				}
-				a.Disclosure = d
-				e.disclosed[id] = true
-				e.recordSent(id, c)
-			}
-			return a, nil
+			return e.comply(n, c)
 		}
 	}
 	// Every candidate is protected: expose the protecting policies of
@@ -435,20 +406,19 @@ func (e *Endpoint) answerNode(id string) (Answer, error) {
 	// whichever branch the trust sequence satisfies.
 	var pickPols []*xtnl.Policy
 	var altCands []candidate
-	seenType := make(map[string]bool)
-	for _, c := range cands {
-		if seenType[c.cred.Type] {
+	for i, c := range cands {
+		if slices.ContainsFunc(cands[:i], func(o candidate) bool { return o.cred.Type == c.cred.Type }) {
 			continue // same-type candidates share policies
 		}
-		seenType[c.cred.Type] = true
 		pols, _ := e.party.protectingPolicies(c.cred.Type)
 		for _, p := range pols {
 			pickPols = append(pickPols, p)
 			altCands = append(altCands, c)
 		}
 	}
-	e.chosenAlts[id] = altCands
-	var alts [][]xtnl.Term
+	n.altPicks = altCands
+	var altBuf [4][]xtnl.Term
+	alts := altBuf[:0]
 	for _, p := range pickPols {
 		alts = append(alts, p.Terms)
 	}
@@ -456,6 +426,23 @@ func (e *Endpoint) answerNode(id string) (Answer, error) {
 		return Answer{}, err
 	}
 	return Answer{NodeID: id, Kind: AnswerPolicies, Policies: pickPols}, nil
+}
+
+// comply answers my node n COMPLY with candidate c, attaching the
+// disclosure at once under an eager strategy.
+func (e *Endpoint) comply(n *Node, c candidate) (Answer, error) {
+	n.pick = c
+	n.State = StateComply
+	a := Answer{NodeID: n.ID, Kind: AnswerComply}
+	if e.party.Strategy.EagerDisclosure() {
+		a.Disclosure = new(CredentialDisclosure)
+		if err := e.buildDisclosure(a.Disclosure, n, c); err != nil {
+			return Answer{}, err
+		}
+		n.disclosed = true
+		e.recordSent(n.ID, c)
+	}
+	return a, nil
 }
 
 // ---- phase 2: credential exchange ----
@@ -498,6 +485,10 @@ func (e *Endpoint) handleCredential(in *Message) (*Message, error) {
 // trust sequence, advancing the position. It returns a MsgFail on any
 // violation.
 func (e *Endpoint) processDisclosures(ds []CredentialDisclosure) *Message {
+	if len(ds) > 0 {
+		out := e.ensureOutcome()
+		out.Received = slices.Grow(out.Received, len(ds))
+	}
 	for i := range ds {
 		d := &ds[i]
 		e.skipDisclosed()
@@ -514,7 +505,7 @@ func (e *Endpoint) processDisclosures(ds []CredentialDisclosure) *Message {
 		if _, failMsg := e.verifyDisclosure(d, entry.Term); failMsg != nil {
 			return failMsg
 		}
-		e.disclosed[entry.NodeID] = true
+		entry.node.disclosed = true
 		e.seqPos++
 	}
 	return nil
@@ -523,7 +514,7 @@ func (e *Endpoint) processDisclosures(ds []CredentialDisclosure) *Message {
 // skipDisclosed advances seqPos past entries already handled (eager
 // trusting disclosures).
 func (e *Endpoint) skipDisclosed() {
-	for e.seqPos < len(e.seq) && e.disclosed[e.seq[e.seqPos].NodeID] {
+	for e.seqPos < len(e.seq) && e.seq[e.seqPos].node.disclosed {
 		e.seqPos++
 	}
 }
@@ -556,36 +547,55 @@ func (e *Endpoint) exchangeTurn() (*Message, error) {
 // sequence entries owned by this endpoint, starting at the current
 // position. An empty run is fine (nil, nil).
 func (e *Endpoint) discloseRun() ([]CredentialDisclosure, *Message) {
-	var ds []CredentialDisclosure
-	for e.seqPos < len(e.seq) {
-		e.skipDisclosed()
-		if e.seqPos >= len(e.seq) || e.seq[e.seqPos].Owner != e.party.Name {
+	e.skipDisclosed()
+	run := 0
+	for _, s := range e.seq[e.seqPos:] {
+		if s.node.disclosed {
+			continue
+		}
+		if s.Owner != e.party.Name {
 			break
 		}
-		cur := e.seq[e.seqPos]
-		pick, ok := e.chosen[cur.NodeID]
+		run++
+	}
+	if run == 0 {
+		return nil, nil
+	}
+	ds := make([]CredentialDisclosure, 0, run)
+	out := e.ensureOutcome()
+	out.Sent = slices.Grow(out.Sent, run)
+	for len(ds) < run {
+		e.skipDisclosed()
+		n := e.seq[e.seqPos].node
+		pick, ok := n.chosen()
 		if !ok {
-			// Expanded node: disclose the candidate backing the
-			// alternative the trust sequence actually satisfied.
-			if ai := e.tree.ChosenAlt(cur.NodeID); ai >= 0 {
-				if alts := e.chosenAlts[cur.NodeID]; ai < len(alts) {
-					pick, ok = alts[ai], true
-				}
-			}
+			return nil, e.fail("internal: no chosen credential for node " + n.ID)
 		}
-		if !ok {
-			return nil, e.fail("internal: no chosen credential for node " + cur.NodeID)
-		}
-		d, err := e.buildDisclosure(cur.NodeID, pick)
-		if err != nil {
+		ds = ds[:len(ds)+1]
+		if err := e.buildDisclosure(&ds[len(ds)-1], n, pick); err != nil {
 			return nil, e.fail(err.Error())
 		}
-		ds = append(ds, *d)
-		e.disclosed[cur.NodeID] = true
-		e.recordSent(cur.NodeID, pick)
+		n.disclosed = true
+		e.recordSent(n.ID, pick)
 		e.seqPos++
 	}
+	e.skipDisclosed()
 	return ds, nil
+}
+
+// chosen returns the credential to disclose for my node n: a COMPLY
+// node's pick, or for an expanded node the candidate backing the
+// alternative the trust sequence actually satisfied.
+func (n *Node) chosen() (candidate, bool) {
+	if n.pick.cred != nil {
+		return n.pick, true
+	}
+	if n.State == StateExpanded {
+		if ai := n.chosenAlt(); ai >= 0 && ai < len(n.altPicks) {
+			return n.altPicks[ai], true
+		}
+	}
+	return candidate{}, false
 }
 
 // ErrSelectiveRequired reports the §6.3 restriction: a suspicious-family
@@ -594,18 +604,18 @@ func (e *Endpoint) discloseRun() ([]CredentialDisclosure, *Message) {
 var ErrSelectiveRequired = errors.New(
 	"negotiation: strategy requires selective disclosure but credential format cannot partially hide content (§6.3)")
 
-// buildDisclosure assembles the wire disclosure for a chosen candidate.
-func (e *Endpoint) buildDisclosure(nodeID string, pick candidate) (*CredentialDisclosure, error) {
-	d := &CredentialDisclosure{NodeID: nodeID}
-	term := e.tree.Node(nodeID).Term
+// buildDisclosure fills d, the wire disclosure of my node n, for its
+// chosen candidate.
+func (e *Endpoint) buildDisclosure(d *CredentialDisclosure, n *Node, pick candidate) error {
+	d.NodeID = n.ID
 	if e.party.Strategy.RequiresSelectiveDisclosure() {
 		if pick.selective == nil {
-			return nil, ErrSelectiveRequired
+			return ErrSelectiveRequired
 		}
-		names := conditionAttributes(term.Conditions, pick.cred)
+		names := conditionAttributes(n.Term.Conditions, pick.cred)
 		disc, err := pick.selective.Disclose(names...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.Committed = disc.Committed
 		for _, o := range disc.Opened {
@@ -625,7 +635,7 @@ func (e *Endpoint) buildDisclosure(nodeID string, pick candidate) (*CredentialDi
 			// openings so the receiver can verify the signature.
 			disc, err := pick.selective.Disclose(pick.selective.AttributeNames()...)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			d.Credential = nil
 			d.Committed = disc.Committed
@@ -636,15 +646,15 @@ func (e *Endpoint) buildDisclosure(nodeID string, pick candidate) (*CredentialDi
 	}
 	if e.peerProof {
 		if e.party.Keys == nil {
-			return nil, errors.New("negotiation: counterpart demands ownership proofs but party has no keys")
+			return errors.New("negotiation: counterpart demands ownership proofs but party has no keys")
 		}
 		if len(e.lastNonceRecv) == 0 {
-			return nil, errors.New("negotiation: no challenge nonce to prove ownership against")
+			return errors.New("negotiation: no challenge nonce to prove ownership against")
 		}
 		d.OwnershipProof = pki.ProveOwnership(e.party.Keys, e.lastNonceRecv)
 	}
 	d.Chain = e.party.Chains
-	return d, nil
+	return nil
 }
 
 // verifyDisclosure checks one received disclosure against the expected
@@ -655,6 +665,7 @@ func (e *Endpoint) verifyDisclosure(d *CredentialDisclosure, term xtnl.Term) (*x
 	now := e.party.now()
 	var view *xtnl.Credential
 	var committed *xtnl.Credential
+	var dom *xmldom.Node // view's document tree, when the trust store keeps one
 	switch {
 	case d.Committed != nil:
 		committed = d.Committed
@@ -672,7 +683,13 @@ func (e *Endpoint) verifyDisclosure(d *CredentialDisclosure, term xtnl.Term) (*x
 		view = v
 	case d.Credential != nil:
 		committed = d.Credential
-		if _, err := e.party.Trust.VerifyChain(d.Credential, d.Chain, now); err != nil {
+		var err error
+		if e.needsDOM(term) {
+			_, dom, err = e.party.Trust.VerifyChainDOM(d.Credential, d.Chain, now)
+		} else {
+			_, err = e.party.Trust.VerifyChain(d.Credential, d.Chain, now)
+		}
+		if err != nil {
 			return nil, e.failVerify("credential verification failed: " + err.Error())
 		}
 		view = d.Credential
@@ -694,7 +711,7 @@ func (e *Endpoint) verifyDisclosure(d *CredentialDisclosure, term xtnl.Term) (*x
 			return nil, e.failVerify("ownership proof failed: " + err.Error())
 		}
 	}
-	if !e.termSatisfied(term, view) {
+	if !e.termSatisfied(term, view, dom) {
 		return nil, e.failVerify(fmt.Sprintf("disclosed credential %s does not satisfy term %s", view.ID, term))
 	}
 	e.countDisclosureReceived()
@@ -704,12 +721,20 @@ func (e *Endpoint) verifyDisclosure(d *CredentialDisclosure, term xtnl.Term) (*x
 	return view, nil
 }
 
+// needsDOM reports whether checking term may evaluate conditions over a
+// credential's document tree.
+func (e *Endpoint) needsDOM(term xtnl.Term) bool {
+	_, isConcept := ontology.AsConceptRef(term.CredType)
+	return len(term.Conditions) > 0 || isConcept
+}
+
 // termSatisfied checks a credential against a term, resolving concept
-// references through the receiver's ontology.
-func (e *Endpoint) termSatisfied(term xtnl.Term, cred *xtnl.Credential) bool {
+// references through the receiver's ontology. dom is cred's document
+// tree when the caller holds one, else nil.
+func (e *Endpoint) termSatisfied(term xtnl.Term, cred *xtnl.Credential, dom *xmldom.Node) bool {
 	concept, isConcept := ontology.AsConceptRef(term.CredType)
 	if !isConcept {
-		return term.SatisfiedBy(cred)
+		return term.SatisfiedByDOM(cred, dom)
 	}
 	if e.party.Mapper == nil {
 		return false
@@ -725,7 +750,7 @@ func (e *Endpoint) termSatisfied(term xtnl.Term, cred *xtnl.Credential) bool {
 		return false
 	}
 	conds := e.party.Mapper.Ontology.ToImplConditions(concept, cred.Type, term.Conditions)
-	return xtnl.Term{Conditions: conds}.SatisfiedBy(cred)
+	return xtnl.Term{Conditions: conds}.SatisfiedByDOM(cred, dom)
 }
 
 // conditionAttributes extracts the content-attribute names referenced by
@@ -849,12 +874,9 @@ func (e *Endpoint) send(m *Message) (*Message, error) {
 	if e.party.Strategy.RequiresOwnershipProof() {
 		m.RequireProof = true
 	}
-	nonce, err := pki.NewNonce()
-	if err != nil {
+	if err := e.challenge(m); err != nil {
 		return nil, err
 	}
-	m.Nonce = nonce
-	e.lastNonceSent = nonce
 	e.rounds++
 	if e.party.Trace != nil {
 		e.party.Trace("send", m)
@@ -862,32 +884,13 @@ func (e *Endpoint) send(m *Message) (*Message, error) {
 	return m, nil
 }
 
-// Dead reports whether the subtree rooted at id can no longer succeed:
-// the node is denied, or it is expanded and every alternative contains a
-// dead child. Open nodes are not dead (still undetermined).
-func (t *Tree) Dead(id string) bool {
-	n := t.nodes[id]
-	if n == nil {
-		return true
+// challenge draws a fresh nonce into m and remembers it as the
+// challenge the peer's next proofs must sign.
+func (e *Endpoint) challenge(m *Message) error {
+	if err := pki.ReadNonce(&m.nonce); err != nil {
+		return err
 	}
-	switch n.State {
-	case StateDenied:
-		return true
-	case StateExpanded:
-		for ai := range n.Alts {
-			altDead := false
-			for _, cid := range n.Alts[ai] {
-				if t.Dead(cid) {
-					altDead = true
-					break
-				}
-			}
-			if !altDead {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
+	m.Nonce = m.nonce[:]
+	e.lastNonceSent = append(e.nonces[1][:0], m.Nonce...)
+	return nil
 }

@@ -126,12 +126,11 @@ func (c candidate) sensitivity() xtnl.Sensitivity {
 // errNoCandidate reports that the party holds nothing satisfying a term.
 var errNoCandidate = errors.New("negotiation: no satisfying credential")
 
-// resolveTerm finds the party's candidates for a term, least sensitive
-// first. Concept-level terms go through the ontology mapper; plain terms
-// through the profile; selective credentials are matched on their clear
-// views.
-func (p *Party) resolveTerm(term xtnl.Term) ([]candidate, error) {
-	var out []candidate
+// resolveTerm appends the party's candidates for a term to out, least
+// sensitive first. Concept-level terms go through the ontology mapper;
+// plain terms through the profile; selective credentials are matched on
+// their clear views.
+func (p *Party) resolveTerm(out []candidate, term xtnl.Term) ([]candidate, error) {
 
 	// Selective credentials: match the term against the clear view.
 	for _, sc := range p.Selective {
@@ -190,7 +189,8 @@ func (p *Party) resolveTerm(term xtnl.Term) ([]candidate, error) {
 		return sortCandidates(out), nil
 	}
 
-	for _, c := range p.Profile.Satisfying(term) {
+	var buf [4]*xtnl.Credential
+	for _, c := range p.Profile.AppendSatisfying(buf[:0], term) {
 		out = append(out, candidate{cred: c})
 	}
 	if len(out) == 0 {

@@ -89,6 +89,10 @@ func refMessageFromDOM(root *xmldom.Node) (*Message, error) {
 		if m.Nonce, err = b64(n.Text()); err != nil {
 			return nil, fmt.Errorf("%w: nonce: %w", ErrBadMessage, err)
 		}
+		if m.Nonce != nil && len(m.Nonce) <= len(m.nonce) {
+			// the decoder keeps a nonce that fits in the message's array
+			m.Nonce = append(m.nonce[:0], m.Nonce...)
+		}
 	}
 	if g := root.Child("grant"); g != nil {
 		if m.Grant, err = b64(g.Text()); err != nil {

@@ -1,7 +1,6 @@
 package negotiation
 
 import (
-	"encoding/base64"
 	"fmt"
 	"slices"
 	"strconv"
@@ -71,29 +70,33 @@ func (e *Endpoint) EncodeSnapshot(w *xmldom.Writer) {
 		w.AttrBase64("nonceSent", e.lastNonceSent)
 	}
 	encodeTree(w, e.tree)
-	var buf [16]string // the key lists below stay on the stack for small trees
-	if len(e.disclosed) > 0 {
-		ids := buf[:0]
-		for id, ok := range e.disclosed {
-			if ok {
-				ids = append(ids, id)
-			}
+	var buf [16]string // the disclosed list stays on the stack for small trees
+	ids := buf[:0]
+	for _, n := range e.tree.index {
+		if n.disclosed {
+			ids = append(ids, n.ID)
 		}
-		slices.Sort(ids)
+	}
+	if len(ids) > 0 {
 		w.Start("disclosed")
 		w.Text(strings.Join(ids, " "))
 		w.End()
 	}
-	for _, id := range appendSortedKeys(buf[:0], e.chosen) {
-		w.Start("chosen")
-		w.Attr("node", id)
-		w.Attr("credential", e.chosen[id].cred.ID)
-		w.End()
+	for _, n := range e.tree.index {
+		if n.pick.cred != nil {
+			w.Start("chosen")
+			w.Attr("node", n.ID)
+			w.Attr("credential", n.pick.cred.ID)
+			w.End()
+		}
 	}
-	for _, id := range appendSortedKeys(buf[:0], e.chosenAlts) {
+	for _, n := range e.tree.index {
+		if n.altPicks == nil {
+			continue
+		}
 		w.Start("chosenAlts")
-		w.Attr("node", id)
-		for _, c := range e.chosenAlts[id] {
+		w.Attr("node", n.ID)
+		for _, c := range n.altPicks {
 			w.Start("cand")
 			if c.cred != nil {
 				w.Attr("credential", c.cred.ID)
@@ -123,12 +126,9 @@ func RestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
 		return nil, fmt.Errorf("negotiation: expected <negotiationState>, got %v", nodeName(root))
 	}
 	e := &Endpoint{
-		party:      p,
-		resource:   root.AttrOr("resource", ""),
-		peer:       root.AttrOr("peer", ""),
-		chosen:     make(map[string]candidate),
-		chosenAlts: make(map[string][]candidate),
-		disclosed:  make(map[string]bool),
+		party:    p,
+		resource: root.AttrOr("resource", ""),
+		peer:     root.AttrOr("peer", ""),
 	}
 	if root.AttrOr("role", "") == Controller.String() {
 		e.role = Controller
@@ -140,22 +140,22 @@ func RestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
 	e.rounds, _ = strconv.Atoi(root.AttrOr("rounds", "0"))
 	e.seqPos, _ = strconv.Atoi(root.AttrOr("seqPos", "0"))
 	e.peerProof = root.AttrOr("peerProof", "") == "true"
-	if v := root.AttrOr("nonceRecv", ""); v != "" {
-		if e.lastNonceRecv, err = base64.StdEncoding.DecodeString(v); err != nil {
-			return nil, fmt.Errorf("negotiation: bad nonceRecv: %w", err)
-		}
+	if e.lastNonceRecv, err = appendB64(e.nonces[0][:0], root.AttrOr("nonceRecv", "")); err != nil {
+		return nil, fmt.Errorf("negotiation: bad nonceRecv: %w", err)
 	}
-	if v := root.AttrOr("nonceSent", ""); v != "" {
-		if e.lastNonceSent, err = base64.StdEncoding.DecodeString(v); err != nil {
-			return nil, fmt.Errorf("negotiation: bad nonceSent: %w", err)
-		}
+	if e.lastNonceSent, err = appendB64(e.nonces[1][:0], root.AttrOr("nonceSent", "")); err != nil {
+		return nil, fmt.Errorf("negotiation: bad nonceSent: %w", err)
 	}
 	if e.tree, err = treeFromDOM(root.Child("tree")); err != nil {
 		return nil, err
 	}
 	if d := root.Child("disclosed"); d != nil {
 		for _, id := range strings.Fields(d.Text()) {
-			e.disclosed[id] = true
+			n := e.tree.Node(id)
+			if n == nil {
+				return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+			}
+			n.disclosed = true
 		}
 	}
 	// The trust sequence is a pure function of the completed tree, so it
@@ -170,27 +170,27 @@ func RestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
 		}
 	}
 	for _, ch := range root.Childs("chosen") {
-		nodeID, credID := ch.AttrOr("node", ""), ch.AttrOr("credential", "")
-		c, ok, err := e.findCandidate(nodeID, credID)
+		n, err := e.snapshotNode(ch)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			e.chosen[nodeID] = c
+		if c, ok := e.findCandidate(n, ch.AttrOr("credential", "")); ok {
+			n.pick = c
 		}
 	}
 	for _, ca := range root.Childs("chosenAlts") {
-		nodeID := ca.AttrOr("node", "")
-		var alts []candidate
-		for _, cn := range ca.Childs("cand") {
-			c, ok, err := e.findCandidate(nodeID, cn.AttrOr("credential", ""))
-			if err != nil {
-				return nil, err
-			}
-			_ = ok // a missing optional candidate stays a zero placeholder
+		n, err := e.snapshotNode(ca)
+		if err != nil {
+			return nil, err
+		}
+		cands := ca.Childs("cand")
+		alts := make([]candidate, 0, len(cands)) // not nil, even when empty: the node has chosen
+		for _, cn := range cands {
+			// a missing optional candidate stays a zero placeholder
+			c, _ := e.findCandidate(n, cn.AttrOr("credential", ""))
 			alts = append(alts, c)
 		}
-		e.chosenAlts[nodeID] = alts
+		n.altPicks = alts
 	}
 	if err := e.checkOwedCandidates(); err != nil {
 		return nil, err
@@ -213,41 +213,40 @@ func RestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
 	return e, nil
 }
 
-// findCandidate re-resolves a chosen credential from the party's current
-// profile by node term and credential ID.
-func (e *Endpoint) findCandidate(nodeID, credID string) (candidate, bool, error) {
-	n := e.tree.Node(nodeID)
+// snapshotNode returns the tree node a <chosen> or <chosenAlts> element
+// names.
+func (e *Endpoint) snapshotNode(el *xmldom.Node) (*Node, error) {
+	id := el.AttrOr("node", "")
+	n := e.tree.Node(id)
 	if n == nil {
-		return candidate{}, false, fmt.Errorf("negotiation: snapshot references unknown node %s", nodeID)
+		return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
 	}
-	cands, err := e.party.resolveTerm(n.Term)
-	if err != nil {
-		return candidate{}, false, nil // no candidates at all; checkOwedCandidates decides
-	}
+	return n, nil
+}
+
+// findCandidate re-resolves a chosen credential from the party's current
+// profile by node term and credential ID. With no candidate at all it
+// reports none; checkOwedCandidates decides.
+func (e *Endpoint) findCandidate(n *Node, credID string) (candidate, bool) {
+	cands, _ := e.party.resolveTerm(nil, n.Term)
 	for _, c := range cands {
 		if c.cred.ID == credID {
-			return c, true, nil
+			return c, true
 		}
 	}
-	return candidate{}, false, nil
+	return candidate{}, false
 }
 
 // checkOwedCandidates verifies that every sequence entry this endpoint
 // still owes the peer has a disclosable candidate; entries already
 // disclosed (or belonging to the peer) need nothing.
 func (e *Endpoint) checkOwedCandidates() error {
-	for i := e.seqPos; i < len(e.seq); i++ {
-		s := e.seq[i]
-		if s.Owner != e.party.Name || e.disclosed[s.NodeID] {
+	for _, s := range e.seq[e.seqPos:] {
+		if s.Owner != e.party.Name || s.node.disclosed {
 			continue
 		}
-		if _, ok := e.chosen[s.NodeID]; ok {
+		if c, ok := s.node.chosen(); ok && c.cred != nil {
 			continue
-		}
-		if ai := e.tree.ChosenAlt(s.NodeID); ai >= 0 {
-			if alts := e.chosenAlts[s.NodeID]; ai < len(alts) && alts[ai].cred != nil {
-				continue
-			}
 		}
 		return fmt.Errorf("negotiation: cannot resume — credential for node %s no longer held", s.NodeID)
 	}
@@ -258,9 +257,7 @@ func (e *Endpoint) checkOwedCandidates() error {
 
 func encodeTree(w *xmldom.Writer, t *Tree) {
 	w.Start("tree")
-	var buf [16]string
-	for _, id := range appendSortedKeys(buf[:0], t.nodes) {
-		n := t.nodes[id]
+	for _, n := range t.index {
 		w.Start("node")
 		w.Attr("id", n.ID)
 		w.Attr("credType", n.Term.CredType)
@@ -274,87 +271,147 @@ func encodeTree(w *xmldom.Writer, t *Tree) {
 			w.Text(c)
 			w.End()
 		}
-		for _, alt := range n.Alts {
+		// Each alternative's text is the run of n.ids naming its children.
+		for lo, off := 0, 0; lo < len(n.kids); {
+			hi := n.altEnd(lo)
+			end := off - 1
+			for i := lo; i < hi; i++ {
+				end += len(n.kids[i].ID) + 1
+			}
 			w.Start("alt")
-			w.Text(strings.Join(alt, " "))
+			w.Text(n.ids[off:end])
 			w.End()
+			lo, off = hi, end+1
 		}
 		w.End()
 	}
 	w.End()
 }
 
+// treeFromDOM rebuilds a tree from its snapshot. It accepts only a tree
+// Expand could have grown: one node per ID, the root "r" without a
+// parent, no empty alternative, and a walk from the root over the
+// alternatives that reaches every node exactly once, each child naming
+// the node that lists it as its parent. The engine recurses over the
+// alternatives, so a cycle would never return.
 func treeFromDOM(root *xmldom.Node) (*Tree, error) {
 	if root == nil {
 		return nil, fmt.Errorf("negotiation: snapshot without <tree>")
 	}
-	t := &Tree{nodes: make(map[string]*Node)}
-	for _, nd := range root.Childs("node") {
-		id := nd.AttrOr("id", "")
-		if id == "" {
+	els := root.Childs("node")
+	parsed := make([]parsedNode, len(els))
+	for i, nd := range els {
+		p := &parsed[i]
+		if p.ID = nd.AttrOr("id", ""); p.ID == "" {
 			return nil, fmt.Errorf("negotiation: tree node without id")
 		}
 		state, err := parseNodeState(nd.AttrOr("state", ""))
 		if err != nil {
 			return nil, err
 		}
-		n := &Node{
-			ID:     id,
+		p.Node = Node{
+			ID:     p.ID,
 			Term:   xtnl.Term{CredType: nd.AttrOr("credType", "")},
 			Owner:  nd.AttrOr("owner", ""),
 			State:  state,
 			Parent: nd.AttrOr("parent", ""),
 		}
 		for _, c := range nd.Childs("cond") {
-			n.Term.Conditions = append(n.Term.Conditions, c.Text())
+			p.Term.Conditions = append(p.Term.Conditions, c.Text())
 		}
 		for _, a := range nd.Childs("alt") {
-			n.Alts = append(n.Alts, strings.Fields(a.Text()))
+			ids := strings.Fields(a.Text())
+			if len(ids) == 0 {
+				return nil, fmt.Errorf("negotiation: node %s has an empty alternative", p.ID)
+			}
+			p.alts = append(p.alts, ids)
 		}
-		t.nodes[id] = n
 	}
-	if err := t.checkShape(); err != nil {
-		return nil, err
+	slices.SortFunc(parsed, func(a, b parsedNode) int { return strings.Compare(a.ID, b.ID) })
+	find := func(id string) *parsedNode {
+		i, ok := slices.BinarySearchFunc(parsed, id, func(p parsedNode, id string) int { return strings.Compare(p.ID, id) })
+		if !ok {
+			return nil
+		}
+		return &parsed[i]
 	}
-	return t, nil
-}
-
-// checkShape accepts only a tree: a walk from the root over the
-// alternatives reaches every node exactly once, each child names the
-// node that lists it as its parent, and the root has none. The engine
-// recurses over the alternatives, so a cycle would never return.
-func (t *Tree) checkShape() error {
-	root := t.nodes[RootID]
-	if root == nil {
-		return fmt.Errorf("negotiation: snapshot tree without root node")
+	for i := 1; i < len(parsed); i++ {
+		if parsed[i].ID == parsed[i-1].ID {
+			return nil, fmt.Errorf("negotiation: snapshot tree lists node %s twice", parsed[i].ID)
+		}
 	}
-	if root.Parent != "" {
-		return fmt.Errorf("negotiation: snapshot root names parent %s", root.Parent)
+	pr := find(RootID)
+	if pr == nil {
+		return nil, fmt.Errorf("negotiation: snapshot tree without root node")
 	}
-	reached := map[string]bool{RootID: true}
-	for todo := []*Node{root}; len(todo) > 0; {
-		n := todo[len(todo)-1]
+	if pr.Parent != "" {
+		return nil, fmt.Errorf("negotiation: snapshot root names parent %s", pr.Parent)
+	}
+	t := &Tree{root: pr.Node}
+	t.index = append(t.first[:0], &t.root)
+	pr.reached = true
+	reached := 1
+	for todo := []*parsedNode{pr}; len(todo) > 0; {
+		p := todo[len(todo)-1]
 		todo = todo[:len(todo)-1]
-		for _, alt := range n.Alts {
+		n := p.built
+		if n == nil {
+			n = &t.root
+		}
+		total := 0
+		for _, alt := range p.alts {
+			total += len(alt)
+		}
+		if total == 0 {
+			continue
+		}
+		kids := make([]Node, 0, total)
+		ids := make([]string, 0, total)
+		from := len(todo)
+		for ai, alt := range p.alts {
 			for _, cid := range alt {
-				c := t.nodes[cid]
+				c := find(cid)
 				switch {
 				case c == nil:
-					return fmt.Errorf("negotiation: node %s references unknown child %s", n.ID, cid)
-				case reached[cid]:
-					return fmt.Errorf("negotiation: node %s lists %s, which the tree already reaches", n.ID, cid)
+					return nil, fmt.Errorf("negotiation: node %s references unknown child %s", n.ID, cid)
+				case c.reached:
+					return nil, fmt.Errorf("negotiation: node %s lists %s, which the tree already reaches", n.ID, cid)
 				case c.Parent != n.ID:
-					return fmt.Errorf("negotiation: node %s lists child %s whose parent is %q", n.ID, cid, c.Parent)
+					return nil, fmt.Errorf("negotiation: node %s lists child %s whose parent is %q", n.ID, cid, c.Parent)
 				}
-				reached[cid] = true
+				c.reached = true
+				k := c.Node
+				k.parent, k.alt = n, ai
+				kids = append(kids, k)
+				ids = append(ids, cid)
 				todo = append(todo, c)
 			}
 		}
+		reached += len(kids)
+		// The children's IDs become substrings of their joined list, as
+		// Expand cuts them.
+		n.ids = strings.Join(ids, " ")
+		for i, off := 0, 0; i < len(kids); i++ {
+			kids[i].ID = n.ids[off : off+len(ids[i])]
+			off += len(ids[i]) + 1
+			t.index = append(t.index, &kids[i])
+			todo[from+i].built = &kids[i]
+		}
+		n.kids = kids
 	}
-	if len(reached) != len(t.nodes) {
-		return fmt.Errorf("negotiation: snapshot tree has %d nodes unreachable from the root", len(t.nodes)-len(reached))
+	if reached != len(parsed) {
+		return nil, fmt.Errorf("negotiation: snapshot tree has %d nodes unreachable from the root", len(parsed)-reached)
 	}
-	return nil
+	slices.SortFunc(t.index, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
+	return t, nil
+}
+
+// parsedNode is a snapshot's node before treeFromDOM places it.
+type parsedNode struct {
+	Node
+	alts    [][]string // the IDs of each alternative's children
+	reached bool
+	built   *Node // the node in the tree
 }
 
 // ---- small helpers ----
@@ -406,16 +463,6 @@ func disclosedFromDOM(n *xmldom.Node) (Disclosed, error) {
 		d.Credential = cred
 	}
 	return d, nil
-}
-
-// appendSortedKeys appends m's keys to dst, sorted.
-func appendSortedKeys[M ~map[string]V, V any](dst []string, m M) []string {
-	start := len(dst)
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst[start:])
-	return dst
 }
 
 func nodeName(n *xmldom.Node) string {

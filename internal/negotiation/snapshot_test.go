@@ -202,9 +202,25 @@ func refSnapshotDOM(e *Endpoint) *xmldom.Node {
 		root.SetAttr("nonceSent", base64.StdEncoding.EncodeToString(e.lastNonceSent))
 	}
 	root.AppendChild(refTreeDOM(e.tree))
-	if len(e.disclosed) > 0 {
-		ids := make([]string, 0, len(e.disclosed))
-		for id, ok := range e.disclosed {
+	// The endpoint's per-node records, gathered into the maps the
+	// endpoint kept before they moved onto the nodes.
+	disclosed := map[string]bool{}
+	chosen := map[string]candidate{}
+	chosenAlts := map[string][]candidate{}
+	for _, n := range e.tree.index {
+		if n.disclosed {
+			disclosed[n.ID] = true
+		}
+		if n.pick.cred != nil {
+			chosen[n.ID] = n.pick
+		}
+		if n.altPicks != nil {
+			chosenAlts[n.ID] = n.altPicks
+		}
+	}
+	if len(disclosed) > 0 {
+		ids := make([]string, 0, len(disclosed))
+		for id, ok := range disclosed {
 			if ok {
 				ids = append(ids, id)
 			}
@@ -214,14 +230,14 @@ func refSnapshotDOM(e *Endpoint) *xmldom.Node {
 		d.AppendChild(xmldom.NewText(strings.Join(ids, " ")))
 		root.AppendChild(d)
 	}
-	for _, id := range refSortedKeys(e.chosen) {
+	for _, id := range refSortedKeys(chosen) {
 		root.AppendChild(xmldom.NewElement("chosen").
 			SetAttr("node", id).
-			SetAttr("credential", e.chosen[id].cred.ID))
+			SetAttr("credential", chosen[id].cred.ID))
 	}
-	for _, id := range refSortedKeys(e.chosenAlts) {
+	for _, id := range refSortedKeys(chosenAlts) {
 		ca := xmldom.NewElement("chosenAlts").SetAttr("node", id)
-		for _, c := range e.chosenAlts[id] {
+		for _, c := range chosenAlts[id] {
 			cand := xmldom.NewElement("cand")
 			if c.cred != nil {
 				cand.SetAttr("credential", c.cred.ID)
@@ -245,13 +261,12 @@ func refSnapshotDOM(e *Endpoint) *xmldom.Node {
 
 func refTreeDOM(t *Tree) *xmldom.Node {
 	root := xmldom.NewElement("tree")
-	ids := make([]string, 0, len(t.nodes))
-	for id := range t.nodes {
-		ids = append(ids, id)
+	nodes := map[string]*Node{}
+	for _, n := range t.index {
+		nodes[n.ID] = n
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		n := t.nodes[id]
+	for _, id := range refSortedKeys(nodes) {
+		n := nodes[id]
 		nd := xmldom.NewElement("node").
 			SetAttr("id", n.ID).
 			SetAttr("credType", n.Term.CredType).
@@ -265,9 +280,13 @@ func refTreeDOM(t *Tree) *xmldom.Node {
 			cond.AppendChild(xmldom.NewText(c))
 			nd.AppendChild(cond)
 		}
-		for _, alt := range n.Alts {
+		for ai := range n.NumAlts() {
+			var ids []string
+			for _, k := range n.Alt(ai) {
+				ids = append(ids, k.ID)
+			}
 			a := xmldom.NewElement("alt")
-			a.AppendChild(xmldom.NewText(strings.Join(alt, " ")))
+			a.AppendChild(xmldom.NewText(strings.Join(ids, " ")))
 			nd.AppendChild(a)
 		}
 		root.AppendChild(nd)

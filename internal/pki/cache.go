@@ -1,12 +1,13 @@
 package pki
 
 import (
-	"bytes"
+	"crypto/ed25519"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -19,6 +20,12 @@ import (
 // keyed by issuer + signature (the signature covers the credential's
 // canonical bytes, making it a collision-free fingerprint of the
 // content) can skip the ed25519 work entirely on repeat verifications.
+//
+// A hit allocates nothing: the key is the issuer and the 64-byte
+// signature in an array, the presented credential is written through a
+// comparing xmldom sink against the signed bytes the entry keeps
+// (xmldom.Writes), and a term's conditions are evaluated against the
+// entry's condition tree, built once from the entry's own copy.
 //
 // Invalidation contract:
 //
@@ -47,6 +54,24 @@ type verifyCacheEntry struct {
 	// ride a cache hit past verification.
 	signedBytes []byte
 	chain       []*xtnl.Credential // delegation chain used; nil for direct trust
+	// dom is cred's document tree, for evaluating terms' conditions;
+	// built from cred on first use, read-only and shared after.
+	dom atomic.Pointer[xmldom.Node]
+}
+
+// tree returns the entry's condition tree, building it on first use.
+func (e *verifyCacheEntry) tree() *xmldom.Node {
+	if d := e.dom.Load(); d != nil {
+		return d
+	}
+	e.dom.CompareAndSwap(nil, e.cred.DOM())
+	return e.dom.Load()
+}
+
+// verifyKey is a cache key: the issuer and the signature.
+type verifyKey struct {
+	issuer string
+	sig    [ed25519.SignatureSize]byte
 }
 
 // CacheStats is a snapshot of the verification cache counters, the
@@ -64,24 +89,28 @@ type CacheStats struct {
 // or CRL lookups.
 type verifyCache struct {
 	mu            sync.RWMutex
-	entries       map[string]*verifyCacheEntry
+	entries       map[verifyKey]*verifyCacheEntry
 	hits          atomic.Int64
 	misses        atomic.Int64
 	invalidations atomic.Int64
 }
 
-func cacheKey(c *xtnl.Credential) string {
-	return c.Issuer + "\x00" + string(c.Signature)
+// cacheKey is c's key; only a credential whose signature has
+// ed25519.SignatureSize bytes can have verified.
+func cacheKey(c *xtnl.Credential) verifyKey {
+	k := verifyKey{issuer: c.Issuer}
+	copy(k.sig[:], c.Signature)
+	return k
 }
 
-func (vc *verifyCache) lookup(key string) (*verifyCacheEntry, bool) {
+func (vc *verifyCache) lookup(key verifyKey) (*verifyCacheEntry, bool) {
 	vc.mu.RLock()
 	defer vc.mu.RUnlock()
 	e, ok := vc.entries[key]
 	return e, ok
 }
 
-func (vc *verifyCache) store(key string, e *verifyCacheEntry) {
+func (vc *verifyCache) store(key verifyKey, e *verifyCacheEntry) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	if len(vc.entries) >= verifyCacheLimit {
@@ -89,7 +118,7 @@ func (vc *verifyCache) store(key string, e *verifyCacheEntry) {
 		vc.invalidations.Add(1)
 	}
 	if vc.entries == nil {
-		vc.entries = make(map[string]*verifyCacheEntry)
+		vc.entries = make(map[verifyKey]*verifyCacheEntry)
 	}
 	vc.entries[key] = e
 }
@@ -102,11 +131,17 @@ func (vc *verifyCache) invalidate() {
 	vc.invalidations.Add(1)
 }
 
-// cachedVerify returns the memoized chain for c when a previous success
+// cacheable reports whether c can have a cache entry: the cache is on
+// and c carries a signature of the size ed25519 verifies.
+func (ts *TrustStore) cacheable(c *xtnl.Credential) bool {
+	return !ts.DisableCache && len(c.Signature) == ed25519.SignatureSize
+}
+
+// cachedVerify returns the memoized entry for c when a previous success
 // is still valid at now (validity windows and revocation are re-checked
 // on every hit; only the signature work is skipped).
-func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.Credential, bool) {
-	if ts.DisableCache || len(c.Signature) == 0 {
+func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) (*verifyCacheEntry, bool) {
+	if !ts.cacheable(c) {
 		return nil, false
 	}
 	e, ok := ts.cache.lookup(cacheKey(c))
@@ -114,7 +149,7 @@ func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.C
 		ts.cache.misses.Add(1)
 		return nil, false
 	}
-	if !bytes.Equal(c.SignedBytes(), e.signedBytes) {
+	if !c.WritesSignedBytes(e.signedBytes) {
 		ts.cache.misses.Add(1)
 		return nil, false
 	}
@@ -129,19 +164,21 @@ func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.C
 		}
 	}
 	ts.cache.hits.Add(1)
-	return e.chain, true
+	return e, true
 }
 
-// rememberVerify memoizes a successful verification.
-func (ts *TrustStore) rememberVerify(c *xtnl.Credential, chain []*xtnl.Credential) {
-	if ts.DisableCache || len(c.Signature) == 0 {
-		return
+// rememberVerify memoizes a successful verification and returns the
+// entry, nil when c cannot have one.
+func (ts *TrustStore) rememberVerify(c *xtnl.Credential, chain []*xtnl.Credential) *verifyCacheEntry {
+	if !ts.cacheable(c) {
+		return nil
 	}
 	entry := &verifyCacheEntry{cred: detach(c), signedBytes: c.SignedBytes()}
 	for _, link := range chain {
 		entry.chain = append(entry.chain, detach(link))
 	}
-	ts.cache.store(cacheKey(c), entry)
+	ts.cache.store(cacheKey(entry.cred), entry)
+	return entry
 }
 
 // detach returns a copy of c that shares no memory with the message it

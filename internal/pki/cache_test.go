@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -192,5 +193,126 @@ func TestVerifyCacheDetachesDecodedCredential(t *testing.T) {
 	}
 	if e.cred.Type != cred.Type || e.cred.Issuer != cred.Issuer || e.cred.ID != cred.ID {
 		t.Fatalf("cached copy differs: %+v vs %+v", e.cred, cred)
+	}
+}
+
+// TestVerifyCacheHitAllocatesNothing: a hit looks its entry up by an
+// array key, compares the presented credential with the signed bytes as
+// it writes them, and hands back the entry's condition tree, so a
+// credential decoded from a message verifies again without allocating.
+// The tree is the credential's document, built once from the entry's
+// own copy: it shares no memory with the message, and a second
+// credential with the same content gets the same tree.
+func TestVerifyCacheHitAllocatesNothing(t *testing.T) {
+	ca := MustNewAuthority("CA")
+	ts := NewTrustStore(ca)
+	issued, err := ca.Issue(IssueRequest{Type: "Badge", Holder: "Holder",
+		Attributes: []xtnl.Attribute{{Name: "level", Value: "gold"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := issued.XML()
+	cred, err := xtnl.ParseCredential(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	_, dom, err := ts.VerifyChainDOM(cred, nil, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dom.XML() != wire {
+		t.Fatalf("condition tree %s, want the credential %s", dom.XML(), wire)
+	}
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		b := uintptr(unsafe.Pointer(unsafe.StringData(wire)))
+		return s != "" && p >= b && p < b+uintptr(len(wire))
+	}
+	dom.Walk(func(n *xmldom.Node) bool {
+		if within(n.Name) || within(n.Data) {
+			t.Fatalf("condition tree node %q %q shares memory with the message", n.Name, n.Data)
+		}
+		return true
+	})
+	again, _ := xtnl.ParseCredential(wire)
+	if _, dom2, err := ts.VerifyChainDOM(again, nil, now); err != nil || dom2 != dom {
+		t.Fatalf("second credential: tree %p (err %v), want the entry's %p", dom2, err, dom)
+	}
+
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := ts.Verify(cred, now); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Verify hit allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := ts.VerifyChainDOM(cred, nil, now); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("VerifyChainDOM hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestVerifyCacheRejectsTamperedContentOnTreePath: the tree-returning
+// entry point binds its hit to the signed bytes as Verify does.
+func TestVerifyCacheRejectsTamperedContentOnTreePath(t *testing.T) {
+	ca := MustNewAuthority("CA")
+	ts := NewTrustStore(ca)
+	cred := issueTestCred(t, ca, "Badge")
+	now := time.Now()
+	if _, _, err := ts.VerifyChainDOM(cred, nil, now); err != nil {
+		t.Fatal(err)
+	}
+	tampered := cred.Clone()
+	tampered.SetAttr("granted", "everything")
+	if _, dom, err := ts.VerifyChainDOM(tampered, nil, now); err == nil {
+		t.Fatalf("tampered credential verified via cache, tree %s", dom.XML())
+	}
+}
+
+// TestVerifyChainDOMConcurrent: goroutines verifying one cached
+// credential at once race to build the entry's tree, must all get the
+// one that won, and evaluate a condition over it; under -race this
+// finds any write to the shared tree.
+func TestVerifyChainDOMConcurrent(t *testing.T) {
+	ca := MustNewAuthority("CA")
+	ts := NewTrustStore(ca)
+	cred, err := ca.Issue(IssueRequest{Type: "Badge", Holder: "Holder",
+		Attributes: []xtnl.Attribute{{Name: "level", Value: "gold"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := xtnl.Term{CredType: "Badge", Conditions: []string{"/credential/content/level='gold'"}}
+	now := time.Now()
+	if err := ts.Verify(cred, now); err != nil { // an entry, not yet with a tree
+		t.Fatal(err)
+	}
+	trees := make([]*xmldom.Node, 8)
+	var wg sync.WaitGroup
+	for g := range trees {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				_, dom, err := ts.VerifyChainDOM(cred, nil, now)
+				if err != nil || !term.SatisfiedByDOM(cred, dom) {
+					t.Errorf("goroutine %d: %v, term satisfied %v", g, err, err == nil && term.SatisfiedByDOM(cred, dom))
+					return
+				}
+				trees[g] = dom
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, dom := range trees[1:] {
+		if dom != trees[0] {
+			t.Fatal("goroutines got different trees for one entry")
+		}
 	}
 }

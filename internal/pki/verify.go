@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
@@ -142,8 +143,31 @@ func (ts *TrustStore) verifyWithKey(c *xtnl.Credential, key ed25519.PublicKey, n
 // to build a chain up to a trusted root. It returns the chain of
 // delegation credentials used (empty when the issuer is a root).
 func (ts *TrustStore) VerifyChain(c *xtnl.Credential, pool []*xtnl.Credential, now time.Time) ([]*xtnl.Credential, error) {
-	if chain, ok := ts.cachedVerify(c, now); ok {
-		return chain, nil
+	chain, _, err := ts.verifyChain(c, pool, now)
+	return chain, err
+}
+
+// VerifyChainDOM is VerifyChain that also returns c's document tree
+// (c.DOM()) for evaluating terms' conditions: the cache entry's tree,
+// built once per entry from the entry's own copy of c, or a tree of c
+// alone when c has no entry. The tree is shared and must not be
+// modified.
+func (ts *TrustStore) VerifyChainDOM(c *xtnl.Credential, pool []*xtnl.Credential, now time.Time) ([]*xtnl.Credential, *xmldom.Node, error) {
+	chain, e, err := ts.verifyChain(c, pool, now)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e == nil {
+		return chain, c.DOM(), nil
+	}
+	return chain, e.tree(), nil
+}
+
+// verifyChain is VerifyChain, returning as well the cache entry that
+// records the success, nil when c cannot have one.
+func (ts *TrustStore) verifyChain(c *xtnl.Credential, pool []*xtnl.Credential, now time.Time) ([]*xtnl.Credential, *verifyCacheEntry, error) {
+	if e, ok := ts.cachedVerify(c, now); ok {
+		return e.chain, e, nil
 	}
 	maxDepth := ts.MaxChainDepth
 	if maxDepth == 0 {
@@ -152,10 +176,9 @@ func (ts *TrustStore) VerifyChain(c *xtnl.Credential, pool []*xtnl.Credential, n
 	// Fast path: direct trust.
 	if key, ok := ts.KeyFor(c.Issuer); ok {
 		if err := ts.verifyWithKey(c, key, now); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		ts.rememberVerify(c, nil)
-		return nil, nil
+		return nil, ts.rememberVerify(c, nil), nil
 	}
 	// Search the pool for a delegation credential naming c.Issuer whose
 	// own issuer is trusted (directly or recursively).
@@ -211,31 +234,52 @@ func (ts *TrustStore) VerifyChain(c *xtnl.Credential, pool []*xtnl.Credential, n
 	}
 	key, chain, err := resolve(c.Issuer, 0, map[string]bool{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ts.verifyWithKey(c, key, now); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ts.rememberVerify(c, chain)
-	return chain, nil
+	return chain, ts.rememberVerify(c, chain), nil
 }
 
 // ---- ownership proof (challenge/response) ----
 
-// NewNonce returns a fresh 24-byte random challenge.
+// NonceSize is the length of a challenge nonce.
+const NonceSize = 24
+
+// NewNonce returns a fresh random challenge of NonceSize bytes.
 func NewNonce() ([]byte, error) {
-	n := make([]byte, 24)
-	if _, err := randRead(n); err != nil {
-		return nil, fmt.Errorf("pki: nonce: %w", err)
+	var n [NonceSize]byte
+	if err := ReadNonce(&n); err != nil {
+		return nil, err
 	}
-	return n, nil
+	return n[:], nil
+}
+
+// ReadNonce fills n with a fresh random challenge, for a caller that
+// keeps its nonce in place.
+func ReadNonce(n *[NonceSize]byte) error {
+	if _, err := randRead(n[:]); err != nil {
+		return fmt.Errorf("pki: nonce: %w", err)
+	}
+	return nil
+}
+
+// ownershipPrefix starts the message an ownership proof signs.
+const ownershipPrefix = "trustvo-ownership:"
+
+// ownershipMessage returns the message an ownership proof over nonce
+// signs, in buf when it fits.
+func ownershipMessage(buf *[len(ownershipPrefix) + NonceSize]byte, nonce []byte) []byte {
+	return append(append(buf[:0], ownershipPrefix...), nonce...)
 }
 
 // ProveOwnership signs the nonce with the holder's private key. The
 // counterpart checks the signature against the credential's embedded
 // holder key via VerifyOwnership.
 func ProveOwnership(holder *KeyPair, nonce []byte) []byte {
-	return holder.Sign(append([]byte("trustvo-ownership:"), nonce...))
+	var buf [len(ownershipPrefix) + NonceSize]byte
+	return holder.Sign(ownershipMessage(&buf, nonce))
 }
 
 // VerifyOwnership checks an ownership proof for the credential: the
@@ -245,8 +289,8 @@ func VerifyOwnership(c *xtnl.Credential, nonce, proof []byte) error {
 	if len(c.HolderKey) != ed25519.PublicKeySize {
 		return fmt.Errorf("%w: credential %s has no holder key", ErrOwnershipFailed, c.ID)
 	}
-	msg := append([]byte("trustvo-ownership:"), nonce...)
-	if !ed25519.Verify(ed25519.PublicKey(c.HolderKey), msg, proof) {
+	var buf [len(ownershipPrefix) + NonceSize]byte
+	if !ed25519.Verify(ed25519.PublicKey(c.HolderKey), ownershipMessage(&buf, nonce), proof) {
 		return fmt.Errorf("%w: credential %s", ErrOwnershipFailed, c.ID)
 	}
 	return nil

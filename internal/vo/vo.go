@@ -277,6 +277,10 @@ func (v *VO) Authorize(memberName, operation string) error {
 	if v.phase != Operation {
 		return fmt.Errorf("%w: %s during %s", ErrPhase, operation, v.phase)
 	}
+	// Both end up in the audit log, and maybe the violation log and a
+	// reputation event: hold copies, not substrings of the request that
+	// named them.
+	memberName, operation = strings.Clone(memberName), strings.Clone(operation)
 	m, ok := v.members[memberName]
 	if !ok {
 		v.audit = append(v.audit, AuditEntry{Member: memberName, Operation: operation,
@@ -322,18 +326,24 @@ func (v *VO) ReportViolation(memberName, operation, detail string, weight float6
 	if _, ok := v.members[memberName]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotMember, memberName)
 	}
-	v.violations = append(v.violations, Violation{Member: memberName, Operation: operation, Detail: detail, At: v.clock()})
-	v.audit = append(v.audit, AuditEntry{Member: memberName, Operation: operation,
-		Allowed: false, Detail: detail, At: v.clock()})
-	v.Reputation.Record(reputation.Event{Member: memberName, Positive: false, Weight: weight, At: v.clock(), Note: detail})
+	v.recordLocked(strings.Clone(memberName), strings.Clone(operation), strings.Clone(detail), weight)
 	return nil
 }
 
+// recordViolationLocked records a rule breach found by Authorize, which
+// has already copied member and operation.
 func (v *VO) recordViolationLocked(member, operation, detail string) {
+	v.recordLocked(member, operation, detail, 2)
+}
+
+// recordLocked logs a violation in the violation and audit logs and as
+// a negative reputation event of the given weight. The strings must not
+// be substrings of a request.
+func (v *VO) recordLocked(member, operation, detail string, weight float64) {
 	v.violations = append(v.violations, Violation{Member: member, Operation: operation, Detail: detail, At: v.clock()})
 	v.audit = append(v.audit, AuditEntry{Member: member, Operation: operation,
 		Allowed: false, Detail: detail, At: v.clock()})
-	v.Reputation.Record(reputation.Event{Member: member, Positive: false, Weight: 2, At: v.clock(), Note: detail})
+	v.Reputation.Record(reputation.Event{Member: member, Positive: false, Weight: weight, At: v.clock(), Note: detail})
 }
 
 // Violations returns a copy of the violation log.

@@ -392,3 +392,64 @@ func TestAdmitClonesStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestAuthorizeClonesStrings: the member, operation and detail a
+// toolkit handler takes from the request URI are substrings of the
+// request line. Authorize and ReportViolation keep them in the audit
+// log, the violation log and reputation events, so they must keep
+// copies, not the request.
+func TestAuthorizeClonesStrings(t *testing.T) {
+	uri := "/vo/operate?member=AerospaceCo&operation=optimize&bad=exfiltrate&detail=late+delivery&stranger=Stranger"
+	cut := func(key string) string {
+		i := strings.Index(uri, key+"=") + len(key) + 1
+		j := strings.IndexByte(uri[i:], '&')
+		if j < 0 {
+			return uri[i:]
+		}
+		return uri[i : i+j]
+	}
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		b := uintptr(unsafe.Pointer(unsafe.StringData(uri)))
+		return s != "" && p >= b && p < b+uintptr(len(uri))
+	}
+	member, op, bad, detail, stranger := cut("member"), cut("operation"), cut("bad"), cut("detail"), cut("stranger")
+	if !within(member) || !within(op) || !within(detail) {
+		t.Fatal("test setup: the strings are not substrings of the request URI")
+	}
+	v := opReadyVO(t)
+	if err := v.Authorize(member, op); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Authorize(member, bad); !errors.Is(err, ErrRuleViolation) {
+		t.Fatalf("unknown operation: %v", err)
+	}
+	if err := v.Authorize(stranger, op); !errors.Is(err, ErrNotMember) {
+		t.Fatalf("non-member: %v", err)
+	}
+	if err := v.ReportViolation(member, op, detail, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range v.Audit() {
+		if within(a.Member) || within(a.Operation) || within(a.Detail) {
+			t.Errorf("audit entry %+v holds a substring of the request", a)
+		}
+	}
+	if len(v.Violations()) != 2 {
+		t.Fatalf("violations = %+v", v.Violations())
+	}
+	for _, x := range v.Violations() {
+		if within(x.Member) || within(x.Operation) || within(x.Detail) {
+			t.Errorf("violation %+v holds a substring of the request", x)
+		}
+	}
+	events := v.Reputation.Events("AerospaceCo")
+	if len(events) != 3 {
+		t.Fatalf("reputation events = %+v", events)
+	}
+	for _, e := range events {
+		if within(e.Member) || within(e.Note) {
+			t.Errorf("reputation event %+v holds a substring of the request", e)
+		}
+	}
+}

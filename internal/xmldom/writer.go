@@ -24,15 +24,24 @@ import (
 // '<' and '>' escaped in text, and '"' as well in attribute values; no
 // whitespace added.
 //
+// Writes is the third form: it compares what the layout writes with
+// given bytes as it is written, building and copying nothing.
+//
 // Attributes belong to the innermost Start and must come before its
 // first child. Names are written as given, unchecked.
 type Writer struct {
 	mode  writeMode
 	buf   []byte
-	elems []span        // names of the open elements in buf, innermost last
+	elems []span        // names of the open elements in the document, innermost last
 	attrs []pendingAttr // attributes of the start tag not yet closed
 	vals  []byte        // scratch; in tree mode, the formatted values
 	inTag bool          // a start tag awaits its '>' or "/>"
+
+	// Writes's state: the document's first off bytes have been compared
+	// with want and dropped from buf; diff records a mismatch.
+	want []byte
+	off  int
+	diff bool
 
 	t treeBuild // Tree's state
 }
@@ -41,14 +50,16 @@ type Writer struct {
 type writeMode uint8
 
 const (
-	writeBytes writeMode = iota // canonical XML into buf
-	countTree                   // Tree's first pass: size the slabs
-	fillTree                    // Tree's second pass: build the nodes
+	writeBytes   writeMode = iota // canonical XML into buf
+	compareBytes                  // canonical XML compared with want, a tag or text at a time
+	countTree                     // Tree's first pass: size the slabs
+	fillTree                      // Tree's second pass: build the nodes
 )
 
-// A span is a run of bytes in Writer.buf. Byte mode keeps positions, not
-// strings, so it stores no pointers: no write barriers, and nothing of
-// the caller's kept alive by a pooled writer.
+// A span is a run of bytes of the document being written, in Writer.buf
+// once Writer.off is taken off. Byte mode keeps positions, not strings,
+// so it stores no pointers: no write barriers, and nothing of the
+// caller's kept alive by a pooled writer.
 type span struct{ start, end int }
 
 // pendingAttr is an attribute of the open start tag, written to buf as
@@ -97,6 +108,50 @@ func Bytes(prefix []byte, encode func(*Writer)) []byte {
 	copy(b[copy(b, prefix):], w.buf)
 	w.release()
 	return b
+}
+
+// Writes reports whether encode writes exactly want: String(encode) ==
+// string(want), found without building the document. Each tag and text
+// is compared with want once it is complete and then dropped, so the
+// writer holds no more than the start tag being written, and a
+// comparison allocates nothing.
+func Writes(want []byte, encode func(*Writer)) bool {
+	w := getWriter()
+	w.mode, w.want = compareBytes, want
+	encode(w)
+	w.inTag = false // compare an unclosed start tag as String writes it
+	w.flush()
+	eq := !w.diff && w.off == len(want)
+	w.mode, w.want, w.off, w.diff = writeBytes, nil, 0, false
+	w.release()
+	return eq
+}
+
+// flush, in compare mode, compares the bytes written since the last
+// flush with want and drops them from buf. A start tag stays until it
+// closes, since closing may reorder its attributes.
+func (w *Writer) flush() {
+	if w.mode != compareBytes || w.inTag {
+		return
+	}
+	end := w.off + len(w.buf)
+	if !w.diff && (end > len(w.want) || !bytes.Equal(w.buf, w.want[w.off:end])) {
+		w.diff = true
+	}
+	w.off = end
+	w.buf = w.buf[:0]
+}
+
+// written returns the bytes of the document at s: still in buf, or
+// dropped by flush after they matched want.
+func (w *Writer) written(s span) []byte {
+	if s.start >= w.off {
+		return w.buf[s.start-w.off : s.end-w.off]
+	}
+	if w.diff {
+		return nil // the document already differs; any name will do
+	}
+	return w.want[s.start:s.end]
 }
 
 // Tree returns the tree that encode writes: one node per Start, Text and
@@ -261,8 +316,10 @@ func (w *Writer) Start(name string) {
 		return
 	}
 	w.child()
+	w.flush()
 	w.buf = append(w.buf, '<')
-	w.elems = append(w.elems, span{len(w.buf), len(w.buf) + len(name)})
+	at := w.off + len(w.buf)
+	w.elems = append(w.elems, span{at, at + len(name)})
 	w.buf = append(w.buf, name...)
 	w.inTag = true
 }
@@ -283,11 +340,12 @@ func (w *Writer) End() {
 	if w.inTag {
 		w.closeStart()
 		w.buf = append(w.buf, '/', '>')
-		return
+	} else {
+		w.buf = append(w.buf, '<', '/')
+		w.buf = append(w.buf, w.written(name)...)
+		w.buf = append(w.buf, '>')
 	}
-	w.buf = append(w.buf, '<', '/')
-	w.buf = append(w.buf, w.buf[name.start:name.end]...)
-	w.buf = append(w.buf, '>')
+	w.flush()
 }
 
 // Tee closes the open start tag, runs encode, which writes children of
@@ -395,6 +453,7 @@ func (w *Writer) Text(s string) {
 	}
 	w.child()
 	w.buf = appendEscaped(w.buf, s, false)
+	w.flush()
 }
 
 // TextBase64 adds a text child holding the standard base64 encoding of b
@@ -411,6 +470,7 @@ func (w *Writer) TextBase64(b []byte) {
 	}
 	w.child()
 	w.buf = base64.StdEncoding.AppendEncode(w.buf, b) // nothing in the alphabet needs escaping
+	w.flush()
 }
 
 // TextTime adds a text child holding t formatted with layout.
@@ -427,6 +487,7 @@ func (w *Writer) TextTime(t time.Time, layout string) {
 	w.child()
 	w.vals = t.AppendFormat(w.vals[:0], layout)
 	w.buf = appendEscaped(w.buf, w.vals, false)
+	w.flush()
 }
 
 // Comment adds a comment child, written as given.
@@ -443,6 +504,7 @@ func (w *Writer) Comment(s string) {
 	w.buf = append(w.buf, "<!--"...)
 	w.buf = append(w.buf, s...)
 	w.buf = append(w.buf, "-->"...)
+	w.flush()
 }
 
 // newline starts a line indented by depth levels, for (*Node).Indented.

@@ -285,3 +285,69 @@ func BenchmarkXML(b *testing.B) {
 		})
 	}
 }
+
+// TestWritesMatchesString: Writes(want, encode) holds exactly when
+// String(encode) is want, for every seed document, random trees and the
+// sample layout, against the document itself and against every cut,
+// extension and one-byte change of it; and a comparison allocates
+// nothing.
+func TestWritesMatchesString(t *testing.T) {
+	docs := seedDocuments(t)
+	var encodes []func(*Writer)
+	for _, name := range sortedKeys(docs) {
+		if n, err := ParseString(docs[name]); err == nil {
+			encodes = append(encodes, n.Encode)
+		}
+	}
+	for seed := 0; seed < 64; seed++ {
+		encodes = append(encodes, randomTree([]byte{byte(seed), byte(seed * 7), 3, byte(seed), 2, 0, 3, 1}).Encode)
+	}
+	encodes = append(encodes, writeSample)
+	for _, encode := range encodes {
+		doc := []byte(String(encode))
+		checkWrites(t, doc, encode)
+		for _, i := range []int{0, 1, len(doc) / 2, len(doc) - 1} {
+			if i < 0 || i >= len(doc) {
+				continue
+			}
+			checkWrites(t, doc[:i], encode)
+			changed := append([]byte(nil), doc...)
+			changed[i] ^= 0x20
+			checkWrites(t, changed, encode)
+		}
+		checkWrites(t, append(doc[:len(doc):len(doc)], '<'), encode)
+	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	doc := []byte(String(writeSample))
+	Writes(doc, writeSample) // warm the pool
+	if allocs := testing.AllocsPerRun(200, func() { _ = Writes(doc, writeSample) }); allocs != 0 {
+		t.Errorf("Writes allocates %.1f times per document, want 0", allocs)
+	}
+}
+
+func checkWrites(t *testing.T, want []byte, encode func(*Writer)) {
+	t.Helper()
+	if got, exp := Writes(want, encode), String(encode) == string(want); got != exp {
+		t.Errorf("Writes(%q) = %v, String gives %q", want, got, String(encode))
+	}
+}
+
+// FuzzWrites diffs Writes against String: for any parsed document and
+// any candidate bytes, Writes holds exactly when the document's
+// canonical form is those bytes.
+func FuzzWrites(f *testing.F) {
+	f.Add(`<a x="1"><b>t</b><c/></a>`, `<a x="1"><b>t</b><c/></a>`)
+	f.Add(`<a z="&quot;" b="2">x&amp;y<!--c--></a>`, `<a b="2" z="&quot;">x&amp;y<!--c--></a>`)
+	f.Add(`<a><b/></a>`, `<a><b></b></a>`)
+	f.Fuzz(func(t *testing.T, doc, want string) {
+		n, err := ParseString(doc)
+		if err != nil {
+			return
+		}
+		checkWrites(t, []byte(want), n.Encode)
+		checkWrites(t, []byte(n.XML()), n.Encode)
+	})
+}

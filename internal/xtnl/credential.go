@@ -264,9 +264,14 @@ func (c *Credential) XML() string { return xmldom.String(c.Encode) }
 
 // SignedBytes returns the canonical bytes covered by the issuer's
 // signature: the credential XML with the <signature> element omitted.
-func (c *Credential) SignedBytes() []byte {
-	return xmldom.Bytes(nil, func(w *xmldom.Writer) { c.encode(w, false) })
-}
+func (c *Credential) SignedBytes() []byte { return xmldom.Bytes(nil, c.encodeSigned) }
+
+// WritesSignedBytes reports whether b are c's signed bytes, comparing
+// as it writes them, with no copy made (xmldom.Writes).
+func (c *Credential) WritesSignedBytes(b []byte) bool { return xmldom.Writes(b, c.encodeSigned) }
+
+// encodeSigned writes the signed bytes' layout: all but <signature>.
+func (c *Credential) encodeSigned(w *xmldom.Writer) { c.encode(w, false) }
 
 // ErrBadCredential reports a malformed credential document.
 var ErrBadCredential = errors.New("xtnl: malformed credential")

@@ -30,11 +30,22 @@ func (t Term) Wildcard() bool {
 // SatisfiedBy reports whether cred matches the term: type equal (unless
 // wildcard) and all conditions true. Compilation errors make the term
 // unsatisfied.
-func (t Term) SatisfiedBy(cred *Credential) bool {
+func (t Term) SatisfiedBy(cred *Credential) bool { return t.SatisfiedByDOM(cred, nil) }
+
+// SatisfiedByDOM is SatisfiedBy given cred's document tree (cred.DOM()),
+// which a caller holding one passes instead of having it rebuilt; nil
+// builds it when a condition needs it.
+func (t Term) SatisfiedByDOM(cred *Credential, dom *xmldom.Node) bool {
 	if !t.Wildcard() && t.CredType != cred.Type {
 		return false
 	}
-	return len(t.Conditions) == 0 || t.holds(cred.DOM())
+	if len(t.Conditions) == 0 {
+		return true
+	}
+	if dom == nil {
+		dom = cred.DOM()
+	}
+	return t.holds(dom)
 }
 
 // holds reports whether every condition of the term is true of the

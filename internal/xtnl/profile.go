@@ -101,18 +101,22 @@ func (p *Profile) ByID(id string) *Credential {
 // consulted before medium before high). Condition evaluation reuses the
 // profile's parsed-DOM cache instead of rebuilding each credential
 // document per term.
-func (p *Profile) Satisfying(term Term) []*Credential {
-	var out []*Credential
+func (p *Profile) Satisfying(term Term) []*Credential { return p.AppendSatisfying(nil, term) }
+
+// AppendSatisfying appends the credentials that satisfy term to dst,
+// ordered as Satisfying orders them, and returns the extended slice.
+func (p *Profile) AppendSatisfying(dst []*Credential, term Term) []*Credential {
+	start := len(dst)
 	for _, c := range p.creds {
 		if !term.Wildcard() && term.CredType != c.Type {
 			continue
 		}
 		if len(term.Conditions) == 0 || term.holds(p.credDOM(c)) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	slices.SortStableFunc(out, func(a, b *Credential) int { return cmp.Compare(a.Sensitivity, b.Sensitivity) })
-	return out
+	slices.SortStableFunc(dst[start:], func(a, b *Credential) int { return cmp.Compare(a.Sensitivity, b.Sensitivity) })
+	return dst
 }
 
 // Cluster returns the credentials among cands having exactly the given
