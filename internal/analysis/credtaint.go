@@ -21,9 +21,9 @@ import (
 // negotiation session. Guards may live in callees: a helper that
 // verifies and expiry-checks (a "sanitizer") makes its result trusted.
 //
-// The sanitizer the module provides is pki's sealed document (Seal,
-// Open and OpenWire, which check a MAC with crypto/hmac's Equal), and it
-// is meant to be the only one: a raw Ed25519 sign or verify, or a raw
+// The sanitizer the module provides is pki's sealed document (Seal, and
+// OpenWire, which checks a MAC with crypto/hmac's Equal), and it is
+// meant to be the only one: a raw Ed25519 sign or verify, or a raw
 // MAC, outside package pki (the Sign and Verify functions of
 // crypto/ed25519, the New and Equal functions of crypto/hmac, or the
 // Sign method of pki's KeyPair) is reported wherever it appears, so a
@@ -32,7 +32,7 @@ import (
 func credtaint() *Analyzer {
 	a := &Analyzer{
 		Name: "credtaint",
-		Doc:  "externally decoded session/credential bytes must pass expiry + signature checks (in that order) before trust decisions; tickets are signed and verified only through pki.Seal/Open",
+		Doc:  "externally decoded session/credential bytes must pass expiry + signature checks (in that order) before trust decisions; tickets are signed and verified only through pki.Seal/OpenWire",
 	}
 	a.RunModule = func(p *ModulePass) error {
 		m := p.Module
@@ -54,7 +54,7 @@ func credtaint() *Analyzer {
 					sinks = append(sinks, call)
 				case !pkgPathHasSuffix(n.Pkg.Path, "pki"):
 					if raw := rawSignature(fn); raw != "" {
-						p.Reportf(call.Pos(), "%s outside package pki: sign and verify tickets through pki.Seal/Open", raw)
+						p.Reportf(call.Pos(), "%s outside package pki: sign and verify tickets through pki.Seal/OpenWire", raw)
 					}
 				}
 				return true

@@ -22,7 +22,7 @@ func (k KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.Private, msg) }
 
 var errRejected = errors.New("rejected")
 
-// Sealed stands in for pki.Sealed: Open checks expiry, then the
+// Sealed stands in for a sealed document: Open checks expiry, then the
 // signature.
 type Sealed struct {
 	NotAfter  time.Time

@@ -273,7 +273,7 @@ func firstEnvelope(t testing.TB, c *testCluster, member, id string) string {
 		t.Fatal(err)
 	}
 	env := xmldom.NewElement("envelope").SetAttr("negotiation", id).SetAttr("seq", "1")
-	env.AppendChild(first.DOM())
+	env.AppendChild(xmldom.Tree(first.Encode))
 	return env.XML()
 }
 

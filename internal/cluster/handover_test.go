@@ -23,7 +23,7 @@ func exchange(t *testing.T, base, id string, seq int, m *negotiation.Message) *n
 		path = "/tn/policyExchange"
 	}
 	env := xmldom.NewElement("envelope").SetAttr("negotiation", id).SetAttr("seq", strconv.Itoa(seq))
-	env.AppendChild(m.DOM())
+	env.AppendChild(xmldom.Tree(m.Encode))
 	resp, err := http.Post(base+path, wsrpc.ContentType, strings.NewReader(env.XML()))
 	if err != nil {
 		t.Fatal(err)

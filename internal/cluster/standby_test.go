@@ -44,8 +44,10 @@ func TestStandbyShipRejectsUnsignedAndForged(t *testing.T) {
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-1")
 
 	// No signature at all: schema rejection.
-	bare := &pki.Sealed{Label: pki.LabelStandby, NotAfter: time.Now().Add(time.Hour), Payload: doc}
-	if got := postStandby(t, b.srv.URL, bare.XML()); got != http.StatusBadRequest {
+	bare := xmldom.String(func(w *xmldom.Writer) {
+		pki.EncodeSealed(w, pki.LabelStandby, time.Now().Add(time.Hour), doc.Encode, nil)
+	})
+	if got := postStandby(t, b.srv.URL, bare); got != http.StatusBadRequest {
 		t.Fatalf("unsigned ship: got %d, want %d", got, http.StatusBadRequest)
 	}
 

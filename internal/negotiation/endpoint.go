@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"trustvo/internal/ontology"
 	"trustvo/internal/pki"
 	"trustvo/internal/telemetry"
 	"trustvo/internal/xmldom"
+	"trustvo/internal/xpath"
 	"trustvo/internal/xtnl"
 )
 
@@ -753,59 +753,32 @@ func (e *Endpoint) termSatisfied(term xtnl.Term, cred *xtnl.Credential, dom *xml
 	return xtnl.Term{Conditions: conds}.SatisfiedByDOM(cred, dom)
 }
 
-// conditionAttributes extracts the content-attribute names referenced by
-// the term's XPath conditions, so a suspicious discloser opens only
-// those. Conditions that reference no recognizable content attribute
-// cause a full opening of the mentioned credential attributes, keeping
-// verification possible.
+// conditionAttributes returns the attributes of cred that the term's
+// conditions read, the children of /credential/content that their
+// location paths name, so that a suspicious discloser opens only those.
+// A condition that does not compile, or may read other children, opens
+// every attribute, keeping verification possible.
 func conditionAttributes(conds []string, cred *xtnl.Credential) []string {
-	names := make(map[string]bool)
-	analyzed := true
+	read := make(map[string]bool)
 	for _, c := range conds {
-		found := false
-		for _, marker := range []string{"content/"} {
-			idx := 0
-			for {
-				j := strings.Index(c[idx:], marker)
-				if j < 0 {
-					break
+		if e, err := xpath.Compile(c); err == nil {
+			if names, all := e.ChildNames("credential", "content"); !all {
+				for _, n := range names {
+					read[n] = true
 				}
-				start := idx + j + len(marker)
-				end := start
-				for end < len(c) && (isIdentRune(c[end])) {
-					end++
-				}
-				if end > start {
-					names[c[start:end]] = true
-					found = true
-				}
-				idx = end
+				continue
 			}
 		}
-		if !found {
-			analyzed = false
-		}
-	}
-	if !analyzed {
-		// Fallback: open everything so the condition can evaluate.
-		var all []string
-		for _, a := range cred.Attributes {
-			all = append(all, a.Name)
-		}
-		return all
+		read = nil // every attribute
+		break
 	}
 	var out []string
 	for _, a := range cred.Attributes {
-		if names[a.Name] {
+		if read == nil || read[a.Name] {
 			out = append(out, a.Name)
 		}
 	}
 	return out
-}
-
-func isIdentRune(b byte) bool {
-	return b == '_' || b == '-' || b == '.' ||
-		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
 }
 
 // ---- terminal transitions ----

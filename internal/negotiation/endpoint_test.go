@@ -1,6 +1,7 @@
 package negotiation
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -453,6 +454,41 @@ func TestSuspiciousSelectiveDisclosure(t *testing.T) {
 	}
 	if _, ok := view.Attr("auditReport"); ok {
 		t.Fatal("confidential attribute leaked under suspicious strategy")
+	}
+}
+
+// TestSuspiciousOpensOnlyWhatConditionsRead: a suspicious discloser
+// opens the attributes its counterpart's conditions read and no other.
+// The names used to come from scanning the condition text for
+// "content/", so a string literal opened the attribute it spelled, and a
+// condition on the header opened every attribute.
+func TestSuspiciousOpensOnlyWhatConditionsRead(t *testing.T) {
+	for _, c := range []struct {
+		policy string
+		opened []string
+	}{
+		{"VoMembership <- WebDesignerQuality[/credential/content/regulation != 'content/auditReport']", []string{"regulation"}},
+		{"VoMembership <- WebDesignerQuality(issuer='QualityCA')[content/regulation = 'UNI EN ISO 9000']", []string{"regulation"}},
+		{"VoMembership <- WebDesignerQuality(issuer='QualityCA')", nil},
+		// A wildcard may read any attribute, so every one opens.
+		{"VoMembership <- WebDesignerQuality[count(/credential/content/*) = 2]", []string{"regulation", "auditReport"}},
+	} {
+		f := suspiciousFixture(t)
+		f.aircraft.Policies = xtnl.MustPolicySet(xtnl.MustParsePolicies(c.policy)...)
+		reqOut, ctlOut, err := Run(f.aerospace, f.aircraft, "VoMembership")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reqOut.Succeeded || len(ctlOut.Received) != 1 {
+			t.Fatalf("%s: negotiation failed: %s", c.policy, reqOut.Reason)
+		}
+		var opened []string
+		for _, a := range ctlOut.Received[0].Credential.Attributes {
+			opened = append(opened, a.Name)
+		}
+		if !slices.Equal(opened, c.opened) {
+			t.Errorf("%s: opened %v, want %v", c.policy, opened, c.opened)
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ func (m *Message) Encode(w *xmldom.Writer) {
 		base64Element(w, "grant", m.Grant)
 	}
 	if m.Ticket != nil {
-		m.Ticket.sealed().Encode(w)
+		m.Ticket.encode(w)
 	}
 	if m.Reason != "" {
 		w.Start("reason")
@@ -262,17 +262,13 @@ func base64Element(w *xmldom.Writer, name string, b []byte) {
 	w.End()
 }
 
-// DOM builds the message's XML tree (see Encode).
-func (m *Message) DOM() *xmldom.Node { return xmldom.Tree(m.Encode) }
-
 // XML serializes the message in canonical form.
 func (m *Message) XML() string { return xmldom.String(m.Encode) }
 
 // ErrBadMessage reports a malformed wire message.
 var ErrBadMessage = errors.New("negotiation: malformed message")
 
-// ParseMessage decodes a wire message from its bytes, building no tree
-// but a <sealed> ticket's.
+// ParseMessage decodes a wire message from its bytes, building no tree.
 func ParseMessage(xmlText string) (*Message, error) {
 	r := xmldom.NewReader(xmlText)
 	var m *Message
@@ -368,7 +364,7 @@ func DecodeMessage(r *xmldom.Reader) (*Message, error) {
 		case "sealed":
 			if !seen[3] {
 				seen[3] = true
-				m.Ticket, errs[4] = ticketFromDOM(r.Node())
+				m.Ticket, errs[4] = decodeTicket(r)
 			}
 		case "reason":
 			if !seen[4] {

@@ -2,21 +2,24 @@ package negotiation
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"trustvo/internal/pki"
 	"trustvo/internal/xmldom"
 	"trustvo/internal/xtnl"
 )
 
-// refMessageFromDOM and refDisclosureFromDOM are the tree-walking
-// decoders DecodeMessage replaced, kept as the oracle FuzzDecodeMessage
-// checks it against. Nested credentials and policies decode through
-// xtnl's tree entry points, which FuzzDecodeCredential and
-// FuzzDecodePolicy check against xtnl's own reference decoders.
+// refMessageFromDOM, refDisclosureFromDOM and refTicketFromDOM are the
+// tree-walking decoders DecodeMessage replaced, kept as the oracle
+// FuzzDecodeMessage checks it against. Nested credentials and policies
+// decode through xtnl's tree entry points, which FuzzDecodeCredential
+// and FuzzDecodePolicy check against xtnl's own reference decoders.
 
 func refMessageFromDOM(root *xmldom.Node) (*Message, error) {
 	if root.Name != "tnMessage" {
@@ -100,7 +103,7 @@ func refMessageFromDOM(root *xmldom.Node) (*Message, error) {
 		}
 	}
 	if tk := root.Child("sealed"); tk != nil {
-		if m.Ticket, err = ticketFromDOM(tk); err != nil {
+		if m.Ticket, err = refTicketFromDOM(tk); err != nil {
 			return nil, err
 		}
 	}
@@ -108,6 +111,41 @@ func refMessageFromDOM(root *xmldom.Node) (*Message, error) {
 		m.Reason = r.Text()
 	}
 	return m, nil
+}
+
+// refTicketFromDOM is the tree walk a ticket was decoded with
+// (pki.ParseSealed, then the payload's attributes), with the two rules
+// pki.DecodeSealed added: the label must be the ticket label, and the
+// tag must be spelled as pki.OpenWire takes it, exactly 44 characters of
+// strict base64. Both shape errors of ParseSealed are now one.
+func refTicketFromDOM(n *xmldom.Node) (*Ticket, error) {
+	bad := func(format string, args ...any) (*Ticket, error) {
+		return nil, fmt.Errorf("%w: ticket: %w: "+format, append([]any{ErrBadMessage, pki.ErrBadSeal}, args...)...)
+	}
+	if label := n.AttrOr("label", ""); label != pki.LabelTicket {
+		return bad("label %q, want %q", label, pki.LabelTicket)
+	}
+	raw := n.AttrOr("notAfter", "")
+	notAfter, err := time.Parse(time.RFC3339, raw)
+	if err != nil || notAfter.UTC().Format(time.RFC3339) != raw {
+		return bad("notAfter %q", raw)
+	}
+	kids := n.Children
+	if len(kids) == 0 || len(kids) > 2 || kids[0].Type != xmldom.ElementNode ||
+		len(kids) == 2 && (kids[1].Type != xmldom.ElementNode || kids[1].Name != "signature") {
+		return bad("want a payload element and an optional <signature>")
+	}
+	p := kids[0]
+	t := &Ticket{Issuer: p.AttrOr("issuer", ""), Peer: p.AttrOr("peer", ""), Resource: p.AttrOr("resource", ""), Expires: notAfter}
+	if len(kids) == 2 {
+		text := kids[1].Text()
+		b, err := base64.StdEncoding.Strict().DecodeString(text)
+		if len(text) != 44 || err != nil || len(b) != sha256.Size {
+			return bad("signature is not the base64 of %d bytes", sha256.Size)
+		}
+		t.Signature = b
+	}
+	return t, nil
 }
 
 func refDisclosureFromDOM(el *xmldom.Node) (*CredentialDisclosure, error) {
@@ -213,6 +251,12 @@ var messageDecoderSeeds = []string{
 		`<trustSequence><entry node="1"/><x/><entry/></trustSequence><trustSequence><entry node="2"/></trustSequence><reason>r<!--c-->s</reason><reason>t</reason></tnMessage>`,
 	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket issuer="i" peer="p" resource="r"/><signature>AAAA</signature></sealed><grant>Zw==</grant></tnMessage>`,
 	`<tnMessage type="success" from="a"><sealed/><grant>!!</grant></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket issuer="i" peer="p" resource="r"><x/></ticket><signature>Wwq4LNUDbbiNCq3+4Gnh4qKpF/rTDN9ZY5Tep6s9mp4=</signature></sealed></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket/><signature>Wwq4LNUDbbiNCq3+4Gnh4qKpF/rTDN9ZY5Tep6s9mp5=</signature></sealed></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket/><signature>Wwq4LNUDbbiNCq3+4Gnh&#10;4qKpF/rTDN9ZY5Tep6s9mp4=</signature></sealed></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z">x<ticket/></sealed><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket/></sealed></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-ticket" notAfter="2030-01-01T00:00:00Z"><ticket/><!--c--></sealed></tnMessage>`,
+	`<tnMessage type="success" from="a"><sealed label="trustvo-resume" notAfter="2030-01-01T00:00:00Z"><ticket/></sealed></tnMessage>`,
 	`<tnMessage type="request" from="a" strategy="bogus"/>`,
 	`<tnMessage type="request" from="a" strategy="suspicious" requireProof="true" resource="R"/>`,
 	`<envelope/>`,

@@ -22,7 +22,7 @@ import (
 // ("executed repeatedly until the target result is achieved", §3).
 //
 // A ticket is the statement <ticket issuer peer resource/>, sealed
-// (pki.Sealed) under the issuer's key pair until it expires. The issuer
+// (pki.Seal) under the issuer's key pair until it expires. The issuer
 // opens its own seal on presentation, so no extra trust setup is needed.
 
 // Ticket is a trust ticket for one (peer, resource) pair.
@@ -34,22 +34,35 @@ type Ticket struct {
 	Signature []byte
 }
 
-// sealed is the ticket in its pki.Sealed form, derived from the fields:
-// the payload is <ticket issuer peer resource/>.
-func (t *Ticket) sealed() *pki.Sealed {
-	payload := &xmldom.Node{Type: xmldom.ElementNode, Name: "ticket", Attrs: []xmldom.Attr{
-		{Name: "issuer", Value: t.Issuer}, {Name: "peer", Value: t.Peer}, {Name: "resource", Value: t.Resource},
-	}}
-	return &pki.Sealed{Label: pki.LabelTicket, NotAfter: t.Expires, Payload: payload, Signature: t.Signature}
+// encode writes the ticket's wire form, its fields sealed under its tag.
+func (t *Ticket) encode(w *xmldom.Writer) {
+	pki.EncodeSealed(w, pki.LabelTicket, t.Expires, t.encodePayload, t.Signature)
+}
+
+// encodePayload writes the sealed statement: <ticket issuer peer resource/>.
+func (t *Ticket) encodePayload(w *xmldom.Writer) {
+	w.Start("ticket")
+	w.Attr("issuer", t.Issuer)
+	w.Attr("peer", t.Peer)
+	w.Attr("resource", t.Resource)
+	w.End()
 }
 
 // IssueTicket seals a ticket for peer over resource, valid for ttl.
 func IssueTicket(keys *pki.KeyPair, issuer, peer, resource string, ttl time.Duration) *Ticket {
-	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource, Expires: time.Now().Add(ttl)}
-	s := t.sealed()
-	s.Seal(keys)
-	t.Expires, t.Signature = s.NotAfter, s.Signature
+	t := &Ticket{Issuer: issuer, Peer: peer, Resource: resource, Expires: time.Now().Add(ttl).UTC().Truncate(time.Second)}
+	t.Signature = sealTag(pki.Seal(keys, pki.LabelTicket, t.Expires, t.encodePayload), pki.LabelTicket)
 	return t
+}
+
+// sealTag returns the tag of wire, a seal for label that pki.Seal has
+// just written.
+func sealTag(wire, label string) []byte {
+	r := xmldom.NewReader(wire)
+	defer r.Close()
+	r.Child(0)
+	_, tag, _ := pki.DecodeSealed(r, label, nil)
+	return tag
 }
 
 // ErrBadTicket reports an invalid or expired trust ticket.
@@ -61,25 +74,25 @@ func (t *Ticket) Verify(keys *pki.KeyPair, peer, resource string, now time.Time)
 	if t.Peer != peer || t.Resource != resource {
 		return fmt.Errorf("%w: bound to %s/%s", ErrBadTicket, t.Peer, t.Resource)
 	}
-	if _, err := t.sealed().Open(keys, pki.LabelTicket, now); err != nil {
+	if _, err := pki.OpenWire(keys, xmldom.String(t.encode), pki.LabelTicket, now); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadTicket, err)
 	}
 	return nil
 }
 
-func ticketFromDOM(n *xmldom.Node) (*Ticket, error) {
-	s, err := pki.ParseSealed(n)
+// decodeTicket reads the ticket whose <sealed> start tag r has just
+// read, to its end.
+func decodeTicket(r *xmldom.Reader) (*Ticket, error) {
+	t := new(Ticket)
+	var err error
+	t.Expires, t.Signature, err = pki.DecodeSealed(r, pki.LabelTicket, func(r *xmldom.Reader) error {
+		t.Issuer, t.Peer, t.Resource = r.AttrOr("issuer", ""), r.AttrOr("peer", ""), r.AttrOr("resource", "")
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: ticket: %w", ErrBadMessage, err)
 	}
-	p := s.Payload
-	return &Ticket{
-		Issuer:    p.AttrOr("issuer", ""),
-		Peer:      p.AttrOr("peer", ""),
-		Resource:  p.AttrOr("resource", ""),
-		Expires:   s.NotAfter,
-		Signature: s.Signature,
-	}, nil
+	return t, nil
 }
 
 // TicketCache stores the trust tickets a party has received, keyed by
@@ -165,7 +178,7 @@ func (c *TicketCache) Len() int {
 // endpoint and re-sends that message under the same sequence number, so
 // the counterpart's reply cache makes the hand-off exactly-once whether
 // or not the original delivery got through. The ticket is sealed
-// (pki.Sealed) under its holder's own key pair when the holder has one —
+// (pki.Seal) under its holder's own key pair when the holder has one —
 // it never crosses the wire; the seal protects a ticket persisted to disk
 // from tampering.
 
@@ -191,21 +204,26 @@ type ResumeTicket struct {
 	Signature []byte
 }
 
-// sealed is the ticket's pki.Sealed form, derived from the fields: the
-// payload is <resumeTicket negotiation resource peer seq>[LastSent][State].
-func (t *ResumeTicket) sealed() *pki.Sealed {
-	payload := xmldom.NewElement("resumeTicket").
-		SetAttr("negotiation", t.NegID).
-		SetAttr("resource", t.Resource).
-		SetAttr("peer", t.Peer).
-		SetAttr("seq", strconv.FormatInt(t.Seq, 10))
+// encode writes the ticket's sealed form, with no <signature> if unkeyed.
+func (t *ResumeTicket) encode(w *xmldom.Writer) {
+	pki.EncodeSealed(w, pki.LabelResume, t.Expires, t.encodePayload, t.Signature)
+}
+
+// encodePayload writes the sealed statement, <resumeTicket negotiation
+// resource peer seq>[LastSent][State].
+func (t *ResumeTicket) encodePayload(w *xmldom.Writer) {
+	w.Start("resumeTicket")
+	w.Attr("negotiation", t.NegID)
+	w.Attr("resource", t.Resource)
+	w.Attr("peer", t.Peer)
+	w.AttrInt("seq", t.Seq)
 	if t.LastSent != nil {
-		payload.AppendChild(t.LastSent.DOM())
+		t.LastSent.Encode(w)
 	}
 	if t.State != nil {
-		payload.AppendChild(t.State.Clone())
+		t.State.Encode(w)
 	}
-	return &pki.Sealed{Label: pki.LabelResume, NotAfter: t.Expires, Payload: payload, Signature: t.Signature}
+	w.End()
 }
 
 // NewResumeTicket snapshots an in-flight endpoint into a resume ticket.
@@ -229,9 +247,7 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 		State:    state,
 	}
 	if ep.party.Keys != nil {
-		s := t.sealed()
-		s.Seal(ep.party.Keys)
-		t.Signature = s.Signature
+		t.Signature = sealTag(pki.Seal(ep.party.Keys, pki.LabelResume, t.Expires, t.encodePayload), pki.LabelResume)
 	}
 	return t, nil
 }
@@ -239,13 +255,17 @@ func NewResumeTicket(ep *Endpoint, negID string, seq int64, lastSent *Message, t
 // ErrBadResumeTicket reports an invalid or expired resume ticket.
 var ErrBadResumeTicket = errors.New("negotiation: invalid resume ticket")
 
-// Verify checks expiry, then the seal, then completeness; a holder with
-// keys must find a valid seal, a keyless one (nil) has none to check. An
-// expired ticket's error also matches pki.ErrTicketExpired.
+// Verify opens the ticket's seal at now, as pki.OpenWire checks it,
+// then checks completeness; a holder with keys must find a valid seal, a
+// keyless one (nil) has none and checks expiry alone. An expired
+// ticket's error also matches pki.ErrTicketExpired.
 func (t *ResumeTicket) Verify(keys *pki.KeyPair, now time.Time) error {
-	_, err := t.sealed().Open(keys, pki.LabelResume, now)
-	if keys == nil && errors.Is(err, pki.ErrBadSignature) {
-		err = nil
+	var err error
+	switch {
+	case keys != nil:
+		_, err = pki.OpenWire(keys, xmldom.String(t.encode), pki.LabelResume, now)
+	case pki.Expired(t.Expires, now):
+		err = fmt.Errorf("%w: %s notAfter %s", pki.ErrTicketExpired, pki.LabelResume, t.Expires.UTC().Format(time.RFC3339))
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
@@ -257,37 +277,40 @@ func (t *ResumeTicket) Verify(keys *pki.KeyPair, now time.Time) error {
 }
 
 // DOM returns the ticket's sealed form, for persistence (not the wire).
-func (t *ResumeTicket) DOM() *xmldom.Node { return xmldom.Tree(t.sealed().Encode) }
+func (t *ResumeTicket) DOM() *xmldom.Node { return xmldom.Tree(t.encode) }
 
 // ResumeTicketFromDOM parses a persisted resume ticket.
 func ResumeTicketFromDOM(n *xmldom.Node) (*ResumeTicket, error) {
-	s, err := pki.ParseSealed(n)
-	if err != nil {
+	r := xmldom.NewNodeReader(n)
+	defer r.Close()
+	r.Child(0)
+	t := new(ResumeTicket)
+	var err error
+	if t.Expires, t.Signature, err = pki.DecodeSealed(r, pki.LabelResume, t.decodePayload); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
 	}
-	p := s.Payload
-	if p.Name != "resumeTicket" {
-		return nil, fmt.Errorf("%w: sealed <%s>, want <resumeTicket>", ErrBadResumeTicket, p.Name)
+	return t, nil
+}
+
+// decodePayload reads the <resumeTicket> whose start tag r has just
+// read, to its end: of its children, the first <tnMessage> and the first
+// <negotiationState> count.
+func (t *ResumeTicket) decodePayload(r *xmldom.Reader) error {
+	if r.Name() != "resumeTicket" {
+		return fmt.Errorf("sealed <%s>, want <resumeTicket>", r.Name())
 	}
-	seq, err := strconv.ParseInt(p.AttrOr("seq", "0"), 10, 64)
+	seq, err := strconv.ParseInt(r.AttrOr("seq", "0"), 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad seq: %w", ErrBadResumeTicket, err)
+		return fmt.Errorf("bad seq: %w", err)
 	}
-	t := &ResumeTicket{
-		NegID:     p.AttrOr("negotiation", ""),
-		Resource:  p.AttrOr("resource", ""),
-		Peer:      p.AttrOr("peer", ""),
-		Seq:       seq,
-		Expires:   s.NotAfter,
-		Signature: s.Signature,
-	}
-	if tm := p.Child("tnMessage"); tm != nil {
-		if t.LastSent, err = MessageFromDOM(tm); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
+	t.NegID, t.Resource, t.Peer, t.Seq = r.AttrOr("negotiation", ""), r.AttrOr("resource", ""), r.AttrOr("peer", ""), seq
+	for d := r.Depth(); r.Child(d); {
+		switch {
+		case r.Name() == "tnMessage" && t.LastSent == nil && err == nil:
+			t.LastSent, err = DecodeMessage(r)
+		case r.Name() == "negotiationState" && t.State == nil:
+			t.State = r.Node().Clone()
 		}
 	}
-	if st := p.Child("negotiationState"); st != nil {
-		t.State = st.Clone()
-	}
-	return t, nil
+	return err
 }

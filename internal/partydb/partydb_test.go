@@ -168,9 +168,10 @@ func TestPersistsAcrossReopen(t *testing.T) {
 // TestDurableSurvivesUncleanShutdown saves a party and a resume ticket
 // through a durable store and reopens the path WITHOUT closing the
 // first handle — the process-died case. Every acknowledged write must
-// come back: SaveResumeTicket in particular is the crash-recovery
-// hand-off (tnserve persists suspended negotiations through it), so a
-// ticket lost here is a negotiation the next run cannot resume.
+// come back: SaveResumeTicket syncs before it returns, so a client that
+// persists its resume ticket through it and then dies can still resume
+// the negotiation on its next run. (tnserve persists its own suspended
+// sessions separately, through TNService.SuspendSessions.)
 func TestDurableSurvivesUncleanShutdown(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "party.wal")
 	db, err := store.OpenDurable(path)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,24 +16,17 @@ import (
 	"trustvo/internal/xmldom"
 )
 
-// Sealed is a domain label, a notAfter time and an XML payload under one
-// HMAC-SHA256 tag: the trust and resume tickets and the standby ship are
-// each one, so Seal and Open are where their bytes are sealed and
-// checked. Every party that opens a seal also made it, or shares the
-// key pair of the one that did: a controller opens the trust tickets it
-// issued, a client its own resume tickets, and the nodes of a cluster,
-// which share one key pair, each other's ships. So a MAC under a key
-// derived from the key pair gives the guarantee a signature would.
-//
-// Sealed is the tree form, for tickets, which travel inside parsed
-// documents. A standby ship stays in its wire form: Seal writes it and
-// OpenWire opens it as received.
-type Sealed struct {
-	Label     string
-	NotAfter  time.Time
-	Payload   *xmldom.Node
-	Signature []byte // the MAC, written as <signature>
-}
+// A seal is a domain label, a notAfter time and an XML payload under one
+// HMAC-SHA256 tag: the trust and resume tickets and the standby ship
+// are each one. Seal is where one is made and written, EncodeSealed
+// writes one whose tag is already known, DecodeSealed reads one inside a
+// document, and OpenWire is the one place its label, expiry and tag are
+// checked, over the bytes Seal or EncodeSealed wrote. Every party that
+// opens a seal also made it, or shares the key pair of the one that
+// did: a controller opens the trust tickets it issued, a client its own
+// resume tickets, and the nodes of a cluster, which share one key pair,
+// each other's ships. So a MAC under a key derived from the key pair
+// gives the guarantee a signature would.
 
 // Labels domain-separate the sealed formats: a document sealed for one
 // use never opens as another, and each label has its own key.
@@ -51,16 +45,6 @@ var (
 
 // labels are the seal labels, in the order of a key pair's seal keys.
 var labels = [...]string{LabelTicket, LabelResume, LabelStandby}
-
-// labelIndex returns label's place in labels, or -1.
-func labelIndex(label string) int {
-	for i, l := range labels {
-		if l == label {
-			return i
-		}
-	}
-	return -1
-}
 
 // sealKeys are the seal keys of one key pair: for each label, a pool of
 // HMAC-SHA256 states keyed by HKDF-SHA256 of the pair's Ed25519 seed
@@ -107,7 +91,7 @@ type macState struct {
 // mac returns a pooled MAC state under k's key for label, or nil when k
 // holds no Ed25519 private key or label is none of labels.
 func (k *KeyPair) mac(label string) *macState {
-	i := labelIndex(label)
+	i := slices.Index(labels[:], label)
 	if k == nil || i < 0 {
 		return nil
 	}
@@ -120,17 +104,6 @@ func (k *KeyPair) mac(label string) *macState {
 		return nil
 	}
 	return k.seal[i].Get().(*macState)
-}
-
-// mustMAC is mac for sealing, which a key pair without a private key,
-// or an unknown label, cannot do: a caller's bug, as a bad key is to
-// ed25519.Sign.
-func (k *KeyPair) mustMAC(label string) *macState {
-	m := k.mac(label)
-	if m == nil {
-		panic("pki: Seal needs a private key and a known label")
-	}
-	return m
 }
 
 func (m *macState) release() { m.pool.Put(m) }
@@ -160,94 +133,104 @@ func (m *macState) sum() []byte { return m.h.Sum(m.tag[:0]) }
 
 // Seal returns the wire form of the payload that encode writes, sealed
 // for label under k until notAfter, which is truncated to the second in
-// UTC (the precision of the wire form): <sealed label=… notAfter=…>, the
-// payload, then <signature> holding the base64 MAC of label, NUL,
-// notAfter, NUL and the payload. The form is written once, into a
-// pooled buffer, where the payload is MACed as it lies; the string is
-// the one allocation. A caller holding a tree passes its Encode method.
-// k must hold a private key, and label must be one of labels.
+// UTC (the precision of the wire form): EncodeSealed's layout, whose
+// <signature> holds the base64 MAC of label, NUL, notAfter, NUL and the
+// payload. The form is written once, into a pooled buffer, where the
+// payload is MACed as it lies; the string is the one allocation. A
+// caller holding a tree passes its Encode method. k must hold a private
+// key, and label must be one of labels.
 func Seal(k *KeyPair, label string, notAfter time.Time, encode func(*xmldom.Writer)) string {
-	m := k.mustMAC(label)
+	m := k.mac(label)
+	if m == nil { // a caller's bug, as a bad key is to ed25519.Sign
+		panic("pki: Seal needs a private key and a known label")
+	}
 	defer m.release()
 	notAfter = notAfter.UTC().Truncate(time.Second)
+	m.begin(label, notAfter)
 	return xmldom.String(func(w *xmldom.Writer) {
-		w.Start("sealed")
-		w.Attr("label", label)
-		w.AttrTime("notAfter", notAfter, time.RFC3339)
-		m.begin(label, notAfter)
-		w.Tee(m.h, encode)
-		w.Start("signature")
-		w.TextBase64(m.sum())
-		w.End()
-		w.End()
+		// The MAC lands in m.tag as the payload ends, before EncodeSealed
+		// writes the tag.
+		EncodeSealed(w, label, notAfter, func(w *xmldom.Writer) {
+			w.Tee(m.h, encode)
+			m.sum()
+		}, m.tag[:])
 	})
 }
 
-// Seal sets the tree form's Signature to the MAC of its label, notAfter
-// and canonical payload under k, after truncating NotAfter to the second
-// in UTC as the function Seal does: s then writes the wire form Seal
-// writes. k must hold a private key, and the label must be one of
-// labels.
-func (s *Sealed) Seal(k *KeyPair) {
-	m := k.mustMAC(s.Label)
-	s.NotAfter = s.NotAfter.UTC().Truncate(time.Second)
-	s.Signature = append([]byte(nil), s.tag(m)...)
-	m.release()
-}
-
-// tag computes the tree form's MAC in m, over the canonical payload.
-func (s *Sealed) tag(m *macState) []byte {
-	m.begin(s.Label, s.NotAfter)
-	m.h.Write(xmldom.Bytes(nil, s.Payload.Encode))
-	return m.sum()
-}
-
-// Encode writes the wire form: <sealed label=… notAfter=…>, the payload,
-// then <signature>base64</signature> when there is a signature.
-func (s *Sealed) Encode(w *xmldom.Writer) {
+// EncodeSealed writes the one layout of a seal: <sealed label=…
+// notAfter=…>, the payload that encode writes, then <signature> holding
+// tag in base64, or nothing more when tag is empty. notAfter is written
+// in UTC, to the second. Seal writes through it, so the fields of a seal
+// written here again give back the bytes that were sealed, which
+// OpenWire opens.
+func EncodeSealed(w *xmldom.Writer, label string, notAfter time.Time, encode func(*xmldom.Writer), tag []byte) {
 	w.Start("sealed")
-	w.Attr("label", s.Label)
-	w.AttrTime("notAfter", s.NotAfter.UTC(), time.RFC3339)
-	s.Payload.Encode(w)
-	if len(s.Signature) > 0 {
+	w.Attr("label", label)
+	w.AttrTime("notAfter", notAfter.UTC(), time.RFC3339)
+	encode(w)
+	if len(tag) > 0 {
 		w.Start("signature")
-		w.TextBase64(s.Signature)
+		w.TextBase64(tag)
 		w.End()
 	}
 	w.End()
 }
 
-// XML returns the wire form.
-func (s *Sealed) XML() string { return xmldom.String(s.Encode) }
-
-// ParseSealed reads the wire form of a tree, checking shape only: one
-// payload element, an optional signature (else Signature is nil), and
-// notAfter as Seal writes it.
-func ParseSealed(n *xmldom.Node) (*Sealed, error) {
-	if n == nil || n.Type != xmldom.ElementNode || n.Name != "sealed" {
-		return nil, fmt.Errorf("%w: expected <sealed>", ErrBadSeal)
-	}
-	raw := n.AttrOr("notAfter", "")
+// DecodeSealed reads the seal whose <sealed> start tag r has just read,
+// to its end, and returns its notAfter and its tag, nil when it has no
+// <signature>. Its label must be label, and its notAfter RFC 3339 in
+// UTC, to the second. Of its children, text and comments counted, the
+// first must be the payload element, which payload reads from its start
+// tag (a nil payload skips it), and the only other one a <signature>
+// whose text is a tag as OpenWire takes it: exactly 44 characters of
+// strict base64. Anything else is ErrBadSeal, which comes before
+// payload's error. No key is involved: what DecodeSealed returns opens
+// through OpenWire, over the bytes EncodeSealed writes from it.
+func DecodeSealed(r *xmldom.Reader, label string, payload func(*xmldom.Reader) error) (time.Time, []byte, error) {
+	got, raw := r.AttrOr("label", ""), r.AttrOr("notAfter", "")
 	notAfter, ok := parseNotAfter(raw)
-	if !ok {
-		return nil, fmt.Errorf("%w: notAfter %q", ErrBadSeal, raw)
+	switch {
+	case r.Name() != "sealed":
+		return time.Time{}, nil, fmt.Errorf("%w: expected <sealed>", ErrBadSeal)
+	case got != label:
+		return time.Time{}, nil, fmt.Errorf("%w: label %q, want %q", ErrBadSeal, got, label)
+	case !ok:
+		return time.Time{}, nil, fmt.Errorf("%w: notAfter %q", ErrBadSeal, raw)
 	}
-	kids := n.Children
-	if len(kids) == 0 || len(kids) > 2 || kids[0].Type != xmldom.ElementNode {
-		return nil, fmt.Errorf("%w: want a payload element and an optional signature", ErrBadSeal)
-	}
-	s := &Sealed{Label: n.AttrOr("label", ""), NotAfter: notAfter, Payload: kids[0]}
-	if len(kids) == 2 {
-		sig := kids[1]
-		if sig.Type != xmldom.ElementNode || sig.Name != "signature" {
-			return nil, fmt.Errorf("%w: want <signature> after the payload", ErrBadSeal)
+	kids, shaped, sig := 0, true, ""
+	var payloadErr error
+	for d := r.Depth(); ; {
+		k := r.Next()
+		if k == xmldom.NoToken || k == xmldom.EndToken && r.Depth() < d {
+			break
 		}
-		var err error
-		if s.Signature, err = base64.StdEncoding.DecodeString(sig.Text()); err != nil {
-			return nil, fmt.Errorf("%w: signature: %w", ErrBadSeal, err)
+		switch {
+		case k == xmldom.StartToken && r.Depth() == d+1:
+		case (k == xmldom.TextToken || k == xmldom.CommentToken) && r.Depth() == d:
+		default:
+			continue // not a child of <sealed>
+		}
+		switch kids++; {
+		case k != xmldom.StartToken || kids > 2:
+			shaped = false
+		case kids == 1 && payload != nil:
+			payloadErr = payload(r)
+		case kids == 2 && r.Name() == "signature":
+			sig = r.Text()
+		case kids == 2:
+			shaped = false
 		}
 	}
-	return s, nil
+	tag, tagged := decodeTag(sig)
+	switch {
+	case kids == 0 || !shaped:
+		return time.Time{}, nil, fmt.Errorf("%w: want a payload element and an optional <signature>", ErrBadSeal)
+	case kids == 1:
+		return notAfter, nil, payloadErr
+	case !tagged:
+		return time.Time{}, nil, fmt.Errorf("%w: signature is not the base64 of %d bytes", ErrBadSeal, sha256.Size)
+	}
+	return notAfter, tag[:], payloadErr
 }
 
 // parseNotAfter reads a notAfter as Seal writes it: RFC 3339 in UTC,
@@ -261,33 +244,9 @@ func parseNotAfter(raw string) (time.Time, bool) {
 	return notAfter, true
 }
 
-// Expired is Open's expiry rule, for caches that drop what Open refuses.
+// Expired is OpenWire's expiry rule, for caches that drop what OpenWire
+// refuses.
 func Expired(notAfter, now time.Time) bool { return now.After(notAfter) }
-
-// Open returns the payload sealed for label, or the first failure: a
-// wrong label is ErrBadSeal; now after NotAfter is ErrTicketExpired,
-// before any MAC work; a key pair that is nil or holds no private key,
-// and a missing, malformed or wrong signature, is ErrBadSignature. The
-// MAC covers the re-serialized payload, so a parsed document opens when
-// its canonical form was sealed.
-func (s *Sealed) Open(k *KeyPair, label string, now time.Time) (*xmldom.Node, error) {
-	if s.Label != label {
-		return nil, fmt.Errorf("%w: label %q, want %q", ErrBadSeal, s.Label, label)
-	}
-	if Expired(s.NotAfter, now) {
-		return nil, fmt.Errorf("%w: %s notAfter %s", ErrTicketExpired, label, s.NotAfter.UTC().Format(time.RFC3339))
-	}
-	m := k.mac(label)
-	if m == nil {
-		return nil, fmt.Errorf("%w: %s", ErrBadSignature, label)
-	}
-	ok := hmac.Equal(s.tag(m), s.Signature)
-	m.release()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrBadSignature, label)
-	}
-	return s.Payload, nil
-}
 
 // The canonical envelope of a wire form, around its label, notAfter,
 // payload and MAC; the MAC is tagLen base64 characters.
@@ -304,9 +263,18 @@ const (
 // same bytes.
 var strictBase64 = base64.StdEncoding.Strict()
 
-// OpenWire opens the wire form of a seal as received and returns its
-// payload, a substring of wire, or the first failure, checked in Open's
-// order:
+// decodeTag decodes a tag as the wire form spells it: exactly tagLen
+// characters, the strict base64 of sha256.Size bytes. Both decoders
+// skip newlines, so the length is checked too.
+func decodeTag(text string) (tag [sha256.Size]byte, ok bool) {
+	var b64 [tagLen]byte
+	var buf [sha256.Size + 1]byte
+	n, err := strictBase64.Decode(buf[:], b64[:copy(b64[:], text)])
+	return [sha256.Size]byte(buf[:sha256.Size]), len(text) == tagLen && err == nil && n == sha256.Size
+}
+
+// OpenWire opens the wire form of a seal and returns its payload, a
+// substring of wire, or the first failure, checked in this order:
 //
 //  1. wire must be the canonical envelope byte for byte: <sealed
 //     label="L" notAfter="T">, the payload, <signature>B</signature>
@@ -320,7 +288,9 @@ var strictBase64 = base64.StdEncoding.Strict()
 //
 // The envelope parses one way only, so a ship whose bytes differ from
 // the ones sealed in any place fails: nothing but the sealed bytes
-// opens.
+// opens. It is the one check of every label: a ship opens as received,
+// and a ticket, which travels inside a document, opens as the bytes
+// EncodeSealed writes from the fields DecodeSealed read.
 func OpenWire(k *KeyPair, wire, label string, now time.Time) (string, error) {
 	rest, ok := strings.CutPrefix(wire, wireHead)
 	if !ok {
@@ -349,9 +319,8 @@ func OpenWire(k *KeyPair, wire, label string, now time.Time) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: want <signature> after the payload", ErrBadSeal)
 	}
-	var b64 [tagLen]byte
-	var want [sha256.Size + 1]byte
-	if n, err := strictBase64.Decode(want[:], b64[:copy(b64[:], sig)]); err != nil || n != sha256.Size {
+	want, ok := decodeTag(sig)
+	if !ok {
 		return "", fmt.Errorf("%w: signature is not the base64 of %d bytes", ErrBadSeal, sha256.Size)
 	}
 	if Expired(notAfter, now) {
@@ -363,7 +332,7 @@ func OpenWire(k *KeyPair, wire, label string, now time.Time) (string, error) {
 	}
 	m.begin(label, notAfter)
 	m.writeString(payload)
-	ok = hmac.Equal(m.sum(), want[:sha256.Size])
+	ok = hmac.Equal(m.sum(), want[:])
 	m.release()
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrBadSignature, label)

@@ -22,71 +22,96 @@ func fixedKeys(seed byte) *KeyPair {
 	return &KeyPair{Public: priv.Public().(ed25519.PublicKey), Private: priv}
 }
 
-// openTree parses a wire form and opens its tree form, as a ticket
-// inside a parsed message is opened.
-func openTree(wire, label string, k *KeyPair, now time.Time) (*Sealed, *xmldom.Node, error) {
-	root, err := xmldom.ParseString(wire)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := ParseSealed(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	payload, err := s.Open(k, label, now)
-	return s, payload, err
+// encodeSealed writes a seal's fields through EncodeSealed.
+func encodeSealed(label string, notAfter time.Time, payload *xmldom.Node, tag []byte) string {
+	return xmldom.String(func(w *xmldom.Writer) { EncodeSealed(w, label, notAfter, payload.Encode, tag) })
 }
 
+// decodeCarried reads the seal at the root of doc as a document that
+// carries one is read, through DecodeSealed, with its payload as a tree,
+// over doc's bytes and over its parsed tree; both must agree.
+func decodeCarried(t *testing.T, doc, label string) (notAfter time.Time, payload *xmldom.Node, tag []byte, err error) {
+	t.Helper()
+	r := xmldom.NewReader(doc)
+	r.Child(0)
+	notAfter, tag, err = DecodeSealed(r, label, func(r *xmldom.Reader) error { payload = r.Node(); return nil })
+	root, perr := xmldom.ParseString(doc)
+	if cerr := r.Close(); cerr != nil || perr != nil {
+		if (cerr == nil) != (perr == nil) {
+			t.Fatalf("%q: the Reader reports %v, the parse %v", doc, cerr, perr)
+		}
+		return time.Time{}, nil, nil, cerr
+	}
+	var fromTree *xmldom.Node
+	tr := xmldom.NewNodeReader(root)
+	tr.Child(0)
+	treeAt, treeTag, treeErr := DecodeSealed(tr, label, func(r *xmldom.Reader) error { fromTree = r.Node(); return nil })
+	tr.Close()
+	if (err == nil) != (treeErr == nil) || err != nil && err.Error() != treeErr.Error() ||
+		!notAfter.Equal(treeAt) || !bytes.Equal(tag, treeTag) || err == nil && !xmldom.Equal(payload, fromTree) {
+		t.Fatalf("%q: decoded over bytes to %v, %x, %v; over the tree to %v, %x, %v", doc, notAfter, tag, err, treeAt, treeTag, treeErr)
+	}
+	return notAfter, payload, tag, err
+}
+
+// openCarried decodes the seal at the root of doc and opens the bytes
+// EncodeSealed writes from what it decoded, as a ticket is opened.
+func openCarried(t *testing.T, doc, label string, k *KeyPair, now time.Time) (*xmldom.Node, error) {
+	t.Helper()
+	notAfter, payload, tag, err := decodeCarried(t, doc, label)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := OpenWire(k, encodeSealed(label, notAfter, payload, tag), label, now); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// TestSealedOpenOrder: a seal's fields, decoded and written again
+// through EncodeSealed, open in OpenWire's order, and every field is
+// covered: a changed payload or notAfter no longer opens.
 func TestSealedOpenOrder(t *testing.T) {
 	keys, other := fixedKeys(1), fixedKeys(2)
 	payload := xmldom.NewElement("tnSession").SetAttr("id", "s1")
 	notAfter := time.Now().Add(time.Hour)
-	sealed := &Sealed{Label: LabelStandby, NotAfter: notAfter, Payload: payload}
-	sealed.Seal(keys)
-	if !sealed.NotAfter.Equal(notAfter.UTC().Truncate(time.Second)) || sealed.NotAfter.Location() != time.UTC {
-		t.Fatalf("NotAfter = %v, want %v truncated to the second in UTC", sealed.NotAfter, notAfter)
+	wire := Seal(keys, LabelStandby, notAfter, payload.Encode)
+	at, got, tag, err := decodeCarried(t, wire, LabelStandby)
+	if err != nil || !xmldom.Equal(got, payload) || len(tag) != 32 {
+		t.Fatalf("decoded %v, %x, %v", got, tag, err)
 	}
-	s := sealed
+	if !at.Equal(notAfter.UTC().Truncate(time.Second)) || at.Location() != time.UTC {
+		t.Fatalf("notAfter = %v, want %v truncated to the second in UTC", at, notAfter)
+	}
+	if again := encodeSealed(LabelStandby, at, got, tag); again != wire {
+		t.Fatalf("fields re-encode to %s, sealed %s", again, wire)
+	}
 	now := time.Now()
 	late := notAfter.Add(time.Hour)
-	unsigned := *s
-	unsigned.Signature = nil
-	short := *s
-	short.Signature = s.Signature[:10]
 	public := &KeyPair{Public: keys.Public}
 	for _, c := range []struct {
 		name  string
-		s     *Sealed
+		doc   string
 		keys  *KeyPair
 		label string
 		now   time.Time
 		want  error
 	}{
-		{"valid", s, keys, LabelStandby, now, nil},
-		{"wrong label before expiry", s, other, LabelResume, late, ErrBadSeal},
-		{"expiry before signature", s, other, LabelStandby, late, ErrTicketExpired},
-		{"expired under nil key", s, nil, LabelStandby, late, ErrTicketExpired},
-		{"nil key", s, nil, LabelStandby, now, ErrBadSignature},
-		{"wrong key", s, other, LabelStandby, now, ErrBadSignature},
-		{"missing signature", &unsigned, keys, LabelStandby, now, ErrBadSignature},
-		{"malformed signature", &short, keys, LabelStandby, now, ErrBadSignature},
-		{"public half only", s, public, LabelStandby, now, ErrBadSignature},
+		{"valid", wire, keys, LabelStandby, now, nil},
+		{"wrong label before expiry", wire, other, LabelResume, late, ErrBadSeal},
+		{"expiry before signature", wire, other, LabelStandby, late, ErrTicketExpired},
+		{"expired under nil key", wire, nil, LabelStandby, late, ErrTicketExpired},
+		{"nil key", wire, nil, LabelStandby, now, ErrBadSignature},
+		{"wrong key", wire, other, LabelStandby, now, ErrBadSignature},
+		{"missing signature", encodeSealed(LabelStandby, at, payload, nil), keys, LabelStandby, now, ErrBadSeal},
+		{"malformed signature before expiry", encodeSealed(LabelStandby, at, payload, tag[:10]), keys, LabelStandby, late, ErrBadSeal},
+		{"public half only", wire, public, LabelStandby, now, ErrBadSignature},
+		{"moved notAfter", encodeSealed(LabelStandby, at.Add(time.Second), payload, tag), keys, LabelStandby, now, ErrBadSignature},
+		{"edited payload", encodeSealed(LabelStandby, at, xmldom.NewElement("tnSession").SetAttr("id", "s2"), tag), keys, LabelStandby, now, ErrBadSignature},
 	} {
-		got, err := c.s.Open(c.keys, c.label, c.now)
+		got, err := openCarried(t, c.doc, c.label, c.keys, c.now)
 		if !errors.Is(err, c.want) || (c.want == nil) != (got != nil) {
-			t.Errorf("%s: Open = %v, %v; want error %v", c.name, got, err, c.want)
-		}
-	}
-
-	// Every sealed field is covered: a changed payload or notAfter no
-	// longer opens.
-	moved := *s
-	moved.NotAfter = s.NotAfter.Add(time.Second)
-	edited := *s
-	edited.Payload = xmldom.NewElement("tnSession").SetAttr("id", "s2")
-	for name, m := range map[string]*Sealed{"notAfter": &moved, "payload": &edited} {
-		if _, err := m.Open(keys, LabelStandby, now); !errors.Is(err, ErrBadSignature) {
-			t.Errorf("changed %s: Open = %v, want ErrBadSignature", name, err)
+			t.Errorf("%s: opened %v, %v; want error %v", c.name, got, err, c.want)
 		}
 	}
 }
@@ -100,7 +125,7 @@ func TestOpenWireOrder(t *testing.T) {
 	wire := Seal(keys, LabelStandby, notAfter, payload.Encode)
 	now := time.Now()
 	late := notAfter.Add(time.Hour)
-	unsigned := (&Sealed{Label: LabelStandby, NotAfter: notAfter.UTC().Truncate(time.Second), Payload: payload}).XML()
+	unsigned := encodeSealed(LabelStandby, notAfter, payload, nil)
 	for _, c := range []struct {
 		name  string
 		wire  string
@@ -250,49 +275,76 @@ func TestSealedWireForm(t *testing.T) {
 	if laid != wire {
 		t.Fatalf("layout seal %s differs from tree seal %s", laid, wire)
 	}
-	// The tree form seals to the same tag and writes the same wire form,
-	// in byte and in tree mode.
-	tree := &Sealed{Label: LabelTicket, NotAfter: notAfter, Payload: payload}
-	tree.Seal(keys)
-	if tree.XML() != wire || xmldom.Tree(tree.Encode).XML() != wire {
-		t.Fatalf("tree form writes %s, sealed form %s", tree.XML(), wire)
-	}
+	// The fields a decode reads write the same wire form through
+	// EncodeSealed, in byte and in tree mode.
 	opened := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	if _, got, err := openTree(wire, LabelTicket, keys, opened); err != nil || !xmldom.Equal(got, payload) {
-		t.Fatalf("tree round trip: %v, %v", got, err)
+	at, got, tag, err := decodeCarried(t, wire, LabelTicket)
+	if err != nil || !xmldom.Equal(got, payload) {
+		t.Fatalf("decoded %v, %v", got, err)
+	}
+	write := func(w *xmldom.Writer) { EncodeSealed(w, LabelTicket, notAfter, payload.Encode, tag) }
+	if again := encodeSealed(LabelTicket, at, got, tag); again != wire || xmldom.String(write) != wire || xmldom.Tree(write).XML() != wire {
+		t.Fatalf("fields write %s, sealed form %s", again, wire)
+	}
+	if got, err := openCarried(t, wire, LabelTicket, keys, opened); err != nil || !xmldom.Equal(got, payload) {
+		t.Fatalf("carried round trip: %v, %v", got, err)
 	}
 	if got, err := OpenWire(keys, wire, LabelTicket, opened); err != nil || got != payload.XML() {
 		t.Fatalf("wire round trip: %q, %v", got, err)
 	}
-	unsigned := &Sealed{Label: LabelTicket, NotAfter: tree.NotAfter, Payload: payload}
-	root, err := xmldom.ParseString(unsigned.XML())
-	if err != nil {
-		t.Fatal(err)
+	unsigned := encodeSealed(LabelTicket, notAfter, payload, nil)
+	if !strings.HasSuffix(unsigned, `<ticket peer="a&quot;b"/></sealed>`) {
+		t.Fatalf("unsigned wire form %s", unsigned)
 	}
-	if p, err := ParseSealed(root); err != nil || p.Signature != nil {
-		t.Fatalf("unsigned wire form: %+v, %v", p, err)
+	if _, _, tag, err := decodeCarried(t, unsigned, LabelTicket); err != nil || tag != nil {
+		t.Fatalf("unsigned wire form: tag %x, %v", tag, err)
 	}
 }
 
+// TestParseSealedShape: DecodeSealed takes only the shape EncodeSealed
+// writes, over bytes and over trees alike: a <sealed> element with the
+// expected label and a canonical notAfter, whose children, text and
+// comments counted, are one payload element and an optional <signature>
+// holding a tag as OpenWire spells it. The lenient base64 decoder reads
+// a tag whose padding bits differ, or that holds a newline, as the same
+// bytes; neither decodes here.
 func TestParseSealedShape(t *testing.T) {
+	const tag = "yXwuiqz5cet6RASvohW5ZUTF96ItEstYiX0TfbVpxdw="
+	const flipped = "yXwuiqz5cet6RASvohW5ZUTF96ItEstYiX0TfbVpxdx="
+	if a, err := base64.StdEncoding.DecodeString(tag); err != nil {
+		t.Fatal(err)
+	} else if b, err := base64.StdEncoding.DecodeString(flipped); err != nil || !bytes.Equal(a, b) {
+		t.Fatalf("lenient base64 reads %s and %s apart: %v", tag, flipped, err)
+	}
+	good := `<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>` + tag + `</signature></sealed>`
+	if _, _, got, err := decodeCarried(t, good, "l"); err != nil || base64.StdEncoding.EncodeToString(got) != tag {
+		t.Fatalf("%s: tag %x, %v", good, got, err)
+	}
 	for _, wire := range []string{
 		`<sealedx label="l" notAfter="2030-01-01T00:00:00Z"><p/></sealedx>`,
+		`<sealed label="m" notAfter="2030-01-01T00:00:00Z"><p/></sealed>`,
+		`<sealed notAfter="2030-01-01T00:00:00Z"><p/></sealed>`,
 		`<sealed label="l"><p/></sealed>`,
 		`<sealed label="l" notAfter="nope"><p/></sealed>`,
 		`<sealed label="l" notAfter="2030-01-01T00:00:00.5Z"><p/></sealed>`,
 		`<sealed label="l" notAfter="2030-01-01T01:00:00+01:00"><p/></sealed>`,
 		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"/>`,
 		`<sealed label="l" notAfter="2030-01-01T00:00:00Z">text</sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z">x<p/></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><!--c--><p/></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/>x</sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><!--c--><signature>` + tag + `</signature></sealed>`,
 		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><q/></sealed>`,
 		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>!!</signature></sealed>`,
-		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>c2ln</signature><q/></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>c2ln</signature></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>` + flipped + `</signature></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>` + tag[:20] + "\n" + tag[20:] + `</signature></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>` + tag[:43] + `</signature></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature> ` + tag + `</signature></sealed>`,
+		`<sealed label="l" notAfter="2030-01-01T00:00:00Z"><p/><signature>` + tag + `</signature><q/></sealed>`,
 	} {
-		root, err := xmldom.ParseString(wire)
-		if err != nil {
-			t.Fatalf("%s: %v", wire, err)
-		}
-		if _, err := ParseSealed(root); !errors.Is(err, ErrBadSeal) {
-			t.Errorf("%s: ParseSealed = %v, want ErrBadSeal", wire, err)
+		if _, _, _, err := decodeCarried(t, wire, "l"); !errors.Is(err, ErrBadSeal) {
+			t.Errorf("%s: DecodeSealed = %v, want ErrBadSeal", wire, err)
 		}
 	}
 }
@@ -300,11 +352,11 @@ func TestParseSealedShape(t *testing.T) {
 var sealLabels = []string{LabelTicket, LabelResume, LabelStandby}
 
 // FuzzSealed checks the sealed wire form end to end. A seal opens, as
-// received and after a trip through its tree form, to its payload; an
-// expired one fails with ErrTicketExpired whatever the key; a mutation
-// of its bytes never opens as received; and the tree form of a mutation
-// either fails somewhere between parse and Open or opens to the same
-// label and payload.
+// received and carried (decoded, then written again from its fields),
+// to its payload; an expired one fails with ErrTicketExpired whatever
+// the key; a mutation of its bytes never opens as received; and a
+// carried mutation either fails somewhere between decode and OpenWire or
+// opens to the same label and payload.
 func FuzzSealed(f *testing.F) {
 	keys, other := fixedKeys(1), fixedKeys(2)
 	f.Add(uint8(0), int64(1893456000), `<ticket issuer="ctl" peer="p" resource="r"/>`, uint8(0), uint16(40), byte('x'))
@@ -316,10 +368,10 @@ func FuzzSealed(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The tree form checks the canonical form of the payload it
-		// parsed, so only a payload whose canonical form survives a parse
-		// can open that way. Every payload the system seals comes from
-		// the Writer.
+		// A carried seal opens as the canonical form of the payload it
+		// decoded, so only a payload whose canonical form survives a
+		// parse can open that way. Every payload the system seals comes
+		// from the Writer.
 		canon := payload.XML()
 		if re, err := xmldom.ParseString(canon); err != nil || re.XML() != canon {
 			return
@@ -330,25 +382,26 @@ func FuzzSealed(f *testing.F) {
 			secs = -secs
 		}
 		wire := Seal(keys, label, time.Unix(secs, 0), payload.Encode)
-		// Sealing the tree seals what sealing through the encode method
-		// seals, and writes the same wire form.
-		tree := &Sealed{Label: label, NotAfter: time.Unix(secs, 0), Payload: payload}
-		tree.Seal(keys)
-		if tree.XML() != wire {
-			t.Fatalf("tree seal %s differs from encoder seal %s", tree.XML(), wire)
+		// Sealing writes what EncodeSealed writes from the seal's fields.
+		notAfter, got, tag, err := decodeCarried(t, wire, label)
+		if err != nil || !notAfter.Equal(time.Unix(secs, 0)) || !xmldom.Equal(got, payload) {
+			t.Fatalf("decode of %s: %v, %v", wire, got, err)
 		}
-		now := tree.NotAfter.Add(-time.Second)
+		if again := encodeSealed(label, notAfter, payload, tag); again != wire {
+			t.Fatalf("fields write %s, Seal wrote %s", again, wire)
+		}
+		now := notAfter.Add(-time.Second)
 		if got, err := OpenWire(keys, wire, label, now); err != nil || got != canon {
 			t.Fatalf("wire round trip of %s: %q, %v", wire, got, err)
 		}
-		if _, got, err := openTree(wire, label, keys, now); err != nil || !xmldom.Equal(got, payload) {
-			t.Fatalf("tree round trip of %s: %v", wire, err)
+		if got, err := openCarried(t, wire, label, keys, now); err != nil || !xmldom.Equal(got, payload) {
+			t.Fatalf("carried round trip of %s: %v", wire, err)
 		}
-		if _, err := OpenWire(other, wire, label, tree.NotAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
+		if _, err := OpenWire(other, wire, label, notAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
 			t.Fatalf("expired seal under a wrong key: %v, want ErrTicketExpired", err)
 		}
-		if _, _, err := openTree(wire, label, other, tree.NotAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
-			t.Fatalf("expired tree seal under a wrong key: %v, want ErrTicketExpired", err)
+		if _, err := openCarried(t, wire, label, other, notAfter.Add(time.Second)); !errors.Is(err, ErrTicketExpired) {
+			t.Fatalf("expired carried seal under a wrong key: %v, want ErrTicketExpired", err)
 		}
 
 		b := []byte(wire)
@@ -370,12 +423,11 @@ func FuzzSealed(f *testing.F) {
 		if got, err := OpenWire(keys, string(b), label, now); err == nil {
 			t.Fatalf("mutated seal %q opened as received to %q", b, got)
 		}
-		mut, got, err := openTree(string(b), label, keys, now)
-		if err != nil {
-			return
-		}
-		if mut.Label != label || !xmldom.Equal(got, payload) {
-			t.Fatalf("mutated seal %q opened to label %q, payload %s", b, mut.Label, got.XML())
+		for _, l := range sealLabels {
+			got, err := openCarried(t, string(b), l, keys, now)
+			if err == nil && (l != label || !xmldom.Equal(got, payload)) {
+				t.Fatalf("mutated seal %q opened to label %q, payload %s", b, l, got.XML())
+			}
 		}
 	})
 }

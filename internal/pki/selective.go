@@ -1,8 +1,8 @@
 package pki
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -178,7 +178,7 @@ func VerifyDisclosure(d *Disclosure) (*xtnl.Credential, error) {
 				ErrCommitmentMismatch, o.Name, d.Committed.ID)
 		}
 		got := commitAttr(o.Name, o.Value, o.Salt)
-		if !hmac.Equal([]byte(got), []byte(want)) {
+		if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
 			return nil, fmt.Errorf("%w: attribute %q of credential %s",
 				ErrCommitmentMismatch, o.Name, d.Committed.ID)
 		}

@@ -59,7 +59,7 @@ func TestFinishedSessionDropsEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	rec := &lastExchange{}
-	client := &TNClient{BaseURL: srv.URL, Party: req, HTTP: &http.Client{Transport: rec}}
+	client := &TNClient{BaseURL: srv.URL, Party: req, Transport: &Transport{HTTP: &http.Client{Transport: rec}}}
 	out, err := client.Negotiate(bg, "R")
 	if err != nil || !out.Succeeded {
 		t.Fatalf("negotiate: %v %+v", err, out)
@@ -167,7 +167,7 @@ func TestReleasedFinishedSessionReplays(t *testing.T) {
 	defer srv.Close()
 
 	rec := &lastExchange{}
-	client := &TNClient{BaseURL: srv.URL, Party: req, HTTP: &http.Client{Transport: rec}}
+	client := &TNClient{BaseURL: srv.URL, Party: req, Transport: &Transport{HTTP: &http.Client{Transport: rec}}}
 	out, err := client.Negotiate(bg, "R")
 	if err != nil || !out.Succeeded {
 		t.Fatalf("negotiate: %v %+v", err, out)

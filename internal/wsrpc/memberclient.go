@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustvo/internal/core"
@@ -31,9 +31,6 @@ func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
 type MemberClient struct {
 	BaseURL string
 	Party   *negotiation.Party
-	// HTTP overrides the transport's HTTP client (shorthand; ignored when
-	// Transport is set).
-	HTTP *http.Client
 	// Transport is the hardened call path; nil uses an owned default.
 	Transport *Transport
 	// NegotiationTimeout bounds a whole Join negotiation (0 = none).
@@ -41,21 +38,10 @@ type MemberClient struct {
 	// ResumeTTL is the validity of Join suspend tickets (default 5m).
 	ResumeTTL time.Duration
 
-	ownedMu sync.Mutex
-	owned   *Transport
+	owned atomic.Pointer[Transport]
 }
 
-func (c *MemberClient) transport() *Transport {
-	if c.Transport != nil {
-		return c.Transport
-	}
-	c.ownedMu.Lock()
-	defer c.ownedMu.Unlock()
-	if c.owned == nil {
-		c.owned = &Transport{HTTP: c.HTTP}
-	}
-	return c.owned
-}
+func (c *MemberClient) transport() *Transport { return transportOr(c.Transport, &c.owned) }
 
 // tnClient builds the negotiation client sharing this client's transport
 // (so breaker state and metrics are common).
@@ -75,11 +61,14 @@ func (c *MemberClient) call(ctx context.Context, method, path string, q url.Valu
 	if len(q) > 0 {
 		query = "?" + q.Encode()
 	}
-	root, err := c.transport().call(ctx, method, c.BaseURL, path, query, body, idempotent)
+	root, err := c.transport().Call(ctx, method, c.BaseURL, path, query, body, idempotent)
 	if err != nil {
 		return nil, err
 	}
-	return expectRoot(root, wantRoot)
+	if root.Name != wantRoot {
+		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", wantRoot, root.Name)
+	}
+	return root, nil
 }
 
 // Publish registers the member's service description with the host

@@ -29,7 +29,7 @@ func envelopeSeq(negID string, seq int64, m *negotiation.Message) *xmldom.Node {
 	if seq > 0 {
 		env.SetAttr("seq", strconv.FormatInt(seq, 10))
 	}
-	env.AppendChild(m.DOM())
+	env.AppendChild(xmldom.Tree(m.Encode))
 	return env
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,9 +32,6 @@ type TNClient struct {
 	BaseURL string
 	// Party is the local (requester) negotiation identity.
 	Party *negotiation.Party
-	// HTTP overrides the transport's HTTP client (shorthand; ignored when
-	// Transport is set).
-	HTTP *http.Client
 	// Transport is the hardened call path; nil uses an owned default.
 	Transport *Transport
 	// NegotiationTimeout bounds one whole Negotiate/Resume run (all
@@ -44,24 +40,11 @@ type TNClient struct {
 	// ResumeTTL is the validity of suspend tickets (default 5m).
 	ResumeTTL time.Duration
 
-	seq     atomic.Int64
-	ownedMu sync.Mutex
-	owned   *Transport
+	seq   atomic.Int64
+	owned atomic.Pointer[Transport]
 }
 
-// transport returns the effective transport, lazily creating an owned
-// one (so breaker state persists across calls) when none was injected.
-func (c *TNClient) transport() *Transport {
-	if c.Transport != nil {
-		return c.Transport
-	}
-	c.ownedMu.Lock()
-	defer c.ownedMu.Unlock()
-	if c.owned == nil {
-		c.owned = &Transport{HTTP: c.HTTP}
-	}
-	return c.owned
-}
+func (c *TNClient) transport() *Transport { return transportOr(c.Transport, &c.owned) }
 
 // nextSeq issues a fresh envelope sequence number.
 func (c *TNClient) nextSeq() int64 { return c.seq.Add(1) }
@@ -93,7 +76,7 @@ func (c *TNClient) Start(ctx context.Context, resource string) (string, error) {
 	// Starting is idempotent in effect: a retried start at worst leaves an
 	// orphan session that the service sweeps out.
 	var id string
-	_, err := c.transport().roundTrip(ctx, http.MethodPost, c.BaseURL, "/tn/start", "",
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/tn/start", "",
 		startRequestXML(c.Party.Strategy.String(), resource), true, func(r *xmldom.Reader) (err error) {
 			id, err = startReply(r)
 			return err
@@ -132,7 +115,7 @@ func (c *TNClient) exchangeSeq(ctx context.Context, negID string, msg *negotiati
 		path = "/tn/policyExchange"
 	}
 	var reply *negotiation.Message
-	_, err := c.transport().roundTrip(ctx, http.MethodPost, c.BaseURL, path, "",
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, path, "",
 		envelopeXML(negID, seq, msg), true, func(r *xmldom.Reader) (err error) {
 			reply, err = exchangeReply(r)
 			return err
@@ -262,7 +245,7 @@ func (c *TNClient) suspend(negID string, ep *negotiation.Endpoint, pending *nego
 
 // Status queries the remote side's view of a negotiation.
 func (c *TNClient) Status(ctx context.Context, negID string) (done, succeeded bool, reason string, err error) {
-	_, err = c.transport().roundTrip(ctx, http.MethodGet, c.BaseURL, "/tn/status",
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/tn/status",
 		"?negotiation="+url.QueryEscape(negID), "", true, func(r *xmldom.Reader) error {
 			if r.Name() != "status" {
 				return fmt.Errorf("wsrpc: expected <status> response, got <%s>", r.Name())

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustvo/internal/telemetry"
@@ -79,9 +80,19 @@ func (ep *endpoint) urlWith(query string) (*url.URL, error) {
 	return parseURL(ep.raw + query)
 }
 
-// DefaultTransport is used by clients that configure neither Transport
-// nor HTTP; it keeps breaker state process-wide like http.DefaultClient.
-var DefaultTransport = &Transport{}
+// transportOr returns t, or when t is nil the transport in owned, made
+// on first use, so that a client given no Transport keeps its breaker
+// state from call to call.
+func transportOr(t *Transport, owned *atomic.Pointer[Transport]) *Transport {
+	if t != nil {
+		return t
+	}
+	if o := owned.Load(); o != nil {
+		return o
+	}
+	owned.CompareAndSwap(nil, new(Transport))
+	return owned.Load()
+}
 
 func (t *Transport) httpClient() *http.Client {
 	if t.HTTP != nil {
@@ -128,13 +139,18 @@ func (t *Transport) count(name string, labels ...string) {
 	}
 }
 
-// Call exposes the hardened call path to sibling packages — the cluster
-// layer routes forwarding, standby shipping and replication RPCs
-// through it so every cross-node hop gets the same deadlines, retries
-// and breaker as client traffic. It returns the root of a 2xx reply's
-// tree; the semantics are those of CallBody.
+// Call performs one logical request, as CallBody does, and returns the
+// root of the 2xx reply's tree, built from the reply's tokens. Sibling
+// packages call it too: the cluster layer routes forwarding, standby
+// shipping and replication RPCs through it, so every cross-node hop gets
+// the same deadlines, retries and breaker as client traffic.
 func (t *Transport) Call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
-	return t.call(ctx, method, base, route, query, body, idempotent)
+	var root *xmldom.Node
+	_, err := t.CallBody(ctx, method, base, route, query, body, idempotent, func(r *xmldom.Reader) error {
+		root = r.Node()
+		return nil
+	})
+	return root, err
 }
 
 // CallBody performs one logical request: POST body (or GET when body is
@@ -146,22 +162,6 @@ func (t *Transport) Call(ctx context.Context, method, base, route, query, body s
 // returns fails the call as it is, unretried. CallBody returns the body
 // of the reply decode accepted; every other failure is a *Error.
 func (t *Transport) CallBody(ctx context.Context, method, base, route, query, body string, idempotent bool, decode func(*xmldom.Reader) error) (string, error) {
-	return t.roundTrip(ctx, method, base, route, query, body, idempotent, decode)
-}
-
-// call is Call: it returns the root of a 2xx reply, built from the
-// reply's tokens.
-func (t *Transport) call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
-	var root *xmldom.Node
-	_, err := t.roundTrip(ctx, method, base, route, query, body, idempotent, func(r *xmldom.Reader) error {
-		root = r.Node()
-		return nil
-	})
-	return root, err
-}
-
-// roundTrip is CallBody.
-func (t *Transport) roundTrip(ctx context.Context, method, base, route, query, body string, idempotent bool, decode func(*xmldom.Reader) error) (string, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxpropagate defensive default for nil-ctx callers
 	}
@@ -325,12 +325,4 @@ func (t *Transport) once(ctx context.Context, method string, u *url.URL, route, 
 		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Code: fault.Code, Err: fault}
 	}
 	return raw, derr, nil
-}
-
-// expectRoot asserts the root element name of a successful call.
-func expectRoot(root *xmldom.Node, want string) (*xmldom.Node, error) {
-	if root.Name != want {
-		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", want, root.Name)
-	}
-	return root, nil
 }

@@ -32,7 +32,7 @@ func TestRetryOnTransientStatus(t *testing.T) {
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
 	tr := &Transport{Retry: fastRetry(), Metrics: reg}
-	root, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	root, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestNoRetryOnNonIdempotent(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	_, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false)
+	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false)
 	if !IsTemporary(err) {
 		t.Fatalf("expected temporary error, got %v", err)
 	}
@@ -76,7 +76,7 @@ func TestNoRetryOnDefinitiveError(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	_, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
 	if IsTemporary(err) {
 		t.Fatalf("400 classified as temporary: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestMalformedResponseIsTemporary(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	root, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	root, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRetryAfterHintIsCapped(t *testing.T) {
 	defer srv.Close()
 	tr := &Transport{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}}
 	t0 := time.Now()
-	_, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -238,7 +238,7 @@ func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
 	defer close(hung)
 	tr := &Transport{BreakerThreshold: 1, BreakerCooldown: 30 * time.Millisecond, RequestTimeout: 20 * time.Millisecond}
 	br := tr.endpointFor(srv.URL, "/x").br
-	if _, err := tr.call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false); !IsTemporary(err) {
+	if _, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false); !IsTemporary(err) {
 		t.Fatalf("timed-out call: err = %v, want temporary", err)
 	}
 	if br.snapshot() != breakerOpen {
@@ -247,7 +247,7 @@ func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
 	time.Sleep(40 * time.Millisecond) // serve the cooldown
 	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
 	defer cancel()
-	if _, err := tr.call(ctx, http.MethodPost, srv.URL, "/x", "", "<req/>", false); err == nil {
+	if _, err := tr.Call(ctx, http.MethodPost, srv.URL, "/x", "", "<req/>", false); err == nil {
 		t.Fatal("call to a hung endpoint succeeded")
 	}
 	if br.snapshot() != breakerOpen {
@@ -276,7 +276,7 @@ func TestBreakerTripsOnTransportFailures(t *testing.T) {
 		BreakerCooldown:  time.Minute,
 		Metrics:          reg,
 	}
-	_, err := tr.call(bg, http.MethodPost, "http://unreachable.invalid", "/x", "", "<req/>", true)
+	_, err := tr.Call(bg, http.MethodPost, "http://unreachable.invalid", "/x", "", "<req/>", true)
 	if !IsTemporary(err) {
 		t.Fatalf("expected temporary failure, got %v", err)
 	}
@@ -357,5 +357,27 @@ func TestWireHeaders(t *testing.T) {
 	}
 	if len(contentType) != 1 || contentType[0] != ContentType || len(identity) != 1 || identity[0] != "identity" {
 		t.Fatalf("shared header values written through: %q, %q", contentType, identity)
+	}
+}
+
+// TestClientOwnsOneTransport: a client given no Transport makes one on
+// first use and keeps it, however many goroutines ask at once, so its
+// breaker state persists from call to call; a given Transport is used
+// as it is.
+func TestClientOwnsOneTransport(t *testing.T) {
+	tn, mc := &TNClient{}, &MemberClient{}
+	got := make(chan [2]*Transport, 8)
+	for range cap(got) {
+		go func() { got <- [2]*Transport{tn.transport(), mc.transport()} }()
+	}
+	first := <-got
+	for range cap(got) - 1 {
+		if p := <-got; p != first || first[0] == nil || first[1] == nil || first[0] == first[1] {
+			t.Fatalf("transports %p, want each client's one own %p", p, first)
+		}
+	}
+	given := &Transport{}
+	if (&TNClient{Transport: given}).transport() != given || (&MemberClient{Transport: given}).transport() != given {
+		t.Fatal("a given Transport was not used")
 	}
 }

@@ -98,14 +98,13 @@ func String(encode func(*Writer)) string {
 	return s
 }
 
-// Bytes returns prefix followed by the canonical XML that encode writes,
-// in one fresh slice of exactly that size: the shape of signed bytes
-// that cover a header and a document.
-func Bytes(prefix []byte, encode func(*Writer)) []byte {
+// Bytes returns the canonical XML that encode writes, in one fresh
+// slice of exactly that size.
+func Bytes(encode func(*Writer)) []byte {
 	w := getWriter()
 	encode(w)
-	b := make([]byte, len(prefix)+len(w.buf))
-	copy(b[copy(b, prefix):], w.buf)
+	b := make([]byte, len(w.buf))
+	copy(b, w.buf)
 	w.release()
 	return b
 }

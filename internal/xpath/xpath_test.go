@@ -490,3 +490,43 @@ func TestNumberConversionFollowsXPath10(t *testing.T) {
 		}
 	}
 }
+
+// TestChildNames: the children of /credential/content an expression
+// names, and whether it may read others.
+func TestChildNames(t *testing.T) {
+	for _, c := range []struct {
+		expr  string
+		names string // space-separated; "*" for all
+	}{
+		{`/credential/content/regulation = 'x'`, "regulation"},
+		{`content/regulation != 'content/secret'`, "regulation"},
+		{`content/a and content/b or /credential/content/a`, "a b"},
+		{`/credential/content[a = 1]/b`, "a b"},
+		{`/credential/*/x`, "x"},
+		{`content/a[. = 'v'] | content/b[string() = 'v']`, "a b"},
+		{`count(/credential/content/a) > 0`, "a"},
+		{`/credential/header/issuer = 'X' and header/credType`, ""},
+		{`/credential/content/@id or content/text()`, ""},
+		{`/credential/content/a//b`, "a"},
+		{`content/*`, "*"},
+		{`content/node()`, "*"},
+		{`content//x`, "*"},
+		{`//x`, "*"},
+		{`/credential/content`, "*"},
+		{`/credential`, "*"},
+		{`/`, "*"},
+		{`. = 'x'`, "*"},
+		{`string-length() > 0`, "*"},
+		{`content/a/.. = 'x'`, "*"},
+		{`header/../content/a`, "*"},
+	} {
+		names, all := MustCompile(c.expr).ChildNames("credential", "content")
+		got := strings.Join(names, " ")
+		if all {
+			got = "*"
+		}
+		if got != c.names {
+			t.Errorf("%s: ChildNames = %q, want %q", c.expr, got, c.names)
+		}
+	}
+}

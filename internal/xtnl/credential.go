@@ -264,7 +264,7 @@ func (c *Credential) XML() string { return xmldom.String(c.Encode) }
 
 // SignedBytes returns the canonical bytes covered by the issuer's
 // signature: the credential XML with the <signature> element omitted.
-func (c *Credential) SignedBytes() []byte { return xmldom.Bytes(nil, c.encodeSigned) }
+func (c *Credential) SignedBytes() []byte { return xmldom.Bytes(c.encodeSigned) }
 
 // WritesSignedBytes reports whether b are c's signed bytes, comparing
 // as it writes them, with no copy made (xmldom.Writes).
