@@ -612,7 +612,15 @@ func (e *Endpoint) buildDisclosure(d *CredentialDisclosure, n *Node, pick candid
 		if pick.selective == nil {
 			return ErrSelectiveRequired
 		}
-		names := conditionAttributes(n.Term.Conditions, pick.cred)
+		// A concept term opens what its conditions read once mapped onto
+		// the credential, as the verifier maps them (termSatisfied).
+		conds := n.Term.Conditions
+		if concept, ok := ontology.AsConceptRef(n.Term.CredType); ok {
+			if c, ok := e.party.conceptConditions(concept, pick.cred.Type, conds); ok {
+				conds = c
+			}
+		}
+		names := conditionAttributes(conds, pick.cred)
 		disc, err := pick.selective.Disclose(names...)
 		if err != nil {
 			return err
@@ -739,18 +747,8 @@ func (e *Endpoint) termSatisfied(term xtnl.Term, cred *xtnl.Credential, dom *xml
 	if e.party.Mapper == nil {
 		return false
 	}
-	implemented := false
-	for _, im := range e.party.Mapper.Ontology.ImplementationsOf(concept) {
-		if im.CredType == cred.Type {
-			implemented = true
-			break
-		}
-	}
-	if !implemented {
-		return false
-	}
-	conds := e.party.Mapper.Ontology.ToImplConditions(concept, cred.Type, term.Conditions)
-	return xtnl.Term{Conditions: conds}.SatisfiedByDOM(cred, dom)
+	conds, ok := implConditions(e.party.Mapper, concept, cred.Type, term.Conditions)
+	return ok && xtnl.Term{Conditions: conds}.SatisfiedByDOM(cred, dom)
 }
 
 // conditionAttributes returns the attributes of cred that the term's

@@ -1028,6 +1028,41 @@ func TestSuspiciousConceptSelective(t *testing.T) {
 	}
 }
 
+// TestSuspiciousConceptOpensMappedAttributes: a suspicious discloser
+// answering a concept-level term opens the attribute that the verifier
+// reads once it maps the concept's attribute (standard) onto the
+// credential's (regulation), and no other. It used to open what the
+// concept-level condition named, nothing, and the negotiation failed.
+func TestSuspiciousConceptOpensMappedAttributes(t *testing.T) {
+	f := suspiciousFixture(t)
+	o := ontology.New()
+	o.MustAdd(&ontology.Concept{
+		Name:       "quality-certification",
+		Attributes: []string{"standard"},
+		Implementations: []ontology.Implementation{
+			{CredType: "WebDesignerQuality", Attribute: "regulation"},
+		},
+	})
+	f.aerospace.Mapper = &ontology.Mapper{Ontology: o, Profile: f.aerospace.Profile}
+	f.aircraft.Mapper = &ontology.Mapper{Ontology: o, Profile: f.aircraft.Profile}
+	f.aircraft.AbstractLevels = 1
+
+	reqOut, ctlOut, err := Run(f.aerospace, f.aircraft, "VoMembership")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reqOut.Succeeded || len(ctlOut.Received) != 1 {
+		t.Fatalf("suspicious concept negotiation failed: %s", reqOut.Reason)
+	}
+	var opened []string
+	for _, a := range ctlOut.Received[0].Credential.Attributes {
+		opened = append(opened, a.Name)
+	}
+	if !slices.Equal(opened, []string{"regulation"}) {
+		t.Fatalf("opened %v, want [regulation]", opened)
+	}
+}
+
 // TestProofDemandWithoutKeys: a party facing a proof-demanding
 // counterpart but holding no keys fails cleanly.
 func TestProofDemandWithoutKeys(t *testing.T) {

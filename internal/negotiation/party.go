@@ -137,34 +137,11 @@ func (p *Party) resolveTerm(out []candidate, term xtnl.Term) ([]candidate, error
 		view := sc.View()
 		checkTerm := term
 		if concept, ok := ontology.AsConceptRef(term.CredType); ok {
-			if p.Mapper == nil {
+			conds, ok := p.conceptConditions(concept, view.Type, term.Conditions)
+			if !ok {
 				continue
 			}
-			local := ""
-			impls := p.Mapper.Ontology.ImplementationsOf(concept)
-			for _, im := range impls {
-				if im.CredType == view.Type {
-					local = concept
-					break
-				}
-			}
-			// Also try similarity matching for foreign concept names.
-			if local == "" {
-				if best := p.Mapper.Ontology.BestMatchName(concept); best.Concept != "" {
-					for _, im := range p.Mapper.Ontology.ImplementationsOf(best.Concept) {
-						if im.CredType == view.Type {
-							local = best.Concept
-							break
-						}
-					}
-				}
-			}
-			if local == "" {
-				continue
-			}
-			checkTerm = xtnl.Term{
-				Conditions: p.Mapper.Ontology.ToImplConditions(local, view.Type, term.Conditions),
-			}
+			checkTerm = xtnl.Term{Conditions: conds}
 		}
 		if checkTerm.SatisfiedBy(view) {
 			out = append(out, candidate{cred: view, selective: sc})
@@ -197,6 +174,38 @@ func (p *Party) resolveTerm(out []candidate, term xtnl.Term) ([]candidate, error
 		return nil, fmt.Errorf("%w: type %q", errNoCandidate, term.CredType)
 	}
 	return sortCandidates(out), nil
+}
+
+// conceptConditions maps the conditions of a term on concept onto a
+// credential of credType that p holds: through concept itself when
+// credType implements it, else through the most similar local concept
+// that credType implements, for a foreign concept name. ok is false when
+// neither applies or p has no ontology.
+func (p *Party) conceptConditions(concept, credType string, conds []string) ([]string, bool) {
+	if p.Mapper == nil {
+		return nil, false
+	}
+	if out, ok := implConditions(p.Mapper, concept, credType, conds); ok {
+		return out, true
+	}
+	if best := p.Mapper.Ontology.BestMatchName(concept); best.Concept != "" {
+		return implConditions(p.Mapper, best.Concept, credType, conds)
+	}
+	return nil, false
+}
+
+// implConditions rewrites the conditions of a term on concept into the
+// attribute names of credType's implementation of it in m's ontology; ok
+// is false when credType does not implement concept there. A discloser
+// choosing what to open and a verifier checking what was opened both map
+// a concept term through it, so they read the same attributes.
+func implConditions(m *ontology.Mapper, concept, credType string, conds []string) ([]string, bool) {
+	for _, im := range m.Ontology.ImplementationsOf(concept) {
+		if im.CredType == credType {
+			return m.Ontology.ToImplConditions(concept, credType, conds), true
+		}
+	}
+	return nil, false
 }
 
 // sortCandidates orders candidates by ascending sensitivity (stable),

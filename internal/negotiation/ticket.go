@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -109,14 +110,18 @@ func NewTicketCache() *TicketCache {
 
 func ticketKey(issuer, resource string) string { return issuer + "\x00" + resource }
 
-// Put stores a ticket.
+// Put stores a copy of t whose strings it has cloned: a decoded ticket's
+// strings are substrings of the message it came in (xmldom's retention
+// rule), and the cache keeps the ticket for its whole TTL.
 func (c *TicketCache) Put(t *Ticket) {
 	if c == nil || t == nil {
 		return
 	}
+	kept := *t
+	kept.Issuer, kept.Peer, kept.Resource = strings.Clone(t.Issuer), strings.Clone(t.Peer), strings.Clone(t.Resource)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tickets[ticketKey(t.Issuer, t.Resource)] = t
+	c.tickets[ticketKey(kept.Issuer, kept.Resource)] = &kept
 }
 
 // Get returns the cached ticket for (issuer, resource), nil if absent

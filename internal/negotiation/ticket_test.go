@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"trustvo/internal/pki"
 	"trustvo/internal/xmldom"
@@ -201,6 +202,40 @@ func TestTicketWireRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseMessage(`<tnMessage type="success"><sealed label="trustvo-ticket" notAfter="2026-01-01T00:00:00Z"><ticket/><signature>!!</signature></sealed></tnMessage>`); err == nil {
 		t.Fatal("bad ticket signature encoding accepted")
+	}
+}
+
+// TestTicketCacheClonesStrings: a decoded ticket's issuer, peer and
+// resource are substrings of the message it came in, and the cache keeps
+// a ticket for its whole TTL, so the ticket it keeps must not point into
+// that message. It used to keep the decoded ticket itself.
+func TestTicketCacheClonesStrings(t *testing.T) {
+	keys := pki.MustGenerateKeyPair()
+	tk := IssueTicket(keys, "AircraftCo", "AerospaceCo", "VoMembership", time.Hour)
+	wire := (&Message{Type: MsgSuccess, From: "AircraftCo", Ticket: tk}).XML()
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		b := uintptr(unsafe.Pointer(unsafe.StringData(wire)))
+		return s != "" && p >= b && p < b+uintptr(len(wire))
+	}
+	m, err := ParseMessage(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Ticket == nil || !within(m.Ticket.Issuer) || !within(m.Ticket.Peer) || !within(m.Ticket.Resource) {
+		t.Fatal("test setup: the decoded ticket's strings are not substrings of the message")
+	}
+	c := NewTicketCache()
+	c.Put(m.Ticket)
+	kept := c.Get("AircraftCo", "VoMembership", time.Now())
+	if kept == nil {
+		t.Fatal("ticket not cached")
+	}
+	if within(kept.Issuer) || within(kept.Peer) || within(kept.Resource) {
+		t.Fatalf("the cached ticket holds substrings of its message: %+v", kept)
+	}
+	if err := kept.Verify(keys, "AerospaceCo", "VoMembership", time.Now()); err != nil {
+		t.Fatalf("the cached ticket no longer verifies: %v", err)
 	}
 }
 

@@ -77,9 +77,9 @@ func prune(db *store.Store, kind, owner string, keep map[string]bool) error {
 // and *cacher.Cache satisfy it, so a TN server can route its hot party
 // reloads through the coalescing cache while the write path (and
 // LoadResumeTickets, which deletes expired tickets as it reads) keeps
-// talking to the store directly. Records obtained through a Reader are
-// treated as read-only, which is exactly the contract the cache's shared
-// records demand.
+// talking to the store directly. The Load functions decode each record's
+// XML straight from its bytes and never assign to a record, which the
+// cache's shared records demand.
 type Reader interface {
 	Get(kind, key string) (*store.Record, error)
 	List(kind string) []*store.Record

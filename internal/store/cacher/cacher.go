@@ -4,8 +4,9 @@
 // concurrent sessions ask for the same records: with singleflight
 // semantics, N concurrent readers of one key share ONE store fetch
 // (O(keys) instead of O(requests) backend load, the coalescing argument
-// GEM makes for distributed goal evaluation), and a fill is parsed once
-// so every consumer gets a ready DOM.
+// GEM makes for distributed goal evaluation). A fill caches the store's
+// records as they are, parsing nothing: each consumer decodes the bytes
+// it reads.
 //
 // Consistency comes from three cooperating mechanisms:
 //
@@ -26,10 +27,10 @@
 //     concurrent readers at the expiry edge coalesce onto the refetch.
 //
 // The returned records are shared between all consumers of a fill and
-// must be treated as read-only — including their parsed documents. The
-// store's own read path hands out defensive copies precisely so that a
-// mutating caller cannot corrupt it; the cache trades that isolation for
-// zero-copy hits and documents the contract instead.
+// must be treated as read-only: a record is immutable, but a consumer
+// could still assign to its fields. The store's own read path hands out
+// copies so that such a caller cannot corrupt it; the cache trades that
+// isolation for zero-copy hits and documents the contract instead.
 package cacher
 
 import (
@@ -191,12 +192,6 @@ func (c *Cache) Get(kind, key string) (*store.Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Parse once on the filling goroutine: consumers share the record,
-		// and Record.Doc memoizes, so a pre-parsed fill is safe to read
-		// concurrently while an unparsed one would be a data race.
-		if _, err := rec.Doc(); err != nil {
-			return nil, err
-		}
 		return []*store.Record{rec}, nil
 	})
 	if err != nil {
@@ -208,15 +203,7 @@ func (c *Cache) Get(kind, key string) (*store.Record, error) {
 // List is a read-through store.List. The records are shared — read-only.
 func (c *Cache) List(kind string) []*store.Record {
 	recs, _ := c.lookup(slotKey(opList, kind, ""), kind, func() ([]*store.Record, error) {
-		recs := c.db.List(kind)
-		for _, r := range recs {
-			if _, err := r.Doc(); err != nil {
-				// Skip pre-parsing the unparsable record; a consumer that
-				// needs its DOM sees the same error from Doc.
-				continue
-			}
-		}
-		return recs, nil
+		return c.db.List(kind), nil
 	})
 	return recs
 }

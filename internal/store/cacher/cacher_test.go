@@ -301,13 +301,20 @@ func TestConcurrentGetInvalidateExpiry(t *testing.T) {
 				// been mid-Put of floor when we sampled it; floor-1 is
 				// the newest version guaranteed committed. Anything older
 				// than that is a staleness violation.
+				d, err := rec.Doc()
+				if err != nil {
+					t.Errorf("hot record: %v", err)
+					return
+				}
 				var got int
-				if _, err := fmt.Sscanf(rec.TypeAttr(), "t%d", &got); err != nil {
-					t.Errorf("unparsable record type %q", rec.TypeAttr())
+				if _, err := fmt.Sscanf(d.AttrOr("type", ""), "t%d", &got); err != nil {
+					t.Errorf("unparsable record type %q", d.AttrOr("type", ""))
 					return
 				}
 				var v int
-				fmt.Sscanf(findField(rec), "%d", &v)
+				if f := d.Child("field"); f != nil {
+					fmt.Sscanf(f.Text(), "%d", &v)
+				}
 				if int64(v) < floor-1 {
 					t.Errorf("read version %d, floor was %d: stale beyond the race window", v, floor)
 					return
@@ -343,19 +350,6 @@ func TestConcurrentGetInvalidateExpiry(t *testing.T) {
 		t.Errorf("soak exercised nothing: %+v", st)
 	}
 	t.Logf("soak stats: %+v", st)
-}
-
-// findField extracts the <field name="v"> text of a cached record.
-func findField(rec *store.Record) string {
-	d, err := rec.Doc()
-	if err != nil {
-		return ""
-	}
-	f := d.Child("field")
-	if f == nil {
-		return ""
-	}
-	return f.Text()
 }
 
 func TestInstrument(t *testing.T) {
@@ -411,5 +405,47 @@ func TestDurableStoreInvalidation(t *testing.T) {
 	}
 	if r1.XML == r2.XML {
 		t.Error("durable-store write did not invalidate the cache")
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestFillParsesNothing: a fill caches the store's records as they are,
+// so refilling a list after a write costs what store.List costs plus the
+// slot's own bookkeeping, however many records the kind holds.
+func TestFillParsesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	db, c := newCachedStore(t, time.Minute)
+	for i := 0; i < 32; i++ {
+		if err := db.PutXML("policy", fmt.Sprintf("p%02d", i), doc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each side overwrites one record, then reads the kind: through the
+	// store, or through the cache, whose write invalidated the slot.
+	side := func(read func()) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := db.PutXML("policy", "p00", doc(i)); err != nil {
+					b.Fatal(err)
+				}
+				read()
+			}
+		})
+	}
+	direct := side(func() { db.List("policy") })
+	cached := side(func() { c.List("policy") })
+	if st := c.Stats(); st.Hits != 0 || st.Misses == 0 {
+		t.Fatalf("the cached side did not refill on every read: %+v", st)
+	}
+	objs := cached.AllocsPerOp() - direct.AllocsPerOp()
+	bytes := cached.AllocedBytesPerOp() - direct.AllocedBytesPerOp()
+	t.Logf("a refill allocates %d objects and %d B more than store.List", objs, bytes)
+	if objs > 8 || bytes > 1<<10 {
+		t.Fatalf("a refill of 32 records allocates %d objects and %d B more than store.List, want at most 8 and 1 KiB", objs, bytes)
 	}
 }

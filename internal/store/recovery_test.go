@@ -92,6 +92,35 @@ func TestExhaustiveTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnparsableFrame: a frame whose CRC holds but whose
+// document does not parse is corruption the checksum missed, so Open
+// fails and names the record instead of serving it.
+func TestOpenRefusesUnparsableFrame(t *testing.T) {
+	var img []byte
+	for _, e := range []Entry{
+		{Op: OpPut, Kind: "doc", Key: "good", Doc: `<d/>`},
+		{Op: OpPut, Kind: "doc", Key: "bad", Doc: `<d><e></d>`},
+	} {
+		var err error
+		if img, err = appendFrame(img, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := filepath.Join(t.TempDir(), "t.wal")
+	if err := os.WriteFile(segmentPath(base, 1), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(base)
+	if err == nil {
+		n := s.Count("doc")
+		s.Close()
+		t.Fatalf("Open served %d records past an unparsable frame", n)
+	}
+	if !strings.Contains(err.Error(), "store: record doc/bad: ") {
+		t.Fatalf("error does not name the record doc/bad: %v", err)
+	}
+}
+
 // TestCompactConcurrentPuts checkpoints repeatedly while writers commit —
 // the online-checkpoint claim, meant to run under -race. Every
 // acknowledged write must survive the churn and a reopen.

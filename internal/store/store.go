@@ -6,13 +6,14 @@
 // Oracle database containing the disclosure policies and credentials of
 // the invoker"; PolicyExchange "checks if the database contains disclosure
 // policies protecting the credentials requested"; and policy conditions
-// are "XPath queries" over stored XML. This store preserves exactly those
-// code paths:
+// are "XPath queries" over stored XML. Here:
 //
-//   - documents are stored by (kind, key) and indexed by kind and by the
-//     root element's "type" attribute (credential/policy lookup by type);
-//   - Query evaluates a compiled XPath predicate over every document of a
-//     kind;
+//   - documents are stored and read by (kind, key), and listed by kind;
+//     partydb keeps a party's credentials, policies and ontology under
+//     their own kinds. A record is the document's canonical bytes: Put
+//     checks that they parse, in one pass that builds no tree, and
+//     readers decode the bytes themselves. The XPath conditions run in
+//     xtnl, over the credential documents those bytes decode to;
 //   - a store built with Open persists through one engine, a segmented
 //     write-ahead log (backend_fswal.go) driven by the group-commit
 //     committer (commit.go): a log of CRC-checked frames plus checkpoint
@@ -39,50 +40,44 @@ import (
 
 	"trustvo/internal/faultinject"
 	"trustvo/internal/xmldom"
-	"trustvo/internal/xpath"
 )
 
-// Record is one stored document.
+// Record is one stored document: an immutable value of three strings.
+// The store keeps no parsed tree.
 type Record struct {
 	Kind string
 	Key  string
-	// XML is the canonical serialized form (authoritative).
+	// XML is the canonical serialized form.
 	XML string
-
-	doc *xmldom.Node // lazily parsed cache
 }
 
-// Doc returns the parsed document tree (cached). The returned node must
-// be treated as read-only; Clone it before mutating.
+// Doc parses the record's document into a fresh tree, which the caller
+// owns. Each call parses again.
 func (r *Record) Doc() (*xmldom.Node, error) {
-	if r.doc == nil {
-		n, err := xmldom.ParseString(r.XML)
-		if err != nil {
-			return nil, fmt.Errorf("store: record %s/%s: %w", r.Kind, r.Key, err)
-		}
-		r.doc = n
-	}
-	return r.doc, nil
-}
-
-// TypeAttr returns the root element's "type" attribute, the secondary
-// index key ("" when absent).
-func (r *Record) TypeAttr() string {
-	doc, err := r.Doc()
+	n, err := xmldom.ParseString(r.XML)
 	if err != nil {
-		return ""
+		return nil, r.wrap(err)
 	}
-	return doc.AttrOr("type", "")
+	return n, nil
 }
 
-// view returns the caller-facing copy of an indexed record. The read path
-// hands out views instead of the internal record: the XML string stays
-// authoritative (strings are immutable), while the DOM cache is NOT
-// shared — a caller that parses and then mutates its copy's tree cannot
-// corrupt the type index or the next snapshot, which is exactly what
-// happened when Get returned the live record (the aliasing bug this PR
-// fixes). The copy's Doc() re-parses on first use; hot readers should sit
-// behind store/cacher, which amortizes that.
+// check reads the record's document through one xmldom.Reader pass,
+// building no tree: it fails exactly where Doc would.
+func (r *Record) check() error {
+	if err := xmldom.NewReader(r.XML).Close(); err != nil {
+		return r.wrap(err)
+	}
+	return nil
+}
+
+func (r *Record) wrap(err error) error {
+	return fmt.Errorf("store: record %s/%s: %w", r.Kind, r.Key, err)
+}
+
+// view returns the caller-facing copy of a stored record. The read path
+// hands out copies instead of the stored record, so a caller that
+// assigns to a returned record's fields cannot change what the store,
+// its snapshots and its other readers see (store/aliasing_test.go).
 func (r *Record) view() *Record {
 	return &Record{Kind: r.Kind, Key: r.Key, XML: r.XML}
 }
@@ -137,7 +132,6 @@ type Store struct {
 	mu     sync.RWMutex
 	byKey  map[string]*Record            // composite kind\x00key -> record
 	byKind map[string]map[string]*Record // kind -> key -> record
-	byType map[string]map[string][]*Record
 
 	// kindGens counts committed mutations per kind (guarded by mu), so a
 	// caller caching a view derived from some kinds can revalidate without
@@ -226,7 +220,6 @@ func New() *Store {
 	return &Store{
 		byKey:    make(map[string]*Record),
 		byKind:   make(map[string]map[string]*Record),
-		byType:   make(map[string]map[string][]*Record),
 		kindGens: make(map[string]uint64),
 	}
 }
@@ -281,11 +274,11 @@ func (s *Store) applyReplay(entries []Entry, source string) error {
 		switch e.Op {
 		case OpPut:
 			rec := &Record{Kind: e.Kind, Key: e.Key, XML: e.Doc}
-			if _, err := rec.Doc(); err != nil {
+			if err := rec.check(); err != nil {
 				// Documents were validated before being logged; a parse
 				// failure here means on-disk corruption that crc32 did
-				// not catch. Surface it.
-				return fmt.Errorf("store: replay %s from %s: %w", composite(e.Kind, e.Key), source, err)
+				// not catch. Surface it, naming the record.
+				return fmt.Errorf("store: replay from %s: %w", source, err)
 			}
 			s.applyRecord(rec)
 		case OpDelete:
@@ -330,7 +323,7 @@ func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
 		return errors.New("store: kind and key must not contain NUL")
 	}
 	rec := &Record{Kind: kind, Key: key, XML: doc.XML()}
-	if _, err := rec.Doc(); err != nil {
+	if err := rec.check(); err != nil {
 		return err
 	}
 	if s.wal == nil {
@@ -361,43 +354,17 @@ func (s *Store) PutXML(kind, key, xml string) error {
 
 // applyRecord inserts into the in-memory maps. Caller holds s.mu (write).
 func (s *Store) applyRecord(rec *Record) {
-	ck := composite(rec.Kind, rec.Key)
-	if old, exists := s.byKey[ck]; exists {
-		s.removeFromTypeIndex(old)
-	}
-	s.byKey[ck] = rec
+	s.byKey[composite(rec.Kind, rec.Key)] = rec
 	km := s.byKind[rec.Kind]
 	if km == nil {
 		km = make(map[string]*Record)
 		s.byKind[rec.Kind] = km
 	}
 	km[rec.Key] = rec
-	if ta := rec.TypeAttr(); ta != "" {
-		tm := s.byType[rec.Kind]
-		if tm == nil {
-			tm = make(map[string][]*Record)
-			s.byType[rec.Kind] = tm
-		}
-		tm[ta] = append(tm[ta], rec)
-	}
-}
-
-func (s *Store) removeFromTypeIndex(rec *Record) {
-	ta := rec.TypeAttr()
-	if ta == "" {
-		return
-	}
-	lst := s.byType[rec.Kind][ta]
-	for i, r := range lst {
-		if r == rec {
-			s.byType[rec.Kind][ta] = append(lst[:i], lst[i+1:]...)
-			return
-		}
-	}
 }
 
 // Get returns the record stored under (kind, key). The result is the
-// caller's copy: mutating its parsed document does not touch the store.
+// caller's copy (see view).
 func (s *Store) Get(kind, key string) (*Record, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -431,13 +398,7 @@ func (s *Store) Delete(kind, key string) error {
 }
 
 func (s *Store) applyDelete(kind, key string) {
-	ck := composite(kind, key)
-	rec, ok := s.byKey[ck]
-	if !ok {
-		return
-	}
-	s.removeFromTypeIndex(rec)
-	delete(s.byKey, ck)
+	delete(s.byKey, composite(kind, key))
 	delete(s.byKind[kind], key)
 }
 
@@ -460,63 +421,6 @@ func (s *Store) Count(kind string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.byKind[kind])
-}
-
-// ByTypeAttr returns the records of a kind whose root "type" attribute
-// equals typ, using the secondary index. The results are the caller's
-// copies (see Get).
-func (s *Store) ByTypeAttr(kind, typ string) []*Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lst := s.byType[kind][typ]
-	out := make([]*Record, 0, len(lst))
-	for _, r := range lst {
-		out = append(out, r.view())
-	}
-	return out
-}
-
-// listInternal snapshots the live records of a kind, sorted by key. The
-// returned records are the indexed ones — internal use only, never to be
-// handed to callers.
-func (s *Store) listInternal(kind string) []*Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	km := s.byKind[kind]
-	out := make([]*Record, 0, len(km))
-	for _, r := range km {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Query returns the records of a kind whose document satisfies the
-// XPath predicate, sorted by key. The results are the caller's copies
-// (see Get); the predicate itself runs over the store's pre-parsed trees,
-// so matching does not re-parse.
-func (s *Store) Query(kind string, pred *xpath.Expr) ([]*Record, error) {
-	recs := s.listInternal(kind)
-	out := make([]*Record, 0, len(recs))
-	for _, r := range recs {
-		doc, err := r.Doc()
-		if err != nil {
-			return nil, err
-		}
-		if pred.Bool(doc) {
-			out = append(out, r.view())
-		}
-	}
-	return out, nil
-}
-
-// QueryString compiles expr and runs Query.
-func (s *Store) QueryString(kind, expr string) ([]*Record, error) {
-	e, err := xpath.Compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Query(kind, e)
 }
 
 // Compact is the online checkpoint: a Rotate barrier through the

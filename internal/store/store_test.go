@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"trustvo/internal/xmldom"
-	"trustvo/internal/xpath"
 )
 
 func el(t testing.TB, s string) *xmldom.Node {
@@ -31,8 +31,12 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.TypeAttr() != "ISO" {
-		t.Fatalf("TypeAttr = %q", rec.TypeAttr())
+	doc, err := rec.Doc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ := doc.AttrOr("type", ""); typ != "ISO" {
+		t.Fatalf("type = %q", typ)
 	}
 	if err := s.Delete("credential", "c1"); err != nil {
 		t.Fatal(err)
@@ -66,14 +70,62 @@ func TestOverwriteUpdatesTypeIndex(t *testing.T) {
 	s := New()
 	s.Put("c", "k", el(t, `<credential type="A"/>`))
 	s.Put("c", "k", el(t, `<credential type="B"/>`))
-	if got := len(s.ByTypeAttr("c", "A")); got != 0 {
-		t.Fatalf("stale type index A: %d", got)
+	recs := s.List("c")
+	if len(recs) != 1 || s.Count("c") != 1 {
+		t.Fatalf("overwrite left %d records (Count %d), want 1", len(recs), s.Count("c"))
 	}
-	if got := len(s.ByTypeAttr("c", "B")); got != 1 {
-		t.Fatalf("type index B: %d", got)
+	if want := `<credential type="B"/>`; recs[0].XML != want {
+		t.Fatalf("overwritten record = %s, want %s", recs[0].XML, want)
 	}
-	if s.Count("c") != 1 {
-		t.Fatalf("Count = %d", s.Count("c"))
+}
+
+// TestPutRefusesUnparsableTree: Put stores a tree's canonical form only
+// when that form parses back, and names the record when it does not.
+func TestPutRefusesUnparsableTree(t *testing.T) {
+	badName := xmldom.NewElement("a b")
+	badText := xmldom.NewElement("d")
+	badText.AppendChild(xmldom.NewText("x\x01y"))
+	for _, doc := range []*xmldom.Node{badName, badText} {
+		s := New()
+		err := s.Put("kind", "key", doc)
+		if err == nil || !strings.HasPrefix(err.Error(), "store: record kind/key: ") {
+			t.Errorf("Put(%q) = %v, want a store: record kind/key: error", doc.XML(), err)
+		}
+		if s.Count("kind") != 0 {
+			t.Errorf("Put(%q) stored the record", doc.XML())
+		}
+	}
+}
+
+// putBuildsNoTreeDoc is a compact policy document of 236 bytes, the
+// shape of the policies a party reload reads.
+const putBuildsNoTreeDoc = `<policy polID="pol-01" type="disclosure"><resource target="CtlCredential01"/><properties><certificate targetCertType="WebDesignerQuality"><certCond>/credential/content/regulation='ISO 9001'</certCond></certificate></properties></policy>`
+
+func BenchmarkPutOverwrite(b *testing.B) {
+	s := New()
+	doc := el(b, putBuildsNoTreeDoc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put("policy", "pol-01", doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPutBuildsNoTree: a put serializes its document and checks the
+// bytes without parsing them into a tree, so overwriting one key costs
+// the canonical string and little more.
+func TestPutBuildsNoTree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	res := testing.Benchmark(BenchmarkPutOverwrite)
+	if res.N == 0 {
+		t.Fatal("BenchmarkPutOverwrite did not run")
+	}
+	if got, limit := res.AllocedBytesPerOp(), int64(len(putBuildsNoTreeDoc)+256); got >= limit {
+		t.Fatalf("overwriting put allocates %d B/op, want under %d", got, limit)
 	}
 }
 
@@ -88,29 +140,6 @@ func TestListSorted(t *testing.T) {
 	}
 	if got := s.List("missing"); len(got) != 0 {
 		t.Fatalf("List of unknown kind = %d", len(got))
-	}
-}
-
-func TestQueryXPath(t *testing.T) {
-	s := New()
-	s.PutXML("credential", "c1", `<credential type="ISO"><content><level>3</level></content></credential>`)
-	s.PutXML("credential", "c2", `<credential type="ISO"><content><level>1</level></content></credential>`)
-	s.PutXML("credential", "c3", `<credential type="Other"><content><level>9</level></content></credential>`)
-
-	recs, err := s.QueryString("credential", `/credential[@type='ISO']/content/level >= 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Key != "c1" {
-		t.Fatalf("query result: %+v", recs)
-	}
-	if _, err := s.QueryString("credential", "/["); err == nil {
-		t.Fatal("bad xpath accepted")
-	}
-	pred := xpath.MustCompile(`//level`)
-	recs, err = s.Query("credential", pred)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("broad query = %d, %v", len(recs), err)
 	}
 }
 
@@ -321,7 +350,6 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				s.List("c")
-				s.ByTypeAttr("c", fmt.Sprintf("T%d", g))
 			}
 		}(g)
 	}
@@ -413,33 +441,6 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Get("c", fmt.Sprintf("k%d", i%1000)); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQueryXPath1000(b *testing.B) {
-	s := New()
-	for i := 0; i < 1000; i++ {
-		s.PutXML("c", fmt.Sprintf("k%d", i), fmt.Sprintf(`<credential type="T%d"><content><level>%d</level></content></credential>`, i%10, i%5))
-	}
-	pred := xpath.MustCompile(`/credential[@type='T3']/content/level >= 3`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query("c", pred); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkByTypeAttr1000(b *testing.B) {
-	s := New()
-	for i := 0; i < 1000; i++ {
-		s.PutXML("c", fmt.Sprintf("k%d", i), fmt.Sprintf(`<credential type="T%d"/>`, i%10))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.ByTypeAttr("c", "T3"); len(got) != 100 {
-			b.Fatalf("index result = %d", len(got))
 		}
 	}
 }

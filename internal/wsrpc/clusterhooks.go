@@ -85,15 +85,8 @@ func (s *TNService) EnsureSession(id string) error {
 	}
 	id = strings.Clone(id) // the router parsed it out of the whole request body
 	sh := s.shard(id)
-	s.sweepShard(sh)
-	if !s.reserveActive() {
-		for _, other := range s.shardTable() {
-			s.sweepShard(other)
-		}
-		s.evictForCapacity()
-		if !s.reserveActive() {
-			return &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
-		}
+	if err := s.admit(sh); err != nil {
+		return err
 	}
 	sh.mu.Lock() //lint:allow nakedlock slot release on the exists path must run outside the stripe lock
 	if _, exists := sh.m[id]; exists {

@@ -359,6 +359,25 @@ func (s *TNService) reserveActive() bool {
 	}
 }
 
+// admit claims a capacity slot for a new session in stripe sh, the one
+// admission path into the session table. Amortized cleanup: each new
+// session sweeps only its own stripe, and the full-table sweep and
+// eviction are reserved for capacity pressure.
+func (s *TNService) admit(sh *sessionShard) error {
+	s.sweepShard(sh)
+	if s.reserveActive() {
+		return nil
+	}
+	for _, other := range s.shardTable() {
+		s.sweepShard(other)
+	}
+	s.evictForCapacity()
+	if !s.reserveActive() {
+		return &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
+	}
+	return nil
+}
+
 // mintSessionID draws a fresh session id, via the NewSessionID hook
 // when installed.
 func (s *TNService) mintSessionID() (string, error) {
@@ -382,17 +401,8 @@ func (s *TNService) newSession() (string, error) {
 		return "", err
 	}
 	sh := s.shard(id)
-	// Amortized cleanup: each new session sweeps only its own stripe.
-	// The full-table sweep is reserved for capacity pressure below.
-	s.sweepShard(sh)
-	if !s.reserveActive() {
-		for _, other := range s.shardTable() {
-			s.sweepShard(other)
-		}
-		s.evictForCapacity()
-		if !s.reserveActive() {
-			return "", &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
-		}
+	if err := s.admit(sh); err != nil {
+		return "", err
 	}
 	sh.put(id, &tnSession{
 		endpoint: negotiation.NewController(party),
