@@ -12,6 +12,7 @@ import (
 	"trustvo/internal/store"
 	"trustvo/internal/store/cacher"
 	"trustvo/internal/telemetry"
+	"trustvo/internal/xmldom"
 )
 
 // Durable-write store mode (-store): EXT-12's group-commit write run and
@@ -269,7 +270,7 @@ func runCacheBench(w *os.File, path string) (cacheBenchReport, error) {
 // at the same cost on both sides of the A/B.
 func parseAll(recs []*store.Record) error {
 	for _, r := range recs {
-		if _, err := r.Doc(); err != nil {
+		if _, err := xmldom.ParseString(r.XML); err != nil {
 			return err
 		}
 	}

@@ -30,64 +30,29 @@ func (n *Node) seal(encode func(*xmldom.Writer)) (string, error) {
 	return pki.Seal(n.keys, pki.LabelStandby, time.Now().Add(standbyTTL), encode), nil
 }
 
-// openShip opens a standby ship under the cluster key as received and
-// returns its payload: the one check before the standby POST,
-// takeStandby and fetchStandby trust a shipped snapshot. An error that
-// is neither pki.ErrTicketExpired nor pki.ErrBadSignature is a schema
-// error; a node without keys opens nothing.
-func (n *Node) openShip(ship string) (string, error) {
-	return pki.OpenWire(n.keys, ship, pki.LabelStandby, time.Now())
-}
-
-// shipHead opens a standby ship and reads its session document's root
-// start tag, the Reader's first token, building no tree and reading no
-// further: the id and last sequence the POST ingress files it under.
-func (n *Node) shipHead(ship string) (id string, seq int64, err error) {
-	payload, err := n.openShip(ship)
-	if err != nil {
-		return "", 0, err
+// shipHead opens a standby ship under the cluster key as received and
+// reads its session document's root start tag, the Reader's first
+// token, building no tree and reading no further: the one check before
+// the standby POST, takeStandby and fetchStandby trust a shipped
+// snapshot, and the one place its id and last sequence are read. It
+// returns the document, and the id and sequence the POST ingress files
+// it under and the owner ranks copies by. An error that is neither
+// pki.ErrTicketExpired nor pki.ErrBadSignature is a schema error; a
+// node without keys opens nothing.
+func (n *Node) shipHead(ship string) (doc, id string, seq int64, err error) {
+	if doc, err = pki.OpenWire(n.keys, ship, pki.LabelStandby, time.Now()); err != nil {
+		return "", "", 0, err
 	}
-	r := xmldom.NewReader(payload)
+	r := xmldom.NewReader(doc)
 	defer r.Release()
 	if r.Next() != xmldom.StartToken {
-		return "", 0, r.Err()
+		return "", "", 0, r.Err()
 	}
-	if err := checkSession(r.Name(), r.AttrOr("id", "")); err != nil {
-		return "", 0, err
+	if id = r.AttrOr("id", ""); r.Name() != "tnSession" || id == "" {
+		return "", "", 0, fmt.Errorf("cluster: sealed <%s> is not a session document", r.Name())
 	}
 	seq, _ = strconv.ParseInt(r.AttrOr("lastSeq", "0"), 10, 64)
-	return r.AttrOr("id", ""), seq, nil
-}
-
-// openSession opens a standby ship of session id and parses its
-// document, the one parse a ship gets, on its way to adoption. A copy of
-// another session than the one asked for is refused: adoption keys the
-// session by the document's own id.
-func (n *Node) openSession(ship, id string) (*xmldom.Node, error) {
-	payload, err := n.openShip(ship)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := xmldom.ParseString(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSession(doc.Name, doc.AttrOr("id", "")); err != nil {
-		return nil, err
-	}
-	if got := doc.AttrOr("id", ""); got != id {
-		return nil, fmt.Errorf("cluster: standby copy of session %s held for %s", got, id)
-	}
-	return doc, nil
-}
-
-// checkSession refuses an opened payload whose root, named name, is
-// not a session document with an id.
-func checkSession(name, id string) error {
-	if name != "tnSession" || id == "" {
-		return fmt.Errorf("cluster: sealed <%s> is not a session document", name)
-	}
-	return nil
+	return doc, id, seq, nil
 }
 
 // Drain ships every session this node holds, live or finished, to its
@@ -102,12 +67,12 @@ func checkSession(name, id string) error {
 func (n *Node) Drain(ctx context.Context) (int, error) {
 	moved := 0
 	var firstErr error
-	for id, doc := range n.tn.DrainSessions() {
-		if doc == nil {
+	for id, encode := range n.tn.DrainSessions() {
+		if encode == nil {
 			continue // nothing to resume; client restarts from /tn/start
 		}
 		if target := n.ring.Owner(id); target != "" && target != n.cfg.Name {
-			err := n.ship(ctx, target, id, doc.Encode)
+			err := n.ship(ctx, target, id, encode)
 			if err == nil {
 				moved++
 				continue
@@ -117,7 +82,7 @@ func (n *Node) Drain(ctx context.Context) (int, error) {
 				firstErr = err
 			}
 		}
-		if _, err := n.tn.AdoptSessionDoc(doc); err != nil && firstErr == nil {
+		if _, err := n.tn.AdoptSessionDoc(xmldom.String(encode)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -307,32 +307,38 @@ func (n *Node) putStandby(id, xml string, seq int64) string {
 }
 
 // takeStandby removes, re-opens, and unwraps the standby ship for id, if
-// one is held and still fresh. The seal is opened again at the point of
-// use — not just at POST ingress — so the table itself is never
-// trusted: the MAC and expiry travel with the snapshot.
-func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
-	n.mu.Lock() //lint:allow nakedlock open and parse below must run outside the lock
+// one is held and still fresh, returning its session document and last
+// sequence. The seal is opened again at the point of use — not just at
+// POST ingress — so the table itself is never trusted: the MAC and
+// expiry travel with the snapshot.
+func (n *Node) takeStandby(id string) (string, int64, bool) {
+	n.mu.Lock() //lint:allow nakedlock the open below must run outside the lock
 	d, ok := n.standby[id]
 	if ok {
 		delete(n.standby, id)
 	}
 	n.mu.Unlock()
 	if !ok || time.Since(d.at) > standbyTTL {
-		return nil, false
+		return "", 0, false
 	}
 	return n.openStandby(d.xml, id)
 }
 
 // openStandby opens a standby ship of session id about to become a live
-// session, counting and logging a refusal.
-func (n *Node) openStandby(ship, id string) (*xmldom.Node, bool) {
-	doc, err := n.openSession(ship, id)
+// session, counting and logging a refusal, and returns its document and
+// last sequence. Adoption keys a session by the document's own id, so a
+// copy of another session is refused.
+func (n *Node) openStandby(ship, id string) (string, int64, bool) {
+	doc, got, seq, err := n.shipHead(ship)
+	if err == nil && got != id {
+		err = fmt.Errorf("cluster: standby copy of session %s held for %s", got, id)
+	}
 	if err != nil {
 		n.rejectStandby(err)
 		n.logf("cluster: refusing standby snapshot %s: %v", id, err)
-		return nil, false
+		return "", 0, false
 	}
-	return doc, true
+	return doc, seq, true
 }
 
 // StandbyCount reports held, unclaimed standby snapshots (monitoring).

@@ -11,6 +11,7 @@ import (
 
 	"trustvo/internal/negotiation"
 	"trustvo/internal/pki"
+	"trustvo/internal/store"
 	"trustvo/internal/wsrpc"
 	"trustvo/internal/xmldom"
 )
@@ -36,8 +37,8 @@ func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/tn/credentialExchange", n.routeExchange(inner, "/tn/credentialExchange"))
 	mux.HandleFunc("/tn/status", n.routeStatus(inner))
 	mux.HandleFunc("/cluster/standby", n.handleStandby)
-	mux.HandleFunc("/cluster/replicate", n.handleReplicate)
-	mux.HandleFunc("/cluster/catchup", n.handleCatchup)
+	mux.HandleFunc("/cluster/replicate", n.handleApply("replicate", "from", n.applyEntriesAt))
+	mux.HandleFunc("/cluster/catchup", n.handleApply("catchup", "pos", n.applySnapshotAt))
 	mux.HandleFunc("/cluster/status", n.handleClusterStatus)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -141,10 +142,10 @@ func (n *Node) materializeSession(w http.ResponseWriter, r *http.Request, id, ms
 	return false
 }
 
-// adopt makes a standby copy a live session here, answering the request
-// with the error when the service refuses it. Reports whether the
-// request should proceed to the local service.
-func (n *Node) adopt(w http.ResponseWriter, doc *xmldom.Node) bool {
+// adopt makes a standby copy, its session document, a live session here,
+// answering the request with the error when the service refuses it.
+// Reports whether the request should proceed to the local service.
+func (n *Node) adopt(w http.ResponseWriter, doc string) bool {
 	id, err := n.tn.AdoptSessionDoc(doc)
 	if err != nil {
 		writeWsrpcError(w, err)
@@ -182,7 +183,7 @@ func (n *Node) routeStatus(inner http.Handler) http.HandlerFunc {
 				return
 			}
 			if !n.tn.HasSession(id) {
-				if doc, ok := n.takeStandby(id); ok && !n.adopt(w, doc) {
+				if doc, _, ok := n.takeStandby(id); ok && !n.adopt(w, doc) {
 					return
 				}
 			}
@@ -221,53 +222,50 @@ func (n *Node) forwardOrRedirect(w http.ResponseWriter, r *http.Request, owner, 
 	if rawQuery != "" {
 		query = "?" + rawQuery
 	}
-	root, err := n.transport.Call(r.Context(), r.Method, base, path, query, body, true)
+	// The owner's reply is relayed as received: CallBody checks that it is
+	// well-formed and builds nothing from it.
+	reply, err := n.transport.CallBody(r.Context(), r.Method, base, path, query, body, true, nil)
 	if err != nil {
 		writeWsrpcError(w, err)
 		return
 	}
-	writeClusterDOM(w, root)
+	writeClusterXML(w, reply)
 }
 
 // --- cluster RPC handlers ---
 
-// findStandby returns the freshest standby copy of session id among the
-// one held here and every peer's: the ring successor is the designated
-// holder, but a copy can also sit as a live session a peer adopted or
-// held while the ring moved the id on, which that peer hands over
-// (handOver). Copies rank by the last message sequence they cover, so a
-// ship left behind by an earlier ring never wins over a fresher one.
-// Only owners missing a session ask, so the fan-out stays off the
-// per-message path.
-func (n *Node) findStandby(ctx context.Context, id string) (*xmldom.Node, bool) {
-	best, _ := n.takeStandby(id)
+// findStandby returns the session document of the freshest standby copy
+// of session id among the one held here and every peer's: the ring
+// successor is the designated holder, but a copy can also sit as a live
+// session a peer adopted or held while the ring moved the id on, which
+// that peer hands over (handOver). Copies rank by the last message
+// sequence they cover, so a ship left behind by an earlier ring never
+// wins over a fresher one. Only owners missing a session ask, so the
+// fan-out stays off the per-message path.
+func (n *Node) findStandby(ctx context.Context, id string) (string, bool) {
+	best, bestSeq, found := n.takeStandby(id)
 	for _, peer := range n.ring.Nodes() {
 		if peer == n.cfg.Name {
 			continue
 		}
-		if doc, ok := n.fetchStandby(ctx, peer, id); ok && (best == nil || lastSeq(doc) > lastSeq(best)) {
-			best = doc
+		if doc, seq, ok := n.fetchStandby(ctx, peer, id); ok && (!found || seq > bestSeq) {
+			best, bestSeq, found = doc, seq, true
 		}
 	}
-	return best, best != nil
+	return best, found
 }
 
-// lastSeq is the last message sequence a session document covers.
-func lastSeq(doc *xmldom.Node) int64 {
-	seq, _ := strconv.ParseInt(doc.AttrOr("lastSeq", "0"), 10, 64)
-	return seq
-}
-
-// fetchStandby asks peer for its standby copy of session id. The miss
-// path (404) is cheap and non-retried.
-func (n *Node) fetchStandby(ctx context.Context, peer, id string) (*xmldom.Node, bool) {
+// fetchStandby asks peer for its standby copy of session id and returns
+// its session document and last sequence. The miss path (404) is cheap
+// and non-retried.
+func (n *Node) fetchStandby(ctx context.Context, peer, id string) (string, int64, bool) {
 	base := n.peerURL(peer)
 	if base == "" {
-		return nil, false
+		return "", 0, false
 	}
 	ship, err := n.transport.CallBody(ctx, http.MethodGet, base, "/cluster/standby", "?negotiation="+url.QueryEscape(id), "", true, nil)
 	if err != nil {
-		return nil, false
+		return "", 0, false
 	}
 	return n.openStandby(ship, id)
 }
@@ -281,16 +279,20 @@ func (n *Node) handOver(id string) (string, bool) {
 	if owner := n.ring.Owner(id); n.keys == nil || owner == "" || owner == n.cfg.Name {
 		return "", false
 	}
-	doc := n.tn.ReleaseSession(id)
-	if doc == nil {
+	encode := n.tn.ReleaseSession(id)
+	if encode == nil {
 		return "", false
 	}
-	ship, err := n.seal(doc.Encode)
+	ship, err := n.seal(encode)
+	if err != nil {
+		return "", false
+	}
+	_, _, seq, err := n.shipHead(ship)
 	if err != nil {
 		return "", false
 	}
 	n.logf("cluster: node %s handed session %s over to its owner", n.cfg.Name, id)
-	return n.putStandby(id, ship, lastSeq(doc)), true
+	return n.putStandby(id, ship, seq), true
 }
 
 // handleStandby accepts a predecessor's per-message session snapshot
@@ -330,7 +332,7 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id, seq, err := n.shipHead(raw)
+	_, id, seq, err := n.shipHead(raw)
 	if err != nil {
 		status, code := n.rejectStandby(err)
 		writeClusterFault(w, status, code, err.Error())
@@ -362,52 +364,46 @@ func (n *Node) rejectStandby(err error) (status int, code string) {
 	return status, code
 }
 
-// handleReplicate applies one window of the leader's log.
-func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "replicate")
-	if !ok {
-		return
+// handleApply answers a leader's replication POST, <want epoch at>
+// around its base64 entry frames: a window of its log (<replicate
+// from>, applyEntriesAt) or a snapshot (<catchup pos>, applySnapshotAt).
+// The body is read in one xmldom.Reader pass: a syntax error anywhere
+// is a parse fault, then another root element a schema fault.
+func (n *Node) handleApply(want, at string, apply func(epoch, pos uint64, entries []store.Entry) (uint64, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		raw, ok := readClusterRaw(w, r)
+		if !ok {
+			return
+		}
+		rd := xmldom.NewReader(raw)
+		rd.Child(0)
+		name := rd.Name()
+		epoch, pos := parseU64(rd.AttrOr("epoch", "0")), parseU64(rd.AttrOr(at, "0"))
+		payload := rd.Text()
+		if err := rd.Close(); err != nil {
+			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
+			return
+		}
+		if name != want {
+			writeClusterFault(w, http.StatusBadRequest, "schema", "expected <"+want+">, got <"+name+">")
+			return
+		}
+		if err := n.checkEpoch(epoch); err != nil {
+			writeClusterFault(w, http.StatusConflict, "stale-epoch", err.Error())
+			return
+		}
+		entries, err := decodePayload(payload)
+		if err != nil {
+			writeClusterFault(w, http.StatusBadRequest, "payload", err.Error())
+			return
+		}
+		applied, err := apply(epoch, pos, entries)
+		if err != nil {
+			writeClusterFault(w, http.StatusInternalServerError, "apply", err.Error())
+			return
+		}
+		writeClusterDOM(w, n.replicatedDOM(applied))
 	}
-	epoch := parseU64(root.AttrOr("epoch", "0"))
-	if err := n.checkEpoch(epoch); err != nil {
-		writeClusterFault(w, http.StatusConflict, "stale-epoch", err.Error())
-		return
-	}
-	entries, err := decodePayload(root.Text())
-	if err != nil {
-		writeClusterFault(w, http.StatusBadRequest, "payload", err.Error())
-		return
-	}
-	applied, err := n.applyEntriesAt(epoch, parseU64(root.AttrOr("from", "0")), entries)
-	if err != nil {
-		writeClusterFault(w, http.StatusInternalServerError, "apply", err.Error())
-		return
-	}
-	writeClusterDOM(w, n.replicatedDOM(applied))
-}
-
-// handleCatchup reconciles the local store to a leader snapshot.
-func (n *Node) handleCatchup(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "catchup")
-	if !ok {
-		return
-	}
-	epoch := parseU64(root.AttrOr("epoch", "0"))
-	if err := n.checkEpoch(epoch); err != nil {
-		writeClusterFault(w, http.StatusConflict, "stale-epoch", err.Error())
-		return
-	}
-	entries, err := decodePayload(root.Text())
-	if err != nil {
-		writeClusterFault(w, http.StatusBadRequest, "payload", err.Error())
-		return
-	}
-	applied, err := n.applySnapshotAt(epoch, parseU64(root.AttrOr("pos", "0")), entries)
-	if err != nil {
-		writeClusterFault(w, http.StatusInternalServerError, "apply", err.Error())
-		return
-	}
-	writeClusterDOM(w, n.replicatedDOM(applied))
 }
 
 // handleClusterStatus reports the node's replication state.
@@ -451,25 +447,6 @@ func readClusterRaw(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	return raw, true
-}
-
-// readClusterBody reads, parses and shape-checks a POSTed cluster RPC
-// body, writing the fault itself when the request is unusable.
-func readClusterBody(w http.ResponseWriter, r *http.Request, want string) (*xmldom.Node, bool) {
-	raw, ok := readClusterRaw(w, r)
-	if !ok {
-		return nil, false
-	}
-	root, err := xmldom.ParseString(raw)
-	if err != nil {
-		writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
-		return nil, false
-	}
-	if root.Name != want {
-		writeClusterFault(w, http.StatusBadRequest, "schema", "expected <"+want+">, got <"+root.Name+">")
-		return nil, false
-	}
-	return root, true
 }
 
 // writeClusterFault emits a wsrpc <fault> with the given status.

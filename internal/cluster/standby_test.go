@@ -112,12 +112,12 @@ func TestStandbySignedRoundTrip(t *testing.T) {
 	if got := postStandby(t, b.srv.URL, ship); got != http.StatusOK {
 		t.Fatalf("legitimate ship: got %d, want %d", got, http.StatusOK)
 	}
-	adopted, ok := b.node.takeStandby("sess-3")
+	adopted, _, ok := b.node.takeStandby("sess-3")
 	if !ok {
 		t.Fatal("takeStandby refused a legitimately signed ship")
 	}
-	if adopted.AttrOr("id", "") != "sess-3" {
-		t.Fatalf("takeStandby returned wrong doc: %s", adopted.XML())
+	if adopted != doc.XML() {
+		t.Fatalf("takeStandby returned wrong doc: %s", adopted)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestTakeStandbyRefusesTamperedTable(t *testing.T) {
 	// longer covers what would be adopted.
 	tampered := strings.Replace(ship, "sess-4", "sess-x", 1)
 	b.node.putStandby("sess-4", tampered, 0)
-	if _, ok := b.node.takeStandby("sess-4"); ok {
+	if _, _, ok := b.node.takeStandby("sess-4"); ok {
 		t.Fatal("takeStandby adopted a tampered snapshot")
 	}
 }
@@ -238,7 +238,7 @@ func BenchmarkStandbyShip(b *testing.B) {
 			return err
 		}
 		size = len(ship)
-		_, _, err = n1.node.shipHead(ship)
+		_, _, _, err = n1.node.shipHead(ship)
 		return err
 	}
 	b.ReportAllocs()
@@ -273,11 +273,15 @@ func TestStandbyKeepsFresherShip(t *testing.T) {
 		b.node.mu.Lock()
 		d := b.node.standby["sess-seq"]
 		b.node.mu.Unlock()
-		doc, err := b.node.openSession(d.xml, "sess-seq")
+		doc, _, _, err := b.node.shipHead(d.xml)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return doc
+		root, err := xmldom.ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root
 	}
 	for _, s := range []struct{ seq, mark, wantSeq, wantMark string }{
 		{"2", "first", "2", "first"},
@@ -296,9 +300,9 @@ func TestStandbyKeepsFresherShip(t *testing.T) {
 	if kept := b.node.putStandby("sess-seq", ship("1", "handed"), 1); !strings.Contains(kept, `mark="next"`) {
 		t.Fatalf("an older handed-over copy replaced the held one: %s", kept)
 	}
-	doc, ok := b.node.takeStandby("sess-seq")
-	if !ok || doc.AttrOr("lastSeq", "") != "3" {
-		t.Fatalf("takeStandby = %v, %v; want lastSeq 3", doc, ok)
+	doc, seq, ok := b.node.takeStandby("sess-seq")
+	if !ok || seq != 3 {
+		t.Fatalf("takeStandby = %s, %d, %v; want lastSeq 3", doc, seq, ok)
 	}
 }
 
@@ -392,9 +396,9 @@ func TestConcurrentSessionShips(t *testing.T) {
 	}
 	// A join ships after its first two exchanges; the third finishes it.
 	for _, id := range ids {
-		doc, ok := n2.node.takeStandby(id)
-		if !ok || doc.AttrOr("lastSeq", "") != "2" {
-			t.Fatalf("standby copy of %s: %v, %v; want lastSeq 2", id, doc, ok)
+		doc, seq, ok := n2.node.takeStandby(id)
+		if !ok || seq != 2 {
+			t.Fatalf("standby copy of %s: %s, %d, %v; want lastSeq 2", id, doc, seq, ok)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package negotiation
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -118,108 +119,136 @@ func (e *Endpoint) EncodeSnapshot(w *xmldom.Writer) {
 	w.End()
 }
 
-// RestoreEndpoint rebuilds a live endpoint for p from a snapshot.
-// Credentials are re-resolved from p's current profile by ID: restoring
-// fails only when a credential still owed to the peer is no longer held.
+// RestoreEndpoint rebuilds a live endpoint for p from a snapshot tree,
+// as DecodeSnapshot decodes it.
 func RestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
-	if root == nil || root.Name != "negotiationState" {
-		return nil, fmt.Errorf("negotiation: expected <negotiationState>, got %v", nodeName(root))
+	r := xmldom.NewNodeReader(root)
+	defer r.Close()
+	r.Child(0)
+	return DecodeSnapshot(p, r)
+}
+
+// DecodeSnapshot decodes the <negotiationState> whose start tag r has
+// just read into a live endpoint for p, reading it to its end: the one
+// decoder of EncodeSnapshot's layout, over bytes and over trees alike.
+// Credentials are re-resolved from p's current profile by ID: restoring
+// fails only when a credential still owed to the peer is no longer
+// held. The children count in any order (the first <tree>, <disclosed>
+// and <partialOutcome>, every <chosen> and <chosenAlts>): what names a
+// node is applied once the element ends, in the order of the checks.
+func DecodeSnapshot(p *Party, r *xmldom.Reader) (*Endpoint, error) {
+	if r.Name() != "negotiationState" {
+		return nil, fmt.Errorf("negotiation: expected <negotiationState>, got <%s>", r.Name())
 	}
-	e := &Endpoint{
-		party:    p,
-		resource: root.AttrOr("resource", ""),
-		peer:     root.AttrOr("peer", ""),
-	}
-	if root.AttrOr("role", "") == Controller.String() {
+	e := &Endpoint{party: p, resource: r.AttrOr("resource", ""), peer: r.AttrOr("peer", "")}
+	if r.AttrOr("role", "") == Controller.String() {
 		e.role = Controller
 	}
 	var err error
-	if e.phase, err = parsePhase(root.AttrOr("phase", "")); err != nil {
+	if e.phase, err = parsePhase(r.AttrOr("phase", "")); err != nil {
 		return nil, err
 	}
-	e.rounds, _ = strconv.Atoi(root.AttrOr("rounds", "0"))
-	e.seqPos, _ = strconv.Atoi(root.AttrOr("seqPos", "0"))
-	e.peerProof = root.AttrOr("peerProof", "") == "true"
-	if e.lastNonceRecv, err = appendB64(e.nonces[0][:0], root.AttrOr("nonceRecv", "")); err != nil {
+	if e.rounds, err = snapshotCount(r, "rounds"); err != nil {
+		return nil, err
+	}
+	if e.seqPos, err = snapshotCount(r, "seqPos"); err != nil {
+		return nil, err
+	}
+	e.peerProof = r.AttrOr("peerProof", "") == "true"
+	if e.lastNonceRecv, err = appendB64(e.nonces[0][:0], r.AttrOr("nonceRecv", "")); err != nil {
 		return nil, fmt.Errorf("negotiation: bad nonceRecv: %w", err)
 	}
-	if e.lastNonceSent, err = appendB64(e.nonces[1][:0], root.AttrOr("nonceSent", "")); err != nil {
+	if e.lastNonceSent, err = appendB64(e.nonces[1][:0], r.AttrOr("nonceSent", "")); err != nil {
 		return nil, fmt.Errorf("negotiation: bad nonceSent: %w", err)
 	}
-	if e.tree, err = treeFromDOM(root.Child("tree")); err != nil {
-		return nil, err
-	}
-	if d := root.Child("disclosed"); d != nil {
-		for _, id := range strings.Fields(d.Text()) {
-			n := e.tree.Node(id)
-			if n == nil {
-				return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+	errs := [2]error{fmt.Errorf("negotiation: snapshot without <tree>")} // tree, partial outcome
+	var disclosed string
+	var picks [2][]snapshotPick // <chosen>, <chosenAlts>
+	var seen [3]bool            // tree, disclosed, partialOutcome
+	for d := r.Depth(); r.Child(d); {
+		switch name := r.Name(); {
+		case name == "tree" && !seen[0]:
+			seen[0] = true
+			e.tree, errs[0] = decodeTree(r)
+		case name == "disclosed" && !seen[1]:
+			seen[1] = true
+			disclosed = r.Text()
+		case name == "chosen":
+			picks[0] = append(picks[0], snapshotPick{r.AttrOr("node", ""), []string{r.AttrOr("credential", "")}})
+		case name == "chosenAlts":
+			pick := snapshotPick{node: r.AttrOr("node", "")}
+			for d := r.Depth(); r.Child(d); {
+				if r.Name() == "cand" {
+					pick.creds = append(pick.creds, r.AttrOr("credential", ""))
+				}
 			}
-			n.disclosed = true
+			picks[1] = append(picks[1], pick)
+		case name == "partialOutcome" && !seen[2]:
+			seen[2] = true
+			errs[1] = e.decodePartialOutcome(r)
 		}
+	}
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	for _, id := range strings.Fields(disclosed) {
+		n := e.tree.Node(id)
+		if n == nil {
+			return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+		}
+		n.disclosed = true
 	}
 	// The trust sequence is a pure function of the completed tree, so it
-	// is recomputed, not stored (phase 2 implies a complete tree).
+	// is recomputed, not stored (phase 2 implies a complete tree). Before
+	// it, in phase eval, the sequence is empty and seqPos 0.
 	if e.phase == phaseExchange {
-		e.seq = e.tree.Sequence()
-		if e.seq == nil {
+		if e.seq = e.tree.Sequence(); e.seq == nil {
 			return nil, fmt.Errorf("negotiation: restored exchange-phase tree is not satisfiable")
 		}
-		if e.seqPos > len(e.seq) {
-			return nil, fmt.Errorf("negotiation: restored seqPos %d beyond sequence length %d", e.seqPos, len(e.seq))
+	}
+	if e.seqPos > len(e.seq) {
+		return nil, fmt.Errorf("negotiation: restored seqPos %d beyond sequence length %d", e.seqPos, len(e.seq))
+	}
+	for i, list := range picks {
+		for _, pk := range list {
+			n := e.tree.Node(pk.node)
+			if n == nil {
+				return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", pk.node)
+			}
+			if i == 0 {
+				if c, ok := e.findCandidate(n, pk.creds[0]); ok {
+					n.pick = c
+				}
+				continue
+			}
+			n.altPicks = make([]candidate, 0, len(pk.creds)) // not nil, even when empty: the node has chosen
+			for _, id := range pk.creds {
+				c, _ := e.findCandidate(n, id) // a missing optional candidate stays a zero placeholder
+				n.altPicks = append(n.altPicks, c)
+			}
 		}
 	}
-	for _, ch := range root.Childs("chosen") {
-		n, err := e.snapshotNode(ch)
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := e.findCandidate(n, ch.AttrOr("credential", "")); ok {
-			n.pick = c
-		}
-	}
-	for _, ca := range root.Childs("chosenAlts") {
-		n, err := e.snapshotNode(ca)
-		if err != nil {
-			return nil, err
-		}
-		cands := ca.Childs("cand")
-		alts := make([]candidate, 0, len(cands)) // not nil, even when empty: the node has chosen
-		for _, cn := range cands {
-			// a missing optional candidate stays a zero placeholder
-			c, _ := e.findCandidate(n, cn.AttrOr("credential", ""))
-			alts = append(alts, c)
-		}
-		n.altPicks = alts
-	}
-	if err := e.checkOwedCandidates(); err != nil {
+	if err := cmp.Or(e.checkOwedCandidates(), errs[1]); err != nil {
 		return nil, err
-	}
-	if po := root.Child("partialOutcome"); po != nil {
-		out := e.ensureOutcome()
-		for _, el := range po.Elements() {
-			d, err := disclosedFromDOM(el)
-			if err != nil {
-				return nil, err
-			}
-			switch el.Name {
-			case "received":
-				out.Received = append(out.Received, d)
-			case "sent":
-				out.Sent = append(out.Sent, d)
-			}
-		}
 	}
 	return e, nil
 }
 
-// snapshotNode returns the tree node a <chosen> or <chosenAlts> element
-// names.
-func (e *Endpoint) snapshotNode(el *xmldom.Node) (*Node, error) {
-	id := el.AttrOr("node", "")
-	n := e.tree.Node(id)
-	if n == nil {
-		return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+// snapshotPick is the node a <chosen> or <chosenAlts> element names and
+// the credential IDs it picks: the one of <chosen>, or each <cand>'s.
+type snapshotPick struct {
+	node  string
+	creds []string
+}
+
+// snapshotCount reads the named attribute of the <negotiationState>
+// start tag r has just read, 0 when absent: a count, so anything but a
+// non-negative decimal is refused.
+func snapshotCount(r *xmldom.Reader, name string) (int, error) {
+	raw := r.AttrOr(name, "0")
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("negotiation: snapshot %s %q is not a non-negative decimal", name, raw)
 	}
 	return n, nil
 }
@@ -288,45 +317,48 @@ func encodeTree(w *xmldom.Writer, t *Tree) {
 	w.End()
 }
 
-// treeFromDOM rebuilds a tree from its snapshot. It accepts only a tree
-// Expand could have grown: one node per ID, the root "r" without a
+// decodeTree reads the <tree> whose start tag r has just read and
+// builds the tree its <node> children describe (buildTree). Every <cond>
+// and <alt> of a node counts, and the first malformed node is the error.
+func decodeTree(r *xmldom.Reader) (*Tree, error) {
+	var nodes []parsedNode
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() != "node" {
+			continue
+		}
+		p := parsedNode{Node: Node{ID: r.AttrOr("id", ""), Term: xtnl.Term{CredType: r.AttrOr("credType", "")},
+			Owner: r.AttrOr("owner", ""), Parent: r.AttrOr("parent", "")}}
+		if p.ID == "" {
+			return nil, fmt.Errorf("negotiation: tree node without id")
+		}
+		var err error
+		if p.State, err = parseNodeState(r.AttrOr("state", "")); err != nil {
+			return nil, err
+		}
+		for d := r.Depth(); r.Child(d); {
+			switch r.Name() {
+			case "cond":
+				p.Term.Conditions = append(p.Term.Conditions, r.Text())
+			case "alt":
+				ids := strings.Fields(r.Text())
+				if len(ids) == 0 {
+					return nil, fmt.Errorf("negotiation: node %s has an empty alternative", p.ID)
+				}
+				p.alts = append(p.alts, ids)
+			}
+		}
+		nodes = append(nodes, p)
+	}
+	return buildTree(nodes)
+}
+
+// buildTree places a snapshot's nodes into a tree. It accepts only a
+// tree Expand could have grown: one node per ID, the root "r" without a
 // parent, no empty alternative, and a walk from the root over the
 // alternatives that reaches every node exactly once, each child naming
 // the node that lists it as its parent. The engine recurses over the
 // alternatives, so a cycle would never return.
-func treeFromDOM(root *xmldom.Node) (*Tree, error) {
-	if root == nil {
-		return nil, fmt.Errorf("negotiation: snapshot without <tree>")
-	}
-	els := root.Childs("node")
-	parsed := make([]parsedNode, len(els))
-	for i, nd := range els {
-		p := &parsed[i]
-		if p.ID = nd.AttrOr("id", ""); p.ID == "" {
-			return nil, fmt.Errorf("negotiation: tree node without id")
-		}
-		state, err := parseNodeState(nd.AttrOr("state", ""))
-		if err != nil {
-			return nil, err
-		}
-		p.Node = Node{
-			ID:     p.ID,
-			Term:   xtnl.Term{CredType: nd.AttrOr("credType", "")},
-			Owner:  nd.AttrOr("owner", ""),
-			State:  state,
-			Parent: nd.AttrOr("parent", ""),
-		}
-		for _, c := range nd.Childs("cond") {
-			p.Term.Conditions = append(p.Term.Conditions, c.Text())
-		}
-		for _, a := range nd.Childs("alt") {
-			ids := strings.Fields(a.Text())
-			if len(ids) == 0 {
-				return nil, fmt.Errorf("negotiation: node %s has an empty alternative", p.ID)
-			}
-			p.alts = append(p.alts, ids)
-		}
-	}
+func buildTree(parsed []parsedNode) (*Tree, error) {
 	slices.SortFunc(parsed, func(a, b parsedNode) int { return strings.Compare(a.ID, b.ID) })
 	find := func(id string) *parsedNode {
 		i, ok := slices.BinarySearchFunc(parsed, id, func(p parsedNode, id string) int { return strings.Compare(p.ID, id) })
@@ -406,7 +438,7 @@ func treeFromDOM(root *xmldom.Node) (*Tree, error) {
 	return t, nil
 }
 
-// parsedNode is a snapshot's node before treeFromDOM places it.
+// parsedNode is a snapshot's node before buildTree places it.
 type parsedNode struct {
 	Node
 	alts    [][]string // the IDs of each alternative's children
@@ -453,21 +485,31 @@ func encodeDisclosed(w *xmldom.Writer, name string, d Disclosed) {
 	w.End()
 }
 
-func disclosedFromDOM(n *xmldom.Node) (Disclosed, error) {
-	d := Disclosed{By: n.AttrOr("by", ""), NodeID: n.AttrOr("node", "")}
-	if c := n.Child("credential"); c != nil {
-		cred, err := xtnl.CredentialFromDOM(c)
-		if err != nil {
-			return Disclosed{}, fmt.Errorf("negotiation: snapshot credential: %w", err)
+// decodePartialOutcome reads the <partialOutcome> whose start tag r has
+// just read into e's outcome: each <received> and <sent> child, with the
+// first <credential> it holds. The first credential of any child that
+// does not decode is the error.
+func (e *Endpoint) decodePartialOutcome(r *xmldom.Reader) error {
+	out := e.ensureOutcome()
+	for d := r.Depth(); r.Child(d); {
+		name := r.Name()
+		dis := Disclosed{By: r.AttrOr("by", ""), NodeID: r.AttrOr("node", "")}
+		for d := r.Depth(); r.Child(d); {
+			if r.Name() == "credential" {
+				c, err := xtnl.DecodeCredential(r)
+				if err != nil {
+					return fmt.Errorf("negotiation: snapshot credential: %w", err)
+				}
+				dis.Credential = c
+				break // Child skips the rest of the element
+			}
 		}
-		d.Credential = cred
+		switch name {
+		case "received":
+			out.Received = append(out.Received, dis)
+		case "sent":
+			out.Sent = append(out.Sent, dis)
+		}
 	}
-	return d, nil
-}
-
-func nodeName(n *xmldom.Node) string {
-	if n == nil {
-		return "nil"
-	}
-	return "<" + n.Name + ">"
+	return nil
 }

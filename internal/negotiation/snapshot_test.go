@@ -3,6 +3,8 @@ package negotiation
 import (
 	"encoding/base64"
 	"errors"
+	"fmt"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -304,6 +306,168 @@ func refDisclosedDOM(name string, d Disclosed) *xmldom.Node {
 	return n
 }
 
+// refRestoreEndpoint, refSnapshotNode, refTreeFromDOM and
+// refDisclosedFromDOM are the tree walks RestoreEndpoint made before
+// DecodeSnapshot read the layout through xmldom.Reader, with its checks
+// of rounds and seqPos added. FuzzEncodeSnapshot diffs the two.
+
+func refRestoreEndpoint(p *Party, root *xmldom.Node) (*Endpoint, error) {
+	if root == nil || root.Name != "negotiationState" {
+		name := "nil"
+		if root != nil {
+			name = "<" + root.Name + ">"
+		}
+		return nil, fmt.Errorf("negotiation: expected <negotiationState>, got %v", name)
+	}
+	e := &Endpoint{
+		party:    p,
+		resource: root.AttrOr("resource", ""),
+		peer:     root.AttrOr("peer", ""),
+	}
+	if root.AttrOr("role", "") == Controller.String() {
+		e.role = Controller
+	}
+	var err error
+	if e.phase, err = parsePhase(root.AttrOr("phase", "")); err != nil {
+		return nil, err
+	}
+	for _, c := range []struct {
+		name string
+		n    *int
+	}{{"rounds", &e.rounds}, {"seqPos", &e.seqPos}} {
+		raw := root.AttrOr(c.name, "0")
+		if *c.n, err = strconv.Atoi(raw); err != nil || *c.n < 0 {
+			return nil, fmt.Errorf("negotiation: snapshot %s %q is not a non-negative decimal", c.name, raw)
+		}
+	}
+	e.peerProof = root.AttrOr("peerProof", "") == "true"
+	if e.lastNonceRecv, err = appendB64(e.nonces[0][:0], root.AttrOr("nonceRecv", "")); err != nil {
+		return nil, fmt.Errorf("negotiation: bad nonceRecv: %w", err)
+	}
+	if e.lastNonceSent, err = appendB64(e.nonces[1][:0], root.AttrOr("nonceSent", "")); err != nil {
+		return nil, fmt.Errorf("negotiation: bad nonceSent: %w", err)
+	}
+	if e.tree, err = refTreeFromDOM(root.Child("tree")); err != nil {
+		return nil, err
+	}
+	if d := root.Child("disclosed"); d != nil {
+		for _, id := range strings.Fields(d.Text()) {
+			n := e.tree.Node(id)
+			if n == nil {
+				return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+			}
+			n.disclosed = true
+		}
+	}
+	if e.phase == phaseExchange {
+		e.seq = e.tree.Sequence()
+		if e.seq == nil {
+			return nil, fmt.Errorf("negotiation: restored exchange-phase tree is not satisfiable")
+		}
+	}
+	if e.seqPos > len(e.seq) {
+		return nil, fmt.Errorf("negotiation: restored seqPos %d beyond sequence length %d", e.seqPos, len(e.seq))
+	}
+	for _, ch := range root.Childs("chosen") {
+		n, err := refSnapshotNode(e, ch)
+		if err != nil {
+			return nil, err
+		}
+		if c, ok := e.findCandidate(n, ch.AttrOr("credential", "")); ok {
+			n.pick = c
+		}
+	}
+	for _, ca := range root.Childs("chosenAlts") {
+		n, err := refSnapshotNode(e, ca)
+		if err != nil {
+			return nil, err
+		}
+		cands := ca.Childs("cand")
+		alts := make([]candidate, 0, len(cands))
+		for _, cn := range cands {
+			c, _ := e.findCandidate(n, cn.AttrOr("credential", ""))
+			alts = append(alts, c)
+		}
+		n.altPicks = alts
+	}
+	if err := e.checkOwedCandidates(); err != nil {
+		return nil, err
+	}
+	if po := root.Child("partialOutcome"); po != nil {
+		out := e.ensureOutcome()
+		for _, el := range po.Elements() {
+			d, err := refDisclosedFromDOM(el)
+			if err != nil {
+				return nil, err
+			}
+			switch el.Name {
+			case "received":
+				out.Received = append(out.Received, d)
+			case "sent":
+				out.Sent = append(out.Sent, d)
+			}
+		}
+	}
+	return e, nil
+}
+
+func refSnapshotNode(e *Endpoint, el *xmldom.Node) (*Node, error) {
+	id := el.AttrOr("node", "")
+	n := e.tree.Node(id)
+	if n == nil {
+		return nil, fmt.Errorf("negotiation: snapshot references unknown node %s", id)
+	}
+	return n, nil
+}
+
+func refTreeFromDOM(root *xmldom.Node) (*Tree, error) {
+	if root == nil {
+		return nil, fmt.Errorf("negotiation: snapshot without <tree>")
+	}
+	els := root.Childs("node")
+	parsed := make([]parsedNode, len(els))
+	for i, nd := range els {
+		p := &parsed[i]
+		if p.ID = nd.AttrOr("id", ""); p.ID == "" {
+			return nil, fmt.Errorf("negotiation: tree node without id")
+		}
+		state, err := parseNodeState(nd.AttrOr("state", ""))
+		if err != nil {
+			return nil, err
+		}
+		p.Node = Node{
+			ID:     p.ID,
+			Term:   xtnl.Term{CredType: nd.AttrOr("credType", "")},
+			Owner:  nd.AttrOr("owner", ""),
+			State:  state,
+			Parent: nd.AttrOr("parent", ""),
+		}
+		for _, c := range nd.Childs("cond") {
+			p.Term.Conditions = append(p.Term.Conditions, c.Text())
+		}
+		for _, a := range nd.Childs("alt") {
+			ids := strings.Fields(a.Text())
+			if len(ids) == 0 {
+				return nil, fmt.Errorf("negotiation: node %s has an empty alternative", p.ID)
+			}
+			p.alts = append(p.alts, ids)
+		}
+	}
+	return buildTree(parsed)
+}
+
+func refDisclosedFromDOM(n *xmldom.Node) (Disclosed, error) {
+	d := Disclosed{By: n.AttrOr("by", ""), NodeID: n.AttrOr("node", "")}
+	if c := n.Child("credential"); c != nil {
+		cred, err := xtnl.CredentialFromDOM(c)
+		if err != nil {
+			return Disclosed{}, fmt.Errorf("negotiation: snapshot credential: %w", err)
+		}
+		d.Credential = cred
+	}
+	return d, nil
+}
+
 func refSortedKeys[M ~map[string]V, V any](m M) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -377,8 +541,8 @@ func TestRestoreRefusesNonTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := treeFromDOM(doc.Child("tree")); err == nil {
-				t.Errorf("%s: treeFromDOM accepted it", name)
+			if _, err := restoreTree(doc.Child("tree")); err == nil {
+				t.Errorf("%s: decodeTree accepted it", name)
 			}
 			if _, err := RestoreEndpoint(f.aircraft, doc); err == nil {
 				t.Errorf("%s in phase %s: RestoreEndpoint accepted it", name, phase)
@@ -387,48 +551,142 @@ func TestRestoreRefusesNonTree(t *testing.T) {
 	}
 }
 
-// FuzzEncodeSnapshot diffs EncodeSnapshot against refSnapshotDOM: for
-// every snapshot RestoreEndpoint accepts, the restored endpoint's encoded
-// bytes, its Tree and SnapshotDOM all equal the reference's canonical XML.
-func FuzzEncodeSnapshot(f *testing.F) {
-	fx := newFixture(f)
-	restore := func(doc string) (*Endpoint, error) {
+// restoreTree decodes the <tree> element n through decodeTree.
+func restoreTree(n *xmldom.Node) (*Tree, error) {
+	r := xmldom.NewNodeReader(n)
+	defer r.Close()
+	r.Child(0)
+	return decodeTree(r)
+}
+
+// restoreBytes restores a snapshot from its bytes, building no tree:
+// DecodeSnapshot over an xmldom.Reader, whose syntax error wins.
+func restoreBytes(p *Party, doc string) (*Endpoint, error) {
+	r := xmldom.NewReader(doc)
+	ep, err := (*Endpoint)(nil), error(nil)
+	if r.Child(0) {
+		ep, err = DecodeSnapshot(p, r)
+	}
+	if cerr := r.Close(); cerr != nil {
+		return nil, cerr
+	}
+	return ep, err
+}
+
+// badCounts spells each snapshot seed with a rounds or seqPos that is
+// not a count, and an eval-phase seed with a seqPos past its empty trust
+// sequence. Restoring them panicked on the slice e.seq[e.seqPos:] or
+// read the value as 0.
+func badCounts(tb testing.TB, seeds []string) []string {
+	tb.Helper()
+	attr := regexp.MustCompile(` (rounds|seqPos)="[^"]*"`)
+	var docs []string
+	for _, doc := range seeds {
+		for _, m := range attr.FindAllStringSubmatch(doc, -1) {
+			vals := []string{"-1", "x", "", "1e3", "99999999999999999999"}
+			if m[1] == "seqPos" && strings.Contains(doc, ` phase="eval"`) {
+				vals = append(vals, "1", "7")
+			}
+			for _, v := range vals {
+				docs = append(docs, strings.Replace(doc, m[0], " "+m[1]+`="`+v+`"`, 1))
+			}
+		}
+	}
+	return docs
+}
+
+// TestRestoreRefusesBadCounts: a snapshot whose rounds or seqPos is not a
+// non-negative decimal, or whose seqPos lies past the trust sequence, is
+// refused, from its tree and from its bytes, instead of panicking or
+// restoring as 0.
+func TestRestoreRefusesBadCounts(t *testing.T) {
+	fx := newFixture(t)
+	docs := badCounts(t, snapshotSeeds(t, fx))
+	if len(docs) == 0 {
+		t.Fatal("no snapshot to spell")
+	}
+	for _, doc := range docs {
 		root, err := xmldom.ParseString(doc)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		party := fx.aerospace
-		if root.AttrOr("role", "") == Controller.String() {
-			party = fx.aircraft
+		party := snapshotParty(fx, root)
+		if _, err := RestoreEndpoint(party, root); err == nil {
+			t.Errorf("RestoreEndpoint accepted %s", doc)
 		}
-		return RestoreEndpoint(party, root)
+		if _, err := restoreBytes(party, doc); err == nil {
+			t.Errorf("DecodeSnapshot accepted %s", doc)
+		}
 	}
-	for _, doc := range snapshotSeeds(f, fx) {
-		if _, err := restore(doc); err != nil {
+}
+
+// snapshotParty is the fixture's party a snapshot's role restores as.
+func snapshotParty(fx *fixture, root *xmldom.Node) *Party {
+	if root.AttrOr("role", "") == Controller.String() {
+		return fx.aircraft
+	}
+	return fx.aerospace
+}
+
+// FuzzEncodeSnapshot restores each input three ways, from its bytes
+// (DecodeSnapshot over xmldom.NewReader), from its parsed tree
+// (RestoreEndpoint) and through the tree walk it replaced
+// (refRestoreEndpoint), which must agree on the error. For every
+// snapshot they accept, each restored endpoint's encoded bytes, its Tree
+// and SnapshotDOM equal the canonical XML of refSnapshotDOM.
+func FuzzEncodeSnapshot(f *testing.F) {
+	fx := newFixture(f)
+	seeds := snapshotSeeds(f, fx)
+	for _, doc := range seeds {
+		root, err := xmldom.ParseString(doc)
+		if err == nil {
+			_, err = RestoreEndpoint(snapshotParty(fx, root), root)
+		}
+		if err != nil {
 			f.Fatalf("seed %s does not restore: %v", doc, err)
 		}
 		f.Add(doc)
 	}
-	for name, nodes := range nonTrees {
-		if _, err := restore(nonTreeSnapshot(nodes)); err == nil {
-			f.Fatalf("%s: restored", name)
-		}
+	for _, nodes := range nonTrees {
 		f.Add(nonTreeSnapshot(nodes))
 	}
+	for _, doc := range badCounts(f, seeds) {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		ep, err := restore(doc)
-		if err != nil {
+		root, perr := xmldom.ParseString(doc)
+		if perr != nil {
+			if _, err := restoreBytes(fx.aerospace, doc); err == nil {
+				t.Fatalf("DecodeSnapshot accepted a document that does not parse: %v", perr)
+			}
 			return
 		}
-		want := refSnapshotDOM(ep).XML()
-		if got := xmldom.String(ep.EncodeSnapshot); got != want {
-			t.Fatalf("EncodeSnapshot:\n got  %s\n want %s", got, want)
+		party := snapshotParty(fx, root)
+		want, wantErr := refRestoreEndpoint(party, root)
+		fromBytes, bytesErr := restoreBytes(party, doc)
+		fromTree, treeErr := RestoreEndpoint(party, root)
+		for _, got := range []struct {
+			how string
+			err error
+		}{{"bytes", bytesErr}, {"tree", treeErr}} {
+			if fmt.Sprint(got.err) != fmt.Sprint(wantErr) {
+				t.Fatalf("restored from its %s: error %v, reference %v", got.how, got.err, wantErr)
+			}
 		}
-		if got := xmldom.Tree(ep.EncodeSnapshot).XML(); got != want {
-			t.Fatalf("Tree(EncodeSnapshot):\n got  %s\n want %s", got, want)
+		if wantErr != nil {
+			return
 		}
-		if dom, err := ep.SnapshotDOM(); err != nil || dom.XML() != want {
-			t.Fatalf("SnapshotDOM: %v", err)
+		xml := refSnapshotDOM(want).XML()
+		for _, ep := range []*Endpoint{want, fromBytes, fromTree} {
+			if got := xmldom.String(ep.EncodeSnapshot); got != xml {
+				t.Fatalf("EncodeSnapshot:\n got  %s\n want %s", got, xml)
+			}
+			if got := xmldom.Tree(ep.EncodeSnapshot).XML(); got != xml {
+				t.Fatalf("Tree(EncodeSnapshot):\n got  %s\n want %s", got, xml)
+			}
+			if dom, err := ep.SnapshotDOM(); err != nil || dom.XML() != xml {
+				t.Fatalf("SnapshotDOM: %v", err)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package negotiation
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -281,17 +282,17 @@ func (t *ResumeTicket) Verify(keys *pki.KeyPair, now time.Time) error {
 	return nil
 }
 
-// DOM returns the ticket's sealed form, for persistence (not the wire).
-func (t *ResumeTicket) DOM() *xmldom.Node { return xmldom.Tree(t.encode) }
+// XML returns the ticket's sealed form, for persistence (not the wire).
+func (t *ResumeTicket) XML() string { return xmldom.String(t.encode) }
 
-// ResumeTicketFromDOM parses a persisted resume ticket.
-func ResumeTicketFromDOM(n *xmldom.Node) (*ResumeTicket, error) {
-	r := xmldom.NewNodeReader(n)
-	defer r.Close()
+// ParseResumeTicket decodes a persisted resume ticket from its bytes.
+func ParseResumeTicket(xml string) (*ResumeTicket, error) {
+	r := xmldom.NewReader(xml)
 	r.Child(0)
 	t := new(ResumeTicket)
 	var err error
-	if t.Expires, t.Signature, err = pki.DecodeSealed(r, pki.LabelResume, t.decodePayload); err != nil {
+	t.Expires, t.Signature, err = pki.DecodeSealed(r, pki.LabelResume, t.decodePayload)
+	if err := cmp.Or(r.Close(), err); err != nil { // a syntax error wins
 		return nil, fmt.Errorf("%w: %w", ErrBadResumeTicket, err)
 	}
 	return t, nil

@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"trustvo/internal/pki"
-	"trustvo/internal/xmldom"
 )
 
 func TestTicketVerify(t *testing.T) {
@@ -270,13 +269,9 @@ func TestTicketsVerifyOnlyAsSealed(t *testing.T) {
 			t.Errorf("trust ticket with its tag re-spelled (%s) verified: %s", name, doc)
 		}
 	}
-	persisted := keyed.DOM().XML()
+	persisted := keyed.XML()
 	for name, doc := range respell(t, persisted, keyed.Signature) {
-		root, err := xmldom.ParseString(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := ResumeTicketFromDOM(root)
+		rt, err := ParseResumeTicket(doc)
 		if err == nil && rt.Verify(keys, goldenClock) == nil {
 			t.Errorf("resume ticket with its tag re-spelled (%s) verified: %s", name, doc)
 		}
@@ -285,8 +280,7 @@ func TestTicketsVerifyOnlyAsSealed(t *testing.T) {
 	if m, err := ParseMessage(grant); err != nil || m.Ticket.Verify(keys, tk.Peer, tk.Resource, goldenClock) != nil {
 		t.Fatalf("trust ticket as sealed: %v", err)
 	}
-	root, _ := xmldom.ParseString(persisted)
-	if rt, err := ResumeTicketFromDOM(root); err != nil || rt.Verify(keys, goldenClock) != nil {
+	if rt, err := ParseResumeTicket(persisted); err != nil || rt.Verify(keys, goldenClock) != nil {
 		t.Fatalf("resume ticket as sealed: %v", err)
 	}
 }

@@ -400,7 +400,7 @@ func FuzzTreeMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := treeFromDOM(dom)
+		restored, err := restoreTree(dom)
 		if err != nil {
 			t.Fatalf("restoring %s: %v", snap, err)
 		}

@@ -97,7 +97,7 @@ func SaveProfile(db *store.Store, p *xtnl.Profile) error {
 			return fmt.Errorf("partydb: credential of type %q has no ID", c.Type)
 		}
 		key := credKey(p.Owner, c.ID)
-		if err := db.Put(KindCredential, key, c.DOM()); err != nil {
+		if err := db.PutXML(KindCredential, key, c.XML()); err != nil {
 			return err
 		}
 		keep[key] = true
@@ -241,7 +241,7 @@ func SaveResumeTicket(db *store.Store, owner string, t *negotiation.ResumeTicket
 	if t.NegID == "" {
 		return fmt.Errorf("partydb: resume ticket without negotiation id")
 	}
-	if err := db.Put(KindResumeTicket, credKey(owner, t.NegID), t.DOM()); err != nil {
+	if err := db.PutXML(KindResumeTicket, credKey(owner, t.NegID), t.XML()); err != nil {
 		return err
 	}
 	return db.Sync()
@@ -259,11 +259,7 @@ func LoadResumeTickets(db *store.Store, owner string, now time.Time) ([]*negotia
 		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
 			continue
 		}
-		doc, err := rec.Doc()
-		if err != nil {
-			return nil, err
-		}
-		t, err := negotiation.ResumeTicketFromDOM(doc)
+		t, err := negotiation.ParseResumeTicket(rec.XML)
 		if err != nil {
 			return nil, fmt.Errorf("partydb: resume ticket %s: %w", rec.Key, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"trustvo/internal/xmldom"
 )
 
 // Read-path aliasing regression tests. Get and List used to return the
@@ -29,7 +31,7 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.XML = `<poisoned/>`
-	doc, err := rec.Doc()
+	doc, err := xmldom.ParseString(rec.XML)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestListAndByTypeAttrReturnDefensiveCopies(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("read returned %d records, want 1", len(recs))
 	}
-	doc, err := recs[0].Doc()
+	doc, err := xmldom.ParseString(recs[0].XML)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func mustFreshType(t *testing.T, s *Store, want string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := fresh.Doc()
+	doc, err := xmldom.ParseString(fresh.XML)
 	if err != nil {
 		t.Fatal(err)
 	}

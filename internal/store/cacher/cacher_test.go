@@ -10,6 +10,7 @@ import (
 
 	"trustvo/internal/store"
 	"trustvo/internal/telemetry"
+	"trustvo/internal/xmldom"
 )
 
 func doc(i int) string {
@@ -214,8 +215,7 @@ func TestStaleFillLosesToInvalidation(t *testing.T) {
 	}
 }
 
-// mustXML canonicalizes a document the way the store does (Put stores
-// doc.XML(), not the input string).
+// mustXML returns the bytes the store keeps for a document put as raw.
 func mustXML(t *testing.T, raw string) string {
 	t.Helper()
 	db := store.New()
@@ -301,7 +301,7 @@ func TestConcurrentGetInvalidateExpiry(t *testing.T) {
 				// been mid-Put of floor when we sampled it; floor-1 is
 				// the newest version guaranteed committed. Anything older
 				// than that is a staleness violation.
-				d, err := rec.Doc()
+				d, err := xmldom.ParseString(rec.XML)
 				if err != nil {
 					t.Errorf("hot record: %v", err)
 					return

@@ -10,10 +10,11 @@
 //
 //   - documents are stored and read by (kind, key), and listed by kind;
 //     partydb keeps a party's credentials, policies and ontology under
-//     their own kinds. A record is the document's canonical bytes: Put
-//     checks that they parse, in one pass that builds no tree, and
-//     readers decode the bytes themselves. The XPath conditions run in
-//     xtnl, over the credential documents those bytes decode to;
+//     their own kinds. A record is the document's bytes as they were
+//     put: PutXML checks that they parse, in one pass that builds no
+//     tree, and readers decode the bytes themselves. The XPath
+//     conditions run in xtnl, over the credential documents those
+//     bytes decode to;
 //   - a store built with Open persists through one engine, a segmented
 //     write-ahead log (backend_fswal.go) driven by the group-commit
 //     committer (commit.go): a log of CRC-checked frames plus checkpoint
@@ -47,31 +48,17 @@ import (
 type Record struct {
 	Kind string
 	Key  string
-	// XML is the canonical serialized form.
+	// XML is the serialized document as it was put.
 	XML string
 }
 
-// Doc parses the record's document into a fresh tree, which the caller
-// owns. Each call parses again.
-func (r *Record) Doc() (*xmldom.Node, error) {
-	n, err := xmldom.ParseString(r.XML)
-	if err != nil {
-		return nil, r.wrap(err)
-	}
-	return n, nil
-}
-
 // check reads the record's document through one xmldom.Reader pass,
-// building no tree: it fails exactly where Doc would.
+// building no tree: it fails exactly where a parse would.
 func (r *Record) check() error {
 	if err := xmldom.NewReader(r.XML).Close(); err != nil {
-		return r.wrap(err)
+		return fmt.Errorf("store: record %s/%s: %w", r.Kind, r.Key, err)
 	}
 	return nil
-}
-
-func (r *Record) wrap(err error) error {
-	return fmt.Errorf("store: record %s/%s: %w", r.Kind, r.Key, err)
 }
 
 // view returns the caller-facing copy of a stored record. The read path
@@ -314,15 +301,22 @@ func (s *Store) Close() error {
 
 func composite(kind, key string) string { return kind + "\x00" + key }
 
-// Put validates, stores and (when WAL-backed) durably logs a document.
+// Put stores a document tree as PutXML stores its serialized form.
 func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
+	return s.PutXML(kind, key, doc.XML())
+}
+
+// PutXML validates, stores and (when WAL-backed) durably logs a
+// serialized document. The document is checked in one xmldom.Reader
+// pass, as replay checks it, and stored as given.
+func (s *Store) PutXML(kind, key, xml string) error {
 	if kind == "" || key == "" {
 		return errors.New("store: kind and key required")
 	}
 	if strings.ContainsRune(kind, 0) || strings.ContainsRune(key, 0) {
 		return errors.New("store: kind and key must not contain NUL")
 	}
-	rec := &Record{Kind: kind, Key: key, XML: doc.XML()}
+	rec := &Record{Kind: kind, Key: key, XML: xml}
 	if err := rec.check(); err != nil {
 		return err
 	}
@@ -332,24 +326,15 @@ func (s *Store) Put(kind, key string, doc *xmldom.Node) error {
 		s.kindGens[kind]++
 		s.met().records.Set(int64(len(s.byKey)))
 		s.mu.Unlock()
-		return s.commitHook([]Entry{{Op: OpPut, Kind: kind, Key: key, Doc: rec.XML}})
+		return s.commitHook([]Entry{{Op: OpPut, Kind: kind, Key: key, Doc: xml}})
 	}
 	res := s.submit(commitReq{
 		kind:  ckPut,
-		entry: Entry{Op: OpPut, Kind: kind, Key: key, Doc: rec.XML},
+		entry: Entry{Op: OpPut, Kind: kind, Key: key, Doc: xml},
 		rec:   rec,
 		done:  make(chan commitResult, 1),
 	})
 	return res.err
-}
-
-// PutXML stores a pre-serialized document after validating it parses.
-func (s *Store) PutXML(kind, key, xml string) error {
-	doc, err := xmldom.ParseString(xml)
-	if err != nil {
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
-	}
-	return s.Put(kind, key, doc)
 }
 
 // applyRecord inserts into the in-memory maps. Caller holds s.mu (write).

@@ -31,7 +31,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := rec.Doc()
+	doc, err := xmldom.ParseString(rec.XML)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := rec.Doc()
+	doc, _ := xmldom.ParseString(rec.XML)
 	if doc.Child("resource").AttrOr("target", "") != "R2" {
 		t.Fatalf("overwrite lost on replay: %s", rec.XML)
 	}
@@ -310,7 +310,7 @@ func TestCompactShrinksLog(t *testing.T) {
 		t.Fatalf("count after compact+reopen = %d", re.Count("k"))
 	}
 	rec, _ := re.Get("k", "same")
-	doc, _ := rec.Doc()
+	doc, _ := xmldom.ParseString(rec.XML)
 	if doc.AttrOr("n", "") != "49" {
 		t.Fatalf("latest version lost: %s", rec.XML)
 	}

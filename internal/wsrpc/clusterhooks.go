@@ -2,8 +2,6 @@ package wsrpc
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -26,44 +24,20 @@ func (s *TNService) HasSession(id string) bool {
 	return sh.m[id] != nil
 }
 
-// AdoptSessionDoc restores one suspended-session document (the
-// <tnSession> produced by the suspend/standby path) into the live table
-// under its embedded id, claiming a capacity slot. When a live session
-// already holds the id the adoption is skipped — the live copy is at
+// AdoptSessionDoc restores one session document (the <tnSession> the
+// suspend and standby paths write), given as its bytes, into the live
+// table under its embedded id, and returns the id. When a live session
+// already holds the id the adoption is skipped: the live copy is at
 // least as fresh as any shipped snapshot, so a duplicate or stale
 // delivery must not clobber it.
-func (s *TNService) AdoptSessionDoc(doc *xmldom.Node) (string, error) {
-	// The id keys the table for the session's life; a parsed one is a
-	// substring of the whole shipped body.
-	id := strings.Clone(doc.AttrOr("id", ""))
-	if id == "" {
-		return "", &Error{
-			Op:     "adopt",
-			Status: http.StatusBadRequest,
-			Code:   "schema",
-			Err:    fmt.Errorf("wsrpc: session document without id"),
-		}
-	}
-	sess, err := s.restoreSession(doc)
+func (s *TNService) AdoptSessionDoc(doc string) (string, error) {
+	id, sess, err := s.restoreSession(doc)
 	if err != nil {
 		return "", err
 	}
-	sh := s.shard(id)
-	sh.mu.Lock() //lint:allow nakedlock metrics below must run outside the stripe lock
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
-		return id, nil
-	}
-	sh.m[id] = sess
-	sh.mu.Unlock()
-	live := !sess.deactivated.Load()
-	if live {
-		s.active.Add(1)
-	}
-	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_adopted_total").Inc()
-		if live {
-			m.Gauge("tn_sessions_active").Inc()
+	if s.insert(id, sess) {
+		if m := s.Metrics; m != nil {
+			m.Counter("tn_sessions_adopted_total").Inc()
 		}
 	}
 	return id, nil
@@ -106,17 +80,18 @@ func (s *TNService) EnsureSession(id string) error {
 	return nil
 }
 
-// DrainSessions removes every session from the table and returns their
-// documents keyed by id: a live session's suspended state, a finished
-// one's verdict and reply cache (encodeDone), so the node that adopts
-// it replays the final reply instead of running the last step again.
-// Sessions with nothing to snapshot (no message processed yet) are
-// returned with a nil document, so the caller can still count them.
-// Each removed session's capacity slot is released, and a handler that
-// looked one up before it left answers through SessionMissing instead
-// of advancing it.
-func (s *TNService) DrainSessions() map[string]*xmldom.Node {
-	out := make(map[string]*xmldom.Node)
+// DrainSessions removes every session from the table and returns the
+// encode methods of their documents keyed by id: a live session's
+// suspended state, a finished one's verdict and reply cache
+// (encodeDone), so the node that adopts it replays the final reply
+// instead of running the last step again. Sessions with nothing to
+// snapshot (no message processed yet) are returned with a nil method, so
+// the caller can still count them. Each removed session's capacity slot
+// is released, and a handler that looked one up before it left answers
+// through SessionMissing instead of advancing it: a drained session is
+// frozen, so its encode method stays valid.
+func (s *TNService) DrainSessions() map[string]func(*xmldom.Writer) {
+	out := make(map[string]func(*xmldom.Writer))
 	for _, sh := range s.shardTable() {
 		sh.mu.Lock() //lint:allow nakedlock swap per stripe inside a loop; defer would hold the lock across stripes
 		drained := sh.m
@@ -137,6 +112,14 @@ func (s *TNService) DrainSessions() map[string]*xmldom.Node {
 // until the session's next message ships, one more failure would lose
 // it.
 func (s *TNService) ReshipSessions(ctx context.Context) error {
+	return s.eachLive(func(id string, sess *tnSession) error { return s.shipSessionUpdate(ctx, id, sess) })
+}
+
+// eachLive runs f on every unfinished session in the table, under the
+// session's lock, unless the session has moved on meanwhile, and returns
+// the first error. The table is snapshotted stripe by stripe, and f runs
+// outside every stripe lock: it may take one, or hit the store.
+func (s *TNService) eachLive(f func(id string, sess *tnSession) error) error {
 	type held struct {
 		id   string
 		sess *tnSession
@@ -153,31 +136,32 @@ func (s *TNService) ReshipSessions(ctx context.Context) error {
 	}
 	var firstErr error
 	for _, h := range live {
-		if err := h.sess.reship(ctx, s, h.id); err != nil && firstErr == nil {
+		if err := h.sess.locked(func() error { return f(h.id, h.sess) }); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// reship runs one session's standby ship outside a handler, unless the
-// session has moved on meanwhile.
-func (sess *tnSession) reship(ctx context.Context, s *TNService, id string) error {
+// locked runs f under the session's lock, unless the session has moved.
+func (sess *tnSession) locked(f func() error) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.moved {
 		return nil
 	}
-	return s.shipSessionUpdate(ctx, id, sess)
+	return f()
 }
 
-// ReleaseSession removes session id from the table and returns its
-// document for another node to adopt — a finished session's verdict and
-// reply cache included, so a client whose final reply was lost still
-// gets it replayed. It returns nil when id is not held, has expired, or
-// has no state to move (no message handled yet); such a session is
-// dropped, and its client restarts from its first message.
-func (s *TNService) ReleaseSession(id string) *xmldom.Node {
+// ReleaseSession removes session id from the table and returns the
+// encode method of its document for another node to adopt — a finished
+// session's verdict and reply cache included, so a client whose final
+// reply was lost still gets it replayed. The released session is
+// frozen, so the method stays valid. It returns nil when id is not
+// held, has expired, or has no state to move (no message handled yet);
+// such a session is dropped, and its client restarts from its first
+// message.
+func (s *TNService) ReleaseSession(id string) func(*xmldom.Writer) {
 	sh := s.shard(id)
 	sh.mu.Lock() //lint:allow nakedlock retire and snapshot below must run outside the stripe lock
 	sess := sh.m[id]

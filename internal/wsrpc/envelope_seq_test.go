@@ -174,7 +174,7 @@ func TestResumeDropsCorruptSessionRecord(t *testing.T) {
 	srv1.Close()
 
 	rec := db.List(KindTNSession)[0]
-	doc, err := rec.Doc()
+	doc, err := xmldom.ParseString(rec.XML)
 	if err != nil {
 		t.Fatal(err)
 	}

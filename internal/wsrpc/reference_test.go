@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,4 +313,191 @@ func faultCode(err error) string {
 		return werr.Code
 	}
 	return "schema"
+}
+
+// refRestoreSession is the tree walk AdoptSessionDoc and restoreSession
+// made before restoreSession read <tnSession> through xmldom.Reader: the
+// id check AdoptSessionDoc made, then the old restoreSession over the
+// parsed document, whose negotiation state restores through
+// negotiation.RestoreEndpoint. FuzzRestoreSession diffs the two.
+func refRestoreSession(s *TNService, doc *xmldom.Node) (string, *tnSession, error) {
+	id := strings.Clone(doc.AttrOr("id", ""))
+	if id == "" {
+		return "", nil, &Error{
+			Op:     "adopt",
+			Status: http.StatusBadRequest,
+			Code:   "schema",
+			Err:    fmt.Errorf("wsrpc: session document without id"),
+		}
+	}
+	if doc.Name != "tnSession" {
+		return "", nil, fmt.Errorf("expected <tnSession>, got <%s>", doc.Name)
+	}
+	sess := &tnSession{lastUsed: time.Now()}
+	if doc.AttrOr("done", "") == "true" {
+		sess.done.Store(true)
+		sess.deactivated.Store(true)
+		if o := doc.Child("outcome"); o != nil {
+			sess.outcome = verdict(&negotiation.Outcome{
+				Succeeded: o.AttrOr("succeeded", "") == "true",
+				Resource:  o.AttrOr("resource", ""),
+				Reason:    o.AttrOr("reason", ""),
+			})
+		}
+	} else {
+		party, err := s.sessionParty()
+		if err != nil {
+			return "", nil, err
+		}
+		if sess.endpoint, err = negotiation.RestoreEndpoint(party, doc.Child("negotiationState")); err != nil {
+			return "", nil, err
+		}
+	}
+	if raw := doc.AttrOr("lastSeq", ""); raw != "" {
+		var err error
+		sess.lastSeq, err = strconv.ParseInt(raw, 10, 64)
+		if err != nil || sess.lastSeq < 0 {
+			s.countBadEnvelope()
+			return "", nil, &Error{
+				Op:     "resume",
+				Status: http.StatusBadRequest,
+				Code:   "envelope",
+				Err:    fmt.Errorf("wsrpc: malformed lastSeq %q in suspended session", raw),
+			}
+		}
+	}
+	if raw := doc.AttrOr("lastStatus", ""); raw != "" {
+		var err error
+		sess.lastReplyStatus, err = strconv.Atoi(raw)
+		if err != nil || sess.lastReplyStatus < 0 {
+			s.countBadEnvelope()
+			return "", nil, &Error{
+				Op:     "resume",
+				Status: http.StatusBadRequest,
+				Code:   "envelope",
+				Err:    fmt.Errorf("wsrpc: malformed lastStatus %q in suspended session", raw),
+			}
+		}
+	}
+	if raw := doc.AttrOr("lastUsed", ""); raw != "" {
+		used, err := time.Parse(time.RFC3339Nano, raw)
+		if err != nil {
+			s.countBadEnvelope()
+			return "", nil, &Error{
+				Op:     "resume",
+				Status: http.StatusBadRequest,
+				Code:   "envelope",
+				Err:    fmt.Errorf("wsrpc: malformed lastUsed %q in suspended session", raw),
+			}
+		}
+		sess.lastUsed = used
+	}
+	if s.stale(sess, time.Now()) {
+		return "", nil, &Error{
+			Op:     "resume",
+			Status: http.StatusNotFound,
+			Code:   "negotiation",
+			Err:    fmt.Errorf("wsrpc: negotiation idle since %s has expired", sess.lastUsed.UTC().Format(time.RFC3339)),
+		}
+	}
+	if lr := doc.Child("lastReply"); lr != nil {
+		sess.lastReply = strings.Clone(lr.Text())
+	}
+	return id, sess, nil
+}
+
+// sessionSeeds runs one negotiation through a service and returns the
+// <tnSession> document of the session after every message, live and
+// finished, as the standby ship and the drain write them.
+func sessionSeeds(tb testing.TB) []string {
+	tb.Helper()
+	svc, _, req := standaloneTN(tb)
+	var docs []string
+	svc.OnSessionUpdate = func(_ context.Context, _ string, encode func(*xmldom.Writer)) error {
+		docs = append(docs, xmldom.String(encode))
+		return nil
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &TNClient{BaseURL: srv.URL, Party: req}
+	if out, err := client.Negotiate(bg, "R"); err != nil || !out.Succeeded {
+		tb.Fatalf("negotiate: %v %+v", err, out)
+	}
+	for _, encode := range svc.DrainSessions() {
+		docs = append(docs, xmldom.String(encode))
+	}
+	if len(docs) < 2 {
+		tb.Fatalf("%d session documents, want live and finished ones", len(docs))
+	}
+	return docs
+}
+
+// FuzzRestoreSession diffs restoreSession, one Reader decode over a
+// session document's bytes, against refRestoreSession over its parsed
+// tree. Neither may panic; they refuse the same documents, with the same
+// fault code; and a session both accept has the same id and last use and
+// re-encodes to the same bytes, through encodeSuspended or encodeDone.
+func FuzzRestoreSession(f *testing.F) {
+	seeds := sessionSeeds(f)
+	for _, doc := range seeds {
+		f.Add(doc)
+	}
+	live := seeds[0]
+	for _, doc := range []string{
+		strings.Replace(live, ` lastSeq="`, ` lastSeq="x`, 1),
+		strings.Replace(live, ` lastStatus="`, ` lastStatus="-`, 1),
+		strings.Replace(live, ` lastUsed="`, ` lastUsed="2001-01-01T00:00:00Z" x="`, 1),
+		strings.Replace(live, ` lastUsed="`, ` lastUsed="x`, 1),
+		strings.Replace(live, ` seqPos="0"`, ` seqPos="-1"`, 1),
+		strings.Replace(live, ` id="`, ` id="" x="`, 1),
+		strings.Replace(live, `<negotiationState`, `<other`, 1),
+		`<tnSession id="n" done="true" lastSeq="3" lastStatus="200"><lastReply>r</lastReply><outcome succeeded="true" resource="R"/></tnSession>`,
+		`<tnSession id="n"/>`,
+		`<other id="n"/>`,
+		`<tnSession id="n" done="true">`,
+		``,
+	} {
+		f.Add(doc)
+	}
+	svc, _, _ := standaloneTN(f)
+	f.Fuzz(func(t *testing.T, doc string) {
+		id, sess, err := svc.restoreSession(doc)
+		root, perr := xmldom.ParseString(doc)
+		if perr != nil {
+			if err == nil {
+				t.Fatalf("restoreSession accepted a document that does not parse: %v", perr)
+			}
+			return
+		}
+		refID, ref, refErr := refRestoreSession(svc, root)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("restoreSession error %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			if faultCode(err) != faultCode(refErr) {
+				t.Fatalf("restoreSession refused with %q (%v), reference %q (%v)", faultCode(err), err, faultCode(refErr), refErr)
+			}
+			return
+		}
+		if id != refID || sess.done.Load() != ref.done.Load() || sess.deactivated.Load() != ref.deactivated.Load() {
+			t.Fatalf("restored %q done=%v, reference %q done=%v", id, sess.done.Load(), refID, ref.done.Load())
+		}
+		if root.AttrOr("lastUsed", "") != "" && !sess.lastUsed.Equal(ref.lastUsed) {
+			t.Fatalf("last use %v, reference %v", sess.lastUsed, ref.lastUsed)
+		}
+		encode := func(s *tnSession) string {
+			return xmldom.String(func(w *xmldom.Writer) {
+				if s.done.Load() {
+					s.encodeDone(w, id, time.Time{})
+				} else {
+					s.encodeSuspended(w, id, time.Time{})
+				}
+			})
+		}
+		if got, want := encode(sess), encode(ref); got != want {
+			t.Fatalf("restored session encodes to\n %s\nreference\n %s", got, want)
+		}
+	})
 }

@@ -66,11 +66,7 @@ func TestAdoptSessionDocClonesStrings(t *testing.T) {
 	body := `<tnSession id="n-0815" done="true" lastSeq="3" lastStatus="200">` +
 		`<outcome succeeded="true" resource="R" reason="granted"/>` +
 		`<lastReply>` + strings.Repeat("r", 4096) + `</lastReply></tnSession>`
-	doc, err := xmldom.ParseString(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := svc.AdoptSessionDoc(doc)
+	id, err := svc.AdoptSessionDoc(body)
 	if err != nil {
 		t.Fatal(err)
 	}

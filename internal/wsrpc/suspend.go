@@ -25,18 +25,6 @@ import (
 // KindTNSession is the store kind for suspended negotiation sessions.
 const KindTNSession = "tnsession"
 
-// suspendDoc snapshots one session, last used at used, into its store
-// document under the session lock, reporting ok=false when there is
-// nothing to resume.
-func (sess *tnSession) suspendDoc(id string, used time.Time) (doc *xmldom.Node, ok bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if !sess.resumable() {
-		return nil, false
-	}
-	return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) }), true
-}
-
 // resumable reports whether the session has negotiation state to
 // suspend: not finished, and past its first message (caller holds
 // sess.mu).
@@ -94,19 +82,22 @@ func (sess *tnSession) encodeLastReply(w *xmldom.Writer) {
 	}
 }
 
-// moveOut marks the session as gone to another node and snapshots it,
-// a finished one as its verdict and reply cache (encodeDone). It
-// returns nil for a session with no message handled yet. The session
-// has left the table, so no lookup refreshes lastUsed any more.
-func (sess *tnSession) moveOut(id string) *xmldom.Node {
+// moveOut marks the session as gone to another node and returns the
+// encode method of its document, a finished one's verdict and reply
+// cache (encodeDone). It returns nil for a session with no message
+// handled yet. The session has left the table, so no lookup refreshes
+// lastUsed any more, and a moved session is frozen: no handler advances
+// it, so encode may run after the lock is released.
+func (sess *tnSession) moveOut(id string) func(*xmldom.Writer) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.moved = true
+	used := sess.lastUsed
 	switch {
 	case sess.done.Load():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeDone(w, id, sess.lastUsed) })
+		return func(w *xmldom.Writer) { sess.encodeDone(w, id, used) }
 	case sess.resumable():
-		return xmldom.Tree(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, sess.lastUsed) })
+		return func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) }
 	}
 	return nil
 }
@@ -119,34 +110,26 @@ func (s *TNService) SuspendSessions(db *store.Store) (int, error) {
 	if db == nil {
 		return 0, fmt.Errorf("wsrpc: suspend requires a store")
 	}
+	// The documents are written under each session's lock and stored
+	// after, outside it: a put waits on the WAL. A session a concurrent
+	// sweep expires once eachLive saw it is still safe to persist:
+	// retire() released its slot exactly once, and the restored copy
+	// claims a fresh one.
+	type record struct{ id, xml string }
+	var docs []record
+	s.eachLive(func(id string, sess *tnSession) error {
+		if sess.resumable() { // else, e.g., a session /tn/start made that never saw a message
+			used := s.lastUse(id, sess)
+			docs = append(docs, record{id, xmldom.String(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) })})
+		}
+		return nil
+	})
 	suspended := 0
-	for _, sh := range s.shardTable() {
-		// Snapshot the stripe under its lock, then serialize outside it:
-		// suspendDoc takes sess.mu and db.Put hits the WAL, neither of
-		// which belongs inside a stripe critical section. A session the
-		// snapshot caught that a concurrent sweep then expires is still
-		// safe to persist — retire() guarantees the slot was released
-		// exactly once, and the restored copy claims a fresh slot.
-		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
-		live := make(map[string]*tnSession, len(sh.m))
-		for id, sess := range sh.m {
-			if !sess.done.Load() {
-				live[id] = sess
-			}
+	for _, d := range docs {
+		if err := db.PutXML(KindTNSession, d.id, d.xml); err != nil {
+			return suspended, err
 		}
-		sh.mu.Unlock()
-		for id, sess := range live {
-			doc, ok := sess.suspendDoc(id, s.lastUse(id, sess))
-			if !ok {
-				// e.g. a session created by /tn/start that never saw a
-				// message: nothing to resume
-				continue
-			}
-			if err := db.Put(KindTNSession, id, doc); err != nil {
-				return suspended, err
-			}
-			suspended++
-		}
+		suspended++
 	}
 	if m := s.Metrics; m != nil && suspended > 0 {
 		m.Counter("tn_sessions_suspended_total").Add(int64(suspended))
@@ -164,113 +147,154 @@ func (s *TNService) ResumeSessions(db *store.Store) (int, error) {
 	}
 	resumed := 0
 	for _, rec := range db.List(KindTNSession) {
-		id := rec.Key
-		doc, err := rec.Doc()
+		id, sess, err := s.restoreSession(rec.XML)
 		if err != nil {
-			s.logf("wsrpc: dropping unreadable suspended session %s: %v", id, err)
-			db.Delete(KindTNSession, id)
-			continue
+			s.logf("wsrpc: dropping unrestorable suspended session %s: %v", rec.Key, err)
+		} else if s.insert(id, sess) {
+			if m := s.Metrics; m != nil {
+				m.Counter("tn_sessions_resumed_total").Inc()
+			}
+			resumed++
 		}
-		sess, err := s.restoreSession(doc)
-		if err != nil {
-			s.logf("wsrpc: dropping unrestorable suspended session %s: %v", id, err)
-			db.Delete(KindTNSession, id)
-			continue
-		}
-		s.shard(id).put(id, sess)
-		s.active.Add(1)
-		if m := s.Metrics; m != nil {
-			m.Counter("tn_sessions_resumed_total").Inc()
-			m.Gauge("tn_sessions_active").Inc()
-		}
-		db.Delete(KindTNSession, id)
-		resumed++
+		db.Delete(KindTNSession, rec.Key)
 	}
 	return resumed, db.Sync()
 }
 
-// restoreSession rebuilds a session from its document, refusing one the
-// table's staleness rule expires at its recorded last use: a session
-// idle past its lifetime does not come back, from a standby copy or from
-// the store. A document without lastUsed restarts the idle clock.
-func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
-	if doc.Name != "tnSession" {
-		return nil, fmt.Errorf("expected <tnSession>, got <%s>", doc.Name)
+// insert puts a restored session into the table under id, unless a
+// session already holds the id: the live copy is at least as fresh as
+// any stored or shipped snapshot, so a duplicate or stale one must not
+// clobber it. A live (unfinished) session claims a capacity slot. insert
+// reports whether the session went in.
+func (s *TNService) insert(id string, sess *tnSession) bool {
+	sh := s.shard(id)
+	sh.mu.Lock() //lint:allow nakedlock metrics below must run outside the stripe lock
+	if _, exists := sh.m[id]; exists {
+		sh.mu.Unlock()
+		return false
 	}
-	sess := &tnSession{lastUsed: time.Now()}
-	if doc.AttrOr("done", "") == "true" {
+	sh.m[id] = sess
+	sh.mu.Unlock()
+	if !sess.deactivated.Load() {
+		s.active.Add(1)
+		if m := s.Metrics; m != nil {
+			m.Gauge("tn_sessions_active").Inc()
+		}
+	}
+	return true
+}
+
+// restoreSession decodes a session document, <tnSession>, in one
+// xmldom.Reader pass over its bytes and rebuilds the session and its id,
+// refusing one the table's staleness rule expires at its recorded last
+// use: a session idle past its lifetime does not come back, from a
+// standby copy or from the store. A document without lastUsed restarts
+// the idle clock. Of the children, the first <negotiationState> (of a
+// live session), <outcome> (of a finished one) and <lastReply> count.
+func (s *TNService) restoreSession(doc string) (id string, sess *tnSession, err error) {
+	r := xmldom.NewReader(doc)
+	defer func() {
+		if serr := r.Close(); serr != nil {
+			id, sess, err = "", nil, serr
+		}
+	}()
+	r.Child(0)
+	// The id keys the table for the session's life; a decoded one is a
+	// substring of the whole document.
+	if id = strings.Clone(r.AttrOr("id", "")); id == "" {
+		return "", nil, &Error{
+			Op:     "resume",
+			Status: http.StatusBadRequest,
+			Code:   "schema",
+			Err:    fmt.Errorf("wsrpc: session document without id"),
+		}
+	}
+	if r.Name() != "tnSession" {
+		return "", nil, fmt.Errorf("expected <tnSession>, got <%s>", r.Name())
+	}
+	rawSeq, rawStatus, rawUsed := r.AttrOr("lastSeq", ""), r.AttrOr("lastStatus", ""), r.AttrOr("lastUsed", "")
+	sess = &tnSession{lastUsed: time.Now()}
+	done := r.AttrOr("done", "") == "true"
+	var party *negotiation.Party
+	if done {
 		// A finished session (encodeDone) holds no capacity slot.
 		sess.done.Store(true)
 		sess.deactivated.Store(true)
-		if o := doc.Child("outcome"); o != nil {
-			sess.outcome = verdict(&negotiation.Outcome{
-				Succeeded: o.AttrOr("succeeded", "") == "true",
-				Resource:  o.AttrOr("resource", ""),
-				Reason:    o.AttrOr("reason", ""),
-			})
+	} else if party, err = s.sessionParty(); err != nil {
+		return "", nil, err
+	}
+	stateErr := fmt.Errorf("wsrpc: session document without <negotiationState>")
+	var seenState, seenOutcome, seenReply bool
+	for d := r.Depth(); r.Child(d); {
+		switch r.Name() {
+		case "negotiationState":
+			if !done && !seenState {
+				seenState = true
+				sess.endpoint, stateErr = negotiation.DecodeSnapshot(party, r)
+			}
+		case "outcome":
+			if done && !seenOutcome {
+				seenOutcome = true
+				sess.outcome = verdict(&negotiation.Outcome{
+					Succeeded: r.AttrOr("succeeded", "") == "true",
+					Resource:  r.AttrOr("resource", ""),
+					Reason:    r.AttrOr("reason", ""),
+				})
+			}
+		case "lastReply":
+			if !seenReply {
+				seenReply = true
+				sess.lastReply = strings.Clone(r.Text()) // kept after the session finishes
+			}
 		}
-	} else {
-		party, err := s.sessionParty()
-		if err != nil {
-			return nil, err
-		}
-		if sess.endpoint, err = negotiation.RestoreEndpoint(party, doc.Child("negotiationState")); err != nil {
-			return nil, err
-		}
+	}
+	// Read the rest: a syntax error anywhere wins over the checks below.
+	for r.Next() != xmldom.NoToken {
+	}
+	if err = r.Err(); err == nil && !done {
+		err = stateErr
+	}
+	if err != nil {
+		return "", nil, err
 	}
 	// A malformed lastSeq or lastStatus must not be collapsed to 0: seq 0
 	// disables the replay cache, so a corrupt record would silently lose
 	// the session's at-most-once protection. Reject it; the caller logs
 	// and drops the record.
-	if raw := doc.AttrOr("lastSeq", ""); raw != "" {
-		var err error
-		sess.lastSeq, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil || sess.lastSeq < 0 {
-			s.countBadEnvelope()
-			return nil, &Error{
-				Op:     "resume",
-				Status: http.StatusBadRequest,
-				Code:   "envelope",
-				Err:    fmt.Errorf("wsrpc: malformed lastSeq %q in suspended session", raw),
-			}
+	if rawSeq != "" {
+		if sess.lastSeq, err = strconv.ParseInt(rawSeq, 10, 64); err != nil || sess.lastSeq < 0 {
+			return "", nil, s.malformedSession("lastSeq", rawSeq)
 		}
 	}
-	if raw := doc.AttrOr("lastStatus", ""); raw != "" {
-		var err error
-		sess.lastReplyStatus, err = strconv.Atoi(raw)
-		if err != nil || sess.lastReplyStatus < 0 {
-			s.countBadEnvelope()
-			return nil, &Error{
-				Op:     "resume",
-				Status: http.StatusBadRequest,
-				Code:   "envelope",
-				Err:    fmt.Errorf("wsrpc: malformed lastStatus %q in suspended session", raw),
-			}
+	if rawStatus != "" {
+		if sess.lastReplyStatus, err = strconv.Atoi(rawStatus); err != nil || sess.lastReplyStatus < 0 {
+			return "", nil, s.malformedSession("lastStatus", rawStatus)
 		}
 	}
-	if raw := doc.AttrOr("lastUsed", ""); raw != "" {
-		used, err := time.Parse(time.RFC3339Nano, raw)
-		if err != nil {
-			s.countBadEnvelope()
-			return nil, &Error{
-				Op:     "resume",
-				Status: http.StatusBadRequest,
-				Code:   "envelope",
-				Err:    fmt.Errorf("wsrpc: malformed lastUsed %q in suspended session", raw),
-			}
+	if rawUsed != "" {
+		if sess.lastUsed, err = time.Parse(time.RFC3339Nano, rawUsed); err != nil {
+			return "", nil, s.malformedSession("lastUsed", rawUsed)
 		}
-		sess.lastUsed = used
 	}
 	if s.stale(sess, time.Now()) {
-		return nil, &Error{
+		return "", nil, &Error{
 			Op:     "resume",
 			Status: http.StatusNotFound,
 			Code:   "negotiation",
 			Err:    fmt.Errorf("wsrpc: negotiation idle since %s has expired", sess.lastUsed.UTC().Format(time.RFC3339)),
 		}
 	}
-	if lr := doc.Child("lastReply"); lr != nil {
-		sess.lastReply = strings.Clone(lr.Text()) // kept after the session finishes
+	return id, sess, nil
+}
+
+// malformedSession reports a session document's malformed lastSeq,
+// lastStatus or lastUsed attribute, raw, as a bad envelope.
+func (s *TNService) malformedSession(attr, raw string) error {
+	s.countBadEnvelope()
+	return &Error{
+		Op:     "resume",
+		Status: http.StatusBadRequest,
+		Code:   "envelope",
+		Err:    fmt.Errorf("wsrpc: malformed %s %q in suspended session", attr, raw),
 	}
-	return sess, nil
 }
