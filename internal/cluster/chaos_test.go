@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -347,6 +348,37 @@ func TestRedirectMisroutedExchange(t *testing.T) {
 	resp2.Body.Close()
 	if !c.get("n2").tn.HasSession(id) {
 		t.Fatalf("owner n2 never saw redirected session %s", id)
+	}
+}
+
+// TestTransportFollowsClusterRedirect: a wsrpc.Transport posting a first
+// exchange to a node of a Redirect cluster that does not own the session
+// follows the 307 itself, re-posting the body to the owner, and returns
+// the owner's reply.
+func TestTransportFollowsClusterRedirect(t *testing.T) {
+	c := newTestCluster(t, false, 0)
+	c.redirect = true
+	defer c.shutdown()
+	c.addNode("n1")
+	c.addNode("n2")
+
+	id := ownedID(t, c.ring, "tredir", "n2")
+	redirects := c.reg.Counter("cluster_redirects_total", "route", "/tn/policyExchange")
+	before := redirects.Value()
+	tr := &wsrpc.Transport{}
+	root, err := tr.Call(context.Background(), http.MethodPost, c.get("n1").srv.URL, "/tn/policyExchange", "",
+		firstEnvelope(t, c, "TRedirMember", id), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := root.AttrOr("negotiation", ""); root.Name != "envelope" || got != id {
+		t.Fatalf("reply <%s negotiation=%q>, want the envelope of session %s", root.Name, got, id)
+	}
+	if !c.get("n2").tn.HasSession(id) {
+		t.Fatalf("owner n2 never saw redirected session %s", id)
+	}
+	if got := redirects.Value(); got != before+1 {
+		t.Fatalf("cluster_redirects_total = %d, want %d", got, before+1)
 	}
 }
 

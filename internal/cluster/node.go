@@ -209,16 +209,19 @@ func (n *Node) maxReplLog() int {
 // ring arc, so a session's messages are served where it started without
 // a forwarding hop. With k nodes a draw hits the local arc with
 // probability ~1/k; 128 draws make failure astronomically unlikely.
+// Each draw is encoded on the stack and looked up as a string the ring
+// keeps no reference to, so only the id returned is allocated.
 func (n *Node) mintOwnedID() (string, error) {
 	for i := 0; i < 128; i++ {
 		var raw [12]byte
 		if _, err := rand.Read(raw[:]); err != nil {
 			return "", err
 		}
-		id := hex.EncodeToString(raw[:])
-		owner := n.ring.Owner(id)
+		var id [2 * len(raw)]byte
+		hex.Encode(id[:], raw[:])
+		owner := n.ring.Owner(string(id[:]))
 		if owner == "" || owner == n.cfg.Name {
-			return id, nil
+			return string(id[:]), nil
 		}
 	}
 	return "", fmt.Errorf("cluster: node %s could not mint an owned session id in 128 draws", n.cfg.Name)

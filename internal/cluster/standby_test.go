@@ -224,6 +224,30 @@ func TestShipAllocations(t *testing.T) {
 	}
 }
 
+// TestMintOwnedIDAllocations guards session-id minting on a three-node
+// ring, about three draws an id: each draw is encoded on the stack and
+// looked up without a heap string, so only the id returned allocates.
+// Encoding every draw to a heap string took 7 an id on this ring.
+func TestMintOwnedIDAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	ring := NewRing(0)
+	for _, name := range []string{"n1", "n2", "n3"} {
+		ring.Add(name)
+	}
+	n := &Node{cfg: Config{Name: "n1"}, ring: ring}
+	mint := func() {
+		id, err := n.mintOwnedID()
+		if err != nil || len(id) != 24 || ring.Owner(id) != "n1" {
+			t.Fatalf("minted %q, %v: want an id n1 owns", id, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(400, mint); allocs > 1 {
+		t.Errorf("minting an owned id allocates %.1f times, want at most 1", allocs)
+	}
+}
+
 // BenchmarkStandbyShip prices one standby ship of a live session after
 // its first message, without HTTP: from the encoder the exchange handler
 // passes, the session document is sealed and written as ship writes it,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // callServer answers every request with <ok/> after reading its body.
@@ -23,25 +24,52 @@ func callServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestCallAllocations guards the request each attempt builds from its
-// endpoint (a URL parsed once, a shared header map, no
-// http.NewRequestWithContext): one POST through CallBody to a loopback
-// server, counting the allocations of both ends, stays at or under 84.
-// Building each request from the URL string took 87.
+// TestCallAllocations guards the call path: one POST through CallBody
+// to a loopback server, counting the allocations of both ends, stays at
+// or under 77, through a client with no Timeout and through one with a
+// Timeout, the cluster's peer client. Building each request from the URL
+// string took 87, and sending it through http.Client.Do 82, and 84 with
+// a Timeout.
 func TestCallAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
 	}
 	srv := callServer(t)
-	tr := &Transport{HTTP: srv.Client()}
-	call := func() {
-		if _, err := tr.CallBody(context.Background(), http.MethodPost, srv.URL, "/tn/exchange", "", "<tnEnvelope/>", true, nil); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		client *http.Client
+	}{
+		{"no timeout", srv.Client()},
+		{"timeout", &http.Client{Timeout: 30 * time.Second, Transport: srv.Client().Transport}},
+	} {
+		tr := &Transport{HTTP: c.client}
+		call := func() {
+			if _, err := tr.CallBody(context.Background(), http.MethodPost, srv.URL, "/tn/exchange", "", "<tnEnvelope/>", true, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // open the connection
+		if allocs := testing.AllocsPerRun(400, call); allocs > 77 {
+			t.Errorf("%s: one POST through CallBody allocates %.1f times, want at most 77", c.name, allocs)
 		}
 	}
-	call() // open the connection
-	if allocs := testing.AllocsPerRun(400, call); allocs > 84 {
-		t.Errorf("one POST through CallBody allocates %.1f times, want at most 84", allocs)
+}
+
+// TestMintSessionIDAllocations guards the id every session start mints:
+// encoded on the stack, it allocates only the id. hex.EncodeToString
+// took 2.
+func TestMintSessionIDAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	s := &TNService{}
+	mint := func() {
+		if id, err := s.mintSessionID(); err != nil || len(id) != 24 {
+			t.Fatalf("minted %q, %v", id, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(400, mint); allocs > 1 {
+		t.Errorf("minting a session id allocates %.1f times, want at most 1", allocs)
 	}
 }
 

@@ -39,8 +39,10 @@ func SetContentType(h http.Header) { h["Content-Type"] = contentType }
 // the same bound.
 const MaxBody = 1 << 20
 
-// defaultHTTP is the client used when callers do not supply one: a
-// bounded timeout beats http.DefaultClient's unbounded waits.
+// defaultHTTP stands in for a Transport's nil HTTP: requests go through
+// http.DefaultTransport, and its Timeout caps each attempt even when
+// RequestTimeout is negative, where http.DefaultClient would wait
+// without bound.
 var defaultHTTP = &http.Client{Timeout: 30 * time.Second}
 
 // Fault is the error payload: <fault code="...">detail</fault>.

@@ -82,38 +82,38 @@ func (c *MemberClient) Publish(ctx context.Context, d *registry.Description) err
 // Apply requests an invitation for a role. It returns the invitation
 // and the membership resource to negotiate for. Re-applying reissues
 // the same invitation, so retries are safe.
-func (c *MemberClient) Apply(ctx context.Context, role string) (*core.Invitation, string, error) {
-	q := url.Values{"provider": {c.Party.Name}, "role": {role}}
-	root, err := c.call(ctx, http.MethodPost, "/vo/apply", q, "", "invitation", true)
+func (c *MemberClient) Apply(ctx context.Context, role string) (inv *core.Invitation, resource string, err error) {
+	query := "?provider=" + url.QueryEscape(c.Party.Name) + "&role=" + url.QueryEscape(role)
+	_, err = c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/apply", query, "", true, func(r *xmldom.Reader) error {
+		if r.Name() != "invitation" {
+			return fmt.Errorf("wsrpc: expected <invitation> response, got <%s>", r.Name())
+		}
+		inv, resource = decodeInvitation(r)
+		return nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	inv := &core.Invitation{
-		VO:   root.AttrOr("vo", ""),
-		Role: root.AttrOr("role", ""),
-		From: root.AttrOr("from", ""),
-		Goal: root.AttrOr("goal", ""),
-		Text: root.Text(),
-	}
-	return inv, root.AttrOr("resource", ""), nil
+	return inv, resource, nil
 }
 
 // Mailbox fetches the member's pending invitations.
-func (c *MemberClient) Mailbox(ctx context.Context) ([]*core.Invitation, error) {
-	q := url.Values{"provider": {c.Party.Name}}
-	root, err := c.call(ctx, http.MethodGet, "/vo/mailbox", q, "", "mailbox", true)
+func (c *MemberClient) Mailbox(ctx context.Context) (out []*core.Invitation, err error) {
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/mailbox", "?provider="+url.QueryEscape(c.Party.Name), "", true, func(r *xmldom.Reader) error {
+		if r.Name() != "mailbox" {
+			return fmt.Errorf("wsrpc: expected <mailbox> response, got <%s>", r.Name())
+		}
+		out = nil // a retried attempt reads the mailbox afresh
+		for d := r.Depth(); r.Child(d); {
+			if r.Name() == "invitation" {
+				inv, _ := decodeInvitation(r)
+				out = append(out, inv)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	var out []*core.Invitation
-	for _, n := range root.Childs("invitation") {
-		out = append(out, &core.Invitation{
-			VO:   n.AttrOr("vo", ""),
-			Role: n.AttrOr("role", ""),
-			From: n.AttrOr("from", ""),
-			Goal: n.AttrOr("goal", ""),
-			Text: n.Text(),
-		})
 	}
 	return out, nil
 }

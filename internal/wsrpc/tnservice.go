@@ -388,7 +388,9 @@ func (s *TNService) mintSessionID() (string, error) {
 	if _, err := rand.Read(raw[:]); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(raw[:]), nil
+	var id [2 * len(raw)]byte
+	hex.Encode(id[:], raw[:])
+	return string(id[:]), nil
 }
 
 func (s *TNService) newSession() (string, error) {

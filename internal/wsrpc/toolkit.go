@@ -139,8 +139,8 @@ func (t *ToolkitService) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 		return
 	}
-	provider := r.URL.Query().Get("provider")
-	role := r.URL.Query().Get("role")
+	q := r.URL.Query()
+	provider, role := q.Get("provider"), q.Get("role")
 	if provider == "" || role == "" {
 		writeFault(w, http.StatusBadRequest, "params", "provider and role required")
 		return
@@ -156,21 +156,43 @@ func (t *ToolkitService) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	inv := t.Initiator.Invite(agent, role)
 	resource := vo.MembershipResource(t.Initiator.VO.Contract.VOName, role)
-	out := invitationDOM(inv)
-	out.SetAttr("resource", resource)
-	writeDOM(w, out)
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeInvitation(w, inv, resource) }))
 }
 
-func invitationDOM(inv *core.Invitation) *xmldom.Node {
-	n := xmldom.NewElement("invitation").
-		SetAttr("vo", inv.VO).
-		SetAttr("role", inv.Role).
-		SetAttr("from", inv.From)
+// encodeInvitation writes an invitation, with the membership resource
+// to negotiate for unless resource is "":
+//
+//	<invitation from=… goal=… resource=… role=… vo=…>text</invitation>
+//
+// goal is left out when empty. /vo/apply replies with one, and
+// /vo/mailbox with one for each pending invitation, without resource.
+func encodeInvitation(w *xmldom.Writer, inv *core.Invitation, resource string) {
+	w.Start("invitation")
+	w.Attr("from", inv.From)
 	if inv.Goal != "" {
-		n.SetAttr("goal", inv.Goal)
+		w.Attr("goal", inv.Goal)
 	}
-	n.AppendChild(xmldom.NewText(inv.Text))
-	return n
+	if resource != "" {
+		w.Attr("resource", resource)
+	}
+	w.Attr("role", inv.Role)
+	w.Attr("vo", inv.VO)
+	w.Text(inv.Text)
+	w.End()
+}
+
+// decodeInvitation reads the <invitation> whose start tag r has just
+// read, and its resource ("" when absent).
+func decodeInvitation(r *xmldom.Reader) (inv *core.Invitation, resource string) {
+	inv = &core.Invitation{
+		VO:   r.AttrOr("vo", ""),
+		Role: r.AttrOr("role", ""),
+		From: r.AttrOr("from", ""),
+		Goal: r.AttrOr("goal", ""),
+	}
+	resource = r.AttrOr("resource", "")
+	inv.Text = r.Text()
+	return inv, resource
 }
 
 func (t *ToolkitService) handleMailbox(w http.ResponseWriter, r *http.Request) {
@@ -180,11 +202,14 @@ func (t *ToolkitService) handleMailbox(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusNotFound, "registry", err.Error())
 		return
 	}
-	out := xmldom.NewElement("mailbox").SetAttr("provider", provider)
-	for _, inv := range agent.Mailbox() {
-		out.AppendChild(invitationDOM(inv))
-	}
-	writeDOM(w, out)
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) {
+		w.Start("mailbox")
+		w.Attr("provider", provider)
+		for _, inv := range agent.Mailbox() {
+			encodeInvitation(w, inv, "")
+		}
+		w.End()
+	}))
 }
 
 // handleJoinDirect is the pre-integration baseline join (no TN): the

@@ -2,6 +2,7 @@ package wsrpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,7 +22,13 @@ import (
 // works (defaults below); a single Transport may be shared by many
 // clients — the breaker state is per (base URL, route).
 type Transport struct {
-	// HTTP performs the requests (a 30s-timeout default client when nil).
+	// HTTP supplies the two things a call reads from a client: its
+	// Transport, the RoundTripper every request goes through
+	// (http.DefaultTransport when nil), and its Timeout, which when
+	// positive caps each attempt beside RequestTimeout. Nil means a
+	// client with a 30s Timeout. The call path follows 307 and 308
+	// redirects itself and keeps no cookies, so a client that sets Jar
+	// or CheckRedirect fails every call.
 	HTTP *http.Client
 	// RequestTimeout bounds each individual attempt (default 10s; set
 	// negative to disable).
@@ -101,15 +108,23 @@ func (t *Transport) httpClient() *http.Client {
 	return defaultHTTP
 }
 
-func (t *Transport) requestTimeout() time.Duration {
-	if t.RequestTimeout < 0 {
-		return 0
+// attemptTimeout returns the deadline of one attempt made through
+// client: the smaller of RequestTimeout and the client's Timeout,
+// counting only positive values (0 for none).
+func (t *Transport) attemptTimeout(client *http.Client) time.Duration {
+	d := t.RequestTimeout
+	if d == 0 {
+		d = 10 * time.Second
 	}
-	if t.RequestTimeout == 0 {
-		return 10 * time.Second
+	if ct := client.Timeout; ct > 0 && (d <= 0 || ct < d) {
+		d = ct
 	}
-	return t.RequestTimeout
+	return max(d, 0)
 }
+
+// errClientHooks refuses a client whose Jar or CheckRedirect the call
+// path would otherwise ignore.
+var errClientHooks = errors.New("the client in Transport.HTTP sets Jar or CheckRedirect, which wsrpc calls do not use")
 
 // endpointFor returns (lazily creating) the endpoint of base and route.
 // Base URLs that differ only in trailing slashes share one.
@@ -164,6 +179,9 @@ func (t *Transport) Call(ctx context.Context, method, base, route, query, body s
 func (t *Transport) CallBody(ctx context.Context, method, base, route, query, body string, idempotent bool, decode func(*xmldom.Reader) error) (string, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxpropagate defensive default for nil-ctx callers
+	}
+	if c := t.HTTP; c != nil && (c.Jar != nil || c.CheckRedirect != nil) {
+		return "", &Error{Op: opName(method, route), Err: errClientHooks}
 	}
 	ep := t.endpointFor(base, route)
 	u, uerr := ep.urlWith(query)
@@ -236,9 +254,9 @@ var (
 	getHeader  = http.Header{"Accept-Encoding": identity, "User-Agent": {""}}
 )
 
-// request builds the request of one attempt, as http.NewRequestWithContext
+// request builds one request of an attempt, as http.NewRequestWithContext
 // would for u and body, with the method's shared header.
-func request(ctx context.Context, client *http.Client, method string, u *url.URL, body string) *http.Request {
+func request(ctx context.Context, method string, u *url.URL, body string) *http.Request {
 	req := http.Request{
 		Method:     method,
 		URL:        u,
@@ -250,8 +268,8 @@ func request(ctx context.Context, client *http.Client, method string, u *url.URL
 	}
 	if method == http.MethodPost {
 		req.Header = postHeader
-		// GetBody lets net/http resend the body: on a 307 redirect, on
-		// a reused connection found stale, and for tracing transports.
+		// GetBody lets net/http resend the body on a reused connection
+		// found stale, and lets a tracing transport read it.
 		if body == "" {
 			req.Body = http.NoBody
 			req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
@@ -261,46 +279,80 @@ func request(ctx context.Context, client *http.Client, method string, u *url.URL
 			req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(body)), nil }
 		}
 	}
-	if client.Jar != nil {
-		req.Header = req.Header.Clone() // a cookie jar adds to the request's header
-	}
 	return req.WithContext(ctx)
 }
 
-// once performs a single attempt under the per-request timeout. It
-// returns the body of a 2xx reply and the error decode found in it, or
-// the attempt's failure as err.
+// maxRedirects is the number of redirects that fails an attempt, as
+// net/http's default policy has it: an attempt sends at most 10 requests.
+const maxRedirects = 10
+
+// once performs a single attempt under the attempt's deadline. It sends
+// the request through the client's RoundTripper, follows a 307 or 308
+// to its Location with the same method and body, and returns the body
+// of a 2xx reply and the error decode found in it, or the attempt's
+// failure as err. Any other status fails the attempt.
 func (t *Transport) once(ctx context.Context, method string, u *url.URL, route, body string, decode func(*xmldom.Reader) error) (raw string, derr, err error) {
+	client := t.httpClient()
 	reqCtx := ctx
 	cancel := func() {}
-	if rt := t.requestTimeout(); rt > 0 {
-		reqCtx, cancel = context.WithTimeout(ctx, rt)
+	if d := t.attemptTimeout(client); d > 0 {
+		reqCtx, cancel = context.WithTimeout(ctx, d)
 	}
 	defer cancel()
-	client := t.httpClient()
-	resp, err := client.Do(request(reqCtx, client, method, u, body))
-	if err != nil {
-		// a request that never completed is transient — unless the
-		// caller's own context ended it
-		return "", nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
+	rt := client.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	var resp *http.Response
+	for redirects := 0; ; {
+		resp, err = rt.RoundTrip(request(reqCtx, method, u, body))
+		if err == nil && resp == nil {
+			err = fmt.Errorf("the RoundTripper %T returned a nil *Response with a nil error", rt)
+		}
+		if err != nil {
+			// a request that never completed is transient — unless the
+			// caller's own context ended it
+			return "", nil, &Error{Op: opName(method, route), Temporary: ctx.Err() == nil, Err: err}
+		}
+		if resp.Body == nil {
+			resp.Body = http.NoBody
+		}
+		if resp.StatusCode != http.StatusTemporaryRedirect && resp.StatusCode != http.StatusPermanentRedirect {
+			break
+		}
+		loc := resp.Header.Get("Location")
+		if loc == "" {
+			break // fails below, as any other non-2xx reply
+		}
+		// Read a little of the redirect's body, so that its connection
+		// is reused, as net/http's client does.
+		io.CopyN(io.Discard, resp.Body, 2<<10)
+		resp.Body.Close()
+		if redirects++; redirects == maxRedirects {
+			return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Err: fmt.Errorf("stopped after %d redirects", maxRedirects)}
+		}
+		if u, err = u.Parse(loc); err != nil {
+			return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Err: err}
+		}
 	}
 	defer resp.Body.Close()
 	raw, err = ReadBody(resp.Body, MaxBody)
 	if err != nil {
 		return "", nil, &Error{Op: opName(method, route), Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
 	}
+	success := resp.StatusCode >= 200 && resp.StatusCode < 300
 	r := xmldom.NewReader(raw)
 	var fault *Fault
 	if r.Child(0) {
 		if r.Name() == "fault" {
 			fault = new(Fault)
 			fault.decode(r)
-		} else if resp.StatusCode < 400 && decode != nil {
+		} else if success && decode != nil {
 			derr = decode(r)
 		}
 	}
 	perr := r.Close()
-	if resp.StatusCode >= 400 {
+	if !success {
 		e := &Error{
 			Op:         opName(method, route),
 			Status:     resp.StatusCode,

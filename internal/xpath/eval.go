@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"trustvo/internal/xmldom"
 )
@@ -39,12 +40,31 @@ type nodeset []item
 // node-set of the evaluation is carved from. A location path appends
 // its context item to the arena and each step replaces the node-set at
 // the end with the step's result, so a path costs no allocation until
-// the arena outgrows the inline array.
+// the arena outgrows the inline array. States are pooled: an evaluation
+// takes one with begin and gives it back, cleared, with release.
 type state struct {
 	root   *xmldom.Node
 	order  map[*xmldom.Node]int
 	arena  nodeset
 	inline [8]item
+}
+
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// begin returns a cleared state for an evaluation at ctx.
+func begin(ctx *xmldom.Node) *state {
+	s := statePool.Get().(*state)
+	s.root = ctx.Root()
+	s.arena = s.inline[:0]
+	return s
+}
+
+// release clears s, so that the pool holds no node of the document, and
+// returns it to the pool. Nothing the evaluation returned may point into
+// its arena.
+func (s *state) release() {
+	*s = state{}
+	statePool.Put(s)
 }
 
 // evalCtx is the context of one evaluation: the context item, its 1-based
@@ -71,7 +91,9 @@ func (s *state) indexOf(n *xmldom.Node) int {
 // the raw result (nodeset, float64, string or bool). Most callers want
 // one of the typed helpers below.
 func (e *Expr) Evaluate(ctx *xmldom.Node) any {
-	v := e.evalRoot(ctx)
+	s := begin(ctx)
+	defer s.release()
+	v := e.eval(s, ctx)
 	if ns, ok := v.(nodeset); ok {
 		out := make([]*xmldom.Node, 0, len(ns))
 		for _, it := range ns {
@@ -84,17 +106,17 @@ func (e *Expr) Evaluate(ctx *xmldom.Node) any {
 	return v
 }
 
-func (e *Expr) evalRoot(ctx *xmldom.Node) value {
-	s := &state{root: ctx.Root()}
-	s.arena = s.inline[:0]
+// eval evaluates the expression on s with ctx as the context node.
+func (e *Expr) eval(s *state, ctx *xmldom.Node) value {
 	return e.ast.eval(s, evalCtx{item: item{node: ctx}, pos: 1, size: 1})
 }
 
 // Select evaluates the expression and returns the resulting element/text
 // nodes in document order. Non-nodeset results yield nil.
 func (e *Expr) Select(ctx *xmldom.Node) []*xmldom.Node {
-	v := e.evalRoot(ctx)
-	ns, ok := v.(nodeset)
+	s := begin(ctx)
+	defer s.release()
+	ns, ok := e.eval(s, ctx).(nodeset)
 	if !ok {
 		return nil
 	}
@@ -111,7 +133,9 @@ func (e *Expr) Select(ctx *xmldom.Node) []*xmldom.Node {
 // every item in the result node-set (attribute values included). A scalar
 // result is returned as a single-element slice.
 func (e *Expr) SelectValues(ctx *xmldom.Node) []string {
-	v := e.evalRoot(ctx)
+	s := begin(ctx)
+	defer s.release()
+	v := e.eval(s, ctx)
 	if ns, ok := v.(nodeset); ok {
 		out := make([]string, len(ns))
 		for i, it := range ns {
@@ -125,18 +149,49 @@ func (e *Expr) SelectValues(ctx *xmldom.Node) []string {
 // StringValue evaluates the expression and converts the result to a
 // string using XPath string() semantics (first node's string-value).
 func (e *Expr) StringValue(ctx *xmldom.Node) string {
-	return toString(e.evalRoot(ctx))
+	s := begin(ctx)
+	defer s.release()
+	return toString(e.eval(s, ctx))
 }
 
 // Bool evaluates the expression under XPath boolean() semantics:
 // non-empty node-set, non-zero number, non-empty string.
 func (e *Expr) Bool(ctx *xmldom.Node) bool {
-	return toBool(e.evalRoot(ctx))
+	s := begin(ctx)
+	defer s.release()
+	return evalOperand(e.ast, s, evalCtx{item: item{node: ctx}, pos: 1, size: 1}).bool()
 }
 
 // Number evaluates the expression under XPath number() semantics.
 func (e *Expr) Number(ctx *xmldom.Node) float64 {
-	return toNumber(e.evalRoot(ctx))
+	s := begin(ctx)
+	defer s.release()
+	return toNumber(e.eval(s, ctx))
+}
+
+// operand is a result read where it is used, in a test or a
+// comparison: a location path's node-set stays in the arena, unboxed.
+type operand struct {
+	v   value   // the result, when it is not a path's
+	ns  nodeset // the node-set, when set
+	set bool
+}
+
+func evalOperand(x expr, s *state, c evalCtx) operand {
+	if p, ok := x.(*pathExpr); ok {
+		return operand{ns: p.nodes(s, c), set: true}
+	}
+	v := x.eval(s, c)
+	ns, set := v.(nodeset)
+	return operand{v: v, ns: ns, set: set}
+}
+
+// bool is boolean() of the operand.
+func (o operand) bool() bool {
+	if o.set {
+		return len(o.ns) > 0
+	}
+	return toBool(o.v)
 }
 
 // ---- expression evaluation ----
@@ -148,15 +203,15 @@ func (u *negExpr) eval(s *state, c evalCtx) value { return -toNumber(u.x.eval(s,
 func (b *binExpr) eval(s *state, c evalCtx) value {
 	switch b.op {
 	case opOr:
-		if toBool(b.l.eval(s, c)) {
+		if evalOperand(b.l, s, c).bool() {
 			return true
 		}
-		return toBool(b.r.eval(s, c))
+		return evalOperand(b.r, s, c).bool()
 	case opAnd:
-		if !toBool(b.l.eval(s, c)) {
+		if !evalOperand(b.l, s, c).bool() {
 			return false
 		}
-		return toBool(b.r.eval(s, c))
+		return evalOperand(b.r, s, c).bool()
 	case opUnion:
 		l, lok := b.l.eval(s, c).(nodeset)
 		r, rok := b.r.eval(s, c).(nodeset)
@@ -165,7 +220,7 @@ func (b *binExpr) eval(s *state, c evalCtx) value {
 		}
 		return s.union(l, r)
 	case opEq, opNeq, opLt, opLe, opGt, opGe:
-		return compare(b.op, b.l.eval(s, c), b.r.eval(s, c))
+		return compare(b.op, evalOperand(b.l, s, c), evalOperand(b.r, s, c))
 	case opAdd:
 		return toNumber(b.l.eval(s, c)) + toNumber(b.r.eval(s, c))
 	case opSub:
@@ -238,7 +293,10 @@ func (s *state) sortDocOrder(ns nodeset) {
 	}
 }
 
-func (p *pathExpr) eval(s *state, c evalCtx) value {
+func (p *pathExpr) eval(s *state, c evalCtx) value { return p.nodes(s, c) }
+
+// nodes evaluates the path to its node-set, carved from the arena.
+func (p *pathExpr) nodes(s *state, c evalCtx) nodeset {
 	start := c.item
 	if p.absolute {
 		start = item{node: s.root, doc: true}
@@ -380,12 +438,12 @@ func (s *state) filter(from int, preds []expr) {
 		kept := 0
 		for i := range size {
 			it := s.arena[from+i]
-			v := pred.eval(s, evalCtx{item: it, pos: i + 1, size: size})
+			v := evalOperand(pred, s, evalCtx{item: it, pos: i + 1, size: size})
 			var ok bool
-			if n, isNum := v.(float64); isNum {
+			if n, isNum := v.v.(float64); isNum {
 				ok = int(n) == i+1 // positional predicate, e.g. [2]
 			} else {
-				ok = toBool(v)
+				ok = v.bool()
 			}
 			s.arena = s.arena[:from+size]
 			if ok {
@@ -651,35 +709,33 @@ func toBool(v value) bool {
 
 // compare implements XPath 1.0 comparison semantics, including the
 // existential rules for node-sets ("true if ANY node satisfies").
-func compare(op binOp, l, r value) bool {
-	ln, lIsSet := l.(nodeset)
-	rn, rIsSet := r.(nodeset)
+func compare(op binOp, l, r operand) bool {
 	switch {
-	case lIsSet && rIsSet:
-		for _, a := range ln {
-			for _, b := range rn {
+	case l.set && r.set:
+		for _, a := range l.ns {
+			for _, b := range r.ns {
 				if cmpAtom(op, a.stringValue(), b.stringValue()) {
 					return true
 				}
 			}
 		}
 		return false
-	case lIsSet:
-		for _, a := range ln {
-			if cmpMixed(op, a.stringValue(), r) {
+	case l.set:
+		for _, a := range l.ns {
+			if cmpMixed(op, a.stringValue(), r.v) {
 				return true
 			}
 		}
 		return false
-	case rIsSet:
-		for _, b := range rn {
-			if cmpMixed(flip(op), b.stringValue(), l) {
+	case r.set:
+		for _, b := range r.ns {
+			if cmpMixed(flip(op), b.stringValue(), l.v) {
 				return true
 			}
 		}
 		return false
 	default:
-		return cmpScalar(op, l, r)
+		return cmpScalar(op, l.v, r.v)
 	}
 }
 

@@ -3,6 +3,7 @@ package xpath
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -406,8 +407,9 @@ func TestNumericFunctions(t *testing.T) {
 var raceEnabled bool
 
 // TestBoolAllocations guards the per-join cost of one credential
-// condition: the evaluation state, whose arena holds the node-sets, and
-// the path's result boxed as a value.
+// condition: none. The evaluation state, whose arena holds the
+// node-sets, comes from a pool, and the path's node-set is compared in
+// the arena without being boxed as a value; the two cost 2 allocations.
 func TestBoolAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation guards run without the race detector")
@@ -418,9 +420,42 @@ func TestBoolAllocations(t *testing.T) {
 	if !e.Bool(d) {
 		t.Fatal("condition false")
 	}
-	if allocs := testing.AllocsPerRun(200, func() { _ = e.Bool(d) }); allocs > 3 {
-		t.Errorf("Bool allocates %.1f times, want at most 3", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.Bool(d) }); allocs > 0 {
+		t.Errorf("Bool allocates %.1f times, want none", allocs)
 	}
+}
+
+// TestConcurrentEvaluations evaluates one compiled condition and one
+// path over two documents from several goroutines at once: under -race
+// it finds any evaluation state shared through the pool, and each
+// result must be its own document's.
+func TestConcurrentEvaluations(t *testing.T) {
+	docs := [2]*xmldom.Node{
+		doc(t, `<credential><content><regulation>UNI EN ISO 9000</regulation><v>a</v><v>b</v></content></credential>`),
+		doc(t, `<credential><content><regulation>ISO 14001</regulation><v>c</v></content></credential>`),
+	}
+	cond := MustCompile(`/credential/content/regulation='UNI EN ISO 9000'`)
+	vals := MustCompile(`/credential/content/v`)
+	want := [2]string{"a b", "c"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % 2
+				if got := cond.Bool(docs[k]); got != (k == 0) {
+					t.Errorf("condition on document %d = %v", k, got)
+					return
+				}
+				if got := strings.Join(vals.SelectValues(docs[k]), " "); got != want[k] {
+					t.Errorf("values of document %d = %q, want %q", k, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestNumberConversionFollowsXPath10 pins number() and string() of a
