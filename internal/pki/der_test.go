@@ -9,6 +9,8 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"math/big"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +71,10 @@ func refMembership(a *VOAuthority, member, role string, serial int64, key ed2551
 	if err != nil {
 		return nil, err
 	}
+	parent, err := x509.ParseCertificate(a.ca.der)
+	if err != nil {
+		return nil, err
+	}
 	tmpl := &x509.Certificate{
 		SerialNumber:    big.NewInt(serial),
 		Subject:         pkix.Name{CommonName: member, Organization: []string{a.VO}},
@@ -77,7 +83,7 @@ func refMembership(a *VOAuthority, member, role string, serial int64, key ed2551
 		KeyUsage:        x509.KeyUsageDigitalSignature,
 		ExtraExtensions: exts,
 	}
-	return x509.CreateCertificate(rand.Reader, tmpl, a.caCert, key, a.Keys.Private)
+	return x509.CreateCertificate(rand.Reader, tmpl, parent, key, a.Keys.Private)
 }
 
 func refAttribute(parent *x509.Certificate, a *Authority, cred *xtnl.Credential, serial int64, key ed25519.PublicKey, notBefore, notAfter time.Time) ([]byte, error) {
@@ -131,7 +137,7 @@ func TestCAMatchesStdlib(t *testing.T) {
 			a, err := newVOAuthority(n, kp, now)
 			var got []byte
 			if err == nil {
-				got = a.caCert.Raw
+				got = a.ca.der
 			}
 			want, wantErr := refVOCA(n, kp, now)
 			sameCert(t, fmt.Sprintf("VO CA %q at %v", n, now), got, err, want, wantErr)
@@ -140,9 +146,9 @@ func TestCAMatchesStdlib(t *testing.T) {
 			}
 
 			ca := &Authority{Name: n, Keys: kp}
-			got, err = ca.mintCA(now)
+			caCert, err := ca.mintCA(now)
 			want, wantErr = refAuthorityCA(ca, now)
-			sameCert(t, fmt.Sprintf("authority CA %q at %v", n, now), got, err, want, wantErr)
+			sameCert(t, fmt.Sprintf("authority CA %q at %v", n, now), caCert.der, err, want, wantErr)
 		}
 	}
 }
@@ -174,7 +180,7 @@ func FuzzMintCertificate(f *testing.F) {
 		voa, err := newVOAuthority(org, caKeys, now)
 		var got []byte
 		if err == nil {
-			got = voa.caCert.Raw
+			got = voa.ca.der
 		}
 		want, wantErr := refVOCA(org, caKeys, now)
 		sameCert(t, "VO CA", got, err, want, wantErr)
@@ -185,13 +191,13 @@ func FuzzMintCertificate(f *testing.F) {
 		}
 
 		ca := &Authority{Name: org, Keys: caKeys}
-		got, err = ca.mintCA(now)
+		caCert, err := ca.mintCA(now)
 		want, wantErr = refAuthorityCA(ca, now)
-		sameCert(t, "authority CA", got, err, want, wantErr)
+		sameCert(t, "authority CA", caCert.der, err, want, wantErr)
 		if err != nil {
 			return
 		}
-		parent, err := x509.ParseCertificate(got)
+		parent, err := x509.ParseCertificate(caCert.der)
 		if err != nil {
 			t.Fatalf("parse authority CA: %v", err)
 		}
@@ -203,10 +209,192 @@ func FuzzMintCertificate(f *testing.F) {
 		if keyed {
 			cred.HolderKey = subject
 		}
-		got, err = ca.mintAttribute(parent, cred, serial, subject, nb, na)
+		got, err = ca.mintAttribute(&caCert, cred, serial, subject, nb, na)
 		want, wantErr = refAttribute(parent, ca, cred, serial, subject, nb, na)
 		sameCert(t, "attribute certificate", got, err, want, wantErr)
 	})
+}
+
+// FuzzReadCertificate mints the four certificates FuzzMintCertificate
+// does from fuzzed fields, takes one, applies a fuzzed mutation or none,
+// and reads the result through readCertificate and through the
+// crypto/x509 references kept in x509_reference_test.go. Unmutated,
+// both must give the same verdict and, when they accept, the same
+// fields; mutated, whatever the reader accepts the references must
+// accept with the same fields. A mutation inside the TBSCertificate is
+// re-signed with the issuer's key, so that it reaches the checks after
+// the signature.
+func FuzzReadCertificate(f *testing.F) {
+	y := func(year int) int64 { return time.Date(year, 7, 1, 12, 0, 0, 0, time.UTC).Unix() }
+	from, until := y(2020), y(2049)
+	for which := uint8(0); which < 4; which++ {
+		for _, n := range certNames {
+			f.Add("AircraftOptimizationVO", n, "DesignWebPortal", int64(2), from, until, true, which, uint8(0), uint16(0), byte(0))
+			f.Add(n, "AerospaceCo", n, int64(3), from, y(2120), false, which, uint8(0), uint16(0), byte(0))
+		}
+		f.Add("VO", "VO CA VO", "r", int64(2), from, until, false, which, uint8(0), uint16(0), byte(0))
+		f.Add("CertCA", "CertCA", "T", int64(2), from, until, true, which, uint8(0), uint16(0), byte(0))
+		f.Add("VO", "m", "r", int64(2), y(1990), y(2000), false, which, uint8(0), uint16(0), byte(0))
+		for op := uint8(1); op < 12; op++ {
+			for _, at := range []uint16{0, 1, 4, 9, 40, 100, 200, 300, 400} {
+				f.Add("VO", "m", "r", int64(128), from, until, true, which, op, at, byte(0x0c))
+			}
+		}
+	}
+	caKeys, subject := fixedKeys(1), fixedKeys(2).Public
+	f.Fuzz(func(t *testing.T, org, holder, value string, serial, notBefore, notAfter int64, keyed bool, which, op uint8, at uint16, b byte) {
+		now := time.Now()
+		nb, na := time.Unix(notBefore, 0), time.Unix(notAfter, 0)
+		voa, err := newVOAuthority(org, caKeys, now)
+		if err != nil {
+			return // refused alike by x509.CreateCertificate (FuzzMintCertificate)
+		}
+		ca := &Authority{Name: org, Keys: caKeys}
+		authCA, err := ca.mintCA(now)
+		if err != nil {
+			t.Fatalf("authority CA: %v", err)
+		}
+		var der []byte
+		switch which % 4 {
+		case 0:
+			der = voa.ca.der
+		case 1:
+			der, err = voa.mintMembership(holder, value, serial, subject, nb, na)
+		case 2:
+			der = authCA.der
+		case 3:
+			cred := &xtnl.Credential{
+				Type: value, ID: org + "-" + holder, Holder: holder, Issuer: org,
+				Sensitivity: xtnl.Sensitivity(serial & 3),
+				Attributes:  []xtnl.Attribute{{Name: value, Value: holder}, {Name: "org", Value: org}},
+			}
+			if keyed {
+				cred.HolderKey = subject
+			}
+			der, err = ca.mintAttribute(&authCA, cred, serial, subject, nb, na)
+		}
+		if err != nil {
+			return
+		}
+		mutated := op%3 != 0
+		switch op % 3 {
+		case 1:
+			der = resignTBS(der, caKeys.Private, op/3, at, b)
+		case 2:
+			der = mutate(der, op/3, at, b)
+		}
+
+		switch which % 4 {
+		case 0, 2:
+			sameCA(t, der, mutated)
+		case 1:
+			got, err := voa.VerifyMembership(der)
+			want, wantErr := refVerifyMembership(voa, der)
+			agree(t, "VerifyMembership", mutated, got, err, want, wantErr)
+			view, err := DecodeX509Attribute(der)
+			wantView, wantErr := refDecodeX509Attribute(der)
+			agree(t, "DecodeX509Attribute of a token", mutated, view, err, wantView, wantErr)
+		case 3:
+			view, err := DecodeX509Attribute(der)
+			wantView, wantErr := refDecodeX509Attribute(der)
+			agree(t, "DecodeX509Attribute", mutated, view, err, wantView, wantErr)
+			ts := NewTrustStore(ca)
+			view, err = ts.VerifyX509Attribute(der, now)
+			wantView, wantErr = refVerifyX509Attribute(ts, der, now)
+			agree(t, "VerifyX509Attribute", mutated, view, err, wantView, wantErr)
+		}
+	})
+}
+
+// agree fails when the reader accepted and the reference did not, or
+// with other fields, and for an unmutated certificate also when the
+// reference accepted and the reader did not.
+func agree[T any](t *testing.T, what string, mutated bool, got T, err error, want T, wantErr error) {
+	t.Helper()
+	switch {
+	case err == nil && wantErr != nil:
+		t.Fatalf("%s: the reader accepts what crypto/x509 refuses (%v): %+v", what, wantErr, got)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%s: the reader reads %+v, crypto/x509 %+v", what, got, want)
+	case err != nil && wantErr == nil && !mutated:
+		t.Fatalf("%s: the reader refuses what mint wrote and crypto/x509 accepts: %v", what, err)
+	}
+}
+
+// sameCA reads a CA certificate through readCertificate and through
+// x509.ParseCertificate.
+func sameCA(t *testing.T, der []byte, mutated bool) {
+	t.Helper()
+	cert, wantErr := x509.ParseCertificate(der)
+	rc, err := readCertificate(der)
+	if err != nil {
+		if !mutated {
+			t.Fatalf("CA: the reader refuses what mint wrote (x509: %v): %v", wantErr, err)
+		}
+		return
+	}
+	defer rc.release()
+	if wantErr != nil {
+		t.Fatalf("CA: the reader accepts what crypto/x509 refuses: %v", wantErr)
+	}
+	key, _ := cert.PublicKey.(ed25519.PublicKey)
+	switch {
+	case !cert.SerialNumber.IsInt64() || cert.SerialNumber.Int64() != rc.serial:
+		t.Fatalf("CA serial: reader %d, x509 %v", rc.serial, cert.SerialNumber)
+	case !sameName(rc.subject, cert.Subject) || !sameName(rc.issuer, cert.Issuer):
+		t.Fatalf("CA names: reader %+v by %+v, x509 %v by %v", rc.subject, rc.issuer, cert.Subject, cert.Issuer)
+	case !rc.notBefore.Equal(cert.NotBefore) || !rc.notAfter.Equal(cert.NotAfter):
+		t.Fatalf("CA validity: reader %v to %v, x509 %v to %v", rc.notBefore, rc.notAfter, cert.NotBefore, cert.NotAfter)
+	case !bytes.Equal(rc.key, key) || rc.usage != cert.KeyUsage || rc.ca != (cert.IsCA && cert.BasicConstraintsValid):
+		t.Fatalf("CA key, usage or constraints: reader %x %v %v, x509 %x %v %v", rc.key, rc.usage, rc.ca, key, cert.KeyUsage, cert.IsCA)
+	}
+}
+
+func sameName(n name, p pkix.Name) bool {
+	org := []string(nil)
+	if n.hasOrg {
+		org = []string{n.org}
+	}
+	return n.cn == p.CommonName && slices.Equal(org, p.Organization)
+}
+
+// mutate returns a copy of in with one change at at: kind%4 flips the
+// bits of b|1 there, inserts b, deletes a byte or sets it to b.
+func mutate(in []byte, kind uint8, at uint16, b byte) []byte {
+	out := append([]byte(nil), in...)
+	if len(out) == 0 {
+		return append(out, b)
+	}
+	i := int(at) % len(out)
+	switch kind % 4 {
+	case 0:
+		out[i] ^= b | 1
+	case 1:
+		out = slices.Insert(out, i, b)
+	case 2:
+		out = slices.Delete(out, i, i+1)
+	case 3:
+		out[i] = b
+	}
+	return out
+}
+
+// resignTBS mutates the TBSCertificate of der and signs the result
+// with key, as mint would.
+func resignTBS(der []byte, key ed25519.PrivateKey, kind uint8, at uint16, b byte) []byte {
+	var rc readCert
+	in := derReader{b: der}
+	cert := rc.value(&in, tagSequence)
+	rest := cert.b
+	rc.value(&cert, tagSequence)
+	tbs := mutate(rest[:len(rest)-len(cert.b)], kind, at, b)
+	var w derWriter
+	c := w.open(tagSequence)
+	w.b = append(w.b, tbs...)
+	w.algorithm()
+	w.bitString(ed25519.Sign(key, tbs))
+	w.close(c)
+	return w.b
 }
 
 func TestMintRefusesForeignKey(t *testing.T) {

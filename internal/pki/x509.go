@@ -67,10 +67,7 @@ type VOAuthority struct {
 
 	mu     sync.Mutex
 	serial int64
-	caCert *x509.Certificate
-	// roots holds caCert alone. Certificate.Verify only reads it, so
-	// every VerifyMembership shares it.
-	roots *x509.CertPool
+	ca     caCert
 }
 
 // nextSerial allocates the next certificate serial number.
@@ -94,7 +91,7 @@ func NewVOAuthority(voName string) (*VOAuthority, error) {
 // newVOAuthority creates the authority for voName under kp, its CA
 // certificate valid from an hour before now for ten years.
 func newVOAuthority(voName string, kp *KeyPair, now time.Time) (*VOAuthority, error) {
-	der, err := mint(&certificate{
+	ca, err := mintCA(&certificate{
 		serial:    1,
 		subject:   name{org: voName, hasOrg: true, cn: "VO CA " + voName},
 		notBefore: now.Add(-time.Hour),
@@ -102,22 +99,16 @@ func newVOAuthority(voName string, kp *KeyPair, now time.Time) (*VOAuthority, er
 		key:       kp.Public,
 		usage:     x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
 		ca:        true,
-	}, nil, kp.Private)
+	}, kp.Private)
 	if err != nil {
 		return nil, fmt.Errorf("pki: create VO CA: %w", err)
 	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, fmt.Errorf("pki: parse VO CA: %w", err)
-	}
-	roots := x509.NewCertPool()
-	roots.AddCert(cert)
-	return &VOAuthority{VO: voName, Keys: kp, serial: 1, caCert: cert, roots: roots}, nil
+	return &VOAuthority{VO: voName, Keys: kp, serial: 1, ca: ca}, nil
 }
 
 // CACertPEM returns the CA certificate for distribution to members.
 func (a *VOAuthority) CACertPEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: a.caCert.Raw})
+	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: a.ca.der})
 }
 
 // TrustAnchor returns the issuer name and key under which this VO's
@@ -125,7 +116,7 @@ func (a *VOAuthority) CACertPEM() []byte {
 // to their trust stores to accept "tickets attesting … participation"
 // in this VO (§5.1).
 func (a *VOAuthority) TrustAnchor() (name string, key []byte) {
-	return a.caCert.Subject.CommonName, append([]byte(nil), a.Keys.Public...)
+	return a.ca.subject.cn, append([]byte(nil), a.Keys.Public...)
 }
 
 // IssueMembership mints an X.509 membership token binding member to role
@@ -189,48 +180,52 @@ func (a *VOAuthority) mintMembership(member, role string, serial int64, key ed25
 				{Name: "member", Value: member},
 			}},
 		},
-	}, a.caCert, a.Keys.Private)
+	}, &a.ca, a.Keys.Private)
 	if err != nil {
 		return nil, fmt.Errorf("pki: issue membership: %w", err)
 	}
 	return der, nil
 }
 
-// VerifyMembership parses a membership certificate and verifies that it
-// chains to this VO's CA certificate, returning the decoded token.
+// VerifyMembership reads a membership certificate and verifies that this
+// VO's CA issued it, returning the decoded token. The certificate must
+// be a membership token exactly as mint writes it; then its issuer must
+// be this VO's CA (ErrUnknownIssuer), it and the CA must be inside their
+// validity windows (ErrExpired), and its Ed25519 signature must verify
+// under the CA's key (ErrBadSignature), checked in that order. The
+// token's strings share one copy of the certificate's TBSCertificate.
 func (a *VOAuthority) VerifyMembership(der []byte) (*MembershipToken, error) {
-	cert, err := x509.ParseCertificate(der)
+	rc, err := readCertificate(der)
 	if err != nil {
-		return nil, fmt.Errorf("pki: parse membership cert: %w", err)
+		return nil, fmt.Errorf("pki: read membership cert: %w", err)
 	}
-	if _, err := cert.Verify(x509.VerifyOptions{
-		Roots:     a.roots,
-		KeyUsages: []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}); err != nil {
-		return nil, fmt.Errorf("pki: membership chain: %w", err)
+	defer rc.release()
+	if rc.layout != layoutMembership {
+		return nil, errors.New("pki: certificate is not a membership token")
 	}
+	ca := &a.ca
+	if !rc.issuedBy(ca.subject, ca.keyID[:]) {
+		return nil, fmt.Errorf("%w: membership token of %s issued by %q, not by this VO's CA", ErrUnknownIssuer, rc.subject.cn, rc.issuer.cn)
+	}
+	now := time.Now()
+	if !rc.within(now) || now.Before(ca.notBefore) || now.After(ca.notAfter) {
+		return nil, fmt.Errorf("%w: membership token of %s", ErrExpired, rc.subject.cn)
+	}
+	if !ed25519.Verify(ca.key, rc.tbs, rc.sig) {
+		return nil, fmt.Errorf("%w: membership token of %s", ErrBadSignature, rc.subject.cn)
+	}
+	// membershipExtensions: the VO name and the role come first.
 	tok := &MembershipToken{
-		Member:    cert.Subject.CommonName,
-		NotBefore: cert.NotBefore,
-		NotAfter:  cert.NotAfter,
+		VO:        rc.extra[0].str,
+		Role:      rc.extra[1].str,
+		Member:    rc.subject.cn,
+		VOKey:     append([]byte(nil), ca.key...),
+		NotBefore: rc.notBefore,
+		NotAfter:  rc.notAfter,
 		DER:       der,
 	}
-	if len(cert.Subject.Organization) > 0 {
-		tok.VO = cert.Subject.Organization[0]
-	}
-	for _, ext := range cert.Extensions {
-		switch {
-		case ext.Id.Equal(oidVOName):
-			asn1.Unmarshal(ext.Value, &tok.VO)
-		case ext.Id.Equal(oidVORole):
-			asn1.Unmarshal(ext.Value, &tok.Role)
-		}
-	}
-	if edKey, ok := a.caCert.PublicKey.(ed25519.PublicKey); ok {
-		tok.VOKey = append([]byte(nil), edKey...)
-	}
 	if tok.Role == "" {
-		return nil, errors.New("pki: membership certificate lacks VO role extension")
+		return nil, errors.New("pki: membership certificate names no VO role")
 	}
 	return tok, nil
 }

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -119,7 +120,7 @@ func TestIssueMembershipAllocs(t *testing.T) {
 }
 
 // TestVerifyMembershipConcurrent verifies tokens from several goroutines
-// through the authority's one CertPool.
+// against the authority's one CA, each read through a pooled reader.
 func TestVerifyMembershipConcurrent(t *testing.T) {
 	voa, err := NewVOAuthority("VO")
 	if err != nil {
@@ -159,6 +160,102 @@ func TestVerifyMembershipConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestVerifyMembershipRefusals checks that each refusal wraps its
+// sentinel: a window that does not hold, the token's or the CA's,
+// ErrExpired; another VO's token, ErrUnknownIssuer; a tampered
+// signature, ErrBadSignature. What is not a token as mint writes it
+// fails to decode, with none of them.
+func TestVerifyMembershipRefusals(t *testing.T) {
+	kp := fixedKeys(1)
+	voa, err := newVOAuthority("VO", kp, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := newVOAuthority("VO", fixedKeys(2), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The CA of ten years and a day ago, whose window has closed.
+	lapsed, err := newVOAuthority("VO", kp, time.Now().Add(-(10*365+1)*24*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := fixedKeys(3).Public
+	now := time.Now()
+	mintFor := func(a *VOAuthority, from, until time.Time) []byte {
+		t.Helper()
+		der, err := a.mintMembership("m", "r", 2, key, from, until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return der
+	}
+	good := mintFor(voa, now.Add(-time.Minute), now.Add(time.Hour))
+	if _, err := voa.VerifyMembership(good); err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]byte(nil), good...)
+	tampered[len(tampered)-1] ^= 1
+	for _, c := range []struct {
+		name string
+		by   *VOAuthority
+		der  []byte
+		want error
+	}{
+		{"a window in the past", voa, mintFor(voa, now.Add(-2*time.Hour), now.Add(-time.Hour)), ErrExpired},
+		{"a window in the future", voa, mintFor(voa, now.Add(time.Hour), now.Add(2*time.Hour)), ErrExpired},
+		{"a window the lapsed CA's does not hold", lapsed, mintFor(lapsed, now.Add(-time.Minute), now.Add(time.Hour)), ErrExpired},
+		{"another VO's CA of the same name", voa, mintFor(other, now.Add(-time.Minute), now.Add(time.Hour)), ErrUnknownIssuer},
+		{"a tampered signature", voa, tampered, ErrBadSignature},
+	} {
+		if _, err := c.by.VerifyMembership(c.der); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
+	}
+	// Expiry is checked before the signature.
+	expired := mintFor(voa, now.Add(-2*time.Hour), now.Add(-time.Hour))
+	expired[len(expired)-1] ^= 1
+	if _, err := voa.VerifyMembership(expired); !errors.Is(err, ErrExpired) {
+		t.Errorf("expired and tampered: %v, want %v", err, ErrExpired)
+	}
+	ca := MustNewAuthority("CertCA")
+	_, attr, err := ca.IssueX509Attribute(IssueRequest{Type: "T", Holder: "h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, der := range [][]byte{voa.ca.der, attr, good[:len(good)-1], append(good[:len(good):len(good)], 0)} {
+		_, err := voa.VerifyMembership(der)
+		if err == nil || errors.Is(err, ErrExpired) || errors.Is(err, ErrUnknownIssuer) || errors.Is(err, ErrBadSignature) {
+			t.Errorf("not a membership token as written: %v", err)
+		}
+	}
+}
+
+// TestVerifyMembershipAllocs bounds what checking a token allocates:
+// one string of the TBSCertificate, the token and its copy of the VO
+// key. crypto/x509's parser and chain check made 66.
+func TestVerifyMembershipAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	voa, err := NewVOAuthority("AircraftOptimizationVO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := voa.IssueMembership("AerospaceCo", "DesignWebPortal", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := voa.VerifyMembership(tok.DER); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("VerifyMembership: %v allocations, want at most 3", allocs)
+	}
 }
 
 func BenchmarkVerifyMembership(b *testing.B) {

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"crypto/ed25519"
+	"crypto/sha1"
 	"crypto/x509"
 	"encoding/asn1"
 	"errors"
@@ -35,7 +36,7 @@ var (
 // x509State holds an authority's lazily created X.509 issuing state.
 type x509State struct {
 	once   sync.Once
-	caCert *x509.Certificate
+	ca     caCert
 	err    error
 	serial int64
 	mu     sync.Mutex
@@ -52,20 +53,18 @@ func (st *x509State) nextSerial() int64 {
 func (a *Authority) x509state() (*x509State, error) {
 	st := &a.x509
 	st.once.Do(func() {
-		der, err := a.mintCA(time.Now())
-		if err != nil {
-			st.err = fmt.Errorf("pki: x509 CA for %s: %w", a.Name, err)
-			return
+		st.ca, st.err = a.mintCA(time.Now())
+		if st.err != nil {
+			st.err = fmt.Errorf("pki: x509 CA for %s: %w", a.Name, st.err)
 		}
-		st.caCert, st.err = x509.ParseCertificate(der)
 	})
 	return st, st.err
 }
 
 // mintCA writes the authority's self-signed X.509 CA certificate, valid
 // from an hour before now for twenty years.
-func (a *Authority) mintCA(now time.Time) ([]byte, error) {
-	return mint(&certificate{
+func (a *Authority) mintCA(now time.Time) (caCert, error) {
+	return mintCA(&certificate{
 		serial:    1,
 		subject:   name{cn: a.Name},
 		notBefore: now.Add(-time.Hour),
@@ -73,7 +72,7 @@ func (a *Authority) mintCA(now time.Time) ([]byte, error) {
 		key:       a.Keys.Public,
 		usage:     x509.KeyUsageCertSign,
 		ca:        true,
-	}, nil, a.Keys.Private)
+	}, a.Keys.Private)
 }
 
 // IssueX509Attribute mints the credential in both encodings: the X-TNL
@@ -121,7 +120,7 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 		}
 		subjectKey = kp.Public
 	}
-	der, err := a.mintAttribute(st.caCert, cred, serial, subjectKey, notBefore, notAfter)
+	der, err := a.mintAttribute(&st.ca, cred, serial, subjectKey, notBefore, notAfter)
 	if err != nil {
 		return nil, fmt.Errorf("pki: encode x509 attribute cert: %w", err)
 	}
@@ -130,7 +129,7 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 
 // mintAttribute writes cred's attribute certificate under the CA
 // certificate parent, with the given serial, subject key and validity.
-func (a *Authority) mintAttribute(parent *x509.Certificate, cred *xtnl.Credential, serial int64, key ed25519.PublicKey, notBefore, notAfter time.Time) ([]byte, error) {
+func (a *Authority) mintAttribute(parent *caCert, cred *xtnl.Credential, serial int64, key ed25519.PublicKey, notBefore, notAfter time.Time) ([]byte, error) {
 	extra := []extension{
 		{id: oidAttrCredType, str: cred.Type},
 		{id: oidAttrCredID, str: cred.ID},
@@ -152,64 +151,68 @@ func (a *Authority) mintAttribute(parent *x509.Certificate, cred *xtnl.Credentia
 	}, parent, a.Keys.Private)
 }
 
-// DecodeX509Attribute parses an X.509 attribute certificate into its
+// DecodeX509Attribute reads an X.509 attribute certificate into its
 // logical credential view WITHOUT verifying trust (use
-// TrustStore.VerifyX509Attribute for that). The returned credential has
-// no XML signature — its authenticity is the certificate signature.
+// TrustStore.VerifyX509Attribute for that). The certificate must be an
+// attribute certificate or a membership token exactly as pki writes it.
+// The returned credential has no XML signature — its authenticity is the
+// certificate signature — and its strings share one copy of the
+// certificate's TBSCertificate.
 func DecodeX509Attribute(der []byte) (*xtnl.Credential, error) {
-	cert, err := x509.ParseCertificate(der)
+	rc, err := readCertificate(der)
 	if err != nil {
-		return nil, fmt.Errorf("pki: parse x509 attribute cert: %w", err)
+		return nil, fmt.Errorf("pki: read x509 attribute cert: %w", err)
 	}
-	return attributeCredential(cert)
+	defer rc.release()
+	return rc.credential()
 }
 
-// attributeCredential reads the credential a parsed attribute
-// certificate carries.
-func attributeCredential(cert *x509.Certificate) (*xtnl.Credential, error) {
-	cred := &xtnl.Credential{
-		Holder:     cert.Subject.CommonName,
-		Issuer:     cert.Issuer.CommonName,
-		ValidFrom:  cert.NotBefore.UTC().Truncate(time.Second),
-		ValidUntil: cert.NotAfter.UTC().Truncate(time.Second),
+// credential returns the attribute credential rc carries.
+func (rc *readCert) credential() (*xtnl.Credential, error) {
+	if rc.layout == layoutCA {
+		return nil, errors.New("pki: x509 certificate is not an attribute credential (no credType extension)")
 	}
-	for _, ext := range cert.Extensions {
+	cred := &xtnl.Credential{
+		Holder:     rc.subject.cn,
+		Issuer:     rc.issuer.cn,
+		ValidFrom:  rc.notBefore,
+		ValidUntil: rc.notAfter,
+	}
+	for _, x := range rc.extra {
 		switch {
-		case ext.Id.Equal(oidAttrCredType):
-			asn1.Unmarshal(ext.Value, &cred.Type)
-		case ext.Id.Equal(oidAttrCredID):
-			asn1.Unmarshal(ext.Value, &cred.ID)
-		case ext.Id.Equal(oidAttrSens):
-			var s string
-			asn1.Unmarshal(ext.Value, &s)
-			cred.Sensitivity = xtnl.ParseSensitivity(s)
-		case ext.Id.Equal(oidAttrHolderKey):
-			cred.HolderKey = append([]byte(nil), ext.Value...)
-		case ext.Id.Equal(oidAttrContent):
-			var attrs []xtnl.Attribute
-			if _, err := asn1.Unmarshal(ext.Value, &attrs); err != nil {
-				return nil, fmt.Errorf("pki: decode attributes: %w", err)
-			}
-			cred.Attributes = append(cred.Attributes, attrs...)
+		case x.id.Equal(oidAttrCredType):
+			cred.Type = x.str
+		case x.id.Equal(oidAttrCredID):
+			cred.ID = x.str
+		case x.id.Equal(oidAttrSens):
+			cred.Sensitivity = xtnl.ParseSensitivity(x.str)
+		case x.id.Equal(oidAttrHolderKey):
+			cred.HolderKey = append([]byte(nil), x.raw...)
+		case x.id.Equal(oidAttrContent):
+			cred.Attributes = append([]xtnl.Attribute(nil), x.attrs...)
 		}
 	}
 	if cred.Type == "" {
-		return nil, errors.New("pki: x509 certificate is not an attribute credential (no credType extension)")
+		return nil, errors.New("pki: x509 certificate is not an attribute credential (empty credType)")
 	}
 	return cred, nil
 }
 
 // VerifyX509Attribute decodes and verifies an X.509 attribute
-// certificate: the issuer (from the certificate's issuer CN) must be a
-// trusted root, the Ed25519 signature over the TBS certificate must
-// verify with that root's key, the validity window must include now, and
-// the embedded credential ID must not be revoked.
+// certificate, or a membership token presented as a ticket, as
+// DecodeX509Attribute reads it. Its checks, in this order: the issuer CN
+// must name a trusted root and the authority key id must be the SHA-1
+// of that root's key, as mint writes it (ErrUnknownIssuer); the validity
+// window must include now (ErrExpired); the Ed25519 signature over the
+// TBSCertificate must verify with the root's key (ErrBadSignature); and
+// the embedded credential ID must not be revoked (ErrRevoked).
 func (ts *TrustStore) VerifyX509Attribute(der []byte, now time.Time) (*xtnl.Credential, error) {
-	cert, err := x509.ParseCertificate(der)
+	rc, err := readCertificate(der)
 	if err != nil {
-		return nil, fmt.Errorf("pki: parse x509 attribute cert: %w", err)
+		return nil, fmt.Errorf("pki: read x509 attribute cert: %w", err)
 	}
-	cred, err := attributeCredential(cert)
+	defer rc.release()
+	cred, err := rc.credential()
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +220,14 @@ func (ts *TrustStore) VerifyX509Attribute(der []byte, now time.Time) (*xtnl.Cred
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (x509 credential %s)", ErrUnknownIssuer, cred.Issuer, cred.ID)
 	}
-	if cert.SignatureAlgorithm != x509.PureEd25519 ||
-		!ed25519.Verify(key, cert.RawTBSCertificate, cert.Signature) {
-		return nil, fmt.Errorf("%w: x509 credential %s from %s", ErrBadSignature, cred.ID, cred.Issuer)
+	if keyID := sha1.Sum(key); !rc.issuedBy(rc.issuer, keyID[:]) {
+		return nil, fmt.Errorf("%w: %q under another key (x509 credential %s)", ErrUnknownIssuer, cred.Issuer, cred.ID)
 	}
-	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
+	if !rc.within(now) {
 		return nil, fmt.Errorf("%w: x509 credential %s", ErrExpired, cred.ID)
+	}
+	if !ed25519.Verify(key, rc.tbs, rc.sig) {
+		return nil, fmt.Errorf("%w: x509 credential %s from %s", ErrBadSignature, cred.ID, cred.Issuer)
 	}
 	if ts.IsRevoked(cred) {
 		return nil, fmt.Errorf("%w: x509 credential %s", ErrRevoked, cred.ID)

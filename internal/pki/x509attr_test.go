@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"encoding/pem"
 	"errors"
 	"testing"
 	"time"
@@ -122,14 +123,38 @@ func TestEncodeX509AttributeRefusesInvalidUTF8(t *testing.T) {
 
 func TestDecodeX509RejectsPlainCertificates(t *testing.T) {
 	// a bare CA certificate is an X.509 cert but NOT an attribute
-	// credential (no credType extension)
+	// credential (no credType extension): neither the VO CA nor an
+	// authority's X.509 CA decodes, or verifies with its CA trusted
 	voa, err := NewVOAuthority("VO")
 	if err != nil {
 		t.Fatal(err)
 	}
-	caDER := voa.CACertPEM()
-	_ = caDER
-	// decode the PEM back to DER via the x509 bridge used in tests
+	block, _ := pem.Decode(voa.CACertPEM())
+	if block == nil {
+		t.Fatal("VO CA PEM holds no block")
+	}
+	voTrust := NewTrustStore()
+	voTrust.AddRoot(voa.TrustAnchor())
+	ca := MustNewAuthority("CertCA")
+	st, err := ca.x509state()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		der  []byte
+		ts   *TrustStore
+	}{
+		{"the VO CA", block.Bytes, voTrust},
+		{"an authority's X.509 CA", st.ca.der, NewTrustStore(ca)},
+	} {
+		if view, err := DecodeX509Attribute(c.der); err == nil {
+			t.Errorf("%s decoded as an attribute credential: %+v", c.name, view)
+		}
+		if view, err := c.ts.VerifyX509Attribute(c.der, time.Now()); err == nil {
+			t.Errorf("%s verified as an attribute credential: %+v", c.name, view)
+		}
+	}
 	tok, err := voa.IssueMembership("m", "r", time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +173,39 @@ func TestDecodeX509RejectsPlainCertificates(t *testing.T) {
 	}
 	if v, _ := view.Attr("role"); v != "r" {
 		t.Fatalf("ticket role = %q", v)
+	}
+}
+
+// TestVerifyX509AttributeRefusals checks the order of the checks and
+// the sentinel each refusal wraps: an expired certificate whose
+// signature is also tampered is ErrExpired, and one whose issuer CN
+// names a trusted root under another key is ErrUnknownIssuer.
+func TestVerifyX509AttributeRefusals(t *testing.T) {
+	ca := MustNewAuthority("CertCA")
+	_, der, err := ca.IssueX509Attribute(IssueRequest{Type: "T", Holder: "h", Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTrustStore(ca)
+	tampered := append([]byte(nil), der...)
+	tampered[len(tampered)-1] ^= 1
+	later := time.Now().Add(2 * time.Hour)
+	for _, c := range []struct {
+		name string
+		ts   *TrustStore
+		der  []byte
+		now  time.Time
+		want error
+	}{
+		{"tampered", ts, tampered, time.Now(), ErrBadSignature},
+		{"expired", ts, der, later, ErrExpired},
+		{"expired and tampered", ts, tampered, later, ErrExpired},
+		{"a root of the same name with another key", NewTrustStore(MustNewAuthority("CertCA")), der, time.Now(), ErrUnknownIssuer},
+		{"an untrusted issuer, expired and tampered", NewTrustStore(), tampered, later, ErrUnknownIssuer},
+	} {
+		if _, err := c.ts.VerifyX509Attribute(c.der, c.now); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

@@ -2,11 +2,10 @@ package wsrpc
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"net/http"
 	"net/url"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +17,6 @@ import (
 
 // timeNow is the package clock (overridable in tests).
 var timeNow = time.Now
-
-func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
 
 // MemberClient is the member-edition client of the toolkit service: it
 // publishes the member's description, polls its mailbox, and joins VOs —
@@ -121,19 +118,17 @@ func (c *MemberClient) Mailbox(ctx context.Context) (out []*core.Invitation, err
 // JoinDirect performs the baseline join (no TN) and returns the X.509
 // membership token DER. Admission mutates VO state, so it is never
 // retried automatically.
-func (c *MemberClient) JoinDirect(ctx context.Context, role string) ([]byte, error) {
-	q := url.Values{"provider": {c.Party.Name}, "role": {role}}
-	root, err := c.call(ctx, http.MethodPost, "/vo/join-direct", q, "", "joined", false)
+func (c *MemberClient) JoinDirect(ctx context.Context, role string) (der []byte, err error) {
+	query := "?provider=" + url.QueryEscape(c.Party.Name) + "&role=" + url.QueryEscape(role)
+	_, err = c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/join-direct", query, "", false, func(r *xmldom.Reader) error {
+		if r.Name() != "joined" {
+			return fmt.Errorf("wsrpc: expected <joined> response, got <%s>", r.Name())
+		}
+		der, err = decodeJoined(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	tok := root.Child("token")
-	if tok == nil {
-		return nil, fmt.Errorf("wsrpc: join response without token")
-	}
-	der, err := base64.StdEncoding.DecodeString(strings.TrimSpace(tok.Text()))
-	if err != nil {
-		return nil, fmt.Errorf("wsrpc: bad token encoding: %w", err)
 	}
 	return der, nil
 }
@@ -173,15 +168,19 @@ func grantOf(out *negotiation.Outcome, err error) ([]byte, *negotiation.Outcome,
 	return out.Grant, out, nil
 }
 
-// VOStatus fetches the VO's phase and member count.
+// VOStatus fetches the VO's phase and member count. A reply whose
+// member count is missing or not a decimal count fails the call.
 func (c *MemberClient) VOStatus(ctx context.Context) (phase string, members int, err error) {
 	root, err := c.call(ctx, http.MethodGet, "/vo/status", nil, "", "voStatus", true)
 	if err != nil {
 		return "", 0, err
 	}
-	n := 0
-	fmt.Sscanf(root.AttrOr("members", "0"), "%d", &n)
-	return root.AttrOr("phase", ""), n, nil
+	count := root.AttrOr("members", "")
+	members, err = strconv.Atoi(count)
+	if err != nil || members < 0 {
+		return "", 0, fmt.Errorf("wsrpc: <voStatus> members %q is not a count", count)
+	}
+	return root.AttrOr("phase", ""), members, nil
 }
 
 // Members lists the admitted members.
@@ -261,14 +260,18 @@ func (c *MemberClient) Audit(ctx context.Context) ([]AuditEntry, error) {
 	return out, nil
 }
 
-// Reputation fetches a member's reputation score.
+// Reputation fetches a member's reputation score. A reply whose score
+// is missing or not a number fails the call.
 func (c *MemberClient) Reputation(ctx context.Context, member string) (float64, error) {
 	q := url.Values{"member": {member}}
 	root, err := c.call(ctx, http.MethodGet, "/vo/reputation", q, "", "reputation", true)
 	if err != nil {
 		return 0, err
 	}
-	var f float64
-	fmt.Sscanf(root.AttrOr("score", ""), "%g", &f)
+	score := root.AttrOr("score", "")
+	f, err := strconv.ParseFloat(score, 64)
+	if err != nil {
+		return 0, fmt.Errorf("wsrpc: <reputation> score %q is not a number", score)
+	}
 	return f, nil
 }

@@ -1,9 +1,12 @@
 package wsrpc
 
 import (
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -219,8 +222,8 @@ func (t *ToolkitService) handleJoinDirect(w http.ResponseWriter, r *http.Request
 		writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 		return
 	}
-	provider := r.URL.Query().Get("provider")
-	role := r.URL.Query().Get("role")
+	q := r.URL.Query()
+	provider, role := q.Get("provider"), q.Get("role")
 	if t.Initiator.Registry.Lookup(provider) == nil {
 		writeFault(w, http.StatusNotFound, "registry", "provider not published")
 		return
@@ -230,13 +233,38 @@ func (t *ToolkitService) handleJoinDirect(w http.ResponseWriter, r *http.Request
 		writeFault(w, http.StatusConflict, "admit", err.Error())
 		return
 	}
-	out := xmldom.NewElement("joined").
-		SetAttr("member", m.Name).
-		SetAttr("role", m.Role)
-	tok := xmldom.NewElement("token")
-	tok.AppendChild(xmldom.NewText(b64(m.Token.DER)))
-	out.AppendChild(tok)
-	writeDOM(w, out)
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeJoined(w, m) }))
+}
+
+// encodeJoined writes the baseline join's reply, the admitted member
+// with its membership token's DER:
+//
+//	<joined member=… role=…><token>base64</token></joined>
+func encodeJoined(w *xmldom.Writer, m *vo.Member) {
+	w.Start("joined")
+	w.Attr("member", m.Name)
+	w.Attr("role", m.Role)
+	w.Start("token")
+	w.TextBase64(m.Token.DER)
+	w.End()
+	w.End()
+}
+
+// decodeJoined reads the token DER of the <joined> whose start tag r has
+// just read: its first <token> child, base64 with space around it
+// allowed.
+func decodeJoined(r *xmldom.Reader) ([]byte, error) {
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() != "token" {
+			continue
+		}
+		der, err := base64.StdEncoding.DecodeString(strings.TrimSpace(r.Text()))
+		if err != nil {
+			return nil, fmt.Errorf("wsrpc: bad token encoding: %w", err)
+		}
+		return der, nil
+	}
+	return nil, errors.New("wsrpc: join response without token")
 }
 
 func (t *ToolkitService) handleMembers(w http.ResponseWriter, r *http.Request) {
