@@ -63,7 +63,6 @@ func main() {
 		clusterName  = flag.String("cluster.name", "", "join a sharded TN cluster under this node name (enables the /cluster RPCs and ring routing)")
 		clusterPeers = flag.String("cluster.peers", "", "comma-separated name=url peer list, e.g. n2=http://host2:8080,n3=http://host3:8080")
 		clusterRedir = flag.Bool("cluster.redirect", false, "307-redirect misrouted sessions to their owner instead of proxying")
-		clusterSync  = flag.Bool("cluster.sync", false, "gate store write acks on replication to a follower (requires -db)")
 	)
 	flag.Parse()
 	if *partyDir == "" {
@@ -86,8 +85,12 @@ func main() {
 	}
 
 	// Cluster mode: this node joins a consistent-hash ring with its
-	// peers, serves the /cluster RPCs (standby shipping, replication)
-	// and routes misowned sessions to their ring owner.
+	// peers, serves the /cluster RPCs (standby shipping; replication
+	// frames it applies only when sealed under the shared key) and
+	// routes misowned sessions to their ring owner. Nothing here
+	// promotes a replication leader, so the node's store hook never
+	// ships a commit: store replication runs only where a caller calls
+	// Promote.
 	var node *cluster.Node
 	if *clusterName != "" {
 		ring := cluster.NewRing(0)
@@ -120,7 +123,6 @@ func main() {
 			Metrics:   svc.Metrics,
 			Keys:      keys,
 			Redirect:  *clusterRedir,
-			SyncRepl:  *clusterSync,
 			Logf:      log.Printf,
 		})
 		if err != nil {
@@ -130,20 +132,21 @@ func main() {
 			node.SetPeer(peer, url)
 		}
 		if *dbPath == "" {
-			// Replication needs a store to ship; without -db it is an
-			// in-memory one (sessions still move, documents do not
-			// survive a restart).
+			// A replicated frame needs a store to apply to; without -db
+			// it is an in-memory one (sessions still move, documents do
+			// not survive a restart).
 			node.AttachDB(store.NewWithOptions(store.Options{OnCommit: node.OnCommit}))
 		}
-		log.Printf("cluster: node %q on a %d-node ring (redirect=%v sync=%v)",
-			*clusterName, len(ring.Nodes()), *clusterRedir, *clusterSync)
+		log.Printf("cluster: node %q on a %d-node ring (redirect=%v)",
+			*clusterName, len(ring.Nodes()), *clusterRedir)
 	}
 
 	if *dbPath != "" {
 		// Durable open: the party's credentials and any suspended
 		// negotiations must survive a crash, and group commit keeps the
 		// fsync cost shared across concurrent session writes. In cluster
-		// mode every commit also feeds the replication log.
+		// mode commits go through the node's replication hook, which
+		// ships nothing unless the node is promoted to leader.
 		opts := store.Options{Durability: store.DurabilityGroup}
 		if node != nil {
 			opts.OnCommit = node.OnCommit

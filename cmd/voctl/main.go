@@ -37,13 +37,13 @@ import (
 	"time"
 
 	"trustvo/internal/cli"
+	"trustvo/internal/cluster"
 	"trustvo/internal/core"
 	"trustvo/internal/negotiation"
 	"trustvo/internal/partydb"
 	"trustvo/internal/store"
 	"trustvo/internal/vo/registry"
 	"trustvo/internal/wsrpc"
-	"trustvo/internal/xmldom"
 )
 
 func main() {
@@ -93,55 +93,49 @@ func usage() {
 // cmdClusterStatus probes each node of a sharded TN cluster and prints
 // one line per node: replication role, epoch, and log positions. The
 // lag of a follower is the leader's head minus the follower's applied.
+// Each probe goes through the hardened transport, and a reply that is
+// not a well-formed <clusterStatus> is reported, not read as zeros.
 func cmdClusterStatus(args []string) error {
 	fs := flag.NewFlagSet("cluster-status", flag.ExitOnError)
 	urls := fs.String("url", "http://localhost:8080", "comma-separated node base URLs")
 	fs.Parse(args)
-	client := &http.Client{Timeout: 5 * time.Second}
-	var leaderHead int64 = -1
+	tr := &wsrpc.Transport{RequestTimeout: 5 * time.Second}
 	type row struct {
-		base, node, role string
-		epoch            string
-		pos, applied     int64
+		base string
+		st   cluster.Status
 	}
 	var rows []row
+	var leaderHead uint64
+	haveLeader := false
 	for _, base := range strings.Split(*urls, ",") {
 		base = strings.TrimRight(strings.TrimSpace(base), "/")
 		if base == "" {
 			continue
 		}
-		resp, err := client.Get(base + "/cluster/status")
-		if err != nil {
+		st, err := cluster.FetchStatus(context.Background(), tr, base)
+		var werr *wsrpc.Error
+		switch {
+		case errors.As(err, &werr) && werr.Status == 0:
 			fmt.Printf("%-28s unreachable: %v\n", base, err)
 			continue
-		}
-		root, perr := xmldom.Parse(resp.Body)
-		resp.Body.Close()
-		if perr != nil || resp.StatusCode != http.StatusOK || root.Name != "clusterStatus" {
-			fmt.Printf("%-28s not a cluster node (status %d)\n", base, resp.StatusCode)
+		case err != nil:
+			fmt.Printf("%-28s not a cluster node: %v\n", base, err)
 			continue
 		}
-		r := row{
-			base:  base,
-			node:  root.AttrOr("node", "?"),
-			role:  "follower",
-			epoch: root.AttrOr("epoch", "0"),
+		if st.Leader {
+			leaderHead, haveLeader = st.Pos, true
 		}
-		fmt.Sscanf(root.AttrOr("pos", "0"), "%d", &r.pos)
-		fmt.Sscanf(root.AttrOr("applied", "0"), "%d", &r.applied)
-		if root.AttrOr("leader", "") == "true" {
-			r.role = "leader"
-			leaderHead = r.pos
-		}
-		rows = append(rows, r)
+		rows = append(rows, row{base, st})
 	}
 	for _, r := range rows {
-		lag := ""
-		if r.role == "follower" && leaderHead >= 0 {
-			lag = fmt.Sprintf(" lag=%d", leaderHead-r.applied)
+		role, lag := "follower", ""
+		if r.st.Leader {
+			role = "leader"
+		} else if haveLeader {
+			lag = fmt.Sprintf(" lag=%d", int64(leaderHead)-int64(r.st.Applied))
 		}
-		fmt.Printf("%-28s node=%-8s role=%-8s epoch=%s pos=%d applied=%d%s\n",
-			r.base, r.node, r.role, r.epoch, r.pos, r.applied, lag)
+		fmt.Printf("%-28s node=%-8s role=%-8s epoch=%d pos=%d applied=%d%s\n",
+			r.base, r.st.Node, role, r.st.Epoch, r.st.Pos, r.st.Applied, lag)
 	}
 	if len(rows) == 0 {
 		return errors.New("no cluster nodes answered")

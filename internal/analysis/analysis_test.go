@@ -60,6 +60,8 @@ func TestGolden(t *testing.T) {
 		{"errwrap", []string{"errwrap/a"}},
 		{"metricname", []string{"metricname/a"}},
 		{"xmlimport", []string{"xmlimport/a"}},
+		{"xmlimport", []string{"xmlimport/wsrpc"}},
+		{"xmlimport", []string{"xmlimport/cluster"}},
 		{"nakedlock", []string{"nakedlock/a"}},
 		{"nakedlock", []string{"nakedlock/clustershape"}},
 		{"syncerr", []string{"syncerr/a"}},

@@ -366,13 +366,17 @@ func TestTransportFollowsClusterRedirect(t *testing.T) {
 	redirects := c.reg.Counter("cluster_redirects_total", "route", "/tn/policyExchange")
 	before := redirects.Value()
 	tr := &wsrpc.Transport{}
-	root, err := tr.Call(context.Background(), http.MethodPost, c.get("n1").srv.URL, "/tn/policyExchange", "",
-		firstEnvelope(t, c, "TRedirMember", id), false)
+	var root, got string
+	_, err := tr.CallBody(context.Background(), http.MethodPost, c.get("n1").srv.URL, "/tn/policyExchange", "",
+		firstEnvelope(t, c, "TRedirMember", id), false, func(r *xmldom.Reader) error {
+			root, got = r.Name(), r.AttrOr("negotiation", "")
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := root.AttrOr("negotiation", ""); root.Name != "envelope" || got != id {
-		t.Fatalf("reply <%s negotiation=%q>, want the envelope of session %s", root.Name, got, id)
+	if root != "envelope" || got != id {
+		t.Fatalf("reply <%s negotiation=%q>, want the envelope of session %s", root, got, id)
 	}
 	if !c.get("n2").tn.HasSession(id) {
 		t.Fatalf("owner n2 never saw redirected session %s", id)

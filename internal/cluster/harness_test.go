@@ -72,7 +72,7 @@ func newTestCluster(t testing.TB, syncRepl bool, replLog int) *testCluster {
 		t:       t,
 		ring:    NewRing(0),
 		net:     faultinject.NewNet(),
-		keys:    pki.MustGenerateKeyPair(),
+		keys:    clusterKeys,
 		ca:      ca,
 		trust:   pki.NewTrustStore(ca),
 		reg:     telemetry.NewRegistry(),

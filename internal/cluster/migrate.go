@@ -36,9 +36,10 @@ func (n *Node) seal(encode func(*xmldom.Writer)) (string, error) {
 // the standby POST, takeStandby and fetchStandby trust a shipped
 // snapshot, and the one place its id and last sequence are read. It
 // returns the document, and the id and sequence the POST ingress files
-// it under and the owner ranks copies by. An error that is neither
-// pki.ErrTicketExpired nor pki.ErrBadSignature is a schema error; a
-// node without keys opens nothing.
+// it under and the owner ranks copies by: 0 when the document has no
+// lastSeq, and a lastSeq that is not a decimal count is an error. An
+// error that is neither pki.ErrTicketExpired nor pki.ErrBadSignature is
+// a schema error; a node without keys opens nothing.
 func (n *Node) shipHead(ship string) (doc, id string, seq int64, err error) {
 	if doc, err = pki.OpenWire(n.keys, ship, pki.LabelStandby, time.Now()); err != nil {
 		return "", "", 0, err
@@ -51,7 +52,11 @@ func (n *Node) shipHead(ship string) (doc, id string, seq int64, err error) {
 	if id = r.AttrOr("id", ""); r.Name() != "tnSession" || id == "" {
 		return "", "", 0, fmt.Errorf("cluster: sealed <%s> is not a session document", r.Name())
 	}
-	seq, _ = strconv.ParseInt(r.AttrOr("lastSeq", "0"), 10, 64)
+	if raw, ok := r.Attr("lastSeq"); ok {
+		if seq, err = strconv.ParseInt(raw, 10, 64); err != nil || seq < 0 {
+			return "", "", 0, fmt.Errorf("cluster: sealed session %s has lastSeq %q, not a count", id, raw)
+		}
+	}
 	return doc, id, seq, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trustvo/internal/pki"
 	"trustvo/internal/store"
 	"trustvo/internal/wsrpc"
 	"trustvo/internal/xmldom"
@@ -331,18 +332,22 @@ func (n *Node) replicateTo(ctx context.Context, peer string, head uint64) error 
 	pos, known := r.followerPos(peer)
 	resync := false
 	if !known {
-		st, err := n.peerStatus(ctx, peer)
+		base := n.peerURL(peer)
+		if base == "" {
+			return fmt.Errorf("cluster: no address for peer %s", peer)
+		}
+		st, err := FetchStatus(ctx, n.transport, base)
 		if err != nil {
 			return err
 		}
-		if st.epoch > r.epoch.Load() {
-			n.stepDown(st.epoch)
-			return fmt.Errorf("cluster: deposed by epoch %d at %s", st.epoch, peer)
+		if st.Epoch > r.epoch.Load() {
+			n.stepDown(st.Epoch)
+			return fmt.Errorf("cluster: deposed by epoch %d at %s", st.Epoch, peer)
 		}
-		pos = st.applied
+		pos = st.Applied
 		// Even a position at or past head proves nothing when the prefix
 		// follows another leader's log.
-		resync = foreignPrefix(pos, st.lineage, r.epoch.Load())
+		resync = foreignPrefix(pos, st.Lineage, r.epoch.Load())
 		r.setFollower(peer, pos)
 	}
 	stalls := 0
@@ -393,37 +398,108 @@ func foreignPrefix(applied, lineage, epoch uint64) bool {
 	return applied > 0 && lineage != epoch
 }
 
-// peerStatusInfo is the part of a /cluster/status reply replication
-// reads.
-type peerStatusInfo struct {
-	epoch   uint64
-	applied uint64
-	lineage uint64
+// Status is a node's replication state, as GET /cluster/status reports
+// it.
+type Status struct {
+	// Node is the node's ring identity.
+	Node string
+	// Epoch is the node's replication epoch, and Leader whether it leads.
+	Epoch  uint64
+	Leader bool
+	// Pos is the log head on a leader and the applied prefix on a
+	// follower (Head).
+	Pos uint64
+	// Applied is the applied prefix of the local store, and Lineage the
+	// epoch of the leader whose log that prefix follows.
+	Applied, Lineage uint64
 }
 
-func (n *Node) peerStatus(ctx context.Context, peer string) (peerStatusInfo, error) {
-	base := n.peerURL(peer)
-	if base == "" {
-		return peerStatusInfo{}, fmt.Errorf("cluster: no address for peer %s", peer)
+// status reports the node's replication state.
+func (n *Node) status() Status {
+	return Status{
+		Node:    n.cfg.Name,
+		Epoch:   n.repl.epoch.Load(),
+		Leader:  n.repl.leader.Load(),
+		Pos:     n.Head(),
+		Applied: n.repl.appliedPos(),
+		Lineage: n.Lineage(),
 	}
-	root, err := n.transport.Call(ctx, http.MethodGet, base, "/cluster/status", "", "", true)
+}
+
+// encode writes the status, the one layout of /cluster/status's reply:
+//
+//	<clusterStatus applied=… epoch=… leader=… lineage=… node=… pos=…/>
+func (s *Status) encode(w *xmldom.Writer) {
+	w.Start("clusterStatus")
+	w.Attr("node", s.Node)
+	w.Attr("epoch", strconv.FormatUint(s.Epoch, 10))
+	w.Attr("leader", strconv.FormatBool(s.Leader))
+	w.Attr("pos", strconv.FormatUint(s.Pos, 10))
+	w.Attr("applied", strconv.FormatUint(s.Applied, 10))
+	w.Attr("lineage", strconv.FormatUint(s.Lineage, 10))
+	w.End()
+}
+
+// decodeStatus reads the <clusterStatus> whose start tag r has just
+// read: the one decoder of the layout encode writes. Its epoch and
+// positions must be decimal counts; leader is "true" or read as false.
+func decodeStatus(r *xmldom.Reader) (Status, error) {
+	if r.Name() != "clusterStatus" {
+		return Status{}, fmt.Errorf("cluster: unexpected status response <%s>", r.Name())
+	}
+	c := counts{r: r}
+	s := Status{
+		Node:    r.AttrOr("node", ""),
+		Epoch:   c.get("epoch"),
+		Leader:  r.AttrOr("leader", "") == "true",
+		Pos:     c.get("pos"),
+		Applied: c.get("applied"),
+		Lineage: c.get("lineage"),
+	}
+	if c.err != nil {
+		return Status{}, c.err
+	}
+	return s, nil
+}
+
+// FetchStatus asks the node at base for its replication state through
+// t. A reply that is not a <clusterStatus>, or whose epoch or positions
+// are missing or not decimal counts, fails the call.
+func FetchStatus(ctx context.Context, t *wsrpc.Transport, base string) (Status, error) {
+	var s Status
+	_, err := t.CallBody(ctx, http.MethodGet, base, "/cluster/status", "", "", true, func(r *xmldom.Reader) (err error) {
+		s, err = decodeStatus(r)
+		return err
+	})
 	if err != nil {
-		return peerStatusInfo{}, err
+		return Status{}, err
 	}
-	if root.Name != "clusterStatus" {
-		return peerStatusInfo{}, fmt.Errorf("cluster: unexpected status response <%s>", root.Name)
-	}
-	return peerStatusInfo{
-		epoch:   parseU64(root.AttrOr("epoch", "0")),
-		applied: parseU64(root.AttrOr("applied", "0")),
-		lineage: parseU64(root.AttrOr("lineage", "0")),
-	}, nil
+	return s, nil
 }
 
-func parseU64(s string) uint64 {
-	v, _ := strconv.ParseUint(s, 10, 64)
+// counts reads attributes of one start tag as decimal counts, keeping
+// the first that is missing or malformed.
+type counts struct {
+	r   *xmldom.Reader
+	err error
+}
+
+func (c *counts) get(name string) uint64 {
+	raw := c.r.AttrOr(name, "")
+	v, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil && c.err == nil {
+		c.err = fmt.Errorf("cluster: <%s> %s %q is not a count", c.r.Name(), name, raw)
+	}
 	return v
 }
+
+// replicateTTL bounds how long a replication frame opens. A leader seals
+// each frame as it posts it, and the transport's retries resend it
+// within seconds; a minute spares a slow retry and some clock skew
+// between nodes. Past it a captured frame no longer opens: a replayed
+// window would be skipped by position, but a replayed snapshot would
+// take a follower's store back to what it held when it was sealed.
+const replicateTTL = time.Minute
 
 // sendEntries ships one log window; returns the follower's reply.
 func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entries []store.Entry) (replicated, error) {
@@ -431,21 +507,28 @@ func (n *Node) sendEntries(ctx context.Context, peer string, from uint64, entrie
 	if base == "" {
 		return replicated{}, fmt.Errorf("cluster: no address for peer %s", peer)
 	}
-	payload, err := store.EncodeEntries(entries)
+	frames, err := store.EncodeEntries(entries)
 	if err != nil {
 		return replicated{}, fmt.Errorf("cluster: encode replication window: %w", err)
 	}
-	req := xmldom.NewElement("replicate").
-		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
-		SetAttr("from", strconv.FormatUint(from, 10)).
-		SetAttr("count", strconv.Itoa(len(entries)))
-	req.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(payload)))
-	root, err := n.transport.Call(ctx, http.MethodPost, base, "/cluster/replicate", "", req.XML(), true)
-	if err != nil {
-		n.noteReplicateError(err)
-		return replicated{}, err
-	}
-	return parseReplicated(root)
+	epoch := n.repl.epoch.Load()
+	return n.postFrame(ctx, base, "/cluster/replicate", func(w *xmldom.Writer) {
+		encodeReplicate(w, epoch, from, len(entries), frames)
+	})
+}
+
+// encodeReplicate writes a window of the log of the leader at epoch,
+// count entries from global position from, as the base64 of their WAL
+// frames:
+//
+//	<replicate count=… epoch=… from=…>base64</replicate>
+func encodeReplicate(w *xmldom.Writer, epoch, from uint64, count int, frames []byte) {
+	w.Start("replicate")
+	w.Attr("epoch", strconv.FormatUint(epoch, 10))
+	w.Attr("from", strconv.FormatUint(from, 10))
+	w.AttrInt("count", int64(count))
+	w.TextBase64(frames)
+	w.End()
 }
 
 // sendCatchup ships a full store snapshot, for followers behind the
@@ -463,23 +546,85 @@ func (n *Node) sendCatchup(ctx context.Context, peer string) (replicated, error)
 		return replicated{}, fmt.Errorf("cluster: node %s has no store to snapshot", n.cfg.Name)
 	}
 	head := n.repl.head()
-	payload, err := store.EncodeEntries(db.SnapshotEntries())
+	frames, err := store.EncodeEntries(db.SnapshotEntries())
 	if err != nil {
 		return replicated{}, fmt.Errorf("cluster: encode snapshot: %w", err)
 	}
-	req := xmldom.NewElement("catchup").
-		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
-		SetAttr("pos", strconv.FormatUint(head, 10))
-	req.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(payload)))
-	root, err := n.transport.Call(ctx, http.MethodPost, base, "/cluster/catchup", "", req.XML(), true)
+	epoch := n.repl.epoch.Load()
+	rep, err := n.postFrame(ctx, base, "/cluster/catchup", func(w *xmldom.Writer) { encodeCatchup(w, epoch, head, frames) })
 	if err != nil {
-		n.noteReplicateError(err)
 		return replicated{}, err
 	}
 	if m := n.metrics; m != nil {
 		m.Counter("cluster_repl_catchups_total").Inc()
 	}
-	return parseReplicated(root)
+	return rep, nil
+}
+
+// encodeCatchup writes a snapshot of the store of the leader at epoch,
+// standing at global position pos, as the base64 of its entries' WAL
+// frames:
+//
+//	<catchup epoch=… pos=…>base64</catchup>
+func encodeCatchup(w *xmldom.Writer, epoch, pos uint64, frames []byte) {
+	w.Start("catchup")
+	w.Attr("epoch", strconv.FormatUint(epoch, 10))
+	w.Attr("pos", strconv.FormatUint(pos, 10))
+	w.TextBase64(frames)
+	w.End()
+}
+
+// frame is what a follower reads of a replication frame: the leader's
+// epoch, the position the entries start at (a window's from, a
+// snapshot's pos) and the base64 of their WAL frames.
+type frame struct {
+	epoch, pos uint64
+	frames     string
+}
+
+// decodeFrame reads the payload of a replication frame, the document its
+// seal carries, in one xmldom.Reader pass: the one decoder of the
+// layouts encodeReplicate (want "replicate", at "from") and
+// encodeCatchup (want "catchup", at "pos") write. perr is the payload's
+// syntax error, which wins over the schema error err: another root
+// element, or an epoch or position that is not a decimal count.
+func decodeFrame(doc, want, at string) (f frame, perr, err error) {
+	r := xmldom.NewReader(doc)
+	r.Child(0)
+	name := r.Name()
+	c := counts{r: r}
+	f.epoch, f.pos = c.get("epoch"), c.get(at)
+	f.frames = r.Text()
+	if perr = r.Close(); perr != nil {
+		return frame{}, perr, nil
+	}
+	if name != want {
+		return frame{}, nil, fmt.Errorf("expected <%s>, got <%s>", want, name)
+	}
+	if c.err != nil {
+		return frame{}, nil, c.err
+	}
+	return f, nil, nil
+}
+
+// postFrame seals the replication frame encode writes, a window or a
+// snapshot, and posts it to route at base, returning the follower's
+// reply. Followers open nothing else: the frame is what writes their
+// store.
+func (n *Node) postFrame(ctx context.Context, base, route string, encode func(*xmldom.Writer)) (rep replicated, err error) {
+	if n.keys == nil {
+		return replicated{}, fmt.Errorf("cluster: node %s has no key to seal a replication frame", n.cfg.Name)
+	}
+	body := pki.Seal(n.keys, pki.LabelReplicate, time.Now().Add(replicateTTL), encode)
+	_, err = n.transport.CallBody(ctx, http.MethodPost, base, route, "", body, true, func(r *xmldom.Reader) (err error) {
+		rep, err = decodeReplicated(r)
+		return err
+	})
+	if err != nil {
+		n.noteReplicateError(err)
+		return replicated{}, err
+	}
+	return rep, nil
 }
 
 // noteReplicateError steps the leader down when a follower fenced us off
@@ -494,17 +639,33 @@ func (n *Node) noteReplicateError(err error) {
 }
 
 // replicated is a follower's reply to a window or a snapshot: its applied
-// position and the lineage of that prefix.
-type replicated struct{ applied, lineage uint64 }
+// position, its epoch, and the lineage of that prefix.
+type replicated struct{ applied, epoch, lineage uint64 }
 
-func parseReplicated(root *xmldom.Node) (replicated, error) {
-	if root.Name != "replicated" {
-		return replicated{}, fmt.Errorf("cluster: unexpected replication response <%s>", root.Name)
+// encode writes the reply, the one layout of <replicated>:
+//
+//	<replicated applied=… epoch=… lineage=…/>
+func (rep *replicated) encode(w *xmldom.Writer) {
+	w.Start("replicated")
+	w.Attr("applied", strconv.FormatUint(rep.applied, 10))
+	w.Attr("epoch", strconv.FormatUint(rep.epoch, 10))
+	w.Attr("lineage", strconv.FormatUint(rep.lineage, 10))
+	w.End()
+}
+
+// decodeReplicated reads the <replicated> whose start tag r has just
+// read: the one decoder of the layout encode writes, whose numbers must
+// be decimal counts.
+func decodeReplicated(r *xmldom.Reader) (replicated, error) {
+	if r.Name() != "replicated" {
+		return replicated{}, fmt.Errorf("cluster: unexpected replication response <%s>", r.Name())
 	}
-	return replicated{
-		applied: parseU64(root.AttrOr("applied", "0")),
-		lineage: parseU64(root.AttrOr("lineage", "0")),
-	}, nil
+	c := counts{r: r}
+	rep := replicated{applied: c.get("applied"), epoch: c.get("epoch"), lineage: c.get("lineage")}
+	if c.err != nil {
+		return replicated{}, c.err
+	}
+	return rep, nil
 }
 
 // --- follower side ---

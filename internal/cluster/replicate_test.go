@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -105,11 +106,12 @@ func TestSnapshotCatchupMidStream(t *testing.T) {
 }
 
 // postReplicate drives /cluster/replicate directly with a raw payload,
-// returning the follower's reported applied position.
+// sealed under the cluster key, returning the follower's reported
+// applied position.
 func postReplicate(t *testing.T, base string, epoch, from uint64, payload []byte) uint64 {
 	t.Helper()
-	req := fmt.Sprintf(`<replicate epoch="%d" from="%d">%s</replicate>`,
-		epoch, from, base64.StdEncoding.EncodeToString(payload))
+	req := sealFrame(t, fmt.Sprintf(`<replicate epoch="%d" from="%d">%s</replicate>`,
+		epoch, from, base64.StdEncoding.EncodeToString(payload)))
 	resp, err := http.Post(base+"/cluster/replicate", "application/xml", strings.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +127,11 @@ func postReplicate(t *testing.T, base string, epoch, from uint64, payload []byte
 	if root.Name != "replicated" {
 		t.Fatalf("replicate: unexpected <%s>", root.Name)
 	}
-	return parseU64(root.AttrOr("applied", "0"))
+	applied, err := strconv.ParseUint(root.AttrOr("applied", ""), 10, 64)
+	if err != nil {
+		t.Fatalf("replicate: %s", root.XML())
+	}
+	return applied
 }
 
 func makeEntries(lo, hi int) []store.Entry {
@@ -217,7 +223,7 @@ func TestDuplicateFramesIdempotent(t *testing.T) {
 		t.Fatalf("epoch bump delivery applied %d", applied)
 	}
 	resp, err := http.Post(follower.srv.URL+"/cluster/replicate", "application/xml",
-		strings.NewReader(`<replicate epoch="2" from="7"></replicate>`))
+		strings.NewReader(sealFrame(t, `<replicate epoch="2" from="7"></replicate>`)))
 	if err != nil {
 		t.Fatal(err)
 	}

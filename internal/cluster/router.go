@@ -348,89 +348,94 @@ func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	}))
 }
 
+// refusal maps the error that refused a sealed cluster body, a standby
+// ship or a replication frame of the given kind, to the status and fault
+// code its ingress answers with and the reason it is counted under: 410
+// expired, 403 a bad tag, and 400 anything else (unsealed, malformed, or
+// sealed for another label).
+func refusal(err error, kind string) (status int, code, reason string) {
+	switch {
+	case errors.Is(err, pki.ErrTicketExpired):
+		return http.StatusGone, kind + "-expired", "expired"
+	case errors.Is(err, pki.ErrBadSignature):
+		return http.StatusForbidden, kind + "-signature", "signature"
+	}
+	return http.StatusBadRequest, "schema", "schema"
+}
+
 // rejectStandby counts a refused standby snapshot by reason and returns
 // the status and fault code the POST ingress answers it with.
 func (n *Node) rejectStandby(err error) (status int, code string) {
-	status, code, reason := http.StatusBadRequest, "schema", "schema"
-	switch {
-	case errors.Is(err, pki.ErrTicketExpired):
-		status, code, reason = http.StatusGone, "standby-expired", "expired"
-	case errors.Is(err, pki.ErrBadSignature):
-		status, code, reason = http.StatusForbidden, "standby-signature", "signature"
-	}
+	status, code, reason := refusal(err, "standby")
 	if m := n.metrics; m != nil {
 		m.Counter("cluster_standby_rejects_total", "reason", reason).Inc()
 	}
 	return status, code
 }
 
-// handleApply answers a leader's replication POST, <want epoch at>
-// around its base64 entry frames: a window of its log (<replicate
+// rejectReplicate counts a refused replication frame by reason and
+// returns the status and fault code its POST is answered with.
+func (n *Node) rejectReplicate(err error) (status int, code string) {
+	status, code, reason := refusal(err, "replicate")
+	if m := n.metrics; m != nil {
+		m.Counter("cluster_replicate_rejects_total", "reason", reason).Inc()
+	}
+	return status, code
+}
+
+// handleApply answers a leader's replication POST: a frame sealed under
+// the cluster key (pki.LabelReplicate) around <want epoch at> and the
+// base64 of its entries' WAL frames, a window of its log (<replicate
 // from>, applyEntriesAt) or a snapshot (<catchup pos>, applySnapshotAt).
-// The body is read in one xmldom.Reader pass: a syntax error anywhere
-// is a parse fault, then another root element a schema fault.
+// The frame writes the store the TN service reloads the party from, so
+// nothing of the body is read before its seal opens, as received. Then
+// the payload is read (decodeFrame): a syntax error anywhere is a parse
+// fault, then another root element, or an epoch or position that is not
+// a decimal count, a schema fault.
 func (n *Node) handleApply(want, at string, apply func(epoch, pos uint64, entries []store.Entry) (uint64, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		raw, ok := readClusterRaw(w, r)
 		if !ok {
 			return
 		}
-		rd := xmldom.NewReader(raw)
-		rd.Child(0)
-		name := rd.Name()
-		epoch, pos := parseU64(rd.AttrOr("epoch", "0")), parseU64(rd.AttrOr(at, "0"))
-		payload := rd.Text()
-		if err := rd.Close(); err != nil {
-			writeClusterFault(w, http.StatusBadRequest, "parse", err.Error())
+		doc, err := pki.OpenWire(n.keys, raw, pki.LabelReplicate, time.Now())
+		if err != nil {
+			status, code := n.rejectReplicate(err)
+			writeClusterFault(w, status, code, err.Error())
 			return
 		}
-		if name != want {
-			writeClusterFault(w, http.StatusBadRequest, "schema", "expected <"+want+">, got <"+name+">")
+		f, perr, err := decodeFrame(doc, want, at)
+		if perr != nil {
+			writeClusterFault(w, http.StatusBadRequest, "parse", perr.Error())
 			return
 		}
-		if err := n.checkEpoch(epoch); err != nil {
+		if err != nil {
+			writeClusterFault(w, http.StatusBadRequest, "schema", err.Error())
+			return
+		}
+		if err := n.checkEpoch(f.epoch); err != nil {
 			writeClusterFault(w, http.StatusConflict, "stale-epoch", err.Error())
 			return
 		}
-		entries, err := decodePayload(payload)
+		entries, err := decodePayload(f.frames)
 		if err != nil {
 			writeClusterFault(w, http.StatusBadRequest, "payload", err.Error())
 			return
 		}
-		applied, err := apply(epoch, pos, entries)
+		applied, err := apply(f.epoch, f.pos, entries)
 		if err != nil {
 			writeClusterFault(w, http.StatusInternalServerError, "apply", err.Error())
 			return
 		}
-		writeClusterDOM(w, n.replicatedDOM(applied))
+		rep := replicated{applied: applied, epoch: n.repl.epoch.Load(), lineage: n.Lineage()}
+		writeClusterXML(w, xmldom.String(rep.encode))
 	}
 }
 
 // handleClusterStatus reports the node's replication state.
 func (n *Node) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	writeClusterDOM(w, xmldom.NewElement("clusterStatus").
-		SetAttr("node", n.cfg.Name).
-		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
-		SetAttr("leader", boolAttr(n.repl.leader.Load())).
-		SetAttr("pos", strconv.FormatUint(n.Head(), 10)).
-		SetAttr("applied", strconv.FormatUint(n.repl.appliedPos(), 10)).
-		SetAttr("lineage", strconv.FormatUint(n.Lineage(), 10)))
-}
-
-// replicatedDOM answers a window or snapshot with the applied position,
-// the epoch, and the lineage of the local prefix.
-func (n *Node) replicatedDOM(applied uint64) *xmldom.Node {
-	return xmldom.NewElement("replicated").
-		SetAttr("applied", strconv.FormatUint(applied, 10)).
-		SetAttr("epoch", strconv.FormatUint(n.repl.epoch.Load(), 10)).
-		SetAttr("lineage", strconv.FormatUint(n.Lineage(), 10))
-}
-
-func boolAttr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
+	st := n.status()
+	writeClusterXML(w, xmldom.String(st.encode))
 }
 
 // readClusterRaw reads a POSTed cluster RPC body as received, writing
@@ -455,9 +460,6 @@ func writeClusterFault(w http.ResponseWriter, status int, code, detail string) {
 	w.WriteHeader(status)
 	io.WriteString(w, (&wsrpc.Fault{Code: code, Detail: detail}).XML())
 }
-
-// writeClusterDOM emits an XML document with status 200.
-func writeClusterDOM(w http.ResponseWriter, doc *xmldom.Node) { writeClusterXML(w, doc.XML()) }
 
 // writeClusterXML emits a serialized XML document with status 200.
 func writeClusterXML(w http.ResponseWriter, xml string) {

@@ -17,23 +17,25 @@ import (
 )
 
 // A seal is a domain label, a notAfter time and an XML payload under one
-// HMAC-SHA256 tag: the trust and resume tickets and the standby ship
-// are each one. Seal is where one is made and written, EncodeSealed
-// writes one whose tag is already known, DecodeSealed reads one inside a
-// document, and OpenWire is the one place its label, expiry and tag are
-// checked, over the bytes Seal or EncodeSealed wrote. Every party that
-// opens a seal also made it, or shares the key pair of the one that
-// did: a controller opens the trust tickets it issued, a client its own
-// resume tickets, and the nodes of a cluster, which share one key pair,
-// each other's ships. So a MAC under a key derived from the key pair
-// gives the guarantee a signature would.
+// HMAC-SHA256 tag: the trust and resume tickets, the standby ship and
+// the replication frame are each one. Seal is where one is made and
+// written, EncodeSealed writes one whose tag is already known,
+// DecodeSealed reads one inside a document, and OpenWire is the one
+// place its label, expiry and tag are checked, over the bytes Seal or
+// EncodeSealed wrote. Every party that opens a seal also made it, or
+// shares the key pair of the one that did: a controller opens the trust
+// tickets it issued, a client its own resume tickets, and the nodes of a
+// cluster, which share one key pair, each other's ships and replication
+// frames. So a MAC under a key derived from the key pair gives the
+// guarantee a signature would.
 
 // Labels domain-separate the sealed formats: a document sealed for one
 // use never opens as another, and each label has its own key.
 const (
-	LabelTicket  = "trustvo-ticket"
-	LabelResume  = "trustvo-resume"
-	LabelStandby = "trustvo-standby"
+	LabelTicket    = "trustvo-ticket"
+	LabelResume    = "trustvo-resume"
+	LabelStandby   = "trustvo-standby"
+	LabelReplicate = "trustvo-replicate"
 )
 
 // ErrBadSeal reports a malformed sealed document or a wrong label, and
@@ -44,7 +46,7 @@ var (
 )
 
 // labels are the seal labels, in the order of a key pair's seal keys.
-var labels = [...]string{LabelTicket, LabelResume, LabelStandby}
+var labels = [...]string{LabelTicket, LabelResume, LabelStandby, LabelReplicate}
 
 // sealKeys are the seal keys of one key pair: for each label, a pool of
 // HMAC-SHA256 states keyed by HKDF-SHA256 of the pair's Ed25519 seed

@@ -349,7 +349,7 @@ func TestParseSealedShape(t *testing.T) {
 	}
 }
 
-var sealLabels = []string{LabelTicket, LabelResume, LabelStandby}
+var sealLabels = []string{LabelTicket, LabelResume, LabelStandby, LabelReplicate}
 
 // FuzzSealed checks the sealed wire form end to end. A seal opens, as
 // received and carried (decoded, then written again from its fields),
@@ -363,6 +363,8 @@ func FuzzSealed(f *testing.F) {
 	f.Add(uint8(2), int64(1700000000), `<tnSession id="s1" lastSeq="2"><lastReply>&lt;x/&gt;</lastReply></tnSession>`, uint8(1), uint16(9), byte('"'))
 	f.Add(uint8(1), int64(0), `<resumeTicket negotiation="n" seq="1"><tnMessage type="request"/><negotiationState/></resumeTicket>`, uint8(2), uint16(200), byte(0))
 	f.Add(uint8(2), int64(1900000000), `<tnSession id="s2" lastSeq="1" lastStatus="200"><negotiationState peer="M" phase="eval" resource="R" role="controller" rounds="1" seqPos="0"><tree><node credType="R" id="r" owner="C" state="open"></node></tree></negotiationState><lastReply>&lt;envelope negotiation="s2"/&gt;</lastReply></tnSession>`, uint8(0), uint16(120), byte('<'))
+	f.Add(uint8(3), int64(1900000000), `<replicate count="1" epoch="2" from="7">VFZQAAMABwAAABpkb2M=</replicate>`, uint8(0), uint16(30), byte('8'))
+	f.Add(uint8(3), int64(1900000000), `<catchup epoch="1" pos="9"></catchup>`, uint8(2), uint16(60), byte(0))
 	f.Fuzz(func(t *testing.T, which uint8, secs int64, payloadXML string, mode uint8, pos uint16, val byte) {
 		payload, err := xmldom.ParseString(payloadXML)
 		if err != nil {

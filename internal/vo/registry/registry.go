@@ -45,36 +45,51 @@ func (d *Description) Validate() error {
 	return nil
 }
 
-// DOM serializes the description for storage and transport.
-func (d *Description) DOM() *xmldom.Node {
-	root := xmldom.NewElement("serviceDescription").
-		SetAttr("provider", d.Provider).
-		SetAttr("service", d.Service)
+// Encode writes the description, the one layout of the /registry/publish
+// body and of each entry of the /registry/list and /registry/find
+// replies:
+//
+//	<serviceDescription endpoint=… provider=… quality=… service=…>
+//	  <capability name=…/>…
+//	</serviceDescription>
+//
+// endpoint and quality are left out when empty.
+func (d *Description) Encode(w *xmldom.Writer) {
+	w.Start("serviceDescription")
+	w.Attr("provider", d.Provider)
+	w.Attr("service", d.Service)
 	if d.Endpoint != "" {
-		root.SetAttr("endpoint", d.Endpoint)
+		w.Attr("endpoint", d.Endpoint)
 	}
 	if d.Quality != "" {
-		root.SetAttr("quality", d.Quality)
+		w.Attr("quality", d.Quality)
 	}
 	for _, c := range d.Capabilities {
-		root.AppendChild(xmldom.NewElement("capability").SetAttr("name", c))
+		w.Start("capability")
+		w.Attr("name", c)
+		w.End()
 	}
-	return root
+	w.End()
 }
 
-// FromDOM decodes a description.
-func FromDOM(root *xmldom.Node) (*Description, error) {
-	if root.Name != "serviceDescription" {
-		return nil, fmt.Errorf("registry: root element <%s>", root.Name)
+// DecodeDescription reads the <serviceDescription> whose start tag r has
+// just read, to its end, and validates it: the one decoder of the layout
+// Encode writes. Its strings are substrings of what r reads; Publish
+// stores clones of them.
+func DecodeDescription(r *xmldom.Reader) (*Description, error) {
+	if r.Name() != "serviceDescription" {
+		return nil, fmt.Errorf("registry: root element <%s>", r.Name())
 	}
 	d := &Description{
-		Provider: root.AttrOr("provider", ""),
-		Service:  root.AttrOr("service", ""),
-		Endpoint: root.AttrOr("endpoint", ""),
-		Quality:  root.AttrOr("quality", ""),
+		Provider: r.AttrOr("provider", ""),
+		Service:  r.AttrOr("service", ""),
+		Endpoint: r.AttrOr("endpoint", ""),
+		Quality:  r.AttrOr("quality", ""),
 	}
-	for _, c := range root.Childs("capability") {
-		d.Capabilities = append(d.Capabilities, c.AttrOr("name", ""))
+	for depth := r.Depth(); r.Child(depth); {
+		if r.Name() == "capability" {
+			d.Capabilities = append(d.Capabilities, r.AttrOr("name", ""))
+		}
 	}
 	return d, d.Validate()
 }

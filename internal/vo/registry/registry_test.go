@@ -88,7 +88,7 @@ func TestDOMRoundTrip(t *testing.T) {
 		Endpoint:     "http://storage.example",
 		Quality:      "tier-3",
 	}
-	re, err := FromDOM(d.DOM())
+	re, err := decodeString(xmldom.String(d.Encode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,27 +98,36 @@ func TestDOMRoundTrip(t *testing.T) {
 	if len(re.Capabilities) != 2 || re.Capabilities[1] != "backup" {
 		t.Fatalf("capabilities = %v", re.Capabilities)
 	}
-	if _, err := FromDOM(xmldom.NewElement("wrong")); err == nil {
+	if _, err := decodeString("<wrong/>"); err == nil {
 		t.Fatal("wrong root accepted")
 	}
-	if _, err := FromDOM(xmldom.NewElement("serviceDescription")); err == nil {
+	if _, err := decodeString("<serviceDescription/>"); err == nil {
 		t.Fatal("invalid description accepted")
 	}
 }
 
+// decodeString decodes a whole document holding one description.
+func decodeString(doc string) (*Description, error) {
+	r := xmldom.NewReader(doc)
+	if !r.Child(0) {
+		return nil, r.Close()
+	}
+	d, err := DecodeDescription(r)
+	if cerr := r.Close(); cerr != nil {
+		return nil, cerr
+	}
+	return d, err
+}
+
 // TestPublishClonesStrings checks that a published description keeps
 // none of the request body it was decoded from alive: /registry/publish
-// decodes it from the parsed body, whose strings are substrings of the
-// whole body.
+// decodes it from the body, and its strings are substrings of the whole
+// body.
 func TestPublishClonesStrings(t *testing.T) {
 	body := `<serviceDescription provider="HPCServiceCo" service="NumericalSimulation" ` +
 		`endpoint="http://hpc.example/tn" quality="UNI EN ISO 9000">` +
 		`<capability name="simulation"/><capability name="cfd"/></serviceDescription>`
-	root, err := xmldom.ParseString(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := FromDOM(root)
+	d, err := decodeString(body)
 	if err != nil {
 		t.Fatal(err)
 	}

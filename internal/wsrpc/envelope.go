@@ -77,9 +77,6 @@ func writeFault(w http.ResponseWriter, status int, code, detail string) {
 	io.WriteString(w, (&Fault{Code: code, Detail: detail}).XML())
 }
 
-// writeDOM emits a 200 XML response.
-func writeDOM(w http.ResponseWriter, n *xmldom.Node) { writeRaw(w, http.StatusOK, n.XML()) }
-
 // chunkPool holds the buffers ReadBody reads into first, so a body that
 // fits one costs a single allocation: its string.
 var chunkPool = sync.Pool{New: func() any { return new([4096]byte) }}
@@ -112,17 +109,6 @@ func ReadBody(r io.Reader, limit int) (string, error) {
 		}
 	}
 	return string(buf), nil
-}
-
-// readBodyDOM parses the request body, cut at MaxBody, as an XML
-// document: the toolkit routes' request path.
-func readBodyDOM(r *http.Request) (*xmldom.Node, error) {
-	defer r.Body.Close()
-	raw, err := ReadBody(r.Body, MaxBody)
-	if err != nil {
-		return nil, err
-	}
-	return xmldom.ParseString(raw)
 }
 
 // envelopeXML wraps a TN message with its negotiation id and, when seq

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -52,27 +51,26 @@ func (c *MemberClient) tnClient() *TNClient {
 	}
 }
 
-// call performs one toolkit request and asserts the response root.
-func (c *MemberClient) call(ctx context.Context, method, path string, q url.Values, body, wantRoot string, idempotent bool) (*xmldom.Node, error) {
-	query := ""
-	if len(q) > 0 {
-		query = "?" + q.Encode()
+// expectRoot checks that the root element of a reply, whose start tag r
+// has just read, is name.
+func expectRoot(r *xmldom.Reader, name string) error {
+	if r.Name() != name {
+		return fmt.Errorf("wsrpc: expected <%s> response, got <%s>", name, r.Name())
 	}
-	root, err := c.transport().Call(ctx, method, c.BaseURL, path, query, body, idempotent)
-	if err != nil {
-		return nil, err
-	}
-	if root.Name != wantRoot {
-		return nil, fmt.Errorf("wsrpc: expected <%s> response, got <%s>", wantRoot, root.Name)
-	}
-	return root, nil
+	return nil
+}
+
+// rootIs returns the decode of a reply that carries nothing but its root
+// element's name.
+func rootIs(name string) func(*xmldom.Reader) error {
+	return func(r *xmldom.Reader) error { return expectRoot(r, name) }
 }
 
 // Publish registers the member's service description with the host
 // edition (the preparation phase over the wire). Publishing is an
 // upsert, hence retried freely.
 func (c *MemberClient) Publish(ctx context.Context, d *registry.Description) error {
-	_, err := c.call(ctx, http.MethodPost, "/registry/publish", nil, d.DOM().XML(), "published", true)
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/registry/publish", "", xmldom.String(d.Encode), true, rootIs("published"))
 	return err
 }
 
@@ -82,8 +80,8 @@ func (c *MemberClient) Publish(ctx context.Context, d *registry.Description) err
 func (c *MemberClient) Apply(ctx context.Context, role string) (inv *core.Invitation, resource string, err error) {
 	query := "?provider=" + url.QueryEscape(c.Party.Name) + "&role=" + url.QueryEscape(role)
 	_, err = c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/apply", query, "", true, func(r *xmldom.Reader) error {
-		if r.Name() != "invitation" {
-			return fmt.Errorf("wsrpc: expected <invitation> response, got <%s>", r.Name())
+		if err := expectRoot(r, "invitation"); err != nil {
+			return err
 		}
 		inv, resource = decodeInvitation(r)
 		return nil
@@ -97,8 +95,8 @@ func (c *MemberClient) Apply(ctx context.Context, role string) (inv *core.Invita
 // Mailbox fetches the member's pending invitations.
 func (c *MemberClient) Mailbox(ctx context.Context) (out []*core.Invitation, err error) {
 	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/mailbox", "?provider="+url.QueryEscape(c.Party.Name), "", true, func(r *xmldom.Reader) error {
-		if r.Name() != "mailbox" {
-			return fmt.Errorf("wsrpc: expected <mailbox> response, got <%s>", r.Name())
+		if err := expectRoot(r, "mailbox"); err != nil {
+			return err
 		}
 		out = nil // a retried attempt reads the mailbox afresh
 		for d := r.Depth(); r.Child(d); {
@@ -121,8 +119,8 @@ func (c *MemberClient) Mailbox(ctx context.Context) (out []*core.Invitation, err
 func (c *MemberClient) JoinDirect(ctx context.Context, role string) (der []byte, err error) {
 	query := "?provider=" + url.QueryEscape(c.Party.Name) + "&role=" + url.QueryEscape(role)
 	_, err = c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/join-direct", query, "", false, func(r *xmldom.Reader) error {
-		if r.Name() != "joined" {
-			return fmt.Errorf("wsrpc: expected <joined> response, got <%s>", r.Name())
+		if err := expectRoot(r, "joined"); err != nil {
+			return err
 		}
 		der, err = decodeJoined(r)
 		return err
@@ -171,27 +169,24 @@ func grantOf(out *negotiation.Outcome, err error) ([]byte, *negotiation.Outcome,
 // VOStatus fetches the VO's phase and member count. A reply whose
 // member count is missing or not a decimal count fails the call.
 func (c *MemberClient) VOStatus(ctx context.Context) (phase string, members int, err error) {
-	root, err := c.call(ctx, http.MethodGet, "/vo/status", nil, "", "voStatus", true)
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/status", "", "", true, func(r *xmldom.Reader) (err error) {
+		phase, members, err = decodeVOStatus(r)
+		return err
+	})
 	if err != nil {
 		return "", 0, err
 	}
-	count := root.AttrOr("members", "")
-	members, err = strconv.Atoi(count)
-	if err != nil || members < 0 {
-		return "", 0, fmt.Errorf("wsrpc: <voStatus> members %q is not a count", count)
-	}
-	return root.AttrOr("phase", ""), members, nil
+	return phase, members, nil
 }
 
 // Members lists the admitted members.
-func (c *MemberClient) Members(ctx context.Context) (map[string]string, error) {
-	root, err := c.call(ctx, http.MethodGet, "/vo/members", nil, "", "members", true)
+func (c *MemberClient) Members(ctx context.Context) (out map[string]string, err error) {
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/members", "", "", true, func(r *xmldom.Reader) (err error) {
+		out, err = decodeMembers(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make(map[string]string)
-	for _, m := range root.Childs("member") {
-		out[m.AttrOr("name", "")] = m.AttrOr("role", "")
 	}
 	return out, nil
 }
@@ -199,19 +194,17 @@ func (c *MemberClient) Members(ctx context.Context) (map[string]string, error) {
 // Operate asks the toolkit to authorize an operation invocation. Each
 // call lands in the audit log, so it is not retried automatically.
 func (c *MemberClient) Operate(ctx context.Context, operation string) error {
-	q := url.Values{"member": {c.Party.Name}, "operation": {operation}}
-	_, err := c.call(ctx, http.MethodPost, "/vo/operate", q, "", "authorized", false)
+	query := "?member=" + url.QueryEscape(c.Party.Name) + "&operation=" + url.QueryEscape(operation)
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/operate", query, "", false, rootIs("authorized"))
 	return err
 }
 
 // ReportViolation reports another member's violation (never retried:
 // a duplicate report would double the reputation penalty).
 func (c *MemberClient) ReportViolation(ctx context.Context, member, operation, detail string, weight float64) error {
-	q := url.Values{
-		"member": {member}, "operation": {operation},
-		"detail": {detail}, "weight": {fmt.Sprintf("%g", weight)},
-	}
-	_, err := c.call(ctx, http.MethodPost, "/vo/violation", q, "", "recorded", false)
+	query := "?detail=" + url.QueryEscape(detail) + "&member=" + url.QueryEscape(member) +
+		"&operation=" + url.QueryEscape(operation) + "&weight=" + url.QueryEscape(fmt.Sprintf("%g", weight))
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, "/vo/violation", query, "", false, rootIs("recorded"))
 	return err
 }
 
@@ -227,7 +220,7 @@ func (c *MemberClient) Phase(ctx context.Context, target string) error {
 	if path == "" {
 		return fmt.Errorf("wsrpc: unknown phase %q", target)
 	}
-	_, err := c.call(ctx, http.MethodPost, path, nil, "", "ok", false)
+	_, err := c.transport().CallBody(ctx, http.MethodPost, c.BaseURL, path, "", "", false, rootIs("ok"))
 	return err
 }
 
@@ -240,38 +233,28 @@ type AuditEntry struct {
 	At        time.Time
 }
 
-// Audit fetches the VO's interaction log (monitoring, §2).
-func (c *MemberClient) Audit(ctx context.Context) ([]AuditEntry, error) {
-	root, err := c.call(ctx, http.MethodGet, "/vo/audit", nil, "", "audit", true)
+// Audit fetches the VO's interaction log (monitoring, §2). A reply with
+// an entry whose time is missing or not RFC 3339 fails the call.
+func (c *MemberClient) Audit(ctx context.Context) (out []AuditEntry, err error) {
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/audit", "", "", true, func(r *xmldom.Reader) (err error) {
+		out, err = decodeAudit(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	var out []AuditEntry
-	for _, e := range root.Childs("entry") {
-		at, _ := time.Parse(time.RFC3339, e.AttrOr("at", ""))
-		out = append(out, AuditEntry{
-			Member:    e.AttrOr("member", ""),
-			Operation: e.AttrOr("operation", ""),
-			Allowed:   e.AttrOr("allowed", "") == "true",
-			Detail:    e.AttrOr("detail", ""),
-			At:        at,
-		})
 	}
 	return out, nil
 }
 
 // Reputation fetches a member's reputation score. A reply whose score
 // is missing or not a number fails the call.
-func (c *MemberClient) Reputation(ctx context.Context, member string) (float64, error) {
-	q := url.Values{"member": {member}}
-	root, err := c.call(ctx, http.MethodGet, "/vo/reputation", q, "", "reputation", true)
+func (c *MemberClient) Reputation(ctx context.Context, member string) (score float64, err error) {
+	_, err = c.transport().CallBody(ctx, http.MethodGet, c.BaseURL, "/vo/reputation", "?member="+url.QueryEscape(member), "", true, func(r *xmldom.Reader) (err error) {
+		score, err = decodeReputation(r)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	score := root.AttrOr("score", "")
-	f, err := strconv.ParseFloat(score, 64)
-	if err != nil {
-		return 0, fmt.Errorf("wsrpc: <reputation> score %q is not a number", score)
-	}
-	return f, nil
+	return score, nil
 }

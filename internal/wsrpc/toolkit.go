@@ -98,12 +98,22 @@ func (t *ToolkitService) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
 		return
 	}
-	body, err := readBodyDOM(r)
+	raw, err := ReadBody(r.Body, MaxBody)
+	r.Body.Close()
 	if err != nil {
 		writeFault(w, http.StatusBadRequest, "parse", err.Error())
 		return
 	}
-	desc, err := registry.FromDOM(body)
+	// A syntax error anywhere in the body wins over a schema error.
+	rd := xmldom.NewReader(raw)
+	var desc *registry.Description
+	if rd.Child(0) {
+		desc, err = registry.DecodeDescription(rd)
+	}
+	if err := rd.Close(); err != nil {
+		writeFault(w, http.StatusBadRequest, "parse", err.Error())
+		return
+	}
 	if err != nil {
 		writeFault(w, http.StatusBadRequest, "schema", err.Error())
 		return
@@ -112,24 +122,30 @@ func (t *ToolkitService) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, "registry", err.Error())
 		return
 	}
-	writeDOM(w, xmldom.NewElement("published").SetAttr("provider", desc.Provider))
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) {
+		w.Start("published")
+		w.Attr("provider", desc.Provider)
+		w.End()
+	}))
 }
 
 func (t *ToolkitService) handleList(w http.ResponseWriter, r *http.Request) {
-	out := xmldom.NewElement("descriptions")
-	for _, d := range t.Initiator.Registry.All() {
-		out.AppendChild(d.DOM())
-	}
-	writeDOM(w, out)
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeDescriptions(w, t.Initiator.Registry.All()) }))
 }
 
 func (t *ToolkitService) handleFind(w http.ResponseWriter, r *http.Request) {
-	caps := r.URL.Query()["capability"]
-	out := xmldom.NewElement("descriptions")
-	for _, d := range t.Initiator.Registry.FindByCapabilities(caps) {
-		out.AppendChild(d.DOM())
+	found := t.Initiator.Registry.FindByCapabilities(r.URL.Query()["capability"])
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeDescriptions(w, found) }))
+}
+
+// encodeDescriptions writes the reply of /registry/list and
+// /registry/find: <descriptions>, each description's own layout inside.
+func encodeDescriptions(w *xmldom.Writer, ds []*registry.Description) {
+	w.Start("descriptions")
+	for _, d := range ds {
+		d.Encode(w)
 	}
-	writeDOM(w, out)
+	w.End()
 }
 
 // handleApply lets a published provider request an invitation for a role
@@ -268,22 +284,69 @@ func decodeJoined(r *xmldom.Reader) ([]byte, error) {
 }
 
 func (t *ToolkitService) handleMembers(w http.ResponseWriter, r *http.Request) {
-	out := xmldom.NewElement("members")
-	for _, m := range t.Initiator.VO.Members() {
-		out.AppendChild(xmldom.NewElement("member").
-			SetAttr("name", m.Name).
-			SetAttr("role", m.Role))
+	members := t.Initiator.VO.Members()
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeMembers(w, members) }))
+}
+
+// encodeMembers writes the reply of /vo/members:
+//
+//	<members><member name=… role=…/>…</members>
+func encodeMembers(w *xmldom.Writer, members []*vo.Member) {
+	w.Start("members")
+	for _, m := range members {
+		w.Start("member")
+		w.Attr("name", m.Name)
+		w.Attr("role", m.Role)
+		w.End()
 	}
-	writeDOM(w, out)
+	w.End()
+}
+
+// decodeMembers reads the <members> reply whose root start tag r has
+// just read: each <member> child's role by its name.
+func decodeMembers(r *xmldom.Reader) (map[string]string, error) {
+	if err := expectRoot(r, "members"); err != nil {
+		return nil, err
+	}
+	out := make(map[string]string)
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() == "member" {
+			out[r.AttrOr("name", "")] = r.AttrOr("role", "")
+		}
+	}
+	return out, nil
 }
 
 func (t *ToolkitService) handleStatus(w http.ResponseWriter, r *http.Request) {
 	v := t.Initiator.VO
-	writeDOM(w, xmldom.NewElement("voStatus").
-		SetAttr("name", v.Contract.VOName).
-		SetAttr("phase", v.Phase().String()).
-		SetAttr("members", strconv.Itoa(len(v.Members()))).
-		SetAttr("violations", strconv.Itoa(len(v.Violations()))))
+	name, phase, members, violations := v.Contract.VOName, v.Phase().String(), len(v.Members()), len(v.Violations())
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeVOStatus(w, name, phase, members, violations) }))
+}
+
+// encodeVOStatus writes the reply of /vo/status:
+//
+//	<voStatus members=… name=… phase=… violations=…/>
+func encodeVOStatus(w *xmldom.Writer, name, phase string, members, violations int) {
+	w.Start("voStatus")
+	w.Attr("name", name)
+	w.Attr("phase", phase)
+	w.AttrInt("members", int64(members))
+	w.AttrInt("violations", int64(violations))
+	w.End()
+}
+
+// decodeVOStatus reads the <voStatus> reply whose root start tag r has
+// just read: its phase and member count, which must be a decimal count.
+func decodeVOStatus(r *xmldom.Reader) (phase string, members int, err error) {
+	if err := expectRoot(r, "voStatus"); err != nil {
+		return "", 0, err
+	}
+	count := r.AttrOr("members", "")
+	members, err = strconv.Atoi(count)
+	if err != nil || members < 0 {
+		return "", 0, fmt.Errorf("wsrpc: <voStatus> members %q is not a count", count)
+	}
+	return r.AttrOr("phase", ""), members, nil
 }
 
 func (t *ToolkitService) lifecycleHandler(fn func() error) http.HandlerFunc {
@@ -296,7 +359,12 @@ func (t *ToolkitService) lifecycleHandler(fn func() error) http.HandlerFunc {
 			writeFault(w, http.StatusConflict, "phase", err.Error())
 			return
 		}
-		writeDOM(w, xmldom.NewElement("ok").SetAttr("phase", t.Initiator.VO.Phase().String()))
+		phase := t.Initiator.VO.Phase().String()
+		writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) {
+			w.Start("ok")
+			w.Attr("phase", phase)
+			w.End()
+		}))
 	}
 }
 
@@ -311,8 +379,12 @@ func (t *ToolkitService) handleOperate(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusForbidden, "authorize", err.Error())
 		return
 	}
-	writeDOM(w, xmldom.NewElement("authorized").
-		SetAttr("member", member).SetAttr("operation", op))
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) {
+		w.Start("authorized")
+		w.Attr("member", member)
+		w.Attr("operation", op)
+		w.End()
+	}))
 }
 
 func (t *ToolkitService) handleViolation(w http.ResponseWriter, r *http.Request) {
@@ -334,31 +406,91 @@ func (t *ToolkitService) handleViolation(w http.ResponseWriter, r *http.Request)
 		writeFault(w, http.StatusNotFound, "member", err.Error())
 		return
 	}
-	writeDOM(w, xmldom.NewElement("recorded"))
+	writeRaw(w, http.StatusOK, "<recorded/>")
 }
 
 // handleAudit exposes the monitoring log of §2 (VO monitoring is a Host-
 // edition feature).
 func (t *ToolkitService) handleAudit(w http.ResponseWriter, r *http.Request) {
-	out := xmldom.NewElement("audit")
-	for _, e := range t.Initiator.VO.Audit() {
-		el := xmldom.NewElement("entry").
-			SetAttr("member", e.Member).
-			SetAttr("operation", e.Operation).
-			SetAttr("allowed", boolStr(e.Allowed)).
-			SetAttr("at", e.At.UTC().Format(time.RFC3339))
+	entries := t.Initiator.VO.Audit()
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeAudit(w, entries) }))
+}
+
+// encodeAudit writes the reply of /vo/audit, each entry's time in RFC
+// 3339, UTC, to the second, and its detail left out when empty:
+//
+//	<audit><entry allowed=… at=… detail=… member=… operation=…/>…</audit>
+func encodeAudit(w *xmldom.Writer, entries []vo.AuditEntry) {
+	w.Start("audit")
+	for _, e := range entries {
+		w.Start("entry")
+		w.Attr("member", e.Member)
+		w.Attr("operation", e.Operation)
+		w.Attr("allowed", boolStr(e.Allowed))
+		w.AttrTime("at", e.At.UTC(), time.RFC3339)
 		if e.Detail != "" {
-			el.SetAttr("detail", e.Detail)
+			w.Attr("detail", e.Detail)
 		}
-		out.AppendChild(el)
+		w.End()
 	}
-	writeDOM(w, out)
+	w.End()
+}
+
+// decodeAudit reads the <audit> reply whose root start tag r has just
+// read: its <entry> children, in order. An entry whose time is missing
+// or not RFC 3339 fails the decode.
+func decodeAudit(r *xmldom.Reader) ([]AuditEntry, error) {
+	if err := expectRoot(r, "audit"); err != nil {
+		return nil, err
+	}
+	var out []AuditEntry
+	for d := r.Depth(); r.Child(d); {
+		if r.Name() != "entry" {
+			continue
+		}
+		raw := r.AttrOr("at", "")
+		at, err := time.Parse(time.RFC3339, raw)
+		if err != nil {
+			return nil, fmt.Errorf("wsrpc: <audit> entry at %q is not an RFC 3339 time", raw)
+		}
+		out = append(out, AuditEntry{
+			Member:    r.AttrOr("member", ""),
+			Operation: r.AttrOr("operation", ""),
+			Allowed:   r.AttrOr("allowed", "") == "true",
+			Detail:    r.AttrOr("detail", ""),
+			At:        at,
+		})
+	}
+	return out, nil
 }
 
 func (t *ToolkitService) handleReputation(w http.ResponseWriter, r *http.Request) {
 	member := r.URL.Query().Get("member")
 	score := t.Initiator.VO.Reputation.Score(member, timeNow())
-	writeDOM(w, xmldom.NewElement("reputation").
-		SetAttr("member", member).
-		SetAttr("score", strconv.FormatFloat(score, 'f', 4, 64)))
+	writeRaw(w, http.StatusOK, xmldom.String(func(w *xmldom.Writer) { encodeReputation(w, member, score) }))
+}
+
+// encodeReputation writes the reply of /vo/reputation, the score to four
+// decimals:
+//
+//	<reputation member=… score=…/>
+func encodeReputation(w *xmldom.Writer, member string, score float64) {
+	w.Start("reputation")
+	w.Attr("member", member)
+	w.Attr("score", strconv.FormatFloat(score, 'f', 4, 64))
+	w.End()
+}
+
+// decodeReputation reads the score of the <reputation> reply whose root
+// start tag r has just read, which must be a number.
+func decodeReputation(r *xmldom.Reader) (float64, error) {
+	if err := expectRoot(r, "reputation"); err != nil {
+		return 0, err
+	}
+	score := r.AttrOr("score", "")
+	f, err := strconv.ParseFloat(score, 64)
+	if err != nil {
+		return 0, fmt.Errorf("wsrpc: <reputation> score %q is not a number", score)
+	}
+	return f, nil
 }

@@ -154,22 +154,12 @@ func (t *Transport) count(name string, labels ...string) {
 	}
 }
 
-// Call performs one logical request, as CallBody does, and returns the
-// root of the 2xx reply's tree, built from the reply's tokens. Sibling
-// packages call it too: the cluster layer routes forwarding, standby
-// shipping and replication RPCs through it, so every cross-node hop gets
-// the same deadlines, retries and breaker as client traffic.
-func (t *Transport) Call(ctx context.Context, method, base, route, query, body string, idempotent bool) (*xmldom.Node, error) {
-	var root *xmldom.Node
-	_, err := t.CallBody(ctx, method, base, route, query, body, idempotent, func(r *xmldom.Reader) error {
-		root = r.Node()
-		return nil
-	})
-	return root, err
-}
-
 // CallBody performs one logical request: POST body (or GET when body is
-// "") to base+route+query, with retries when idempotent. Each attempt
+// "") to base+route+query, with retries when idempotent. It is the one
+// call path of wsrpc's clients, and sibling packages call it too: the
+// cluster layer routes forwarding, standby shipping and replication RPCs
+// through it, so every cross-node hop gets the same deadlines, retries
+// and breaker as client traffic. Each attempt
 // reads its 2xx reply through decode, which is handed a Reader at the
 // reply's root start tag (nil reads nothing); the rest of the reply is
 // read after it, so a reply that is not well-formed is a retried

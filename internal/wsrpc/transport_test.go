@@ -11,7 +11,17 @@ import (
 	"time"
 
 	"trustvo/internal/telemetry"
+	"trustvo/internal/xmldom"
 )
+
+// rootName returns a decode that records the name of a reply's root
+// element in name.
+func rootName(name *string) func(*xmldom.Reader) error {
+	return func(r *xmldom.Reader) error {
+		*name = r.Name()
+		return nil
+	}
+}
 
 // fastRetry keeps transport tests quick while still exercising the loop.
 func fastRetry() RetryPolicy {
@@ -32,12 +42,13 @@ func TestRetryOnTransientStatus(t *testing.T) {
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
 	tr := &Transport{Retry: fastRetry(), Metrics: reg}
-	root, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	var root string
+	_, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true, rootName(&root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Name != "ok" {
-		t.Fatalf("root = %s", root.Name)
+	if root != "ok" {
+		t.Fatalf("root = %s", root)
 	}
 	if got := hits.Load(); got != 3 {
 		t.Fatalf("server hits = %d, want 3", got)
@@ -57,7 +68,7 @@ func TestNoRetryOnNonIdempotent(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false)
+	_, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false, nil)
 	if !IsTemporary(err) {
 		t.Fatalf("expected temporary error, got %v", err)
 	}
@@ -76,7 +87,7 @@ func TestNoRetryOnDefinitiveError(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	_, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true, nil)
 	if IsTemporary(err) {
 		t.Fatalf("400 classified as temporary: %v", err)
 	}
@@ -102,12 +113,13 @@ func TestMalformedResponseIsTemporary(t *testing.T) {
 	}))
 	defer srv.Close()
 	tr := &Transport{Retry: fastRetry()}
-	root, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	var root string
+	_, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true, rootName(&root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Name != "ok" || hits.Load() != 2 {
-		t.Fatalf("root=%s hits=%d", root.Name, hits.Load())
+	if root != "ok" || hits.Load() != 2 {
+		t.Fatalf("root=%s hits=%d", root, hits.Load())
 	}
 }
 
@@ -121,7 +133,7 @@ func TestRetryAfterHintIsCapped(t *testing.T) {
 	defer srv.Close()
 	tr := &Transport{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}}
 	t0 := time.Now()
-	_, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true)
+	_, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", true, nil)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -238,7 +250,7 @@ func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
 	defer close(hung)
 	tr := &Transport{BreakerThreshold: 1, BreakerCooldown: 30 * time.Millisecond, RequestTimeout: 20 * time.Millisecond}
 	br := tr.endpointFor(srv.URL, "/x").br
-	if _, err := tr.Call(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false); !IsTemporary(err) {
+	if _, err := tr.CallBody(bg, http.MethodPost, srv.URL, "/x", "", "<req/>", false, nil); !IsTemporary(err) {
 		t.Fatalf("timed-out call: err = %v, want temporary", err)
 	}
 	if br.snapshot() != breakerOpen {
@@ -247,7 +259,7 @@ func TestCancelledProbeKeepsBreakerOpen(t *testing.T) {
 	time.Sleep(40 * time.Millisecond) // serve the cooldown
 	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
 	defer cancel()
-	if _, err := tr.Call(ctx, http.MethodPost, srv.URL, "/x", "", "<req/>", false); err == nil {
+	if _, err := tr.CallBody(ctx, http.MethodPost, srv.URL, "/x", "", "<req/>", false, nil); err == nil {
 		t.Fatal("call to a hung endpoint succeeded")
 	}
 	if br.snapshot() != breakerOpen {
@@ -276,7 +288,7 @@ func TestBreakerTripsOnTransportFailures(t *testing.T) {
 		BreakerCooldown:  time.Minute,
 		Metrics:          reg,
 	}
-	_, err := tr.Call(bg, http.MethodPost, "http://unreachable.invalid", "/x", "", "<req/>", true)
+	_, err := tr.CallBody(bg, http.MethodPost, "http://unreachable.invalid", "/x", "", "<req/>", true, nil)
 	if !IsTemporary(err) {
 		t.Fatalf("expected temporary failure, got %v", err)
 	}
@@ -328,7 +340,7 @@ func TestWireHeaders(t *testing.T) {
 		if method == http.MethodPost {
 			body = "<x/>"
 		}
-		if _, err := tr.Call(context.Background(), method, srv.URL, "/raw", "", body, true); err != nil {
+		if _, err := tr.CallBody(context.Background(), method, srv.URL, "/raw", "", body, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
