@@ -747,10 +747,21 @@ func (n *Node) applyEntriesAt(epoch, from uint64, entries []store.Entry) (uint64
 // applied and local records absent from the snapshot are deleted, so a
 // revived follower with stale or divergent state converges to the
 // leader's exact content, and its prefix joins the leader's lineage at
-// pos.
+// pos. Only a snapshot ahead of the applied prefix applies: one of a
+// newer lineage, or of the same lineage past the applied position. Any
+// other — a catch-up replayed after windows took the follower further —
+// applies nothing and reports where the follower is, as a duplicate
+// window does.
 func (n *Node) applySnapshotAt(epoch, pos uint64, entries []store.Entry) (uint64, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
+	r := &n.repl
+	r.mu.Lock() //lint:allow nakedlock position snapshot; store apply below runs outside the repl lock
+	applied, lineage := r.applied, r.lineage
+	r.mu.Unlock()
+	if epoch < lineage || epoch == lineage && pos <= applied {
+		return applied, nil
+	}
 	db := n.DB()
 	if db == nil {
 		return 0, fmt.Errorf("cluster: node %s has no store attached", n.cfg.Name)
@@ -773,7 +784,6 @@ func (n *Node) applySnapshotAt(epoch, pos uint64, entries []store.Entry) (uint64
 	if err := db.ApplyEntries(entries); err != nil {
 		return 0, err
 	}
-	r := &n.repl
 	r.mu.Lock() //lint:allow nakedlock short position set; no early return before Unlock
 	r.applied, r.lineage = pos, epoch
 	r.mu.Unlock()

@@ -73,10 +73,18 @@ func (a *MemberAgent) Publish(reg *registry.Registry) error {
 	return reg.Publish(a.Description)
 }
 
-// Deliver puts an invitation in the agent's mailbox.
+// Deliver puts an invitation in the agent's mailbox. The mailbox holds
+// one pending invitation per VO and role: a repeat replaces the one held
+// in its place, so the mailbox stays bounded and keeps its order.
 func (a *MemberAgent) Deliver(inv *Invitation) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	for i, held := range a.mailbox {
+		if held.VO == inv.VO && held.Role == inv.Role {
+			a.mailbox[i] = inv
+			return
+		}
+	}
 	a.mailbox = append(a.mailbox, inv)
 }
 

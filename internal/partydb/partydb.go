@@ -60,6 +60,12 @@ func checkOwner(owner string) error {
 	return nil
 }
 
+// ownedBy reports whether key names a record of owner: the owner, '/'
+// and an ID of at least one byte.
+func ownedBy(key, owner string) bool {
+	return len(key) > len(owner)+1 && key[len(owner)] == '/' && key[:len(owner)] == owner
+}
+
 // prune deletes the owner's records of kind whose keys keep lacks.
 func prune(db *store.Store, kind, owner string, keep map[string]bool) error {
 	prefix := owner + "/"
@@ -110,19 +116,11 @@ func LoadProfile(db Reader, owner string) (*xtnl.Profile, error) {
 	if err := checkOwner(owner); err != nil {
 		return nil, err
 	}
-	p := xtnl.NewProfile(owner)
-	prefix := owner + "/"
-	for _, rec := range db.List(KindCredential) {
-		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
-			continue
-		}
-		c, err := xtnl.ParseCredential(rec.XML)
-		if err != nil {
-			return nil, fmt.Errorf("partydb: credential %s: %w", rec.Key, err)
-		}
-		p.Add(c)
+	creds, _, err := loadKind(db, KindCredential, owner, nil, xtnl.ParseCredential)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return newProfile(owner, creds), nil
 }
 
 // SavePolicies writes every policy of the set, assigning sequential IDs
@@ -152,21 +150,11 @@ func LoadPolicies(db Reader, owner string) (*xtnl.PolicySet, error) {
 	if err := checkOwner(owner); err != nil {
 		return nil, err
 	}
-	ps, _ := xtnl.NewPolicySet()
-	prefix := owner + "/"
-	for _, rec := range db.List(KindPolicy) {
-		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
-			continue
-		}
-		pol, err := xtnl.ParsePolicy(rec.XML)
-		if err != nil {
-			return nil, fmt.Errorf("partydb: policy %s: %w", rec.Key, err)
-		}
-		if err := ps.Add(pol); err != nil {
-			return nil, err
-		}
+	pols, _, err := loadKind(db, KindPolicy, owner, nil, xtnl.ParsePolicy)
+	if err != nil {
+		return nil, err
 	}
-	return ps, nil
+	return newPolicySet(pols)
 }
 
 // SaveOntology writes the owner's local ontology.
@@ -183,11 +171,8 @@ func LoadOntology(db Reader, owner string) (*ontology.Ontology, error) {
 	if err := checkOwner(owner); err != nil {
 		return nil, err
 	}
-	rec, err := db.Get(KindOntology, owner)
-	if err != nil {
-		return nil, nil // not stored
-	}
-	return ontology.ParseOntology(rec.XML)
+	o, err := loadOntology(db, owner, decoded[*ontology.Ontology]{})
+	return o.val, err
 }
 
 // SaveParty persists the party's negotiation state (profile, policies
@@ -213,24 +198,155 @@ func SaveParty(db *store.Store, p *negotiation.Party) error {
 // anchors, keys and hooks are not stored (they come from configuration),
 // so the caller passes a template carrying them; the returned party has
 // the template's identity fields with the stored profile, policies and
-// ontology.
+// ontology. It is Reload from no snapshot.
 func LoadParty(db Reader, template *negotiation.Party) (*negotiation.Party, error) {
-	p := *template
-	var err error
-	if p.Profile, err = LoadProfile(db, template.Name); err != nil {
-		return nil, err
-	}
-	if p.Policies, err = LoadPolicies(db, template.Name); err != nil {
-		return nil, err
-	}
-	o, err := LoadOntology(db, template.Name)
+	s, err := Reload(db, template, nil)
 	if err != nil {
 		return nil, err
 	}
-	if o != nil {
-		p.Mapper = &ontology.Mapper{Ontology: o, Profile: p.Profile}
+	return s.party, nil
+}
+
+// Snapshot is a party's negotiation state as decoded from the store at
+// one point, with the records it was decoded from. Neither the snapshot
+// nor any value it holds is changed once Reload has returned it:
+// sessions share its party, and a later Reload shares with it the
+// values of the records that have not changed since.
+type Snapshot struct {
+	party *negotiation.Party
+	creds []decoded[*xtnl.Credential]
+	pols  []decoded[*xtnl.Policy]
+	onto  decoded[*ontology.Ontology] // val nil when none is stored
+}
+
+// decoded is one record's value, with the key and XML it was decoded
+// from.
+type decoded[T any] struct {
+	key, xml string
+	val      T
+}
+
+// Party returns the party the snapshot holds: the template's identity
+// fields with the stored profile, policies and ontology. It is shared
+// and must not be changed.
+func (s *Snapshot) Party() *negotiation.Party { return s.party }
+
+// Reload rebuilds template's party from the store, record by record. It
+// reads every party kind as LoadParty does, the credentials first and
+// the ontology last, and decodes only the records whose key or XML
+// differ from every record prev was decoded from; the others keep
+// prev's values. A kind none of whose records changed keeps prev's
+// container: its Profile, its PolicySet, or the ontology Mapper when the
+// profile is kept too. A nil prev decodes every record.
+func Reload(db Reader, template *negotiation.Party, prev *Snapshot) (*Snapshot, error) {
+	owner := template.Name
+	if err := checkOwner(owner); err != nil {
+		return nil, err
 	}
-	return &p, nil
+	if prev == nil || prev.party.Name != owner {
+		prev = &Snapshot{}
+	}
+	next := &Snapshot{}
+	var sameCreds, samePols bool
+	var err error
+	if next.creds, sameCreds, err = loadKind(db, KindCredential, owner, prev.creds, xtnl.ParseCredential); err != nil {
+		return nil, err
+	}
+	if next.pols, samePols, err = loadKind(db, KindPolicy, owner, prev.pols, xtnl.ParsePolicy); err != nil {
+		return nil, err
+	}
+	if next.onto, err = loadOntology(db, owner, prev.onto); err != nil {
+		return nil, err
+	}
+	p := *template
+	if sameCreds && prev.party != nil {
+		p.Profile = prev.party.Profile
+	} else {
+		p.Profile = newProfile(owner, next.creds)
+	}
+	if samePols && prev.party != nil {
+		p.Policies = prev.party.Policies
+	} else if p.Policies, err = newPolicySet(next.pols); err != nil {
+		return nil, err
+	}
+	if o := next.onto.val; o != nil {
+		if o == prev.onto.val && p.Profile == prev.party.Profile {
+			p.Mapper = prev.party.Mapper
+		} else {
+			p.Mapper = &ontology.Mapper{Ontology: o, Profile: p.Profile}
+		}
+	}
+	next.party = &p
+	return next, nil
+}
+
+// loadKind lists kind and decodes the owner's records of it in key
+// order, taking the value of a record whose key and XML equal those of
+// an entry of prev from that entry. same reports that every entry came
+// from prev and that none of prev's is gone.
+func loadKind[T any](db Reader, kind, owner string, prev []decoded[T], parse func(string) (T, error)) (out []decoded[T], same bool, err error) {
+	recs := db.List(kind)
+	out = make([]decoded[T], 0, len(recs))
+	kept, i := 0, 0
+	for _, rec := range recs {
+		if !ownedBy(rec.Key, owner) {
+			continue
+		}
+		// List returns the records in key order, as prev holds them.
+		for i < len(prev) && prev[i].key < rec.Key {
+			i++
+		}
+		if i < len(prev) && prev[i].key == rec.Key && prev[i].xml == rec.XML {
+			out = append(out, prev[i])
+			kept++
+			continue
+		}
+		v, err := parse(rec.XML)
+		if err != nil {
+			return nil, false, fmt.Errorf("partydb: %s %s: %w", kind, rec.Key, err)
+		}
+		out = append(out, decoded[T]{key: rec.Key, xml: rec.XML, val: v})
+	}
+	return out, kept == len(out) && kept == len(prev), nil
+}
+
+// loadOntology gets the owner's ontology record and decodes it, unless
+// its key and XML equal prev's, whose value it keeps. No record is the
+// zero entry.
+func loadOntology(db Reader, owner string, prev decoded[*ontology.Ontology]) (decoded[*ontology.Ontology], error) {
+	rec, err := db.Get(KindOntology, owner)
+	if err != nil {
+		return decoded[*ontology.Ontology]{}, nil // not stored
+	}
+	if prev.val != nil && prev.key == rec.Key && prev.xml == rec.XML {
+		return prev, nil
+	}
+	o, err := ontology.ParseOntology(rec.XML)
+	if err != nil {
+		return decoded[*ontology.Ontology]{}, err
+	}
+	return decoded[*ontology.Ontology]{key: rec.Key, xml: rec.XML, val: o}, nil
+}
+
+// newProfile builds the owner's profile of the decoded credentials.
+func newProfile(owner string, creds []decoded[*xtnl.Credential]) *xtnl.Profile {
+	p := xtnl.NewProfile(owner)
+	p.Add(values(creds)...)
+	return p
+}
+
+// newPolicySet builds the policy set of the decoded policies.
+func newPolicySet(pols []decoded[*xtnl.Policy]) (*xtnl.PolicySet, error) {
+	return xtnl.NewPolicySet(values(pols)...)
+}
+
+// values returns the decoded values in order.
+func values[T any](ds []decoded[T]) []T {
+	out := make([]T, len(ds))
+	for i, d := range ds {
+		out[i] = d.val
+	}
+	return out
 }
 
 // SaveResumeTicket persists a suspended negotiation's resume ticket.
@@ -253,10 +369,9 @@ func LoadResumeTickets(db *store.Store, owner string, now time.Time) ([]*negotia
 	if err := checkOwner(owner); err != nil {
 		return nil, err
 	}
-	prefix := owner + "/"
 	var out []*negotiation.ResumeTicket
 	for _, rec := range db.List(KindResumeTicket) {
-		if len(rec.Key) <= len(prefix) || rec.Key[:len(prefix)] != prefix {
+		if !ownedBy(rec.Key, owner) {
 			continue
 		}
 		t, err := negotiation.ParseResumeTicket(rec.XML)

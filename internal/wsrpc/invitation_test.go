@@ -116,3 +116,30 @@ func TestInvitationWireGolden(t *testing.T) {
 		t.Errorf("apply and mailbox wire:\n%s\nwant, from %s:\n%s", got, path, golden)
 	}
 }
+
+// TestMailboxHoldsOneInvitationPerRole applies 1,000 times for one role
+// between two applications for another: the mailbox keeps one pending
+// invitation per role, in the order each role was first applied for.
+func TestMailboxHoldsOneInvitationPerRole(t *testing.T) {
+	f := newWSFixture(t)
+	f.publishMember(t)
+	roles := []string{"Storage"}
+	for range 1000 {
+		roles = append(roles, "DesignWebPortal")
+	}
+	for _, role := range append(roles, "Storage") {
+		if _, _, err := f.member.Apply(bg, role); err != nil {
+			t.Fatal(err)
+		}
+	}
+	box, err := f.member.Mailbox(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(box) != 2 {
+		t.Fatalf("mailbox holds %d invitations, want 2", len(box))
+	}
+	if box[0].Role != "Storage" || box[1].Role != "DesignWebPortal" {
+		t.Errorf("mailbox roles %q, %q; want Storage, DesignWebPortal", box[0].Role, box[1].Role)
+	}
+}

@@ -1,6 +1,8 @@
 package wsrpc
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,5 +152,78 @@ func TestPartyReloadThroughCache(t *testing.T) {
 	if p3.Profile.Len() != p2.Profile.Len()+1 {
 		t.Errorf("reloaded profile has %d credentials, want %d (stale cache?)",
 			p3.Profile.Len(), p2.Profile.Len()+1)
+	}
+}
+
+// TestSessionsStartWhilePoliciesChange starts sessions from four
+// goroutines while a fifth rewrites the controller's policy. Every
+// session must start from a whole party, bound to the service registry,
+// holding one of the two policies written, and no later reload may
+// change a party a session already holds.
+func TestSessionsStartWhilePoliciesChange(t *testing.T) {
+	svc, db := partyCacheFixture(t)
+	versions := []string{"AAAMember", "ISOCert"}
+	write := func(i int) {
+		pol := xtnl.MustParsePolicies("Certification <- " + versions[i%2])[0]
+		if err := db.Put(partydb.KindPolicy, "AircraftCo/pol-0", pol.DOM()); err != nil {
+			t.Error(err)
+		}
+	}
+	type held struct {
+		party *negotiation.Party
+		cred  string
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				write(i)
+			}
+		}
+	}()
+	seen := make([][]held, 4)
+	var starters sync.WaitGroup
+	for g := range seen {
+		starters.Add(1)
+		go func() {
+			defer starters.Done()
+			for range 200 { // 800 sessions, within the default MaxSessions
+				if _, err := svc.newSession(); err != nil {
+					t.Error(err)
+					return
+				}
+				p, err := svc.sessionParty()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				alts := p.Policies.For("Certification")
+				if p.Metrics != svc.Metrics || p.Profile.Len() != 1 || len(alts) != 1 || !slices.Contains(versions, alts[0].Terms[0].CredType) {
+					t.Errorf("session party: metrics bound %t, %d credentials, alternatives %v",
+						p.Metrics == svc.Metrics, p.Profile.Len(), alts)
+					return
+				}
+				seen[g] = append(seen[g], held{p, alts[0].Terms[0].CredType})
+			}
+		}()
+	}
+	starters.Wait()
+	close(done)
+	wg.Wait()
+	for _, hs := range seen {
+		for _, h := range hs {
+			if got := h.party.Policies.For("Certification")[0].Terms[0].CredType; got != h.cred {
+				t.Fatalf("a reload changed a held party's policy from %s to %s", h.cred, got)
+			}
+		}
+	}
+	if reloads(svc) < 2 {
+		t.Errorf("reloads = %d: the writes never reached a session start", reloads(svc))
 	}
 }

@@ -104,17 +104,13 @@ type TNService struct {
 	// paths (completion, sweep, eviction) race for it.
 	active atomic.Int64
 
-	// partyMu guards the memoized partydb.LoadParty result, revalidated
-	// against the per-kind generation of the kinds the party actually
-	// reads (credential, policy, ontology) so a store write to those still
-	// forces the §6.2 "reload from the database" semantics on the next
-	// session — while unrelated writes (resume tickets, cluster session
-	// docs) no longer throw the memo away. Keying on a store-wide
-	// mutation counter was a bug: every suspended-session save invalidated
-	// the party and forced a full re-parse of all credentials and policies.
-	partyMu    sync.Mutex
-	partyGen   uint64
-	partyCache *negotiation.Party
+	// bound is what sessions start from: the party bound to Metrics and,
+	// on the DB path, the snapshot decoded from the store at a summed
+	// generation of the party kinds (sessionParty). partyMu serializes
+	// the reloads that replace it; a session start whose generation,
+	// Party and Metrics match reads it without a lock.
+	partyMu sync.Mutex
+	bound   atomic.Pointer[boundParty]
 }
 
 // sessionShard is one lock stripe of the session table.
@@ -418,59 +414,96 @@ func (s *TNService) newSession() (string, error) {
 }
 
 // sessionParty prepares the negotiating identity for one session: the
-// DB-backed reload of §6.2 when a store is attached, plus the metrics
-// clone so endpoints record into the service registry without mutating
-// the caller's Party.
+// DB-backed reload of §6.2 when a store is attached, bound to the
+// service's registry so endpoints record into it without mutating the
+// caller's Party. The bound party is built once and shared by every
+// session that starts from the same Party, Metrics and, on the DB path,
+// store generation.
 func (s *TNService) sessionParty() (*negotiation.Party, error) {
-	party := s.Party
 	if s.DB != nil {
-		loaded, err := s.loadPartyCached()
+		party, err := s.loadPartyCached()
 		if err != nil {
 			return nil, fmt.Errorf("wsrpc: load party from store: %w", err)
 		}
-		party = loaded
+		return party, nil
 	}
-	if party.Metrics == nil && s.Metrics != nil {
-		clone := *party
-		clone.Metrics = s.Metrics
-		party = &clone
+	if s.Party.Metrics != nil || s.Metrics == nil {
+		return s.Party, nil
 	}
-	return party, nil
+	if b := s.bound.Load(); b != nil && b.snap == nil && b.from == s.Party && b.metrics == s.Metrics {
+		return b.party, nil
+	}
+	clone := *s.Party
+	clone.Metrics = s.Metrics
+	b := &boundParty{from: s.Party, metrics: s.Metrics, party: &clone}
+	s.bound.Store(b)
+	return b.party, nil
 }
 
-// partyKinds are the store kinds a party reload reads — the memo key and
-// invalidation scope of loadPartyCached.
+// boundParty is a party sessions negotiate as, with what it was built
+// from: the service's Party and Metrics and, on the DB path, the store
+// snapshot and the summed generation of the party kinds it was read at.
+type boundParty struct {
+	from    *negotiation.Party
+	metrics *telemetry.Registry
+	snap    *partydb.Snapshot
+	gen     uint64
+	party   *negotiation.Party
+}
+
+// partyKinds are the store kinds a party reload reads — the generation
+// loadPartyCached compares and the invalidation scope of its snapshot.
 var partyKinds = []string{partydb.KindCredential, partydb.KindPolicy, partydb.KindOntology}
 
-// loadPartyCached memoizes partydb.LoadParty across sessions, keyed by
-// the summed per-kind generation of the kinds a party is built from: a
-// Put/Delete of a credential, policy or ontology bumps that sum and
-// forces a reload, so the paper's per-StartNegotiation database reload
-// semantics are preserved without reparsing every policy and credential
-// document for each of N concurrent joins — and, unlike a store-wide
-// mutation counter, a resume-ticket or replicated-session write leaves
-// the memo intact. Sharing the loaded Party across sessions mirrors the
-// non-DB path, which shares s.Party directly.
+// loadPartyCached returns the store-backed party for a session start,
+// keyed by the summed per-kind generation of the kinds a party is built
+// from: a Put/Delete of a credential, policy or ontology bumps that sum
+// and forces a reload, so the paper's per-StartNegotiation database
+// reload semantics are preserved without reparsing every policy and
+// credential document for each of N concurrent joins — and, unlike a
+// store-wide mutation counter, a resume-ticket or replicated-session
+// write leaves the snapshot in place. A reload (partydb.Reload) decodes
+// only the records that changed since the snapshot it replaces, and
+// binds the party to Metrics once for every session that shares it.
 func (s *TNService) loadPartyCached() (*negotiation.Party, error) {
 	gen := s.DB.KindGeneration(partyKinds...)
+	if b := s.bound.Load(); s.current(b, gen) {
+		return b.party, nil
+	}
 	s.partyMu.Lock()
 	defer s.partyMu.Unlock()
-	if s.partyCache != nil && s.partyGen == gen {
-		return s.partyCache, nil
+	prev := s.bound.Load()
+	if s.current(prev, gen) {
+		return prev.party, nil
 	}
 	var reader partydb.Reader = s.DB
 	if s.PartyReader != nil {
 		reader = s.PartyReader
 	}
-	loaded, err := partydb.LoadParty(reader, s.Party)
+	var prevSnap *partydb.Snapshot
+	if prev != nil {
+		prevSnap = prev.snap
+	}
+	template := *s.Party
+	if template.Metrics == nil {
+		template.Metrics = s.Metrics
+	}
+	snap, err := partydb.Reload(reader, &template, prevSnap)
 	if err != nil {
 		return nil, err
 	}
 	if m := s.Metrics; m != nil {
 		m.Counter("tn_party_reloads_total").Inc()
 	}
-	s.partyGen, s.partyCache = gen, loaded
-	return loaded, nil
+	b := &boundParty{from: s.Party, metrics: s.Metrics, snap: snap, gen: gen, party: snap.Party()}
+	s.bound.Store(b)
+	return b.party, nil
+}
+
+// current reports whether b is the DB-backed party of the service's
+// Party and Metrics at the summed party-kind generation gen.
+func (s *TNService) current(b *boundParty, gen uint64) bool {
+	return b != nil && b.snap != nil && b.gen == gen && b.from == s.Party && b.metrics == s.Metrics
 }
 
 // stale reports whether a session has outlived its lifetime: unfinished

@@ -295,15 +295,29 @@ type PolicySet struct {
 }
 
 // NewPolicySet builds a set from the given policies. It fails if any
-// policy is invalid.
+// policy is invalid. The index shares one backing array: a first pass
+// counts each resource's alternatives, held meanwhile as the lengths of
+// windows of that array, and each resource then gets a window of its
+// own, filled in insertion order and full to its capacity, so a later
+// Add to it reallocates instead of writing over its neighbour's.
 func NewPolicySet(policies ...*Policy) (*PolicySet, error) {
-	s := &PolicySet{byRes: make(map[string][]*Policy)}
+	backing := make([]*Policy, len(policies))
+	byRes := make(map[string][]*Policy, len(policies))
 	for _, p := range policies {
-		if err := s.Add(p); err != nil {
+		if err := p.Validate(); err != nil {
 			return nil, err
 		}
+		byRes[p.Resource] = backing[:len(byRes[p.Resource])+1]
 	}
-	return s, nil
+	off := 0
+	for r, alts := range byRes {
+		byRes[r] = backing[off : off : off+len(alts)]
+		off += len(alts)
+	}
+	for _, p := range policies {
+		byRes[p.Resource] = append(byRes[p.Resource], p)
+	}
+	return &PolicySet{policies: append([]*Policy(nil), policies...), byRes: byRes}, nil
 }
 
 // MustPolicySet is NewPolicySet that panics on error, for fixtures.

@@ -172,6 +172,38 @@ func TestPolicySet(t *testing.T) {
 	}
 }
 
+// TestPolicySetAddKeepsNeighbours adds an alternative, after
+// NewPolicySet, to each resource of a set whose index shares one
+// backing array: every other resource's alternatives stay as they were,
+// in insertion order.
+func TestPolicySetAddKeepsNeighbours(t *testing.T) {
+	pol := func(res, cred string) *Policy { return &Policy{Resource: res, Terms: []Term{{CredType: cred}}} }
+	a1, b1, a2, c1, b2 := pol("A", "1"), pol("B", "1"), pol("A", "2"), pol("C", "1"), pol("B", "2")
+	want := map[string][]*Policy{"A": {a1, a2}, "B": {b1, b2}, "C": {c1}}
+	ps := MustPolicySet(a1, b1, a2, c1, b2)
+	for _, res := range []string{"A", "B", "C"} {
+		extra := pol(res, "extra")
+		if err := ps.Add(extra); err != nil {
+			t.Fatal(err)
+		}
+		want[res] = append(want[res][:len(want[res]):len(want[res])], extra)
+		for r, alts := range want {
+			got := ps.For(r)
+			if len(got) != len(alts) {
+				t.Fatalf("after adding to %s: %s has %d alternatives, want %d", res, r, len(got), len(alts))
+			}
+			for i := range alts {
+				if got[i] != alts[i] {
+					t.Errorf("after adding to %s: %s alternative %d is %v, want %v", res, r, i, got[i], alts[i])
+				}
+			}
+		}
+	}
+	if got := ps.Len(); got != 8 {
+		t.Errorf("Len = %d, want 8", got)
+	}
+}
+
 func TestPolicyString(t *testing.T) {
 	p := Policy{Resource: "R", Terms: []Term{
 		{CredType: "A"},
