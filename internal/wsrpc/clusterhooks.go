@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"trustvo/internal/negotiation"
 	"trustvo/internal/xmldom"
 )
 
@@ -18,10 +17,9 @@ import (
 // HasSession reports whether id maps to a live session, without
 // refreshing its idle clock.
 func (s *TNService) HasSession(id string) bool {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m[id] != nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[id] != nil
 }
 
 // AdoptSessionDoc restores one session document (the <tnSession> the
@@ -57,27 +55,8 @@ func (s *TNService) EnsureSession(id string) error {
 	if err != nil {
 		return err
 	}
-	id = strings.Clone(id) // the router parsed it out of the whole request body
-	sh := s.shard(id)
-	if err := s.admit(sh); err != nil {
-		return err
-	}
-	sh.mu.Lock() //lint:allow nakedlock slot release on the exists path must run outside the stripe lock
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
-		s.active.Add(-1) // lost the race: the winner holds the slot
-		return nil
-	}
-	sh.m[id] = &tnSession{
-		endpoint: negotiation.NewController(party),
-		lastUsed: time.Now(),
-	}
-	sh.mu.Unlock()
-	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_created_total").Inc()
-		m.Gauge("tn_sessions_active").Inc()
-	}
-	return nil
+	// The router parsed the id out of the whole request body.
+	return s.admit(strings.Clone(id), party)
 }
 
 // DrainSessions removes every session from the table and returns the
@@ -91,18 +70,22 @@ func (s *TNService) EnsureSession(id string) error {
 // through SessionMissing instead of advancing it: a drained session is
 // frozen, so its encode method stays valid.
 func (s *TNService) DrainSessions() map[string]func(*xmldom.Writer) {
-	out := make(map[string]func(*xmldom.Writer))
-	for _, sh := range s.shardTable() {
-		sh.mu.Lock() //lint:allow nakedlock swap per stripe inside a loop; defer would hold the lock across stripes
-		drained := sh.m
-		sh.m = make(map[string]*tnSession)
-		sh.mu.Unlock()
-		for id, sess := range drained {
-			s.retire(sess)
-			out[id] = sess.moveOut(id)
-		}
+	drained := s.takeAll()
+	out := make(map[string]func(*xmldom.Writer), len(drained))
+	for id, sess := range drained {
+		s.retire(sess)
+		out[id] = sess.moveOut(id)
 	}
 	return out
+}
+
+// takeAll empties the table and returns what it held.
+func (s *TNService) takeAll() map[string]*tnSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	all := s.sessions
+	s.sessions = nil
+	return all
 }
 
 // ReshipSessions passes every live session with state through
@@ -117,30 +100,35 @@ func (s *TNService) ReshipSessions(ctx context.Context) error {
 
 // eachLive runs f on every unfinished session in the table, under the
 // session's lock, unless the session has moved on meanwhile, and returns
-// the first error. The table is snapshotted stripe by stripe, and f runs
-// outside every stripe lock: it may take one, or hit the store.
+// the first error. f runs on a copy of the table, outside the table
+// lock: it may take that lock, or hit the store.
 func (s *TNService) eachLive(f func(id string, sess *tnSession) error) error {
-	type held struct {
-		id   string
-		sess *tnSession
-	}
-	var live []held
-	for _, sh := range s.shardTable() {
-		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
-		for id, sess := range sh.m {
-			if !sess.done.Load() {
-				live = append(live, held{id, sess})
-			}
-		}
-		sh.mu.Unlock()
-	}
 	var firstErr error
-	for _, h := range live {
+	for _, h := range s.live() {
 		if err := h.sess.locked(func() error { return f(h.id, h.sess) }); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// heldSession is a session with the id the table holds it under.
+type heldSession struct {
+	id   string
+	sess *tnSession
+}
+
+// live copies the table's unfinished sessions out.
+func (s *TNService) live() []heldSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var live []heldSession
+	for id, sess := range s.sessions {
+		if !sess.done.Load() {
+			live = append(live, heldSession{id, sess})
+		}
+	}
+	return live
 }
 
 // locked runs f under the session's lock, unless the session has moved.
@@ -162,19 +150,20 @@ func (sess *tnSession) locked(f func() error) error {
 // such a session is dropped, and its client restarts from its first
 // message.
 func (s *TNService) ReleaseSession(id string) func(*xmldom.Writer) {
-	sh := s.shard(id)
-	sh.mu.Lock() //lint:allow nakedlock retire and snapshot below must run outside the stripe lock
-	sess := sh.m[id]
-	stale := sess != nil && s.stale(sess, time.Now())
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	sess := s.take(id)
 	if sess == nil {
-		return nil
-	}
-	if stale {
-		s.retireStale(sess)
 		return nil
 	}
 	s.retire(sess)
 	return sess.moveOut(id)
+}
+
+// take removes session id from the table and returns it, nil when the
+// table does not hold it or it has gone stale (held retires it).
+func (s *TNService) take(id string) *tnSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess := s.held(id, time.Now())
+	delete(s.sessions, id)
+	return sess
 }

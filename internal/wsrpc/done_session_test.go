@@ -256,7 +256,9 @@ func TestMovedSessionNotAdvanced(t *testing.T) {
 	// it; put that stale pointer where the handler's lookup finds it.
 	sess := svc.session(id)
 	svc.DrainSessions()
-	svc.shard(id).put(id, sess)
+	svc.mu.Lock()
+	svc.put(id, sess)
+	svc.mu.Unlock()
 
 	first, err := negotiation.NewRequester(req, "R").Start()
 	if err != nil {

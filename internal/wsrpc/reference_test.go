@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -157,11 +158,10 @@ func TestSessionDocumentsMatchReference(t *testing.T) {
 	svc, _, req := standaloneTN(t)
 	ships := 0
 	svc.OnSessionUpdate = func(_ context.Context, id string, encode func(*xmldom.Writer)) error {
-		sh := svc.shard(id)
-		sh.mu.Lock()
-		sess := sh.m[id]
+		svc.mu.Lock()
+		sess := svc.sessions[id]
 		used := sess.lastUsed
-		sh.mu.Unlock()
+		svc.mu.Unlock()
 		checkLayout(t, "live session", encode, refSuspendDoc(sess, id, used)) // the handler holds sess.mu
 		ships++
 		return nil
@@ -178,22 +178,21 @@ func TestSessionDocumentsMatchReference(t *testing.T) {
 		t.Fatal("no session update was shipped")
 	}
 	done := 0
-	for _, sh := range svc.shardTable() {
-		sh.mu.Lock()
-		for id, sess := range sh.m {
-			sess.mu.Lock()
-			used := sess.lastUsed
-			encode := func(w *xmldom.Writer) { sess.encodeDone(w, id, used) }
-			checkLayout(t, "finished session", encode, refDoneDoc(sess, id, used))
-			sess.outcome = &negotiation.Outcome{Resource: `R&"1"`, Reason: "no <cred>"}
-			sess.lastReply = ""
-			checkLayout(t, "refused session", encode, refDoneDoc(sess, id, used))
-			sess.outcome = nil
-			checkLayout(t, "session without outcome", encode, refDoneDoc(sess, id, used))
-			sess.mu.Unlock()
-			done++
-		}
-		sh.mu.Unlock()
+	svc.mu.Lock()
+	held := maps.Clone(svc.sessions) // the table lock is never held while a session's is taken
+	svc.mu.Unlock()
+	for id, sess := range held {
+		sess.mu.Lock()
+		used := sess.lastUsed
+		encode := func(w *xmldom.Writer) { sess.encodeDone(w, id, used) }
+		checkLayout(t, "finished session", encode, refDoneDoc(sess, id, used))
+		sess.outcome = &negotiation.Outcome{Resource: `R&"1"`, Reason: "no <cred>"}
+		sess.lastReply = ""
+		checkLayout(t, "refused session", encode, refDoneDoc(sess, id, used))
+		sess.outcome = nil
+		checkLayout(t, "session without outcome", encode, refDoneDoc(sess, id, used))
+		sess.mu.Unlock()
+		done++
 	}
 	if done != 1 {
 		t.Fatalf("%d finished sessions held, want 1", done)

@@ -21,10 +21,9 @@ func within(s, buf string) bool {
 
 // tableEntry returns the session table's key for id and its session.
 func tableEntry(s *TNService, id string) (string, *tnSession) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for k, sess := range sh.m {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, sess := range s.sessions {
 		if k == id {
 			return k, sess
 		}

@@ -9,9 +9,10 @@ import (
 
 // RetryPolicy controls the exponential-backoff retry loop of the hardened
 // transport. Retries only ever fire for idempotent routes on Temporary
-// errors; everything else surfaces after the first attempt. The zero value
-// means "use defaults" (4 attempts, 25ms base, 1s cap, x2 growth, 50%
-// jitter); set MaxAttempts to 1 to disable retries entirely.
+// errors; everything else surfaces after the first attempt. The delay
+// doubles per retry up to MaxDelay, and each delay d is drawn from
+// [0.75d, 1.25d]. The zero value means "use defaults" (4 attempts, 25ms
+// base, 1s cap); set MaxAttempts to 1 to disable retries entirely.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 4; 1 disables retries; negative values behave like 1).
@@ -20,11 +21,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (default 1s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
-	// Jitter randomizes each delay by ±Jitter/2 of its value (default 0.5,
-	// i.e. a delay d is drawn from [0.75d, 1.25d]).
-	Jitter float64
 
 	// Seed, when nonzero, makes the jitter sequence deterministic for
 	// seeded fault-injection tests. A RetryPolicy is shared by every
@@ -55,7 +51,7 @@ func (p *RetryPolicy) attempts() int {
 // so an overloaded server advertising a long recovery horizon makes the
 // client give up quickly instead of stalling the caller.
 func (p *RetryPolicy) delay(retry int, hint time.Duration) time.Duration {
-	base, maxd, mult, jit := 25*time.Millisecond, time.Second, 2.0, 0.5
+	base, maxd := 25*time.Millisecond, time.Second
 	if p != nil {
 		if p.BaseDelay > 0 {
 			base = p.BaseDelay
@@ -63,24 +59,18 @@ func (p *RetryPolicy) delay(retry int, hint time.Duration) time.Duration {
 		if p.MaxDelay > 0 {
 			maxd = p.MaxDelay
 		}
-		if p.Multiplier > 1 {
-			mult = p.Multiplier
-		}
-		if p.Jitter > 0 {
-			jit = p.Jitter
-		}
 	}
 	d := float64(base)
 	for i := 0; i < retry; i++ {
-		d *= mult
+		d *= 2
 		if d >= float64(maxd) {
 			d = float64(maxd)
 			break
 		}
 	}
-	// spread d over [d*(1-jit/2), d*(1+jit/2)] so synchronized clients
-	// don't re-collide on the same tick
-	d *= 1 + jit*(p.rand()-0.5)
+	// spread d over [0.75d, 1.25d] so synchronized clients don't
+	// re-collide on the same tick
+	d *= 1 + 0.5*(p.rand()-0.5)
 	out := time.Duration(d)
 	if out > maxd {
 		out = maxd

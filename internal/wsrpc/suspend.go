@@ -36,7 +36,7 @@ func (sess *tnSession) resumable() bool {
 // negotiation state and reply cache, as <tnSession> (caller holds
 // sess.mu and has checked resumable). The per-message standby ship
 // writes it inside the exchange handler's critical section. used is the
-// session's last use, which its stripe's lock guards: the document
+// session's last use, which the table lock guards: the document
 // carries the idle clock, so a restored session expires when it would
 // have expired where it was.
 func (sess *tnSession) encodeSuspended(w *xmldom.Writer, id string, used time.Time) {
@@ -119,7 +119,7 @@ func (s *TNService) SuspendSessions(db *store.Store) (int, error) {
 	var docs []record
 	s.eachLive(func(id string, sess *tnSession) error {
 		if sess.resumable() { // else, e.g., a session /tn/start made that never saw a message
-			used := s.lastUse(id, sess)
+			used := s.lastUse(sess)
 			docs = append(docs, record{id, xmldom.String(func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) })})
 		}
 		return nil
@@ -167,14 +167,12 @@ func (s *TNService) ResumeSessions(db *store.Store) (int, error) {
 // clobber it. A live (unfinished) session claims a capacity slot. insert
 // reports whether the session went in.
 func (s *TNService) insert(id string, sess *tnSession) bool {
-	sh := s.shard(id)
-	sh.mu.Lock() //lint:allow nakedlock metrics below must run outside the stripe lock
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, held := s.sessions[id]; held {
 		return false
 	}
-	sh.m[id] = sess
-	sh.mu.Unlock()
+	s.put(id, sess)
 	if !sess.deactivated.Load() {
 		s.active.Add(1)
 		if m := s.Metrics; m != nil {

@@ -96,8 +96,14 @@ type TNService struct {
 	// retry to follow it rather than give the negotiation up.
 	SessionMissing func(w http.ResponseWriter, id string)
 
-	shardOnce sync.Once
-	shards    []*sessionShard
+	// mu guards the session table, every session's idle clock
+	// (tnSession.lastUsed) and swept. A handler holding a session's own
+	// lock may take mu (lastUse); mu is never held while a session's lock
+	// is taken.
+	mu       sync.Mutex
+	sessions map[string]*tnSession
+	// swept is when the whole table was last swept (sweep).
+	swept time.Time
 	// active counts sessions holding a capacity slot: created or resumed,
 	// not yet completed/expired/evicted. The slot is released by retire(),
 	// whose CAS guarantees exactly one release per session however many
@@ -113,52 +119,12 @@ type TNService struct {
 	bound   atomic.Pointer[boundParty]
 }
 
-// sessionShard is one lock stripe of the session table.
-type sessionShard struct {
-	mu sync.Mutex
-	m  map[string]*tnSession
-}
-
-// sessionShards is the number of lock stripes the session table is split
-// into. Every session id is hashed to one stripe, so concurrent joins on
-// different stripes never contend on a lock. 16 is sized for tens of
-// concurrent joiners: the probability of two of k simultaneous requests
-// colliding on a stripe stays low while the per-stripe sweep cost stays
-// trivial.
-const sessionShards = 16
-
-// shardTable lazily builds the stripe array.
-func (s *TNService) shardTable() []*sessionShard {
-	s.shardOnce.Do(func() {
-		s.shards = make([]*sessionShard, sessionShards)
-		for i := range s.shards {
-			s.shards[i] = &sessionShard{m: make(map[string]*tnSession)}
-		}
-	})
-	return s.shards
-}
-
-// shard maps a session id to its stripe (FNV-1a over the id).
-func (s *TNService) shard(id string) *sessionShard {
-	shards := s.shardTable()
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return shards[h%uint32(len(shards))]
-}
-
 type tnSession struct {
 	// endpoint drives the negotiation; it is dropped once done is set,
 	// leaving outcome, the verdict /tn/status reports.
 	endpoint *negotiation.Endpoint
 	mu       sync.Mutex // one in-flight message per session
-	lastUsed time.Time
+	lastUsed time.Time  // guarded by TNService.mu
 	outcome  *negotiation.Outcome
 	done     atomic.Bool
 	// deactivated records that the session's capacity slot (and its
@@ -224,6 +190,15 @@ func (s *TNService) doneRetention() time.Duration {
 	return 30 * time.Second
 }
 
+// sweepEvery is the least time between two whole-table sweeps at session
+// start: a quarter of the shorter session lifetime. A finished session
+// is visited by about five sweeps over its retention, whatever the
+// retention, and a stale one leaves the table within a quarter lifetime
+// of going stale, or at its next lookup.
+func (s *TNService) sweepEvery() time.Duration {
+	return min(s.doneRetention(), s.maxAge()) / 4
+}
+
 func (s *TNService) handleStart(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeFault(w, http.StatusMethodNotAllowed, "method", "POST required")
@@ -255,7 +230,10 @@ func (s *TNService) handleStart(w http.ResponseWriter, r *http.Request) {
 			// Honest backpressure: tell the client when capacity is
 			// expected to free up instead of silently evicting live
 			// negotiations beyond what the half-age policy allows.
-			w.Header().Set("Retry-After", strconv.Itoa(int(ce.retryAfter/time.Second)))
+			// Rounded up: a client retrying sooner would find the oldest
+			// session not yet evictable.
+			secs := max(1, (ce.retryAfter+time.Second-1)/time.Second)
+			w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 			if m := s.Metrics; m != nil {
 				m.Counter("tn_start_rejected_total", "reason", "capacity").Inc()
 			}
@@ -278,53 +256,10 @@ func (e *capacityError) Error() string {
 	return fmt.Sprintf("wsrpc: %d concurrent negotiations", e.active)
 }
 
-// capacityRetry estimates how long until the oldest live session
-// crosses the half-age eviction threshold.
-func (s *TNService) capacityRetry() time.Duration {
-	var oldest time.Time
-	for _, sh := range s.shardTable() {
-		if t := sh.oldestLive(); !t.IsZero() && (oldest.IsZero() || t.Before(oldest)) {
-			oldest = t
-		}
-	}
-	wait := s.maxAge() / 2
-	if !oldest.IsZero() {
-		wait = time.Until(oldest.Add(s.maxAge() / 2))
-	}
-	if wait < time.Second {
-		wait = time.Second
-	}
-	return wait
-}
-
-// put inserts a session into the stripe.
-func (sh *sessionShard) put(id string, sess *tnSession) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.m[id] = sess
-}
-
-// oldestLive returns the lastUsed time of the shard's oldest unfinished
-// session (zero when it has none).
-func (sh *sessionShard) oldestLive() time.Time {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var oldest time.Time
-	for _, sess := range sh.m {
-		if sess.done.Load() {
-			continue
-		}
-		if oldest.IsZero() || sess.lastUsed.Before(oldest) {
-			oldest = sess.lastUsed
-		}
-	}
-	return oldest
-}
-
 // retire releases sess's capacity slot, reporting whether this caller is
-// the one that retired it. Completion (exchangeHandler), expiry sweeps
-// and capacity eviction can all reach a session concurrently — under the
-// striped table even from different callers at once — and the CAS makes
+// the one that retired it. Completion (exchangeHandler, under the
+// session's lock only), expiry sweeps and capacity eviction (under the
+// table lock) can all reach a session concurrently, and the CAS makes
 // the release (and the tn_sessions_active decrement) happen exactly
 // once, so the gauge can never underflow and a session is never
 // double-retired.
@@ -355,23 +290,57 @@ func (s *TNService) reserveActive() bool {
 	}
 }
 
-// admit claims a capacity slot for a new session in stripe sh, the one
-// admission path into the session table. Amortized cleanup: each new
-// session sweeps only its own stripe, and the full-table sweep and
-// eviction are reserved for capacity pressure.
-func (s *TNService) admit(sh *sessionShard) error {
-	s.sweepShard(sh)
-	if s.reserveActive() {
-		return nil
+// admit puts a fresh controller session for party into the table under
+// id and claims a capacity slot for it: the one path by which a new
+// session enters the table. A session already holding id keeps it.
+// Cleanup is clocked: a start sweeps the whole table once sweepEvery has
+// passed since the last sweep, and at once, before evicting, when the
+// service is at MaxSessions. Each eviction is logged once the table lock
+// is released, since Logf is the caller's code.
+func (s *TNService) admit(id string, party *negotiation.Party) error {
+	evicted, err := s.enter(id, party)
+	for _, e := range evicted {
+		s.logf("wsrpc: evicted live negotiation %s idle=%s under session pressure (%d/%d active)",
+			e.id, e.idle.Round(time.Millisecond), e.active, s.maxSessions())
 	}
-	for _, other := range s.shardTable() {
-		s.sweepShard(other)
+	return err
+}
+
+// enter is admit's work under the table lock; it returns the live
+// sessions it evicted.
+func (s *TNService) enter(id string, party *negotiation.Party) ([]eviction, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, held := s.sessions[id]; held {
+		return nil, nil
 	}
-	s.evictForCapacity()
+	now := time.Now()
+	if now.Sub(s.swept) >= s.sweepEvery() {
+		s.sweep(now)
+	}
+	var evicted []eviction
 	if !s.reserveActive() {
-		return &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
+		s.sweep(now)
+		var wait time.Duration
+		evicted, wait = s.evict(now)
+		if !s.reserveActive() {
+			return evicted, &capacityError{active: int(s.active.Load()), retryAfter: wait}
+		}
 	}
-	return nil
+	s.put(id, &tnSession{endpoint: negotiation.NewController(party), lastUsed: now})
+	if m := s.Metrics; m != nil {
+		m.Counter("tn_sessions_created_total").Inc()
+		m.Gauge("tn_sessions_active").Inc()
+	}
+	return evicted, nil
+}
+
+// put adds sess to the table under id (caller holds s.mu).
+func (s *TNService) put(id string, sess *tnSession) {
+	if s.sessions == nil {
+		s.sessions = make(map[string]*tnSession)
+	}
+	s.sessions[id] = sess
 }
 
 // mintSessionID draws a fresh session id, via the NewSessionID hook
@@ -398,17 +367,8 @@ func (s *TNService) newSession() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sh := s.shard(id)
-	if err := s.admit(sh); err != nil {
+	if err := s.admit(id, party); err != nil {
 		return "", err
-	}
-	sh.put(id, &tnSession{
-		endpoint: negotiation.NewController(party),
-		lastUsed: time.Now(),
-	})
-	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_created_total").Inc()
-		m.Gauge("tn_sessions_active").Inc()
 	}
 	return id, nil
 }
@@ -516,15 +476,15 @@ func (s *TNService) stale(sess *tnSession, now time.Time) bool {
 	return sess.lastUsed.Before(cutoff)
 }
 
-// retireStale accounts for one stale session already removed from its
-// stripe, reporting whether it counted as an expiry. An unfinished
-// session can complete concurrently (exchangeHandler holds only sess.mu,
-// never the stripe lock), so accounting routes through retire():
-// whichever of sweep and completion wins the CAS releases the capacity
-// slot — sweep then counts "expired", and the loser's copy is an
-// ordinary "retired" map cleanup of a completed session. This keeps
-// created == completed + expired + evicted exact.
-func (s *TNService) retireStale(sess *tnSession) bool {
+// retireStale accounts for one stale session just removed from the
+// table. An unfinished session can complete concurrently
+// (exchangeHandler holds only sess.mu, never the table lock), so
+// accounting routes through retire(): whichever of sweep and completion
+// wins the CAS releases the capacity slot — sweep then counts "expired",
+// and the loser's copy is an ordinary "retired" map cleanup of a
+// completed session. This keeps created == completed + expired + evicted
+// exact.
+func (s *TNService) retireStale(sess *tnSession) {
 	expired := s.retire(sess)
 	if m := s.Metrics; m != nil {
 		reason := "retired"
@@ -533,130 +493,101 @@ func (s *TNService) retireStale(sess *tnSession) bool {
 		}
 		m.Counter("tn_sessions_swept_total", "reason", reason).Inc()
 	}
-	return expired
 }
 
-// sweepShard drops one stripe's stale sessions and returns how many
-// expired (unfinished past MaxSessionAge) vs. retired (finished past
-// DoneRetention).
-func (s *TNService) sweepShard(sh *sessionShard) (expired, retired int) {
-	now := time.Now()
-	var stale []*tnSession
-	sh.mu.Lock() //lint:allow nakedlock retireStale below must run outside the stripe lock; see its comment
-	for id, sess := range sh.m {
+// sweep drops every stale session from the table (caller holds s.mu):
+// unfinished past MaxSessionAge, finished past DoneRetention. It
+// retires them in place, and the registry it counts them in never calls
+// back into the service.
+func (s *TNService) sweep(now time.Time) {
+	s.swept = now
+	for id, sess := range s.sessions {
 		if s.stale(sess, now) {
-			delete(sh.m, id)
-			stale = append(stale, sess)
+			delete(s.sessions, id)
+			s.retireStale(sess)
 		}
 	}
-	sh.mu.Unlock()
-	// retireStale touches the shared active counter and gauge; running it
-	// after unlocking keeps stripe critical sections map-only.
-	for _, sess := range stale {
-		if s.retireStale(sess) {
-			expired++
-		} else {
-			retired++
-		}
-	}
-	return expired, retired
 }
 
-// evictForCapacity relieves session pressure: when the table is at
-// MaxSessions, live sessions idle for more than half of MaxSessionAge
-// are evicted, oldest first, each with a log line — the deployment gets
-// signal instead of silent capacity errors, while fresh negotiations are
-// never sacrificed. The half-age floor also means an evicted session
-// cannot be mid-message: handlers refresh lastUsed on lookup.
-//
-// The globally-oldest candidate is found by scanning stripes one lock at
-// a time, then re-verified under its own stripe lock before removal — it
-// may have completed, been swept, or been refreshed in between. A failed
-// re-verify just rescans; the candidate that invalidated itself can no
-// longer be returned, so the loop terminates.
-func (s *TNService) evictForCapacity() {
-	idleCutoff := time.Now().Add(-s.maxAge() / 2)
-	max := int64(s.maxSessions())
-	for s.active.Load() >= max {
-		sh, id, oldest := s.oldestIdle(idleCutoff)
+// eviction is a live session evict removed, with what its log line
+// reports.
+type eviction struct {
+	id     string
+	idle   time.Duration
+	active int64
+}
+
+// evict relieves session pressure (caller holds s.mu): while the service
+// is at MaxSessions, the live session idle longest is evicted if it has
+// been idle for more than half of MaxSessionAge — the deployment gets a
+// log line for each instead of silent capacity errors, while fresh
+// negotiations are never sacrificed. The half-age floor also means an
+// evicted session cannot be mid-message: handlers refresh lastUsed on
+// lookup. evict returns the evicted sessions and how long until the
+// oldest live session left becomes evictable, the capacity error's
+// Retry-After estimate.
+func (s *TNService) evict(now time.Time) (evicted []eviction, wait time.Duration) {
+	half := s.maxAge() / 2
+	for s.active.Load() >= int64(s.maxSessions()) {
+		id, oldest := s.oldestLive()
 		if oldest == nil {
-			return
+			return evicted, half
 		}
-		if !sh.remove(id, oldest, idleCutoff) {
-			continue
+		idle := now.Sub(oldest.lastUsed)
+		if idle <= half {
+			return evicted, half - idle
 		}
+		delete(s.sessions, id)
 		if s.retire(oldest) {
-			s.logf("wsrpc: evicted live negotiation %s idle=%s under session pressure (%d/%d active)",
-				id, time.Since(oldest.lastUsed).Round(time.Millisecond), s.active.Load(), s.maxSessions())
+			evicted = append(evicted, eviction{id, idle, s.active.Load()})
 			if m := s.Metrics; m != nil {
 				m.Counter("tn_sessions_swept_total", "reason", "evicted").Inc()
 			}
 		} else if m := s.Metrics; m != nil {
-			// Completed between the scan and the removal: an ordinary
-			// retirement, already counted as completed.
+			// Completed since the scan (completion holds only the
+			// session's lock): an ordinary retirement, already counted
+			// as completed.
 			m.Counter("tn_sessions_swept_total", "reason", "retired").Inc()
 		}
 	}
+	return evicted, 0
 }
 
-// oldestIdle scans all stripes for the oldest unfinished session idle
-// since before cutoff, returning its stripe, id and session (nil when no
-// stripe has one).
-func (s *TNService) oldestIdle(cutoff time.Time) (*sessionShard, string, *tnSession) {
+// oldestLive returns the unfinished session idle longest and its id, or
+// nil when there is none (caller holds s.mu).
+func (s *TNService) oldestLive() (string, *tnSession) {
 	var (
-		bestShard *sessionShard
-		bestID    string
-		best      *tnSession
-		bestUsed  time.Time
+		oldestID string
+		oldest   *tnSession
 	)
-	for _, sh := range s.shardTable() {
-		sh.mu.Lock() //lint:allow nakedlock per-stripe scan inside a loop; defer would hold the lock across stripes
-		for id, sess := range sh.m {
-			if sess.done.Load() || !sess.lastUsed.Before(cutoff) {
-				continue
-			}
-			if best == nil || sess.lastUsed.Before(bestUsed) {
-				bestShard, bestID, best, bestUsed = sh, id, sess, sess.lastUsed
-			}
+	for id, sess := range s.sessions {
+		if !sess.done.Load() && (oldest == nil || sess.lastUsed.Before(oldest.lastUsed)) {
+			oldestID, oldest = id, sess
 		}
-		sh.mu.Unlock()
 	}
-	return bestShard, bestID, best
+	return oldestID, oldest
 }
 
-// remove deletes id from the stripe iff it still maps to sess and sess
-// is still an eviction candidate (unfinished, idle past cutoff).
-func (sh *sessionShard) remove(id string, sess *tnSession, cutoff time.Time) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur, ok := sh.m[id]
-	if !ok || cur != sess || cur.done.Load() || !cur.lastUsed.Before(cutoff) {
-		return false
-	}
-	delete(sh.m, id)
-	return true
-}
-
-// session looks up id, refreshing its idle clock. Expiry is enforced
-// lazily here as well as by the sweeps: amortized per-stripe sweeping
-// means a stale session may still sit in an untouched stripe, and it
-// must read as gone the moment its lifetime is over, not when a sweep
-// happens to visit it.
+// session looks up id, refreshing its idle clock.
 func (s *TNService) session(id string) *tnSession {
-	sh := s.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	now := time.Now()
-	var stale bool
-	sh.mu.Lock() //lint:allow nakedlock retireStale below must run outside the stripe lock; see its comment
-	sess := sh.m[id]
+	sess := s.held(id, now)
 	if sess != nil {
-		if stale = s.stale(sess, now); stale {
-			delete(sh.m, id)
-		} else {
-			sess.lastUsed = now
-		}
+		sess.lastUsed = now
 	}
-	sh.mu.Unlock()
-	if stale {
+	return sess
+}
+
+// held returns session id, nil when the table does not hold it (caller
+// holds s.mu). Expiry is enforced here as well as by the clocked sweeps:
+// a stale session must read as gone the moment its lifetime is over, not
+// when a sweep next visits it, so held retires it on the spot.
+func (s *TNService) held(id string, now time.Time) *tnSession {
+	sess := s.sessions[id]
+	if sess != nil && s.stale(sess, now) {
+		delete(s.sessions, id)
 		s.retireStale(sess)
 		return nil
 	}
@@ -868,16 +799,14 @@ func (s *TNService) shipSessionUpdate(ctx context.Context, id string, sess *tnSe
 	if ship == nil || !sess.resumable() {
 		return nil
 	}
-	used := s.lastUse(id, sess)
+	used := s.lastUse(sess)
 	return ship(ctx, id, func(w *xmldom.Writer) { sess.encodeSuspended(w, id, used) })
 }
 
-// lastUse reads the idle clock of session id, which its stripe's lock
-// guards.
-func (s *TNService) lastUse(id string, sess *tnSession) time.Time {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// lastUse reads sess's idle clock, which the table lock guards.
+func (s *TNService) lastUse(sess *tnSession) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return sess.lastUsed
 }
 
@@ -911,14 +840,11 @@ func (s *TNService) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, http.StatusOK, statusXML(id, sess.done.Load(), sess.outcome))
 }
 
-// Sessions returns the number of live sessions (monitoring).
+// Sessions sweeps the table and returns the number of sessions it still
+// holds (monitoring).
 func (s *TNService) Sessions() int {
-	n := 0
-	for _, sh := range s.shardTable() {
-		s.sweepShard(sh)
-		sh.mu.Lock() //lint:allow nakedlock per-stripe length inside a loop; defer would hold the lock across stripes
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sweep(time.Now())
+	return len(s.sessions)
 }
